@@ -16,6 +16,8 @@ terminal row has no drift correction: the horizon endpoint advances with
 current time, while each path row pins an absolute time along the flow.
 At ``u = pi(x)`` the path derivative terms cancel identically, which is
 what makes the program feasible whenever the barrier is nonnegative.
+The rows stay one ``(R, m)`` array with an ``(R,)`` right-hand side from
+assembly to solve (layout in `ConstraintSet`).
 """
 
 from __future__ import annotations
@@ -62,21 +64,37 @@ class BatchBarrierValues(NamedTuple):
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Affine rows ``a^T u >= b`` for the filter, with provenance labels.
+    """Affine rows ``rows @ u >= rhs`` for the filter.
 
-    Labels are ``("path", k, i)`` or ``("terminal", 0, n_steps)``.  Row
-    count is ``(n_steps + 1) * n_constraints + 1``; path rows are grouped
-    by constraint, the terminal row comes last.
+    ``rows`` is ``(R, m)`` and ``rhs`` is ``(R,)`` with
+    ``R = n_constraints * (n_steps + 1) + 1``: path rows grouped by
+    constraint, each group in grid order, then the terminal row.
+    `label` recovers a row's provenance from its index.
     """
 
-    rows: tuple[tuple[Array, float], ...]
-    labels: tuple[tuple[str, int, int], ...]
-    input_lower: Array
-    input_upper: Array
+    rows: Array
+    rhs: Array
+    n_steps: int
+
+    def label(self, r: int) -> tuple[str, int, int]:
+        """``("path", k, i)`` for constraint ``k`` at grid index ``i``, or
+        ``("terminal", 0, n_steps)`` for the last row."""
+        if not 0 <= r < self.rhs.shape[0]:
+            raise IndexError(f"row {r} out of range")
+        if r == self.rhs.shape[0] - 1:
+            return ("terminal", 0, self.n_steps)
+        k, i = divmod(r, self.n_steps + 1)
+        return ("path", k, i)
 
     def slacks(self, u: Array) -> Array:
-        u = np.asarray(u, dtype=float)
-        return np.array([a @ u - b for a, b in self.rows])
+        return self.rows @ np.asarray(u, dtype=float) - self.rhs
+
+
+def path_values(spec: SafetySpec, states: Array) -> tuple[Array, Array]:
+    """Path constraints at ``states`` ``(..., n)``: the per-constraint
+    table ``(K, ...)`` and its worst case over constraints ``(...)``."""
+    table = np.stack([c.h_eval(states) for c in spec.constraints])
+    return table, table.min(axis=0)
 
 
 def eval_h(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
@@ -85,9 +103,9 @@ def eval_h(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
     over the grid, including the terminal function at the horizon."""
     traj = integrate_flow(model, policy, np.asarray(x, dtype=float),
                           horizon, steps)
-    per_tau = np.stack([c.h_eval(traj.states) for c in spec.constraints])
+    per_tau, worst = path_values(spec, traj.states)
     terminal = float(spec.terminal.h_eval(traj.states[-1]))
-    path_min = float(per_tau.min())
+    path_min = float(worst.min())
     if path_min <= terminal:
         k, i = np.unravel_index(int(np.argmin(per_tau)), per_tau.shape)
         argmin = (int(k), int(i))
@@ -111,7 +129,7 @@ def eval_h_batch(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
     running = [None]
 
     def observe(_i, _t, xs):
-        vals = np.stack([c.h_eval(xs) for c in spec.constraints]).min(axis=0)
+        vals = path_values(spec, xs)[1]
         running[0] = vals if running[0] is None else np.minimum(running[0], vals)
 
     _, ends, _ = integrate_flow_batch(model, policy, states, horizon, steps,
@@ -144,29 +162,24 @@ def build_constraints(model: SystemModel, policy: BackupPolicy, spec: SafetySpec
     sens = traj.sensitivities              # (N+1, n, n)
     q_g = sens @ g0                        # (N+1, n, m)
     q_f = sens @ f0                        # (N+1, n)
-    drift = closed_loop_rhs(model, policy, traj.states)
+    drift_gap = q_f - closed_loop_rhs(model, policy, traj.states)
 
-    rows: list[tuple[Array, float]] = []
-    labels: list[tuple[str, int, int]] = []
     gamma = spec.alpha_gain
+    a_blocks, b_blocks = [], []
     for k, con in enumerate(spec.constraints):
         grads = con.grad_eval(traj.states)             # (N+1, n)
-        a_k = np.einsum("ti,tim->tm", grads, q_g)
-        b_k = (-np.einsum("ti,ti->t", grads, q_f - drift)
-               - gamma * evaluation.per_tau_values[k] + margin)
-        for i in range(traj.times.shape[0]):
-            rows.append((a_k[i], float(b_k[i])))
-            labels.append(("path", k, i))
+        a_blocks.append(np.einsum("ti,tim->tm", grads, q_g))
+        b_blocks.append(-np.einsum("ti,ti->t", grads, drift_gap)
+                        - gamma * evaluation.per_tau_values[k] + margin)
 
     grad_t = spec.terminal.grad_eval(traj.states[-1])
-    a_t = grad_t @ q_g[-1]
-    b_t = float(-(grad_t @ q_f[-1]) - gamma * evaluation.terminal_value + margin)
-    rows.append((a_t, b_t))
-    labels.append(("terminal", 0, traj.times.shape[0] - 1))
+    a_blocks.append((grad_t @ q_g[-1])[None])
+    b_blocks.append([-(grad_t @ q_f[-1]) - gamma * evaluation.terminal_value
+                     + margin])
 
-    return ConstraintSet(rows=tuple(rows), labels=tuple(labels),
-                         input_lower=model.input_lower,
-                         input_upper=model.input_upper)
+    return ConstraintSet(rows=np.concatenate(a_blocks),
+                         rhs=np.concatenate(b_blocks),
+                         n_steps=traj.times.shape[0] - 1)
 
 
 @dataclass(frozen=True)
@@ -222,7 +235,8 @@ def filter_control(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
     constraints = build_constraints(model, policy, spec, evaluation, x, margin)
     t2 = time.perf_counter()
     problem = QpProblem(u0=u_nominal, rows=constraints.rows,
-                        lower=model.input_lower, upper=model.input_upper)
+                        rhs=constraints.rhs, lower=model.input_lower,
+                        upper=model.input_upper)
     solution = solver.solve(problem)
     t3 = time.perf_counter()
 

@@ -14,12 +14,12 @@ grid sweeps build on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import FlowDivergenceError, ValidationError
-from .systems import BackupPolicy, SystemModel
+from .systems import BackupPolicy, SystemModel, closed_loop_derivs
 
 Array = np.ndarray
 
@@ -56,37 +56,40 @@ def _check_args(x0: Array, horizon: float, steps: int) -> Array:
     return x0
 
 
-def _flow_derivs(model: SystemModel, policy: BackupPolicy, x: Array,
-                 q: Array | None) -> tuple[Array, Array | None]:
-    """Augmented derivative sharing one evaluation of f, g, and pi per
-    stage; finiteness is checked per step by the integrators, not here."""
-    u = policy.pi_eval(x)
-    g = model.g_eval(x)
-    dx = model.f_eval(x) + np.matmul(g, u[..., None])[..., 0]
-    if q is None:
-        return dx, None
-    jac = model.df_dx(x)
-    if model.dg_dx is not None:
-        jac = jac + np.einsum("...imk,...m->...ik", model.dg_dx(x), u)
-    jac = jac + np.matmul(g, policy.dpi_dx(x))
-    return dx, np.matmul(jac, q)
-
-
 def _rk4_step(model: SystemModel, policy: BackupPolicy, x: Array,
               q: Array | None, dt: float) -> tuple[Array, Array | None]:
-    """One explicit fourth-order step of the augmented (state, sensitivity)
-    system; ``q`` is carried along only when provided."""
+    """One explicit fourth-order step of the augmented system
+    ``(f_pi(x), J(x) q)``; ``q`` is carried along only when provided."""
+    def stage(xs, qs):
+        dx, jac = closed_loop_derivs(model, policy, xs, jacobian=q is not None)
+        return dx, None if q is None else np.matmul(jac, qs)
+
     half = 0.5 * dt
-    k1x, k1q = _flow_derivs(model, policy, x, q)
-    k2x, k2q = _flow_derivs(model, policy, x + half * k1x,
-                            None if q is None else q + half * k1q)
-    k3x, k3q = _flow_derivs(model, policy, x + half * k2x,
-                            None if q is None else q + half * k2q)
-    k4x, k4q = _flow_derivs(model, policy, x + dt * k3x,
-                            None if q is None else q + dt * k3q)
+    k1x, k1q = stage(x, q)
+    k2x, k2q = stage(x + half * k1x, None if q is None else q + half * k1q)
+    k3x, k3q = stage(x + half * k2x, None if q is None else q + half * k2q)
+    k4x, k4q = stage(x + dt * k3x, None if q is None else q + dt * k3q)
     x_next = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     q_next = None if q is None else q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
     return x_next, q_next
+
+
+def _march(model: SystemModel, policy: BackupPolicy, x: Array,
+           q: Array | None, horizon: float, steps: int
+           ) -> Iterator[tuple[int, Array, Array | None]]:
+    """The stepping loop for one state ``(n,)`` or a batch ``(B, n)``:
+    yields ``(i, x_i, q_i)`` for ``i = 0..steps``, raising
+    `FlowDivergenceError` at the first step that leaves finite values."""
+    dt = horizon / steps
+    yield 0, x, q
+    for i in range(1, steps + 1):
+        # divergence is detected after the step; silence transient overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, q = _rk4_step(model, policy, x, q, dt)
+        if not (np.all(np.isfinite(x)) and (q is None or np.all(np.isfinite(q)))):
+            raise FlowDivergenceError(
+                f"flow diverged at step {i} (t = {i * dt:.6g} s)", i)
+        yield i, x, q
 
 
 def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
@@ -96,20 +99,11 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
     alongside the state."""
     x0 = _check_args(x0, horizon, steps)
     n = x0.shape[0]
-    dt = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
     states = np.empty((steps + 1, n))
     sens = np.empty((steps + 1, n, n))
-    x, q = x0.copy(), np.eye(n)
-    states[0], sens[0] = x, q
-    for i in range(steps):
-        # divergence is detected after the step; silence transient overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, q = _rk4_step(model, policy, x, q, dt)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
-            raise FlowDivergenceError(
-                f"flow diverged at step {i + 1} (t = {times[i + 1]:.6g} s)", i + 1)
-        states[i + 1], sens[i + 1] = x, q
+    for i, x, q in _march(model, policy, x0, np.eye(n), horizon, steps):
+        states[i], sens[i] = x, q
     return FlowTrajectory(times=times, states=states, sensitivities=sens, origin=x0)
 
 
@@ -128,25 +122,13 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != model.state_dim:
         raise ValidationError("x0s must have shape (batch, state_dim)")
-    _check_args(x0s[0], horizon, steps)
-    if not np.all(np.isfinite(x0s)):
-        raise ValidationError("initial states must be finite")
+    _check_args(x0s, horizon, steps)
     b, n = x0s.shape
-    dt = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
-    x = x0s.copy()
-    q = np.broadcast_to(np.eye(n), (b, n, n)).copy() if with_sensitivity else None
-    if observer is not None:
-        observer(0, 0.0, x)
-    for i in range(steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, q = _rk4_step(model, policy, x, q, dt)
-        ok = np.all(np.isfinite(x)) and (q is None or np.all(np.isfinite(q)))
-        if not ok:
-            raise FlowDivergenceError(
-                f"flow diverged at step {i + 1} (t = {times[i + 1]:.6g} s)", i + 1)
+    q0 = np.broadcast_to(np.eye(n), (b, n, n)).copy() if with_sensitivity else None
+    for i, x, q in _march(model, policy, x0s, q0, horizon, steps):
         if observer is not None:
-            observer(i + 1, times[i + 1], x)
+            observer(i, times[i], x)
     return times, x, q
 
 

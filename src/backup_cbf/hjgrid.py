@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import eval_h_batch
+from .barrier import eval_h_batch, path_values
 from .errors import GeometryError, NumericalError, ValidationError
 from .systems import BackupPolicy, SafetySpec, SystemModel
 
@@ -34,11 +34,11 @@ Array = np.ndarray
 
 
 def _threads() -> int:
-    raw = os.environ.get("BCBF_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
+    raw = os.environ.get("BCBF_THREADS") or "1"
+    if not (raw.isdecimal() and int(raw) >= 1):
+        raise ValidationError(
+            f"BCBF_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,7 @@ class LevelGrid:
 
 def constraint_grid(geometry: GridGeometry, spec: SafetySpec) -> LevelGrid:
     """Initial field ``min_k hC_k`` sampled on the grid nodes."""
-    pts = geometry.nodes()
-    vals = np.stack([c.h_eval(pts) for c in spec.constraints]).min(axis=0)
-    return LevelGrid(geometry, vals)
+    return LevelGrid(geometry, path_values(spec, geometry.nodes())[1])
 
 
 def hamiltonian(model: SystemModel, x: Array, p: Array) -> Array:
@@ -160,7 +158,8 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, dt: float | None = Non
     ``value_floor`` (default: two field ranges under the field minimum);
     only the zero level matters for set membership, and the clamp stops
     cells whose true value drains out of the domain from delaying
-    convergence.
+    convergence.  A floor above the minimum of ``grid0`` is rejected, as it
+    would lift violating cells, possibly to the safe side.
     """
     geom = grid0.geometry
     if model.state_dim != geom.dims:
@@ -193,6 +192,9 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, dt: float | None = Non
     if value_floor is None:
         v_range = float(v.max() - v.min())
         value_floor = float(v.min()) - 2.0 * max(v_range, 1.0)
+    elif value_floor > v.min():
+        raise ValidationError(f"value_floor {value_floor:.6g} exceeds the "
+                              f"field minimum {float(v.min()):.6g}")
     for step in range(max_steps):
         grads_c = np.empty(shape + (geom.dims,))
         diss = np.zeros(shape)
@@ -214,7 +216,8 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, dt: float | None = Non
             raise NumericalError(
                 f"value iteration blew up at step {step} (dt = {dt:.4g}; "
                 f"stability bound {1.0 / cfl_rate:.4g})")
-        assert np.all(v_new <= v + 1e-12), "value iteration must be monotone"
+        if not np.all(v_new <= v + 1e-12):
+            raise NumericalError(f"value iteration lost monotonicity at step {step}")
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if delta < tol:

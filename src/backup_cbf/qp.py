@@ -8,6 +8,10 @@ working-set subproblem is a tiny least-squares solve, the active set is
 reported exactly, and infeasibility surfaces as a Farkas-style certificate
 (the incoming normal is a nonpositive combination of the working set).
 
+Rows arrive as one ``(R, m)`` array with an ``(R,)`` right-hand side; the
+finite box bounds are stacked below them, so the active set names stacked
+index ``i < R`` as ``("row", i)`` and box rows ``("lower"/"upper", j)``.
+
 A solver instance carries warm-start state (the previous active set is
 tried first when scanning for violated rows); instances are cheap to clone
 and must not be shared across threads.
@@ -32,13 +36,16 @@ ActiveLabel = tuple[str, int]
 
 @dataclass(frozen=True)
 class QpProblem:
-    """``min ||u - u0||^2  s.t.  a_i^T u >= b_i,  lower <= u <= upper``.
+    """``min ||u - u0||^2  s.t.  rows @ u >= rhs,  lower <= u <= upper``.
 
-    Box bounds may be infinite.  ``rows`` is a sequence of ``(a, b)`` pairs.
+    ``rows`` is an ``(R, m)`` array with one constraint normal per row and
+    ``rhs`` the matching ``(R,)`` vector; ``R = 0`` is allowed.  Box bounds
+    may be infinite.
     """
 
     u0: Array
-    rows: tuple[tuple[Array, float], ...]
+    rows: Array
+    rhs: Array
     lower: Array
     upper: Array
 
@@ -53,15 +60,16 @@ class QpProblem:
             raise ValidationError("box bounds must match the input dimension")
         if not np.all(lo <= hi):
             raise ValidationError("lower must be <= upper componentwise")
-        rows = []
-        for a, b in self.rows:
-            a = np.asarray(a, dtype=float)
-            if a.shape != (m,) or not np.all(np.isfinite(a)) or not np.isfinite(b):
-                raise ValidationError("each row must be a finite (a, b) with a of "
-                                      "the input dimension")
-            rows.append((a, float(b)))
+        rows = np.asarray(self.rows, dtype=float)
+        rhs = np.asarray(self.rhs, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != m or rhs.shape != rows.shape[:1]:
+            raise ValidationError("rows must be (R, m) with m the input "
+                                  "dimension and rhs must be (R,)")
+        if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(rhs))):
+            raise ValidationError("rows and rhs must be finite")
         object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -80,27 +88,17 @@ class QpSolution:
 
 
 def _stack(problem: QpProblem) -> tuple[Array, Array, list[ActiveLabel]]:
-    """Stack caller rows and finite box bounds into one a^T u >= b system."""
-    m = problem.dim
-    mats, rhs, labels = [], [], []
-    for i, (a, b) in enumerate(problem.rows):
-        mats.append(a)
-        rhs.append(b)
-        labels.append(("row", i))
-    eye = np.eye(m)
-    for j in range(m):
-        if np.isfinite(problem.lower[j]):
-            mats.append(eye[j])
-            rhs.append(problem.lower[j])
-            labels.append(("lower", j))
-    for j in range(m):
-        if np.isfinite(problem.upper[j]):
-            mats.append(-eye[j])
-            rhs.append(-problem.upper[j])
-            labels.append(("upper", j))
-    if mats:
-        return np.array(mats), np.array(rhs), labels
-    return np.zeros((0, m)), np.zeros(0), labels
+    """Stack caller rows and finite box bounds into one a^T u >= b system;
+    also returns the labels of the box rows, which follow the caller rows."""
+    eye = np.eye(problem.dim)
+    has_lo = np.isfinite(problem.lower)
+    has_hi = np.isfinite(problem.upper)
+    a_mat = np.concatenate([problem.rows, eye[has_lo], -eye[has_hi]])
+    b_vec = np.concatenate([problem.rhs, problem.lower[has_lo],
+                            -problem.upper[has_hi]])
+    box = ([("lower", j) for j in range(problem.dim) if has_lo[j]]
+           + [("upper", j) for j in range(problem.dim) if has_hi[j]])
+    return a_mat, b_vec, box
 
 
 def _kkt_residual(u: Array, u0: Array, a_mat: Array, b_vec: Array,
@@ -109,7 +107,7 @@ def _kkt_residual(u: Array, u0: Array, a_mat: Array, b_vec: Array,
     for j, idx in enumerate(work):
         grad = grad - lam[j] * a_mat[idx]
     stationarity = float(np.max(np.abs(grad))) if grad.size else 0.0
-    slacks = a_mat @ u - b_vec if len(b_vec) else np.zeros(0)
+    slacks = a_mat @ u - b_vec
     primal = float(max(0.0, -slacks.min())) if slacks.size else 0.0
     comp = max((abs(lam[j] * slacks[work[j]]) for j in range(len(work))),
                default=0.0)
@@ -128,22 +126,25 @@ class QpSolver:
         return other
 
     def solve(self, problem: QpProblem, warm_start: bool = True) -> QpSolution:
-        a_mat, b_vec, labels = _stack(problem)
+        a_mat, b_vec, box = _stack(problem)
         n_con, m = a_mat.shape
+        n_rows = problem.rows.shape[0]
         u = problem.u0.copy()
         work: list[int] = []
         lam: list[float] = []
         max_changes = 100 * (n_con + m)
         changes = 0
 
-        row_scale = np.maximum(1.0, np.linalg.norm(a_mat, axis=1)) if n_con else None
+        row_scale = np.maximum(1.0, np.linalg.norm(a_mat, axis=1))
         feas_tol = 1e-10
-        label_to_idx = {lab: i for i, lab in enumerate(labels)}
-        warm_pref = [label_to_idx[lab] for lab in self._warm
-                     if warm_start and lab in label_to_idx]
+        box_index = {lab: n_rows + i for i, lab in enumerate(box)}
+        warm_pref = [j if kind == "row" else box_index[(kind, j)]
+                     for kind, j in (self._warm if warm_start else ())
+                     if (kind == "row" and j < n_rows) or (kind, j) in box_index]
 
         def finish(status: QpStatus) -> QpSolution:
-            active = tuple(labels[i] for i in work)
+            active = tuple(("row", i) if i < n_rows else box[i - n_rows]
+                           for i in work)
             if status == "optimal":
                 kkt = _kkt_residual(u, problem.u0, a_mat, b_vec, work, lam)
                 self._warm = list(active)
@@ -153,8 +154,7 @@ class QpSolver:
                               kkt_residual=kkt, iterations=changes)
 
         while True:
-            slacks = a_mat @ u - b_vec if n_con else np.zeros(0)
-            scaled = slacks / row_scale if n_con else slacks
+            scaled = (a_mat @ u - b_vec) / row_scale
             p = None
             for idx in warm_pref:
                 if idx not in work and scaled[idx] < -feas_tol:

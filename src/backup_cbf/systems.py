@@ -250,9 +250,6 @@ class SafetySpec:
             raise ValidationError("at least one path constraint is required")
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
-    def alpha(self, h: Array | float) -> Array:
-        return self.alpha_gain * np.asarray(h, dtype=float)
-
 
 # ---------------------------------------------------------------------------
 # Closed-loop evaluations.
@@ -267,23 +264,34 @@ def _check_finite(value: Array, what: str) -> Array:
     return value
 
 
+def closed_loop_derivs(model: SystemModel, policy: BackupPolicy, x: Array,
+                       jacobian: bool = False) -> tuple[Array, Array | None]:
+    """Backup-loop derivative and, if ``jacobian``, its state Jacobian
+    (else ``None``) from one evaluation of ``pi`` and ``g``; unchecked, as
+    the integrators test finiteness per step and the wrappers below here."""
+    u = policy.pi_eval(x)
+    g = model.g_eval(x)
+    dx = model.f_eval(x) + np.matmul(g, u[..., None])[..., 0]
+    if not jacobian:
+        return dx, None
+    jac = model.df_dx(x)
+    if model.dg_dx is not None:
+        jac = jac + np.einsum("...imk,...m->...ik", model.dg_dx(x), u)
+    return dx, jac + np.matmul(g, policy.dpi_dx(x))
+
+
 def closed_loop_rhs(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
     """Backup-loop derivative ``f(x) + g(x) pi(x)``."""
     x = _check_finite(np.asarray(x, dtype=float), "state")
-    u = policy.pi_eval(x)
-    out = model.f_eval(x) + np.matmul(model.g_eval(x), u[..., None])[..., 0]
-    return _check_finite(out, "closed-loop derivative")
+    dx, _ = closed_loop_derivs(model, policy, x)
+    return _check_finite(dx, "closed-loop derivative")
 
 
 def closed_loop_jacobian(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
     """State Jacobian of the backup loop:
     ``df/dx + sum_j pi_j dg_j/dx + g dpi/dx``."""
     x = _check_finite(np.asarray(x, dtype=float), "state")
-    u = policy.pi_eval(x)
-    jac = model.df_dx(x)
-    if model.dg_dx is not None:
-        jac = jac + np.einsum("...imk,...m->...ik", model.dg_dx(x), u)
-    jac = jac + np.matmul(model.g_eval(x), policy.dpi_dx(x))
+    _, jac = closed_loop_derivs(model, policy, x, jacobian=True)
     return _check_finite(jac, "closed-loop Jacobian")
 
 
@@ -305,16 +313,6 @@ def di_closed_form_h(x: Array, c_limit: float, u_max: float) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def _take(params: dict, *keys: str, default):
-    """Pop a parameter under any of its aliases."""
-    found = [k for k in keys if k in params]
-    if len(found) > 1:
-        raise ValidationError(f"parameter given under multiple aliases: {found}")
-    if found:
-        return params.pop(found[0])
-    return default
-
-
 def _reject_unknown(params: dict, name: str):
     if params:
         raise ValidationError(f"unknown parameters for benchmark {name!r}: "
@@ -322,10 +320,10 @@ def _reject_unknown(params: dict, name: str):
 
 
 def _mode_eps(params: dict, default_eps: float) -> float:
-    mode = _take(params, "mode", default="smooth")
+    mode = params.pop("mode", "smooth")
     if mode not in ("smooth", "hard"):
         raise ValidationError(f"mode must be 'smooth' or 'hard', got {mode!r}")
-    eps = float(_take(params, "smoothing_eps", "eps", default=default_eps))
+    eps = float(params.pop("smoothing_eps", default_eps))
     if eps < 0.0:
         raise ValidationError("smoothing_eps must be >= 0")
     return 0.0 if mode == "hard" else eps
@@ -337,11 +335,11 @@ def _mode_eps(params: dict, default_eps: float) -> float:
 
 
 def _build_toy1d(params: dict):
-    u_max = float(_take(params, "u_max", default=5.0))
-    gain = float(_take(params, "gain_k", "k", default=1.0))
-    c_level = float(_take(params, "c_level", default=4.0))
-    s_level = float(_take(params, "s_level", default=1.0))
-    alpha = float(_take(params, "alpha_gain_per_s", "alpha", default=1.0))
+    u_max = float(params.pop("u_max", 5.0))
+    gain = float(params.pop("gain_k", 1.0))
+    c_level = float(params.pop("c_level", 4.0))
+    s_level = float(params.pop("s_level", 1.0))
+    alpha = float(params.pop("alpha_gain_per_s", 1.0))
     eps = _mode_eps(params, 0.05 * u_max)
     _reject_unknown(params, "toy1d")
     if u_max <= 0.0 or gain <= 0.0:
@@ -391,10 +389,10 @@ def _build_toy1d(params: dict):
 
 
 def _build_double_integrator(params: dict):
-    c_limit = float(_take(params, "c_limit_m", "c_limit", "C", default=10.0))
-    u_max = float(_take(params, "u_max_mps2", "u_max", default=1.0))
-    v_scale = float(_take(params, "v_scale_mps", "v_max", default=5.0))
-    alpha = float(_take(params, "alpha_gain_per_s", "alpha", default=1.0))
+    c_limit = float(params.pop("c_limit_m", 10.0))
+    u_max = float(params.pop("u_max_mps2", 1.0))
+    v_scale = float(params.pop("v_scale_mps", 5.0))
+    alpha = float(params.pop("alpha_gain_per_s", 1.0))
     eps = _mode_eps(params, 0.05 * v_scale)
     _reject_unknown(params, "double_integrator")
     if u_max <= 0.0 or v_scale <= 0.0:
@@ -488,28 +486,26 @@ def _lyapunov_3x3(a_cl: Array) -> Array:
 
 
 def _build_dubins(params: dict):
-    y_max = float(_take(params, "y_max_m", "y_max", default=1.8))
-    psi_max = float(_take(params, "psi_max_rad", "psi_max", default=np.pi / 3))
-    a_max = float(_take(params, "a_max_mps2", "a_max", default=3.0))
-    r_max = float(_take(params, "r_max_radps", "r_max", default=0.5))
-    k_v = float(_take(params, "k_v_per_s", "k_v", default=1.0))
-    profile = _take(params, "profile", default="conservative")
+    y_max = float(params.pop("y_max_m", 1.8))
+    psi_max = float(params.pop("psi_max_rad", np.pi / 3))
+    a_max = float(params.pop("a_max_mps2", 3.0))
+    r_max = float(params.pop("r_max_radps", 0.5))
+    k_v = float(params.pop("k_v_per_s", 1.0))
+    profile = params.pop("profile", "conservative")
     if profile not in ("conservative", "aggressive"):
         raise ValidationError(f"unknown dubins profile {profile!r}")
     aggressive = profile == "aggressive"
-    v_des = float(_take(params, "v_des_mps", "v_des",
-                        default=0.0 if aggressive else 5.0))
-    k_y = _take(params, "k_y", default=_DUBINS_KY_AGGRESSIVE if aggressive
-                else _DUBINS_KY_CONSERVATIVE)
+    v_des = float(params.pop("v_des_mps", 0.0 if aggressive else 5.0))
+    k_y = params.pop("k_y", _DUBINS_KY_AGGRESSIVE if aggressive
+                     else _DUBINS_KY_CONSERVATIVE)
     k_y = np.asarray(k_y, dtype=float)
     if k_y.shape != (2,):
         raise ValidationError("k_y must be a 2-vector acting on [Y; psi]")
-    terminal_p = _take(params, "terminal_p", default=None)
-    terminal_c = _take(params, "terminal_c",
-                       default=0.5 if aggressive else 1.0)
-    alpha = float(_take(params, "alpha_gain_per_s", "alpha", default=1.0))
-    eps_frac = float(_take(params, "eps_frac", default=0.05))
-    mode = _take(params, "mode", default="smooth")
+    terminal_p = params.pop("terminal_p", None)
+    terminal_c = params.pop("terminal_c", 0.5 if aggressive else 1.0)
+    alpha = float(params.pop("alpha_gain_per_s", 1.0))
+    eps_frac = float(params.pop("eps_frac", 0.05))
+    mode = params.pop("mode", "smooth")
     if mode not in ("smooth", "hard"):
         raise ValidationError(f"mode must be 'smooth' or 'hard', got {mode!r}")
     _reject_unknown(params, "dubins")
@@ -642,13 +638,12 @@ def _build_dubins(params: dict):
 
 
 def _build_aeroplane(params: dict):
-    v_a = float(_take(params, "v_a_mps", "v_a", default=1.0))
-    v_b = float(_take(params, "v_b_mps", "v_b", default=1.0))
-    u_max = float(_take(params, "u_max_radps", "u_max", default=1.0))
-    r_min = float(_take(params, "r_min_m", "R", "r_min", default=1.0))
-    r_term = float(_take(params, "r_terminal_m", "r_terminal",
-                         default=1.2 * r_min))
-    alpha = float(_take(params, "alpha_gain_per_s", "alpha", default=1.0))
+    v_a = float(params.pop("v_a_mps", 1.0))
+    v_b = float(params.pop("v_b_mps", 1.0))
+    u_max = float(params.pop("u_max_radps", 1.0))
+    r_min = float(params.pop("r_min_m", 1.0))
+    r_term = float(params.pop("r_terminal_m", 1.2 * r_min))
+    alpha = float(params.pop("alpha_gain_per_s", 1.0))
     # The turn-away policy slides along dy = 0 once the opponent falls
     # behind; the blend slope (2/eps) times |dx| sets the stiffness of the
     # variational equation, so the band is kept wide enough for the default

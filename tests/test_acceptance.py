@@ -91,7 +91,7 @@ def test_criterion_2_feasibility():
             slack = rows.slacks(policy.pi_eval(x)).min()
             worst_slack = min(worst_slack, float(slack))
             problem = QpProblem(u0=model.input_upper, rows=rows.rows,
-                                lower=model.input_lower,
+                                rhs=rows.rhs, lower=model.input_lower,
                                 upper=model.input_upper)
             status = solver.solve(problem).status
             all_optimal &= status == "optimal"
@@ -322,13 +322,15 @@ def test_criterion_8_qp_oracle():
     assert worst < 1e-6
 
     sol = solve(QpProblem(np.array([0.5, -0.5]),
-                          ((np.array([1.0, 0.0]), -1.0),),
+                          np.array([[1.0, 0.0]]), np.array([-1.0]),
                           np.array([-5.0, -5.0]), np.array([5.0, 5.0])))
     assert np.allclose(sol.u_star, [0.5, -0.5])
-    sol = solve(QpProblem(np.array([0.0, 0.0]), ((np.array([1.0, 1.0]), 3.0),),
+    sol = solve(QpProblem(np.array([0.0, 0.0]),
+                          np.array([[1.0, 1.0]]), np.array([3.0]),
                           np.array([-5.0, -5.0]), np.array([5.0, 5.0])))
     assert np.allclose(sol.u_star, [1.5, 1.5], atol=1e-10)
-    sol = solve(QpProblem(np.array([0.0, 0.0]), ((np.array([1.0, 0.0]), 10.0),),
+    sol = solve(QpProblem(np.array([0.0, 0.0]),
+                          np.array([[1.0, 0.0]]), np.array([10.0]),
                           np.array([-5.0, -5.0]), np.array([5.0, 5.0])))
     assert sol.status == "infeasible"
     print(f"\nACCEPTANCE 8: 500 random programs, worst deviation {worst:.2e}; "

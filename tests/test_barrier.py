@@ -82,9 +82,14 @@ def test_row_count_and_labels():
     ev = eval_h(model, policy, spec, x, 8.0, 100)
     rows = build_constraints(model, policy, spec, ev, x)
     n_tau = 101
-    assert len(rows.rows) == n_tau * len(spec.constraints) + 1
-    assert rows.labels[0] == ("path", 0, 0)
-    assert rows.labels[-1] == ("terminal", 0, 100)
+    n_rows = n_tau * len(spec.constraints) + 1
+    assert rows.rows.shape == (n_rows, model.input_dim)
+    assert rows.rhs.shape == (n_rows,)
+    expected = [("path", k, i) for k in range(len(spec.constraints))
+                for i in range(n_tau)] + [("terminal", 0, 100)]
+    assert [rows.label(r) for r in range(n_rows)] == expected
+    with pytest.raises(IndexError):
+        rows.label(n_rows)
 
 
 def test_toy_row_closed_form():
@@ -97,11 +102,11 @@ def test_toy_row_closed_form():
     rows = build_constraints(model, policy, spec, ev, x)
     for idx in (0, 25, 50, 99):
         tau = ev.trajectory.times[idx]
-        a, b = rows.rows[idx]
+        a, b = rows.rows[idx], rows.rhs[idx]
         e2 = math.exp(-2.0 * tau)
         assert a[0] == pytest.approx(-2.0 * e2, abs=1e-8)
         assert b == pytest.approx(2.0 * e2 - GAMMA * (4.0 - e2), abs=1e-8)
-    a_term, _ = rows.rows[-1]
+    a_term = rows.rows[-1]
     assert a_term[0] == pytest.approx(-2.0 * math.exp(-2.0), abs=1e-8)
 
 
@@ -174,7 +179,7 @@ def test_filter_brakes_on_boundary():
 def test_filter_clips_when_rows_inactive():
     # with a large class-K gain the path rows are slack at this state and
     # only the input box binds
-    model, policy, spec = make_benchmark("toy1d", {"alpha": 8.0})
+    model, policy, spec = make_benchmark("toy1d", {"alpha_gain_per_s": 8.0})
     u_star, diag = filter_control(model, policy, spec, np.array([1.0]),
                                   np.array([10.0]), 1.0, 100)
     assert u_star[0] == pytest.approx(5.0, abs=1e-10)

@@ -160,6 +160,10 @@ def test_divergence_reports_step():
     with pytest.raises(FlowDivergenceError) as err:
         integrate_flow(model, policy, np.array([1.0]), 50.0, 50)
     assert err.value.step >= 1
+    with pytest.raises(FlowDivergenceError) as batch_err:
+        integrate_flow_batch(model, policy, np.array([[0.5], [1.0]]), 50.0, 50)
+    assert batch_err.value.step == err.value.step
+    assert f"step {err.value.step} " in str(batch_err.value)
 
 
 def test_argument_validation():

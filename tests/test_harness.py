@@ -238,6 +238,20 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_cli_rejects_malformed_thread_env(tmp_path, capsys, monkeypatch, raw):
+    doc = Scenario(benchmark="double_integrator", x0=(0.0, 0.0),
+                   nominal={"kind": "constant", "value": [0.0]},
+                   n_flow_steps=10).to_json_dict()
+    path = tmp_path / "di.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("BCBF_THREADS", raw)
+    rc = cli_main(["levelset", "--scenario", str(path),
+                   "--grid=-10:12:5,-5:5:5", "--out", str(tmp_path / "g")])
+    assert rc == 2
+    assert "BCBF_THREADS" in capsys.readouterr().err
+
+
 def test_cli_numerical_exit_code(tmp_path, capsys):
     # gigantic state: the sensitivity products overflow and the flow
     # integrator reports divergence

@@ -130,6 +130,20 @@ def test_cfl_validation():
         solve_invariant(grid0, model, dt=-0.1)
 
 
+def test_value_floor_above_field_minimum_rejected():
+    """A floor above the constraint field would lift violating cells (with
+    a floor above 0, to the safe side), so it is refused up front."""
+    model, spec = single_integrator_2d()
+    geom = GridGeometry((-2.0, -1.0), (2.0, 1.0), (41, 5), (False, False))
+    grid0 = constraint_grid(geom, spec)
+    floor = float(grid0.values.min())
+    with pytest.raises(ValidationError, match="value_floor"):
+        solve_invariant(grid0, model, value_floor=floor + 1.0)
+    out = solve_invariant(grid0, model, value_floor=floor)
+    assert out.values.min() == floor
+    assert np.all(out.values <= grid0.values + 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ def brute_force(problem, grid=801):
     feasible candidate.  Exhaustive for these small problems."""
     m = problem.dim
     mats, rhs = [], []
-    for a, b in problem.rows:
+    for a, b in zip(problem.rows, problem.rhs):
         mats.append(np.asarray(a, dtype=float))
         rhs.append(b)
     eye = np.eye(m)
@@ -59,7 +59,7 @@ def brute_force(problem, grid=801):
 
 def test_interior_nominal_returned_unchanged():
     prob = QpProblem(np.array([0.5, -0.5]),
-                     ((np.array([1.0, 0.0]), -1.0),),
+                     np.array([[1.0, 0.0]]), np.array([-1.0]),
                      np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
     sol = solve(prob)
     assert sol.status == "optimal"
@@ -69,7 +69,7 @@ def test_interior_nominal_returned_unchanged():
 
 def test_halfspace_projection():
     prob = QpProblem(np.array([0.0, 0.0]),
-                     ((np.array([1.0, 1.0]), 3.0),),
+                     np.array([[1.0, 1.0]]), np.array([3.0]),
                      np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
     sol = solve(prob)
     assert sol.status == "optimal"
@@ -79,14 +79,15 @@ def test_halfspace_projection():
 
 def test_infeasible_row_against_bound():
     prob = QpProblem(np.array([0.0, 0.0]),
-                     ((np.array([1.0, 0.0]), 10.0),),
+                     np.array([[1.0, 0.0]]), np.array([10.0]),
                      np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
     sol = solve(prob)
     assert sol.status == "infeasible"
 
 
 def test_box_clipping():
-    prob = QpProblem(np.array([10.0]), (), np.array([-5.0]), np.array([5.0]))
+    prob = QpProblem(np.array([10.0]), np.zeros((0, 1)), np.zeros(0),
+                     np.array([-5.0]), np.array([5.0]))
     sol = solve(prob)
     assert sol.status == "optimal"
     assert np.allclose(sol.u_star, [5.0])
@@ -94,13 +95,28 @@ def test_box_clipping():
 
 
 def test_validation():
+    no_rows, no_rhs = np.zeros((0, 1)), np.zeros(0)
+    box = (np.array([-1.0]), np.array([1.0]))
     with pytest.raises(ValidationError):
-        QpProblem(np.array([np.nan]), (), np.array([-1.0]), np.array([1.0]))
+        QpProblem(np.array([np.nan]), no_rows, no_rhs, *box)
     with pytest.raises(ValidationError):
-        QpProblem(np.array([0.0]), (), np.array([2.0]), np.array([1.0]))
-    with pytest.raises(ValidationError):
-        QpProblem(np.array([0.0]), ((np.array([1.0, 2.0]), 0.0),),
-                  np.array([-1.0]), np.array([1.0]))
+        QpProblem(np.array([0.0]), no_rows, no_rhs, np.array([2.0]),
+                  np.array([1.0]))
+    with pytest.raises(ValidationError):     # wrong column count
+        QpProblem(np.array([0.0]), np.array([[1.0, 2.0]]), np.array([0.0]),
+                  *box)
+    with pytest.raises(ValidationError):     # rhs length mismatch
+        QpProblem(np.array([0.0]), np.array([[1.0], [2.0]]), np.array([0.0]),
+                  *box)
+    with pytest.raises(ValidationError):     # non-finite row entry
+        QpProblem(np.array([0.0]), np.array([[1.0], [np.nan]]),
+                  np.array([0.0, 0.0]), *box)
+    with pytest.raises(ValidationError):     # non-finite right-hand side
+        QpProblem(np.array([0.0]), np.array([[1.0]]), np.array([np.inf]),
+                  *box)
+    empty = QpProblem(np.array([2.0]), no_rows, no_rhs, *box)
+    assert empty.rows.shape == (0, 1) and empty.rhs.shape == (0,)
+    assert np.allclose(solve(empty).u_star, [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +129,22 @@ def random_problem(rng, feasible=True):
     lo = -rng.uniform(0.5, 4.0, m)
     hi = rng.uniform(0.5, 4.0, m)
     n_rows = int(rng.integers(0, 7))
-    rows = []
+    rows, rhs = [], []
     if feasible:
         anchor = rng.uniform(lo, hi)
         for _ in range(n_rows):
             a = rng.normal(size=m)
             slack = rng.uniform(0.0, 2.0)
-            rows.append((a, float(a @ anchor - slack)))
+            rows.append(a)
+            rhs.append(float(a @ anchor - slack))
     else:
         a = rng.normal(size=m)
         a /= np.linalg.norm(a)
         corner = np.where(a > 0, hi, lo)
-        rows.append((a, float(a @ corner + rng.uniform(0.1, 1.0))))
+        rows.append(a)
+        rhs.append(float(a @ corner + rng.uniform(0.1, 1.0)))
     u0 = rng.normal(scale=3.0, size=m)
-    return QpProblem(u0, tuple(rows), lo, hi)
+    return QpProblem(u0, np.reshape(rows, (-1, m)), np.array(rhs), lo, hi)
 
 
 def test_500_random_feasible_problems_match_oracle():
@@ -142,8 +160,7 @@ def test_500_random_feasible_problems_match_oracle():
         # solution-quality invariants
         assert np.all(sol.u_star >= prob.lower - 1e-10)
         assert np.all(sol.u_star <= prob.upper + 1e-10)
-        for a, b in prob.rows:
-            assert a @ sol.u_star - b >= -1e-8
+        assert np.all(prob.rows @ sol.u_star - prob.rhs >= -1e-8)
         assert sol.kkt_residual <= 1e-8
 
 
@@ -162,11 +179,11 @@ def test_row_scaling_invariance(seed, scale):
     optimum."""
     rng = np.random.default_rng(seed)
     prob = random_problem(rng)
-    if not prob.rows:
+    if not len(prob.rhs):
         return
     base = solve(prob).u_star
-    scaled_rows = tuple((a * scale, b * scale) for a, b in prob.rows)
-    scaled = solve(QpProblem(prob.u0, scaled_rows, prob.lower, prob.upper))
+    scaled = solve(QpProblem(prob.u0, prob.rows * scale, prob.rhs * scale,
+                             prob.lower, prob.upper))
     assert np.max(np.abs(scaled.u_star - base)) < 1e-8
 
 
@@ -177,12 +194,11 @@ def test_warm_start_does_not_change_optimum():
     # a drifting sequence of related problems, as the filter produces
     m = 2
     lo, hi = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
-    a_rows = [rng.normal(size=m) for _ in range(5)]
+    a_rows = np.array([rng.normal(size=m) for _ in range(5)])
     for k in range(50):
         shift = 0.05 * k
-        rows = tuple((a, float(a @ np.array([0.5, -0.3]) - 1.0 + 0.01 * shift))
-                     for a in a_rows)
-        prob = QpProblem(rng.normal(size=m), rows, lo, hi)
+        rhs = a_rows @ np.array([0.5, -0.3]) - 1.0 + 0.01 * shift
+        prob = QpProblem(rng.normal(size=m), a_rows, rhs, lo, hi)
         u_cold = cold.solve(prob, warm_start=False).u_star
         u_warm = warm.solve(prob, warm_start=True).u_star
         assert np.max(np.abs(u_cold - u_warm)) < 1e-8
@@ -191,7 +207,7 @@ def test_warm_start_does_not_change_optimum():
 def test_solver_clone_carries_warm_state():
     solver = QpSolver()
     prob = QpProblem(np.array([3.0, 0.0]),
-                     ((np.array([-1.0, 0.0]), -1.0),),
+                     np.array([[-1.0, 0.0]]), np.array([-1.0]),
                      np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
     sol = solver.solve(prob)
     twin = solver.clone()
@@ -201,7 +217,7 @@ def test_solver_clone_carries_warm_state():
 def test_degenerate_duplicate_rows():
     a = np.array([1.0, 1.0])
     prob = QpProblem(np.array([0.0, 0.0]),
-                     ((a, 3.0), (a.copy(), 3.0), (2.0 * a, 6.0)),
+                     np.array([a, a, 2.0 * a]), np.array([3.0, 3.0, 6.0]),
                      np.array([-9.0, -9.0]), np.array([9.0, 9.0]))
     sol = solve(prob)
     assert sol.status == "optimal"
