@@ -27,11 +27,13 @@ class EvaluationError(NumericalError):
 
 
 class FlowDivergenceError(NumericalError):
-    """The closed-loop integration produced non-finite state."""
+    """The closed-loop integration produced non-finite state; ``row`` is
+    the first diverging state of a batch (``None`` for a single state)."""
 
-    def __init__(self, message: str, step: int):
+    def __init__(self, message: str, step: int, row: int | None = None):
         super().__init__(message)
         self.step = step
+        self.row = row
 
 
 class QpSolverError(NumericalError):

@@ -87,9 +87,22 @@ def _march(model: SystemModel, policy: BackupPolicy, x: Array,
         with np.errstate(over="ignore", invalid="ignore"):
             x, q = _rk4_step(model, policy, x, q, dt)
         if not (np.all(np.isfinite(x)) and (q is None or np.all(np.isfinite(q)))):
-            raise FlowDivergenceError(
-                f"flow diverged at step {i} (t = {i * dt:.6g} s)", i)
+            raise _divergence(i, i * dt, x, q)
         yield i, x, q
+
+
+def _divergence(step: int, t: float, x: Array, q: Array | None
+                ) -> FlowDivergenceError:
+    """The error for a step that left finite values, naming the first
+    non-finite row of a batch."""
+    message = f"flow diverged at step {step} (t = {t:.6g} s)"
+    if x.ndim == 1:
+        return FlowDivergenceError(message, step)
+    bad = ~np.all(np.isfinite(x), axis=1)
+    if q is not None:
+        bad |= ~np.all(np.isfinite(q), axis=(1, 2))
+    row = int(np.argmax(bad))
+    return FlowDivergenceError(f"{message} in batch row {row}", step, row)
 
 
 def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,

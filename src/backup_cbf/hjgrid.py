@@ -20,14 +20,17 @@ cell) and to an equivalent JSON document.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
 from .barrier import eval_h_batch, path_values
-from .errors import GeometryError, NumericalError, ValidationError
+from .errors import (FlowDivergenceError, GeometryError, NumericalError,
+                     ValidationError)
 from .systems import BackupPolicy, SafetySpec, SystemModel
 
 Array = np.ndarray
@@ -101,7 +104,12 @@ class LevelGrid:
     values: Array
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).reshape(self.geometry.counts)
+        counts = self.geometry.counts
+        values = np.asarray(self.values, dtype=float)
+        if values.size != math.prod(counts):
+            raise GeometryError(f"grid of {counts} cells needs {math.prod(counts)} "
+                                f"values, got {values.size}")
+        values = values.reshape(counts)
         if not np.all(np.isfinite(values)):
             raise GeometryError("grid values must be finite")
         object.__setattr__(self, "values", values)
@@ -119,20 +127,22 @@ def constraint_grid(geometry: GridGeometry, spec: SafetySpec) -> LevelGrid:
     return LevelGrid(geometry, path_values(spec, geometry.nodes())[1])
 
 
-def hamiltonian(model: SystemModel, x: Array, p: Array) -> Array:
-    """``max over u in the box of p . (f(x) + g(x) u)`` in closed form:
-    the input contributes ``|p.g_j| * halfwidth_j + (p.g_j) * center_j``
-    per channel."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    f = model.f_eval(x)
-    g = model.g_eval(x)
+def _box_hamiltonian(model: SystemModel, p: Array, f: Array, g: Array) -> Array:
+    """``max over u in the box of p . (f + g u)`` from drift ``f`` and input
+    matrix ``g`` at the same points: the input contributes
+    ``|p.g_j| * halfwidth_j + (p.g_j) * center_j`` per channel."""
     half = 0.5 * (model.input_upper - model.input_lower)
     center = 0.5 * (model.input_upper + model.input_lower)
     pf = np.einsum("...i,...i->...", p, f)
     pg = np.einsum("...i,...ij->...j", p, g)
-    return pf + np.einsum("...j,j->...", np.abs(pg), half) \
-        + np.einsum("...j,j->...", pg, center)
+    return pf + np.abs(pg) @ half + pg @ center
+
+
+def hamiltonian(model: SystemModel, x: Array, p: Array) -> Array:
+    """``max over u in the box of p . (f(x) + g(x) u)`` in closed form."""
+    x = np.asarray(x, dtype=float)
+    return _box_hamiltonian(model, np.asarray(p, dtype=float),
+                            model.f_eval(x), model.g_eval(x))
 
 
 def _side_values(v: Array, axis: int, periodic: bool) -> tuple[Array, Array]:
@@ -167,13 +177,11 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, dt: float | None = Non
     pts = geom.nodes()
     f_nodes = model.f_eval(pts)                       # (P, n)
     g_nodes = model.g_eval(pts)                       # (P, n, m)
-    half = 0.5 * (model.input_upper - model.input_lower)
-    center = 0.5 * (model.input_upper + model.input_lower)
     u_abs = np.maximum(np.abs(model.input_lower), np.abs(model.input_upper))
 
     shape = geom.counts
     f_grid = f_nodes.reshape(shape + (geom.dims,))
-    pg_base = g_nodes.reshape(shape + (geom.dims, model.input_dim))
+    g_grid = g_nodes.reshape(shape + (geom.dims, model.input_dim))
 
     # Global dissipation coefficients: per-axis bound on |dH/dp_i|.
     alpha = (np.max(np.abs(f_nodes), axis=0)
@@ -207,9 +215,7 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, dt: float | None = Non
 
         # V evolves forward as V_t = H(x, DV) (frozen by the outer min), so
         # the monotone Lax-Friedrichs form *adds* the dissipation term.
-        pf = np.einsum("...i,...i->...", grads_c, f_grid)
-        pg = np.einsum("...i,...ij->...j", grads_c, pg_base)
-        ham = pf + np.abs(pg) @ half + pg @ center + diss
+        ham = _box_hamiltonian(model, grads_c, f_grid, g_grid) + diss
 
         v_new = np.maximum(v + dt * np.minimum(0.0, ham), value_floor)
         if not np.all(np.isfinite(v_new)):
@@ -229,21 +235,30 @@ def sweep_backup_h(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
                    geometry: GridGeometry, horizon: float, steps: int,
                    chunk: int = 32768) -> LevelGrid:
     """Evaluate the implicit barrier at every grid node (batched; node
-    chunks run on up to ``BCBF_THREADS`` threads)."""
+    chunks run on up to ``BCBF_THREADS`` threads).  A diverging flow raises
+    `FlowDivergenceError` naming the first diverging node of its chunk (its
+    C-order index in ``geometry.nodes()`` as ``row``, and its coordinates)."""
     if model.state_dim != geometry.dims:
         raise GeometryError("grid dimension does not match the model")
     pts = geometry.nodes()
-    pieces = [pts[i:i + chunk] for i in range(0, pts.shape[0], chunk)]
+    starts = range(0, pts.shape[0], chunk)
 
-    def work(block: Array) -> Array:
-        return eval_h_batch(model, policy, spec, block, horizon, steps).h
+    def work(start: int) -> Array:
+        try:
+            return eval_h_batch(model, policy, spec, pts[start:start + chunk],
+                                horizon, steps).h
+        except FlowDivergenceError as exc:
+            node = start + exc.row
+            raise FlowDivergenceError(
+                f"sweep diverged at node {node} (x = {pts[node].tolist()}): {exc}",
+                exc.step, node) from exc
 
     workers = _threads()
-    if workers > 1 and len(pieces) > 1:
+    if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, pieces))
+            results = list(pool.map(work, starts))
     else:
-        results = [work(b) for b in pieces]
+        results = [work(s) for s in starts]
     return LevelGrid(geometry, np.concatenate(results))
 
 
@@ -298,83 +313,142 @@ def dilate_set(grid: LevelGrid, threshold: float = 0.0, cells: int = 1) -> Array
 # Serialization.
 # ---------------------------------------------------------------------------
 
+# Cells encoded or decoded per block: bounds the transient Python objects
+# and index/coordinate columns to one block, never the whole grid.
+_BLOCK_ROWS = 4096
+
+
+def _axis_records(geom: GridGeometry) -> list[dict]:
+    """One record per axis: the CSV header lines and the JSON ``axes``."""
+    return [{"lower": geom.lower[i], "upper": geom.upper[i],
+             "count": geom.counts[i], "periodic": geom.periodic_axes[i]}
+            for i in range(geom.dims)]
+
+
+def _geometry_from_axes(axes: list[dict]) -> GridGeometry:
+    return GridGeometry(tuple(a["lower"] for a in axes),
+                        tuple(a["upper"] for a in axes),
+                        tuple(a["count"] for a in axes),
+                        tuple(bool(a.get("periodic", False)) for a in axes))
+
+
+def _cell_index(counts: tuple[int, ...], start: int, stop: int) -> Array:
+    """Row-major indices of the flat cells ``start..stop-1``, ``(k, dims)``."""
+    return np.stack(np.unravel_index(np.arange(start, stop), counts), axis=-1)
+
 
 def write_grid_csv(grid: LevelGrid, path: str) -> None:
     geom = grid.geometry
     axes = [geom.axis_coordinates(i) for i in range(geom.dims)]
+    flat = grid.values.ravel()
+    row = ",".join(["{}"] * geom.dims + ["{!r}"] * (geom.dims + 1)) + "\n"
     with open(path, "w") as fh:
-        for i in range(geom.dims):
-            flag = " periodic" if geom.periodic_axes[i] else ""
-            fh.write(f"# axis {i}: {geom.lower[i]!r} {geom.upper[i]!r} "
-                     f"{geom.counts[i]}{flag}\n")
-        flat = grid.values.ravel()
-        for flat_idx, value in enumerate(flat):
-            idx = np.unravel_index(flat_idx, geom.counts)
-            coords = [axes[i][idx[i]] for i in range(geom.dims)]
-            cols = [str(int(i)) for i in idx] + [repr(float(c)) for c in coords]
-            cols.append(repr(float(value)))
-            fh.write(",".join(cols) + "\n")
+        for i, a in enumerate(_axis_records(geom)):
+            flag = " periodic" if a["periodic"] else ""
+            fh.write(f"# axis {i}: {a['lower']!r} {a['upper']!r} "
+                     f"{a['count']}{flag}\n")
+        for start in range(0, flat.size, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, flat.size)
+            idx = _cell_index(geom.counts, start, stop)
+            cols = ([c.tolist() for c in idx.T]
+                    + [axes[i][idx[:, i]].tolist() for i in range(geom.dims)]
+                    + [flat[start:stop].tolist()])
+            fh.writelines(map(row.format, *cols))
+
+
+def _read_csv_header(fh, path: str) -> tuple[list[dict], int, str]:
+    """Axis records from the leading ``#`` lines; also returns the number
+    of lines before the first data line, and that line (``""`` at end of
+    file)."""
+    axes, lineno = [], 0
+    for line in fh:
+        lineno += 1
+        text = line.strip()
+        if not text:
+            continue
+        if not text.startswith("#"):
+            return axes, lineno - 1, line
+        try:
+            fields = text.split(":", 1)[1].split()
+            axes.append({"lower": float(fields[0]), "upper": float(fields[1]),
+                         "count": int(fields[2]),
+                         "periodic": len(fields) > 3 and fields[3] == "periodic"})
+        except (ValueError, IndexError) as exc:
+            raise GeometryError(
+                f"{path}:{lineno}: bad axis header: {text!r}") from exc
+    return axes, lineno, ""
+
+
+def _decode_block(lines: list[str], lineno: int, geom: GridGeometry,
+                  values: Array, filled: int, path: str) -> int:
+    """Parse the data lines starting at line ``lineno`` as one table, check
+    its index columns against the row-major cell sequence from cell
+    ``filled`` on, store its values, and return the new fill count."""
+    dims, width = geom.dims, 2 * geom.dims + 1
+    rows = [line.split(",") for line in lines if not line.isspace()]
+    if not rows:
+        return filled
+
+    def where(r: int) -> str:
+        linenos = [lineno + k for k, line in enumerate(lines) if not line.isspace()]
+        return f"{path}:{linenos[r]}"
+
+    try:
+        table = np.array(rows, dtype=float)
+    except ValueError:
+        table = None
+    if table is None or table.shape[1:] != (width,):
+        for r, cols in enumerate(rows):
+            if len(cols) != width:
+                raise GeometryError(f"{where(r)}: expected {width} columns, "
+                                    f"got {len(cols)}")
+            try:
+                list(map(float, cols))
+            except ValueError as exc:
+                raise GeometryError(f"{where(r)}: bad cell row") from exc
+    stop = min(filled + len(rows), values.size)
+    expected = _cell_index(geom.counts, filled, stop)
+    bad = np.any(table[:len(expected), :dims] != expected, axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise GeometryError(
+            f"{where(r)}: expected cell {tuple(expected[r].tolist())} in "
+            f"row-major order, got index columns {','.join(rows[r][:dims])}")
+    if len(expected) < len(rows):
+        raise GeometryError(f"{where(len(expected))}: more rows than the "
+                            f"{values.size} cells of the grid")
+    values[filled:stop] = table[:, -1]
+    return stop
 
 
 def read_grid_csv(path: str) -> LevelGrid:
-    lower, upper, counts, periodic = [], [], [], []
-    values = None
+    """Read a grid CSV: the axis header, then exactly one row per cell in
+    row-major order (the coordinate columns are not read back)."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                try:
-                    _, spec_part = line.split(":", 1)
-                    fields = spec_part.split()
-                    lower.append(float(fields[0]))
-                    upper.append(float(fields[1]))
-                    counts.append(int(fields[2]))
-                    periodic.append(len(fields) > 3 and fields[3] == "periodic")
-                except (ValueError, IndexError) as exc:
-                    raise GeometryError(
-                        f"{path}:{lineno}: bad axis header: {line!r}") from exc
-                continue
-            if values is None:
-                geom = GridGeometry(tuple(lower), tuple(upper), tuple(counts),
-                                    tuple(periodic))
-                values = np.full(int(np.prod(geom.counts)), np.nan)
-            cols = line.split(",")
-            dims = len(counts)
-            if len(cols) != 2 * dims + 1:
-                raise GeometryError(f"{path}:{lineno}: expected {2 * dims + 1} "
-                                    f"columns, got {len(cols)}")
-            try:
-                idx = tuple(int(c) for c in cols[:dims])
-                value = float(cols[-1])
-            except ValueError as exc:
-                raise GeometryError(f"{path}:{lineno}: bad cell row") from exc
-            values[np.ravel_multi_index(idx, geom.counts)] = value
-    if values is None or np.any(np.isnan(values)):
-        raise GeometryError(f"{path}: incomplete grid file")
+        axes, lineno, first = _read_csv_header(fh, path)
+        geom = _geometry_from_axes(axes)
+        values = np.empty(math.prod(geom.counts))
+        filled, lineno = 0, lineno + 1
+        data = chain([first], fh) if first else iter(())
+        while lines := list(islice(data, _BLOCK_ROWS)):
+            filled = _decode_block(lines, lineno, geom, values, filled, path)
+            lineno += len(lines)
+    if filled < values.size:
+        raise GeometryError(f"{path}:{lineno}: grid file ends after {filled} "
+                            f"of {values.size} cells")
     return LevelGrid(geom, values)
 
 
 def grid_to_json_dict(grid: LevelGrid) -> dict:
-    geom = grid.geometry
-    return {
-        "axes": [{"lower": geom.lower[i], "upper": geom.upper[i],
-                  "count": geom.counts[i], "periodic": geom.periodic_axes[i]}
-                 for i in range(geom.dims)],
-        "values": [float(v) for v in grid.values.ravel()],
-    }
+    return {"axes": _axis_records(grid.geometry),
+            "values": grid.values.ravel().tolist()}
 
 
 def grid_from_json_dict(doc: dict) -> LevelGrid:
     try:
-        axes = doc["axes"]
-        geom = GridGeometry(tuple(a["lower"] for a in axes),
-                            tuple(a["upper"] for a in axes),
-                            tuple(a["count"] for a in axes),
-                            tuple(bool(a.get("periodic", False)) for a in axes))
+        geom = _geometry_from_axes(doc["axes"])
         values = np.asarray(doc["values"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise GeometryError(f"malformed grid JSON: {exc}") from exc
     return LevelGrid(geom, values)
 

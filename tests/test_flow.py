@@ -166,6 +166,19 @@ def test_divergence_reports_step():
     assert f"step {err.value.step} " in str(batch_err.value)
 
 
+def test_batch_divergence_names_first_row():
+    """Under xdot = 200 x only the rows with x0 != 0 blow up."""
+    model, policy = linear_system([[200.0]])
+    with pytest.raises(FlowDivergenceError) as err:
+        integrate_flow_batch(model, policy, np.array([[0.0], [0.0], [1.0], [0.0], [1.0]]),
+                             50.0, 50, with_sensitivity=False)
+    assert err.value.row == 2
+    assert "batch row 2" in str(err.value)
+    with pytest.raises(FlowDivergenceError) as single:
+        integrate_flow(model, policy, np.array([1.0]), 50.0, 50)
+    assert single.value.row is None
+
+
 def test_argument_validation():
     model, policy, _ = make_benchmark("toy1d")
     with pytest.raises(ValidationError):

@@ -1,10 +1,18 @@
 """Grid baseline: closed-form Hamiltonian, value iteration, comparisons, IO."""
 
+import json
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backup_cbf.barrier import eval_h_batch
-from backup_cbf.errors import GeometryError, ValidationError
+from backup_cbf.cli import main as cli_main
+from backup_cbf.errors import FlowDivergenceError, GeometryError, ValidationError
 from backup_cbf.hjgrid import (GridGeometry, LevelGrid, compare_sets,
                                constraint_grid, dilate_set, grid_from_json_dict,
                                grid_to_json_dict, hamiltonian, read_grid,
@@ -291,3 +299,145 @@ def test_csv_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(GeometryError) as err:
         read_grid_csv(str(path2))
     assert ":3:" in str(err.value)
+
+
+def reference_write_grid_csv(grid, path):
+    """The former per-cell CSV writer, kept verbatim as the byte reference."""
+    geom = grid.geometry
+    axes = [geom.axis_coordinates(i) for i in range(geom.dims)]
+    with open(path, "w") as fh:
+        for i in range(geom.dims):
+            flag = " periodic" if geom.periodic_axes[i] else ""
+            fh.write(f"# axis {i}: {geom.lower[i]!r} {geom.upper[i]!r} "
+                     f"{geom.counts[i]}{flag}\n")
+        flat = grid.values.ravel()
+        for flat_idx, value in enumerate(flat):
+            idx = np.unravel_index(flat_idx, geom.counts)
+            coords = [axes[i][idx[i]] for i in range(geom.dims)]
+            cols = [str(int(i)) for i in idx] + [repr(float(c)) for c in coords]
+            cols.append(repr(float(value)))
+            fh.write(",".join(cols) + "\n")
+
+
+EXTREME_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                  -1.7976931348623157e308)
+
+
+@st.composite
+def level_grids(draw):
+    dims = draw(st.integers(2, 3))
+    counts = tuple(draw(st.integers(3, 9)) for _ in range(dims))
+    lower = tuple(draw(st.floats(-1e3, 1e3)) for _ in range(dims))
+    upper = tuple(lo + draw(st.floats(1e-3, 1e3)) for lo in lower)
+    periodic = tuple(draw(st.booleans()) for _ in range(dims))
+    values = draw(st.lists(
+        st.one_of(st.sampled_from(EXTREME_VALUES),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=math.prod(counts), max_size=math.prod(counts)))
+    return LevelGrid(GridGeometry(lower, upper, counts, periodic),
+                     np.array(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(level_grids())
+def test_grid_files_roundtrip_bit_equal(grid):
+    """CSV and JSON read back to the same bits, and the block-wise CSV
+    writer emits exactly the text of the per-cell reference writer."""
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = os.path.join(tmp, "g.csv")
+        ref_path = os.path.join(tmp, "ref.csv")
+        json_path = os.path.join(tmp, "g.json")
+        write_grid_csv(grid, csv_path)
+        reference_write_grid_csv(grid, ref_path)
+        write_grid_json(grid, json_path)
+        with open(csv_path) as a, open(ref_path) as b:
+            assert a.read() == b.read()
+        for path in (csv_path, json_path):
+            back = read_grid(path)
+            assert back.geometry == grid.geometry
+            assert back.values.tobytes() == grid.values.tobytes()
+
+
+def _small_csv(tmp_path, edit):
+    """A 3 x 3 grid file with its data lines (lines 3..11) passed
+    through ``edit``."""
+    geom = GridGeometry((0.0, 0.0), (1.0, 1.0), (3, 3), (False, False))
+    path = tmp_path / "grid.csv"
+    write_grid_csv(LevelGrid(geom, np.arange(9.0)), str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + edit(lines[2:])))
+    return str(path)
+
+
+@pytest.mark.parametrize("edit, lineno", [
+    (lambda rows: rows[:4] + ["1,7,0.5,3.5,4.0\n"] + rows[5:], 7),
+    (lambda rows: rows[:1] + ["0,0,0.0,0.0,-7.0\n"] + rows[1:], 4),
+    (lambda rows: rows[:5] + rows[6:], 8),
+    (lambda rows: rows[:8], 11),
+    (lambda rows: rows + ["2,2,1.0,1.0,8.0\n"], 12),
+    (lambda rows: rows[:3] + ["1,0.5,0.5,0.0,3.0\n"] + rows[4:], 6),
+    (lambda rows: rows[:2] + [rows[3], rows[2]] + rows[4:], 5),
+], ids=["out_of_range", "repeated", "missing", "truncated", "extra",
+        "non_integer", "swapped"])
+def test_csv_reader_rejects_rows_off_the_row_major_sequence(tmp_path, edit,
+                                                            lineno):
+    path = _small_csv(tmp_path, edit)
+    with pytest.raises(GeometryError) as err:
+        read_grid_csv(path)
+    assert f"{path}:{lineno}:" in str(err.value)
+
+
+def test_csv_reader_skips_blank_lines_and_keeps_line_numbers(tmp_path):
+    path = _small_csv(tmp_path, lambda rows: rows[:3] + ["\n"] + rows[3:] + ["\n"])
+    assert np.array_equal(read_grid_csv(path).values.ravel(), np.arange(9.0))
+    path = _small_csv(tmp_path, lambda rows: rows[:3] + ["\n", "0,0\n"] + rows[3:])
+    with pytest.raises(GeometryError, match=":7: expected 5 columns"):
+        read_grid_csv(path)
+
+
+def test_level_grid_checks_value_count(tmp_path):
+    geom = GridGeometry((0.0, 0.0), (1.0, 1.0), (3, 3), (False, False))
+    doc = grid_to_json_dict(LevelGrid(geom, np.zeros(9)))
+    doc["values"] = doc["values"][:8]
+    with pytest.raises(GeometryError, match="needs 9 values, got 8"):
+        grid_from_json_dict(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good = tmp_path / "good.json"
+    write_grid_json(LevelGrid(geom, np.zeros(9)), str(good))
+    assert cli_main(["compare", str(good), str(bad)]) == 2
+
+
+def test_sweep_names_the_diverging_node():
+    """xdot0 = x0^2 escapes in finite time 1/x0, so over a horizon of 0.6 s
+    only the nodes with x0 = 2 blow up; the error names the first of them
+    (its global C-order index, past the first chunk) and its coordinates."""
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        out[..., 0] = x[..., 0] ** 2
+        return out
+
+    def g(x):
+        return np.zeros(np.asarray(x).shape[:-1] + (2, 1))
+
+    def df(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 2.0 * x[..., 0]
+        return out
+
+    model = SystemModel(2, 1, f, g, df, None, np.array([-1.0]), np.array([1.0]))
+    policy = BackupPolicy(lambda x: np.zeros(np.asarray(x).shape[:-1] + (1,)),
+                          lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 2)),
+                          smoothing_eps=0.01)
+    band = ScalarConstraint(lambda x: 10.0 - np.abs(np.asarray(x)[..., 0]),
+                            lambda x: np.zeros_like(np.asarray(x)), "band")
+    spec = SafetySpec(constraints=(band,), terminal=band, alpha_gain=1.0)
+    geom = GridGeometry((-2.0, -1.0), (2.0, 1.0), (9, 5), (False, False))
+    for chunk in (45, 16):
+        with pytest.raises(FlowDivergenceError) as err:
+            sweep_backup_h(model, policy, spec, geom, 0.6, 240, chunk=chunk)
+        assert err.value.row == 40                      # node (8, 0)
+        assert "node 40 (x = [2.0, -1.0])" in str(err.value)
