@@ -31,7 +31,7 @@ import numpy as np
 from .errors import QpSolverError, ValidationError
 from .flow import FlowTrajectory, integrate_flow, integrate_flow_batch
 from .qp import QpProblem, QpSolver
-from .systems import BackupPolicy, SafetySpec, SystemModel, closed_loop_rhs
+from .systems import BackupPolicy, SafetySpec, SystemModel, check_finite
 
 Array = np.ndarray
 
@@ -162,7 +162,7 @@ def build_constraints(model: SystemModel, policy: BackupPolicy, spec: SafetySpec
     sens = traj.sensitivities              # (N+1, n, n)
     q_g = sens @ g0                        # (N+1, n, m)
     q_f = sens @ f0                        # (N+1, n)
-    drift_gap = q_f - closed_loop_rhs(model, policy, traj.states)
+    drift_gap = q_f - check_finite(traj.drifts, "closed-loop derivative")
 
     gamma = spec.alpha_gain
     a_blocks, b_blocks = [], []

@@ -1,20 +1,25 @@
 """Closed-loop backup flow integration with sensitivity propagation.
 
-The flow map and its state sensitivity are advanced together by a
-fixed-step explicit fourth-order scheme on a uniform time grid.  The
-sensitivity obeys the variational equation ``Qdot = J(x) Q`` with
-``J = d f_pi / d x`` and ``Q(0) = I``, so one integration pass serves every
-downstream constraint row.
+The flow map is marched alone by a fixed-step explicit fourth-order scheme
+on a uniform time grid, recording the four stage points of every step.
+The state sensitivity obeys the variational equation ``Qdot = J(x) Q``
+with ``J = d f_pi / d x`` and ``Q(0) = I``; since the state never depends
+on ``Q``, the loop Jacobians at all recorded stage points come from one
+stacked evaluation afterwards, and ``Q`` is stepped over them with the
+arithmetic of the augmented scheme.  One pass serves every downstream
+constraint row.
 
 Everything here is pure and reentrant; the batch entry point advances many
 initial states at once with no shared mutable state, which is what the
-grid sweeps build on.
+grid sweeps build on.  It steps ``Q`` as the states go, from the Jacobians
+the stage evaluations return, so its memory does not grow with the step
+count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,19 +34,22 @@ class FlowTrajectory:
     """Sampled backup flow from one initial state.
 
     ``times`` is the uniform grid ``0 = tau_0 < ... < tau_N = T`` (s),
-    ``states[i]`` the flow at ``tau_i``, and ``sensitivities[i]`` the
-    Jacobian of ``states[i]`` with respect to the initial state.
+    ``states[i]`` the flow at ``tau_i``, ``sensitivities[i]`` the Jacobian
+    of ``states[i]`` with respect to the initial state, and ``drifts[i]``
+    the backup-loop derivative ``f_pi(states[i])``.
     """
 
     times: Array
     states: Array
     sensitivities: Array
+    drifts: Array
     origin: Array
 
     def __post_init__(self):
         n = self.origin.shape[0]
         m = self.times.shape[0]
-        if self.states.shape != (m, n) or self.sensitivities.shape != (m, n, n):
+        if (self.states.shape != (m, n) or self.drifts.shape != (m, n)
+                or self.sensitivities.shape != (m, n, n)):
             raise ValidationError("trajectory arrays have inconsistent shapes")
 
 
@@ -56,39 +64,51 @@ def _check_args(x0: Array, horizon: float, steps: int) -> Array:
     return x0
 
 
-def _rk4_step(model: SystemModel, policy: BackupPolicy, x: Array,
-              q: Array | None, dt: float) -> tuple[Array, Array | None]:
-    """One explicit fourth-order step of the augmented system
-    ``(f_pi(x), J(x) q)``; ``q`` is carried along only when provided."""
-    def stage(xs, qs):
-        dx, jac = closed_loop_derivs(model, policy, xs, jacobian=q is not None)
-        return dx, None if q is None else np.matmul(jac, qs)
-
+def _rk4_step(model: SystemModel, policy: BackupPolicy, x: Array, dt: float,
+              jacobian: bool) -> tuple[Array, tuple[Array, ...], tuple | None]:
+    """One explicit fourth-order step of the backup loop from ``x``: the
+    next state, the four stage points, and the loop Jacobians at them when
+    ``jacobian`` (else ``None``)."""
     half = 0.5 * dt
-    k1x, k1q = stage(x, q)
-    k2x, k2q = stage(x + half * k1x, None if q is None else q + half * k1q)
-    k3x, k3q = stage(x + half * k2x, None if q is None else q + half * k2q)
-    k4x, k4q = stage(x + dt * k3x, None if q is None else q + dt * k3q)
-    x_next = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    q_next = None if q is None else q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-    return x_next, q_next
+    k1, j1 = closed_loop_derivs(model, policy, x, jacobian)
+    x2 = x + half * k1
+    k2, j2 = closed_loop_derivs(model, policy, x2, jacobian)
+    x3 = x + half * k2
+    k3, j3 = closed_loop_derivs(model, policy, x3, jacobian)
+    x4 = x + dt * k3
+    k4, j4 = closed_loop_derivs(model, policy, x4, jacobian)
+    return (x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (x, x2, x3, x4),
+            (j1, j2, j3, j4) if jacobian else None)
+
+
+def _q_step(jacs: Sequence[Array], q: Array, dt: float) -> Array:
+    """One step of the variational equation ``Qdot = J Q`` from the loop
+    Jacobians ``jacs[s]`` at the step's four stage points, with the
+    arithmetic of the augmented fourth-order step."""
+    half = 0.5 * dt
+    k1 = np.matmul(jacs[0], q)
+    k2 = np.matmul(jacs[1], q + half * k1)
+    k3 = np.matmul(jacs[2], q + half * k2)
+    k4 = np.matmul(jacs[3], q + dt * k3)
+    return q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _march(model: SystemModel, policy: BackupPolicy, x: Array,
-           q: Array | None, horizon: float, steps: int
-           ) -> Iterator[tuple[int, Array, Array | None]]:
-    """The stepping loop for one state ``(n,)`` or a batch ``(B, n)``:
-    yields ``(i, x_i, q_i)`` for ``i = 0..steps``, raising
-    `FlowDivergenceError` at the first step that leaves finite values."""
+           horizon: float, steps: int, jacobian: bool = False
+           ) -> Iterator[tuple[int, Array, tuple[Array, ...], tuple | None]]:
+    """The state stepping loop for one state ``(n,)`` or a batch ``(B, n)``:
+    yields ``(i, x_i, stages_i, jacobians_i)`` for ``i = 1..steps`` as
+    `_rk4_step` returns them, and stops after the first step that leaves
+    finite values.  The caller raises, once it has checked the sensitivity
+    up to that step."""
     dt = horizon / steps
-    yield 0, x, q
     for i in range(1, steps + 1):
         # divergence is detected after the step; silence transient overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            x, q = _rk4_step(model, policy, x, q, dt)
-        if not (np.all(np.isfinite(x)) and (q is None or np.all(np.isfinite(q)))):
-            raise _divergence(i, i * dt, x, q)
-        yield i, x, q
+            x, stages, jacs = _rk4_step(model, policy, x, dt, jacobian)
+        yield i, x, stages, jacs
+        if not np.isfinite(x).all():
+            return
 
 
 def _divergence(step: int, t: float, x: Array, q: Array | None
@@ -108,16 +128,34 @@ def _divergence(step: int, t: float, x: Array, q: Array | None
 def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
                    horizon: float, steps: int) -> FlowTrajectory:
     """Integrate the backup loop from ``x0`` over ``[0, horizon]`` on a
-    uniform grid of ``steps`` intervals, propagating the sensitivity
-    alongside the state."""
+    uniform grid of ``steps`` intervals, then propagate the sensitivity
+    along the recorded stage points."""
     x0 = _check_args(x0, horizon, steps)
     n = x0.shape[0]
+    dt = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
     states = np.empty((steps + 1, n))
+    # points[4 (i - 1) + s] is stage s of step i; the last row is the end node
+    points = np.empty((4 * steps + 1, n))
+    states[0] = x0
+    for last, x, stages, _ in _march(model, policy, x0, horizon, steps):
+        states[last] = x
+        points[4 * last - 4:4 * last] = stages
+    points[4 * last] = states[last]
     sens = np.empty((steps + 1, n, n))
-    for i, x, q in _march(model, policy, x0, np.eye(n), horizon, steps):
-        states[i], sens[i] = x, q
-    return FlowTrajectory(times=times, states=states, sensitivities=sens, origin=x0)
+    sens[0] = q = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        derivs, jacs = closed_loop_derivs(model, policy, points[:4 * last + 1],
+                                          jacobian=True)
+        for i in range(1, last + 1):
+            sens[i] = q = _q_step(jacs[4 * i - 4:4 * i], q, dt)
+    finite = (np.isfinite(states[1:last + 1]).all(axis=1)
+              & np.isfinite(sens[1:last + 1]).all(axis=(1, 2)))
+    if not finite.all():
+        i = int(np.argmin(finite)) + 1
+        raise _divergence(i, i * dt, states[i], sens[i])
+    return FlowTrajectory(times=times, states=states, sensitivities=sens,
+                          drifts=derivs[::4], origin=x0)
 
 
 def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
@@ -131,15 +169,29 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     every grid point (including i = 0) for callers that fold over the path,
     e.g. running constraint minima.  Returns ``(times, end_states, end_Q)``
     with ``end_Q = None`` when sensitivities are switched off.
+
+    The sensitivity is stepped as the states go, from the Jacobians each
+    stage evaluation returns with its derivative: on a large batch,
+    evaluating the loop a second time at the stacked stage points would
+    cost more than the calls it saves.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != model.state_dim:
         raise ValidationError("x0s must have shape (batch, state_dim)")
     _check_args(x0s, horizon, steps)
     b, n = x0s.shape
+    dt = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
-    q0 = np.broadcast_to(np.eye(n), (b, n, n)).copy() if with_sensitivity else None
-    for i, x, q in _march(model, policy, x0s, q0, horizon, steps):
+    q = np.broadcast_to(np.eye(n), (b, n, n)).copy() if with_sensitivity else None
+    if observer is not None:
+        observer(0, times[0], x0s)
+    for i, x, _, jacs in _march(model, policy, x0s, horizon, steps,
+                                jacobian=with_sensitivity):
+        if q is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = _q_step(jacs, q, dt)
+        if not (np.isfinite(x).all() and (q is None or np.isfinite(q).all())):
+            raise _divergence(i, i * dt, x, q)
         if observer is not None:
             observer(i, times[i], x)
     return times, x, q

@@ -256,7 +256,9 @@ class SafetySpec:
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(value: Array, what: str) -> Array:
+def check_finite(value: Array, what: str) -> Array:
+    """``value`` unchanged, or `EvaluationError` naming its first
+    non-finite coordinate."""
     if not np.all(np.isfinite(value)):
         bad = np.argwhere(~np.isfinite(np.asarray(value)))
         coord = tuple(int(i) for i in bad[0])
@@ -282,17 +284,17 @@ def closed_loop_derivs(model: SystemModel, policy: BackupPolicy, x: Array,
 
 def closed_loop_rhs(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
     """Backup-loop derivative ``f(x) + g(x) pi(x)``."""
-    x = _check_finite(np.asarray(x, dtype=float), "state")
+    x = check_finite(np.asarray(x, dtype=float), "state")
     dx, _ = closed_loop_derivs(model, policy, x)
-    return _check_finite(dx, "closed-loop derivative")
+    return check_finite(dx, "closed-loop derivative")
 
 
 def closed_loop_jacobian(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
     """State Jacobian of the backup loop:
     ``df/dx + sum_j pi_j dg_j/dx + g dpi/dx``."""
-    x = _check_finite(np.asarray(x, dtype=float), "state")
+    x = check_finite(np.asarray(x, dtype=float), "state")
     _, jac = closed_loop_derivs(model, policy, x, jacobian=True)
-    return _check_finite(jac, "closed-loop Jacobian")
+    return check_finite(jac, "closed-loop Jacobian")
 
 
 def di_closed_form_h(x: Array, c_limit: float, u_max: float) -> Array:
@@ -400,8 +402,6 @@ def _build_double_integrator(params: dict):
 
     g_one = np.array([[0.0], [1.0]])
     g_one.flags.writeable = False
-    df_one = np.array([[0.0, 1.0], [0.0, 0.0]])
-    df_one.flags.writeable = False
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -421,8 +421,6 @@ def _build_double_integrator(params: dict):
 
     def df(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return df_one
         out = np.zeros(x.shape[:-1] + (2, 2))
         out[..., 0, 1] = 1.0
         return out
@@ -435,9 +433,6 @@ def _build_double_integrator(params: dict):
 
     def dpi(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            d = smooth_positive_indicator_deriv(x[1], eps)
-            return np.array([[0.0, -u_max * d]])
         d = smooth_positive_indicator_deriv(x[..., 1], eps)
         out = np.zeros(x.shape[:-1] + (1, 2))
         out[..., 0, 1] = -u_max * d
@@ -558,9 +553,6 @@ def _build_dubins(params: dict):
 
     def df(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array([[0.0, math.sin(x[2]), x[1] * math.cos(x[2])],
-                             [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         out = np.zeros(x.shape[:-1] + (3, 3))
         out[..., 0, 1] = np.sin(x[..., 2])
         out[..., 0, 2] = x[..., 1] * np.cos(x[..., 2])
@@ -579,12 +571,6 @@ def _build_dubins(params: dict):
 
     def dpi(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            da = smooth_saturate_deriv(k_v * (v_des - x[1]), -a_max, a_max, eps_a)
-            dr = smooth_saturate_deriv(ky0 * x[0] + ky1 * x[2],
-                                       -r_max, r_max, eps_r)
-            return np.array([[0.0, -k_v * da, 0.0],
-                             [ky0 * dr, 0.0, ky1 * dr]])
         out = np.zeros(x.shape[:-1] + (2, 3))
         da = smooth_saturate_deriv(k_v * (v_des - x[..., 1]), -a_max, a_max, eps_a)
         out[..., 0, 1] = -k_v * da
@@ -654,11 +640,6 @@ def _build_aeroplane(params: dict):
         raise ValidationError(
             "aeroplane needs positive speeds, u_max, r_min and r_terminal > r_min")
 
-    dg_one = np.zeros((3, 1, 3))
-    dg_one[0, 0, 1] = 1.0
-    dg_one[1, 0, 0] = -1.0
-    dg_one.flags.writeable = False
-
     def f(x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
@@ -682,10 +663,6 @@ def _build_aeroplane(params: dict):
 
     def df(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array([[0.0, 0.0, -v_b * math.sin(x[2])],
-                             [0.0, 0.0, v_b * math.cos(x[2])],
-                             [0.0, 0.0, 0.0]])
         out = np.zeros(x.shape[:-1] + (3, 3))
         out[..., 0, 2] = -v_b * np.sin(x[..., 2])
         out[..., 1, 2] = v_b * np.cos(x[..., 2])
@@ -693,8 +670,6 @@ def _build_aeroplane(params: dict):
 
     def dg(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return dg_one
         out = np.zeros(x.shape[:-1] + (3, 1, 3))
         out[..., 0, 0, 1] = 1.0
         out[..., 1, 0, 0] = -1.0
@@ -708,8 +683,6 @@ def _build_aeroplane(params: dict):
 
     def dpi(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array([[0.0, -u_max * smooth_sign_deriv(x[1], eps), 0.0]])
         out = np.zeros(x.shape[:-1] + (1, 3))
         out[..., 0, 1] = -u_max * smooth_sign_deriv(x[..., 1], eps)
         return out

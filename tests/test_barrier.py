@@ -1,5 +1,6 @@
 """Barrier evaluation, constraint rows, filter behavior, degree probe."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from backup_cbf.barrier import (TERMINAL_INDEX, build_constraints, eval_h,
                                 eval_h_batch, filter_control,
                                 relative_degree_probe, terminal_row_coefficient)
-from backup_cbf.errors import ValidationError
+from backup_cbf.errors import EvaluationError, ValidationError
 from backup_cbf.systems import di_closed_form_h, make_benchmark
 
 GAMMA = 1.0
@@ -139,6 +140,20 @@ def test_build_constraints_rejects_mismatched_state():
     ev = eval_h(model, policy, spec, np.array([1.0]), 1.0, 50)
     with pytest.raises(ValidationError):
         build_constraints(model, policy, spec, ev, np.array([2.0]))
+
+
+def test_build_constraints_rejects_non_finite_drift():
+    """Rows read the flow's recorded drift; a non-finite one is an
+    `EvaluationError`, as when the drift was recomputed from the states."""
+    model, policy, spec = make_benchmark("toy1d")
+    x = np.array([1.0])
+    ev = eval_h(model, policy, spec, x, 1.0, 50)
+    drifts = ev.trajectory.drifts.copy()
+    drifts[7, 0] = np.inf
+    bad = dataclasses.replace(
+        ev, trajectory=dataclasses.replace(ev.trajectory, drifts=drifts))
+    with pytest.raises(EvaluationError, match="coordinate \\(7, 0\\)"):
+        build_constraints(model, policy, spec, bad, x)
 
 
 def test_margin_tightens_rows():

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backup_cbf.errors import FlowDivergenceError, ValidationError
-from backup_cbf.flow import (integrate_flow, integrate_flow_batch,
-                             sensitivity_fd_check)
-from backup_cbf.systems import (BackupPolicy, SafetySpec, ScalarConstraint,
-                                SystemModel, make_benchmark)
+from backup_cbf.flow import (FlowTrajectory, integrate_flow,
+                             integrate_flow_batch, sensitivity_fd_check)
+from backup_cbf.systems import (BENCHMARK_DEFAULTS, BackupPolicy, SafetySpec,
+                                ScalarConstraint, SystemModel,
+                                closed_loop_derivs, closed_loop_rhs,
+                                make_benchmark)
 
 
 def linear_system(a_mat):
@@ -35,6 +39,45 @@ def linear_system(a_mat):
                           lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, n)),
                           smoothing_eps=0.01)
     return model, policy
+
+
+def reference_rk4_step(model, policy, x, q, dt):
+    """The augmented fourth-order step that advances the state and its
+    sensitivity in lockstep, kept as the reference for the two-phase flow."""
+    def stage(xs, qs):
+        dx, jac = closed_loop_derivs(model, policy, xs, jacobian=q is not None)
+        return dx, None if q is None else np.matmul(jac, qs)
+
+    half = 0.5 * dt
+    k1x, k1q = stage(x, q)
+    k2x, k2q = stage(x + half * k1x, None if q is None else q + half * k1q)
+    k3x, k3q = stage(x + half * k2x, None if q is None else q + half * k2q)
+    k4x, k4q = stage(x + dt * k3x, None if q is None else q + dt * k3q)
+    x_next = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    q_next = None if q is None else q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+    return x_next, q_next
+
+
+def reference_march(model, policy, x, horizon, steps):
+    """States and sensitivities ``(steps + 1, ...)`` of one state ``(n,)``
+    or a batch ``(B, n)``, or the first step that left finite values."""
+    dt = horizon / steps
+    q = np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:]).copy()
+    xs, qs = [x], [q]
+    for i in range(1, steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, q = reference_rk4_step(model, policy, x, q, dt)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
+            return i
+        xs.append(x)
+        qs.append(q)
+    return np.array(xs), np.array(qs)
+
+
+def assert_sensitivity_close(q, q_ref):
+    """Entrywise within ``1e-12 * max(1, |Q_ref|)``."""
+    scaled = np.abs(q - q_ref) / np.maximum(1.0, np.abs(q_ref))
+    assert np.all(scaled <= 1e-12), float(np.max(scaled))
 
 
 def expm_series(a_mat, terms=30):
@@ -177,6 +220,112 @@ def test_batch_divergence_names_first_row():
     with pytest.raises(FlowDivergenceError) as single:
         integrate_flow(model, policy, np.array([1.0]), 50.0, 50)
     assert single.value.row is None
+
+
+REFERENCE_CASES = [("toy1d", {}), ("double_integrator", {}),
+                   ("dubins", {"profile": "conservative"}),
+                   ("dubins", {"profile": "aggressive"}), ("aeroplane", {})]
+
+
+@st.composite
+def reference_inputs(draw):
+    name, params = draw(st.sampled_from(REFERENCE_CASES))
+    box = BENCHMARK_DEFAULTS[name]
+    lower, upper = box["sample_lower"], box["sample_upper"]
+    count = draw(st.integers(min_value=1, max_value=3))
+    x0s = np.array([[draw(st.floats(lo, hi)) for lo, hi in zip(lower, upper)]
+                    for _ in range(count)])
+    steps = draw(st.integers(min_value=1, max_value=60))
+    return name, params, x0s, steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(reference_inputs())
+def test_two_phase_flow_matches_reference_march(case):
+    """States bit-equal and sensitivities within 1e-12 (relative to
+    max(1, |Q|)) of the augmented lockstep march, for one state and for
+    a batch with and without sensitivity; a diverging reference must
+    diverge at the same step."""
+    name, params, x0s, steps = case
+    model, policy, _ = make_benchmark(name, params)
+    horizon = BENCHMARK_DEFAULTS[name]["t_horizon_s"]
+    for x0 in x0s:
+        ref = reference_march(model, policy, x0, horizon, steps)
+        if isinstance(ref, int):
+            with pytest.raises(FlowDivergenceError) as err:
+                integrate_flow(model, policy, x0, horizon, steps)
+            assert err.value.step == ref
+            continue
+        traj = integrate_flow(model, policy, x0, horizon, steps)
+        assert np.array_equal(traj.states, ref[0])
+        assert_sensitivity_close(traj.sensitivities, ref[1])
+        assert np.array_equal(traj.drifts, closed_loop_rhs(model, policy, traj.states))
+    ref = reference_march(model, policy, x0s, horizon, steps)
+    if isinstance(ref, int):
+        with pytest.raises(FlowDivergenceError) as err:
+            integrate_flow_batch(model, policy, x0s, horizon, steps)
+        assert err.value.step == ref
+        return
+    _, ends, q_end = integrate_flow_batch(model, policy, x0s, horizon, steps)
+    assert np.array_equal(ends, ref[0][-1])
+    assert_sensitivity_close(q_end, ref[1][-1])
+    _, ends, _ = integrate_flow_batch(model, policy, x0s, horizon, steps,
+                                      with_sensitivity=False)
+    assert np.array_equal(ends, ref[0][-1])
+
+
+def sensitivity_blowup_system():
+    """x0dot = 1, x1dot = 50 x0 x1 from x1(0) = 0: the state stays finite
+    (x1 = 0) while Q11 = exp(25 t^2) overflows near t = 5.3 s."""
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([np.ones_like(x[..., 0]), 50.0 * x[..., 0] * x[..., 1]],
+                        axis=-1)
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape[:-1] + (2, 1))
+
+    def df(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 1, 0] = 50.0 * x[..., 1]
+        out[..., 1, 1] = 50.0 * x[..., 0]
+        return out
+
+    model = SystemModel(2, 1, f, g, df, None, np.array([-1.0]), np.array([1.0]))
+    policy = BackupPolicy(lambda x: np.zeros(np.asarray(x).shape[:-1] + (1,)),
+                          lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 2)),
+                          smoothing_eps=0.01)
+    return model, policy
+
+
+def test_sensitivity_only_divergence_reports_step():
+    model, policy = sensitivity_blowup_system()
+    x0 = np.array([0.0, 0.0])
+    expected = reference_march(model, policy, x0, 8.0, 800)
+    assert isinstance(expected, int) and 500 < expected < 560
+    with pytest.raises(FlowDivergenceError) as err:
+        integrate_flow(model, policy, x0, 8.0, 800)
+    assert err.value.step == expected
+    # from x0 = -4, Q11 = exp(25 ((t - 4)^2 - 16)) stays bounded on [0, 8]
+    x0s = np.array([[-4.0, 0.0], [0.0, 0.0]])
+    _, ends, _ = integrate_flow_batch(model, policy, x0s, 8.0, 800,
+                                      with_sensitivity=False)
+    assert np.all(np.isfinite(ends))
+    assert reference_march(model, policy, x0s, 8.0, 800) == expected
+    with pytest.raises(FlowDivergenceError) as batch_err:
+        integrate_flow_batch(model, policy, x0s, 8.0, 800)
+    assert batch_err.value.step == expected
+    assert batch_err.value.row == 1
+
+
+def test_trajectory_checks_drift_shape():
+    traj = integrate_flow(*make_benchmark("toy1d")[:2], np.array([1.0]), 1.0, 10)
+    with pytest.raises(ValidationError):
+        FlowTrajectory(times=traj.times, states=traj.states,
+                       sensitivities=traj.sensitivities,
+                       drifts=traj.drifts[:-1], origin=traj.origin)
 
 
 def test_argument_validation():
