@@ -140,18 +140,17 @@ def eval_h_batch(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
                               path_min=path_min, terminal=terminal)
 
 
-def build_constraints(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
-                      evaluation: BarrierEvaluation, x: Array,
+def build_constraints(model: SystemModel, spec: SafetySpec,
+                      evaluation: BarrierEvaluation,
                       margin: float = 0.0) -> ConstraintSet:
-    """Reduce the filter conditions along ``evaluation`` to rows in u.
+    """Reduce the filter conditions along ``evaluation`` to rows in u, at
+    the state its trajectory starts from.
 
     ``margin >= 0`` tightens every row by a constant, compensating
     inter-sample error of the time grid.
     """
-    x = np.asarray(x, dtype=float)
     traj = evaluation.trajectory
-    if x.shape != traj.origin.shape or not np.allclose(x, traj.origin):
-        raise ValidationError("evaluation was produced from a different state")
+    x = traj.origin
     if margin < 0.0:
         raise ValidationError("margin must be >= 0")
 
@@ -232,7 +231,7 @@ def filter_control(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
     t0 = time.perf_counter()
     evaluation = eval_h(model, policy, spec, x, horizon, steps)
     t1 = time.perf_counter()
-    constraints = build_constraints(model, policy, spec, evaluation, x, margin)
+    constraints = build_constraints(model, spec, evaluation, margin)
     t2 = time.perf_counter()
     problem = QpProblem(u0=u_nominal, rows=constraints.rows,
                         rhs=constraints.rhs, lower=model.input_lower,

@@ -1,25 +1,27 @@
 """Closed-loop backup flow integration with sensitivity propagation.
 
-The flow map is marched alone by a fixed-step explicit fourth-order scheme
-on a uniform time grid, recording the four stage points of every step.
-The state sensitivity obeys the variational equation ``Qdot = J(x) Q``
-with ``J = d f_pi / d x`` and ``Q(0) = I``; since the state never depends
-on ``Q``, the loop Jacobians at all recorded stage points come from one
-stacked evaluation afterwards, and ``Q`` is stepped over them with the
-arithmetic of the augmented scheme.  One pass serves every downstream
-constraint row.
+`rk4_step` is the one fixed-step explicit fourth-order update: it marches
+the flow map on a uniform time grid, steps the state sensitivity, and
+advances the plant in the simulation harness.  The state is marched alone,
+recording the four stage points of every step.  The sensitivity obeys the
+variational equation ``Qdot = J(x) Q`` with ``J = d f_pi / d x`` and
+``Q(0) = I``; since the state never depends on ``Q``, the loop Jacobians
+only ever come from stacked evaluations at recorded stage points, and
+``Q`` is stepped over them by the same update.  One pass serves every
+downstream constraint row.
 
-Everything here is pure and reentrant; the batch entry point advances many
-initial states at once with no shared mutable state, which is what the
-grid sweeps build on.  It steps ``Q`` as the states go, from the Jacobians
-the stage evaluations return, so its memory does not grow with the step
-count.
+Everything here is pure and reentrant.  `integrate_flow` takes the
+Jacobians along the whole path from one stacked call.  The batch entry
+point advances many initial states at once with no shared mutable state,
+which is what the grid sweeps build on; it takes the Jacobians of each
+step's four stage points from one stacked call, so its memory does not
+grow with the step count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -64,49 +66,46 @@ def _check_args(x0: Array, horizon: float, steps: int) -> Array:
     return x0
 
 
-def _rk4_step(model: SystemModel, policy: BackupPolicy, x: Array, dt: float,
-              jacobian: bool) -> tuple[Array, tuple[Array, ...], tuple | None]:
-    """One explicit fourth-order step of the backup loop from ``x``: the
-    next state, the four stage points, and the loop Jacobians at them when
-    ``jacobian`` (else ``None``)."""
+def rk4_step(deriv: Callable[[Array], Array], x: Array, dt: float
+             ) -> tuple[Array, tuple[Array, Array, Array, Array]]:
+    """One explicit fourth-order step of ``xdot = deriv(x)`` from ``x``:
+    the next value and the four stage points ``deriv`` was evaluated at."""
     half = 0.5 * dt
-    k1, j1 = closed_loop_derivs(model, policy, x, jacobian)
+    k1 = deriv(x)
     x2 = x + half * k1
-    k2, j2 = closed_loop_derivs(model, policy, x2, jacobian)
+    k2 = deriv(x2)
     x3 = x + half * k2
-    k3, j3 = closed_loop_derivs(model, policy, x3, jacobian)
+    k3 = deriv(x3)
     x4 = x + dt * k3
-    k4, j4 = closed_loop_derivs(model, policy, x4, jacobian)
-    return (x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (x, x2, x3, x4),
-            (j1, j2, j3, j4) if jacobian else None)
+    k4 = deriv(x4)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (x, x2, x3, x4)
 
 
-def _q_step(jacs: Sequence[Array], q: Array, dt: float) -> Array:
+def _q_step(jacs: Iterable[Array], q: Array, dt: float) -> Array:
     """One step of the variational equation ``Qdot = J Q`` from the loop
-    Jacobians ``jacs[s]`` at the step's four stage points, with the
-    arithmetic of the augmented fourth-order step."""
-    half = 0.5 * dt
-    k1 = np.matmul(jacs[0], q)
-    k2 = np.matmul(jacs[1], q + half * k1)
-    k3 = np.matmul(jacs[2], q + half * k2)
-    k4 = np.matmul(jacs[3], q + dt * k3)
-    return q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    Jacobians at the step's four stage points, in stage order."""
+    stage_jacs = iter(jacs)
+    return rk4_step(lambda p: np.matmul(next(stage_jacs), p), q, dt)[0]
 
 
 def _march(model: SystemModel, policy: BackupPolicy, x: Array,
-           horizon: float, steps: int, jacobian: bool = False
-           ) -> Iterator[tuple[int, Array, tuple[Array, ...], tuple | None]]:
+           horizon: float, steps: int
+           ) -> Iterator[tuple[int, Array, tuple[Array, ...]]]:
     """The state stepping loop for one state ``(n,)`` or a batch ``(B, n)``:
-    yields ``(i, x_i, stages_i, jacobians_i)`` for ``i = 1..steps`` as
-    `_rk4_step` returns them, and stops after the first step that leaves
-    finite values.  The caller raises, once it has checked the sensitivity
-    up to that step."""
+    yields ``(i, x_i, stages_i)`` for ``i = 1..steps`` as `rk4_step`
+    returns them, and stops after the first step that leaves finite
+    values.  The caller raises, once it has checked the sensitivity up to
+    that step."""
     dt = horizon / steps
+
+    def deriv(xs: Array) -> Array:
+        return closed_loop_derivs(model, policy, xs)[0]
+
     for i in range(1, steps + 1):
         # divergence is detected after the step; silence transient overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            x, stages, jacs = _rk4_step(model, policy, x, dt, jacobian)
-        yield i, x, stages, jacs
+            x, stages = rk4_step(deriv, x, dt)
+        yield i, x, stages
         if not np.isfinite(x).all():
             return
 
@@ -138,7 +137,7 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
     # points[4 (i - 1) + s] is stage s of step i; the last row is the end node
     points = np.empty((4 * steps + 1, n))
     states[0] = x0
-    for last, x, stages, _ in _march(model, policy, x0, horizon, steps):
+    for last, x, stages in _march(model, policy, x0, horizon, steps):
         states[last] = x
         points[4 * last - 4:4 * last] = stages
     points[4 * last] = states[last]
@@ -170,10 +169,9 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     e.g. running constraint minima.  Returns ``(times, end_states, end_Q)``
     with ``end_Q = None`` when sensitivities are switched off.
 
-    The sensitivity is stepped as the states go, from the Jacobians each
-    stage evaluation returns with its derivative: on a large batch,
-    evaluating the loop a second time at the stacked stage points would
-    cost more than the calls it saves.
+    The sensitivity is stepped as the states go: after each step, the loop
+    Jacobians at its four recorded stage points come from one stacked
+    evaluation, so memory does not grow with ``steps``.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != model.state_dim:
@@ -185,10 +183,11 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     q = np.broadcast_to(np.eye(n), (b, n, n)).copy() if with_sensitivity else None
     if observer is not None:
         observer(0, times[0], x0s)
-    for i, x, _, jacs in _march(model, policy, x0s, horizon, steps,
-                                jacobian=with_sensitivity):
+    for i, x, stages in _march(model, policy, x0s, horizon, steps):
         if q is not None:
             with np.errstate(over="ignore", invalid="ignore"):
+                _, jacs = closed_loop_derivs(model, policy, np.stack(stages),
+                                             jacobian=True)
                 q = _q_step(jacs, q, dt)
         if not (np.isfinite(x).all() and (q is None or np.isfinite(q).all())):
             raise _divergence(i, i * dt, x, q)

@@ -3,8 +3,8 @@
 Scenarios are JSON documents with units spelled out in the field names
 (``t_horizon_s``, ``dt_s``, ...).  The simulation loop applies a nominal
 ("legacy") controller, passes it through the safety filter, and advances
-the true dynamics with the same fixed-step fourth-order integrator family
-the flow module uses.  Runs are deterministic: fixed-step integration and
+the true dynamics with the fixed-step fourth-order update the backup flow
+uses (`flow.rk4_step`).  Runs are deterministic: fixed-step integration and
 deterministic tie-breaking in the QP make re-runs bit-identical.
 """
 
@@ -20,6 +20,7 @@ import numpy as np
 from .barrier import filter_control
 from .errors import (GeometryError, NumericalError, ScenarioError,
                      ValidationError)
+from .flow import rk4_step
 from .hjgrid import (GridGeometry, LevelGrid, compare_sets, constraint_grid,
                      read_grid, solve_invariant, sweep_backup_h, write_grid_csv,
                      write_grid_json)
@@ -171,17 +172,6 @@ def _nominal_controller(scenario: Scenario, model: SystemModel
 # ---------------------------------------------------------------------------
 
 
-def _rk4_true_step(model: SystemModel, x: Array, u: Array, dt: float) -> Array:
-    def rhs(xs):
-        return model.f_eval(xs) + model.g_eval(xs) @ u
-
-    k1 = rhs(x)
-    k2 = rhs(x + 0.5 * dt * k1)
-    k3 = rhs(x + 0.5 * dt * k2)
-    k4 = rhs(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 @dataclass(frozen=True)
 class SimLog:
     """Column-oriented record of one simulation run."""
@@ -301,7 +291,8 @@ def simulate(scenario: Scenario) -> SimLog:
         u_nom[k] = u0
         u_out[k] = u_star
         con_vals[k] = [c.h_eval(x) for c in spec.constraints]
-        x = _rk4_true_step(model, x, u_star, scenario.dt_s)
+        x, _ = rk4_step(lambda xs: model.f_eval(xs) + model.g_eval(xs) @ u_star,
+                        x, scenario.dt_s)
 
     if scenario.filter_on:
         # every applied input must respect the box

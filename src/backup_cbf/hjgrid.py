@@ -454,8 +454,10 @@ def grid_from_json_dict(doc: dict) -> LevelGrid:
 
 
 def write_grid_json(grid: LevelGrid, path: str) -> None:
+    # one dumps call runs the C encoder; json.dump would stream through the
+    # pure-Python one
     with open(path, "w") as fh:
-        json.dump(grid_to_json_dict(grid), fh)
+        fh.write(json.dumps(grid_to_json_dict(grid)))
 
 
 def read_grid(path: str) -> LevelGrid:

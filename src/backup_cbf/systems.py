@@ -49,7 +49,9 @@ Array = np.ndarray
 # Each smoothing is *exact* away from the switching surface so closed-form
 # trajectories remain valid there; only a band of width `eps` is blended.
 # `eps = 0` selects the hard (discontinuous-derivative) variant, kept for
-# cross-checks only: its derivative is zero in saturated regions.
+# cross-checks only: its derivative is zero in saturated regions.  The
+# values keep a float branch for the single-state march; the derivatives
+# only ever see stacked points and take the array branch alone.
 # ---------------------------------------------------------------------------
 
 
@@ -73,11 +75,6 @@ def smooth_positive_indicator(v: Array | float, eps: float) -> Array:
 
 
 def smooth_positive_indicator_deriv(v: Array | float, eps: float) -> Array:
-    if np.ndim(v) == 0:
-        if eps == 0.0:
-            return np.float64(0.0)
-        t = min(max((float(v) + eps) / eps, 0.0), 1.0)
-        return np.float64(6.0 * t * (1.0 - t) / eps)
     v = np.asarray(v, dtype=float)
     if eps == 0.0:
         return np.zeros_like(v)
@@ -101,11 +98,6 @@ def smooth_sign(y: Array | float, eps: float) -> Array:
 
 
 def smooth_sign_deriv(y: Array | float, eps: float) -> Array:
-    if np.ndim(y) == 0:
-        if eps == 0.0:
-            return np.float64(0.0)
-        q = float(y) / eps
-        return np.float64(2.0 * (1.0 - abs(q)) / eps if abs(q) < 1.0 else 0.0)
     y = np.asarray(y, dtype=float)
     if eps == 0.0:
         return np.zeros_like(y)
@@ -144,15 +136,6 @@ def smooth_saturate(y: Array | float, lo: float, hi: float, eps: float) -> Array
 
 def smooth_saturate_deriv(y: Array | float, lo: float, hi: float, eps: float) -> Array:
     _check_blend(lo, hi, eps)
-    if np.ndim(y) == 0:
-        yf = float(y)
-        if eps == 0.0:
-            return np.float64(1.0 if lo < yf < hi else 0.0)
-        if hi - eps < yf < hi + eps:
-            return np.float64(1.0 - (yf - (hi - eps)) / (2.0 * eps))
-        if lo - eps < yf < lo + eps:
-            return np.float64(1.0 - ((lo + eps) - yf) / (2.0 * eps))
-        return np.float64(1.0 if lo - eps < yf < hi + eps else 0.0)
     y = np.asarray(y, dtype=float)
     if eps == 0.0:
         return ((y > lo) & (y < hi)).astype(float)
@@ -321,14 +304,11 @@ def _reject_unknown(params: dict, name: str):
                               f"{sorted(params)}")
 
 
-def _mode_eps(params: dict, default_eps: float) -> float:
-    mode = params.pop("mode", "smooth")
-    if mode not in ("smooth", "hard"):
-        raise ValidationError(f"mode must be 'smooth' or 'hard', got {mode!r}")
+def _smoothing_eps(params: dict, default_eps: float) -> float:
     eps = float(params.pop("smoothing_eps", default_eps))
     if eps < 0.0:
         raise ValidationError("smoothing_eps must be >= 0")
-    return 0.0 if mode == "hard" else eps
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +322,7 @@ def _build_toy1d(params: dict):
     c_level = float(params.pop("c_level", 4.0))
     s_level = float(params.pop("s_level", 1.0))
     alpha = float(params.pop("alpha_gain_per_s", 1.0))
-    eps = _mode_eps(params, 0.05 * u_max)
+    eps = _smoothing_eps(params, 0.05 * u_max)
     _reject_unknown(params, "toy1d")
     if u_max <= 0.0 or gain <= 0.0:
         raise ValidationError("toy1d needs u_max > 0 and gain_k > 0")
@@ -395,7 +375,7 @@ def _build_double_integrator(params: dict):
     u_max = float(params.pop("u_max_mps2", 1.0))
     v_scale = float(params.pop("v_scale_mps", 5.0))
     alpha = float(params.pop("alpha_gain_per_s", 1.0))
-    eps = _mode_eps(params, 0.05 * v_scale)
+    eps = _smoothing_eps(params, 0.05 * v_scale)
     _reject_unknown(params, "double_integrator")
     if u_max <= 0.0 or v_scale <= 0.0:
         raise ValidationError("double_integrator needs u_max > 0, v_scale > 0")
@@ -500,15 +480,12 @@ def _build_dubins(params: dict):
     terminal_c = params.pop("terminal_c", 0.5 if aggressive else 1.0)
     alpha = float(params.pop("alpha_gain_per_s", 1.0))
     eps_frac = float(params.pop("eps_frac", 0.05))
-    mode = params.pop("mode", "smooth")
-    if mode not in ("smooth", "hard"):
-        raise ValidationError(f"mode must be 'smooth' or 'hard', got {mode!r}")
     _reject_unknown(params, "dubins")
     if min(y_max, psi_max, a_max, r_max, k_v) <= 0.0:
         raise ValidationError("dubins box parameters must be > 0")
 
-    eps_a = 0.0 if mode == "hard" else eps_frac * a_max
-    eps_r = 0.0 if mode == "hard" else eps_frac * r_max
+    eps_a = eps_frac * a_max
+    eps_r = eps_frac * r_max
 
     if terminal_p is None:
         if aggressive:
@@ -634,7 +611,7 @@ def _build_aeroplane(params: dict):
     # behind; the blend slope (2/eps) times |dx| sets the stiffness of the
     # variational equation, so the band is kept wide enough for the default
     # integration grid to resolve it.
-    eps = _mode_eps(params, 0.25 * r_min)
+    eps = _smoothing_eps(params, 0.25 * r_min)
     _reject_unknown(params, "aeroplane")
     if min(v_a, v_b, u_max, r_min) <= 0.0 or r_term <= r_min:
         raise ValidationError(

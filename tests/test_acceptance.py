@@ -87,7 +87,7 @@ def test_criterion_2_feasibility():
         solver = QpSolver()
         for x in chosen:
             ev = eval_h(model, policy, spec, x, horizon, steps)
-            rows = build_constraints(model, policy, spec, ev, x)
+            rows = build_constraints(model, spec, ev)
             slack = rows.slacks(policy.pi_eval(x)).min()
             worst_slack = min(worst_slack, float(slack))
             problem = QpProblem(u0=model.input_upper, rows=rows.rows,

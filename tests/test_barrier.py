@@ -9,7 +9,7 @@ import pytest
 from backup_cbf.barrier import (TERMINAL_INDEX, build_constraints, eval_h,
                                 eval_h_batch, filter_control,
                                 relative_degree_probe, terminal_row_coefficient)
-from backup_cbf.errors import EvaluationError, ValidationError
+from backup_cbf.errors import EvaluationError
 from backup_cbf.systems import di_closed_form_h, make_benchmark
 
 GAMMA = 1.0
@@ -33,7 +33,8 @@ def test_eval_h_di_braking_boundary_hard_mode():
     # worst path value is 8 and the rest-set function is 0 at the horizon.
     # Without event location the fixed-step scheme resolves the switching
     # point to within one step, hence the dt-scaled tolerances.
-    model, policy, spec = make_benchmark("double_integrator", {"mode": "hard"})
+    model, policy, spec = make_benchmark("double_integrator",
+                                         {"smoothing_eps": 0.0})
     dt = 10.0 / 100
     ev = eval_h(model, policy, spec, np.array([0.0, 2.0]), 10.0, 100)
     assert ev.per_tau_values.min() == pytest.approx(8.0, abs=1e-6)
@@ -81,7 +82,7 @@ def test_row_count_and_labels():
     model, policy, spec = make_benchmark("dubins")
     x = np.array([0.5, 5.0, 0.0])
     ev = eval_h(model, policy, spec, x, 8.0, 100)
-    rows = build_constraints(model, policy, spec, ev, x)
+    rows = build_constraints(model, spec, ev)
     n_tau = 101
     n_rows = n_tau * len(spec.constraints) + 1
     assert rows.rows.shape == (n_rows, model.input_dim)
@@ -100,7 +101,7 @@ def test_toy_row_closed_form():
     model, policy, spec = make_benchmark("toy1d")
     x = np.array([1.0])
     ev = eval_h(model, policy, spec, x, 1.0, 100)
-    rows = build_constraints(model, policy, spec, ev, x)
+    rows = build_constraints(model, spec, ev)
     for idx in (0, 25, 50, 99):
         tau = ev.trajectory.times[idx]
         a, b = rows.rows[idx], rows.rhs[idx]
@@ -126,20 +127,13 @@ def test_path_row_slack_at_backup_is_alpha_h(name, x):
                "dubins": 8.0, "aeroplane": 4.0}[name]
     steps = 200 if name == "aeroplane" else 100
     ev = eval_h(model, policy, spec, x, horizon, steps)
-    rows = build_constraints(model, policy, spec, ev, x)
+    rows = build_constraints(model, spec, ev)
     slacks = rows.slacks(policy.pi_eval(x))
     expected = spec.alpha_gain * ev.per_tau_values.reshape(-1)
     # integration tolerance: the scheme's formal order drops at the C1
     # kinks of the smoothed policy, leaving ~1e-4 relative defects there
     assert np.max(np.abs(slacks[:-1] - expected)) < 1e-4 * max(
         1.0, np.max(np.abs(expected)))
-
-
-def test_build_constraints_rejects_mismatched_state():
-    model, policy, spec = make_benchmark("toy1d")
-    ev = eval_h(model, policy, spec, np.array([1.0]), 1.0, 50)
-    with pytest.raises(ValidationError):
-        build_constraints(model, policy, spec, ev, np.array([2.0]))
 
 
 def test_build_constraints_rejects_non_finite_drift():
@@ -153,15 +147,15 @@ def test_build_constraints_rejects_non_finite_drift():
     bad = dataclasses.replace(
         ev, trajectory=dataclasses.replace(ev.trajectory, drifts=drifts))
     with pytest.raises(EvaluationError, match="coordinate \\(7, 0\\)"):
-        build_constraints(model, policy, spec, bad, x)
+        build_constraints(model, spec, bad)
 
 
 def test_margin_tightens_rows():
     model, policy, spec = make_benchmark("toy1d")
     x = np.array([1.0])
     ev = eval_h(model, policy, spec, x, 1.0, 50)
-    plain = build_constraints(model, policy, spec, ev, x)
-    tight = build_constraints(model, policy, spec, ev, x, margin=0.1)
+    plain = build_constraints(model, spec, ev)
+    tight = build_constraints(model, spec, ev, margin=0.1)
     assert np.allclose(tight.slacks(np.array([0.0])),
                        plain.slacks(np.array([0.0])) - 0.1)
 

@@ -108,7 +108,8 @@ def test_toy_flow_matches_exponential():
 
 
 def test_double_integrator_hard_braking_arc():
-    model, policy, _ = make_benchmark("double_integrator", {"mode": "hard"})
+    model, policy, _ = make_benchmark("double_integrator",
+                                      {"smoothing_eps": 0.0})
     traj = integrate_flow(model, policy, np.array([0.0, 2.0]), 1.0, 10)
     # no switching crossed before t=1, so the arc and its sensitivity are exact
     assert np.allclose(traj.states[-1], [1.5, 1.0], atol=1e-12)

@@ -11,7 +11,21 @@ from backup_cbf.errors import GeometryError, ScenarioError
 from backup_cbf.harness import (Scenario, bench, load_scenario, run_compare,
                                 run_levelset, simulate, slice_grid)
 from backup_cbf.hjgrid import GridGeometry, LevelGrid, read_grid
-from backup_cbf.systems import make_benchmark
+from backup_cbf.systems import (BENCHMARK_DEFAULTS, BENCHMARK_NAMES,
+                                make_benchmark)
+
+
+def reference_plant_step(model, x, u, dt):
+    """The plant's fourth-order step written out in full, kept as the
+    reference for the shared integrator step the simulation uses."""
+    def rhs(xs):
+        return model.f_eval(xs) + model.g_eval(xs) @ u
+
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * dt * k1)
+    k3 = rhs(x + 0.5 * dt * k2)
+    k4 = rhs(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def toy_scenario(**over):
@@ -74,6 +88,26 @@ def test_nominal_controllers():
 # ---------------------------------------------------------------------------
 # simulation loop
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_plant_step_matches_reference(name):
+    model, _, _ = make_benchmark(name)
+    d = BENCHMARK_DEFAULTS[name]
+    rng = np.random.default_rng(31)
+    x0 = rng.uniform(d["sample_lower"], d["sample_upper"])
+    u0 = rng.uniform(model.input_lower, model.input_upper)
+    sc = Scenario(benchmark=name, x0=tuple(x0),
+                  nominal={"kind": "constant", "value": list(u0)},
+                  duration_s=1.0, dt_s=0.02, filter_on=False)
+    log = simulate(sc)
+    u = np.clip(u0, model.input_lower, model.input_upper)
+    x = np.asarray(sc.x0, dtype=float)
+    expected = []
+    for _ in range(log.times.size):
+        expected.append(x)
+        x = reference_plant_step(model, x, u, sc.dt_s)
+    assert np.array_equal(log.states, np.array(expected))
 
 
 def test_simlog_structure_and_box():

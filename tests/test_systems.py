@@ -7,8 +7,10 @@ from backup_cbf.errors import EvaluationError, ValidationError
 from backup_cbf.systems import (BENCHMARK_DEFAULTS, BENCHMARK_NAMES,
                                 closed_loop_jacobian, closed_loop_rhs,
                                 di_closed_form_h, make_benchmark,
-                                smooth_positive_indicator, smooth_saturate,
-                                smooth_sign)
+                                smooth_positive_indicator,
+                                smooth_positive_indicator_deriv,
+                                smooth_saturate, smooth_saturate_deriv,
+                                smooth_sign, smooth_sign_deriv)
 
 RNG = np.random.default_rng(20240817)
 
@@ -54,7 +56,8 @@ def test_double_integrator_rhs_both_sides():
 
 
 def test_double_integrator_jacobian_saturated_region():
-    model, policy, _ = make_benchmark("double_integrator", {"mode": "hard"})
+    model, policy, _ = make_benchmark("double_integrator",
+                                      {"smoothing_eps": 0.0})
     jac = closed_loop_jacobian(model, policy, np.array([3.0, 2.0]))
     assert np.allclose(jac, [[0.0, 1.0], [0.0, 0.0]])
 
@@ -124,6 +127,9 @@ def test_unknown_benchmark_and_params_rejected():
         make_benchmark("toy1d", {"banana": 1.0})
     with pytest.raises(ValidationError):
         make_benchmark("double_integrator", {"u_max_mps2": -1.0})
+    for name in BENCHMARK_NAMES:
+        with pytest.raises(ValidationError):
+            make_benchmark(name, {"mode": "hard"})
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +247,11 @@ def test_smoothings_scalar_and_batch_agree():
     batch = smooth_saturate(vs, -0.3, 0.3, 0.02)
     singles = np.array([smooth_saturate(v, -0.3, 0.3, 0.02) for v in vs])
     assert np.allclose(batch, singles)
+    for eps in (0.25, 0.0):
+        for fn in (lambda v: smooth_positive_indicator_deriv(v, eps),
+                   lambda v: smooth_sign_deriv(v, eps),
+                   lambda v: smooth_saturate_deriv(v, -0.3, 0.3, eps / 10)):
+            batch = fn(vs)
+            singles = np.array([fn(v) for v in vs])
+            assert singles.shape == batch.shape
+            assert np.allclose(batch, singles)
