@@ -10,7 +10,7 @@ from .errors import (EvaluationError, FlowDivergenceError, GeometryError,
                      ValidationError)
 from .flow import (FlowTrajectory, integrate_flow, integrate_flow_batch,
                    sensitivity_fd_check)
-from .harness import (Scenario, SimLog, bench, load_scenario, run_compare,
+from .harness import (Scenario, SimLog, load_scenario, run_compare,
                       run_levelset, simulate, slice_grid)
 from .hjgrid import (GridGeometry, LevelGrid, compare_sets, constraint_grid,
                      dilate_set, hamiltonian, read_grid, solve_invariant,

@@ -1,19 +1,24 @@
 """Scenario configuration, closed-loop simulation, timing, and artifacts.
 
 Scenarios are JSON documents with units spelled out in the field names
-(``t_horizon_s``, ``dt_s``, ...).  The simulation loop applies a nominal
-("legacy") controller, passes it through the safety filter, and advances
-the true dynamics with the fixed-step fourth-order update the backup flow
-uses (`flow.rk4_step`).  Runs are deterministic: fixed-step integration and
-deterministic tie-breaking in the QP make re-runs bit-identical.
+(``t_horizon_s``, ``dt_s``, ...); the `Scenario` dataclass fields are the
+schema.  The simulation loop applies a nominal ("legacy") controller,
+passes it through the safety filter, and advances the true dynamics with
+the fixed-step fourth-order update the backup flow uses (`flow.rk4_step`).
+Runs are deterministic: fixed-step integration and deterministic
+tie-breaking in the QP make re-runs bit-identical.  The simulation log is
+also where filter timings are measured: every step records the
+integration, row-assembly and QP times of its filter call, and
+`SimLog.timing_summary` reduces them to medians and p95s.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -38,6 +43,25 @@ Array = np.ndarray
 _NOMINAL_KINDS = ("constant", "proportional", "table")
 
 
+def _is_real(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
+# declared field type -> (check, what it asks for); x0, declared
+# tuple[float, ...], is the one field whose type is not listed
+_TYPE_CHECKS = {
+    float: (_is_real, "a finite number"),
+    int: (lambda v: isinstance(v, (int, np.integer))
+          and not isinstance(v, bool), "an integer"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+}
+_SEQUENCE_CHECK = (lambda v: isinstance(v, (list, tuple, np.ndarray))
+                   and all(map(_is_real, v)), "a list of finite numbers")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One closed-loop experiment: benchmark, filter settings, nominal
@@ -59,8 +83,15 @@ class Scenario:
     out_dir: str = ""
 
     def __post_init__(self):
+        for name, (check, wanted) in _FIELD_CHECKS.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ScenarioError(f"{name} must be {wanted}, got {value!r}")
         if self.benchmark not in BENCHMARK_DEFAULTS:
             raise ScenarioError(f"unknown benchmark {self.benchmark!r}")
+        if "alpha_gain_per_s" in self.params:
+            raise ScenarioError("alpha_gain_per_s is a scenario field; remove "
+                                "it from params")
         defaults = BENCHMARK_DEFAULTS[self.benchmark]
         if self.t_horizon_s == 0.0:
             object.__setattr__(self, "t_horizon_s", defaults["t_horizon_s"])
@@ -84,8 +115,7 @@ class Scenario:
         object.__setattr__(self, "nominal", dict(self.nominal))
 
     def build(self) -> tuple[SystemModel, BackupPolicy, SafetySpec]:
-        params = dict(self.params)
-        params.setdefault("alpha_gain_per_s", self.alpha_gain_per_s)
+        params = dict(self.params, alpha_gain_per_s=self.alpha_gain_per_s)
         triple = make_benchmark(self.benchmark, params)
         model = triple[0]
         if len(self.x0) != model.state_dim:
@@ -93,38 +123,26 @@ class Scenario:
         return triple
 
     def to_json_dict(self) -> dict:
-        return {
-            "benchmark": self.benchmark,
-            "params": dict(self.params),
-            "t_horizon_s": self.t_horizon_s,
-            "n_flow_steps": self.n_flow_steps,
-            "alpha_gain_per_s": self.alpha_gain_per_s,
-            "row_margin": self.row_margin,
-            "nominal": dict(self.nominal),
-            "x0": list(self.x0),
-            "duration_s": self.duration_s,
-            "dt_s": self.dt_s,
-            "filter_on": self.filter_on,
-            "label": self.label,
-            "out_dir": self.out_dir,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(params=dict(self.params), nominal=dict(self.nominal),
+                   x0=list(self.x0))
+        return doc
 
     @staticmethod
     def from_json_dict(doc: dict) -> "Scenario":
         if not isinstance(doc, dict):
             raise ScenarioError("scenario document must be a JSON object")
-        known = {"benchmark", "params", "t_horizon_s", "n_flow_steps",
-                 "alpha_gain_per_s", "row_margin", "nominal", "x0",
-                 "duration_s", "dt_s", "filter_on", "label", "out_dir"}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(_FIELD_CHECKS)
         if unknown:
             raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
         if "benchmark" not in doc or "x0" not in doc:
             raise ScenarioError("scenario requires 'benchmark' and 'x0'")
-        try:
-            return Scenario(**doc)
-        except TypeError as exc:
-            raise ScenarioError(str(exc)) from exc
+        return Scenario(**doc)
+
+
+# field name -> (check, what it asks for), from the declared annotations
+_FIELD_CHECKS = {name: _TYPE_CHECKS.get(kind, _SEQUENCE_CHECK)
+                 for name, kind in get_type_hints(Scenario).items()}
 
 
 def load_scenario(path: str) -> Scenario:
@@ -136,25 +154,32 @@ def load_scenario(path: str) -> Scenario:
     return Scenario.from_json_dict(doc)
 
 
+def _nominal_array(spec: dict, key: str) -> Array:
+    try:
+        return np.asarray(spec.get(key, []), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"nominal.{key} must be numeric: {exc}") from None
+
+
 def _nominal_controller(scenario: Scenario, model: SystemModel
                         ) -> Callable[[float, Array], Array]:
     spec = scenario.nominal
     kind = spec["kind"]
     m = model.input_dim
     if kind == "constant":
-        value = np.asarray(spec.get("value", []), dtype=float)
+        value = _nominal_array(spec, "value")
         if value.shape != (m,):
             raise ScenarioError(f"nominal.value must have {m} entries")
         return lambda t, x: value
     if kind == "proportional":
-        gain = np.asarray(spec.get("gain", []), dtype=float)
-        ref = np.asarray(spec.get("reference", []), dtype=float)
+        gain = _nominal_array(spec, "gain")
+        ref = _nominal_array(spec, "reference")
         if gain.shape != (m, model.state_dim) or ref.shape != (model.state_dim,):
             raise ScenarioError("nominal.gain must be (input_dim x state_dim) "
                                 "and nominal.reference a state vector")
         return lambda t, x: gain @ (ref - x)
-    times = np.asarray(spec.get("times_s", []), dtype=float)
-    values = np.asarray(spec.get("values", []), dtype=float)
+    times = _nominal_array(spec, "times_s")
+    values = _nominal_array(spec, "values")
     if times.ndim != 1 or times.size == 0 or values.shape != (times.size, m):
         raise ScenarioError("nominal table needs times_s (T,) and values (T, m)")
     if np.any(np.diff(times) <= 0.0):
@@ -210,6 +235,17 @@ class SimLog:
             "fallback_steps": int(self.fallbacks.sum()),
         }
 
+    def timing_summary(self) -> dict:
+        """Median and p95 wall time (us) of each filter phase over the run's
+        steps, and of their per-step total; zero when the filter is off."""
+        phases = {"integration": self.timings_us[:, 0],
+                  "rows": self.timings_us[:, 1],
+                  "qp": self.timings_us[:, 2],
+                  "total": self.timings_us.sum(axis=1)}
+        return {name: {"median_us": float(np.median(col)),
+                       "p95_us": float(np.percentile(col, 95))}
+                for name, col in phases.items()}
+
     def to_csv(self, path: str, include_timings: bool = True) -> None:
         """Write the log; timing columns are wall-clock measurements and can
         be dropped when byte-stable output is wanted."""
@@ -264,6 +300,7 @@ def simulate(scenario: Scenario) -> SimLog:
     for k in range(n_steps):
         t = k * scenario.dt_s
         u0 = np.asarray(nominal(t, x), dtype=float)
+        con_vals[k] = [c.h_eval(x) for c in spec.constraints]
         if scenario.filter_on:
             try:
                 u_star, diag = filter_control(
@@ -283,14 +320,13 @@ def simulate(scenario: Scenario) -> SimLog:
                           diag.timings_us["qp"])
         else:
             u_star = np.clip(u0, model.input_lower, model.input_upper)
-            h_vals[k] = np.nan
-            flow_mins[k] = np.nan
+            flow_mins[k] = con_vals[k]
+            h_vals[k] = con_vals[k].min()
             statuses.append("off")
         times[k] = t
         states[k] = x
         u_nom[k] = u0
         u_out[k] = u_star
-        con_vals[k] = [c.h_eval(x) for c in spec.constraints]
         x, _ = rk4_step(lambda xs: model.f_eval(xs) + model.g_eval(xs) @ u_star,
                         x, scenario.dt_s)
 
@@ -299,12 +335,6 @@ def simulate(scenario: Scenario) -> SimLog:
         if np.any(u_out < model.input_lower - 1e-9) or \
            np.any(u_out > model.input_upper + 1e-9):
             raise ValidationError("filtered input left the input box")
-
-    # flow minima per constraint are not exposed by FilterDiagnostics in
-    # filter-off runs; replace NaN blocks with current-state values there.
-    if not scenario.filter_on:
-        flow_mins = con_vals.copy()
-        h_vals = con_vals.min(axis=1)
 
     return SimLog(scenario=scenario, times=times, states=states,
                   u_nominal=u_nom, u_star=u_out, h_values=h_vals,
@@ -315,49 +345,6 @@ def simulate(scenario: Scenario) -> SimLog:
                   input_names=model.input_names,
                   constraint_names=tuple(c.name or f"c{k}" for k, c in
                                          enumerate(spec.constraints)))
-
-
-# ---------------------------------------------------------------------------
-# Benchmarking.
-# ---------------------------------------------------------------------------
-
-
-def bench(scenario: Scenario, repetitions: int) -> dict:
-    """Repeated filter calls at the scenario's initial state; reports median
-    and p95 wall time of the online integration and of the QP solve."""
-    if repetitions < 10:
-        raise ScenarioError("repetitions must be >= 10")
-    model, policy, spec = scenario.build()
-    nominal = _nominal_controller(scenario, model)
-    x = np.asarray(scenario.x0, dtype=float)
-    u0 = np.asarray(nominal(0.0, x), dtype=float)
-    solver = QpSolver()
-
-    rows = np.zeros((repetitions, 3))
-    for i in range(repetitions):
-        _, diag = filter_control(model, policy, spec, x, u0,
-                                 scenario.t_horizon_s, scenario.n_flow_steps,
-                                 solver=solver, margin=scenario.row_margin)
-        rows[i] = (diag.timings_us["integrate"], diag.timings_us["rows"],
-                   diag.timings_us["qp"])
-
-    def stats(col: Array) -> dict:
-        return {"median_us": float(np.median(col)),
-                "p95_us": float(np.percentile(col, 95))}
-
-    report = {
-        "benchmark": scenario.benchmark,
-        "label": scenario.label,
-        "repetitions": repetitions,
-        "n_flow_steps": scenario.n_flow_steps,
-        "integration": stats(rows[:, 0]),
-        "rows": stats(rows[:, 1]),
-        "qp": stats(rows[:, 2]),
-        "total": stats(rows.sum(axis=1)),
-    }
-    report["qp_dominates"] = report["qp"]["median_us"] > \
-        report["integration"]["median_us"]
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -401,41 +388,34 @@ def run_levelset(scenario: Scenario, geometry: GridGeometry,
                  out_dir: str = ".", include_hj: bool = False,
                  hj_tol: float = 1e-3, hj_max_steps: int = 5000) -> dict:
     """Sweep the implicit barrier over the grid (optionally also the
-    baseline invariant-set field) and write everything as CSV; returns the
-    map of written paths."""
+    baseline invariant-set field), write each grid as CSV and JSON and each
+    requested slice of it as CSV; returns the map of written paths.  Slice
+    axes are resolved before the sweep, so a bad axis name fails fast."""
     model, policy, spec = scenario.build()
     os.makedirs(out_dir, exist_ok=True)
-    written: dict[str, str] = {}
-
-    backup = sweep_backup_h(model, policy, spec, geometry,
-                            scenario.t_horizon_s, scenario.n_flow_steps)
-    path = os.path.join(out_dir, "backup_grid.csv")
-    write_grid_csv(backup, path)
-    written["backup_grid"] = path
-    write_grid_json(backup, os.path.join(out_dir, "backup_grid.json"))
-    written["backup_grid_json"] = os.path.join(out_dir, "backup_grid.json")
-
-    hj = None
-    if include_hj:
-        hj = solve_invariant(constraint_grid(geometry, spec), model,
-                             tol=hj_tol, max_steps=hj_max_steps)
-        path = os.path.join(out_dir, "hj_grid.csv")
-        write_grid_csv(hj, path)
-        written["hj_grid"] = path
-        write_grid_json(hj, os.path.join(out_dir, "hj_grid.json"))
-        written["hj_grid_json"] = os.path.join(out_dir, "hj_grid.json")
-
+    planes = []
     for name_or_index, value in slices:
         axis = resolve_axis(model, name_or_index)
-        tag = f"{model.state_names[axis]}_{value:g}"
-        sliced = slice_grid(backup, axis, value)
-        path = os.path.join(out_dir, f"backup_slice_{tag}.csv")
-        write_grid_csv(sliced, path)
-        written[f"backup_slice_{tag}"] = path
-        if hj is not None:
-            path = os.path.join(out_dir, f"hj_slice_{tag}.csv")
-            write_grid_csv(slice_grid(hj, axis, value), path)
-            written[f"hj_slice_{tag}"] = path
+        planes.append((f"slice_{model.state_names[axis]}_{value:g}",
+                       axis, value))
+    grids = {"backup": sweep_backup_h(model, policy, spec, geometry,
+                                      scenario.t_horizon_s,
+                                      scenario.n_flow_steps)}
+    if include_hj:
+        grids["hj"] = solve_invariant(constraint_grid(geometry, spec), model,
+                                      tol=hj_tol, max_steps=hj_max_steps)
+
+    written: dict[str, str] = {}
+    for suffix, axis, value in [("grid", None, None)] + planes:
+        for name, grid in grids.items():
+            key = f"{name}_{suffix}"
+            written[key] = os.path.join(out_dir, key + ".csv")
+            if axis is None:
+                write_grid_csv(grid, written[key])
+                written[key + "_json"] = os.path.join(out_dir, key + ".json")
+                write_grid_json(grid, written[key + "_json"])
+            else:
+                write_grid_csv(slice_grid(grid, axis, value), written[key])
     return written
 
 

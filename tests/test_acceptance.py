@@ -16,7 +16,7 @@ import pytest
 from backup_cbf.barrier import (build_constraints, eval_h, eval_h_batch,
                                 relative_degree_probe)
 from backup_cbf.flow import integrate_flow, sensitivity_fd_check
-from backup_cbf.harness import Scenario, bench, simulate, slice_grid
+from backup_cbf.harness import Scenario, simulate, slice_grid
 from backup_cbf.hjgrid import (GridGeometry, compare_sets, constraint_grid,
                                dilate_set, solve_invariant, sweep_backup_h)
 from backup_cbf.qp import QpProblem, QpSolver, solve
@@ -343,10 +343,13 @@ def test_criterion_8_qp_oracle():
 
 
 def test_criterion_9_timing_structure():
+    # 30 filter calls along the closed loop, timed by the simulation log
     sc = Scenario(benchmark="dubins", x0=(0.5, 5.0, 0.1),
                   nominal={"kind": "constant", "value": [0.0, 0.5]},
-                  duration_s=1.0, dt_s=0.1, n_flow_steps=100)
-    report = bench(sc, repetitions=30)
+                  duration_s=3.0, dt_s=0.1, n_flow_steps=100)
+    log = simulate(sc)
+    assert log.times.size == 30
+    report = log.timing_summary()
     integ = report["integration"]["median_us"]
     qp = report["qp"]["median_us"]
     total = report["total"]["median_us"]
