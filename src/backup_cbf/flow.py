@@ -1,32 +1,39 @@
 """Closed-loop backup flow integration with sensitivity propagation.
 
-`rk4_step` is the one fixed-step explicit fourth-order update: it marches
-the flow map on a uniform time grid, steps the state sensitivity, and
-advances the plant in the simulation harness.  The state is marched alone,
-recording the four stage points of every step.  The sensitivity obeys the
-variational equation ``Qdot = J(x) Q`` with ``J = d f_pi / d x`` and
-``Q(0) = I``; since the state never depends on ``Q``, the loop Jacobians
-only ever come from stacked evaluations at recorded stage points, and
-``Q`` is stepped over them by the same update.  One pass serves every
-downstream constraint row.
+`rk4_step` is the fixed-step explicit fourth-order update on arrays: it
+marches a batch of states, steps the state sensitivity, and advances the
+plant in the simulation harness.  One state is marched on Python floats
+instead, by `_float_march`, which repeats `rk4_step`'s operations in the
+same order on a tuple and evaluates the policy's float closed-loop
+derivative (`BackupPolicy.loop_floats`, or `loop_rhs` wrapped for models
+without one): on 2- and 3-vectors numpy's per-call overhead is most of the
+cost, and the float march gives the same bits several times faster.  Both
+marches record the four stage points of every step.  The sensitivity
+obeys the variational equation ``Qdot = J(x) Q`` with ``J = d f_pi / d x``
+and ``Q(0) = I``; since the state never depends on ``Q``, the loop
+Jacobians only ever come from stacked `loop_jacobian` evaluations at
+recorded stage points, and ``Q`` is stepped over them by `rk4_step`.  One
+pass serves every downstream constraint row.
 
 Everything here is pure and reentrant.  `integrate_flow` takes the
-Jacobians along the whole path from one stacked call.  The batch entry
-point advances many initial states at once with no shared mutable state,
-which is what the grid sweeps build on; it takes the Jacobians of each
-step's four stage points from one stacked call, so its memory does not
-grow with the step count.
+Jacobians along the whole path from one stacked call, and its drifts from
+the march.  The batch entry point advances many initial states at once
+with no shared mutable state, which is what the grid sweeps build on; it
+takes the Jacobians of each step's four stage points from one stacked
+call, so its memory does not grow with the step count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import FlowDivergenceError, ValidationError
-from .systems import BackupPolicy, SystemModel, closed_loop_derivs
+from .systems import BackupPolicy, SystemModel, loop_jacobian, loop_rhs
 
 Array = np.ndarray
 
@@ -88,26 +95,34 @@ def _q_step(jacs: Iterable[Array], q: Array, dt: float) -> Array:
     return rk4_step(lambda p: np.matmul(next(stage_jacs), p), q, dt)[0]
 
 
-def _march(model: SystemModel, policy: BackupPolicy, x: Array,
-           horizon: float, steps: int
-           ) -> Iterator[tuple[int, Array, tuple[Array, ...]]]:
-    """The state stepping loop for one state ``(n,)`` or a batch ``(B, n)``:
-    yields ``(i, x_i, stages_i)`` for ``i = 1..steps`` as `rk4_step`
-    returns them, and stops after the first step that leaves finite
-    values.  The caller raises, once it has checked the sensitivity up to
-    that step."""
-    dt = horizon / steps
-
-    def deriv(xs: Array) -> Array:
-        return closed_loop_derivs(model, policy, xs)[0]
-
-    for i in range(1, steps + 1):
-        # divergence is detected after the step; silence transient overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, stages = rk4_step(deriv, x, dt)
-        yield i, x, stages
-        if not np.isfinite(x).all():
-            return
+def _float_march(loop: Callable[..., tuple[float, ...]], x: tuple[float, ...],
+                 dt: float, steps: int
+                 ) -> tuple[list[tuple[float, ...]], list[tuple[float, ...]]]:
+    """`rk4_step` on one state held as a tuple of floats, in its exact
+    operation order: ``(points, slopes)`` where ``points[4 (i - 1) + s]``
+    is stage ``s`` of step ``i``, the last point is the last state, and
+    ``slopes[i - 1]`` is ``loop`` at the start of step ``i``.  Stops after
+    the first step that leaves finite values, tested per component (a sum
+    of two finite values near the float limit overflows)."""
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    points, slopes = [], []
+    for _ in range(steps):
+        k1 = loop(*x)
+        x2 = tuple([a + half * b for a, b in zip(x, k1)])
+        k2 = loop(*x2)
+        x3 = tuple([a + half * b for a, b in zip(x, k2)])
+        k3 = loop(*x3)
+        x4 = tuple([a + dt * b for a, b in zip(x, k3)])
+        k4 = loop(*x4)
+        points += (x, x2, x3, x4)
+        slopes.append(k1)
+        x = tuple([a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
+                   for a, b, c, d, e in zip(x, k1, k2, k3, k4)])
+        if not all(map(math.isfinite, x)):
+            break
+    points.append(x)
+    return points, slopes
 
 
 def _divergence(step: int, t: float, x: Array, q: Array | None
@@ -132,29 +147,29 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
     x0 = _check_args(x0, horizon, steps)
     n = x0.shape[0]
     dt = horizon / steps
-    times = np.linspace(0.0, horizon, steps + 1)
-    states = np.empty((steps + 1, n))
-    # points[4 (i - 1) + s] is stage s of step i; the last row is the end node
-    points = np.empty((4 * steps + 1, n))
-    states[0] = x0
-    for last, x, stages in _march(model, policy, x0, horizon, steps):
-        states[last] = x
-        points[4 * last - 4:4 * last] = stages
-    points[4 * last] = states[last]
-    sens = np.empty((steps + 1, n, n))
-    sens[0] = q = np.eye(n)
+    loop = policy.loop_floats
+    if loop is None:
+        def loop(*x):
+            return tuple(loop_rhs(model, policy, np.array(x)).tolist())
     with np.errstate(over="ignore", invalid="ignore"):
-        derivs, jacs = closed_loop_derivs(model, policy, points[:4 * last + 1],
-                                          jacobian=True)
+        points, slopes = _float_march(loop, tuple(x0.tolist()), dt, steps)
+        last, end = len(slopes), points[-1]
+        points = np.array(points)
+        jacs = loop_jacobian(model, policy, points[:-1])
+        sens = np.empty((last + 1, n, n))
+        sens[0] = q = np.eye(n)
         for i in range(1, last + 1):
             sens[i] = q = _q_step(jacs[4 * i - 4:4 * i], q, dt)
-    finite = (np.isfinite(states[1:last + 1]).all(axis=1)
-              & np.isfinite(sens[1:last + 1]).all(axis=(1, 2)))
+    states = points[::4].copy()
+    finite = (np.isfinite(states[1:]).all(axis=1)
+              & np.isfinite(sens[1:]).all(axis=(1, 2)))
     if not finite.all():
         i = int(np.argmin(finite)) + 1
         raise _divergence(i, i * dt, states[i], sens[i])
-    return FlowTrajectory(times=times, states=states, sensitivities=sens,
-                          drifts=derivs[::4], origin=x0)
+    slopes.append(loop(*end))
+    return FlowTrajectory(times=np.linspace(0.0, horizon, steps + 1),
+                          states=states, sensitivities=sens,
+                          drifts=np.array(slopes), origin=x0)
 
 
 def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
@@ -183,12 +198,15 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     q = np.broadcast_to(np.eye(n), (b, n, n)).copy() if with_sensitivity else None
     if observer is not None:
         observer(0, times[0], x0s)
-    for i, x, stages in _march(model, policy, x0s, horizon, steps):
-        if q is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                _, jacs = closed_loop_derivs(model, policy, np.stack(stages),
-                                             jacobian=True)
-                q = _q_step(jacs, q, dt)
+    deriv = partial(loop_rhs, model, policy)
+    x = x0s
+    for i in range(1, steps + 1):
+        # divergence is detected after the step; silence transient overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, stages = rk4_step(deriv, x, dt)
+            if q is not None:
+                q = _q_step(loop_jacobian(model, policy, np.stack(stages)),
+                            q, dt)
         if not (np.isfinite(x).all() and (q is None or np.isfinite(q).all())):
             raise _divergence(i, i * dt, x, q)
         if observer is not None:

@@ -15,7 +15,6 @@ integration, row-assembly and QP times of its filter call, and
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence, get_type_hints
@@ -31,7 +30,7 @@ from .hjgrid import (GridGeometry, LevelGrid, compare_sets, constraint_grid,
                      write_grid_json)
 from .qp import QpSolver
 from .systems import (BENCHMARK_DEFAULTS, BackupPolicy, SafetySpec, SystemModel,
-                      make_benchmark)
+                      is_finite_real, make_benchmark)
 
 Array = np.ndarray
 
@@ -43,15 +42,10 @@ Array = np.ndarray
 _NOMINAL_KINDS = ("constant", "proportional", "table")
 
 
-def _is_real(value) -> bool:
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and math.isfinite(value))
-
-
 # declared field type -> (check, what it asks for); x0, declared
 # tuple[float, ...], is the one field whose type is not listed
 _TYPE_CHECKS = {
-    float: (_is_real, "a finite number"),
+    float: (is_finite_real, "a finite number"),
     int: (lambda v: isinstance(v, (int, np.integer))
           and not isinstance(v, bool), "an integer"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
@@ -59,7 +53,7 @@ _TYPE_CHECKS = {
     dict: (lambda v: isinstance(v, dict), "an object"),
 }
 _SEQUENCE_CHECK = (lambda v: isinstance(v, (list, tuple, np.ndarray))
-                   and all(map(_is_real, v)), "a list of finite numbers")
+                   and all(map(is_finite_real, v)), "a list of finite numbers")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Benchmark dynamics, backup policies, and safety specifications.
 
 All quantities are SI (m, m/s, m/s^2, rad, rad/s).  Every evaluator is a
-pure function and accepts states of shape ``(n,)`` or batched ``(..., n)``,
-broadcasting over the leading axes.  Values are immutable after
-construction and safe to share across threads.
+pure function with one array body that accepts states of shape ``(n,)`` or
+batched ``(..., n)``, broadcasting over the leading axes.  Each built-in
+policy also carries ``loop_floats``, its closed-loop derivative written on
+Python floats with the array body's operation order, which the
+single-state flow marches on.  Benchmark parameters must be finite
+numbers.  Values are immutable after construction and safe to share
+across threads.
 
 Four benchmark instances are provided:
 
@@ -49,9 +53,10 @@ Array = np.ndarray
 # Each smoothing is *exact* away from the switching surface so closed-form
 # trajectories remain valid there; only a band of width `eps` is blended.
 # `eps = 0` selects the hard (discontinuous-derivative) variant, kept for
-# cross-checks only: its derivative is zero in saturated regions.  The
-# values keep a float branch for the single-state march; the derivatives
-# only ever see stacked points and take the array branch alone.
+# cross-checks only: its derivative is zero in saturated regions.  Each
+# value has a Python-float twin (`_indicator_float`, `_sign_float`,
+# `_saturate_float`) with the same branch tests, for the benchmarks'
+# float closed loops (`BackupPolicy.loop_floats`).
 # ---------------------------------------------------------------------------
 
 
@@ -61,16 +66,17 @@ def smooth_positive_indicator(v: Array | float, eps: float) -> Array:
     The blend band sits *below* the surface so the indicator engages
     slightly early - the conservative side for a braking policy.
     """
-    if np.ndim(v) == 0:
-        vf = float(v)
-        if eps == 0.0:
-            return np.float64(1.0 if vf > 0.0 else 0.0)
-        t = min(max((vf + eps) / eps, 0.0), 1.0)
-        return np.float64(t * t * (3.0 - 2.0 * t))
     v = np.asarray(v, dtype=float)
     if eps == 0.0:
         return (v > 0.0).astype(float)
     t = np.clip((v + eps) / eps, 0.0, 1.0)
+    return t * t * (3.0 - 2.0 * t)
+
+
+def _indicator_float(v: float, eps: float) -> float:
+    if eps == 0.0:
+        return 1.0 if v > 0.0 else 0.0
+    t = min(max((v + eps) / eps, 0.0), 1.0)
     return t * t * (3.0 - 2.0 * t)
 
 
@@ -84,17 +90,18 @@ def smooth_positive_indicator_deriv(v: Array | float, eps: float) -> Array:
 
 def smooth_sign(y: Array | float, eps: float) -> Array:
     """~= sign(y); exact +-1 for |y| >= eps, odd C1 blend through 0."""
-    if np.ndim(y) == 0:
-        yf = float(y)
-        if eps == 0.0:
-            return np.float64(0.0 if yf == 0.0 else (1.0 if yf > 0.0 else -1.0))
-        q = min(max(yf / eps, -1.0), 1.0)
-        return np.float64(q * (2.0 - abs(q)))
     y = np.asarray(y, dtype=float)
     if eps == 0.0:
         return np.sign(y)
     q = np.clip(y / eps, -1.0, 1.0)
     return q * (2.0 - np.abs(q))
+
+
+def _sign_float(y: float, eps: float) -> float:
+    if eps == 0.0:
+        return 0.0 if y == 0.0 else (1.0 if y > 0.0 else -1.0)
+    q = min(max(y / eps, -1.0), 1.0)
+    return q * (2.0 - abs(q))
 
 
 def smooth_sign_deriv(y: Array | float, eps: float) -> Array:
@@ -115,14 +122,6 @@ def smooth_saturate(y: Array | float, lo: float, hi: float, eps: float) -> Array
     """Saturation to [lo, hi]; identity on the interior, quadratic C1 blend
     on bands of half-width eps around each bound."""
     _check_blend(lo, hi, eps)
-    if np.ndim(y) == 0:
-        yf = float(y)
-        if eps > 0.0:
-            if hi - eps < yf < hi + eps:
-                return np.float64(yf - (yf - (hi - eps)) ** 2 / (4.0 * eps))
-            if lo - eps < yf < lo + eps:
-                return np.float64(yf + ((lo + eps) - yf) ** 2 / (4.0 * eps))
-        return np.float64(min(max(yf, lo), hi))
     y = np.asarray(y, dtype=float)
     out = np.clip(y, lo, hi)
     if eps == 0.0:
@@ -132,6 +131,18 @@ def smooth_saturate(y: Array | float, lo: float, hi: float, eps: float) -> Array
     out = np.where((y > lo - eps) & (y < lo + eps),
                    y + ((lo + eps) - y) ** 2 / (4.0 * eps), out)
     return out
+
+
+def _saturate_float(y: float, lo: float, hi: float, eps: float) -> float:
+    """`smooth_saturate` on one float; the caller checks the blend width."""
+    if eps > 0.0:
+        if hi - eps < y < hi + eps:
+            d = y - (hi - eps)
+            return y - d * d / (4.0 * eps)
+        if lo - eps < y < lo + eps:
+            d = (lo + eps) - y
+            return y + d * d / (4.0 * eps)
+    return min(max(y, lo), hi)
 
 
 def smooth_saturate_deriv(y: Array | float, lo: float, hi: float, eps: float) -> Array:
@@ -198,11 +209,18 @@ class BackupPolicy:
     ``smoothing_eps`` is the width of the C1 blends inside the policy;
     ``0.0`` marks the hard (test-only) variant whose Jacobian is zero in
     saturated regions.
+
+    ``loop_floats(*x)``, if given, is the closed-loop derivative
+    ``f(x) + g(x) pi(x)`` of the model built alongside this policy, on one
+    state given as Python floats and returned as a tuple of floats.  It
+    must equal `loop_rhs` on that state bit for bit; the single-state flow
+    marches on it instead of on arrays.
     """
 
     pi_eval: Callable[[Array], Array]
     dpi_dx: Callable[[Array], Array]
     smoothing_eps: float
+    loop_floats: Callable[..., tuple[float, ...]] | None = None
 
     def __post_init__(self):
         if self.smoothing_eps < 0.0:
@@ -249,35 +267,35 @@ def check_finite(value: Array, what: str) -> Array:
     return value
 
 
-def closed_loop_derivs(model: SystemModel, policy: BackupPolicy, x: Array,
-                       jacobian: bool = False) -> tuple[Array, Array | None]:
-    """Backup-loop derivative and, if ``jacobian``, its state Jacobian
-    (else ``None``) from one evaluation of ``pi`` and ``g``; unchecked, as
-    the integrators test finiteness per step and the wrappers below here."""
+def loop_rhs(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
+    """Backup-loop derivative ``f(x) + g(x) pi(x)``, unchecked: the
+    integrators test finiteness per step, `closed_loop_rhs` here."""
     u = policy.pi_eval(x)
     g = model.g_eval(x)
-    dx = model.f_eval(x) + np.matmul(g, u[..., None])[..., 0]
-    if not jacobian:
-        return dx, None
+    return model.f_eval(x) + np.matmul(g, u[..., None])[..., 0]
+
+
+def loop_jacobian(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
+    """State Jacobian of the backup loop, unchecked; evaluates neither
+    ``f`` nor ``g pi``."""
     jac = model.df_dx(x)
     if model.dg_dx is not None:
-        jac = jac + np.einsum("...imk,...m->...ik", model.dg_dx(x), u)
-    return dx, jac + np.matmul(g, policy.dpi_dx(x))
+        jac = jac + np.einsum("...imk,...m->...ik", model.dg_dx(x),
+                              policy.pi_eval(x))
+    return jac + np.matmul(model.g_eval(x), policy.dpi_dx(x))
 
 
 def closed_loop_rhs(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
     """Backup-loop derivative ``f(x) + g(x) pi(x)``."""
     x = check_finite(np.asarray(x, dtype=float), "state")
-    dx, _ = closed_loop_derivs(model, policy, x)
-    return check_finite(dx, "closed-loop derivative")
+    return check_finite(loop_rhs(model, policy, x), "closed-loop derivative")
 
 
 def closed_loop_jacobian(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
     """State Jacobian of the backup loop:
     ``df/dx + sum_j pi_j dg_j/dx + g dpi/dx``."""
     x = check_finite(np.asarray(x, dtype=float), "state")
-    _, jac = closed_loop_derivs(model, policy, x, jacobian=True)
-    return check_finite(jac, "closed-loop Jacobian")
+    return check_finite(loop_jacobian(model, policy, x), "closed-loop Jacobian")
 
 
 def di_closed_form_h(x: Array, c_limit: float, u_max: float) -> Array:
@@ -304,8 +322,37 @@ def _reject_unknown(params: dict, name: str):
                               f"{sorted(params)}")
 
 
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is a finite int or float (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:           # an int beyond the float range
+        return False
+
+
+def _numbers(key: str, value) -> Array:
+    """Parameter ``key`` as a float array; `ValidationError` unless every
+    entry of ``value`` is a finite number."""
+    entries = np.asarray(value, dtype=object)
+    if entries.size == 0 or not all(map(is_finite_real, entries.flat)):
+        raise ValidationError(f"parameter {key!r} must be finite numbers, "
+                              f"got {value!r}")
+    return entries.astype(float)
+
+
+def _number(params: dict, key: str, default: float) -> float:
+    """``params.pop(key, default)`` as one finite float."""
+    value = _numbers(key, params.pop(key, default))
+    if value.ndim != 0:
+        raise ValidationError(f"parameter {key!r} must be a single number")
+    return float(value)
+
+
 def _smoothing_eps(params: dict, default_eps: float) -> float:
-    eps = float(params.pop("smoothing_eps", default_eps))
+    eps = _number(params, "smoothing_eps", default_eps)
     if eps < 0.0:
         raise ValidationError("smoothing_eps must be >= 0")
     return eps
@@ -317,15 +364,16 @@ def _smoothing_eps(params: dict, default_eps: float) -> float:
 
 
 def _build_toy1d(params: dict):
-    u_max = float(params.pop("u_max", 5.0))
-    gain = float(params.pop("gain_k", 1.0))
-    c_level = float(params.pop("c_level", 4.0))
-    s_level = float(params.pop("s_level", 1.0))
-    alpha = float(params.pop("alpha_gain_per_s", 1.0))
+    u_max = _number(params, "u_max", 5.0)
+    gain = _number(params, "gain_k", 1.0)
+    c_level = _number(params, "c_level", 4.0)
+    s_level = _number(params, "s_level", 1.0)
+    alpha = _number(params, "alpha_gain_per_s", 1.0)
     eps = _smoothing_eps(params, 0.05 * u_max)
     _reject_unknown(params, "toy1d")
     if u_max <= 0.0 or gain <= 0.0:
         raise ValidationError("toy1d needs u_max > 0 and gain_k > 0")
+    _check_blend(-u_max, u_max, eps)
 
     def f(x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -347,10 +395,16 @@ def _build_toy1d(params: dict):
         d = smooth_saturate_deriv(-gain * x[..., 0], -u_max, u_max, eps)
         return (-gain * d)[..., None, None]
 
+    # f + g u as `loop_rhs` computes it: g u summed the way np.matmul sums
+    # it (from +0.0, in input order), so even the signs of zeros match
+    def loop(x):
+        u = _saturate_float(-gain * x, -u_max, u_max, eps)
+        return (0.0 + (0.0 + 1.0 * u),)
+
     model = SystemModel(1, 1, f, g, df, None,
                         np.array([-u_max]), np.array([u_max]),
                         state_names=("x",), input_names=("u",))
-    policy = BackupPolicy(pi, dpi, eps)
+    policy = BackupPolicy(pi, dpi, eps, loop)
 
     spec = SafetySpec(
         constraints=(ScalarConstraint(
@@ -371,30 +425,23 @@ def _build_toy1d(params: dict):
 
 
 def _build_double_integrator(params: dict):
-    c_limit = float(params.pop("c_limit_m", 10.0))
-    u_max = float(params.pop("u_max_mps2", 1.0))
-    v_scale = float(params.pop("v_scale_mps", 5.0))
-    alpha = float(params.pop("alpha_gain_per_s", 1.0))
+    c_limit = _number(params, "c_limit_m", 10.0)
+    u_max = _number(params, "u_max_mps2", 1.0)
+    v_scale = _number(params, "v_scale_mps", 5.0)
+    alpha = _number(params, "alpha_gain_per_s", 1.0)
     eps = _smoothing_eps(params, 0.05 * v_scale)
     _reject_unknown(params, "double_integrator")
     if u_max <= 0.0 or v_scale <= 0.0:
         raise ValidationError("double_integrator needs u_max > 0, v_scale > 0")
 
-    g_one = np.array([[0.0], [1.0]])
-    g_one.flags.writeable = False
-
     def f(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array([x[1], 0.0])
         out = np.zeros_like(x)
         out[..., 0] = x[..., 1]
         return out
 
     def g(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return g_one
         out = np.zeros(x.shape[:-1] + (2, 1))
         out[..., 1, 0] = 1.0
         return out
@@ -407,8 +454,6 @@ def _build_double_integrator(params: dict):
 
     def pi(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array([-u_max * smooth_positive_indicator(x[1], eps)])
         return (-u_max * smooth_positive_indicator(x[..., 1], eps))[..., None]
 
     def dpi(x):
@@ -418,10 +463,14 @@ def _build_double_integrator(params: dict):
         out[..., 0, 1] = -u_max * d
         return out
 
+    def loop(s, v):
+        u = -u_max * _indicator_float(v, eps)
+        return (v + (0.0 + 0.0 * u), 0.0 + (0.0 + 1.0 * u))
+
     model = SystemModel(2, 1, f, g, df, None,
                         np.array([-u_max]), np.array([u_max]),
                         state_names=("s", "v"), input_names=("u",))
-    policy = BackupPolicy(pi, dpi, eps)
+    policy = BackupPolicy(pi, dpi, eps, loop)
 
     spec = SafetySpec(
         constraints=(ScalarConstraint(
@@ -461,25 +510,24 @@ def _lyapunov_3x3(a_cl: Array) -> Array:
 
 
 def _build_dubins(params: dict):
-    y_max = float(params.pop("y_max_m", 1.8))
-    psi_max = float(params.pop("psi_max_rad", np.pi / 3))
-    a_max = float(params.pop("a_max_mps2", 3.0))
-    r_max = float(params.pop("r_max_radps", 0.5))
-    k_v = float(params.pop("k_v_per_s", 1.0))
+    y_max = _number(params, "y_max_m", 1.8)
+    psi_max = _number(params, "psi_max_rad", np.pi / 3)
+    a_max = _number(params, "a_max_mps2", 3.0)
+    r_max = _number(params, "r_max_radps", 0.5)
+    k_v = _number(params, "k_v_per_s", 1.0)
     profile = params.pop("profile", "conservative")
     if profile not in ("conservative", "aggressive"):
         raise ValidationError(f"unknown dubins profile {profile!r}")
     aggressive = profile == "aggressive"
-    v_des = float(params.pop("v_des_mps", 0.0 if aggressive else 5.0))
-    k_y = params.pop("k_y", _DUBINS_KY_AGGRESSIVE if aggressive
-                     else _DUBINS_KY_CONSERVATIVE)
-    k_y = np.asarray(k_y, dtype=float)
+    v_des = _number(params, "v_des_mps", 0.0 if aggressive else 5.0)
+    k_y = _numbers("k_y", params.pop("k_y", _DUBINS_KY_AGGRESSIVE if aggressive
+                                     else _DUBINS_KY_CONSERVATIVE))
     if k_y.shape != (2,):
         raise ValidationError("k_y must be a 2-vector acting on [Y; psi]")
     terminal_p = params.pop("terminal_p", None)
-    terminal_c = params.pop("terminal_c", 0.5 if aggressive else 1.0)
-    alpha = float(params.pop("alpha_gain_per_s", 1.0))
-    eps_frac = float(params.pop("eps_frac", 0.05))
+    c_level = _number(params, "terminal_c", 0.5 if aggressive else 1.0)
+    alpha = _number(params, "alpha_gain_per_s", 1.0)
+    eps_frac = _number(params, "eps_frac", 0.05)
     _reject_unknown(params, "dubins")
     if min(y_max, psi_max, a_max, r_max, k_v) <= 0.0:
         raise ValidationError("dubins box parameters must be > 0")
@@ -498,31 +546,26 @@ def _build_dubins(params: dict):
                              [k_y[0], 0.0, k_y[1]]])
             p_mat = _lyapunov_3x3(a_cl)
     else:
-        p_mat = np.asarray(terminal_p, dtype=float)
+        p_mat = _numbers("terminal_p", terminal_p)
     if p_mat.shape != (3, 3) or not np.allclose(p_mat, p_mat.T):
         raise ValidationError("terminal_p must be a symmetric 3x3 matrix")
     if np.any(np.linalg.eigvalsh(p_mat) <= 0.0):
         raise ValidationError("terminal_p must be positive definite")
-    c_level = float(terminal_c)
     if c_level <= 0.0:
         raise ValidationError("terminal_c must be > 0")
 
-    g_one = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    g_one.flags.writeable = False
+    _check_blend(-a_max, a_max, eps_a)
+    _check_blend(-r_max, r_max, eps_r)
     ky0, ky1 = float(k_y[0]), float(k_y[1])
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array([x[1] * math.sin(x[2]), 0.0, 0.0])
         out = np.zeros_like(x)
         out[..., 0] = x[..., 1] * np.sin(x[..., 2])
         return out
 
     def g(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return g_one
         out = np.zeros(x.shape[:-1] + (3, 2))
         out[..., 1, 0] = 1.0
         out[..., 2, 1] = 1.0
@@ -537,10 +580,6 @@ def _build_dubins(params: dict):
 
     def pi(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            a_cmd = smooth_saturate(k_v * (v_des - x[1]), -a_max, a_max, eps_a)
-            r_cmd = smooth_saturate(ky0 * x[0] + ky1 * x[2], -r_max, r_max, eps_r)
-            return np.array([a_cmd, r_cmd])
         a_cmd = smooth_saturate(k_v * (v_des - x[..., 1]), -a_max, a_max, eps_a)
         r_raw = k_y[0] * x[..., 0] + k_y[1] * x[..., 2]
         r_cmd = smooth_saturate(r_raw, -r_max, r_max, eps_r)
@@ -557,10 +596,17 @@ def _build_dubins(params: dict):
         out[..., 1, 2] = k_y[1] * dr
         return out
 
+    def loop(y, v, psi):
+        a = _saturate_float(k_v * (v_des - v), -a_max, a_max, eps_a)
+        r = _saturate_float(ky0 * y + ky1 * psi, -r_max, r_max, eps_r)
+        return (v * math.sin(psi) + (0.0 + 0.0 * a + 0.0 * r),
+                0.0 + (0.0 + 1.0 * a + 0.0 * r),
+                0.0 + (0.0 + 0.0 * a + 1.0 * r))
+
     model = SystemModel(3, 2, f, g, df, None,
                         np.array([-a_max, -r_max]), np.array([a_max, r_max]),
                         state_names=("Y", "v", "psi"), input_names=("a", "r"))
-    policy = BackupPolicy(pi, dpi, max(eps_a, eps_r))
+    policy = BackupPolicy(pi, dpi, max(eps_a, eps_r), loop)
 
     offset = np.array([0.0, v_des, 0.0])
 
@@ -601,12 +647,12 @@ def _build_dubins(params: dict):
 
 
 def _build_aeroplane(params: dict):
-    v_a = float(params.pop("v_a_mps", 1.0))
-    v_b = float(params.pop("v_b_mps", 1.0))
-    u_max = float(params.pop("u_max_radps", 1.0))
-    r_min = float(params.pop("r_min_m", 1.0))
-    r_term = float(params.pop("r_terminal_m", 1.2 * r_min))
-    alpha = float(params.pop("alpha_gain_per_s", 1.0))
+    v_a = _number(params, "v_a_mps", 1.0)
+    v_b = _number(params, "v_b_mps", 1.0)
+    u_max = _number(params, "u_max_radps", 1.0)
+    r_min = _number(params, "r_min_m", 1.0)
+    r_term = _number(params, "r_terminal_m", 1.2 * r_min)
+    alpha = _number(params, "alpha_gain_per_s", 1.0)
     # The turn-away policy slides along dy = 0 once the opponent falls
     # behind; the blend slope (2/eps) times |dx| sets the stiffness of the
     # variational equation, so the band is kept wide enough for the default
@@ -619,9 +665,6 @@ def _build_aeroplane(params: dict):
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array([-v_a + v_b * math.cos(x[2]),
-                             v_b * math.sin(x[2]), 0.0])
         out = np.empty_like(x)
         out[..., 0] = -v_a + v_b * np.cos(x[..., 2])
         out[..., 1] = v_b * np.sin(x[..., 2])
@@ -630,8 +673,6 @@ def _build_aeroplane(params: dict):
 
     def g(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array([[x[1]], [-x[0]], [-1.0]])
         out = np.empty(x.shape[:-1] + (3, 1))
         out[..., 0, 0] = x[..., 1]
         out[..., 1, 0] = -x[..., 0]
@@ -654,8 +695,6 @@ def _build_aeroplane(params: dict):
 
     def pi(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array([-u_max * smooth_sign(x[1], eps)])
         return (-u_max * smooth_sign(x[..., 1], eps))[..., None]
 
     def dpi(x):
@@ -664,10 +703,16 @@ def _build_aeroplane(params: dict):
         out[..., 0, 1] = -u_max * smooth_sign_deriv(x[..., 1], eps)
         return out
 
+    def loop(dx, dy, dpsi):
+        u = -u_max * _sign_float(dy, eps)
+        return (-v_a + v_b * math.cos(dpsi) + (0.0 + dy * u),
+                v_b * math.sin(dpsi) + (0.0 + -dx * u),
+                0.0 + (0.0 + -1.0 * u))
+
     model = SystemModel(3, 1, f, g, df, dg,
                         np.array([-u_max]), np.array([u_max]),
                         state_names=("dx", "dy", "dpsi"), input_names=("u",))
-    policy = BackupPolicy(pi, dpi, eps)
+    policy = BackupPolicy(pi, dpi, eps, loop)
 
     def separation(x):
         x = np.asarray(x, dtype=float)

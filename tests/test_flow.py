@@ -11,9 +11,8 @@ from backup_cbf.errors import FlowDivergenceError, ValidationError
 from backup_cbf.flow import (FlowTrajectory, integrate_flow,
                              integrate_flow_batch, sensitivity_fd_check)
 from backup_cbf.systems import (BENCHMARK_DEFAULTS, BackupPolicy, SafetySpec,
-                                ScalarConstraint, SystemModel,
-                                closed_loop_derivs, closed_loop_rhs,
-                                make_benchmark)
+                                ScalarConstraint, SystemModel, closed_loop_rhs,
+                                loop_jacobian, loop_rhs, make_benchmark)
 
 
 def linear_system(a_mat):
@@ -45,8 +44,10 @@ def reference_rk4_step(model, policy, x, q, dt):
     """The augmented fourth-order step that advances the state and its
     sensitivity in lockstep, kept as the reference for the two-phase flow."""
     def stage(xs, qs):
-        dx, jac = closed_loop_derivs(model, policy, xs, jacobian=q is not None)
-        return dx, None if q is None else np.matmul(jac, qs)
+        dx = loop_rhs(model, policy, xs)
+        if q is None:
+            return dx, None
+        return dx, np.matmul(loop_jacobian(model, policy, xs), qs)
 
     half = 0.5 * dt
     k1x, k1q = stage(x, q)
@@ -208,6 +209,24 @@ def test_divergence_reports_step():
         integrate_flow_batch(model, policy, np.array([[0.5], [1.0]]), 50.0, 50)
     assert batch_err.value.step == err.value.step
     assert f"step {err.value.step} " in str(batch_err.value)
+
+
+def test_benchmark_divergence_from_near_overflow_state():
+    """The double integrator from s = 1.79e308 overflows at step 8; a
+    march that tested the sum of the components would stop at step 1."""
+    model, policy, _ = make_benchmark("double_integrator")
+    x0 = np.array([1.79e308, 1e306])
+    with pytest.raises(FlowDivergenceError) as err:
+        integrate_flow(model, policy, x0, 10.0, 100)
+    assert err.value.step == 8 and err.value.row is None
+    assert str(err.value) == "flow diverged at step 8 (t = 0.8 s)"
+    for with_sensitivity in (True, False):
+        with pytest.raises(FlowDivergenceError) as batch_err:
+            integrate_flow_batch(model, policy, np.array([[0.0, 1.0], x0]),
+                                 10.0, 100, with_sensitivity=with_sensitivity)
+        assert batch_err.value.step == 8 and batch_err.value.row == 1
+        assert str(batch_err.value) == \
+            "flow diverged at step 8 (t = 0.8 s) in batch row 1"
 
 
 def test_batch_divergence_names_first_row():

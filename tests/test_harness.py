@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from backup_cbf.cli import main as cli_main
-from backup_cbf.errors import GeometryError, ScenarioError
+from backup_cbf.errors import GeometryError, ScenarioError, ValidationError
 from backup_cbf.harness import (Scenario, load_scenario, run_compare,
                                 run_levelset, simulate, slice_grid)
 from backup_cbf.hjgrid import GridGeometry, LevelGrid, read_grid
@@ -101,6 +101,43 @@ def test_malformed_scenario_fields_rejected(tmp_path, capsys, over):
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     capsys.readouterr()
+
+
+BAD_PARAMS = {
+    "string": ("double_integrator", "c_limit_m", "x"),
+    "string_in_vector": ("dubins", "k_y", ["a", 1]),
+    "nan": ("double_integrator", "c_limit_m", float("nan")),
+    "bool": ("double_integrator", "u_max_mps2", True),
+    "inf": ("aeroplane", "v_b_mps", float("inf")),
+    "nan_smoothing_eps": ("double_integrator", "smoothing_eps", float("nan")),
+    "nan_eps_frac": ("dubins", "eps_frac", float("nan")),
+    "list_for_number": ("toy1d", "gain_k", [1.0]),
+    "bool_terminal_c": ("dubins", "terminal_c", True),
+    "string_terminal_p": ("dubins", "terminal_p", "eye"),
+}
+
+
+@pytest.mark.parametrize("name, key, value", BAD_PARAMS.values(),
+                         ids=BAD_PARAMS.keys())
+def test_non_numeric_benchmark_params_rejected(tmp_path, capsys, name, key,
+                                                value):
+    """A parameter value that is not a finite number (or, for the vector
+    parameters, finite numbers) is a `ValidationError` naming it, and
+    `bcbf simulate` exits 2."""
+    with pytest.raises(ValidationError, match=key):
+        make_benchmark(name, {key: value})
+    if name == "toy1d":
+        doc = toy_scenario().to_json_dict()
+    else:
+        doc = next(load_scenario(str(p)).to_json_dict() for p in SCENARIO_FILES
+                   if load_scenario(str(p)).benchmark == name)
+    doc["params"] = {**doc["params"], key: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc = cli_main(["simulate", "--scenario", str(path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)

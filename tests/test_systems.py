@@ -1,12 +1,17 @@
 """Model-level checks: closed forms, Jacobian consistency, benchmark wiring."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backup_cbf.errors import EvaluationError, ValidationError
-from backup_cbf.systems import (BENCHMARK_DEFAULTS, BENCHMARK_NAMES,
+from backup_cbf.systems import (_DUBINS_KY_AGGRESSIVE, _DUBINS_KY_CONSERVATIVE,
+                                BENCHMARK_DEFAULTS, BENCHMARK_NAMES,
                                 closed_loop_jacobian, closed_loop_rhs,
-                                di_closed_form_h, make_benchmark,
+                                di_closed_form_h, loop_rhs, make_benchmark,
                                 smooth_positive_indicator,
                                 smooth_positive_indicator_deriv,
                                 smooth_saturate, smooth_saturate_deriv,
@@ -130,6 +135,12 @@ def test_unknown_benchmark_and_params_rejected():
     for name in BENCHMARK_NAMES:
         with pytest.raises(ValidationError):
             make_benchmark(name, {"mode": "hard"})
+    # a blend band too wide for its saturation box fails at construction,
+    # before the float closed loop (which does not check it) could run
+    with pytest.raises(ValidationError):
+        make_benchmark("dubins", {"eps_frac": 0.5})
+    with pytest.raises(ValidationError):
+        make_benchmark("toy1d", {"smoothing_eps": 2.5})
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +266,98 @@ def test_smoothings_scalar_and_batch_agree():
             singles = np.array([fn(v) for v in vs])
             assert singles.shape == batch.shape
             assert np.allclose(batch, singles)
+
+
+# ---------------------------------------------------------------------------
+# the float closed loop against the array path
+# ---------------------------------------------------------------------------
+
+LOOP_CASES = [("toy1d", {}), ("toy1d", {"smoothing_eps": 0.0}),
+              ("double_integrator", {}),
+              ("double_integrator", {"smoothing_eps": 0.0}),
+              ("dubins", {"profile": "conservative"}),
+              ("dubins", {"profile": "aggressive"}),
+              ("dubins", {"profile": "conservative", "eps_frac": 0.0}),
+              ("dubins", {"profile": "aggressive", "eps_frac": 0.0}),
+              ("aeroplane", {}), ("aeroplane", {"smoothing_eps": 0.0})]
+
+
+def _saturation_points(bound, eps):
+    """Switching surfaces of a saturation to [-bound, bound] (each bound
+    and its blend-band edges) and its two blend bands."""
+    surfaces = [s * bound + d for s in (-1.0, 1.0) for d in (-eps, 0.0, eps)]
+    bands = [(s * bound - eps, s * bound + eps) for s in (-1.0, 1.0)]
+    return surfaces, bands
+
+
+def _switching_channels(name, params, model, policy):
+    """``(coordinate, raw, surfaces, bands)`` per switching nonlinearity of
+    the backup policy: ``raw(x)`` is its argument, affine in ``x[coordinate]``
+    and written in the policy's operation order."""
+    eps = policy.smoothing_eps
+    if name == "toy1d":
+        return [(0, lambda x: -1.0 * x[0],
+                 *_saturation_points(model.input_upper[0], eps))]
+    if name == "double_integrator":
+        return [(1, lambda x: x[1], [0.0, -0.0, -eps], [(-eps, 0.0)])]
+    if name == "aeroplane":
+        return [(1, lambda x: x[1], [0.0, -0.0, eps, -eps], [(-eps, eps)])]
+    aggressive = params["profile"] == "aggressive"
+    v_des = 0.0 if aggressive else 5.0
+    ky0, ky1 = _DUBINS_KY_AGGRESSIVE if aggressive else _DUBINS_KY_CONSERVATIVE
+    eps_frac = params.get("eps_frac", 0.05)
+    a_max, r_max = model.input_upper
+    return [(1, lambda x: 1.0 * (v_des - x[1]),
+             *_saturation_points(a_max, eps_frac * a_max)),
+            (2, lambda x: ky0 * x[0] + ky1 * x[2],
+             *_saturation_points(r_max, eps_frac * r_max))]
+
+
+def _on_surface(x, coordinate, raw, target):
+    """``x`` with ``x[coordinate]`` moved to where ``raw(x) == target``,
+    exactly if a float within 8 ulps of the affine solution gives it."""
+    x = list(x)
+    x[coordinate] = 0.0
+    offset = raw(x)
+    x[coordinate] = 1.0
+    guess = (target - offset) / (raw(x) - offset)
+    candidates = [guess]
+    up = down = guess
+    for _ in range(8):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        candidates += [up, down]
+    for c in candidates:
+        x[coordinate] = c
+        if raw(x) == target:
+            return tuple(x)
+    x[coordinate] = guess
+    return tuple(x)
+
+
+@pytest.mark.parametrize("case", LOOP_CASES,
+                         ids=[f"{n}-{'-'.join(f'{k}={v}' for k, v in p.items())}"
+                              for n, p in LOOP_CASES])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_loop_floats_match_array_path(case, data):
+    """The float closed loop gives the bits of the stacked array path on
+    states drawn from the sampling box, inside every blend band and on
+    every switching surface."""
+    name, params = case
+    model, policy, _ = make_benchmark(name, params)
+    box = BENCHMARK_DEFAULTS[name]
+    in_box = st.tuples(*[st.floats(lo, hi) for lo, hi in
+                         zip(box["sample_lower"], box["sample_upper"])])
+    states = [data.draw(in_box) for _ in range(3)]
+    for coordinate, raw, surfaces, bands in _switching_channels(
+            name, params, model, policy):
+        targets = st.one_of(st.sampled_from(surfaces),
+                            *[st.floats(lo, hi) for lo, hi in bands])
+        for _ in range(3):
+            states.append(_on_surface(data.draw(in_box), coordinate, raw,
+                                      data.draw(targets)))
+    derivs = loop_rhs(model, policy, np.array(states))
+    for x, expected in zip(states, derivs):
+        got = policy.loop_floats(*x)
+        assert np.array_equal(got, expected), \
+            f"{name} {params} at x = {x!r}: loop_floats {got!r}, array path {expected!r}"
