@@ -38,3 +38,7 @@ class FlowDivergenceError(NumericalError):
 
 class QpSolverError(NumericalError):
     """The QP solver hit its iteration cap (pathological conditioning)."""
+
+
+class ConvergenceWarning(RuntimeWarning):
+    """An iteration stopped at its step cap before meeting its tolerance."""

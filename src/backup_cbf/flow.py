@@ -125,6 +125,17 @@ def _float_march(loop: Callable[..., tuple[float, ...]], x: tuple[float, ...],
     return points, slopes
 
 
+def _check_loop_floats(slope: tuple[float, ...], expected: list[float]):
+    """`ValidationError` unless ``slope`` (from ``loop_floats``) equals
+    ``expected`` (from `loop_rhs`) componentwise, NaN equal to NaN."""
+    for i, (a, b) in enumerate(zip(slope, expected)):
+        if a != b and not (a != a and b != b):
+            raise ValidationError(
+                f"policy.loop_floats disagrees with loop_rhs of the model at "
+                f"x0 in component {i}: {a!r} != {b!r}; the policy's float "
+                f"closed loop encodes a different model")
+
+
 def _divergence(step: int, t: float, x: Array, q: Array | None
                 ) -> FlowDivergenceError:
     """The error for a step that left finite values, naming the first
@@ -143,7 +154,12 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
                    horizon: float, steps: int) -> FlowTrajectory:
     """Integrate the backup loop from ``x0`` over ``[0, horizon]`` on a
     uniform grid of ``steps`` intervals, then propagate the sensitivity
-    along the recorded stage points."""
+    along the recorded stage points.
+
+    With ``policy.loop_floats`` set, its slope at ``x0`` must equal
+    `loop_rhs` of ``model`` there (NaN equal to NaN), else
+    `ValidationError`: this catches a built-in policy paired with a changed
+    model, but it is a spot check at ``x0`` only."""
     x0 = _check_args(x0, horizon, steps)
     n = x0.shape[0]
     dt = horizon / steps
@@ -153,6 +169,8 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
             return tuple(loop_rhs(model, policy, np.array(x)).tolist())
     with np.errstate(over="ignore", invalid="ignore"):
         points, slopes = _float_march(loop, tuple(x0.tolist()), dt, steps)
+        if policy.loop_floats is not None:
+            _check_loop_floats(slopes[0], loop_rhs(model, policy, x0).tolist())
         last, end = len(slopes), points[-1]
         points = np.array(points)
         jacs = loop_jacobian(model, policy, points[:-1])

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -29,8 +30,8 @@ from itertools import chain, islice
 import numpy as np
 
 from .barrier import eval_h_batch, path_values
-from .errors import (FlowDivergenceError, GeometryError, NumericalError,
-                     ValidationError)
+from .errors import (ConvergenceWarning, FlowDivergenceError, GeometryError,
+                     NumericalError, ValidationError)
 from .systems import BackupPolicy, SafetySpec, SystemModel
 
 Array = np.ndarray
@@ -97,11 +98,27 @@ class GridGeometry:
 
 
 @dataclass(frozen=True)
+class SolveRecord:
+    """How a `solve_invariant` value iteration ended: passes run, the
+    sup-norm update of the last pass, whether it fell below ``tol``, the
+    pseudo-time step and the CFL ratio ``cfl_rate * dt`` (at most 1)."""
+
+    iterations: int
+    final_update: float
+    converged: bool
+    dt: float
+    cfl_ratio: float
+
+
+@dataclass(frozen=True)
 class LevelGrid:
-    """A scalar field sampled on a `GridGeometry` (C/row-major order)."""
+    """A scalar field sampled on a `GridGeometry` (C/row-major order);
+    ``solve`` is the record of the value iteration that produced it, if
+    one did."""
 
     geometry: GridGeometry
     values: Array
+    solve: SolveRecord | None = None
 
     def __post_init__(self):
         counts = self.geometry.counts
@@ -162,6 +179,12 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, dt: float | None = Non
     """Run the frozen value iteration from the constraint field ``grid0``
     until the sup-norm update drops below ``tol`` or ``max_steps`` passes.
 
+    The result carries a `SolveRecord` as ``solve``.  Running out of
+    ``max_steps`` is not an error: the field is returned with
+    ``converged=False``, and with a `ConvergenceWarning` naming the pass
+    count and the final update when ``tol > 0`` (``tol = 0`` asks for a
+    fixed number of passes and stays silent).
+
     ``dt = None`` picks 90% of the Lax-Friedrichs stability bound; an
     explicit ``dt`` beyond the bound is rejected, and value blow-up during
     iteration aborts with a diagnostic.  Values are clamped from below at
@@ -203,6 +226,7 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, dt: float | None = Non
     elif value_floor > v.min():
         raise ValidationError(f"value_floor {value_floor:.6g} exceeds the "
                               f"field minimum {float(v.min()):.6g}")
+    delta, passes = math.inf, 0
     for step in range(max_steps):
         grads_c = np.empty(shape + (geom.dims,))
         diss = np.zeros(shape)
@@ -225,10 +249,15 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, dt: float | None = Non
         if not np.all(v_new <= v + 1e-12):
             raise NumericalError(f"value iteration lost monotonicity at step {step}")
         delta = float(np.max(np.abs(v_new - v)))
-        v = v_new
+        v, passes = v_new, step + 1
         if delta < tol:
             break
-    return LevelGrid(geom, v)
+    record = SolveRecord(passes, delta, delta < tol, dt, cfl_rate * dt)
+    if tol > 0.0 and not record.converged:
+        warnings.warn(f"value iteration stopped unconverged after {passes} "
+                      f"passes (max_steps): final update {delta:.4g}, "
+                      f"tol {tol:.4g}", ConvergenceWarning, stacklevel=2)
+    return LevelGrid(geom, v, record)
 
 
 def sweep_backup_h(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,

@@ -120,16 +120,22 @@ def _check_blend(lo: float, hi: float, eps: float):
 
 def smooth_saturate(y: Array | float, lo: float, hi: float, eps: float) -> Array:
     """Saturation to [lo, hi]; identity on the interior, quadratic C1 blend
-    on bands of half-width eps around each bound."""
+    on bands of half-width eps around each bound.
+
+    The blend is evaluated only on the elements inside a band, which in a
+    batch are usually few; each gets the same expression either way."""
     _check_blend(lo, hi, eps)
     y = np.asarray(y, dtype=float)
-    out = np.clip(y, lo, hi)
     if eps == 0.0:
-        return out
-    out = np.where((y > hi - eps) & (y < hi + eps),
-                   y - (y - (hi - eps)) ** 2 / (4.0 * eps), out)
-    out = np.where((y > lo - eps) & (y < lo + eps),
-                   y + ((lo + eps) - y) ** 2 / (4.0 * eps), out)
+        return np.clip(y, lo, hi)
+    # np.clip of a 0-d array is a read-only scalar; copy it into an array
+    out = np.array(np.clip(y, lo, hi))
+    band = (y > hi - eps) & (y < hi + eps)
+    yb = y[band]
+    out[band] = yb - (yb - (hi - eps)) ** 2 / (4.0 * eps)
+    band = (y > lo - eps) & (y < lo + eps)
+    yb = y[band]
+    out[band] = yb + ((lo + eps) - yb) ** 2 / (4.0 * eps)
     return out
 
 
@@ -150,11 +156,12 @@ def smooth_saturate_deriv(y: Array | float, lo: float, hi: float, eps: float) ->
     y = np.asarray(y, dtype=float)
     if eps == 0.0:
         return ((y > lo) & (y < hi)).astype(float)
-    d = np.where((y > lo - eps) & (y < hi + eps), 1.0, 0.0)
-    d = np.where((y > hi - eps) & (y < hi + eps),
-                 1.0 - (y - (hi - eps)) / (2.0 * eps), d)
-    d = np.where((y > lo - eps) & (y < lo + eps),
-                 1.0 - ((lo + eps) - y) / (2.0 * eps), d)
+    # band-only, as in `smooth_saturate`
+    d = np.array((y > lo - eps) & (y < hi + eps), dtype=float)
+    band = (y > hi - eps) & (y < hi + eps)
+    d[band] = 1.0 - (y[band] - (hi - eps)) / (2.0 * eps)
+    band = (y > lo - eps) & (y < lo + eps)
+    d[band] = 1.0 - ((lo + eps) - y[band]) / (2.0 * eps)
     return d
 
 
@@ -213,8 +220,12 @@ class BackupPolicy:
     ``loop_floats(*x)``, if given, is the closed-loop derivative
     ``f(x) + g(x) pi(x)`` of the model built alongside this policy, on one
     state given as Python floats and returned as a tuple of floats.  It
-    must equal `loop_rhs` on that state bit for bit; the single-state flow
-    marches on it instead of on arrays.
+    must equal `loop_rhs` on that state bit for bit, so it sums ``g pi``
+    as `loop_rhs` does: per row ``f_i + (((0.0 + g_i0 pi_0) + g_i1 pi_1)
+    + ...)``, each product rounded (for a dense ``g`` with two or more
+    inputs that is not always the bits of ``np.matmul``, which may fuse
+    multiply-adds).  The single-state flow marches on it instead of on
+    arrays, after checking it against `loop_rhs` at the initial state.
     """
 
     pi_eval: Callable[[Array], Array]
@@ -269,10 +280,21 @@ def check_finite(value: Array, what: str) -> Array:
 
 def loop_rhs(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
     """Backup-loop derivative ``f(x) + g(x) pi(x)``, unchecked: the
-    integrators test finiteness per step, `closed_loop_rhs` here."""
+    integrators test finiteness per step, `closed_loop_rhs` here.
+
+    ``g pi`` is summed per input channel from ``+0.0``, in channel order:
+    ``((0.0 + g_0 pi_0) + g_1 pi_1) + ...``, each product rounded, so a
+    ``-0.0`` product sums to ``+0.0``.  Where every row of ``g`` has at most
+    one nonzero entry, as on every built-in benchmark, that equals the
+    stacked ``np.matmul(g, pi[..., None])`` bit for bit; for a dense ``g``
+    with two or more inputs it may differ from it in the last bit, as
+    numpy's matmul may fuse the multiply-adds."""
     u = policy.pi_eval(x)
     g = model.g_eval(x)
-    return model.f_eval(x) + np.matmul(g, u[..., None])[..., 0]
+    gu = 0.0 + g[..., 0] * u[..., None, 0]
+    for j in range(1, u.shape[-1]):
+        gu = gu + g[..., j] * u[..., None, j]
+    return model.f_eval(x) + gu
 
 
 def loop_jacobian(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
@@ -395,8 +417,8 @@ def _build_toy1d(params: dict):
         d = smooth_saturate_deriv(-gain * x[..., 0], -u_max, u_max, eps)
         return (-gain * d)[..., None, None]
 
-    # f + g u as `loop_rhs` computes it: g u summed the way np.matmul sums
-    # it (from +0.0, in input order), so even the signs of zeros match
+    # f + g u as `loop_rhs` computes it: g u summed from +0.0 in input
+    # order, so even the signs of zeros match
     def loop(x):
         u = _saturate_float(-gain * x, -u_max, u_max, eps)
         return (0.0 + (0.0 + 1.0 * u),)

@@ -1,5 +1,6 @@
 """Flow integration: closed-form anchors, order of accuracy, sensitivities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -358,3 +359,29 @@ def test_argument_validation():
         integrate_flow(model, policy, np.array([np.nan]), 1.0, 10)
     with pytest.raises(ValidationError):
         sensitivity_fd_check(model, policy, np.array([1.0]), 1.0, 10, 0.0)
+
+
+def test_loop_floats_checked_against_the_model():
+    """A built-in policy's float closed loop encodes its own model; paired
+    with a changed model it is refused (checked at ``x0``), while the same
+    change without ``loop_floats`` integrates the changed dynamics."""
+    model, policy, _ = make_benchmark("double_integrator")
+    doubled = dataclasses.replace(model, f_eval=lambda x: 2.0 * model.f_eval(x))
+    with pytest.raises(ValidationError, match=r"component 0: 2\.0 != 4\.0"):
+        integrate_flow(doubled, policy, [0.0, 2.0], 1.0, 10)
+    traj = integrate_flow(doubled, dataclasses.replace(policy, loop_floats=None),
+                          [0.0, 2.0], 1.0, 10)
+    assert traj.states[-1] == pytest.approx([3.0, 1.0], abs=1e-12)
+    assert integrate_flow(model, policy, [0.0, 2.0], 1.0,
+                          10).states[-1] == pytest.approx([1.5, 1.0], abs=1e-12)
+
+
+def test_loop_floats_check_treats_nan_as_equal():
+    """A NaN slope component at ``x0`` that both paths give is no mismatch;
+    the flow then diverges at its first step."""
+    model, policy = linear_system(np.eye(1))
+    nan_f = dataclasses.replace(
+        model, f_eval=lambda x: np.full(np.shape(x), np.nan))
+    with_floats = dataclasses.replace(policy, loop_floats=lambda x: (math.nan,))
+    with pytest.raises(FlowDivergenceError):
+        integrate_flow(nan_f, with_floats, [1.0], 1.0, 10)

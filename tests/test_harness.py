@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 
 from backup_cbf.cli import main as cli_main
-from backup_cbf.errors import GeometryError, ScenarioError, ValidationError
+from backup_cbf.errors import (ConvergenceWarning, GeometryError,
+                               ScenarioError, ValidationError)
 from backup_cbf.harness import (Scenario, load_scenario, run_compare,
                                 run_levelset, simulate, slice_grid)
 from backup_cbf.hjgrid import GridGeometry, LevelGrid, read_grid
 from backup_cbf.systems import (BENCHMARK_DEFAULTS, BENCHMARK_NAMES,
                                 make_benchmark)
 
-SCENARIO_FILES = sorted(
-    (Path(__file__).resolve().parents[1] / "demos" / "scenarios").glob("*.json"))
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.json"))
 
 
 def reference_plant_step(model, x, u, dt):
@@ -359,6 +360,20 @@ def test_cli_levelset_and_compare(tmp_path, capsys):
                    "--threshold", "0.0"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["jaccard"] == 1.0
+
+
+def test_cli_levelset_warns_on_an_unconverged_baseline(tmp_path, capsys):
+    """``--hj-max-steps`` too small for ``--hj-tol``: the grids are still
+    written, with a warning that the baseline did not converge."""
+    out = tmp_path / "grids"
+    with pytest.warns(ConvergenceWarning, match="after 5 passes"):
+        rc = cli_main(["levelset", "--scenario",
+                       str(SCENARIO_DIR / "di_full_throttle.json"),
+                       "--grid=-10:12:41,-5:5:41", "--hj", "--hj-max-steps", "5",
+                       "--out", str(out)])
+    assert rc == 0
+    written = json.loads(capsys.readouterr().out)
+    assert read_grid(written["hj_grid"]).values.shape == (41, 41)
 
 
 def test_cli_validation_exit_code(tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from backup_cbf.barrier import eval_h_batch
 from backup_cbf.cli import main as cli_main
-from backup_cbf.errors import FlowDivergenceError, GeometryError, ValidationError
+from backup_cbf.errors import (ConvergenceWarning, FlowDivergenceError,
+                               GeometryError, ValidationError)
 from backup_cbf.hjgrid import (GridGeometry, LevelGrid, compare_sets,
                                constraint_grid, dilate_set, grid_from_json_dict,
                                grid_to_json_dict, hamiltonian, read_grid,
@@ -126,6 +128,46 @@ def test_refinement_volume_stability():
                               max_steps=20000)
         vols.append(out.membership().mean())
     assert abs(vols[1] - vols[0]) / vols[1] < 0.05
+
+
+def test_solve_record_flags_an_unconverged_field():
+    """Stopping at ``max_steps`` returns the field marked unconverged, with
+    a warning when a tolerance was asked for and none with ``tol = 0``."""
+    model, _, spec = make_benchmark("double_integrator")
+    geom = GridGeometry((-10.0, -5.0), (12.0, 5.0), (101, 101), (False, False))
+    grid0 = constraint_grid(geom, spec)
+    with pytest.warns(ConvergenceWarning, match="after 20 passes"):
+        out = solve_invariant(grid0, model, tol=1e-3, max_steps=20)
+    record = out.solve
+    assert record.converged is False
+    assert record.iterations == 20
+    assert record.final_update >= 1e-3
+    # dt = None picks 90 % of the stability bound
+    assert record.cfl_ratio == pytest.approx(0.9)
+    # a fixed pass count (tol = 0) is silent and gives the same field
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fixed = solve_invariant(grid0, model, tol=0.0, max_steps=20)
+    assert np.array_equal(fixed.values, out.values)
+    assert fixed.solve == record
+
+
+def test_solve_record_of_a_converged_field():
+    model, spec = single_integrator_2d()
+    geom = GridGeometry((-2.0, -1.0), (2.0, 1.0), (41, 5), (False, False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = solve_invariant(constraint_grid(geom, spec), model, tol=1e-3,
+                              dt=0.02)
+    record = out.solve
+    assert record.converged is True
+    assert 1 <= record.iterations < 5000
+    assert record.final_update < 1e-3
+    assert record.dt == 0.02
+    # |dH/dp_0| <= 1 on a spacing of 0.1: rate 10 per unit time
+    assert record.cfl_ratio == pytest.approx(0.2)
+    # grids that no value iteration produced carry no record
+    assert constraint_grid(geom, spec).solve is None
 
 
 def test_cfl_validation():

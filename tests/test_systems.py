@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from backup_cbf.errors import EvaluationError, ValidationError
 from backup_cbf.systems import (_DUBINS_KY_AGGRESSIVE, _DUBINS_KY_CONSERVATIVE,
                                 BENCHMARK_DEFAULTS, BENCHMARK_NAMES,
+                                BackupPolicy, SystemModel,
                                 closed_loop_jacobian, closed_loop_rhs,
                                 di_closed_form_h, loop_rhs, make_benchmark,
                                 smooth_positive_indicator,
@@ -334,17 +335,9 @@ def _on_surface(x, coordinate, raw, target):
     return tuple(x)
 
 
-@pytest.mark.parametrize("case", LOOP_CASES,
-                         ids=[f"{n}-{'-'.join(f'{k}={v}' for k, v in p.items())}"
-                              for n, p in LOOP_CASES])
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_loop_floats_match_array_path(case, data):
-    """The float closed loop gives the bits of the stacked array path on
-    states drawn from the sampling box, inside every blend band and on
-    every switching surface."""
-    name, params = case
-    model, policy, _ = make_benchmark(name, params)
+def _draw_states(data, name, params, model, policy):
+    """States from the sampling box, inside every blend band of the backup
+    policy and on every switching surface."""
     box = BENCHMARK_DEFAULTS[name]
     in_box = st.tuples(*[st.floats(lo, hi) for lo, hi in
                          zip(box["sample_lower"], box["sample_upper"])])
@@ -356,8 +349,179 @@ def test_loop_floats_match_array_path(case, data):
         for _ in range(3):
             states.append(_on_surface(data.draw(in_box), coordinate, raw,
                                       data.draw(targets)))
+    return states
+
+
+LOOP_CASE_IDS = [f"{n}-{'-'.join(f'{k}={v}' for k, v in p.items())}"
+                 for n, p in LOOP_CASES]
+
+
+@pytest.mark.parametrize("case", LOOP_CASES, ids=LOOP_CASE_IDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_loop_floats_match_array_path(case, data):
+    """The float closed loop gives the bits of the stacked array path on
+    states drawn from the sampling box, inside every blend band and on
+    every switching surface."""
+    name, params = case
+    model, policy, _ = make_benchmark(name, params)
+    states = _draw_states(data, name, params, model, policy)
     derivs = loop_rhs(model, policy, np.array(states))
     for x, expected in zip(states, derivs):
         got = policy.loop_floats(*x)
         assert np.array_equal(got, expected), \
             f"{name} {params} at x = {x!r}: loop_floats {got!r}, array path {expected!r}"
+
+
+def reference_loop_rhs(model, policy, x):
+    """`loop_rhs` with ``g pi`` as one stacked matmul, the body it had
+    before the per-channel sum, kept verbatim as the reference."""
+    u = policy.pi_eval(x)
+    g = model.g_eval(x)
+    return model.f_eval(x) + np.matmul(g, u[..., None])[..., 0]
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bytes: signs of zeros count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", LOOP_CASES, ids=LOOP_CASE_IDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_loop_rhs_matches_stacked_matmul(case, data):
+    """On every benchmark (each row of ``g`` has at most one nonzero) the
+    per-channel sum gives the stacked matmul's bits, signs of zeros
+    included, stacked and one state at a time."""
+    name, params = case
+    model, policy, _ = make_benchmark(name, params)
+    states = _draw_states(data, name, params, model, policy)
+    zeros = st.sampled_from([0.0, -0.0])
+    states.append(data.draw(st.tuples(*[zeros] * model.state_dim)))
+    stacked = np.array(states)
+    assert same_bits(loop_rhs(model, policy, stacked),
+                     reference_loop_rhs(model, policy, stacked)), f"{name} {params}"
+    for x in states:
+        x = np.array(x)
+        assert same_bits(loop_rhs(model, policy, x),
+                         reference_loop_rhs(model, policy, x)), \
+            f"{name} {params} at x = {x.tolist()!r}"
+
+
+def dense_model(m):
+    """A 3-state model with ``m`` inputs and a dense, state-dependent ``g``,
+    unlike every benchmark."""
+    w = np.linspace(0.3, 1.7, 3 * m).reshape(3, m)
+
+    def f(x):
+        return np.sin(np.asarray(x, dtype=float))
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return np.cos(x[..., :, None] * w) + w
+
+    def pi(x):
+        x = np.asarray(x, dtype=float)
+        return np.tanh(x @ w)
+
+    def zeros(*shape):
+        return lambda x: np.zeros(np.shape(x)[:-1] + shape)
+
+    model = SystemModel(3, m, f, g, zeros(3, 3), None,
+                        -np.ones(m), np.ones(m))
+    return model, BackupPolicy(pi, zeros(m, 3), 0.0)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_loop_rhs_dense_g_sums_per_channel(m):
+    """With a dense ``g`` the documented order holds: each row is
+    ``f_i + (((0.0 + g_i0 u_0) + g_i1 u_1) + ...)``, products rounded one
+    by one, and stacked rows equal single-state calls."""
+    model, policy = dense_model(m)
+    states = np.random.default_rng(m).uniform(-2.0, 2.0, size=(50, 3))
+    stacked = loop_rhs(model, policy, states)
+    for x, row in zip(states, stacked):
+        g = model.g_eval(x).tolist()
+        u = policy.pi_eval(x).tolist()
+        expected = []
+        for f_i, g_i in zip(model.f_eval(x).tolist(), g):
+            acc = 0.0
+            for g_ij, u_j in zip(g_i, u):
+                acc = acc + g_ij * u_j
+            expected.append(f_i + acc)
+        assert same_bits(row, np.array(expected))
+        assert same_bits(loop_rhs(model, policy, x), row)
+
+
+def reference_smooth_saturate(y, lo, hi, eps):
+    """`smooth_saturate` blending over the whole array with ``np.where``,
+    the body it had before the band-only blend, kept verbatim."""
+    y = np.asarray(y, dtype=float)
+    out = np.clip(y, lo, hi)
+    if eps == 0.0:
+        return out
+    out = np.where((y > hi - eps) & (y < hi + eps),
+                   y - (y - (hi - eps)) ** 2 / (4.0 * eps), out)
+    out = np.where((y > lo - eps) & (y < lo + eps),
+                   y + ((lo + eps) - y) ** 2 / (4.0 * eps), out)
+    return out
+
+
+def reference_smooth_saturate_deriv(y, lo, hi, eps):
+    """`smooth_saturate_deriv` with whole-array ``np.where`` blends, the
+    body it had before the band-only blend, kept verbatim."""
+    y = np.asarray(y, dtype=float)
+    if eps == 0.0:
+        return ((y > lo) & (y < hi)).astype(float)
+    d = np.where((y > lo - eps) & (y < hi + eps), 1.0, 0.0)
+    d = np.where((y > hi - eps) & (y < hi + eps),
+                 1.0 - (y - (hi - eps)) / (2.0 * eps), d)
+    d = np.where((y > lo - eps) & (y < lo + eps),
+                 1.0 - ((lo + eps) - y) / (2.0 * eps), d)
+    return d
+
+
+def _saturation_probes(lo, hi, eps):
+    """Band edges and bounds with their float neighbours, signed zeros,
+    and points inside each band and well outside the box."""
+    probes = [0.0, -0.0, lo - 1.0, hi + 1.0, 0.5 * (lo + hi)]
+    for edge in (lo - eps, lo, lo + eps, hi - eps, hi, hi + eps):
+        probes += [edge, math.nextafter(edge, -math.inf),
+                   math.nextafter(edge, math.inf)]
+    probes += list(np.linspace(lo - eps, lo + eps, 7))
+    probes += list(np.linspace(hi - eps, hi + eps, 7))
+    return probes
+
+
+@pytest.mark.parametrize("lo, hi, eps", [(-3.0, 3.0, 0.15), (-0.5, 0.5, 0.025),
+                                         (-3.0, 3.0, 0.0), (0.0, 2.0, 0.1)])
+@pytest.mark.parametrize("fn, reference", [
+    (smooth_saturate, reference_smooth_saturate),
+    (smooth_saturate_deriv, reference_smooth_saturate_deriv)],
+    ids=["value", "deriv"])
+def test_band_only_saturation_matches_where_blend(lo, hi, eps, fn, reference):
+    """Same bits and signs as the whole-array blend on a batch, on 0-d
+    arrays and on Python floats, including the band edges and ``+-0.0``;
+    the return types match too."""
+    probes = _saturation_probes(lo, hi, eps)
+    assert same_bits(fn(np.array(probes), lo, hi, eps),
+                     reference(np.array(probes), lo, hi, eps))
+    assert same_bits(fn(np.array(probes).reshape(1, -1, 1), lo, hi, eps),
+                     reference(np.array(probes).reshape(1, -1, 1), lo, hi, eps))
+    for y in probes:
+        for arg in (y, np.array(y)):
+            got, expected = fn(arg, lo, hi, eps), reference(arg, lo, hi, eps)
+            assert type(got) is type(expected)
+            assert same_bits(got, expected), f"y = {y!r}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=st.lists(st.one_of(st.floats(-3.3, -2.7), st.floats(2.7, 3.3),
+                            st.floats(-10.0, 10.0)), min_size=1, max_size=40))
+def test_band_only_saturation_matches_where_blend_on_random_batches(y):
+    for fn, reference in ((smooth_saturate, reference_smooth_saturate),
+                          (smooth_saturate_deriv,
+                           reference_smooth_saturate_deriv)):
+        assert same_bits(fn(np.array(y), -3.0, 3.0, 0.15),
+                         reference(np.array(y), -3.0, 3.0, 0.15))
