@@ -16,11 +16,12 @@ recorded stage points, and ``Q`` is stepped over them by `rk4_step`.  One
 pass serves every downstream constraint row.
 
 Everything here is pure and reentrant.  `integrate_flow` takes the
-Jacobians along the whole path from one stacked call, and its drifts from
-the march.  The batch entry point advances many initial states at once
-with no shared mutable state, which is what the grid sweeps build on; it
-takes the Jacobians of each step's four stage points from one stacked
-call, so its memory does not grow with the step count.
+Jacobians along the whole path from one stacked call, and the drifts at
+the nodes, which check the float march, from another.  The batch entry
+point advances many initial states at once with no shared mutable state,
+which is what the grid sweeps build on; it takes the Jacobians of each
+step's four stage points from one stacked call, so its memory does not
+grow with the step count.
 """
 
 from __future__ import annotations
@@ -96,14 +97,13 @@ def _q_step(jacs: Iterable[Array], q: Array, dt: float) -> Array:
 
 
 def _float_march(loop: Callable[..., tuple[float, ...]], x: tuple[float, ...],
-                 dt: float, steps: int
-                 ) -> tuple[list[tuple[float, ...]], list[tuple[float, ...]]]:
+                 dt: float, steps: int) -> tuple[list[float], list[float]]:
     """`rk4_step` on one state held as a tuple of floats, in its exact
-    operation order: ``(points, slopes)`` where ``points[4 (i - 1) + s]``
-    is stage ``s`` of step ``i``, the last point is the last state, and
-    ``slopes[i - 1]`` is ``loop`` at the start of step ``i``.  Stops after
-    the first step that leaves finite values, tested per component (a sum
-    of two finite values near the float limit overflows)."""
+    operation order: flat float lists ``(points, slopes)``; point
+    ``4 (i - 1) + s`` is stage ``s`` of step ``i``, the last is the last
+    state, and slope ``i - 1`` is ``loop`` at the start of step ``i``.  Stops
+    after the first step that leaves finite values, tested per component (a
+    sum of two finite values near the float limit overflows)."""
     half = 0.5 * dt
     sixth = dt / 6.0
     points, slopes = [], []
@@ -115,25 +115,27 @@ def _float_march(loop: Callable[..., tuple[float, ...]], x: tuple[float, ...],
         k3 = loop(*x3)
         x4 = tuple([a + dt * b for a, b in zip(x, k3)])
         k4 = loop(*x4)
-        points += (x, x2, x3, x4)
-        slopes.append(k1)
+        points += x + x2 + x3 + x4
+        slopes += k1
         x = tuple([a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
                    for a, b, c, d, e in zip(x, k1, k2, k3, k4)])
         if not all(map(math.isfinite, x)):
             break
-    points.append(x)
+    points += x
     return points, slopes
 
 
-def _check_loop_floats(slope: tuple[float, ...], expected: list[float]):
-    """`ValidationError` unless ``slope`` (from ``loop_floats``) equals
-    ``expected`` (from `loop_rhs`) componentwise, NaN equal to NaN."""
-    for i, (a, b) in enumerate(zip(slope, expected)):
-        if a != b and not (a != a and b != b):
-            raise ValidationError(
-                f"policy.loop_floats disagrees with loop_rhs of the model at "
-                f"x0 in component {i}: {a!r} != {b!r}; the policy's float "
-                f"closed loop encodes a different model")
+def _check_slopes(slopes: Array, drifts: Array):
+    """`ValidationError` unless the float march's ``slopes`` (from
+    ``loop_floats``) equal the model's ``drifts`` at the same nodes,
+    entrywise with NaN equal to NaN."""
+    bad = (slopes != drifts) & ~(np.isnan(slopes) & np.isnan(drifts))
+    if bad.any():
+        node, k = np.argwhere(bad)[0].tolist()
+        raise ValidationError(
+            f"policy.loop_floats encodes another model than loop_rhs: at node "
+            f"{node}, component {k}: {slopes[node, k].item()!r} != "
+            f"{drifts[node, k].item()!r}")
 
 
 def _divergence(step: int, t: float, x: Array, q: Array | None
@@ -156,10 +158,10 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
     uniform grid of ``steps`` intervals, then propagate the sensitivity
     along the recorded stage points.
 
-    With ``policy.loop_floats`` set, its slope at ``x0`` must equal
-    `loop_rhs` of ``model`` there (NaN equal to NaN), else
-    `ValidationError`: this catches a built-in policy paired with a changed
-    model, but it is a spot check at ``x0`` only."""
+    The drifts are one stacked `loop_rhs` of ``model`` at the nodes.  With
+    ``policy.loop_floats`` set, the march's slope at every node but the last
+    must equal that node's drift (NaN equal to NaN), else `ValidationError`
+    naming the node: a policy paired with a changed model is refused."""
     x0 = _check_args(x0, horizon, steps)
     n = x0.shape[0]
     dt = horizon / steps
@@ -169,25 +171,24 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
             return tuple(loop_rhs(model, policy, np.array(x)).tolist())
     with np.errstate(over="ignore", invalid="ignore"):
         points, slopes = _float_march(loop, tuple(x0.tolist()), dt, steps)
+        points = np.array(points).reshape(-1, n)
+        states = points[::4].copy()
+        drifts = loop_rhs(model, policy, states)
         if policy.loop_floats is not None:
-            _check_loop_floats(slopes[0], loop_rhs(model, policy, x0).tolist())
-        last, end = len(slopes), points[-1]
-        points = np.array(points)
+            _check_slopes(np.array(slopes).reshape(-1, n), drifts[:-1])
         jacs = loop_jacobian(model, policy, points[:-1])
-        sens = np.empty((last + 1, n, n))
+        sens = np.empty((len(states), n, n))
         sens[0] = q = np.eye(n)
-        for i in range(1, last + 1):
+        for i in range(1, len(states)):
             sens[i] = q = _q_step(jacs[4 * i - 4:4 * i], q, dt)
-    states = points[::4].copy()
     finite = (np.isfinite(states[1:]).all(axis=1)
               & np.isfinite(sens[1:]).all(axis=(1, 2)))
     if not finite.all():
         i = int(np.argmin(finite)) + 1
         raise _divergence(i, i * dt, states[i], sens[i])
-    slopes.append(loop(*end))
     return FlowTrajectory(times=np.linspace(0.0, horizon, steps + 1),
                           states=states, sensitivities=sens,
-                          drifts=np.array(slopes), origin=x0)
+                          drifts=drifts, origin=x0)
 
 
 def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,

@@ -150,9 +150,12 @@ def load_scenario(path: str) -> Scenario:
 
 def _nominal_array(spec: dict, key: str) -> Array:
     try:
-        return np.asarray(spec.get(key, []), dtype=float)
+        value = np.asarray(spec.get(key, []), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"nominal.{key} must be numeric: {exc}") from None
+    if not np.all(np.isfinite(value)):
+        raise ScenarioError(f"nominal.{key} must be finite, got {spec[key]!r}")
+    return value
 
 
 def _nominal_controller(scenario: Scenario, model: SystemModel
@@ -366,15 +369,17 @@ def slice_grid(grid: LevelGrid, axis: int, value: float) -> LevelGrid:
 
 
 def resolve_axis(model: SystemModel, name_or_index: str | int) -> int:
-    if isinstance(name_or_index, int):
-        return name_or_index
+    """The state axis named by ``name_or_index``: a state name, or an index
+    ``0 <= i < state_dim`` given as an int or a decimal string."""
     if name_or_index in model.state_names:
         return model.state_names.index(name_or_index)
-    try:
-        return int(name_or_index)
-    except ValueError:
-        raise GeometryError(f"unknown axis {name_or_index!r}; state axes are "
-                            f"{model.state_names}") from None
+    text = str(name_or_index)
+    if (isinstance(name_or_index, (str, int, np.integer)) and text.isdecimal()
+            and not isinstance(name_or_index, bool)
+            and int(text) < model.state_dim):
+        return int(text)
+    raise GeometryError(f"unknown axis {name_or_index!r}; state axes are "
+                        f"0..{model.state_dim - 1} {model.state_names}")
 
 
 def run_levelset(scenario: Scenario, geometry: GridGeometry,
@@ -383,10 +388,12 @@ def run_levelset(scenario: Scenario, geometry: GridGeometry,
                  hj_tol: float = 1e-3, hj_max_steps: int = 5000) -> dict:
     """Sweep the implicit barrier over the grid (optionally also the
     baseline invariant-set field), write each grid as CSV and JSON and each
-    requested slice of it as CSV; returns the map of written paths.  Slice
-    axes are resolved before the sweep, so a bad axis name fails fast."""
+    requested slice of it as CSV; returns the map of written paths.  Slices
+    are checked before the sweep, so a bad one fails fast, writing nothing."""
     model, policy, spec = scenario.build()
     os.makedirs(out_dir, exist_ok=True)
+    if slices and geometry.dims != 3:
+        raise GeometryError(f"a slice needs a 3-axis grid, got {geometry.dims}")
     planes = []
     for name_or_index, value in slices:
         axis = resolve_axis(model, name_or_index)

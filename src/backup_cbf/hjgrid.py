@@ -32,7 +32,7 @@ import numpy as np
 from .barrier import eval_h_batch, path_values
 from .errors import (ConvergenceWarning, FlowDivergenceError, GeometryError,
                      NumericalError, ValidationError)
-from .systems import BackupPolicy, SafetySpec, SystemModel
+from .systems import BackupPolicy, SafetySpec, SystemModel, is_finite_real
 
 Array = np.ndarray
 
@@ -45,13 +45,24 @@ def _threads() -> int:
     return int(raw)
 
 
+_AXIS_CHECKS = (                # (what each entry must be, field, check)
+    ("lower bound must be a finite number", "lower", is_finite_real),
+    ("upper bound must be a finite number", "upper", is_finite_real),
+    ("count must be an integer", "counts",
+     lambda c: isinstance(c, (int, np.integer)) and not isinstance(c, bool)),
+    ("periodic flag must be true or false", "periodic_axes",
+     lambda p: isinstance(p, (bool, np.bool_))),
+)
+
+
 @dataclass(frozen=True)
 class GridGeometry:
     """Axis bounds, point counts, and periodicity flags of a grid.
 
     Non-periodic axes place ``count`` points inclusively from lower to
     upper; periodic axes exclude the upper endpoint (it wraps onto the
-    lower one).
+    lower one).  Bounds must be finite numbers, counts integers and flags
+    booleans.
     """
 
     lower: tuple[float, ...]
@@ -65,6 +76,10 @@ class GridGeometry:
             raise GeometryError("grids must have 2 or 3 axes")
         if not (len(self.lower) == len(self.upper) == len(self.periodic_axes) == dims):
             raise GeometryError("axis field lengths disagree")
+        for what, values, check in _AXIS_CHECKS:
+            for i, value in enumerate(getattr(self, values)):
+                if not check(value):
+                    raise GeometryError(f"axis {i} {what}, got {value!r}")
         if any(c < 3 for c in self.counts):
             raise GeometryError("each axis needs at least 3 points")
         if any(l >= u for l, u in zip(self.lower, self.upper)):
@@ -358,7 +373,7 @@ def _geometry_from_axes(axes: list[dict]) -> GridGeometry:
     return GridGeometry(tuple(a["lower"] for a in axes),
                         tuple(a["upper"] for a in axes),
                         tuple(a["count"] for a in axes),
-                        tuple(bool(a.get("periodic", False)) for a in axes))
+                        tuple(a.get("periodic", False) for a in axes))
 
 
 def _cell_index(counts: tuple[int, ...], start: int, stop: int) -> Array:
@@ -399,9 +414,10 @@ def _read_csv_header(fh, path: str) -> tuple[list[dict], int, str]:
             return axes, lineno - 1, line
         try:
             fields = text.split(":", 1)[1].split()
+            if fields[3:] not in ([], ["periodic"]):
+                raise ValueError("expected lower upper count [periodic]")
             axes.append({"lower": float(fields[0]), "upper": float(fields[1]),
-                         "count": int(fields[2]),
-                         "periodic": len(fields) > 3 and fields[3] == "periodic"})
+                         "count": int(fields[2]), "periodic": len(fields) == 4})
         except (ValueError, IndexError) as exc:
             raise GeometryError(
                 f"{path}:{lineno}: bad axis header: {text!r}") from exc

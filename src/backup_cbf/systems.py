@@ -176,7 +176,9 @@ class SystemModel:
 
     ``df_dx(x)`` has shape ``(..., n, n)``; ``dg_dx(x)`` has shape
     ``(..., n, m, n)`` with entry ``[i, j, k] = d g[i, j] / d x[k]``.
-    ``dg_dx = None`` declares the input matrix state-independent.
+    ``dg_dx = None`` declares the input matrix state-independent.  The
+    benchmarks' constant terms and constraint gradients come from
+    `_constant`: fresh zeros with the nonzero entries assigned.
     """
 
     state_dim: int
@@ -225,7 +227,8 @@ class BackupPolicy:
     + ...)``, each product rounded (for a dense ``g`` with two or more
     inputs that is not always the bits of ``np.matmul``, which may fuse
     multiply-adds).  The single-state flow marches on it instead of on
-    arrays, after checking it against `loop_rhs` at the initial state.
+    arrays, and checks its slope at every node of the march against the
+    stacked `loop_rhs` of the model there.
     """
 
     pi_eval: Callable[[Array], Array]
@@ -381,6 +384,39 @@ def _smoothing_eps(params: dict, default_eps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# State-independent terms and box bounds.
+# ---------------------------------------------------------------------------
+
+
+def _constant(value) -> Callable[[Array], Array]:
+    """Evaluator of a state-independent term: for states ``(..., n)`` a
+    fresh writable ``(...,) + value.shape`` array, built from zeros with
+    only the nonzero entries of ``value`` assigned (zeros are ``+0.0``)."""
+    value = np.asarray(value, dtype=float)
+    entries = [((Ellipsis, *index), float(value[index]))
+               for index in zip(*np.nonzero(value))]
+
+    def evaluate(x):
+        out = np.zeros(np.shape(x)[:-1] + value.shape)
+        for index, entry in entries:
+            out[index] = entry
+        return out
+
+    return evaluate
+
+
+def _bound(n: int, idx: int, limit: float, sign: float, name: str
+           ) -> ScalarConstraint:
+    """``limit - sign * x[idx] >= 0`` on an ``n``-state, with its constant
+    gradient."""
+    grad = np.zeros(n)
+    grad[idx] = -sign
+    return ScalarConstraint(
+        lambda x: limit - sign * np.asarray(x, dtype=float)[..., idx],
+        _constant(grad), name=name)
+
+
+# ---------------------------------------------------------------------------
 # toy1d: xdot = u, backup u = sat(-k x).
 # ---------------------------------------------------------------------------
 
@@ -397,17 +433,6 @@ def _build_toy1d(params: dict):
         raise ValidationError("toy1d needs u_max > 0 and gain_k > 0")
     _check_blend(-u_max, u_max, eps)
 
-    def f(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1] + (1, 1))
-
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (1, 1))
-
     def pi(x):
         x = np.asarray(x, dtype=float)
         return smooth_saturate(-gain * x[..., 0], -u_max, u_max, eps)[..., None]
@@ -423,21 +448,20 @@ def _build_toy1d(params: dict):
         u = _saturate_float(-gain * x, -u_max, u_max, eps)
         return (0.0 + (0.0 + 1.0 * u),)
 
-    model = SystemModel(1, 1, f, g, df, None,
+    model = SystemModel(1, 1, _constant([0.0]), _constant([[1.0]]),
+                        _constant([[0.0]]), None,
                         np.array([-u_max]), np.array([u_max]),
                         state_names=("x",), input_names=("u",))
     policy = BackupPolicy(pi, dpi, eps, loop)
 
-    spec = SafetySpec(
-        constraints=(ScalarConstraint(
-            lambda x: c_level - np.asarray(x, dtype=float)[..., 0] ** 2,
-            lambda x: -2.0 * np.asarray(x, dtype=float)[..., :1],
-            name="level"),),
-        terminal=ScalarConstraint(
-            lambda x: s_level - np.asarray(x, dtype=float)[..., 0] ** 2,
-            lambda x: -2.0 * np.asarray(x, dtype=float)[..., :1],
-            name="terminal_level"),
-        alpha_gain=alpha)
+    def level(c: float, name: str) -> ScalarConstraint:
+        return ScalarConstraint(
+            lambda x: c - np.asarray(x, dtype=float)[..., 0] ** 2,
+            lambda x: -2.0 * np.asarray(x, dtype=float)[..., :1], name=name)
+
+    spec = SafetySpec(constraints=(level(c_level, "level"),),
+                      terminal=level(s_level, "terminal_level"),
+                      alpha_gain=alpha)
     return model, policy, spec
 
 
@@ -462,18 +486,6 @@ def _build_double_integrator(params: dict):
         out[..., 0] = x[..., 1]
         return out
 
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 1))
-        out[..., 1, 0] = 1.0
-        return out
-
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 1] = 1.0
-        return out
-
     def pi(x):
         x = np.asarray(x, dtype=float)
         return (-u_max * smooth_positive_indicator(x[..., 1], eps))[..., None]
@@ -489,24 +501,17 @@ def _build_double_integrator(params: dict):
         u = -u_max * _indicator_float(v, eps)
         return (v + (0.0 + 0.0 * u), 0.0 + (0.0 + 1.0 * u))
 
-    model = SystemModel(2, 1, f, g, df, None,
+    model = SystemModel(2, 1, f, _constant([[0.0], [1.0]]),
+                        _constant([[0.0, 1.0], [0.0, 0.0]]), None,
                         np.array([-u_max]), np.array([u_max]),
                         state_names=("s", "v"), input_names=("u",))
     policy = BackupPolicy(pi, dpi, eps, loop)
 
+    # at_rest stays -v: the bound's 0.0 - 1.0 * v would give +0.0 at v = +0.0
     spec = SafetySpec(
-        constraints=(ScalarConstraint(
-            lambda x: c_limit - np.asarray(x, dtype=float)[..., 0],
-            lambda x: np.broadcast_to(
-                np.array([-1.0, 0.0]),
-                np.asarray(x, dtype=float).shape).copy(),
-            name="position_limit"),),
-        terminal=ScalarConstraint(
-            lambda x: -np.asarray(x, dtype=float)[..., 1],
-            lambda x: np.broadcast_to(
-                np.array([0.0, -1.0]),
-                np.asarray(x, dtype=float).shape).copy(),
-            name="at_rest"),
+        constraints=(_bound(2, 0, c_limit, 1.0, "position_limit"),),
+        terminal=ScalarConstraint(lambda x: -np.asarray(x, dtype=float)[..., 1],
+                                  _constant([0.0, -1.0]), name="at_rest"),
         alpha_gain=alpha)
     return model, policy, spec
 
@@ -586,13 +591,6 @@ def _build_dubins(params: dict):
         out[..., 0] = x[..., 1] * np.sin(x[..., 2])
         return out
 
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (3, 2))
-        out[..., 1, 0] = 1.0
-        out[..., 2, 1] = 1.0
-        return out
-
     def df(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (3, 3))
@@ -625,7 +623,8 @@ def _build_dubins(params: dict):
                 0.0 + (0.0 + 1.0 * a + 0.0 * r),
                 0.0 + (0.0 + 0.0 * a + 1.0 * r))
 
-    model = SystemModel(3, 2, f, g, df, None,
+    model = SystemModel(3, 2, f,
+                        _constant([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), df, None,
                         np.array([-a_max, -r_max]), np.array([a_max, r_max]),
                         state_names=("Y", "v", "psi"), input_names=("a", "r"))
     policy = BackupPolicy(pi, dpi, max(eps_a, eps_r), loop)
@@ -640,24 +639,11 @@ def _build_dubins(params: dict):
         xh = np.asarray(x, dtype=float) - offset
         return -2.0 * np.einsum("ij,...j->...i", p_mat, xh)
 
-    def bound(idx: int, limit: float, sign: float, name: str) -> ScalarConstraint:
-        grad_vec = np.zeros(3)
-        grad_vec[idx] = -sign
-
-        def h(x, idx=idx, limit=limit, sign=sign):
-            return limit - sign * np.asarray(x, dtype=float)[..., idx]
-
-        def grad(x, grad_vec=grad_vec):
-            return np.broadcast_to(grad_vec,
-                                   np.asarray(x, dtype=float).shape).copy()
-
-        return ScalarConstraint(h, grad, name=name)
-
     spec = SafetySpec(
-        constraints=(bound(0, y_max, +1.0, "lane_left"),
-                     bound(0, y_max, -1.0, "lane_right"),
-                     bound(2, psi_max, +1.0, "heading_left"),
-                     bound(2, psi_max, -1.0, "heading_right")),
+        constraints=(_bound(3, 0, y_max, +1.0, "lane_left"),
+                     _bound(3, 0, y_max, -1.0, "lane_right"),
+                     _bound(3, 2, psi_max, +1.0, "heading_left"),
+                     _bound(3, 2, psi_max, -1.0, "heading_right")),
         terminal=ScalarConstraint(h_terminal, grad_terminal, name="settle_ellipsoid"),
         alpha_gain=alpha)
     return model, policy, spec
@@ -708,13 +694,6 @@ def _build_aeroplane(params: dict):
         out[..., 1, 2] = v_b * np.cos(x[..., 2])
         return out
 
-    def dg(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (3, 1, 3))
-        out[..., 0, 0, 1] = 1.0
-        out[..., 1, 0, 0] = -1.0
-        return out
-
     def pi(x):
         x = np.asarray(x, dtype=float)
         return (-u_max * smooth_sign(x[..., 1], eps))[..., None]
@@ -731,14 +710,16 @@ def _build_aeroplane(params: dict):
                 v_b * math.sin(dpsi) + (0.0 + -dx * u),
                 0.0 + (0.0 + -1.0 * u))
 
+    # dg[i, 0, k] = d g[i, 0] / d x[k] of g = (dy, -dx, -1)
+    dg = _constant([[[0.0, 1.0, 0.0]], [[-1.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]])
     model = SystemModel(3, 1, f, g, df, dg,
                         np.array([-u_max]), np.array([u_max]),
                         state_names=("dx", "dy", "dpsi"), input_names=("u",))
     policy = BackupPolicy(pi, dpi, eps, loop)
 
-    def separation(x):
+    def separation(x, radius=r_min):
         x = np.asarray(x, dtype=float)
-        return x[..., 0] ** 2 + x[..., 1] ** 2 - r_min ** 2
+        return x[..., 0] ** 2 + x[..., 1] ** 2 - radius ** 2
 
     def grad_separation(x):
         x = np.asarray(x, dtype=float)
@@ -756,27 +737,19 @@ def _build_aeroplane(params: dict):
 
     def grad_divergence(x):
         x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[..., 0] = -v_a + v_b * np.cos(x[..., 2])
-        out[..., 1] = v_b * np.sin(x[..., 2])
+        out = f(x)                  # d/d(dx, dy) of the rate are f's entries
         out[..., 2] = (-x[..., 0] * v_b * np.sin(x[..., 2])
                        + x[..., 1] * v_b * np.cos(x[..., 2]))
         return out
 
     def h_terminal(x):
-        x = np.asarray(x, dtype=float)
-        sep = x[..., 0] ** 2 + x[..., 1] ** 2 - r_term ** 2
-        return np.minimum(sep, divergence(x))
+        return np.minimum(separation(x, r_term), divergence(x))
 
     def grad_terminal(x):
         # Gradient of the active min branch; separation wins ties.
-        x = np.asarray(x, dtype=float)
-        sep = x[..., 0] ** 2 + x[..., 1] ** 2 - r_term ** 2
-        use_sep = sep <= divergence(x)
-        g_sep = np.zeros_like(x)
-        g_sep[..., 0] = 2.0 * x[..., 0]
-        g_sep[..., 1] = 2.0 * x[..., 1]
-        return np.where(use_sep[..., None], g_sep, grad_divergence(x))
+        use_sep = separation(x, r_term) <= divergence(x)
+        return np.where(use_sep[..., None], grad_separation(x),
+                        grad_divergence(x))
 
     spec = SafetySpec(
         constraints=(ScalarConstraint(separation, grad_separation,

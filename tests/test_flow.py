@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backup_cbf.barrier import eval_h
 from backup_cbf.errors import FlowDivergenceError, ValidationError
 from backup_cbf.flow import (FlowTrajectory, integrate_flow,
                              integrate_flow_batch, sensitivity_fd_check)
@@ -363,7 +364,7 @@ def test_argument_validation():
 
 def test_loop_floats_checked_against_the_model():
     """A built-in policy's float closed loop encodes its own model; paired
-    with a changed model it is refused (checked at ``x0``), while the same
+    with a changed model it is refused (checked at every node), while the same
     change without ``loop_floats`` integrates the changed dynamics."""
     model, policy, _ = make_benchmark("double_integrator")
     doubled = dataclasses.replace(model, f_eval=lambda x: 2.0 * model.f_eval(x))
@@ -374,6 +375,31 @@ def test_loop_floats_checked_against_the_model():
     assert traj.states[-1] == pytest.approx([3.0, 1.0], abs=1e-12)
     assert integrate_flow(model, policy, [0.0, 2.0], 1.0,
                           10).states[-1] == pytest.approx([1.5, 1.0], abs=1e-12)
+
+
+def test_loop_floats_checked_wherever_the_march_goes():
+    """A model change that the march reaches only later is refused too: a
+    double integrator whose ``vdot`` gains +0.5 only where ``s > 2``, from
+    ``x0 = (0, 3)``, first disagrees at node 8 in the velocity component;
+    without ``loop_floats`` the changed dynamics are integrated, and the
+    barrier reads the changed model's margin."""
+    model, policy, spec = make_benchmark("double_integrator")
+
+    def f(x):
+        out = model.f_eval(x)
+        out[..., 1] = out[..., 1] + np.where(np.asarray(x)[..., 0] > 2.0,
+                                             0.5, 0.0)
+        return out
+
+    changed = dataclasses.replace(model, f_eval=f)
+    with pytest.raises(ValidationError,
+                       match=r"node 8, component 1: -1\.0 != -0\.5"):
+        integrate_flow(changed, policy, [0.0, 3.0], 10.0, 100)
+    custom = dataclasses.replace(policy, loop_floats=None)
+    traj = integrate_flow(changed, custom, [0.0, 3.0], 10.0, 100)
+    assert traj.states[-1] == pytest.approx([6.383, -0.125], abs=1e-3)
+    assert eval_h(changed, custom, spec, [0.0, 3.0], 10.0,
+                  100).h_value == pytest.approx(0.125, abs=1e-3)
 
 
 def test_loop_floats_check_treats_nan_as_equal():

@@ -11,8 +11,9 @@ import pytest
 from backup_cbf.cli import main as cli_main
 from backup_cbf.errors import (ConvergenceWarning, GeometryError,
                                ScenarioError, ValidationError)
-from backup_cbf.harness import (Scenario, load_scenario, run_compare,
-                                run_levelset, simulate, slice_grid)
+from backup_cbf.harness import (Scenario, load_scenario, resolve_axis,
+                                run_compare, run_levelset, simulate,
+                                slice_grid)
 from backup_cbf.hjgrid import GridGeometry, LevelGrid, read_grid
 from backup_cbf.systems import (BENCHMARK_DEFAULTS, BENCHMARK_NAMES,
                                 make_benchmark)
@@ -164,6 +165,38 @@ def test_nominal_controllers():
     k = int(0.6 / sc.dt_s)
     assert log.u_nominal[0, 0] == 1.0
     assert log.u_nominal[k, 0] == -1.0
+
+
+NON_FINITE_NOMINALS = {
+    "constant": {"kind": "constant", "value": [float("nan")]},
+    "proportional": {"kind": "proportional", "gain": [[float("inf")]],
+                     "reference": [0.5]},
+    "proportional_reference": {"kind": "proportional", "gain": [[2.0]],
+                               "reference": [float("-inf")]},
+    # the bad entry is reached only late in the run
+    "table": {"kind": "table", "times_s": [0.0, 0.5],
+              "values": [[1.0], [float("nan")]]},
+    "table_times": {"kind": "table", "times_s": [0.0, float("inf")],
+                    "values": [[1.0], [-1.0]]},
+}
+
+
+@pytest.mark.parametrize("filter_on", [True, False], ids=["filter", "open"])
+@pytest.mark.parametrize("nominal", NON_FINITE_NOMINALS.values(),
+                         ids=NON_FINITE_NOMINALS.keys())
+def test_non_finite_nominal_rejected(tmp_path, capsys, nominal, filter_on):
+    """A NaN or infinite entry in a nominal controller is a `ScenarioError`
+    naming its key before the first step, and `bcbf simulate` exits 2."""
+    key = next(k for k, v in nominal.items() if k != "kind"
+               and not np.all(np.isfinite(np.asarray(v, dtype=float))))
+    sc = toy_scenario(nominal=nominal, filter_on=filter_on)
+    with pytest.raises(ScenarioError, match=f"nominal.{key} must be finite"):
+        simulate(sc)
+    path = write_scenario(tmp_path, nominal=nominal, filter_on=filter_on)
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--scenario", path, "--out", str(out)]) == 2
+    assert f"nominal.{key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +407,42 @@ def test_cli_levelset_warns_on_an_unconverged_baseline(tmp_path, capsys):
     assert rc == 0
     written = json.loads(capsys.readouterr().out)
     assert read_grid(written["hj_grid"]).values.shape == (41, 41)
+
+
+BAD_SLICES = {
+    # an index past the last state axis
+    "di_index_7": ("di_full_throttle", "--grid=-10:12:5,-5:5:5", "--slice=7=1"),
+    "dubins_index_7": ("dubins_edge_push",
+                       "--grid=-2.25:2.25:5,3:7:5,-1.25:1.25:5", "--slice=7=1"),
+    # a negative index is not counted from the end
+    "dubins_index_-1": ("dubins_edge_push",
+                        "--grid=-2.25:2.25:5,3:7:5,-1.25:1.25:5",
+                        "--slice=-1=0"),
+    # slicing a 2-axis grid would leave one axis
+    "di_2_axis": ("di_full_throttle", "--grid=-10:12:5,-5:5:5", "--slice=s=0"),
+}
+
+
+@pytest.mark.parametrize("scenario, grid, slice_arg", BAD_SLICES.values(),
+                         ids=BAD_SLICES.keys())
+def test_cli_levelset_rejects_a_bad_slice_before_the_sweep(
+        tmp_path, capsys, scenario, grid, slice_arg):
+    out = tmp_path / "grids"
+    rc = cli_main(["levelset", "--scenario",
+                   str(SCENARIO_DIR / f"{scenario}.json"), grid, slice_arg,
+                   "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_resolve_axis_accepts_only_state_axes():
+    model = make_benchmark("dubins")[0]
+    assert [resolve_axis(model, a) for a in ("Y", "v", "psi")] == [0, 1, 2]
+    assert [resolve_axis(model, a) for a in (0, 2, "1", "2")] == [0, 2, 1, 2]
+    for bad in (-1, 3, "-1", "3", "speed", True, 1.0):
+        with pytest.raises(GeometryError):
+            resolve_axis(model, bad)
 
 
 def test_cli_validation_exit_code(tmp_path, capsys):

@@ -297,6 +297,81 @@ def test_geometry_validation():
         GridGeometry((0.0, 2.0), (1.0, 1.0), (5, 5), (False, False))
 
 
+DI_SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                           "scenarios", "di_full_throttle.json")
+
+MALFORMED_AXES = {
+    # JSON: one field of axis 0 replaced
+    "json_periodic_string": ("json", ("periodic", "false")),
+    "json_periodic_int": ("json", ("periodic", 1)),
+    "json_count_float": ("json", ("count", 3.7)),
+    "json_count_bool": ("json", ("count", True)),
+    "json_lower_bool": ("json", ("lower", True)),
+    "json_lower_string": ("json", ("lower", "0.0")),
+    "json_lower_nan": ("json", ("lower", float("nan"))),
+    "json_upper_inf": ("json", ("upper", float("inf"))),
+    # CSV: the header line of axis 0
+    "csv_lower_nan": ("csv", "# axis 0: nan 1.0 3"),
+    "csv_lower_inf": ("csv", "# axis 0: -inf 1.0 3"),
+    "csv_upper_inf": ("csv", "# axis 0: 0.0 inf 3"),
+    "csv_count_float": ("csv", "# axis 0: 0.0 1.0 3.7"),
+    "csv_unknown_flag": ("csv", "# axis 0: 0.0 1.0 3 nonperiodic"),
+    "csv_extra_field": ("csv", "# axis 0: 0.0 1.0 3 periodic 1"),
+    # CLI: the --grid spec
+    "cli_lower_nan": ("cli", "nan:12:11,-5:5:11"),
+    "cli_upper_inf": ("cli", "-10:inf:11,-5:5:11"),
+    "cli_count_float": ("cli", "-10:12:3.7,-5:5:11"),
+    "cli_unknown_flag": ("cli", "-10:12:11:yes,-5:5:11"),
+}
+
+
+@pytest.mark.parametrize("form, bad", MALFORMED_AXES.values(),
+                         ids=MALFORMED_AXES.keys())
+def test_malformed_grid_axes_rejected(tmp_path, capsys, form, bad):
+    """A bound that is not a finite number, a count that is not an integer
+    or a flag that is not a boolean is a `GeometryError` (exit 2) in every
+    form a grid arrives in; nothing is coerced."""
+    if form == "cli":
+        out = tmp_path / "grids"
+        rc = cli_main(["levelset", "--scenario", DI_SCENARIO, f"--grid={bad}",
+                       "--out", str(out)])
+        assert rc == 2
+        assert "initial state" not in capsys.readouterr().err
+        assert not out.exists()
+        return
+    geom = GridGeometry((0.0, 0.0), (1.0, 1.0), (3, 3), (False, False))
+    grid = LevelGrid(geom, np.arange(9.0))
+    if form == "json":
+        doc = grid_to_json_dict(grid)
+        doc["axes"][0][bad[0]] = bad[1]
+        with pytest.raises(GeometryError, match="axis 0"):
+            grid_from_json_dict(doc)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+    else:
+        path = tmp_path / "grid.csv"
+        write_grid_csv(grid, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([bad + "\n"] + lines[1:]))
+    with pytest.raises(GeometryError):
+        read_grid(str(path))
+    assert cli_main(["compare", str(path), str(path)]) == 2
+    capsys.readouterr()
+
+
+def test_geometry_rejects_non_finite_bounds_and_coerced_types():
+    good = ((0.0, 0.0), (1.0, 1.0), (3, 3), (False, False))
+    assert GridGeometry(*good) == GridGeometry((0, 0), (1, 1.0),
+                                               (np.int64(3), 3),
+                                               (np.bool_(False), False))
+    for field, value in ((0, math.nan), (0, True), (1, math.inf),
+                         (2, 3.0), (2, True), (3, 0), (3, "false")):
+        args = [list(f) for f in good]
+        args[field][1] = value
+        with pytest.raises(GeometryError, match="axis 1"):
+            GridGeometry(*map(tuple, args))
+
+
 def test_periodic_axis_excludes_endpoint():
     geom = GridGeometry((0.0, -np.pi), (1.0, np.pi), (5, 8), (False, True))
     x = geom.axis_coordinates(1)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from backup_cbf.errors import EvaluationError, ValidationError
 from backup_cbf.systems import (_DUBINS_KY_AGGRESSIVE, _DUBINS_KY_CONSERVATIVE,
                                 BENCHMARK_DEFAULTS, BENCHMARK_NAMES,
-                                BackupPolicy, SystemModel,
+                                BackupPolicy, SystemModel, _bound, _constant,
                                 closed_loop_jacobian, closed_loop_rhs,
                                 di_closed_form_h, loop_rhs, make_benchmark,
                                 smooth_positive_indicator,
@@ -525,3 +525,197 @@ def test_band_only_saturation_matches_where_blend_on_random_batches(y):
                            reference_smooth_saturate_deriv)):
         assert same_bits(fn(np.array(y), -3.0, 3.0, 0.15),
                          reference(np.array(y), -3.0, 3.0, 0.15))
+
+
+# ---------------------------------------------------------------------------
+# Constant terms and bounds against the bodies they had before `_constant`
+# and `_bound`, each kept verbatim below.
+# ---------------------------------------------------------------------------
+
+
+def former_toy(c_level, s_level):
+    def f(x):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return np.ones(x.shape[:-1] + (1, 1))
+
+    def df(x):
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape[:-1] + (1, 1))
+
+    return {"f": f, "g": g, "df": df,
+            "level.h": lambda x: c_level - np.asarray(x, dtype=float)[..., 0] ** 2,
+            "level.grad": lambda x: -2.0 * np.asarray(x, dtype=float)[..., :1],
+            "terminal_level.h": lambda x: s_level - np.asarray(x, dtype=float)[..., 0] ** 2,
+            "terminal_level.grad": lambda x: -2.0 * np.asarray(x, dtype=float)[..., :1]}
+
+
+def former_double_integrator(c_limit):
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (2, 1))
+        out[..., 1, 0] = 1.0
+        return out
+
+    def df(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 1] = 1.0
+        return out
+
+    return {"g": g, "df": df,
+            "position_limit.h": lambda x: c_limit - np.asarray(x, dtype=float)[..., 0],
+            "position_limit.grad": lambda x: np.broadcast_to(
+                np.array([-1.0, 0.0]),
+                np.asarray(x, dtype=float).shape).copy(),
+            "at_rest.h": lambda x: -np.asarray(x, dtype=float)[..., 1],
+            "at_rest.grad": lambda x: np.broadcast_to(
+                np.array([0.0, -1.0]),
+                np.asarray(x, dtype=float).shape).copy()}
+
+
+def former_dubins(y_max, psi_max):
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (3, 2))
+        out[..., 1, 0] = 1.0
+        out[..., 2, 1] = 1.0
+        return out
+
+    def bound(idx, limit, sign):
+        grad_vec = np.zeros(3)
+        grad_vec[idx] = -sign
+
+        def h(x, idx=idx, limit=limit, sign=sign):
+            return limit - sign * np.asarray(x, dtype=float)[..., idx]
+
+        def grad(x, grad_vec=grad_vec):
+            return np.broadcast_to(grad_vec,
+                                   np.asarray(x, dtype=float).shape).copy()
+
+        return h, grad
+
+    out = {"g": g}
+    for name, args in (("lane_left", (0, y_max, +1.0)),
+                       ("lane_right", (0, y_max, -1.0)),
+                       ("heading_left", (2, psi_max, +1.0)),
+                       ("heading_right", (2, psi_max, -1.0))):
+        out[name + ".h"], out[name + ".grad"] = bound(*args)
+    return out
+
+
+def former_aeroplane(v_a, v_b, r_min, r_term):
+    def dg(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (3, 1, 3))
+        out[..., 0, 0, 1] = 1.0
+        out[..., 1, 0, 0] = -1.0
+        return out
+
+    def separation(x):
+        x = np.asarray(x, dtype=float)
+        return x[..., 0] ** 2 + x[..., 1] ** 2 - r_min ** 2
+
+    def divergence(x):
+        x = np.asarray(x, dtype=float)
+        return (x[..., 0] * (-v_a + v_b * np.cos(x[..., 2]))
+                + x[..., 1] * v_b * np.sin(x[..., 2]))
+
+    def grad_divergence(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        out[..., 0] = -v_a + v_b * np.cos(x[..., 2])
+        out[..., 1] = v_b * np.sin(x[..., 2])
+        out[..., 2] = (-x[..., 0] * v_b * np.sin(x[..., 2])
+                       + x[..., 1] * v_b * np.cos(x[..., 2]))
+        return out
+
+    def h_terminal(x):
+        x = np.asarray(x, dtype=float)
+        sep = x[..., 0] ** 2 + x[..., 1] ** 2 - r_term ** 2
+        return np.minimum(sep, divergence(x))
+
+    def grad_terminal(x):
+        x = np.asarray(x, dtype=float)
+        sep = x[..., 0] ** 2 + x[..., 1] ** 2 - r_term ** 2
+        use_sep = sep <= divergence(x)
+        g_sep = np.zeros_like(x)
+        g_sep[..., 0] = 2.0 * x[..., 0]
+        g_sep[..., 1] = 2.0 * x[..., 1]
+        return np.where(use_sep[..., None], g_sep, grad_divergence(x))
+
+    return {"dg": dg, "separation.h": separation,
+            "separated_diverging.h": h_terminal,
+            "separated_diverging.grad": grad_terminal}
+
+
+def current_evaluators(model, spec):
+    """The same keys on a built benchmark: model terms by short name, each
+    constraint's ``h``/``grad`` by constraint name."""
+    out = {"f": model.f_eval, "g": model.g_eval, "df": model.df_dx,
+           "dg": model.dg_dx}
+    for c in spec.constraints + (spec.terminal,):
+        out[c.name + ".h"], out[c.name + ".grad"] = c.h_eval, c.grad_eval
+    return out
+
+
+FORMER_CASES = [
+    ("toy1d", {}, former_toy(4.0, 1.0)),
+    ("toy1d", {"c_level": 2.5, "s_level": 0.0}, former_toy(2.5, 0.0)),
+    ("double_integrator", {}, former_double_integrator(10.0)),
+    ("double_integrator", {"c_limit_m": 0.0}, former_double_integrator(0.0)),
+    ("dubins", {}, former_dubins(1.8, np.pi / 3)),
+    ("dubins", {"profile": "aggressive", "y_max_m": 0.75, "psi_max_rad": 0.5},
+     former_dubins(0.75, 0.5)),
+    ("aeroplane", {}, former_aeroplane(1.0, 1.0, 1.0, 1.2)),
+    ("aeroplane", {"v_a_mps": 1.5, "v_b_mps": 0.5, "r_min_m": 2.0,
+                   "r_terminal_m": 3.0}, former_aeroplane(1.5, 0.5, 2.0, 3.0)),
+]
+
+
+def _former_states(name, n):
+    """Sampled states with ``+-0.0`` entries mixed in, as a (4, 5, n) block."""
+    rng = np.random.default_rng(n)
+    d = BENCHMARK_DEFAULTS[name]
+    states = rng.uniform(d["sample_lower"], d["sample_upper"], size=(20, n))
+    states[:4] = 0.0
+    states[1::2, :] *= -1.0
+    states[4:8, 0] = -0.0
+    states[8:12, -1] = 0.0
+    return states.reshape(4, 5, n)
+
+
+@pytest.mark.parametrize("name, params, former", FORMER_CASES,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(FORMER_CASES)])
+def test_constant_terms_and_bounds_match_former_bodies(name, params, former):
+    """Same bytes, shape, dtype and signs of zeros as the former bodies on
+    one state (array and list), on (B, n) and on (B1, B2, n); array
+    results are fresh and writable, never views shared between calls."""
+    model, _, spec = make_benchmark(name, params)
+    current = current_evaluators(model, spec)
+    block = _former_states(name, model.state_dim)
+    for key, reference in former.items():
+        fn = current[key]
+        for x in (block, block[0], block[0, 0], block[0, 1].tolist()):
+            got, expected = fn(x), reference(x)
+            assert same_bits(got, expected), f"{name} {params} {key} on {np.shape(x)}"
+            assert type(got) is type(expected), key
+            assert not isinstance(got, np.ndarray) or got.flags.writeable, key
+        assert not np.shares_memory(fn(block), fn(block)), key
+
+
+def test_constant_evaluator_builds_from_zeros():
+    """`_constant` assigns only the nonzero entries: every other entry is
+    ``+0.0``, even where ``value`` holds ``-0.0``."""
+    evaluate = _constant([[-0.0, 2.5], [0.0, -1.0]])
+    for shape in ((3,), (4, 3), (2, 5, 3)):
+        out = evaluate(np.ones(shape))
+        assert out.shape == shape[:-1] + (2, 2) and out.dtype == np.float64
+        assert out.flags.writeable and out.flags.c_contiguous
+        assert same_bits(out, np.broadcast_to(
+            np.array([[0.0, 2.5], [0.0, -1.0]]), out.shape).copy())
+    grad = _bound(3, 1, 2.0, 1.0, "b").grad_eval(np.zeros((2, 3)))
+    assert same_bits(grad, np.array([[0.0, -1.0, 0.0]] * 2))
+    assert not np.signbit(grad[:, [0, 2]]).any()
