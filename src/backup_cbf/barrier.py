@@ -36,6 +36,7 @@ from .systems import BackupPolicy, SafetySpec, SystemModel, check_finite
 Array = np.ndarray
 
 TERMINAL_INDEX = -1  # constraint index marking the terminal entry in argmin
+_NONZERO_COEFFICIENT = 1e-8  # terminal-row norm counted as nonzero
 
 
 @dataclass(frozen=True)
@@ -128,12 +129,12 @@ def eval_h_batch(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
     states = np.asarray(states, dtype=float)
     running = [None]
 
-    def observe(_i, _t, xs):
+    def observe(xs):
         vals = path_values(spec, xs)[1]
         running[0] = vals if running[0] is None else np.minimum(running[0], vals)
 
-    _, ends, _ = integrate_flow_batch(model, policy, states, horizon, steps,
-                                      with_sensitivity=False, observer=observe)
+    ends, _ = integrate_flow_batch(model, policy, states, horizon, steps,
+                                   with_sensitivity=False, observer=observe)
     terminal = np.asarray(spec.terminal.h_eval(ends), dtype=float)
     path_min = running[0]
     return BatchBarrierValues(h=np.minimum(path_min, terminal),
@@ -273,33 +274,27 @@ def filter_control(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
 def terminal_row_coefficient(model: SystemModel, policy: BackupPolicy,
                              spec: SafetySpec, states: Array,
                              horizon: float, steps: int) -> Array:
-    """Input coefficient of the terminal row for a batch of states; its
-    norm being nonzero is the relative-degree-one property at that state."""
+    """Input coefficients ``(B, m)`` of the terminal row for states
+    ``(B, n)``; a nonzero norm is the relative-degree-one property."""
     states = np.asarray(states, dtype=float)
-    squeeze = states.ndim == 1
-    if squeeze:
-        states = states[None, :]
-    _, ends, q_end = integrate_flow_batch(model, policy, states, horizon, steps,
-                                          with_sensitivity=True)
+    ends, q_end = integrate_flow_batch(model, policy, states, horizon, steps,
+                                       with_sensitivity=True)
     grad_t = spec.terminal.grad_eval(ends)            # (B, n)
     g0 = model.g_eval(states)                         # (B, n, m)
-    coeff = np.einsum("bi,bik,bkm->bm", grad_t, q_end, g0)
-    return coeff[0] if squeeze else coeff
+    return np.einsum("bi,bik,bkm->bm", grad_t, q_end, g0)
 
 
 def relative_degree_probe(model: SystemModel, policy: BackupPolicy,
                           spec: SafetySpec, lower: Array, upper: Array,
                           count: int, horizon: float, steps: int,
-                          seed: int = 0, tol: float = 1e-8) -> float:
+                          seed: int = 0) -> float:
     """Fraction of uniformly sampled states whose terminal row has a
     nonzero input coefficient."""
     if count < 1:
         raise ValidationError("count must be >= 1")
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
     rng = np.random.default_rng(seed)
     samples = rng.uniform(lower, upper, size=(count, model.state_dim))
     coeff = terminal_row_coefficient(model, policy, spec, samples,
                                      horizon, steps)
     norms = np.linalg.norm(coeff, axis=1)
-    return float(np.mean(norms > tol))
+    return float(np.mean(norms > _NONZERO_COEFFICIENT))

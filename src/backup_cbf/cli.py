@@ -1,8 +1,9 @@
 """Command-line surface: simulate closed loops, sweep level sets, compare
 grids, and time the filter phases along a scenario's closed loop.
 
-Exit codes: 0 on success, 2 on validation/configuration errors, 3 on
-numerical failures.  ``BCBF_THREADS`` caps sweep parallelism.
+Exit codes: 0 on success, 2 on validation/configuration errors (no grid
+file is written), 3 on numerical failures.  ``--grid`` tokens are read by
+the grid CSV header's axis parser; ``BCBF_THREADS`` caps sweep threads.
 """
 
 from __future__ import annotations
@@ -14,33 +15,22 @@ import sys
 
 from .errors import NumericalError, ScenarioError, ValidationError
 from .harness import load_scenario, run_compare, run_levelset, simulate
-from .hjgrid import GridGeometry
+from .hjgrid import (HJ_MAX_STEPS, HJ_TOL, GridGeometry, axis_from_fields,
+                     geometry_from_axes)
 
 
 def _parse_grid_spec(spec: str) -> GridGeometry:
     """Grid spec: one 'lo:hi:count[:periodic]' token per axis, joined by
     commas, in state order.  Example: '-2.25:2.25:61,0:10:61,-1.25:1.25:61'.
     """
-    lower, upper, counts, periodic = [], [], [], []
+    axes = []
     for token in spec.split(","):
-        parts = token.strip().split(":")
-        if len(parts) not in (3, 4):
-            raise ValidationError(f"bad grid axis token {token!r}; expected "
-                                  "lo:hi:count[:periodic]")
         try:
-            lower.append(float(parts[0]))
-            upper.append(float(parts[1]))
-            counts.append(int(parts[2]))
+            axes.append(axis_from_fields(token.strip().split(":")))
         except ValueError as exc:
-            raise ValidationError(f"bad grid axis token {token!r}") from exc
-        if len(parts) == 4:
-            if parts[3] != "periodic":
-                raise ValidationError(f"bad axis flag {parts[3]!r}")
-            periodic.append(True)
-        else:
-            periodic.append(False)
-    return GridGeometry(tuple(lower), tuple(upper), tuple(counts),
-                        tuple(periodic))
+            raise ValidationError(f"bad grid axis token {token!r}; expected "
+                                  "lo:hi:count[:periodic]") from exc
+    return geometry_from_axes(axes)
 
 
 def _parse_slices(tokens: list[str]) -> list[tuple[str, float]]:
@@ -124,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-axis lo:hi:count[:periodic], comma separated")
     p.add_argument("--hj", action="store_true",
                    help="also solve the grid-based invariant-set baseline")
-    p.add_argument("--hj-tol", type=float, default=1e-3)
-    p.add_argument("--hj-max-steps", type=int, default=5000)
+    p.add_argument("--hj-tol", type=float, default=HJ_TOL)
+    p.add_argument("--hj-max-steps", type=int, default=HJ_MAX_STEPS)
     p.add_argument("--slice", action="append",
                    help="axis=value, may repeat")
     p.add_argument("--out", default="")

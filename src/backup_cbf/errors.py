@@ -15,7 +15,11 @@ class ScenarioError(ValidationError):
 
 
 class GeometryError(ValidationError):
-    """Grid geometries are inconsistent or malformed."""
+    """Grid geometries are inconsistent or malformed (at ``axis``, if set)."""
+
+    def __init__(self, message: str, axis: int | None = None):
+        super().__init__(message)
+        self.axis = axis
 
 
 class NumericalError(RuntimeError):

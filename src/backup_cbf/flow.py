@@ -194,29 +194,27 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
 def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
                          horizon: float, steps: int, *,
                          with_sensitivity: bool = True,
-                         observer: Callable[[int, float, Array], None] | None = None,
-                         ) -> tuple[Array, Array, Array | None]:
+                         observer: Callable[[Array], None] | None = None,
+                         ) -> tuple[Array, Array | None]:
     """Advance a batch of initial states ``x0s`` of shape ``(B, n)``.
 
-    Only the endpoint is kept; ``observer(i, tau_i, states)`` is invoked at
-    every grid point (including i = 0) for callers that fold over the path,
-    e.g. running constraint minima.  Returns ``(times, end_states, end_Q)``
-    with ``end_Q = None`` when sensitivities are switched off.
+    Only the endpoint is kept; ``observer(states)`` is invoked at every
+    grid point, ``x0s`` included, for callers that fold over the path,
+    e.g. running constraint minima.  Returns ``(end_states, end_Q)`` with
+    ``end_Q = None`` when sensitivities are switched off.
 
     The sensitivity is stepped as the states go: after each step, the loop
     Jacobians at its four recorded stage points come from one stacked
     evaluation, so memory does not grow with ``steps``.
     """
-    x0s = np.asarray(x0s, dtype=float)
+    x0s = _check_args(x0s, horizon, steps)
     if x0s.ndim != 2 or x0s.shape[1] != model.state_dim:
         raise ValidationError("x0s must have shape (batch, state_dim)")
-    _check_args(x0s, horizon, steps)
     b, n = x0s.shape
     dt = horizon / steps
-    times = np.linspace(0.0, horizon, steps + 1)
     q = np.broadcast_to(np.eye(n), (b, n, n)).copy() if with_sensitivity else None
     if observer is not None:
-        observer(0, times[0], x0s)
+        observer(x0s)
     deriv = partial(loop_rhs, model, policy)
     x = x0s
     for i in range(1, steps + 1):
@@ -229,8 +227,8 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
         if not (np.isfinite(x).all() and (q is None or np.isfinite(q).all())):
             raise _divergence(i, i * dt, x, q)
         if observer is not None:
-            observer(i, times[i], x)
-    return times, x, q
+            observer(x)
+    return x, q
 
 
 def sensitivity_fd_check(model: SystemModel, policy: BackupPolicy, x0: Array,
@@ -252,8 +250,8 @@ def sensitivity_fd_check(model: SystemModel, policy: BackupPolicy, x0: Array,
     for j in range(n):
         perturbed[2 * j, j] += fd_step
         perturbed[2 * j + 1, j] -= fd_step
-    _, ends, _ = integrate_flow_batch(model, policy, perturbed, horizon, steps,
-                                      with_sensitivity=False)
+    ends, _ = integrate_flow_batch(model, policy, perturbed, horizon, steps,
+                                   with_sensitivity=False)
     fd = np.empty((n, n))
     for j in range(n):
         fd[:, j] = (ends[2 * j] - ends[2 * j + 1]) / (2.0 * fd_step)

@@ -25,9 +25,10 @@ from .barrier import filter_control
 from .errors import (GeometryError, NumericalError, ScenarioError,
                      ValidationError)
 from .flow import rk4_step
-from .hjgrid import (GridGeometry, LevelGrid, compare_sets, constraint_grid,
-                     read_grid, solve_invariant, sweep_backup_h, write_grid_csv,
-                     write_grid_json)
+from .hjgrid import (HJ_MAX_STEPS, HJ_TOL, GridGeometry, LevelGrid,
+                     axis_records, compare_sets, constraint_grid,
+                     geometry_from_axes, read_grid, solve_invariant,
+                     sweep_backup_h, write_grid_csv, write_grid_json)
 from .qp import QpSolver
 from .systems import (BENCHMARK_DEFAULTS, BackupPolicy, SafetySpec, SystemModel,
                       is_finite_real, make_benchmark)
@@ -349,23 +350,33 @@ def simulate(scenario: Scenario) -> SimLog:
 # ---------------------------------------------------------------------------
 
 
+def _plane_index(geom: GridGeometry, axis: int, value: float) -> int:
+    """The node of ``axis`` nearest ``value``, modulo the period on a
+    periodic axis; `GeometryError` unless ``value`` is finite and, on any
+    other axis, at most half a spacing outside ``[lower, upper]``."""
+    lo, hi = geom.lower[axis], geom.upper[axis]
+    half = 0.5 * geom.spacing(axis)
+    if not (is_finite_real(value) and (geom.periodic_axes[axis]
+                                       or lo - half <= value <= hi + half)):
+        raise GeometryError(f"slice value {value!r} is not a finite number within "
+                            f"half a spacing of axis {axis} [{lo!r}, {hi!r}]")
+    gap = np.abs(geom.axis_coordinates(axis) - value)
+    if geom.periodic_axes[axis]:
+        gap = np.minimum(gap % (hi - lo), (hi - lo) - gap % (hi - lo))
+    return int(np.argmin(gap))
+
+
 def slice_grid(grid: LevelGrid, axis: int, value: float) -> LevelGrid:
-    """Fix one axis at the node nearest ``value``; the result must still be
-    a valid 2- or 3-axis grid."""
+    """Fix one axis at the node `_plane_index` picks for ``value``; the
+    result must still be a valid 2- or 3-axis grid."""
     geom = grid.geometry
     if geom.dims - 1 < 2:
         raise GeometryError("slice would leave fewer than 2 axes")
     if not 0 <= axis < geom.dims:
         raise GeometryError(f"axis {axis} out of range")
-    coords = geom.axis_coordinates(axis)
-    idx = int(np.argmin(np.abs(coords - value)))
-    keep = [i for i in range(geom.dims) if i != axis]
-    sub = GridGeometry(tuple(geom.lower[i] for i in keep),
-                       tuple(geom.upper[i] for i in keep),
-                       tuple(geom.counts[i] for i in keep),
-                       tuple(geom.periodic_axes[i] for i in keep))
-    values = np.take(grid.values, idx, axis=axis)
-    return LevelGrid(sub, values)
+    axes = [a for i, a in enumerate(axis_records(geom)) if i != axis]
+    return LevelGrid(geometry_from_axes(axes),
+                     np.take(grid.values, _plane_index(geom, axis, value), axis))
 
 
 def resolve_axis(model: SystemModel, name_or_index: str | int) -> int:
@@ -385,7 +396,8 @@ def resolve_axis(model: SystemModel, name_or_index: str | int) -> int:
 def run_levelset(scenario: Scenario, geometry: GridGeometry,
                  slices: Sequence[tuple[str | int, float]] = (),
                  out_dir: str = ".", include_hj: bool = False,
-                 hj_tol: float = 1e-3, hj_max_steps: int = 5000) -> dict:
+                 hj_tol: float = HJ_TOL, hj_max_steps: int = HJ_MAX_STEPS
+                 ) -> dict:
     """Sweep the implicit barrier over the grid (optionally also the
     baseline invariant-set field), write each grid as CSV and JSON and each
     requested slice of it as CSV; returns the map of written paths.  Slices
@@ -397,6 +409,7 @@ def run_levelset(scenario: Scenario, geometry: GridGeometry,
     planes = []
     for name_or_index, value in slices:
         axis = resolve_axis(model, name_or_index)
+        _plane_index(geometry, axis, value)
         planes.append((f"slice_{model.state_names[axis]}_{value:g}",
                        axis, value))
     grids = {"backup": sweep_backup_h(model, policy, spec, geometry,

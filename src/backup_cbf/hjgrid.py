@@ -37,6 +37,11 @@ from .systems import BackupPolicy, SafetySpec, SystemModel, is_finite_real
 Array = np.ndarray
 
 
+# value-iteration defaults of `solve_invariant`, `run_levelset` and the CLI
+HJ_TOL, HJ_MAX_STEPS = 1e-3, 5000
+_SWEEP_CHUNK = 32768            # grid nodes per batch flow (one thread's job)
+
+
 def _threads() -> int:
     raw = os.environ.get("BCBF_THREADS") or "1"
     if not (raw.isdecimal() and int(raw) >= 1):
@@ -45,13 +50,16 @@ def _threads() -> int:
     return int(raw)
 
 
-_AXIS_CHECKS = (                # (what each entry must be, field, check)
-    ("lower bound must be a finite number", "lower", is_finite_real),
-    ("upper bound must be a finite number", "upper", is_finite_real),
-    ("count must be an integer", "counts",
-     lambda c: isinstance(c, (int, np.integer)) and not isinstance(c, bool)),
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+_AXIS_CHECKS = (           # (what each entry must be, field, check, type)
+    ("lower bound must be a finite number", "lower", is_finite_real, float),
+    ("upper bound must be a finite number", "upper", is_finite_real, float),
+    ("count must be an integer", "counts", _is_integer, int),
     ("periodic flag must be true or false", "periodic_axes",
-     lambda p: isinstance(p, (bool, np.bool_))),
+     lambda p: isinstance(p, (bool, np.bool_)), bool),
 )
 
 
@@ -76,19 +84,15 @@ class GridGeometry:
             raise GeometryError("grids must have 2 or 3 axes")
         if not (len(self.lower) == len(self.upper) == len(self.periodic_axes) == dims):
             raise GeometryError("axis field lengths disagree")
-        for what, values, check in _AXIS_CHECKS:
-            for i, value in enumerate(getattr(self, values)):
+        for what, field, check, kind in _AXIS_CHECKS:
+            for i, value in enumerate(getattr(self, field)):
                 if not check(value):
-                    raise GeometryError(f"axis {i} {what}, got {value!r}")
-        if any(c < 3 for c in self.counts):
-            raise GeometryError("each axis needs at least 3 points")
-        if any(l >= u for l, u in zip(self.lower, self.upper)):
-            raise GeometryError("each axis needs lower < upper")
-        object.__setattr__(self, "lower", tuple(float(v) for v in self.lower))
-        object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        object.__setattr__(self, "periodic_axes",
-                           tuple(bool(p) for p in self.periodic_axes))
+                    raise GeometryError(f"axis {i} {what}, got {value!r}", i)
+            object.__setattr__(self, field, tuple(map(kind, getattr(self, field))))
+        for i, (lo, hi, n) in enumerate(zip(self.lower, self.upper, self.counts)):
+            if n < 3 or lo >= hi:
+                raise GeometryError(f"axis {i} needs at least 3 points and lower "
+                                    f"< upper, got {n} on [{lo!r}, {hi!r}]", i)
 
     @property
     def dims(self) -> int:
@@ -146,10 +150,6 @@ class LevelGrid:
             raise GeometryError("grid values must be finite")
         object.__setattr__(self, "values", values)
 
-    @property
-    def dims(self) -> int:
-        return self.geometry.dims
-
     def membership(self, threshold: float = 0.0) -> Array:
         return self.values >= threshold
 
@@ -188,27 +188,28 @@ def _side_values(v: Array, axis: int, periodic: bool) -> tuple[Array, Array]:
     return np.moveaxis(prev, 0, axis), np.moveaxis(nxt, 0, axis)
 
 
-def solve_invariant(grid0: LevelGrid, model: SystemModel, dt: float | None = None,
-                    tol: float = 1e-3, max_steps: int = 5000,
-                    value_floor: float | None = None) -> LevelGrid:
+def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
+                    max_steps: int = HJ_MAX_STEPS) -> LevelGrid:
     """Run the frozen value iteration from the constraint field ``grid0``
     until the sup-norm update drops below ``tol`` or ``max_steps`` passes.
 
+    ``tol`` must be a finite number >= 0 and ``max_steps`` an integer >= 1.
     The result carries a `SolveRecord` as ``solve``.  Running out of
     ``max_steps`` is not an error: the field is returned with
     ``converged=False``, and with a `ConvergenceWarning` naming the pass
     count and the final update when ``tol > 0`` (``tol = 0`` asks for a
     fixed number of passes and stays silent).
 
-    ``dt = None`` picks 90% of the Lax-Friedrichs stability bound; an
-    explicit ``dt`` beyond the bound is rejected, and value blow-up during
-    iteration aborts with a diagnostic.  Values are clamped from below at
-    ``value_floor`` (default: two field ranges under the field minimum);
-    only the zero level matters for set membership, and the clamp stops
-    cells whose true value drains out of the domain from delaying
-    convergence.  A floor above the minimum of ``grid0`` is rejected, as it
-    would lift violating cells, possibly to the safe side.
+    The pseudo-time step is 90% of the Lax-Friedrichs stability bound, and
+    value blow-up during iteration aborts with a diagnostic.  Values are
+    clamped from below at ``min - 2 max(range, 1)`` of ``grid0``; only the
+    zero level matters for set membership, and the clamp stops cells whose
+    true value drains out of the domain from delaying convergence.
     """
+    if not (is_finite_real(tol) and tol >= 0.0 and _is_integer(max_steps)
+            and max_steps >= 1):
+        raise ValidationError(f"tol must be a finite number >= 0 and max_steps "
+                              f"an integer >= 1, got {tol!r} and {max_steps!r}")
     geom = grid0.geometry
     if model.state_dim != geom.dims:
         raise GeometryError("grid dimension does not match the model")
@@ -226,22 +227,10 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, dt: float | None = Non
              + np.abs(g_nodes).max(axis=0) @ u_abs)
     spacings = np.array([geom.spacing(i) for i in range(geom.dims)])
     cfl_rate = float(np.sum(alpha / spacings))
-    if dt is None:
-        dt = 0.9 / cfl_rate if cfl_rate > 0.0 else 1.0
-    if dt <= 0.0:
-        raise ValidationError("dt must be > 0")
-    if cfl_rate * dt > 1.0 + 1e-12:
-        raise ValidationError(
-            f"dt = {dt:.4g} violates the stability bound {1.0 / cfl_rate:.4g}")
+    dt = 0.9 / cfl_rate if cfl_rate > 0.0 else 1.0
 
     v = grid0.values.copy()
-    if value_floor is None:
-        v_range = float(v.max() - v.min())
-        value_floor = float(v.min()) - 2.0 * max(v_range, 1.0)
-    elif value_floor > v.min():
-        raise ValidationError(f"value_floor {value_floor:.6g} exceeds the "
-                              f"field minimum {float(v.min()):.6g}")
-    delta, passes = math.inf, 0
+    value_floor = float(v.min()) - 2.0 * max(float(v.max() - v.min()), 1.0)
     for step in range(max_steps):
         grads_c = np.empty(shape + (geom.dims,))
         diss = np.zeros(shape)
@@ -276,21 +265,22 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, dt: float | None = Non
 
 
 def sweep_backup_h(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
-                   geometry: GridGeometry, horizon: float, steps: int,
-                   chunk: int = 32768) -> LevelGrid:
-    """Evaluate the implicit barrier at every grid node (batched; node
-    chunks run on up to ``BCBF_THREADS`` threads).  A diverging flow raises
+                   geometry: GridGeometry, horizon: float, steps: int
+                   ) -> LevelGrid:
+    """Evaluate the implicit barrier at every grid node, one batch flow per
+    chunk of 32768 nodes (chunks run on up to ``BCBF_THREADS`` threads; the
+    values do not depend on it).  A diverging flow raises
     `FlowDivergenceError` naming the first diverging node of its chunk (its
     C-order index in ``geometry.nodes()`` as ``row``, and its coordinates)."""
     if model.state_dim != geometry.dims:
         raise GeometryError("grid dimension does not match the model")
     pts = geometry.nodes()
-    starts = range(0, pts.shape[0], chunk)
+    starts = range(0, pts.shape[0], _SWEEP_CHUNK)
 
     def work(start: int) -> Array:
         try:
-            return eval_h_batch(model, policy, spec, pts[start:start + chunk],
-                                horizon, steps).h
+            return eval_h_batch(model, policy, spec,
+                                pts[start:start + _SWEEP_CHUNK], horizon, steps).h
         except FlowDivergenceError as exc:
             node = start + exc.row
             raise FlowDivergenceError(
@@ -334,23 +324,16 @@ def compare_sets(grid_a: LevelGrid, grid_b: LevelGrid,
     }
 
 
-def dilate_set(grid: LevelGrid, threshold: float = 0.0, cells: int = 1) -> Array:
-    """Membership mask grown by ``cells`` grid cells along every axis
-    (wrapping on periodic axes); the standard one-cell tolerance for
+def dilate_set(grid: LevelGrid) -> Array:
+    """Zero-superlevel membership mask grown by one grid cell along every
+    axis (wrapping on periodic axes); the standard one-cell tolerance for
     grid-set containment checks."""
-    mask = grid.membership(threshold)
-    for _ in range(cells):
-        grown = mask.copy()
-        for ax in range(grid.dims):
-            if grid.geometry.periodic_axes[ax]:
-                grown |= np.roll(mask, 1, axis=ax)
-                grown |= np.roll(mask, -1, axis=ax)
-            else:
-                prev, nxt = _side_values(mask.astype(float), ax, False)
-                grown |= prev > 0.5
-                grown |= nxt > 0.5
-        mask = grown
-    return mask
+    mask = grid.membership()
+    grown, field = mask.copy(), mask.astype(float)
+    for ax, periodic in enumerate(grid.geometry.periodic_axes):
+        prev, nxt = _side_values(field, ax, periodic)
+        grown |= (prev > 0.5) | (nxt > 0.5)
+    return grown
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +345,26 @@ def dilate_set(grid: LevelGrid, threshold: float = 0.0, cells: int = 1) -> Array
 _BLOCK_ROWS = 4096
 
 
-def _axis_records(geom: GridGeometry) -> list[dict]:
-    """One record per axis: the CSV header lines and the JSON ``axes``."""
+def axis_records(geom: GridGeometry) -> list[dict]:
+    """One record per axis: the CSV header lines and the JSON ``axes``
+    (`geometry_from_axes` inverts it)."""
     return [{"lower": geom.lower[i], "upper": geom.upper[i],
              "count": geom.counts[i], "periodic": geom.periodic_axes[i]}
             for i in range(geom.dims)]
 
 
-def _geometry_from_axes(axes: list[dict]) -> GridGeometry:
+def axis_from_fields(fields: list[str]) -> dict:
+    """The axis record of the text fields ``lower upper count [periodic]``
+    (a ``--grid`` token split at colons, a CSV axis header at blanks), or
+    `ValueError`; `GridGeometry` checks the values."""
+    if len(fields) < 3 or fields[3:] not in ([], ["periodic"]):
+        raise ValueError("expected lower upper count [periodic]")
+    return {"lower": float(fields[0]), "upper": float(fields[1]),
+            "count": int(fields[2]), "periodic": len(fields) == 4}
+
+
+def geometry_from_axes(axes: list[dict]) -> GridGeometry:
+    """The geometry of axis records (``periodic`` defaults to false)."""
     return GridGeometry(tuple(a["lower"] for a in axes),
                         tuple(a["upper"] for a in axes),
                         tuple(a["count"] for a in axes),
@@ -387,7 +382,7 @@ def write_grid_csv(grid: LevelGrid, path: str) -> None:
     flat = grid.values.ravel()
     row = ",".join(["{}"] * geom.dims + ["{!r}"] * (geom.dims + 1)) + "\n"
     with open(path, "w") as fh:
-        for i, a in enumerate(_axis_records(geom)):
+        for i, a in enumerate(axis_records(geom)):
             flag = " periodic" if a["periodic"] else ""
             fh.write(f"# axis {i}: {a['lower']!r} {a['upper']!r} "
                      f"{a['count']}{flag}\n")
@@ -400,28 +395,30 @@ def write_grid_csv(grid: LevelGrid, path: str) -> None:
             fh.writelines(map(row.format, *cols))
 
 
-def _read_csv_header(fh, path: str) -> tuple[list[dict], int, str]:
-    """Axis records from the leading ``#`` lines; also returns the number
-    of lines before the first data line, and that line (``""`` at end of
-    file)."""
-    axes, lineno = [], 0
+def _read_csv_header(fh, path: str) -> tuple[GridGeometry, int, str]:
+    """The geometry of the leading ``#`` lines (errors name the header line
+    of their axis, else the first); also returns the number of lines before
+    the first data line, and that line (``""`` at end of file)."""
+    axes, lineno, first = [], 0, ""
     for line in fh:
         lineno += 1
         text = line.strip()
         if not text:
             continue
         if not text.startswith("#"):
-            return axes, lineno - 1, line
+            first, lineno = line, lineno - 1
+            break
         try:
-            fields = text.split(":", 1)[1].split()
-            if fields[3:] not in ([], ["periodic"]):
-                raise ValueError("expected lower upper count [periodic]")
-            axes.append({"lower": float(fields[0]), "upper": float(fields[1]),
-                         "count": int(fields[2]), "periodic": len(fields) == 4})
-        except (ValueError, IndexError) as exc:
+            axes.append(dict(axis_from_fields(text.partition(":")[2].split()),
+                             line=lineno))
+        except ValueError as exc:
             raise GeometryError(
                 f"{path}:{lineno}: bad axis header: {text!r}") from exc
-    return axes, lineno, ""
+    try:
+        return geometry_from_axes(axes), lineno, first
+    except GeometryError as exc:
+        at = axes[exc.axis or 0]["line"] if axes else 1
+        raise GeometryError(f"{path}:{at}: {exc}") from exc
 
 
 def _decode_block(lines: list[str], lineno: int, geom: GridGeometry,
@@ -470,8 +467,7 @@ def read_grid_csv(path: str) -> LevelGrid:
     """Read a grid CSV: the axis header, then exactly one row per cell in
     row-major order (the coordinate columns are not read back)."""
     with open(path) as fh:
-        axes, lineno, first = _read_csv_header(fh, path)
-        geom = _geometry_from_axes(axes)
+        geom, lineno, first = _read_csv_header(fh, path)
         values = np.empty(math.prod(geom.counts))
         filled, lineno = 0, lineno + 1
         data = chain([first], fh) if first else iter(())
@@ -485,13 +481,13 @@ def read_grid_csv(path: str) -> LevelGrid:
 
 
 def grid_to_json_dict(grid: LevelGrid) -> dict:
-    return {"axes": _axis_records(grid.geometry),
+    return {"axes": axis_records(grid.geometry),
             "values": grid.values.ravel().tolist()}
 
 
 def grid_from_json_dict(doc: dict) -> LevelGrid:
     try:
-        geom = _geometry_from_axes(doc["axes"])
+        geom = geometry_from_axes(doc["axes"])
         values = np.asarray(doc["values"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise GeometryError(f"malformed grid JSON: {exc}") from exc

@@ -232,8 +232,9 @@ def test_probe_toy_positive_box():
 
 def test_probe_toy_singular_origin():
     model, policy, spec = make_benchmark("toy1d")
-    coeff = terminal_row_coefficient(model, policy, spec, np.array([0.0]),
+    coeff = terminal_row_coefficient(model, policy, spec, np.array([[0.0]]),
                                      1.0, 100)
+    assert coeff.shape == (1, 1)
     assert np.linalg.norm(coeff) <= 1e-8
 
 

@@ -195,7 +195,7 @@ def test_flow_restart_invariance():
 def test_batch_matches_single():
     model, policy, _ = make_benchmark("aeroplane")
     x0s = np.array([[4.0, 0.3, np.pi], [-2.0, 1.0, 0.5], [1.0, -3.0, -1.0]])
-    times, ends, q_end = integrate_flow_batch(model, policy, x0s, 2.0, 50)
+    ends, q_end = integrate_flow_batch(model, policy, x0s, 2.0, 50)
     for i, x0 in enumerate(x0s):
         traj = integrate_flow(model, policy, x0, 2.0, 50)
         assert np.allclose(ends[i], traj.states[-1], atol=1e-12)
@@ -288,11 +288,11 @@ def test_two_phase_flow_matches_reference_march(case):
             integrate_flow_batch(model, policy, x0s, horizon, steps)
         assert err.value.step == ref
         return
-    _, ends, q_end = integrate_flow_batch(model, policy, x0s, horizon, steps)
+    ends, q_end = integrate_flow_batch(model, policy, x0s, horizon, steps)
     assert np.array_equal(ends, ref[0][-1])
     assert_sensitivity_close(q_end, ref[1][-1])
-    _, ends, _ = integrate_flow_batch(model, policy, x0s, horizon, steps,
-                                      with_sensitivity=False)
+    ends, _ = integrate_flow_batch(model, policy, x0s, horizon, steps,
+                                   with_sensitivity=False)
     assert np.array_equal(ends, ref[0][-1])
 
 
@@ -332,8 +332,8 @@ def test_sensitivity_only_divergence_reports_step():
     assert err.value.step == expected
     # from x0 = -4, Q11 = exp(25 ((t - 4)^2 - 16)) stays bounded on [0, 8]
     x0s = np.array([[-4.0, 0.0], [0.0, 0.0]])
-    _, ends, _ = integrate_flow_batch(model, policy, x0s, 8.0, 800,
-                                      with_sensitivity=False)
+    ends, _ = integrate_flow_batch(model, policy, x0s, 8.0, 800,
+                                   with_sensitivity=False)
     assert np.all(np.isfinite(ends))
     assert reference_march(model, policy, x0s, 8.0, 800) == expected
     with pytest.raises(FlowDivergenceError) as batch_err:

@@ -2,6 +2,7 @@
 surface."""
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -330,6 +331,32 @@ def test_slice_degenerate_rejected():
         slice_grid(grid, 0, 0.5)
 
 
+def test_slice_picks_the_nearest_plane_modulo_the_period():
+    """On the aeroplane's periodic 31-point heading axis (nodes -pi ..
+    2.939) 3.14 is nearest node 0 (-pi, the same heading as pi) and 6.0
+    node 14; a non-periodic axis takes a value up to half a spacing past
+    its ends and refuses one further out."""
+    geom = GridGeometry((-6.0, -6.0, -math.pi), (6.0, 6.0, math.pi),
+                        (31, 31, 31), (False, False, True))
+    planes = np.broadcast_to(np.arange(31.0), geom.counts)
+    grid = LevelGrid(geom, planes.ravel())
+
+    def picked(axis, value):
+        return float(slice_grid(grid, axis, value).values.flat[0])
+
+    assert [picked(2, v) for v in (3.14, 6.0, -2.9156, -math.pi - 0.05,
+                                   3 * math.pi)] == [0, 14, 1, 0, 0]
+    cols = LevelGrid(geom, np.moveaxis(planes, 2, 0).ravel())
+    half = 0.5 * geom.spacing(0)
+    assert float(slice_grid(cols, 0, 6.0 + 0.999 * half).values.flat[0]) == 30
+    assert float(slice_grid(cols, 0, -6.0 - 0.999 * half).values.flat[0]) == 0
+    for value in (6.0 + 1.001 * half, -100.0, math.nan, math.inf):
+        with pytest.raises(GeometryError, match="slice value"):
+            slice_grid(cols, 0, value)
+    with pytest.raises(GeometryError, match="slice value"):
+        slice_grid(grid, 2, math.inf)
+
+
 def test_run_compare_self_is_unity(tmp_path):
     sc = Scenario(benchmark="double_integrator", x0=(0.0, 0.0),
                   nominal={"kind": "constant", "value": [0.0]},
@@ -420,6 +447,11 @@ BAD_SLICES = {
                         "--slice=-1=0"),
     # slicing a 2-axis grid would leave one axis
     "di_2_axis": ("di_full_throttle", "--grid=-10:12:5,-5:5:5", "--slice=s=0"),
+    # a value far outside a non-periodic axis (v in [-1, 11])
+    "dubins_v_100": ("dubins_edge_push",
+                     "--grid=-2.25:2.25:5,-1:11:5,-1.25:1.25:5", "--slice=v=100"),
+    "dubins_v_nan": ("dubins_edge_push",
+                     "--grid=-2.25:2.25:5,-1:11:5,-1.25:1.25:5", "--slice=v=nan"),
 }
 
 

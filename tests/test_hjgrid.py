@@ -1,5 +1,6 @@
 """Grid baseline: closed-form Hamiltonian, value iteration, comparisons, IO."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backup_cbf import hjgrid
 from backup_cbf.barrier import eval_h_batch
+from backup_cbf.cli import _parse_grid_spec
 from backup_cbf.cli import main as cli_main
 from backup_cbf.errors import (ConvergenceWarning, FlowDivergenceError,
                                GeometryError, ValidationError)
@@ -157,41 +160,71 @@ def test_solve_record_of_a_converged_field():
     geom = GridGeometry((-2.0, -1.0), (2.0, 1.0), (41, 5), (False, False))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = solve_invariant(constraint_grid(geom, spec), model, tol=1e-3,
-                              dt=0.02)
+        out = solve_invariant(constraint_grid(geom, spec), model, tol=1e-3)
     record = out.solve
     assert record.converged is True
     assert 1 <= record.iterations < 5000
     assert record.final_update < 1e-3
-    assert record.dt == 0.02
-    # |dH/dp_0| <= 1 on a spacing of 0.1: rate 10 per unit time
-    assert record.cfl_ratio == pytest.approx(0.2)
+    # |dH/dp_0| <= 1 on a spacing of 0.1: rate 10 per unit time, and the
+    # step is 90 % of the bound 1 / 10
+    assert record.dt == pytest.approx(0.09)
+    assert record.cfl_ratio == pytest.approx(0.9)
     # grids that no value iteration produced carry no record
     assert constraint_grid(geom, spec).solve is None
 
 
-def test_cfl_validation():
+def test_value_floor_is_two_ranges_below_the_field_minimum():
+    """Under xdot = 2 + u, u in [-1, 1], every value drains out through the
+    right edge, so the clamp binds: the field settles on
+    ``min - 2 max(range, 1)`` of the constraint field.  With or without
+    the drift, no cell is lifted above its start and none falls below."""
     model, spec = single_integrator_2d()
+    drift = dataclasses.replace(model,
+                                f_eval=lambda x: model.f_eval(x) + [2.0, 0.0])
     geom = GridGeometry((-2.0, -1.0), (2.0, 1.0), (41, 5), (False, False))
     grid0 = constraint_grid(geom, spec)
-    with pytest.raises(ValidationError):
-        solve_invariant(grid0, model, dt=10.0)
-    with pytest.raises(ValidationError):
-        solve_invariant(grid0, model, dt=-0.1)
-
-
-def test_value_floor_above_field_minimum_rejected():
-    """A floor above the constraint field would lift violating cells (with
-    a floor above 0, to the safe side), so it is refused up front."""
-    model, spec = single_integrator_2d()
-    geom = GridGeometry((-2.0, -1.0), (2.0, 1.0), (41, 5), (False, False))
-    grid0 = constraint_grid(geom, spec)
-    floor = float(grid0.values.min())
-    with pytest.raises(ValidationError, match="value_floor"):
-        solve_invariant(grid0, model, value_floor=floor + 1.0)
-    out = solve_invariant(grid0, model, value_floor=floor)
+    low, high = float(grid0.values.min()), float(grid0.values.max())
+    floor = low - 2.0 * max(high - low, 1.0)
+    assert floor == -5.0
+    for m in (model, drift):
+        out = solve_invariant(grid0, m)
+        assert np.all(out.values <= grid0.values)
+        assert out.values.min() >= floor
     assert out.values.min() == floor
-    assert np.all(out.values <= grid0.values + 1e-12)
+
+
+BAD_SOLVE_LIMITS = [{"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf},
+                    {"tol": "0.1"}, {"max_steps": -3}, {"max_steps": 0},
+                    {"max_steps": 2.0}, {"max_steps": True}]
+
+
+@pytest.mark.parametrize("limits", BAD_SOLVE_LIMITS)
+def test_solve_rejects_a_bad_tolerance_or_step_cap(limits):
+    """A NaN, negative or infinite tolerance would never stop the iteration
+    early, and a step cap below 1 would return the constraint field
+    unsolved: both are refused, while ``tol = 0`` (a fixed pass count)
+    stays valid."""
+    model, spec = single_integrator_2d()
+    geom = GridGeometry((-2.0, -1.0), (2.0, 1.0), (41, 5), (False, False))
+    grid0 = constraint_grid(geom, spec)
+    [value] = limits.values()
+    with pytest.raises(ValidationError, match=f"got .*{value!r}"):
+        solve_invariant(grid0, model, **limits)
+    fixed = solve_invariant(grid0, model, tol=0.0, max_steps=1)
+    assert fixed.solve.iterations == 1
+
+
+@pytest.mark.parametrize("flag", ["--hj-tol=nan", "--hj-tol=-1",
+                                  "--hj-max-steps=-3", "--hj-max-steps=0"])
+def test_cli_levelset_rejects_a_bad_tolerance_or_step_cap(tmp_path, capsys,
+                                                         flag):
+    out = tmp_path / "grids"
+    rc = cli_main(["levelset", "--scenario", DI_SCENARIO,
+                   "--grid=-10:12:21,-5:5:21", "--hj", "--hj-max-steps=50",
+                   flag, "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +258,8 @@ def test_sweep_respects_thread_env(monkeypatch):
     geom = GridGeometry((-10.0, -5.0), (12.0, 5.0), (11, 9), (False, False))
     base = sweep_backup_h(model, policy, spec, geom, 10.0, 50)
     monkeypatch.setenv("BCBF_THREADS", "4")
-    threaded = sweep_backup_h(model, policy, spec, geom, 10.0, 50, chunk=16)
+    monkeypatch.setattr(hjgrid, "_SWEEP_CHUNK", 16)
+    threaded = sweep_backup_h(model, policy, spec, geom, 10.0, 50)
     assert np.array_equal(base.values, threaded.values)
 
 
@@ -291,10 +325,11 @@ def test_dilate_wraps_periodic_axis():
 def test_geometry_validation():
     with pytest.raises(GeometryError):
         GridGeometry((0.0,), (1.0,), (5,), (False,))          # 1-D
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="axis 0 needs at least 3 points"):
         GridGeometry((0.0, 0.0), (1.0, 1.0), (2, 5), (False, False))
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="axis 1 needs .* lower < upper") as err:
         GridGeometry((0.0, 2.0), (1.0, 1.0), (5, 5), (False, False))
+    assert err.value.axis == 1
 
 
 DI_SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
@@ -310,6 +345,7 @@ MALFORMED_AXES = {
     "json_lower_string": ("json", ("lower", "0.0")),
     "json_lower_nan": ("json", ("lower", float("nan"))),
     "json_upper_inf": ("json", ("upper", float("inf"))),
+    "json_lower_ge_upper": ("json", ("lower", 1.0)),
     # CSV: the header line of axis 0
     "csv_lower_nan": ("csv", "# axis 0: nan 1.0 3"),
     "csv_lower_inf": ("csv", "# axis 0: -inf 1.0 3"),
@@ -317,11 +353,14 @@ MALFORMED_AXES = {
     "csv_count_float": ("csv", "# axis 0: 0.0 1.0 3.7"),
     "csv_unknown_flag": ("csv", "# axis 0: 0.0 1.0 3 nonperiodic"),
     "csv_extra_field": ("csv", "# axis 0: 0.0 1.0 3 periodic 1"),
+    "csv_lower_ge_upper": ("csv", "# axis 0: 1.0 1.0 3"),
+    "csv_two_points": ("csv", "# axis 0: 0.0 1.0 2"),
     # CLI: the --grid spec
     "cli_lower_nan": ("cli", "nan:12:11,-5:5:11"),
     "cli_upper_inf": ("cli", "-10:inf:11,-5:5:11"),
     "cli_count_float": ("cli", "-10:12:3.7,-5:5:11"),
     "cli_unknown_flag": ("cli", "-10:12:11:yes,-5:5:11"),
+    "cli_lower_ge_upper": ("cli", "12:-10:11,-5:5:11"),
 }
 
 
@@ -330,7 +369,8 @@ MALFORMED_AXES = {
 def test_malformed_grid_axes_rejected(tmp_path, capsys, form, bad):
     """A bound that is not a finite number, a count that is not an integer
     or a flag that is not a boolean is a `GeometryError` (exit 2) in every
-    form a grid arrives in; nothing is coerced."""
+    form a grid arrives in, and so are bounds out of order; nothing is
+    coerced, and a CSV error names the file and the header line."""
     if form == "cli":
         out = tmp_path / "grids"
         rc = cli_main(["levelset", "--scenario", DI_SCENARIO, f"--grid={bad}",
@@ -353,10 +393,54 @@ def test_malformed_grid_axes_rejected(tmp_path, capsys, form, bad):
         write_grid_csv(grid, str(path))
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join([bad + "\n"] + lines[1:]))
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError) as err:
         read_grid(str(path))
+    if form == "csv":
+        assert str(err.value).startswith(f"{path}:1: ")
     assert cli_main(["compare", str(path), str(path)]) == 2
     capsys.readouterr()
+
+
+AXIS_FIELDS = (["-2.25", "2.25", "61"],
+               ["0", "6.283185307179586", "8", "periodic"],
+               ["-1e-3", "1.5e2", "3"])
+BAD_AXIS_FIELDS = (["0.0", "1.0"], ["0.0", "1.0", "3.7"], ["zonk", "1.0", "3"],
+                   ["0.0", "1.0", "3", "nonperiodic"],
+                   ["0.0", "1.0", "3", "periodic", "1"], ["nan", "1.0", "3"],
+                   ["0.0", "inf", "3"], ["1.0", "0.0", "3"], ["0.0", "1.0", "2"],
+                   ["0.0", "1.0", "true"])
+
+
+def _header_csv(path, axes, geom):
+    """A grid file of ``geom`` whose header lines are ``axes``, one per line
+    (blank-separated fields), over the data rows of a zero field."""
+    write_grid_csv(LevelGrid(geom, np.zeros(math.prod(geom.counts))), str(path))
+    rows = path.read_text().splitlines(keepends=True)[geom.dims:]
+    path.write_text("".join(f"# axis {i}: {' '.join(fields)}\n"
+                            for i, fields in enumerate(axes)) + "".join(rows))
+
+
+def test_cli_spec_and_csv_header_share_the_axis_syntax(tmp_path):
+    """The same axis fields give the same geometry as a ``--grid`` spec
+    and as a CSV header, and a malformed field is refused by both (the CSV
+    naming the header line of the axis)."""
+    path = tmp_path / "grid.csv"
+    good = GridGeometry((0.0, 0.0), (1.0, 1.0), (3, 3), (False, False))
+    for axes in (AXIS_FIELDS[:2], AXIS_FIELDS):
+        geom = _parse_grid_spec(",".join(":".join(f) for f in axes))
+        _header_csv(path, axes, geom)
+        assert read_grid_csv(str(path)).geometry == geom
+    for bad in BAD_AXIS_FIELDS:
+        for axis in (0, 1):
+            axes = [["0.0", "1.0", "3"], ["0.0", "1.0", "3"]]
+            axes[axis] = bad
+            with pytest.raises(ValidationError, match="bad grid axis token|"
+                               f"axis {axis} "):
+                _parse_grid_spec(",".join(":".join(f) for f in axes))
+            _header_csv(path, axes, good)
+            with pytest.raises(GeometryError) as err:
+                read_grid_csv(str(path))
+            assert str(err.value).startswith(f"{path}:{axis + 1}: ")
 
 
 def test_geometry_rejects_non_finite_bounds_and_coerced_types():
@@ -525,7 +609,7 @@ def test_level_grid_checks_value_count(tmp_path):
     assert cli_main(["compare", str(good), str(bad)]) == 2
 
 
-def test_sweep_names_the_diverging_node():
+def test_sweep_names_the_diverging_node(monkeypatch):
     """xdot0 = x0^2 escapes in finite time 1/x0, so over a horizon of 0.6 s
     only the nodes with x0 = 2 blow up; the error names the first of them
     (its global C-order index, past the first chunk) and its coordinates."""
@@ -554,7 +638,8 @@ def test_sweep_names_the_diverging_node():
     spec = SafetySpec(constraints=(band,), terminal=band, alpha_gain=1.0)
     geom = GridGeometry((-2.0, -1.0), (2.0, 1.0), (9, 5), (False, False))
     for chunk in (45, 16):
+        monkeypatch.setattr(hjgrid, "_SWEEP_CHUNK", chunk)
         with pytest.raises(FlowDivergenceError) as err:
-            sweep_backup_h(model, policy, spec, geom, 0.6, 240, chunk=chunk)
+            sweep_backup_h(model, policy, spec, geom, 0.6, 240)
         assert err.value.row == 40                      # node (8, 0)
         assert "node 40 (x = [2.0, -1.0])" in str(err.value)
