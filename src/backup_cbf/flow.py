@@ -1,34 +1,37 @@
 """Closed-loop backup flow integration with sensitivity propagation.
 
 `rk4_step` is the fixed-step explicit fourth-order update on arrays: it
-marches a batch of states, steps the state sensitivity, and advances the
-plant in the simulation harness.  One state is marched on Python floats
-instead, by `_float_march`, which repeats `rk4_step`'s operations in the
-same order on a tuple and evaluates the policy's float closed-loop
-derivative (`BackupPolicy.loop_floats`, or `loop_rhs` wrapped for models
-without one): on 2- and 3-vectors numpy's per-call overhead is most of the
-cost, and the float march gives the same bits several times faster.  Both
-marches record the four stage points of every step.  The sensitivity
-obeys the variational equation ``Qdot = J(x) Q`` with ``J = d f_pi / d x``
-and ``Q(0) = I``; since the state never depends on ``Q``, the loop
-Jacobians only ever come from stacked `loop_jacobian` evaluations at
-recorded stage points, and ``Q`` is stepped over them by `rk4_step`.  One
-pass serves every downstream constraint row.
+steps the state sensitivity and advances the plant in the simulation
+harness.  The backup-loop state is marched component by component, in
+`rk4_step`'s exact operation order, on the policy's closed-loop kernel
+(`loop_rhs` wrapped for a policy without one): one state as a tuple of
+Python floats by `_float_march` on ``BackupPolicy.loop_floats``, where
+numpy's per-call overhead on 2- and 3-vectors would be most of the cost,
+and a batch as a tuple of contiguous ``(B,)`` arrays by `_component_step`
+on ``BackupPolicy.loop_arrays``, which reads no strided columns and builds
+no ``(B, n, m)`` input matrix.  Both give the bits of a march on stacked
+`loop_rhs` calls, faster, and both record the four stage points of every
+step.  The
+sensitivity obeys the variational equation ``Qdot = J(x) Q`` with
+``J = d f_pi / d x`` and ``Q(0) = I``; since the state never depends on
+``Q``, the loop Jacobians only ever come from stacked `loop_jacobian`
+evaluations at recorded stage points, and ``Q`` is stepped over them by
+`rk4_step`.  One pass serves every downstream constraint row.
 
 Everything here is pure and reentrant.  `integrate_flow` takes the
 Jacobians along the whole path from one stacked call, and the drifts at
-the nodes, which check the float march, from another.  The batch entry
-point advances many initial states at once with no shared mutable state,
-which is what the grid sweeps build on; it takes the Jacobians of each
-step's four stage points from one stacked call, so its memory does not
-grow with the step count.
+the nodes, which check the float march at every node, from another.  The
+batch entry point advances many initial states at once with no shared
+mutable state, which is what the grid sweeps build on; it takes the
+Jacobians of each step's four stage points from one stacked call, so its
+memory does not grow with the step count, and checks the kernel against a
+stacked `loop_rhs` at every row of its first and last step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -125,17 +128,38 @@ def _float_march(loop: Callable[..., tuple[float, ...]], x: tuple[float, ...],
     return points, slopes
 
 
-def _check_slopes(slopes: Array, drifts: Array):
-    """`ValidationError` unless the float march's ``slopes`` (from
-    ``loop_floats``) equal the model's ``drifts`` at the same nodes,
-    entrywise with NaN equal to NaN."""
+def _component_step(loop: Callable[..., tuple[Array, ...]],
+                    x: tuple[Array, ...], dt: float):
+    """`rk4_step` on a batch held as one array per state component, in its
+    exact operation order: the next state, the four stage points and the
+    four slopes ``loop`` gave at them."""
+    half = 0.5 * dt
+    k1 = loop(*x)
+    x2 = tuple([a + half * b for a, b in zip(x, k1)])
+    k2 = loop(*x2)
+    x3 = tuple([a + half * b for a, b in zip(x, k2)])
+    k3 = loop(*x3)
+    x4 = tuple([a + dt * b for a, b in zip(x, k3)])
+    k4 = loop(*x4)
+    sixth = dt / 6.0
+    nxt = tuple([a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
+                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)])
+    return nxt, (x, x2, x3, x4), (k1, k2, k3, k4)
+
+
+def _check_slopes(kernel: str, slopes: Array, drifts: Array,
+                  where: Callable[..., str]):
+    """`ValidationError` unless the march's ``slopes`` from
+    ``policy.<kernel>`` equal the model's ``drifts`` at the same points,
+    entrywise with NaN equal to NaN; ``where(*index)`` names the first
+    mismatch."""
     bad = (slopes != drifts) & ~(np.isnan(slopes) & np.isnan(drifts))
     if bad.any():
-        node, k = np.argwhere(bad)[0].tolist()
+        index = tuple(np.argwhere(bad)[0].tolist())
         raise ValidationError(
-            f"policy.loop_floats encodes another model than loop_rhs: at node "
-            f"{node}, component {k}: {slopes[node, k].item()!r} != "
-            f"{drifts[node, k].item()!r}")
+            f"policy.{kernel} encodes another model than loop_rhs: at "
+            f"{where(*index)}: {slopes[index].item()!r} != "
+            f"{drifts[index].item()!r}")
 
 
 def _divergence(step: int, t: float, x: Array, q: Array | None
@@ -175,7 +199,9 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
         states = points[::4].copy()
         drifts = loop_rhs(model, policy, states)
         if policy.loop_floats is not None:
-            _check_slopes(np.array(slopes).reshape(-1, n), drifts[:-1])
+            _check_slopes("loop_floats", np.array(slopes).reshape(-1, n),
+                          drifts[:-1],
+                          lambda node, k: f"node {node}, component {k}")
         jacs = loop_jacobian(model, policy, points[:-1])
         sens = np.empty((len(states), n, n))
         sens[0] = q = np.eye(n)
@@ -199,13 +225,20 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     """Advance a batch of initial states ``x0s`` of shape ``(B, n)``.
 
     Only the endpoint is kept; ``observer(states)`` is invoked at every
-    grid point, ``x0s`` included, for callers that fold over the path,
-    e.g. running constraint minima.  Returns ``(end_states, end_Q)`` with
-    ``end_Q = None`` when sensitivities are switched off.
+    grid point, ``x0s`` included, with the ``(B, n)`` states, for callers
+    that fold over the path, e.g. running constraint minima.  Returns
+    ``(end_states, end_Q)`` with ``end_Q = None`` when sensitivities are
+    switched off.
 
-    The sensitivity is stepped as the states go: after each step, the loop
-    Jacobians at its four recorded stage points come from one stacked
-    evaluation, so memory does not grow with ``steps``.
+    The states march as one contiguous ``(B,)`` array per component
+    through ``policy.loop_arrays`` (or `loop_rhs` wrapped, for a policy
+    without one), in `rk4_step`'s operation order.  With ``loop_arrays``
+    set, its slopes at every row of the first and the last step must equal
+    the stacked `loop_rhs` of ``model`` there (NaN equal to NaN), else
+    `ValidationError` naming the step, stage, row and component.  The
+    sensitivity is stepped as the states go: after each step, the loop
+    Jacobians at its four stage points come from one stacked evaluation,
+    so memory does not grow with ``steps``.
     """
     x0s = _check_args(x0s, horizon, steps)
     if x0s.ndim != 2 or x0s.shape[1] != model.state_dim:
@@ -215,20 +248,33 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     q = np.broadcast_to(np.eye(n), (b, n, n)).copy() if with_sensitivity else None
     if observer is not None:
         observer(x0s)
-    deriv = partial(loop_rhs, model, policy)
-    x = x0s
+    loop = policy.loop_arrays
+    if loop is None:
+        def loop(*x):
+            return tuple(loop_rhs(model, policy, np.stack(x, axis=-1)).T)
+    x = tuple(x0s.T.copy())
     for i in range(1, steps + 1):
         # divergence is detected after the step; silence transient overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            x, stages = rk4_step(deriv, x, dt)
+            x, stages, slopes = _component_step(loop, x, dt)
+            if policy.loop_arrays is not None and i in (1, steps):
+                # stage by stage, so the check's memory is one stage's
+                for s, (point, slope) in enumerate(zip(stages, slopes), 1):
+                    _check_slopes(
+                        "loop_arrays", np.stack(slope, axis=-1),
+                        loop_rhs(model, policy, np.stack(point, axis=-1)),
+                        lambda row, k: f"step {i}, stage {s}, batch row "
+                                       f"{row}, component {k}")
             if q is not None:
-                q = _q_step(loop_jacobian(model, policy, np.stack(stages)),
-                            q, dt)
-        if not (np.isfinite(x).all() and (q is None or np.isfinite(q).all())):
-            raise _divergence(i, i * dt, x, q)
+                points = np.stack([np.stack(p, axis=-1) for p in stages])
+                q = _q_step(loop_jacobian(model, policy, points), q, dt)
+            del stages, slopes      # not held while the next step runs
+        xs = np.stack(x, axis=-1)
+        if not (np.isfinite(xs).all() and (q is None or np.isfinite(q).all())):
+            raise _divergence(i, i * dt, xs, q)
         if observer is not None:
-            observer(x)
-    return x, q
+            observer(xs)
+    return xs, q
 
 
 def sensitivity_fd_check(model: SystemModel, policy: BackupPolicy, x0: Array,

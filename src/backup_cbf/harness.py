@@ -26,9 +26,10 @@ from .errors import (GeometryError, NumericalError, ScenarioError,
                      ValidationError)
 from .flow import rk4_step
 from .hjgrid import (HJ_MAX_STEPS, HJ_TOL, GridGeometry, LevelGrid,
-                     axis_records, compare_sets, constraint_grid,
-                     geometry_from_axes, read_grid, solve_invariant,
-                     sweep_backup_h, write_grid_csv, write_grid_json)
+                     axis_records, check_solve_limits, compare_sets,
+                     constraint_grid, geometry_from_axes, read_grid,
+                     solve_invariant, sweep_backup_h, write_grid_csv,
+                     write_grid_json)
 from .qp import QpSolver
 from .systems import (BENCHMARK_DEFAULTS, BackupPolicy, SafetySpec, SystemModel,
                       is_finite_real, make_benchmark)
@@ -400,10 +401,13 @@ def run_levelset(scenario: Scenario, geometry: GridGeometry,
                  ) -> dict:
     """Sweep the implicit barrier over the grid (optionally also the
     baseline invariant-set field), write each grid as CSV and JSON and each
-    requested slice of it as CSV; returns the map of written paths.  Slices
-    are checked before the sweep, so a bad one fails fast, writing nothing."""
+    requested slice of it as CSV; returns the map of written paths.  The
+    slices and the solve limits are checked before the sweep, so a bad one
+    fails fast; ``out_dir`` is created only once both grids are computed,
+    so a refused or failed run leaves nothing behind."""
     model, policy, spec = scenario.build()
-    os.makedirs(out_dir, exist_ok=True)
+    if include_hj:
+        check_solve_limits(hj_tol, hj_max_steps)
     if slices and geometry.dims != 3:
         raise GeometryError(f"a slice needs a 3-axis grid, got {geometry.dims}")
     planes = []
@@ -419,6 +423,7 @@ def run_levelset(scenario: Scenario, geometry: GridGeometry,
         grids["hj"] = solve_invariant(constraint_grid(geometry, spec), model,
                                       tol=hj_tol, max_steps=hj_max_steps)
 
+    os.makedirs(out_dir, exist_ok=True)
     written: dict[str, str] = {}
     for suffix, axis, value in [("grid", None, None)] + planes:
         for name, grid in grids.items():

@@ -188,12 +188,21 @@ def _side_values(v: Array, axis: int, periodic: bool) -> tuple[Array, Array]:
     return np.moveaxis(prev, 0, axis), np.moveaxis(nxt, 0, axis)
 
 
+def check_solve_limits(tol: float, max_steps: int):
+    """`ValidationError` unless ``tol`` is a finite number >= 0 and
+    ``max_steps`` an integer >= 1 (a bool is neither)."""
+    if not (is_finite_real(tol) and tol >= 0.0 and _is_integer(max_steps)
+            and max_steps >= 1):
+        raise ValidationError(f"tol must be a finite number >= 0 and max_steps "
+                              f"an integer >= 1, got {tol!r} and {max_steps!r}")
+
+
 def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
                     max_steps: int = HJ_MAX_STEPS) -> LevelGrid:
     """Run the frozen value iteration from the constraint field ``grid0``
     until the sup-norm update drops below ``tol`` or ``max_steps`` passes.
 
-    ``tol`` must be a finite number >= 0 and ``max_steps`` an integer >= 1.
+    ``tol`` and ``max_steps`` must pass `check_solve_limits`.
     The result carries a `SolveRecord` as ``solve``.  Running out of
     ``max_steps`` is not an error: the field is returned with
     ``converged=False``, and with a `ConvergenceWarning` naming the pass
@@ -206,10 +215,7 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
     zero level matters for set membership, and the clamp stops cells whose
     true value drains out of the domain from delaying convergence.
     """
-    if not (is_finite_real(tol) and tol >= 0.0 and _is_integer(max_steps)
-            and max_steps >= 1):
-        raise ValidationError(f"tol must be a finite number >= 0 and max_steps "
-                              f"an integer >= 1, got {tol!r} and {max_steps!r}")
+    check_solve_limits(tol, max_steps)
     geom = grid0.geometry
     if model.state_dim != geom.dims:
         raise GeometryError("grid dimension does not match the model")

@@ -3,11 +3,12 @@
 All quantities are SI (m, m/s, m/s^2, rad, rad/s).  Every evaluator is a
 pure function with one array body that accepts states of shape ``(n,)`` or
 batched ``(..., n)``, broadcasting over the leading axes.  Each built-in
-policy also carries ``loop_floats``, its closed-loop derivative written on
-Python floats with the array body's operation order, which the
-single-state flow marches on.  Benchmark parameters must be finite
-numbers.  Values are immutable after construction and safe to share
-across threads.
+benchmark also states its closed-loop derivative once, in `loop_rhs`'s
+operation order, against a table of primitives (`_Primitives`), built on
+Python floats as ``loop_floats`` for the single-state flow and on
+per-component arrays as ``loop_arrays`` for the batch flow.  Benchmark
+parameters must be finite numbers.  Values are immutable after
+construction and safe to share across threads.
 
 Four benchmark instances are provided:
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -55,8 +56,9 @@ Array = np.ndarray
 # `eps = 0` selects the hard (discontinuous-derivative) variant, kept for
 # cross-checks only: its derivative is zero in saturated regions.  Each
 # value has a Python-float twin (`_indicator_float`, `_sign_float`,
-# `_saturate_float`) with the same branch tests, for the benchmarks'
-# float closed loops (`BackupPolicy.loop_floats`).
+# `_saturate_float`) with the same branch tests; the pairs, with `math`'s
+# and numpy's `sin` and `cos`, make the two primitive tables the
+# benchmarks' closed-loop statements are built from.
 # ---------------------------------------------------------------------------
 
 
@@ -165,6 +167,24 @@ def smooth_saturate_deriv(y: Array | float, lo: float, hi: float, eps: float) ->
     return d
 
 
+class _Primitives(NamedTuple):
+    """The nonlinear primitives each benchmark's closed-loop statement is
+    written against, once; `_FLOATS` and `_ARRAYS` give each entry the same
+    bits on the same input."""
+
+    sin: Callable
+    cos: Callable
+    saturate: Callable
+    sign: Callable
+    indicator: Callable
+
+
+_FLOATS = _Primitives(math.sin, math.cos, _saturate_float, _sign_float,
+                      _indicator_float)
+_ARRAYS = _Primitives(np.sin, np.cos, smooth_saturate, smooth_sign,
+                      smooth_positive_indicator)
+
+
 # ---------------------------------------------------------------------------
 # Domain types.
 # ---------------------------------------------------------------------------
@@ -221,20 +241,26 @@ class BackupPolicy:
 
     ``loop_floats(*x)``, if given, is the closed-loop derivative
     ``f(x) + g(x) pi(x)`` of the model built alongside this policy, on one
-    state given as Python floats and returned as a tuple of floats.  It
-    must equal `loop_rhs` on that state bit for bit, so it sums ``g pi``
-    as `loop_rhs` does: per row ``f_i + (((0.0 + g_i0 pi_0) + g_i1 pi_1)
-    + ...)``, each product rounded (for a dense ``g`` with two or more
-    inputs that is not always the bits of ``np.matmul``, which may fuse
-    multiply-adds).  The single-state flow marches on it instead of on
-    arrays, and checks its slope at every node of the march against the
-    stacked `loop_rhs` of the model there.
+    state given as Python floats and returned as a tuple of floats.
+    ``loop_arrays(*x)``, if given, is the same derivative on a batch given
+    as one ``(B,)`` array per state component, returned as a tuple of
+    ``(B,)`` arrays.  Each must equal `loop_rhs` bit for bit, so each sums
+    ``g pi`` as `loop_rhs` does: per row ``f_i + (((0.0 + g_i0 pi_0) +
+    g_i1 pi_1) + ...)``, each product rounded (for a dense ``g`` with two
+    or more inputs that is not always the bits of ``np.matmul``, which may
+    fuse multiply-adds).  The built-in benchmarks build both from one
+    statement.  The single-state flow marches on ``loop_floats`` and checks
+    its slope at every node against the stacked `loop_rhs` of the model
+    there; the batch flow marches on ``loop_arrays`` and checks its slopes
+    at every row of the first and the last step only (checked at every
+    step, the grid sweeps took 3 to 5 times as long).
     """
 
     pi_eval: Callable[[Array], Array]
     dpi_dx: Callable[[Array], Array]
     smoothing_eps: float
     loop_floats: Callable[..., tuple[float, ...]] | None = None
+    loop_arrays: Callable[..., tuple[Array, ...]] | None = None
 
     def __post_init__(self):
         if self.smoothing_eps < 0.0:
@@ -384,7 +410,7 @@ def _smoothing_eps(params: dict, default_eps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# State-independent terms and box bounds.
+# State-independent terms, box bounds and closed-loop statements.
 # ---------------------------------------------------------------------------
 
 
@@ -403,6 +429,14 @@ def _constant(value) -> Callable[[Array], Array]:
         return out
 
     return evaluate
+
+
+def _policy(pi_eval, dpi_dx, eps: float,
+            loop: Callable[[_Primitives], Callable]) -> BackupPolicy:
+    """A built-in policy whose closed-loop statement ``loop(primitives)``
+    is built twice: on `_FLOATS` as ``loop_floats`` and on `_ARRAYS` as
+    ``loop_arrays``."""
+    return BackupPolicy(pi_eval, dpi_dx, eps, loop(_FLOATS), loop(_ARRAYS))
 
 
 def _bound(n: int, idx: int, limit: float, sign: float, name: str
@@ -444,15 +478,20 @@ def _build_toy1d(params: dict):
 
     # f + g u as `loop_rhs` computes it: g u summed from +0.0 in input
     # order, so even the signs of zeros match
-    def loop(x):
-        u = _saturate_float(-gain * x, -u_max, u_max, eps)
-        return (0.0 + (0.0 + 1.0 * u),)
+    def loop(p: _Primitives):
+        saturate = p.saturate
+
+        def rhs(x):
+            u = saturate(-gain * x, -u_max, u_max, eps)
+            return (0.0 + (0.0 + 1.0 * u),)
+
+        return rhs
 
     model = SystemModel(1, 1, _constant([0.0]), _constant([[1.0]]),
                         _constant([[0.0]]), None,
                         np.array([-u_max]), np.array([u_max]),
                         state_names=("x",), input_names=("u",))
-    policy = BackupPolicy(pi, dpi, eps, loop)
+    policy = _policy(pi, dpi, eps, loop)
 
     def level(c: float, name: str) -> ScalarConstraint:
         return ScalarConstraint(
@@ -497,15 +536,20 @@ def _build_double_integrator(params: dict):
         out[..., 0, 1] = -u_max * d
         return out
 
-    def loop(s, v):
-        u = -u_max * _indicator_float(v, eps)
-        return (v + (0.0 + 0.0 * u), 0.0 + (0.0 + 1.0 * u))
+    def loop(p: _Primitives):
+        indicator = p.indicator
+
+        def rhs(s, v):
+            u = -u_max * indicator(v, eps)
+            return (v + (0.0 + 0.0 * u), 0.0 + (0.0 + 1.0 * u))
+
+        return rhs
 
     model = SystemModel(2, 1, f, _constant([[0.0], [1.0]]),
                         _constant([[0.0, 1.0], [0.0, 0.0]]), None,
                         np.array([-u_max]), np.array([u_max]),
                         state_names=("s", "v"), input_names=("u",))
-    policy = BackupPolicy(pi, dpi, eps, loop)
+    policy = _policy(pi, dpi, eps, loop)
 
     # at_rest stays -v: the bound's 0.0 - 1.0 * v would give +0.0 at v = +0.0
     spec = SafetySpec(
@@ -616,18 +660,23 @@ def _build_dubins(params: dict):
         out[..., 1, 2] = k_y[1] * dr
         return out
 
-    def loop(y, v, psi):
-        a = _saturate_float(k_v * (v_des - v), -a_max, a_max, eps_a)
-        r = _saturate_float(ky0 * y + ky1 * psi, -r_max, r_max, eps_r)
-        return (v * math.sin(psi) + (0.0 + 0.0 * a + 0.0 * r),
-                0.0 + (0.0 + 1.0 * a + 0.0 * r),
-                0.0 + (0.0 + 0.0 * a + 1.0 * r))
+    def loop(p: _Primitives):
+        sin, saturate = p.sin, p.saturate
+
+        def rhs(y, v, psi):
+            a = saturate(k_v * (v_des - v), -a_max, a_max, eps_a)
+            r = saturate(ky0 * y + ky1 * psi, -r_max, r_max, eps_r)
+            return (v * sin(psi) + (0.0 + 0.0 * a + 0.0 * r),
+                    0.0 + (0.0 + 1.0 * a + 0.0 * r),
+                    0.0 + (0.0 + 0.0 * a + 1.0 * r))
+
+        return rhs
 
     model = SystemModel(3, 2, f,
                         _constant([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), df, None,
                         np.array([-a_max, -r_max]), np.array([a_max, r_max]),
                         state_names=("Y", "v", "psi"), input_names=("a", "r"))
-    policy = BackupPolicy(pi, dpi, max(eps_a, eps_r), loop)
+    policy = _policy(pi, dpi, max(eps_a, eps_r), loop)
 
     offset = np.array([0.0, v_des, 0.0])
 
@@ -704,18 +753,23 @@ def _build_aeroplane(params: dict):
         out[..., 0, 1] = -u_max * smooth_sign_deriv(x[..., 1], eps)
         return out
 
-    def loop(dx, dy, dpsi):
-        u = -u_max * _sign_float(dy, eps)
-        return (-v_a + v_b * math.cos(dpsi) + (0.0 + dy * u),
-                v_b * math.sin(dpsi) + (0.0 + -dx * u),
-                0.0 + (0.0 + -1.0 * u))
+    def loop(p: _Primitives):
+        sin, cos, sign = p.sin, p.cos, p.sign
+
+        def rhs(dx, dy, dpsi):
+            u = -u_max * sign(dy, eps)
+            return (-v_a + v_b * cos(dpsi) + (0.0 + dy * u),
+                    v_b * sin(dpsi) + (0.0 + -dx * u),
+                    0.0 + (0.0 + -1.0 * u))
+
+        return rhs
 
     # dg[i, 0, k] = d g[i, 0] / d x[k] of g = (dy, -dx, -1)
     dg = _constant([[[0.0, 1.0, 0.0]], [[-1.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]])
     model = SystemModel(3, 1, f, g, df, dg,
                         np.array([-u_max]), np.array([u_max]),
                         state_names=("dx", "dy", "dpsi"), input_names=("u",))
-    policy = BackupPolicy(pi, dpi, eps, loop)
+    policy = _policy(pi, dpi, eps, loop)
 
     def separation(x, radius=r_min):
         x = np.asarray(x, dtype=float)

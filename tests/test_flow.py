@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backup_cbf.barrier import eval_h
+from backup_cbf.barrier import eval_h, eval_h_batch
 from backup_cbf.errors import FlowDivergenceError, ValidationError
 from backup_cbf.flow import (FlowTrajectory, integrate_flow,
                              integrate_flow_batch, sensitivity_fd_check)
@@ -192,14 +192,31 @@ def test_flow_restart_invariance():
         assert np.max(np.abs(again - endpoint)) < 1e-7
 
 
+BATCH_CASES = [("double_integrator", {}),
+               ("dubins", {"profile": "conservative"}),
+               ("dubins", {"profile": "aggressive"}), ("aeroplane", {})]
+
+
 def test_batch_matches_single():
-    model, policy, _ = make_benchmark("aeroplane")
-    x0s = np.array([[4.0, 0.3, np.pi], [-2.0, 1.0, 0.5], [1.0, -3.0, -1.0]])
-    ends, q_end = integrate_flow_batch(model, policy, x0s, 2.0, 50)
-    for i, x0 in enumerate(x0s):
-        traj = integrate_flow(model, policy, x0, 2.0, 50)
-        assert np.allclose(ends[i], traj.states[-1], atol=1e-12)
-        assert np.allclose(q_end[i], traj.sensitivities[-1], atol=1e-12)
+    """The batch march's end states, with and without sensitivity, and its
+    end Q equal the single-state flow's bit for bit on sampled states."""
+    for name, params in BATCH_CASES:
+        model, policy, _ = make_benchmark(name, params)
+        box = BENCHMARK_DEFAULTS[name]
+        x0s = np.random.default_rng(5).uniform(
+            box["sample_lower"], box["sample_upper"], (6, model.state_dim))
+        if name == "aeroplane":
+            x0s[:3] = [[4.0, 0.3, np.pi], [-2.0, 1.0, 0.5], [1.0, -3.0, -1.0]]
+        horizon, steps = box["t_horizon_s"], box["n_flow_steps"]
+        ends, q_end = integrate_flow_batch(model, policy, x0s, horizon, steps)
+        states_only, no_q = integrate_flow_batch(model, policy, x0s, horizon,
+                                                 steps, with_sensitivity=False)
+        assert no_q is None and np.array_equal(states_only, ends)
+        for i, x0 in enumerate(x0s):
+            traj = integrate_flow(model, policy, x0, horizon, steps)
+            assert np.array_equal(ends[i], traj.states[-1]), (name, params, i)
+            assert np.array_equal(q_end[i], traj.sensitivities[-1]), \
+                (name, params, i)
 
 
 def test_divergence_reports_step():
@@ -400,6 +417,40 @@ def test_loop_floats_checked_wherever_the_march_goes():
     assert traj.states[-1] == pytest.approx([6.383, -0.125], abs=1e-3)
     assert eval_h(changed, custom, spec, [0.0, 3.0], 10.0,
                   100).h_value == pytest.approx(0.125, abs=1e-3)
+
+
+def test_loop_arrays_checked_against_the_model():
+    """The batch twin of the two tests above: the batch checks the policy's
+    array closed loop at every row of its first and last step, so the
+    doubled double integrator is refused at step 1 and the ``s > 2`` change
+    at the last step; without ``loop_arrays`` the changed dynamics are
+    integrated."""
+    model, policy, spec = make_benchmark("double_integrator")
+    doubled = dataclasses.replace(model, f_eval=lambda x: 2.0 * model.f_eval(x))
+    states = np.array([[-1.0, 0.5], [0.0, 2.0]])
+    with pytest.raises(ValidationError, match=r"step 1, stage 1, batch row 0, "
+                       r"component 0: 0\.5 != 1\.0"):
+        eval_h_batch(doubled, policy, spec, states, 1.0, 10)
+
+    def f(x):
+        out = model.f_eval(x)
+        out[..., 1] = out[..., 1] + np.where(np.asarray(x)[..., 0] > 2.0,
+                                             0.5, 0.0)
+        return out
+
+    changed = dataclasses.replace(model, f_eval=f)
+    x0s = np.array([[-5.0, 1.0], [0.0, 3.0]])
+    with pytest.raises(ValidationError, match=r"step 100, stage 1, batch "
+                       r"row 1, component 1: "):
+        integrate_flow_batch(changed, policy, x0s, 10.0, 100)
+    custom = dataclasses.replace(policy, loop_arrays=None)
+    ends, _ = integrate_flow_batch(changed, custom, x0s, 10.0, 100)
+    assert ends[1] == pytest.approx([6.383, -0.125], abs=1e-3)
+    assert np.array_equal(
+        ends[1], integrate_flow(changed, dataclasses.replace(
+            custom, loop_floats=None), x0s[1], 10.0, 100).states[-1])
+    values = eval_h_batch(changed, custom, spec, x0s, 10.0, 100)
+    assert values.h[1] == pytest.approx(0.125, abs=1e-3)
 
 
 def test_loop_floats_check_treats_nan_as_equal():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backup_cbf import hjgrid
+from backup_cbf import harness, hjgrid
 from backup_cbf.barrier import eval_h_batch
 from backup_cbf.cli import _parse_grid_spec
 from backup_cbf.cli import main as cli_main
@@ -217,14 +217,19 @@ def test_solve_rejects_a_bad_tolerance_or_step_cap(limits):
 @pytest.mark.parametrize("flag", ["--hj-tol=nan", "--hj-tol=-1",
                                   "--hj-max-steps=-3", "--hj-max-steps=0"])
 def test_cli_levelset_rejects_a_bad_tolerance_or_step_cap(tmp_path, capsys,
-                                                         flag):
+                                                         monkeypatch, flag):
+    """Refused before the sweep, and without making the output directory."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the solve limits were checked")
+
+    monkeypatch.setattr(harness, "sweep_backup_h", no_sweep)
     out = tmp_path / "grids"
     rc = cli_main(["levelset", "--scenario", DI_SCENARIO,
                    "--grid=-10:12:21,-5:5:21", "--hj", "--hj-max-steps=50",
                    flag, "--out", str(out)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

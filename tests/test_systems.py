@@ -360,17 +360,22 @@ LOOP_CASE_IDS = [f"{n}-{'-'.join(f'{k}={v}' for k, v in p.items())}"
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_loop_floats_match_array_path(case, data):
-    """The float closed loop gives the bits of the stacked array path on
-    states drawn from the sampling box, inside every blend band and on
-    every switching surface."""
+    """The float closed loop on each state, and the per-component array
+    closed loop on the stacked states, give the bits of the stacked array
+    path (signed zeros included) on states drawn from the sampling box,
+    inside every blend band and on every switching surface."""
     name, params = case
     model, policy, _ = make_benchmark(name, params)
     states = _draw_states(data, name, params, model, policy)
-    derivs = loop_rhs(model, policy, np.array(states))
+    stacked = np.array(states)
+    derivs = loop_rhs(model, policy, stacked)
     for x, expected in zip(states, derivs):
-        got = policy.loop_floats(*x)
-        assert np.array_equal(got, expected), \
+        got = np.array(policy.loop_floats(*x))
+        assert got.tobytes() == expected.tobytes(), \
             f"{name} {params} at x = {x!r}: loop_floats {got!r}, array path {expected!r}"
+    got = np.stack(policy.loop_arrays(*stacked.T.copy()), axis=-1)
+    assert got.tobytes() == derivs.tobytes(), \
+        f"{name} {params} at x = {states!r}: loop_arrays {got!r}, array path {derivs!r}"
 
 
 def reference_loop_rhs(model, policy, x):
