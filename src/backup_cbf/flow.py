@@ -3,20 +3,20 @@
 `rk4_step` is the fixed-step explicit fourth-order update on arrays: it
 steps the state sensitivity and advances the plant in the simulation
 harness.  The backup-loop state is marched component by component, in
-`rk4_step`'s exact operation order, on the policy's closed-loop kernel
+`rk4_step`'s exact operation order by `_component_step`, on the closed-loop
+kernel built from the policy's statement ``BackupPolicy.closed_loop``
 (`loop_rhs` wrapped for a policy without one): one state as a tuple of
-Python floats by `_float_march` on ``BackupPolicy.loop_floats``, where
-numpy's per-call overhead on 2- and 3-vectors would be most of the cost,
-and a batch as a tuple of contiguous ``(B,)`` arrays by `_component_step`
-on ``BackupPolicy.loop_arrays``, which reads no strided columns and builds
-no ``(B, n, m)`` input matrix.  Both give the bits of a march on stacked
-`loop_rhs` calls, faster, and both record the four stage points of every
-step.  The
-sensitivity obeys the variational equation ``Qdot = J(x) Q`` with
-``J = d f_pi / d x`` and ``Q(0) = I``; since the state never depends on
-``Q``, the loop Jacobians only ever come from stacked `loop_jacobian`
-evaluations at recorded stage points, and ``Q`` is stepped over them by
-`rk4_step`.  One pass serves every downstream constraint row.
+Python floats (`FLOAT_PRIMITIVES`), where numpy's per-call overhead on 2-
+and 3-vectors would be most of the cost, and a batch as a tuple of
+contiguous ``(B,)`` arrays (`ARRAY_PRIMITIVES`), which reads no strided
+columns and builds no ``(B, n, m)`` input matrix.  Both give the bits of a
+march on stacked `loop_rhs` calls, faster, and both record the four stage
+points of every step.  The sensitivity obeys the variational equation
+``Qdot = J(x) Q`` with ``J = d f_pi / d x`` and ``Q(0) = I``; since the
+state never depends on ``Q``, the loop Jacobians only ever come from
+stacked `loop_jacobian` evaluations at recorded stage points, and ``Q`` is
+stepped over them by `rk4_step`.  One pass serves every downstream
+constraint row.
 
 Everything here is pure and reentrant.  `integrate_flow` takes the
 Jacobians along the whole path from one stacked call, and the drifts at
@@ -25,7 +25,8 @@ batch entry point advances many initial states at once with no shared
 mutable state, which is what the grid sweeps build on; it takes the
 Jacobians of each step's four stage points from one stacked call, so its
 memory does not grow with the step count, and checks the kernel against a
-stacked `loop_rhs` at every row of its first and last step.
+stacked `loop_rhs` at every row of its first and last step and at the
+start of every step on a fixed handful of rows.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import FlowDivergenceError, ValidationError
-from .systems import BackupPolicy, SystemModel, loop_jacobian, loop_rhs
+from .systems import (ARRAY_PRIMITIVES, FLOAT_PRIMITIVES, BackupPolicy,
+                      SystemModel, loop_jacobian, loop_rhs)
 
 Array = np.ndarray
 
@@ -99,40 +101,10 @@ def _q_step(jacs: Iterable[Array], q: Array, dt: float) -> Array:
     return rk4_step(lambda p: np.matmul(next(stage_jacs), p), q, dt)[0]
 
 
-def _float_march(loop: Callable[..., tuple[float, ...]], x: tuple[float, ...],
-                 dt: float, steps: int) -> tuple[list[float], list[float]]:
-    """`rk4_step` on one state held as a tuple of floats, in its exact
-    operation order: flat float lists ``(points, slopes)``; point
-    ``4 (i - 1) + s`` is stage ``s`` of step ``i``, the last is the last
-    state, and slope ``i - 1`` is ``loop`` at the start of step ``i``.  Stops
-    after the first step that leaves finite values, tested per component (a
-    sum of two finite values near the float limit overflows)."""
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    points, slopes = [], []
-    for _ in range(steps):
-        k1 = loop(*x)
-        x2 = tuple([a + half * b for a, b in zip(x, k1)])
-        k2 = loop(*x2)
-        x3 = tuple([a + half * b for a, b in zip(x, k2)])
-        k3 = loop(*x3)
-        x4 = tuple([a + dt * b for a, b in zip(x, k3)])
-        k4 = loop(*x4)
-        points += x + x2 + x3 + x4
-        slopes += k1
-        x = tuple([a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
-                   for a, b, c, d, e in zip(x, k1, k2, k3, k4)])
-        if not all(map(math.isfinite, x)):
-            break
-    points += x
-    return points, slopes
-
-
-def _component_step(loop: Callable[..., tuple[Array, ...]],
-                    x: tuple[Array, ...], dt: float):
-    """`rk4_step` on a batch held as one array per state component, in its
-    exact operation order: the next state, the four stage points and the
-    four slopes ``loop`` gave at them."""
+def _component_step(loop: Callable[..., tuple], x: tuple, dt: float):
+    """`rk4_step` on a state or batch held as one float or array per state
+    component, in its exact operation order: the next state, the four
+    stage points and the four slopes ``loop`` gave at them."""
     half = 0.5 * dt
     k1 = loop(*x)
     x2 = tuple([a + half * b for a, b in zip(x, k1)])
@@ -147,19 +119,50 @@ def _component_step(loop: Callable[..., tuple[Array, ...]],
     return nxt, (x, x2, x3, x4), (k1, k2, k3, k4)
 
 
-def _check_slopes(kernel: str, slopes: Array, drifts: Array,
-                  where: Callable[..., str]):
-    """`ValidationError` unless the march's ``slopes`` from
-    ``policy.<kernel>`` equal the model's ``drifts`` at the same points,
+def _float_march(loop: Callable[..., tuple[float, ...]], x: tuple[float, ...],
+                 dt: float, steps: int) -> tuple[list[float], list[float]]:
+    """`rk4_step` on one state held as a tuple of floats, in its exact
+    operation order: flat float lists ``(points, slopes)``; point
+    ``4 (i - 1) + s`` is stage ``s`` of step ``i``, the last is the last
+    state, and slope ``i - 1`` is ``loop`` at the start of step ``i``.  Stops
+    after the first step that leaves finite values, tested per component (a
+    sum of two finite values near the float limit overflows)."""
+    points, slopes = [], []
+    for _ in range(steps):
+        x, stages, stage_slopes = _component_step(loop, x, dt)
+        for point in stages:
+            points += point
+        slopes += stage_slopes[0]
+        if not all(map(math.isfinite, x)):
+            break
+    points += x
+    return points, slopes
+
+
+def _check_slopes(slopes: Array, drifts: Array, where: Callable[..., str]):
+    """`ValidationError` unless the march's ``slopes`` from the policy's
+    ``closed_loop`` equal the model's ``drifts`` at the same points,
     entrywise with NaN equal to NaN; ``where(*index)`` names the first
     mismatch."""
     bad = (slopes != drifts) & ~(np.isnan(slopes) & np.isnan(drifts))
     if bad.any():
         index = tuple(np.argwhere(bad)[0].tolist())
         raise ValidationError(
-            f"policy.{kernel} encodes another model than loop_rhs: at "
+            f"policy.closed_loop encodes another model than loop_rhs: at "
             f"{where(*index)}: {slopes[index].item()!r} != "
             f"{drifts[index].item()!r}")
+
+
+def _check_step(model: SystemModel, policy: BackupPolicy, step: int,
+                stages, slopes):
+    """`_check_slopes` of a batch step's slopes from the policy's
+    ``closed_loop`` at every row of its four stages, stage by stage so the
+    check's memory is one stage's."""
+    for s, (point, slope) in enumerate(zip(stages, slopes), 1):
+        _check_slopes(np.stack(slope, axis=-1),
+                      loop_rhs(model, policy, np.stack(point, axis=-1)),
+                      lambda row, k: f"step {step}, stage {s}, batch row "
+                                     f"{row}, component {k}")
 
 
 def _divergence(step: int, t: float, x: Array, q: Array | None
@@ -183,24 +186,24 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
     along the recorded stage points.
 
     The drifts are one stacked `loop_rhs` of ``model`` at the nodes.  With
-    ``policy.loop_floats`` set, the march's slope at every node but the last
+    ``policy.closed_loop`` set, the march's slope at every node but the last
     must equal that node's drift (NaN equal to NaN), else `ValidationError`
     naming the node: a policy paired with a changed model is refused."""
     x0 = _check_args(x0, horizon, steps)
     n = x0.shape[0]
     dt = horizon / steps
-    loop = policy.loop_floats
-    if loop is None:
+    if policy.closed_loop is None:
         def loop(*x):
             return tuple(loop_rhs(model, policy, np.array(x)).tolist())
+    else:
+        loop = policy.closed_loop(FLOAT_PRIMITIVES)
     with np.errstate(over="ignore", invalid="ignore"):
         points, slopes = _float_march(loop, tuple(x0.tolist()), dt, steps)
         points = np.array(points).reshape(-1, n)
         states = points[::4].copy()
         drifts = loop_rhs(model, policy, states)
-        if policy.loop_floats is not None:
-            _check_slopes("loop_floats", np.array(slopes).reshape(-1, n),
-                          drifts[:-1],
+        if policy.closed_loop is not None:
+            _check_slopes(np.array(slopes).reshape(-1, n), drifts[:-1],
                           lambda node, k: f"node {node}, component {k}")
         jacs = loop_jacobian(model, policy, points[:-1])
         sens = np.empty((len(states), n, n))
@@ -231,11 +234,16 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     switched off.
 
     The states march as one contiguous ``(B,)`` array per component
-    through ``policy.loop_arrays`` (or `loop_rhs` wrapped, for a policy
-    without one), in `rk4_step`'s operation order.  With ``loop_arrays``
-    set, its slopes at every row of the first and the last step must equal
-    the stacked `loop_rhs` of ``model`` there (NaN equal to NaN), else
-    `ValidationError` naming the step, stage, row and component.  The
+    through ``policy.closed_loop`` built on `ARRAY_PRIMITIVES` (or
+    `loop_rhs` wrapped, for a policy without one), in `rk4_step`'s
+    operation order.  With ``closed_loop`` set, its slopes must equal the
+    stacked `loop_rhs` of ``model`` (NaN equal to NaN) at every stage of
+    every row of the first and the last step, and at the start of every
+    other step on row 0 and every ``ceil(B / 9)``-th row after it (these
+    are checked together at the last step), else `ValidationError` naming
+    the first mismatching step, stage, row and component.  A model
+    changed after the policy was built, only where no checked point goes,
+    is integrated as the policy states it, without an error.  The
     sensitivity is stepped as the states go: after each step, the loop
     Jacobians at its four stage points come from one stacked evaluation,
     so memory does not grow with ``steps``.
@@ -248,33 +256,43 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     q = np.broadcast_to(np.eye(n), (b, n, n)).copy() if with_sensitivity else None
     if observer is not None:
         observer(x0s)
-    loop = policy.loop_arrays
-    if loop is None:
+    if policy.closed_loop is None:
         def loop(*x):
             return tuple(loop_rhs(model, policy, np.stack(x, axis=-1)).T)
+    else:
+        loop = policy.closed_loop(ARRAY_PRIMITIVES)
+    stride = -(-b // 9)                  # row 0 and at most eight more
+    # the handful's states and slopes at the start of every step, checked
+    # in one model call at the last step: a call per step on so few rows
+    # cost as much as a whole step of a small batch
+    starts = np.empty((2, steps, len(range(0, b, stride)), n))
     x = tuple(x0s.T.copy())
     for i in range(1, steps + 1):
         # divergence is detected after the step; silence transient overflow
         with np.errstate(over="ignore", invalid="ignore"):
             x, stages, slopes = _component_step(loop, x, dt)
-            if policy.loop_arrays is not None and i in (1, steps):
-                # stage by stage, so the check's memory is one stage's
-                for s, (point, slope) in enumerate(zip(stages, slopes), 1):
+            if policy.closed_loop is not None:
+                for k in range(n):
+                    starts[0, i - 1, :, k] = stages[0][k][::stride]
+                    starts[1, i - 1, :, k] = slopes[0][k][::stride]
+                if i == 1:
+                    _check_step(model, policy, i, stages, slopes)
+                if i == steps:
                     _check_slopes(
-                        "loop_arrays", np.stack(slope, axis=-1),
-                        loop_rhs(model, policy, np.stack(point, axis=-1)),
-                        lambda row, k: f"step {i}, stage {s}, batch row "
-                                       f"{row}, component {k}")
+                        starts[1], loop_rhs(model, policy, starts[0]),
+                        lambda step, row, k: f"step {step + 1}, stage 1, "
+                        f"batch row {row * stride}, component {k}")
+                    _check_step(model, policy, i, stages, slopes)
             if q is not None:
                 points = np.stack([np.stack(p, axis=-1) for p in stages])
                 q = _q_step(loop_jacobian(model, policy, points), q, dt)
             del stages, slopes      # not held while the next step runs
-        xs = np.stack(x, axis=-1)
-        if not (np.isfinite(xs).all() and (q is None or np.isfinite(q).all())):
-            raise _divergence(i, i * dt, xs, q)
+        if not (all(np.isfinite(a).all() for a in x)
+                and (q is None or np.isfinite(q).all())):
+            raise _divergence(i, i * dt, np.stack(x, axis=-1), q)
         if observer is not None:
-            observer(xs)
-    return xs, q
+            observer(np.stack(x, axis=-1))
+    return np.stack(x, axis=-1), q
 
 
 def sensitivity_fd_check(model: SystemModel, policy: BackupPolicy, x0: Array,

@@ -402,9 +402,9 @@ def run_levelset(scenario: Scenario, geometry: GridGeometry,
     """Sweep the implicit barrier over the grid (optionally also the
     baseline invariant-set field), write each grid as CSV and JSON and each
     requested slice of it as CSV; returns the map of written paths.  The
-    slices and the solve limits are checked before the sweep, so a bad one
-    fails fast; ``out_dir`` is created only once both grids are computed,
-    so a refused or failed run leaves nothing behind."""
+    slices and the solve limits are checked first, so a bad one fails fast
+    and leaves no ``out_dir`` behind; ``out_dir`` is then created before
+    the sweep, so an unusable one fails fast too."""
     model, policy, spec = scenario.build()
     if include_hj:
         check_solve_limits(hj_tol, hj_max_steps)
@@ -416,14 +416,13 @@ def run_levelset(scenario: Scenario, geometry: GridGeometry,
         _plane_index(geometry, axis, value)
         planes.append((f"slice_{model.state_names[axis]}_{value:g}",
                        axis, value))
+    os.makedirs(out_dir, exist_ok=True)
     grids = {"backup": sweep_backup_h(model, policy, spec, geometry,
                                       scenario.t_horizon_s,
                                       scenario.n_flow_steps)}
     if include_hj:
         grids["hj"] = solve_invariant(constraint_grid(geometry, spec), model,
                                       tol=hj_tol, max_steps=hj_max_steps)
-
-    os.makedirs(out_dir, exist_ok=True)
     written: dict[str, str] = {}
     for suffix, axis, value in [("grid", None, None)] + planes:
         for name, grid in grids.items():

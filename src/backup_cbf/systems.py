@@ -3,10 +3,10 @@
 All quantities are SI (m, m/s, m/s^2, rad, rad/s).  Every evaluator is a
 pure function with one array body that accepts states of shape ``(n,)`` or
 batched ``(..., n)``, broadcasting over the leading axes.  Each built-in
-benchmark also states its closed-loop derivative once, in `loop_rhs`'s
-operation order, against a table of primitives (`_Primitives`), built on
-Python floats as ``loop_floats`` for the single-state flow and on
-per-component arrays as ``loop_arrays`` for the batch flow.  Benchmark
+policy also carries its closed-loop derivative, stated once in
+`loop_rhs`'s operation order against a table of primitives
+(``BackupPolicy.closed_loop``): the single-state flow builds it on
+`FLOAT_PRIMITIVES` and the batch flow on `ARRAY_PRIMITIVES`.  Benchmark
 parameters must be finite numbers.  Values are immutable after
 construction and safe to share across threads.
 
@@ -167,10 +167,10 @@ def smooth_saturate_deriv(y: Array | float, lo: float, hi: float, eps: float) ->
     return d
 
 
-class _Primitives(NamedTuple):
-    """The nonlinear primitives each benchmark's closed-loop statement is
-    written against, once; `_FLOATS` and `_ARRAYS` give each entry the same
-    bits on the same input."""
+class Primitives(NamedTuple):
+    """The nonlinear primitives a closed-loop statement is written
+    against; `FLOAT_PRIMITIVES` and `ARRAY_PRIMITIVES` give each entry the
+    same bits on the same input."""
 
     sin: Callable
     cos: Callable
@@ -179,10 +179,10 @@ class _Primitives(NamedTuple):
     indicator: Callable
 
 
-_FLOATS = _Primitives(math.sin, math.cos, _saturate_float, _sign_float,
-                      _indicator_float)
-_ARRAYS = _Primitives(np.sin, np.cos, smooth_saturate, smooth_sign,
-                      smooth_positive_indicator)
+FLOAT_PRIMITIVES = Primitives(math.sin, math.cos, _saturate_float,
+                              _sign_float, _indicator_float)
+ARRAY_PRIMITIVES = Primitives(np.sin, np.cos, smooth_saturate, smooth_sign,
+                              smooth_positive_indicator)
 
 
 # ---------------------------------------------------------------------------
@@ -239,28 +239,33 @@ class BackupPolicy:
     ``0.0`` marks the hard (test-only) variant whose Jacobian is zero in
     saturated regions.
 
-    ``loop_floats(*x)``, if given, is the closed-loop derivative
-    ``f(x) + g(x) pi(x)`` of the model built alongside this policy, on one
-    state given as Python floats and returned as a tuple of floats.
-    ``loop_arrays(*x)``, if given, is the same derivative on a batch given
-    as one ``(B,)`` array per state component, returned as a tuple of
-    ``(B,)`` arrays.  Each must equal `loop_rhs` bit for bit, so each sums
-    ``g pi`` as `loop_rhs` does: per row ``f_i + (((0.0 + g_i0 pi_0) +
-    g_i1 pi_1) + ...)``, each product rounded (for a dense ``g`` with two
-    or more inputs that is not always the bits of ``np.matmul``, which may
-    fuse multiply-adds).  The built-in benchmarks build both from one
-    statement.  The single-state flow marches on ``loop_floats`` and checks
-    its slope at every node against the stacked `loop_rhs` of the model
-    there; the batch flow marches on ``loop_arrays`` and checks its slopes
-    at every row of the first and the last step only (checked at every
-    step, the grid sweeps took 3 to 5 times as long).
+    ``closed_loop(p)``, if given, states the closed-loop derivative
+    ``f(x) + g(x) pi(x)`` of the model built alongside this policy against
+    the primitive table ``p`` and returns it as ``rhs(*x)``, taking one
+    value per state component and returning a tuple.  Built on
+    `FLOAT_PRIMITIVES`, ``rhs`` takes one state as Python floats; built on
+    `ARRAY_PRIMITIVES`, a batch as one ``(B,)`` array per component.  Each
+    build must equal `loop_rhs` bit for bit, so it sums ``g pi`` as
+    `loop_rhs` does: per row ``f_i + (((0.0 + g_i0 pi_0) + g_i1 pi_1) +
+    ...)``, each product rounded (for a dense ``g`` with two or more inputs
+    that is not always the bits of ``np.matmul``, which may fuse
+    multiply-adds).
+
+    The flows march on it and check it against the stacked `loop_rhs` of
+    the model they are given.  The single-state flow checks its slope at
+    every node.  The batch flow checks every stage of every row of its
+    first and last step, and the slope at the start of every other step on
+    a fixed handful of rows (row 0 and at most eight more, evenly
+    strided): checking every stage of every row at every step made the
+    grid sweeps three to six times as long.  So a model changed after this
+    policy was built, only where no checked point of the batch goes, is
+    integrated as this statement has it, without an error.
     """
 
     pi_eval: Callable[[Array], Array]
     dpi_dx: Callable[[Array], Array]
     smoothing_eps: float
-    loop_floats: Callable[..., tuple[float, ...]] | None = None
-    loop_arrays: Callable[..., tuple[Array, ...]] | None = None
+    closed_loop: Callable[[Primitives], Callable[..., tuple]] | None = None
 
     def __post_init__(self):
         if self.smoothing_eps < 0.0:
@@ -431,14 +436,6 @@ def _constant(value) -> Callable[[Array], Array]:
     return evaluate
 
 
-def _policy(pi_eval, dpi_dx, eps: float,
-            loop: Callable[[_Primitives], Callable]) -> BackupPolicy:
-    """A built-in policy whose closed-loop statement ``loop(primitives)``
-    is built twice: on `_FLOATS` as ``loop_floats`` and on `_ARRAYS` as
-    ``loop_arrays``."""
-    return BackupPolicy(pi_eval, dpi_dx, eps, loop(_FLOATS), loop(_ARRAYS))
-
-
 def _bound(n: int, idx: int, limit: float, sign: float, name: str
            ) -> ScalarConstraint:
     """``limit - sign * x[idx] >= 0`` on an ``n``-state, with its constant
@@ -478,7 +475,7 @@ def _build_toy1d(params: dict):
 
     # f + g u as `loop_rhs` computes it: g u summed from +0.0 in input
     # order, so even the signs of zeros match
-    def loop(p: _Primitives):
+    def loop(p: Primitives):
         saturate = p.saturate
 
         def rhs(x):
@@ -491,7 +488,7 @@ def _build_toy1d(params: dict):
                         _constant([[0.0]]), None,
                         np.array([-u_max]), np.array([u_max]),
                         state_names=("x",), input_names=("u",))
-    policy = _policy(pi, dpi, eps, loop)
+    policy = BackupPolicy(pi, dpi, eps, loop)
 
     def level(c: float, name: str) -> ScalarConstraint:
         return ScalarConstraint(
@@ -536,7 +533,7 @@ def _build_double_integrator(params: dict):
         out[..., 0, 1] = -u_max * d
         return out
 
-    def loop(p: _Primitives):
+    def loop(p: Primitives):
         indicator = p.indicator
 
         def rhs(s, v):
@@ -549,7 +546,7 @@ def _build_double_integrator(params: dict):
                         _constant([[0.0, 1.0], [0.0, 0.0]]), None,
                         np.array([-u_max]), np.array([u_max]),
                         state_names=("s", "v"), input_names=("u",))
-    policy = _policy(pi, dpi, eps, loop)
+    policy = BackupPolicy(pi, dpi, eps, loop)
 
     # at_rest stays -v: the bound's 0.0 - 1.0 * v would give +0.0 at v = +0.0
     spec = SafetySpec(
@@ -660,7 +657,7 @@ def _build_dubins(params: dict):
         out[..., 1, 2] = k_y[1] * dr
         return out
 
-    def loop(p: _Primitives):
+    def loop(p: Primitives):
         sin, saturate = p.sin, p.saturate
 
         def rhs(y, v, psi):
@@ -676,7 +673,7 @@ def _build_dubins(params: dict):
                         _constant([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), df, None,
                         np.array([-a_max, -r_max]), np.array([a_max, r_max]),
                         state_names=("Y", "v", "psi"), input_names=("a", "r"))
-    policy = _policy(pi, dpi, max(eps_a, eps_r), loop)
+    policy = BackupPolicy(pi, dpi, max(eps_a, eps_r), loop)
 
     offset = np.array([0.0, v_des, 0.0])
 
@@ -753,7 +750,7 @@ def _build_aeroplane(params: dict):
         out[..., 0, 1] = -u_max * smooth_sign_deriv(x[..., 1], eps)
         return out
 
-    def loop(p: _Primitives):
+    def loop(p: Primitives):
         sin, cos, sign = p.sin, p.cos, p.sign
 
         def rhs(dx, dy, dpsi):
@@ -769,7 +766,7 @@ def _build_aeroplane(params: dict):
     model = SystemModel(3, 1, f, g, df, dg,
                         np.array([-u_max]), np.array([u_max]),
                         state_names=("dx", "dy", "dpsi"), input_names=("u",))
-    policy = _policy(pi, dpi, eps, loop)
+    policy = BackupPolicy(pi, dpi, eps, loop)
 
     def separation(x, radius=r_min):
         x = np.asarray(x, dtype=float)

@@ -380,39 +380,45 @@ def test_argument_validation():
 
 
 def test_loop_floats_checked_against_the_model():
-    """A built-in policy's float closed loop encodes its own model; paired
-    with a changed model it is refused (checked at every node), while the same
-    change without ``loop_floats`` integrates the changed dynamics."""
+    """A built-in policy's closed loop, built on floats, encodes its own
+    model; paired with a changed model it is refused (checked at every
+    node), while the same change without ``closed_loop`` integrates the
+    changed dynamics."""
     model, policy, _ = make_benchmark("double_integrator")
     doubled = dataclasses.replace(model, f_eval=lambda x: 2.0 * model.f_eval(x))
     with pytest.raises(ValidationError, match=r"component 0: 2\.0 != 4\.0"):
         integrate_flow(doubled, policy, [0.0, 2.0], 1.0, 10)
-    traj = integrate_flow(doubled, dataclasses.replace(policy, loop_floats=None),
+    traj = integrate_flow(doubled,
+                          dataclasses.replace(policy, closed_loop=None),
                           [0.0, 2.0], 1.0, 10)
     assert traj.states[-1] == pytest.approx([3.0, 1.0], abs=1e-12)
     assert integrate_flow(model, policy, [0.0, 2.0], 1.0,
                           10).states[-1] == pytest.approx([1.5, 1.0], abs=1e-12)
 
 
+def velocity_kick(model, region):
+    """``model`` with ``vdot`` raised by 0.5 where ``region(s)`` holds."""
+    def f(x):
+        out = model.f_eval(x)
+        s = np.asarray(x)[..., 0]
+        out[..., 1] = out[..., 1] + np.where(region(s), 0.5, 0.0)
+        return out
+
+    return dataclasses.replace(model, f_eval=f)
+
+
 def test_loop_floats_checked_wherever_the_march_goes():
     """A model change that the march reaches only later is refused too: a
     double integrator whose ``vdot`` gains +0.5 only where ``s > 2``, from
     ``x0 = (0, 3)``, first disagrees at node 8 in the velocity component;
-    without ``loop_floats`` the changed dynamics are integrated, and the
+    without ``closed_loop`` the changed dynamics are integrated, and the
     barrier reads the changed model's margin."""
     model, policy, spec = make_benchmark("double_integrator")
-
-    def f(x):
-        out = model.f_eval(x)
-        out[..., 1] = out[..., 1] + np.where(np.asarray(x)[..., 0] > 2.0,
-                                             0.5, 0.0)
-        return out
-
-    changed = dataclasses.replace(model, f_eval=f)
+    changed = velocity_kick(model, lambda s: s > 2.0)
     with pytest.raises(ValidationError,
                        match=r"node 8, component 1: -1\.0 != -0\.5"):
         integrate_flow(changed, policy, [0.0, 3.0], 10.0, 100)
-    custom = dataclasses.replace(policy, loop_floats=None)
+    custom = dataclasses.replace(policy, closed_loop=None)
     traj = integrate_flow(changed, custom, [0.0, 3.0], 10.0, 100)
     assert traj.states[-1] == pytest.approx([6.383, -0.125], abs=1e-3)
     assert eval_h(changed, custom, spec, [0.0, 3.0], 10.0,
@@ -420,36 +426,64 @@ def test_loop_floats_checked_wherever_the_march_goes():
 
 
 def test_loop_arrays_checked_against_the_model():
-    """The batch twin of the two tests above: the batch checks the policy's
-    array closed loop at every row of its first and last step, so the
-    doubled double integrator is refused at step 1 and the ``s > 2`` change
-    at the last step; without ``loop_arrays`` the changed dynamics are
-    integrated."""
+    """The batch twin of the two tests above.  The batch checks the
+    policy's closed loop, built on arrays, at every row of its first and
+    last step, and at the start of every other step on row 0 and every
+    ``ceil(B / 9)``-th row (all rows of a batch of up to nine):
+    - the doubled double integrator is refused at step 1, and so is a
+      change only where ``s < -9``, on a row the mid-path check skips;
+    - the ``s > 2`` change is refused at step 9, as the single-state flow
+      refuses node 8, and on a row the mid-path check skips, at the last
+      step;
+    - a change only where ``1 < s < 2``, which the path from ``(0, 3)``
+      crosses between the first and last step, is refused at step 5 (node
+      4 for the single-state flow) on a checked row; crossed by unchecked
+      rows only, it goes undetected and they follow the policy's own
+      model.
+    Without ``closed_loop`` the changed dynamics are integrated."""
     model, policy, spec = make_benchmark("double_integrator")
     doubled = dataclasses.replace(model, f_eval=lambda x: 2.0 * model.f_eval(x))
     states = np.array([[-1.0, 0.5], [0.0, 2.0]])
     with pytest.raises(ValidationError, match=r"step 1, stage 1, batch row 0, "
                        r"component 0: 0\.5 != 1\.0"):
         eval_h_batch(doubled, policy, spec, states, 1.0, 10)
+    x0s = np.tile([-5.0, 1.0], (10, 1))
+    x0s[1] = [-10.0, 1.0]
+    with pytest.raises(ValidationError, match=r"step 1, stage 1, batch row 1, "
+                       r"component 1: -1\.0 != -0\.5"):
+        integrate_flow_batch(velocity_kick(model, lambda s: s < -9.0), policy,
+                             x0s, 10.0, 100)
 
-    def f(x):
-        out = model.f_eval(x)
-        out[..., 1] = out[..., 1] + np.where(np.asarray(x)[..., 0] > 2.0,
-                                             0.5, 0.0)
-        return out
-
-    changed = dataclasses.replace(model, f_eval=f)
-    x0s = np.array([[-5.0, 1.0], [0.0, 3.0]])
+    beyond = velocity_kick(model, lambda s: s > 2.0)
+    x0s[1] = [0.0, 3.0]
     with pytest.raises(ValidationError, match=r"step 100, stage 1, batch "
                        r"row 1, component 1: "):
-        integrate_flow_batch(changed, policy, x0s, 10.0, 100)
-    custom = dataclasses.replace(policy, loop_arrays=None)
-    ends, _ = integrate_flow_batch(changed, custom, x0s, 10.0, 100)
+        integrate_flow_batch(beyond, policy, x0s, 10.0, 100)
+    with pytest.raises(ValidationError, match=r"step 9, stage 1, batch "
+                       r"row 1, component 1: -1\.0 != -0\.5"):
+        integrate_flow_batch(beyond, policy, x0s[:2], 10.0, 100)
+
+    between = velocity_kick(model, lambda s: (s > 1.0) & (s < 2.0))
+    with pytest.raises(ValidationError, match=r"node 4, component 1: "):
+        integrate_flow(between, policy, [0.0, 3.0], 10.0, 100)
+    x0s[[1, 3, 5]] = [0.0, 3.0]
+    ends, _ = integrate_flow_batch(between, policy, x0s, 10.0, 100,
+                                   with_sensitivity=False)
+    own, _ = integrate_flow_batch(model, policy, x0s, 10.0, 100,
+                                  with_sensitivity=False)
+    assert np.array_equal(ends, own)
+    x0s[2] = [0.0, 3.0]
+    with pytest.raises(ValidationError, match=r"step 5, stage 1, batch "
+                       r"row 2, component 1: -1\.0 != -0\.5"):
+        integrate_flow_batch(between, policy, x0s, 10.0, 100)
+
+    custom = dataclasses.replace(policy, closed_loop=None)
+    x0s = x0s[:2]
+    ends, _ = integrate_flow_batch(beyond, custom, x0s, 10.0, 100)
     assert ends[1] == pytest.approx([6.383, -0.125], abs=1e-3)
     assert np.array_equal(
-        ends[1], integrate_flow(changed, dataclasses.replace(
-            custom, loop_floats=None), x0s[1], 10.0, 100).states[-1])
-    values = eval_h_batch(changed, custom, spec, x0s, 10.0, 100)
+        ends[1], integrate_flow(beyond, custom, x0s[1], 10.0, 100).states[-1])
+    values = eval_h_batch(beyond, custom, spec, x0s, 10.0, 100)
     assert values.h[1] == pytest.approx(0.125, abs=1e-3)
 
 
@@ -459,6 +493,7 @@ def test_loop_floats_check_treats_nan_as_equal():
     model, policy = linear_system(np.eye(1))
     nan_f = dataclasses.replace(
         model, f_eval=lambda x: np.full(np.shape(x), np.nan))
-    with_floats = dataclasses.replace(policy, loop_floats=lambda x: (math.nan,))
+    with_floats = dataclasses.replace(
+        policy, closed_loop=lambda p: lambda x: (math.nan,))
     with pytest.raises(FlowDivergenceError):
         integrate_flow(nan_f, with_floats, [1.0], 1.0, 10)

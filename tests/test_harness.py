@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from backup_cbf import harness
 from backup_cbf.cli import main as cli_main
 from backup_cbf.errors import (ConvergenceWarning, GeometryError,
                                ScenarioError, ValidationError)
@@ -322,6 +323,23 @@ def test_run_levelset_writes_grids_and_slices(tmp_path):
         assert sl.geometry.counts == (9, 7)
         # slice values equal the matching plane of the full grid
         assert np.array_equal(sl.values, grid.values[:, v_idx, :])
+
+
+def test_run_levelset_refuses_an_unusable_out_dir_before_the_sweep(
+        tmp_path, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output directory "
+                             "was made")
+
+    monkeypatch.setattr(harness, "sweep_backup_h", no_sweep)
+    sc = Scenario(benchmark="double_integrator", x0=(0.0, 0.0),
+                  nominal={"kind": "constant", "value": [0.0]},
+                  duration_s=1.0, dt_s=0.1)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    with pytest.raises(FileExistsError):
+        run_levelset(sc, GridGeometry((-1.0, -1.0), (1.0, 1.0), (5, 5),
+                                      (False, False)), out_dir=str(taken))
 
 
 def test_slice_degenerate_rejected():

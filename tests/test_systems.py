@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from backup_cbf.errors import EvaluationError, ValidationError
 from backup_cbf.systems import (_DUBINS_KY_AGGRESSIVE, _DUBINS_KY_CONSERVATIVE,
-                                BENCHMARK_DEFAULTS, BENCHMARK_NAMES,
-                                BackupPolicy, SystemModel, _bound, _constant,
+                                ARRAY_PRIMITIVES, BENCHMARK_DEFAULTS,
+                                BENCHMARK_NAMES, FLOAT_PRIMITIVES, BackupPolicy,
+                                SystemModel, _bound, _constant,
                                 closed_loop_jacobian, closed_loop_rhs,
                                 di_closed_form_h, loop_rhs, make_benchmark,
                                 smooth_positive_indicator,
@@ -370,12 +371,13 @@ def test_loop_floats_match_array_path(case, data):
     stacked = np.array(states)
     derivs = loop_rhs(model, policy, stacked)
     for x, expected in zip(states, derivs):
-        got = np.array(policy.loop_floats(*x))
+        got = np.array(policy.closed_loop(FLOAT_PRIMITIVES)(*x))
         assert got.tobytes() == expected.tobytes(), \
-            f"{name} {params} at x = {x!r}: loop_floats {got!r}, array path {expected!r}"
-    got = np.stack(policy.loop_arrays(*stacked.T.copy()), axis=-1)
+            f"{name} {params} at x = {x!r}: float build {got!r}, array path {expected!r}"
+    got = np.stack(policy.closed_loop(ARRAY_PRIMITIVES)(*stacked.T.copy()),
+                   axis=-1)
     assert got.tobytes() == derivs.tobytes(), \
-        f"{name} {params} at x = {states!r}: loop_arrays {got!r}, array path {derivs!r}"
+        f"{name} {params} at x = {states!r}: array build {got!r}, array path {derivs!r}"
 
 
 def reference_loop_rhs(model, policy, x):
