@@ -25,7 +25,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, product
 
 import numpy as np
 
@@ -188,6 +188,28 @@ def _side_values(v: Array, axis: int, periodic: bool) -> tuple[Array, Array]:
     return np.moveaxis(prev, 0, axis), np.moveaxis(nxt, 0, axis)
 
 
+def _face_differences(v: Array, axis: int, periodic: bool, h: float,
+                      out: Array) -> tuple[Array, Array]:
+    """One-sided differences ``(v[j] - v[j-1]) / h`` along an axis for
+    ``j = 0..count`` into ``out`` (one longer than ``v`` on that axis), and
+    the views (backward, forward) of them at each cell.  Each difference is
+    the one `_side_values` gives, by the same floating-point operations on
+    the same operands."""
+    def cut(start, stop=None):      # start:stop along the axis
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    np.subtract(v[cut(1)], v[cut(None, -1)], out=out[cut(1, -1)])
+    first, last = v[cut(None, 1)], v[cut(-1)]
+    if periodic:
+        np.subtract(first, last, out=out[cut(None, 1)])
+        out[cut(-1)] = out[cut(None, 1)]
+    else:
+        np.subtract(first, 2.0 * first - v[cut(1, 2)], out=out[cut(None, 1)])
+        np.subtract(2.0 * last - v[cut(-2, -1)], last, out=out[cut(-1)])
+    out /= h
+    return out[cut(None, -1)], out[cut(1)]
+
+
 def check_solve_limits(tol: float, max_steps: int):
     """`ValidationError` unless ``tol`` is a finite number >= 0 and
     ``max_steps`` an integer >= 1 (a bool is neither)."""
@@ -237,19 +259,30 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
 
     v = grid0.values.copy()
     value_floor = float(v.min()) - 2.0 * max(float(v.max() - v.min()), 1.0)
+    # the differences across the count + 1 cell faces of one axis at a time
+    # (d_minus is the first count of them, d_plus the last count), in one
+    # buffer shared by the axes
+    face_shapes = [shape[:ax] + (n + 1,) + shape[ax + 1:]
+                   for ax, n in enumerate(shape)]
+    faces = np.empty(max(map(math.prod, face_shapes)))
+    grads_c = np.empty(shape + (geom.dims,))
+    diss, work = np.empty(shape), np.empty(shape)
     for step in range(max_steps):
-        grads_c = np.empty(shape + (geom.dims,))
-        diss = np.zeros(shape)
-        for ax in range(geom.dims):
-            prev, nxt = _side_values(v, ax, geom.periodic_axes[ax])
-            d_minus = (v - prev) / spacings[ax]
-            d_plus = (nxt - v) / spacings[ax]
-            grads_c[..., ax] = 0.5 * (d_minus + d_plus)
-            diss += 0.5 * alpha[ax] * (d_plus - d_minus)
+        diss.fill(0.0)
+        for ax, face_shape in enumerate(face_shapes):
+            d = faces[:math.prod(face_shape)].reshape(face_shape)
+            d_minus, d_plus = _face_differences(v, ax, geom.periodic_axes[ax],
+                                                spacings[ax], d)
+            np.add(d_minus, d_plus, out=work)   # one strided write, below
+            np.multiply(work, 0.5, out=grads_c[..., ax])
+            np.subtract(d_plus, d_minus, out=work)
+            work *= 0.5 * alpha[ax]
+            diss += work
 
         # V evolves forward as V_t = H(x, DV) (frozen by the outer min), so
         # the monotone Lax-Friedrichs form *adds* the dissipation term.
-        ham = _box_hamiltonian(model, grads_c, f_grid, g_grid) + diss
+        ham = _box_hamiltonian(model, grads_c, f_grid, g_grid)
+        ham += diss
 
         v_new = np.maximum(v + dt * np.minimum(0.0, ham), value_floor)
         if not np.all(np.isfinite(v_new)):
@@ -346,8 +379,10 @@ def dilate_set(grid: LevelGrid) -> Array:
 # Serialization.
 # ---------------------------------------------------------------------------
 
-# Cells encoded or decoded per block: bounds the transient Python objects
-# and index/coordinate columns to one block, never the whole grid.
+# Cells encoded or decoded per block.  The writer's transient strings are
+# one block of rows (whole last-axis runs, so one run if a run is longer)
+# plus ``sum(counts)`` per-axis labels; the reader's are one block of lines
+# and its table.  Never the whole grid.
 _BLOCK_ROWS = 4096
 
 
@@ -383,22 +418,37 @@ def _cell_index(counts: tuple[int, ...], start: int, stop: int) -> Array:
 
 
 def write_grid_csv(grid: LevelGrid, path: str) -> None:
+    """Write the axis header, then one ``index..., coords..., value`` row
+    per cell in row-major order, every float as its ``repr``.
+
+    Each axis's index strings and coordinate ``repr``s are formatted once
+    per file; a row is their concatenation with the ``repr`` of its value.
+    Rows are built and written one block of whole last-axis runs (at most
+    ``_BLOCK_ROWS`` cells, or one run if a run is longer) at a time."""
     geom = grid.geometry
-    axes = [geom.axis_coordinates(i) for i in range(geom.dims)]
     flat = grid.values.ravel()
-    row = ",".join(["{}"] * geom.dims + ["{!r}"] * (geom.dims + 1)) + "\n"
+    labels = [list(zip(map(str, range(n)),
+                       map(repr, geom.axis_coordinates(i).tolist())))
+              for i, n in enumerate(geom.counts)]
+    last = labels[-1]
+    runs = product(*labels[:-1])       # (index, coordinate) of each lead axis
     with open(path, "w") as fh:
         for i, a in enumerate(axis_records(geom)):
             flag = " periodic" if a["periodic"] else ""
             fh.write(f"# axis {i}: {a['lower']!r} {a['upper']!r} "
                      f"{a['count']}{flag}\n")
-        for start in range(0, flat.size, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, flat.size)
-            idx = _cell_index(geom.counts, start, stop)
-            cols = ([c.tolist() for c in idx.T]
-                    + [axes[i][idx[:, i]].tolist() for i in range(geom.dims)]
-                    + [flat[start:stop].tolist()])
-            fh.writelines(map(row.format, *cols))
+        start = 0
+        while block := list(islice(runs, max(1, _BLOCK_ROWS // len(last)))):
+            stop = start + len(block) * len(last)
+            values = map(repr, flat[start:stop].tolist())
+            rows = []
+            for lead in block:
+                head = "".join(k + "," for k, _ in lead)
+                mid = "".join("," + c for _, c in lead)
+                rows += [f"{head}{k}{mid},{c},{v}\n"
+                         for (k, c), v in zip(last, values)]
+            fh.write("".join(rows))
+            start = stop
 
 
 def _read_csv_header(fh, path: str) -> tuple[GridGeometry, int, str]:
@@ -427,42 +477,70 @@ def _read_csv_header(fh, path: str) -> tuple[GridGeometry, int, str]:
         raise GeometryError(f"{path}:{at}: {exc}") from exc
 
 
+# numpy's C parser strips these as blanks around a number; Python's float
+# refuses them
+_C_PARSER_ONLY_BLANKS = "\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt_block(data: list[str]) -> Array | None:
+    """The comma-separated lines ``data`` as read by numpy's C parser, or
+    ``None`` if it refuses them or they hold a blank only it accepts."""
+    text = "".join(data)
+    if any(c in text for c in _C_PARSER_ONLY_BLANKS):
+        return None
+    try:
+        return np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
 def _decode_block(lines: list[str], lineno: int, geom: GridGeometry,
                   values: Array, filled: int, path: str) -> int:
     """Parse the data lines starting at line ``lineno`` as one table, check
     its index columns against the row-major cell sequence from cell
-    ``filled`` on, store its values, and return the new fill count."""
+    ``filled`` on, store its values, and return the new fill count.
+
+    numpy's C parser (`_loadtxt_block`) reads the block first.  Where it
+    refuses it, ``np.array(rows, dtype=float)`` (Python's ``float`` per
+    field, which also reads digit separators and non-ASCII digits) reads
+    it instead, and failing that, each row is checked in turn and the
+    first bad one is named: the accepted syntax and the errors do not
+    depend on which parser read the block."""
     dims, width = geom.dims, 2 * geom.dims + 1
-    rows = [line.split(",") for line in lines if not line.isspace()]
-    if not rows:
+    data = [line for line in lines if not line.isspace()]
+    if not data:
         return filled
 
     def where(r: int) -> str:
         linenos = [lineno + k for k, line in enumerate(lines) if not line.isspace()]
         return f"{path}:{linenos[r]}"
 
-    try:
-        table = np.array(rows, dtype=float)
-    except ValueError:
-        table = None
-    if table is None or table.shape[1:] != (width,):
-        for r, cols in enumerate(rows):
-            if len(cols) != width:
-                raise GeometryError(f"{where(r)}: expected {width} columns, "
-                                    f"got {len(cols)}")
-            try:
-                list(map(float, cols))
-            except ValueError as exc:
-                raise GeometryError(f"{where(r)}: bad cell row") from exc
-    stop = min(filled + len(rows), values.size)
+    table = _loadtxt_block(data)
+    if table is None or table.shape != (len(data), width):
+        rows = [line.split(",") for line in data]
+        try:
+            table = np.array(rows, dtype=float)
+        except ValueError:
+            table = None
+        if table is None or table.shape[1:] != (width,):
+            for r, cols in enumerate(rows):
+                if len(cols) != width:
+                    raise GeometryError(f"{where(r)}: expected {width} "
+                                        f"columns, got {len(cols)}")
+                try:
+                    list(map(float, cols))
+                except ValueError as exc:
+                    raise GeometryError(f"{where(r)}: bad cell row") from exc
+    stop = min(filled + len(data), values.size)
     expected = _cell_index(geom.counts, filled, stop)
     bad = np.any(table[:len(expected), :dims] != expected, axis=1)
     if bad.any():
         r = int(np.argmax(bad))
+        got = ",".join(data[r].split(",")[:dims])
         raise GeometryError(
             f"{where(r)}: expected cell {tuple(expected[r].tolist())} in "
-            f"row-major order, got index columns {','.join(rows[r][:dims])}")
-    if len(expected) < len(rows):
+            f"row-major order, got index columns {got}")
+    if len(expected) < len(data):
         raise GeometryError(f"{where(len(expected))}: more rows than the "
                             f"{values.size} cells of the grid")
     values[filled:stop] = table[:, -1]

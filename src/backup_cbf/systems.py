@@ -130,8 +130,9 @@ def smooth_saturate(y: Array | float, lo: float, hi: float, eps: float) -> Array
     y = np.asarray(y, dtype=float)
     if eps == 0.0:
         return np.clip(y, lo, hi)
-    # np.clip of a 0-d array is a read-only scalar; copy it into an array
-    out = np.array(np.clip(y, lo, hi))
+    out = np.clip(y, lo, hi)
+    if out.ndim == 0:           # np.clip of a 0-d array is a read-only scalar
+        out = np.array(out)
     band = (y > hi - eps) & (y < hi + eps)
     yb = y[band]
     out[band] = yb - (yb - (hi - eps)) ** 2 / (4.0 * eps)

@@ -193,6 +193,60 @@ def test_value_floor_is_two_ranges_below_the_field_minimum():
     assert out.values.min() == floor
 
 
+def reference_solve_passes(grid0, model, passes):
+    """The value iteration of `solve_invariant` with ``tol = 0``, its
+    differences taken from the neighbour fields of `hjgrid._side_values`
+    (the former pass, kept as the bit reference)."""
+    geom = grid0.geometry
+    pts = geom.nodes()
+    f_nodes, g_nodes = model.f_eval(pts), model.g_eval(pts)
+    u_abs = np.maximum(np.abs(model.input_lower), np.abs(model.input_upper))
+    shape = geom.counts
+    f_grid = f_nodes.reshape(shape + (geom.dims,))
+    g_grid = g_nodes.reshape(shape + (geom.dims, model.input_dim))
+    alpha = (np.max(np.abs(f_nodes), axis=0)
+             + np.abs(g_nodes).max(axis=0) @ u_abs)
+    spacings = np.array([geom.spacing(i) for i in range(geom.dims)])
+    cfl_rate = float(np.sum(alpha / spacings))
+    dt = 0.9 / cfl_rate if cfl_rate > 0.0 else 1.0
+    v = grid0.values.copy()
+    value_floor = float(v.min()) - 2.0 * max(float(v.max() - v.min()), 1.0)
+    for _ in range(passes):
+        grads_c = np.empty(shape + (geom.dims,))
+        diss = np.zeros(shape)
+        for ax in range(geom.dims):
+            prev, nxt = hjgrid._side_values(v, ax, geom.periodic_axes[ax])
+            d_minus = (v - prev) / spacings[ax]
+            d_plus = (nxt - v) / spacings[ax]
+            grads_c[..., ax] = 0.5 * (d_minus + d_plus)
+            diss += 0.5 * alpha[ax] * (d_plus - d_minus)
+        ham = hjgrid._box_hamiltonian(model, grads_c, f_grid, g_grid) + diss
+        v_new = np.maximum(v + dt * np.minimum(0.0, ham), value_floor)
+        delta = float(np.max(np.abs(v_new - v)))
+        v = v_new
+    return v, hjgrid.SolveRecord(passes, delta, delta < 0.0, dt, cfl_rate * dt)
+
+
+@pytest.mark.parametrize("name, geom", [
+    ("double_integrator", GridGeometry((-10.0, -5.0), (12.0, 5.0), (41, 41),
+                                       (False, False))),
+    ("dubins", GridGeometry((-2.25, -1.0, -1.25), (2.25, 11.0, 1.25),
+                            (21, 21, 21), (False, False, False))),
+    ("aeroplane", GridGeometry((-6.0, -6.0, -math.pi), (6.0, 6.0, math.pi),
+                               (21, 21, 21), (False, False, True))),
+])
+def test_value_iteration_matches_the_neighbour_field_pass(name, geom):
+    """Differences taken once per cell face, edges and periodic wrap
+    included, give the former pass's field and record bit for bit."""
+    model, _, spec = make_benchmark(name)
+    grid0 = constraint_grid(geom, spec)
+    out = solve_invariant(grid0, model, tol=0.0, max_steps=25)
+    values, record = reference_solve_passes(grid0, model, 25)
+    assert np.array_equal(out.values, values)
+    assert out.values.tobytes() == values.tobytes()
+    assert out.solve == record
+
+
 BAD_SOLVE_LIMITS = [{"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf},
                     {"tol": "0.1"}, {"max_steps": -3}, {"max_steps": 0},
                     {"max_steps": 2.0}, {"max_steps": True}]
@@ -562,6 +616,79 @@ def test_grid_files_roundtrip_bit_equal(grid):
             back = read_grid(path)
             assert back.geometry == grid.geometry
             assert back.values.tobytes() == grid.values.tobytes()
+
+
+def block_encoder_write_grid_csv(grid, path):
+    """The former block writer: every row through one ``str.format``, with
+    index and coordinate columns gathered per block of cells (the byte
+    reference of the per-axis-string writer)."""
+    geom = grid.geometry
+    axes = [geom.axis_coordinates(i) for i in range(geom.dims)]
+    flat = grid.values.ravel()
+    row = ",".join(["{}"] * geom.dims + ["{!r}"] * (geom.dims + 1)) + "\n"
+    with open(path, "w") as fh:
+        for i in range(geom.dims):
+            flag = " periodic" if geom.periodic_axes[i] else ""
+            fh.write(f"# axis {i}: {geom.lower[i]!r} {geom.upper[i]!r} "
+                     f"{geom.counts[i]}{flag}\n")
+        for start in range(0, flat.size, 4096):
+            stop = min(start + 4096, flat.size)
+            idx = np.stack(np.unravel_index(np.arange(start, stop),
+                                            geom.counts), axis=-1)
+            cols = ([c.tolist() for c in idx.T]
+                    + [axes[i][idx[:, i]].tolist() for i in range(geom.dims)]
+                    + [flat[start:stop].tolist()])
+            fh.writelines(map(row.format, *cols))
+
+
+@pytest.mark.parametrize("geom", [
+    # one last-axis run longer than a block of rows
+    GridGeometry((-1.0, -0.1), (2.0, 1e16), (3, 4500), (False, False)),
+    # runs that do not divide a block, a periodic axis among them
+    GridGeometry((-2.25, -math.pi, 1e-05), (2.25, math.pi, 1.0 / 3.0),
+                 (17, 19, 23), (False, True, False)),
+])
+def test_csv_writer_bytes_match_the_block_encoder(tmp_path, geom):
+    values = np.resize([-0.0, 5e-324, 1e-05, 1e16, 1.0 / 3.0, -2.25],
+                       math.prod(geom.counts))
+    grid = LevelGrid(geom, values)
+    path, ref = str(tmp_path / "g.csv"), str(tmp_path / "ref.csv")
+    write_grid_csv(grid, path)
+    block_encoder_write_grid_csv(grid, ref)
+    with open(path, "rb") as a, open(ref, "rb") as b:
+        assert a.read() == b.read()
+    back = read_grid_csv(path)
+    assert back.geometry == geom
+    assert back.values.tobytes() == grid.values.tobytes()
+
+
+@pytest.mark.parametrize("field, value", [("1_0", 10.0), ("\u0661", 1.0),
+                                          (" 2.5 ", 2.5), ("-0.0", -0.0)])
+def test_csv_reader_keeps_python_float_syntax(tmp_path, field, value):
+    """A value field that Python's ``float`` reads but numpy's C parser
+    does not (a digit separator, the Arabic-Indic digit one) reads back as
+    ``float`` reads it."""
+    row = f"1,1,0.5,0.5,{field}\n"
+    path = _small_csv(tmp_path, lambda rows: rows[:4] + [row] + rows[5:])
+    expected = np.arange(9.0)
+    expected[4] = value
+    assert read_grid_csv(path).values.ravel().tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,1,0.5,0.5,0x10\n", ":7: bad cell row"),
+    ("1,1,0.5,0.5,1d5\n", ":7: bad cell row"),
+    ("1,1,0.5,0.5,\n", ":7: bad cell row"),
+    # a blank only numpy's C parser strips
+    ("1,1,0.5,0.5,4.0\x1f\n", ":7: bad cell row"),
+    ("1,1,0.5,0.5,4.0,0\n", ":7: expected 5 columns, got 6"),
+])
+def test_csv_reader_still_refuses_what_python_float_refuses(tmp_path, row,
+                                                            message):
+    path = _small_csv(tmp_path, lambda rows: rows[:4] + [row] + rows[5:])
+    with pytest.raises(GeometryError) as err:
+        read_grid_csv(path)
+    assert f"{path}{message}" in str(err.value)
 
 
 def _small_csv(tmp_path, edit):

@@ -252,6 +252,18 @@ def test_smoothings_are_exact_outside_band():
     assert smooth_saturate(5.0, -3.0, 3.0, 0.15) == 3.0
 
 
+@pytest.mark.parametrize("y", [2.99, 5.0, -2.99, 1.0])
+def test_smooth_saturate_of_a_0d_input_is_a_writable_array(y):
+    """0-d input goes through the band blend like a batch entry (inside a
+    band, on the clip, or on the interior) and comes back as a writable
+    0-d array with the batch bits."""
+    out = smooth_saturate(np.float64(y), -3.0, 3.0, 0.15)
+    assert isinstance(out, np.ndarray) and out.ndim == 0
+    assert out.flags.writeable
+    batch = smooth_saturate(np.array([y]), -3.0, 3.0, 0.15)
+    assert out.tobytes() == batch[0].tobytes()
+
+
 def test_smoothings_scalar_and_batch_agree():
     vs = np.linspace(-0.6, 0.6, 41)
     batch = smooth_positive_indicator(vs, 0.25)
