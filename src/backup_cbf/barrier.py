@@ -22,6 +22,7 @@ assembly to solve (layout in `ConstraintSet`).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -184,7 +185,11 @@ def build_constraints(model: SystemModel, spec: SafetySpec,
 
 @dataclass(frozen=True)
 class FilterDiagnostics:
-    """Per-call record of what the filter saw and decided."""
+    """Per-call record of what the filter saw and decided.
+
+    ``qp_iterations`` and ``kkt_residual`` are the solver's active-set
+    changes and KKT residual (``inf`` unless the QP solved optimally, and
+    ``null`` then in `to_json_dict`, as JSON has no infinity)."""
 
     h_value: float
     argmin: tuple[int, int]
@@ -192,6 +197,8 @@ class FilterDiagnostics:
     terminal_value: float
     row_count: int
     qp_status: str
+    qp_iterations: int
+    kkt_residual: float
     active_rows: tuple[tuple[str, int], ...]
     used_fallback: bool
     inside_set: bool
@@ -205,6 +212,9 @@ class FilterDiagnostics:
             "terminal_value": self.terminal_value,
             "row_count": self.row_count,
             "qp_status": self.qp_status,
+            "qp_iterations": self.qp_iterations,
+            "kkt_residual": (self.kkt_residual
+                             if math.isfinite(self.kkt_residual) else None),
             "active_rows": [list(lab) for lab in self.active_rows],
             "used_fallback": self.used_fallback,
             "inside_set": self.inside_set,
@@ -260,6 +270,8 @@ def filter_control(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
         terminal_value=evaluation.terminal_value,
         row_count=len(constraints.rows),
         qp_status=qp_status,
+        qp_iterations=solution.iterations,
+        kkt_residual=float(solution.kkt_residual),
         active_rows=solution.active_set,
         used_fallback=used_fallback,
         inside_set=evaluation.h_value >= 0.0,

@@ -1,11 +1,11 @@
 """Closed-loop backup flow integration with sensitivity propagation.
 
 `rk4_step` is the fixed-step explicit fourth-order update on arrays: it
-steps the state sensitivity and advances the plant in the simulation
-harness.  The backup-loop state is marched component by component, in
-`rk4_step`'s exact operation order by `_component_step`, on the closed-loop
-kernel built from the policy's statement ``BackupPolicy.closed_loop``
-(`loop_rhs` wrapped for a policy without one): one state as a tuple of
+advances the plant in the simulation harness, and every other step here
+follows its exact operation order.  The backup-loop state is marched
+component by component, by `_component_step`, on the closed-loop kernel
+built from the policy's statement ``BackupPolicy.closed_loop`` (`loop_rhs`
+wrapped for a policy without one): one state as a tuple of
 Python floats (`FLOAT_PRIMITIVES`), where numpy's per-call overhead on 2-
 and 3-vectors would be most of the cost, and a batch as a tuple of
 contiguous ``(B,)`` arrays (`ARRAY_PRIMITIVES`), which reads no strided
@@ -15,7 +15,10 @@ points of every step.  The sensitivity obeys the variational equation
 ``Qdot = J(x) Q`` with ``J = d f_pi / d x`` and ``Q(0) = I``; since the
 state never depends on ``Q``, the loop Jacobians only ever come from
 stacked `loop_jacobian` evaluations at recorded stage points, and ``Q`` is
-stepped over them by `rk4_step`.  One pass serves every downstream
+stepped over them by `_q_step`, `rk4_step`'s operation order written out
+for ``deriv(p) = J_s @ p`` (a closure and an iterator per step cost about
+a tenth of the single-state Q loop), so the batch's ``Q`` equals the
+single-state ``Q`` bit for bit.  One pass serves every downstream
 constraint row.
 
 Everything here is pure and reentrant.  `integrate_flow` takes the
@@ -33,13 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .errors import FlowDivergenceError, ValidationError
 from .systems import (ARRAY_PRIMITIVES, FLOAT_PRIMITIVES, BackupPolicy,
-                      SystemModel, loop_jacobian, loop_rhs)
+                      SystemModel, is_finite_real, is_integer, loop_jacobian,
+                      loop_rhs)
 
 Array = np.ndarray
 
@@ -69,10 +73,14 @@ class FlowTrajectory:
 
 
 def _check_args(x0: Array, horizon: float, steps: int) -> Array:
-    if horizon <= 0.0:
-        raise ValidationError("horizon must be > 0")
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
+    """``x0`` as a finite float array, or `ValidationError`; so is a
+    ``horizon`` that is not a finite number > 0 or ``steps`` that is not an
+    integer >= 1 (a bool is neither)."""
+    if not (is_finite_real(horizon) and horizon > 0.0):
+        raise ValidationError(f"horizon must be a finite number > 0, got "
+                              f"{horizon!r}")
+    if not (is_integer(steps) and steps >= 1):
+        raise ValidationError(f"steps must be an integer >= 1, got {steps!r}")
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValidationError("initial state must be finite")
@@ -94,11 +102,20 @@ def rk4_step(deriv: Callable[[Array], Array], x: Array, dt: float
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (x, x2, x3, x4)
 
 
-def _q_step(jacs: Iterable[Array], q: Array, dt: float) -> Array:
+def _q_step(jacs, q: Array, dt: float) -> Array:
     """One step of the variational equation ``Qdot = J Q`` from the loop
-    Jacobians at the step's four stage points, in stage order."""
-    stage_jacs = iter(jacs)
-    return rk4_step(lambda p: np.matmul(next(stage_jacs), p), q, dt)[0]
+    Jacobians at the step's four stage points, in stage order: `rk4_step`
+    with ``deriv(p) = J_s @ p`` at stage ``s``, in its exact operation order,
+    written out so a step makes no closure, iterator or stage tuple.  For
+    one state ``jacs`` holds four ``(n, n)`` matrices, for a batch four
+    ``(B, n, n)`` stacks."""
+    j1, j2, j3, j4 = jacs
+    half = 0.5 * dt
+    k1 = j1 @ q
+    k2 = j2 @ (q + half * k1)
+    k3 = j3 @ (q + half * k2)
+    k4 = j4 @ (q + dt * k3)
+    return q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _component_step(loop: Callable[..., tuple], x: tuple, dt: float):
@@ -205,11 +222,12 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
         if policy.closed_loop is not None:
             _check_slopes(np.array(slopes).reshape(-1, n), drifts[:-1],
                           lambda node, k: f"node {node}, component {k}")
-        jacs = loop_jacobian(model, policy, points[:-1])
+        jacs = iter(loop_jacobian(model, policy, points[:-1]))
         sens = np.empty((len(states), n, n))
         sens[0] = q = np.eye(n)
-        for i in range(1, len(states)):
-            sens[i] = q = _q_step(jacs[4 * i - 4:4 * i], q, dt)
+        # zip over one iterator: each step's four stage Jacobians in turn
+        for i, step_jacs in enumerate(zip(jacs, jacs, jacs, jacs), 1):
+            sens[i] = q = _q_step(step_jacs, q, dt)
     finite = (np.isfinite(states[1:]).all(axis=1)
               & np.isfinite(sens[1:]).all(axis=(1, 2)))
     if not finite.all():

@@ -32,7 +32,7 @@ from .hjgrid import (HJ_MAX_STEPS, HJ_TOL, GridGeometry, LevelGrid,
                      write_grid_json)
 from .qp import QpSolver
 from .systems import (BENCHMARK_DEFAULTS, BackupPolicy, SafetySpec, SystemModel,
-                      is_finite_real, make_benchmark)
+                      is_finite_real, is_integer, make_benchmark)
 
 Array = np.ndarray
 
@@ -48,8 +48,7 @@ _NOMINAL_KINDS = ("constant", "proportional", "table")
 # tuple[float, ...], is the one field whose type is not listed
 _TYPE_CHECKS = {
     float: (is_finite_real, "a finite number"),
-    int: (lambda v: isinstance(v, (int, np.integer))
-          and not isinstance(v, bool), "an integer"),
+    int: (is_integer, "an integer"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
     str: (lambda v: isinstance(v, str), "a string"),
     dict: (lambda v: isinstance(v, dict), "an object"),

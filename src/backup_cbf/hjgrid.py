@@ -32,7 +32,8 @@ import numpy as np
 from .barrier import eval_h_batch, path_values
 from .errors import (ConvergenceWarning, FlowDivergenceError, GeometryError,
                      NumericalError, ValidationError)
-from .systems import BackupPolicy, SafetySpec, SystemModel, is_finite_real
+from .systems import (BackupPolicy, SafetySpec, SystemModel, is_finite_real,
+                      is_integer)
 
 Array = np.ndarray
 
@@ -50,14 +51,10 @@ def _threads() -> int:
     return int(raw)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 _AXIS_CHECKS = (           # (what each entry must be, field, check, type)
     ("lower bound must be a finite number", "lower", is_finite_real, float),
     ("upper bound must be a finite number", "upper", is_finite_real, float),
-    ("count must be an integer", "counts", _is_integer, int),
+    ("count must be an integer", "counts", is_integer, int),
     ("periodic flag must be true or false", "periodic_axes",
      lambda p: isinstance(p, (bool, np.bool_)), bool),
 )
@@ -213,7 +210,7 @@ def _face_differences(v: Array, axis: int, periodic: bool, h: float,
 def check_solve_limits(tol: float, max_steps: int):
     """`ValidationError` unless ``tol`` is a finite number >= 0 and
     ``max_steps`` an integer >= 1 (a bool is neither)."""
-    if not (is_finite_real(tol) and tol >= 0.0 and _is_integer(max_steps)
+    if not (is_finite_real(tol) and tol >= 0.0 and is_integer(max_steps)
             and max_steps >= 1):
         raise ValidationError(f"tol must be a finite number >= 0 and max_steps "
                               f"an integer >= 1, got {tol!r} and {max_steps!r}")
@@ -579,10 +576,19 @@ def grid_from_json_dict(doc: dict) -> LevelGrid:
 
 
 def write_grid_json(grid: LevelGrid, path: str) -> None:
-    # one dumps call runs the C encoder; json.dump would stream through the
-    # pure-Python one
+    """The bytes of ``json.dumps(grid_to_json_dict(grid))``, written one
+    ``_BLOCK_ROWS`` block of values at a time: json writes a finite float
+    as its ``repr``, and the values of a grid are finite."""
+    flat = grid.values.ravel()
     with open(path, "w") as fh:
-        fh.write(json.dumps(grid_to_json_dict(grid)))
+        fh.write('{"axes": ' + json.dumps(axis_records(grid.geometry))
+                 + ', "values": [')
+        for start in range(0, flat.size, _BLOCK_ROWS):
+            if start:
+                fh.write(", ")
+            fh.write(", ".join(map(repr, flat[start:start + _BLOCK_ROWS]
+                                   .tolist())))
+        fh.write("]}")
 
 
 def read_grid(path: str) -> LevelGrid:

@@ -6,8 +6,14 @@ batched ``(..., n)``, broadcasting over the leading axes.  Each built-in
 policy also carries its closed-loop derivative, stated once in
 `loop_rhs`'s operation order against a table of primitives
 (``BackupPolicy.closed_loop``): the single-state flow builds it on
-`FLOAT_PRIMITIVES` and the batch flow on `ARRAY_PRIMITIVES`.  Benchmark
-parameters must be finite numbers.  Values are immutable after
+`FLOAT_PRIMITIVES` and the batch flow on `ARRAY_PRIMITIVES`.  Each
+statement computes each zero product of ``g pi`` once and drops the exact
+identities (``1.0 * x`` is ``x``; ``0.0 + w`` is ``w`` wherever ``w``
+cannot be ``-0.0``), so it keeps `loop_rhs`'s bits, signed zeros and NaNs
+included, with fewer operations.  The float twins of the smoothings clamp
+by comparisons, which return what ``min(max(y, lo), hi)`` returns for
+every float (NaN and signed zeros included) without two builtin calls.
+Benchmark parameters must be finite numbers.  Values are immutable after
 construction and safe to share across threads.
 
 Four benchmark instances are provided:
@@ -78,7 +84,11 @@ def smooth_positive_indicator(v: Array | float, eps: float) -> Array:
 def _indicator_float(v: float, eps: float) -> float:
     if eps == 0.0:
         return 1.0 if v > 0.0 else 0.0
-    t = min(max((v + eps) / eps, 0.0), 1.0)
+    t = (v + eps) / eps
+    if 0.0 > t:
+        t = 0.0
+    if t > 1.0:
+        return 1.0
     return t * t * (3.0 - 2.0 * t)
 
 
@@ -102,7 +112,11 @@ def smooth_sign(y: Array | float, eps: float) -> Array:
 def _sign_float(y: float, eps: float) -> float:
     if eps == 0.0:
         return 0.0 if y == 0.0 else (1.0 if y > 0.0 else -1.0)
-    q = min(max(y / eps, -1.0), 1.0)
+    q = y / eps
+    if -1.0 > q:
+        return -1.0
+    if q > 1.0:
+        return 1.0
     return q * (2.0 - abs(q))
 
 
@@ -151,7 +165,11 @@ def _saturate_float(y: float, lo: float, hi: float, eps: float) -> float:
         if lo - eps < y < lo + eps:
             d = (lo + eps) - y
             return y + d * d / (4.0 * eps)
-    return min(max(y, lo), hi)
+    if lo > y:
+        y = lo
+    if y > hi:
+        return hi
+    return y
 
 
 def smooth_saturate_deriv(y: Array | float, lo: float, hi: float, eps: float) -> Array:
@@ -250,7 +268,8 @@ class BackupPolicy:
     `loop_rhs` does: per row ``f_i + (((0.0 + g_i0 pi_0) + g_i1 pi_1) +
     ...)``, each product rounded (for a dense ``g`` with two or more inputs
     that is not always the bits of ``np.matmul``, which may fuse
-    multiply-adds).
+    multiply-adds).  It may share a product between rows and drop an
+    operation that is an exact identity on every input.
 
     The flows march on it and check it against the stacked `loop_rhs` of
     the model they are given.  The single-state flow checks its slope at
@@ -390,6 +409,11 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _numbers(key: str, value) -> Array:
     """Parameter ``key`` as a float array; `ValidationError` unless every
     entry of ``value`` is a finite number."""
@@ -475,13 +499,15 @@ def _build_toy1d(params: dict):
         return (-gain * d)[..., None, None]
 
     # f + g u as `loop_rhs` computes it: g u summed from +0.0 in input
-    # order, so even the signs of zeros match
+    # order, so even the signs of zeros match; with the exact identities
+    # dropped (`1.0 * x` is `x`, and `0.0 + w` is `w` wherever `w` cannot
+    # be -0.0, as `0.0 + x` cannot)
     def loop(p: Primitives):
         saturate = p.saturate
 
         def rhs(x):
             u = saturate(-gain * x, -u_max, u_max, eps)
-            return (0.0 + (0.0 + 1.0 * u),)
+            return (0.0 + u,)
 
         return rhs
 
@@ -539,7 +565,7 @@ def _build_double_integrator(params: dict):
 
         def rhs(s, v):
             u = -u_max * indicator(v, eps)
-            return (v + (0.0 + 0.0 * u), 0.0 + (0.0 + 1.0 * u))
+            return (v + (0.0 + 0.0 * u), 0.0 + u)
 
         return rhs
 
@@ -664,9 +690,11 @@ def _build_dubins(params: dict):
         def rhs(y, v, psi):
             a = saturate(k_v * (v_des - v), -a_max, a_max, eps_a)
             r = saturate(ky0 * y + ky1 * psi, -r_max, r_max, eps_r)
-            return (v * sin(psi) + (0.0 + 0.0 * a + 0.0 * r),
-                    0.0 + (0.0 + 1.0 * a + 0.0 * r),
-                    0.0 + (0.0 + 0.0 * a + 1.0 * r))
+            # the zero products of g u, each once (rows 0 and 2 share the
+            # partial sum after channel 0); as in toy1d, the identities go
+            za = 0.0 + 0.0 * a
+            zr = 0.0 * r
+            return (v * sin(psi) + (za + zr), (0.0 + a) + zr, za + r)
 
         return rhs
 
@@ -758,7 +786,7 @@ def _build_aeroplane(params: dict):
             u = -u_max * sign(dy, eps)
             return (-v_a + v_b * cos(dpsi) + (0.0 + dy * u),
                     v_b * sin(dpsi) + (0.0 + -dx * u),
-                    0.0 + (0.0 + -1.0 * u))
+                    0.0 + -1.0 * u)
 
         return rhs
 

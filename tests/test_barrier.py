@@ -1,6 +1,7 @@
 """Barrier evaluation, constraint rows, filter behavior, degree probe."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from backup_cbf.barrier import (TERMINAL_INDEX, build_constraints, eval_h,
                                 eval_h_batch, filter_control,
                                 relative_degree_probe, terminal_row_coefficient)
 from backup_cbf.errors import EvaluationError
+from backup_cbf.qp import QpProblem, QpSolver
 from backup_cbf.systems import di_closed_form_h, make_benchmark
 
 GAMMA = 1.0
@@ -216,6 +218,30 @@ def test_filter_diagnostics_serialize():
     assert set(doc) >= {"h_value", "argmin", "row_count", "qp_status",
                         "active_rows", "timings_us"}
     assert doc["timings_us"].keys() >= {"integrate", "rows", "qp"}
+
+
+def test_filter_diagnostics_carry_the_qp_solution():
+    """The diagnostics carry the solver's iteration count and KKT residual,
+    and the JSON writes a non-finite residual as null."""
+    model, policy, spec = make_benchmark("dubins", {"profile": "aggressive"})
+    x, u_nom = np.array([0.0, 5.0, 0.0]), np.array([0.0, 0.5])
+    horizon, steps = 8.0, 100
+    _, diag = filter_control(model, policy, spec, x, u_nom, horizon, steps)
+    evaluation = eval_h(model, policy, spec, x, horizon, steps)
+    rows = build_constraints(model, spec, evaluation, 0.0)
+    solution = QpSolver().solve(QpProblem(u0=u_nom, rows=rows.rows,
+                                          rhs=rows.rhs, lower=model.input_lower,
+                                          upper=model.input_upper))
+    assert diag.qp_iterations == solution.iterations
+    assert diag.kkt_residual == solution.kkt_residual
+    doc = json.loads(json.dumps(diag.to_json_dict()))
+    assert doc["qp_iterations"] == solution.iterations
+    assert doc["kkt_residual"] == solution.kkt_residual
+    model, policy, spec = make_benchmark("toy1d")
+    _, diag = filter_control(model, policy, spec, np.array([1.0]),
+                             np.array([0.0]), 1.0, 100, margin=1e4)
+    assert diag.used_fallback and diag.kkt_residual == math.inf
+    assert diag.to_json_dict()["kkt_residual"] is None
 
 
 # ---------------------------------------------------------------------------

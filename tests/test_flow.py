@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from backup_cbf.barrier import eval_h, eval_h_batch
 from backup_cbf.errors import FlowDivergenceError, ValidationError
-from backup_cbf.flow import (FlowTrajectory, integrate_flow,
-                             integrate_flow_batch, sensitivity_fd_check)
-from backup_cbf.systems import (BENCHMARK_DEFAULTS, BackupPolicy, SafetySpec,
-                                ScalarConstraint, SystemModel, closed_loop_rhs,
-                                loop_jacobian, loop_rhs, make_benchmark)
+from backup_cbf.flow import (FlowTrajectory, _float_march, _q_step,
+                             integrate_flow, integrate_flow_batch, rk4_step,
+                             sensitivity_fd_check)
+from backup_cbf.systems import (BENCHMARK_DEFAULTS, FLOAT_PRIMITIVES,
+                                BackupPolicy, SafetySpec, ScalarConstraint,
+                                SystemModel, closed_loop_rhs, loop_jacobian,
+                                loop_rhs, make_benchmark)
 
 
 def linear_system(a_mat):
@@ -497,3 +499,74 @@ def test_loop_floats_check_treats_nan_as_equal():
         policy, closed_loop=lambda p: lambda x: (math.nan,))
     with pytest.raises(FlowDivergenceError):
         integrate_flow(nan_f, with_floats, [1.0], 1.0, 10)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, True,
+                                     False, 0.0, -1.0, "1.0", None])
+def test_horizon_must_be_a_finite_positive_number(horizon):
+    """Both flows refuse such a horizon with `ValidationError`, before any
+    step (a NaN or infinite one used to diverge at step 1)."""
+    model, policy, _ = make_benchmark("toy1d")
+    with pytest.raises(ValidationError, match="horizon"):
+        integrate_flow(model, policy, np.array([1.0]), horizon, 10)
+    with pytest.raises(ValidationError, match="horizon"):
+        integrate_flow_batch(model, policy, np.array([[1.0]]), horizon, 10)
+
+
+@pytest.mark.parametrize("steps", [True, False, 100.0, 1.5, 0, -3, "10",
+                                   None, np.float64(10.0)])
+def test_steps_must_be_an_integer_at_least_one(steps):
+    """Both flows refuse such a step count with `ValidationError` (a bool
+    used to run one step or raise `TypeError`, a float `TypeError`)."""
+    model, policy, _ = make_benchmark("toy1d")
+    with pytest.raises(ValidationError, match="steps"):
+        integrate_flow(model, policy, np.array([1.0]), 1.0, steps)
+    with pytest.raises(ValidationError, match="steps"):
+        integrate_flow_batch(model, policy, np.array([[1.0]]), 1.0, steps)
+
+
+def test_numpy_integer_steps_and_float_horizon_accepted():
+    model, policy, _ = make_benchmark("toy1d")
+    traj = integrate_flow(model, policy, np.array([1.0]), np.float64(1.0),
+                          np.int64(10))
+    ends, _ = integrate_flow_batch(model, policy, np.array([[1.0]]), 1, 10)
+    assert len(traj.states) == 11 and np.array_equal(ends[0], traj.states[-1])
+
+
+def former_q_step(jacs, q, dt):
+    """One step of the variational equation ``Qdot = J Q`` from the loop
+    Jacobians at the step's four stage points, in stage order."""
+    stage_jacs = iter(jacs)
+    return rk4_step(lambda p: np.matmul(next(stage_jacs), p), q, dt)[0]
+
+
+@pytest.mark.parametrize("name, params", REFERENCE_CASES)
+def test_q_step_matches_former_q_step(name, params):
+    """`_q_step` gives the bits of `rk4_step` stepped through an iterator
+    over the stage Jacobians, at every step of sampled paths, for one
+    state and for the paths stacked as a batch."""
+    model, policy, _ = make_benchmark(name, params)
+    box = BENCHMARK_DEFAULTS[name]
+    horizon, steps = box["t_horizon_s"], box["n_flow_steps"]
+    dt = horizon / steps
+    x0s = np.random.default_rng(11).uniform(
+        box["sample_lower"], box["sample_upper"], (5, model.state_dim))
+    loop = policy.closed_loop(FLOAT_PRIMITIVES)
+    paths = []
+    for x0 in x0s:
+        points, _ = _float_march(loop, tuple(x0.tolist()), dt, steps)
+        points = np.array(points).reshape(-1, model.state_dim)[:-1]
+        paths.append(loop_jacobian(model, policy, points).reshape(
+            steps, 4, model.state_dim, model.state_dim))
+        q = q_former = np.eye(model.state_dim)
+        for step_jacs in paths[-1]:
+            q = _q_step(step_jacs, q, dt)
+            q_former = former_q_step(step_jacs, q_former, dt)
+            assert q.tobytes() == q_former.tobytes(), (name, params, x0)
+    stacked = np.stack(paths, axis=2)          # (steps, 4, B, n, n)
+    q = q_former = np.broadcast_to(np.eye(model.state_dim),
+                                   stacked.shape[2:]).copy()
+    for step_jacs in stacked:
+        q = _q_step(step_jacs, q, dt)
+        q_former = former_q_step(step_jacs, q_former, dt)
+        assert q.tobytes() == q_former.tobytes(), (name, params)

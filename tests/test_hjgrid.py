@@ -662,6 +662,23 @@ def test_csv_writer_bytes_match_the_block_encoder(tmp_path, geom):
     assert back.values.tobytes() == grid.values.tobytes()
 
 
+@pytest.mark.parametrize("geom", [
+    GridGeometry((-1.0, -0.1), (2.0, 1e16), (3, 4500), (False, False)),
+    GridGeometry((-2.25, -math.pi, 1e-05), (2.25, math.pi, 1.0 / 3.0),
+                 (17, 19, 23), (False, True, False)),
+])
+def test_json_writer_bytes_match_json_dumps(tmp_path, geom):
+    """The block-streamed JSON is the text of one ``json.dumps`` of the
+    whole grid, across block joins, for signed zeros, subnormals and
+    large values."""
+    values = np.resize([-0.0, 5e-324, 1e300, 1.0 / 3.0, -2.25, 1e-05],
+                       math.prod(geom.counts))
+    grid = LevelGrid(geom, values)
+    path = tmp_path / "g.json"
+    write_grid_json(grid, str(path))
+    assert path.read_text() == json.dumps(grid_to_json_dict(grid))
+
+
 @pytest.mark.parametrize("field, value", [("1_0", 10.0), ("\u0661", 1.0),
                                           (" 2.5 ", 2.5), ("-0.0", -0.0)])
 def test_csv_reader_keeps_python_float_syntax(tmp_path, field, value):

@@ -1,5 +1,6 @@
 """Model-level checks: closed forms, Jacobian consistency, benchmark wiring."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from backup_cbf.systems import (_DUBINS_KY_AGGRESSIVE, _DUBINS_KY_CONSERVATIVE,
                                 ARRAY_PRIMITIVES, BENCHMARK_DEFAULTS,
                                 BENCHMARK_NAMES, FLOAT_PRIMITIVES, BackupPolicy,
                                 SystemModel, _bound, _constant,
+                                _indicator_float, _saturate_float, _sign_float,
                                 closed_loop_jacobian, closed_loop_rhs,
                                 di_closed_form_h, loop_rhs, make_benchmark,
                                 smooth_positive_indicator,
@@ -738,3 +740,170 @@ def test_constant_evaluator_builds_from_zeros():
     grad = _bound(3, 1, 2.0, 1.0, "b").grad_eval(np.zeros((2, 3)))
     assert same_bits(grad, np.array([[0.0, -1.0, 0.0]] * 2))
     assert not np.signbit(grad[:, [0, 2]]).any()
+
+
+# ---------------------------------------------------------------------------
+# the compare-based float primitives and the restated statements against
+# their former bodies, kept verbatim here
+# ---------------------------------------------------------------------------
+
+
+def former_indicator_float(v: float, eps: float) -> float:
+    if eps == 0.0:
+        return 1.0 if v > 0.0 else 0.0
+    t = min(max((v + eps) / eps, 0.0), 1.0)
+    return t * t * (3.0 - 2.0 * t)
+
+
+def former_sign_float(y: float, eps: float) -> float:
+    if eps == 0.0:
+        return 0.0 if y == 0.0 else (1.0 if y > 0.0 else -1.0)
+    q = min(max(y / eps, -1.0), 1.0)
+    return q * (2.0 - abs(q))
+
+
+def former_saturate_float(y: float, lo: float, hi: float, eps: float) -> float:
+    """`smooth_saturate` on one float; the caller checks the blend width."""
+    if eps > 0.0:
+        if hi - eps < y < hi + eps:
+            d = y - (hi - eps)
+            return y - d * d / (4.0 * eps)
+        if lo - eps < y < lo + eps:
+            d = (lo + eps) - y
+            return y + d * d / (4.0 * eps)
+    return min(max(y, lo), hi)
+
+
+SPECIALS = (0.0, -0.0, math.nan, math.inf, -math.inf)
+
+
+def _probes(edges):
+    """Each edge and its two `nextafter` neighbours, plus the specials."""
+    out = list(SPECIALS)
+    for e in edges:
+        out += [e, math.nextafter(e, math.inf), math.nextafter(e, -math.inf)]
+    return out
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal value and sign, NaN equal to NaN."""
+    return (math.isnan(a) and math.isnan(b)) or (
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.05, 1.0, 0.0])
+def test_float_primitives_match_former_clamps(eps):
+    """Same value and sign as the ``min(max(...))`` bodies at the band
+    edges and their neighbours, at +-0.0, NaN and +-inf."""
+    for v in _probes([-eps, 0.0, eps, -2.0 * eps, 1.0, -1.0]):
+        assert same_float(_indicator_float(v, eps),
+                          former_indicator_float(v, eps)), (v, eps)
+        assert same_float(_sign_float(v, eps), former_sign_float(v, eps)), (v, eps)
+    for lo, hi in ((-3.0, 3.0), (-0.5, 0.5), (-5.0, 5.0)):
+        edges = [b + d for b in (lo, hi) for d in (-eps, 0.0, eps)]
+        for y in _probes(edges + [0.5 * (lo + hi), 2.0 * hi, 2.0 * lo]):
+            assert same_float(_saturate_float(y, lo, hi, eps),
+                              former_saturate_float(y, lo, hi, eps)), (y, lo, hi, eps)
+
+
+def former_statement(name, params):
+    """The benchmark's ``closed_loop`` as it was stated before each zero
+    product was computed once, with the benchmark's default constants."""
+    eps = make_benchmark(name, params)[1].smoothing_eps
+    if name == "toy1d":
+        gain, u_max = 1.0, 5.0
+
+        def loop(p):
+            saturate = p.saturate
+
+            def rhs(x):
+                u = saturate(-gain * x, -u_max, u_max, eps)
+                return (0.0 + (0.0 + 1.0 * u),)
+
+            return rhs
+    elif name == "double_integrator":
+        u_max = 1.0
+
+        def loop(p):
+            indicator = p.indicator
+
+            def rhs(s, v):
+                u = -u_max * indicator(v, eps)
+                return (v + (0.0 + 0.0 * u), 0.0 + (0.0 + 1.0 * u))
+
+            return rhs
+    elif name == "dubins":
+        aggressive = params["profile"] == "aggressive"
+        ky0, ky1 = (_DUBINS_KY_AGGRESSIVE if aggressive
+                    else _DUBINS_KY_CONSERVATIVE)
+        k_v, v_des, a_max, r_max = 1.0, 0.0 if aggressive else 5.0, 3.0, 0.5
+        eps_frac = params.get("eps_frac", 0.05)
+        eps_a, eps_r = eps_frac * a_max, eps_frac * r_max
+
+        def loop(p):
+            sin, saturate = p.sin, p.saturate
+
+            def rhs(y, v, psi):
+                a = saturate(k_v * (v_des - v), -a_max, a_max, eps_a)
+                r = saturate(ky0 * y + ky1 * psi, -r_max, r_max, eps_r)
+                return (v * sin(psi) + (0.0 + 0.0 * a + 0.0 * r),
+                        0.0 + (0.0 + 1.0 * a + 0.0 * r),
+                        0.0 + (0.0 + 0.0 * a + 1.0 * r))
+
+            return rhs
+    else:
+        v_a, v_b, u_max = 1.0, 1.0, 1.0
+
+        def loop(p):
+            sin, cos, sign = p.sin, p.cos, p.sign
+
+            def rhs(dx, dy, dpsi):
+                u = -u_max * sign(dy, eps)
+                return (-v_a + v_b * cos(dpsi) + (0.0 + dy * u),
+                        v_b * sin(dpsi) + (0.0 + -dx * u),
+                        0.0 + (0.0 + -1.0 * u))
+
+            return rhs
+    return loop
+
+
+def _outcome(fn, x):
+    """``fn(*x)`` as a float array, or the type of the error it raised
+    (``math.sin`` refuses an infinity)."""
+    try:
+        return np.array(fn(*x), dtype=float)
+    except ValueError as exc:
+        return type(exc)
+
+
+def same_entries(got, expected) -> bool:
+    """Equal bytes on every entry that is not NaN, NaN on the same
+    entries."""
+    if isinstance(got, type) or isinstance(expected, type):
+        return got is expected
+    nan = np.isnan(expected)
+    return (got.shape == expected.shape
+            and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == expected[~nan].tobytes())
+
+
+@pytest.mark.parametrize("case", LOOP_CASES, ids=LOOP_CASE_IDS)
+def test_statements_match_former_statements(case):
+    """On both primitive tables each restated statement gives the former
+    statement's bits (NaN where it gave NaN) on sampled states and on rows
+    holding NaN, +-inf or +-0 in every combination of components."""
+    name, params = case
+    model, policy, _ = make_benchmark(name, params)
+    former = former_statement(name, params)
+    sampled = sample_box(name, 40)
+    rows = [tuple(x) for x in sampled]
+    rows += itertools.product(*[SPECIALS + (float(c),) for c in sampled[0]])
+    for x in rows:
+        got = _outcome(policy.closed_loop(FLOAT_PRIMITIVES), x)
+        expected = _outcome(former(FLOAT_PRIMITIVES), x)
+        assert same_entries(got, expected), f"{name} {params} at x = {x!r}"
+    columns = tuple(np.array(rows).T.copy())
+    with np.errstate(all="ignore"):
+        got = np.stack(policy.closed_loop(ARRAY_PRIMITIVES)(*columns), axis=-1)
+        expected = np.stack(former(ARRAY_PRIMITIVES)(*columns), axis=-1)
+    assert same_entries(got, expected), f"{name} {params}"
