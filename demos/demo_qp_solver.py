@@ -38,14 +38,14 @@ print("4. Warm starts never move the optimum (determinism contract)")
 rng = np.random.default_rng(0)
 a_rows = rng.normal(size=(40, 2))
 lo, hi = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
-cold, warm = QpSolver(), QpSolver()
+warm = QpSolver()
 worst = 0.0
 t0 = time.perf_counter()
 for k in range(300):
     anchor = np.array([0.4 + 0.001 * k, -0.3])
     prob = QpProblem(rng.normal(size=2), a_rows, a_rows @ anchor - 0.5, lo, hi)
-    u_cold = cold.solve(prob, warm_start=False).u_star
-    u_warm = warm.solve(prob, warm_start=True).u_star
+    u_cold = solve(prob).u_star
+    u_warm = warm.solve(prob).u_star
     worst = max(worst, float(np.max(np.abs(u_cold - u_warm))))
 elapsed = (time.perf_counter() - t0) * 1e3
 print(f"   300 drifting problems, 40 rows each: {elapsed:.0f} ms total")

@@ -1,17 +1,17 @@
 """Closed-loop backup flow integration with sensitivity propagation.
 
-`rk4_step` is the fixed-step explicit fourth-order update on arrays: it
-advances the plant in the simulation harness, and every other step here
-follows its exact operation order.  The backup-loop state is marched
-component by component, by `_component_step`, on the closed-loop kernel
-built from the policy's statement ``BackupPolicy.closed_loop`` (`loop_rhs`
-wrapped for a policy without one): one state as a tuple of
-Python floats (`FLOAT_PRIMITIVES`), where numpy's per-call overhead on 2-
-and 3-vectors would be most of the cost, and a batch as a tuple of
-contiguous ``(B,)`` arrays (`ARRAY_PRIMITIVES`), which reads no strided
-columns and builds no ``(B, n, m)`` input matrix.  Both give the bits of a
-march on stacked `loop_rhs` calls, faster, and both record the four stage
-points of every step.  The sensitivity obeys the variational equation
+`rk4_step` is the fixed-step explicit fourth-order update, on a state held
+as one float or array per component: it advances the plant in the
+simulation harness (a whole state array as a 1-tuple) and marches the
+backup-loop state on the closed-loop kernel `_kernel` builds from the
+policy's statement ``BackupPolicy.closed_loop`` (`loop_rhs` split into
+components, for a policy without one): one state as a tuple of Python
+floats (`FLOAT_PRIMITIVES`), where numpy's per-call overhead on 2- and
+3-vectors would be most of the cost, and a batch as a tuple of contiguous
+``(B,)`` arrays (`ARRAY_PRIMITIVES`), which reads no strided columns and
+builds no ``(B, n, m)`` input matrix.  Both give the bits of a march on
+stacked `loop_rhs` calls, faster, and both record the four stage points
+of every step.  The sensitivity obeys the variational equation
 ``Qdot = J(x) Q`` with ``J = d f_pi / d x`` and ``Q(0) = I``; since the
 state never depends on ``Q``, the loop Jacobians only ever come from
 stacked `loop_jacobian` evaluations at recorded stage points, and ``Q`` is
@@ -87,19 +87,23 @@ def _check_args(x0: Array, horizon: float, steps: int) -> Array:
     return x0
 
 
-def rk4_step(deriv: Callable[[Array], Array], x: Array, dt: float
-             ) -> tuple[Array, tuple[Array, Array, Array, Array]]:
-    """One explicit fourth-order step of ``xdot = deriv(x)`` from ``x``:
-    the next value and the four stage points ``deriv`` was evaluated at."""
+def rk4_step(deriv: Callable[..., tuple], x: tuple, dt: float):
+    """One explicit fourth-order step of ``xdot = deriv(*x)`` from a state
+    held as one float or array per component (a whole array ``a`` is the
+    1-tuple ``(a,)``): the next state, the four stage points and the four
+    slopes ``deriv`` gave at them."""
     half = 0.5 * dt
-    k1 = deriv(x)
-    x2 = x + half * k1
-    k2 = deriv(x2)
-    x3 = x + half * k2
-    k3 = deriv(x3)
-    x4 = x + dt * k3
-    k4 = deriv(x4)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (x, x2, x3, x4)
+    k1 = deriv(*x)
+    x2 = tuple([a + half * b for a, b in zip(x, k1)])
+    k2 = deriv(*x2)
+    x3 = tuple([a + half * b for a, b in zip(x, k2)])
+    k3 = deriv(*x3)
+    x4 = tuple([a + dt * b for a, b in zip(x, k3)])
+    k4 = deriv(*x4)
+    sixth = dt / 6.0
+    nxt = tuple([a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
+                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)])
+    return nxt, (x, x2, x3, x4), (k1, k2, k3, k4)
 
 
 def _q_step(jacs, q: Array, dt: float) -> Array:
@@ -118,35 +122,28 @@ def _q_step(jacs, q: Array, dt: float) -> Array:
     return q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _component_step(loop: Callable[..., tuple], x: tuple, dt: float):
-    """`rk4_step` on a state or batch held as one float or array per state
-    component, in its exact operation order: the next state, the four
-    stage points and the four slopes ``loop`` gave at them."""
-    half = 0.5 * dt
-    k1 = loop(*x)
-    x2 = tuple([a + half * b for a, b in zip(x, k1)])
-    k2 = loop(*x2)
-    x3 = tuple([a + half * b for a, b in zip(x, k2)])
-    k3 = loop(*x3)
-    x4 = tuple([a + dt * b for a, b in zip(x, k3)])
-    k4 = loop(*x4)
-    sixth = dt / 6.0
-    nxt = tuple([a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
-                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)])
-    return nxt, (x, x2, x3, x4), (k1, k2, k3, k4)
+def _kernel(model: SystemModel, policy: BackupPolicy, table):
+    """The closed-loop derivative on one float or array per state
+    component: ``policy.closed_loop`` built on the primitive ``table``, or
+    for a policy without one, stacked `loop_rhs` split into components
+    (``np.float64`` scalars for one state, which carry the same bits as
+    floats)."""
+    if policy.closed_loop is not None:
+        return policy.closed_loop(table)
+    return lambda *x: tuple(loop_rhs(model, policy, np.stack(x, axis=-1)).T)
 
 
 def _float_march(loop: Callable[..., tuple[float, ...]], x: tuple[float, ...],
                  dt: float, steps: int) -> tuple[list[float], list[float]]:
-    """`rk4_step` on one state held as a tuple of floats, in its exact
-    operation order: flat float lists ``(points, slopes)``; point
-    ``4 (i - 1) + s`` is stage ``s`` of step ``i``, the last is the last
-    state, and slope ``i - 1`` is ``loop`` at the start of step ``i``.  Stops
-    after the first step that leaves finite values, tested per component (a
-    sum of two finite values near the float limit overflows)."""
+    """`rk4_step` steps of one state held as a tuple of floats: flat float
+    lists ``(points, slopes)``; point ``4 (i - 1) + s`` is stage ``s`` of
+    step ``i``, the last is the last state, and slope ``i - 1`` is ``loop``
+    at the start of step ``i``.  Stops after the first step that leaves
+    finite values, tested per component (a sum of two finite values near
+    the float limit overflows)."""
     points, slopes = [], []
     for _ in range(steps):
-        x, stages, stage_slopes = _component_step(loop, x, dt)
+        x, stages, stage_slopes = rk4_step(loop, x, dt)
         for point in stages:
             points += point
         slopes += stage_slopes[0]
@@ -209,11 +206,7 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
     x0 = _check_args(x0, horizon, steps)
     n = x0.shape[0]
     dt = horizon / steps
-    if policy.closed_loop is None:
-        def loop(*x):
-            return tuple(loop_rhs(model, policy, np.array(x)).tolist())
-    else:
-        loop = policy.closed_loop(FLOAT_PRIMITIVES)
+    loop = _kernel(model, policy, FLOAT_PRIMITIVES)
     with np.errstate(over="ignore", invalid="ignore"):
         points, slopes = _float_march(loop, tuple(x0.tolist()), dt, steps)
         points = np.array(points).reshape(-1, n)
@@ -252,19 +245,17 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     switched off.
 
     The states march as one contiguous ``(B,)`` array per component
-    through ``policy.closed_loop`` built on `ARRAY_PRIMITIVES` (or
-    `loop_rhs` wrapped, for a policy without one), in `rk4_step`'s
-    operation order.  With ``closed_loop`` set, its slopes must equal the
-    stacked `loop_rhs` of ``model`` (NaN equal to NaN) at every stage of
-    every row of the first and the last step, and at the start of every
-    other step on row 0 and every ``ceil(B / 9)``-th row after it (these
-    are checked together at the last step), else `ValidationError` naming
-    the first mismatching step, stage, row and component.  A model
-    changed after the policy was built, only where no checked point goes,
-    is integrated as the policy states it, without an error.  The
-    sensitivity is stepped as the states go: after each step, the loop
-    Jacobians at its four stage points come from one stacked evaluation,
-    so memory does not grow with ``steps``.
+    through `rk4_step` on the `_kernel` built on `ARRAY_PRIMITIVES`.
+    With ``closed_loop`` set, its slopes must equal the stacked `loop_rhs`
+    of ``model`` (NaN equal to NaN) at every stage of every row of the
+    first and the last step, and at the start of every other step on row 0
+    and every ``ceil(B / 9)``-th row after it (these are checked together
+    at the last step), else `ValidationError` naming the first mismatching
+    step, stage, row and component.  A model changed after the policy was
+    built, only where no checked point goes, is integrated as the policy
+    states it, without an error.  The sensitivity is stepped as the states
+    go: after each step, the loop Jacobians at its four stage points come
+    from one stacked evaluation, so memory does not grow with ``steps``.
     """
     x0s = _check_args(x0s, horizon, steps)
     if x0s.ndim != 2 or x0s.shape[1] != model.state_dim:
@@ -274,11 +265,7 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     q = np.broadcast_to(np.eye(n), (b, n, n)).copy() if with_sensitivity else None
     if observer is not None:
         observer(x0s)
-    if policy.closed_loop is None:
-        def loop(*x):
-            return tuple(loop_rhs(model, policy, np.stack(x, axis=-1)).T)
-    else:
-        loop = policy.closed_loop(ARRAY_PRIMITIVES)
+    loop = _kernel(model, policy, ARRAY_PRIMITIVES)
     stride = -(-b // 9)                  # row 0 and at most eight more
     # the handful's states and slopes at the start of every step, checked
     # in one model call at the last step: a call per step on so few rows
@@ -288,7 +275,7 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     for i in range(1, steps + 1):
         # divergence is detected after the step; silence transient overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            x, stages, slopes = _component_step(loop, x, dt)
+            x, stages, slopes = rk4_step(loop, x, dt)
             if policy.closed_loop is not None:
                 for k in range(n):
                     starts[0, i - 1, :, k] = stages[0][k][::stride]
@@ -321,8 +308,9 @@ def sensitivity_fd_check(model: SystemModel, policy: BackupPolicy, x0: Array,
     Returns the largest entrywise deviation scaled by
     ``max(1, max |finite-difference Jacobian|)``.
     """
-    if fd_step <= 0.0:
-        raise ValidationError("fd_step must be > 0")
+    if not (is_finite_real(fd_step) and fd_step > 0.0):
+        raise ValidationError(f"fd_step must be a finite number > 0, got "
+                              f"{fd_step!r}")
     x0 = _check_args(x0, horizon, steps)
     n = x0.shape[0]
     traj = integrate_flow(model, policy, x0, horizon, steps)

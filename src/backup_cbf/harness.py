@@ -4,12 +4,13 @@ Scenarios are JSON documents with units spelled out in the field names
 (``t_horizon_s``, ``dt_s``, ...); the `Scenario` dataclass fields are the
 schema.  The simulation loop applies a nominal ("legacy") controller,
 passes it through the safety filter, and advances the true dynamics with
-the fixed-step fourth-order update the backup flow uses (`flow.rk4_step`).
-Runs are deterministic: fixed-step integration and deterministic
-tie-breaking in the QP make re-runs bit-identical.  The simulation log is
-also where filter timings are measured: every step records the
-integration, row-assembly and QP times of its filter call, and
-`SimLog.timing_summary` reduces them to medians and p95s.
+the fixed-step fourth-order update the backup flow uses (`flow.rk4_step`,
+on the whole state array as a 1-tuple).  Runs are deterministic:
+fixed-step integration and deterministic tie-breaking in the QP make
+re-runs bit-identical.  The simulation log is also where filter timings
+are measured: every step records the integration, row-assembly and QP
+times of its filter call, and `SimLog.timing_summary` reduces them to
+medians and p95s.
 """
 
 from __future__ import annotations
@@ -325,8 +326,9 @@ def simulate(scenario: Scenario) -> SimLog:
         states[k] = x
         u_nom[k] = u0
         u_out[k] = u_star
-        x, _ = rk4_step(lambda xs: model.f_eval(xs) + model.g_eval(xs) @ u_star,
-                        x, scenario.dt_s)
+        (x,), _, _ = rk4_step(
+            lambda xs: (model.f_eval(xs) + model.g_eval(xs) @ u_star,), (x,),
+            scenario.dt_s)
 
     if scenario.filter_on:
         # every applied input must respect the box

@@ -174,24 +174,14 @@ def hamiltonian(model: SystemModel, x: Array, p: Array) -> Array:
                             model.f_eval(x), model.g_eval(x))
 
 
-def _side_values(v: Array, axis: int, periodic: bool) -> tuple[Array, Array]:
-    """Neighbor fields (previous, next) along an axis; non-periodic edges
-    are linearly extrapolated so edge differences become one-sided."""
-    if periodic:
-        return np.roll(v, 1, axis=axis), np.roll(v, -1, axis=axis)
-    w = np.moveaxis(v, axis, 0)
-    prev = np.concatenate([2.0 * w[:1] - w[1:2], w[:-1]], axis=0)
-    nxt = np.concatenate([w[1:], 2.0 * w[-1:] - w[-2:-1]], axis=0)
-    return np.moveaxis(prev, 0, axis), np.moveaxis(nxt, 0, axis)
-
-
 def _face_differences(v: Array, axis: int, periodic: bool, h: float,
                       out: Array) -> tuple[Array, Array]:
     """One-sided differences ``(v[j] - v[j-1]) / h`` along an axis for
     ``j = 0..count`` into ``out`` (one longer than ``v`` on that axis), and
-    the views (backward, forward) of them at each cell.  Each difference is
-    the one `_side_values` gives, by the same floating-point operations on
-    the same operands."""
+    the views (backward, forward) of them at each cell.  A non-periodic
+    edge takes its missing neighbour as the linear extrapolation
+    ``2 v[0] - v[1]`` (or ``2 v[-1] - v[-2]``), so its difference is
+    one-sided."""
     def cut(start, stop=None):      # start:stop along the axis
         return (slice(None),) * axis + (slice(start, stop),)
 
@@ -365,10 +355,14 @@ def dilate_set(grid: LevelGrid) -> Array:
     axis (wrapping on periodic axes); the standard one-cell tolerance for
     grid-set containment checks."""
     mask = grid.membership()
-    grown, field = mask.copy(), mask.astype(float)
+    grown = mask.copy()
     for ax, periodic in enumerate(grid.geometry.periodic_axes):
-        prev, nxt = _side_values(field, ax, periodic)
-        grown |= (prev > 0.5) | (nxt > 0.5)
+        if periodic:
+            grown |= np.roll(mask, 1, axis=ax) | np.roll(mask, -1, axis=ax)
+        else:
+            lead = (slice(None),) * ax
+            grown[lead + (slice(1, None),)] |= mask[lead + (slice(None, -1),)]
+            grown[lead + (slice(None, -1),)] |= mask[lead + (slice(1, None),)]
     return grown
 
 
@@ -498,11 +492,11 @@ def _decode_block(lines: list[str], lineno: int, geom: GridGeometry,
     ``filled`` on, store its values, and return the new fill count.
 
     numpy's C parser (`_loadtxt_block`) reads the block first.  Where it
-    refuses it, ``np.array(rows, dtype=float)`` (Python's ``float`` per
-    field, which also reads digit separators and non-ASCII digits) reads
-    it instead, and failing that, each row is checked in turn and the
-    first bad one is named: the accepted syntax and the errors do not
-    depend on which parser read the block."""
+    refuses it, the block is read again row by row: each row's width is
+    checked and its fields parsed with Python's ``float`` (which also
+    reads digit separators and non-ASCII digits), and the first bad row is
+    named: the accepted syntax and the errors do not depend on which
+    parser read the block."""
     dims, width = geom.dims, 2 * geom.dims + 1
     data = [line for line in lines if not line.isspace()]
     if not data:
@@ -514,20 +508,16 @@ def _decode_block(lines: list[str], lineno: int, geom: GridGeometry,
 
     table = _loadtxt_block(data)
     if table is None or table.shape != (len(data), width):
-        rows = [line.split(",") for line in data]
-        try:
-            table = np.array(rows, dtype=float)
-        except ValueError:
-            table = None
-        if table is None or table.shape[1:] != (width,):
-            for r, cols in enumerate(rows):
-                if len(cols) != width:
-                    raise GeometryError(f"{where(r)}: expected {width} "
-                                        f"columns, got {len(cols)}")
-                try:
-                    list(map(float, cols))
-                except ValueError as exc:
-                    raise GeometryError(f"{where(r)}: bad cell row") from exc
+        table = np.empty((len(data), width))
+        for r, line in enumerate(data):
+            cols = line.split(",")
+            if len(cols) != width:
+                raise GeometryError(f"{where(r)}: expected {width} columns, "
+                                    f"got {len(cols)}")
+            try:
+                table[r] = list(map(float, cols))
+            except ValueError as exc:
+                raise GeometryError(f"{where(r)}: bad cell row") from exc
     stop = min(filled + len(data), values.size)
     expected = _cell_index(geom.counts, filled, stop)
     bad = np.any(table[:len(expected), :dims] != expected, axis=1)

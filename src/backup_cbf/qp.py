@@ -13,8 +13,8 @@ finite box bounds are stacked below them, so the active set names stacked
 index ``i < R`` as ``("row", i)`` and box rows ``("lower"/"upper", j)``.
 
 A solver instance carries warm-start state (the previous active set is
-tried first when scanning for violated rows); instances are cheap to clone
-and must not be shared across threads.
+tried first when scanning for violated rows) and must not be shared across
+threads.
 """
 
 from __future__ import annotations
@@ -120,12 +120,7 @@ class QpSolver:
     def __init__(self):
         self._warm: list[ActiveLabel] = []
 
-    def clone(self) -> "QpSolver":
-        other = QpSolver()
-        other._warm = list(self._warm)
-        return other
-
-    def solve(self, problem: QpProblem, warm_start: bool = True) -> QpSolution:
+    def solve(self, problem: QpProblem) -> QpSolution:
         a_mat, b_vec, box = _stack(problem)
         n_con, m = a_mat.shape
         n_rows = problem.rows.shape[0]
@@ -139,7 +134,7 @@ class QpSolver:
         feas_tol = 1e-10
         box_index = {lab: n_rows + i for i, lab in enumerate(box)}
         warm_pref = [j if kind == "row" else box_index[(kind, j)]
-                     for kind, j in (self._warm if warm_start else ())
+                     for kind, j in self._warm
                      if (kind == "row" and j < n_rows) or (kind, j) in box_index]
 
         def finish(status: QpStatus) -> QpSolution:
@@ -224,4 +219,4 @@ class QpSolver:
 
 def solve(problem: QpProblem) -> QpSolution:
     """One-shot solve with a fresh (cold) solver."""
-    return QpSolver().solve(problem, warm_start=False)
+    return QpSolver().solve(problem)

@@ -537,7 +537,8 @@ def former_q_step(jacs, q, dt):
     """One step of the variational equation ``Qdot = J Q`` from the loop
     Jacobians at the step's four stage points, in stage order."""
     stage_jacs = iter(jacs)
-    return rk4_step(lambda p: np.matmul(next(stage_jacs), p), q, dt)[0]
+    (q,), _, _ = rk4_step(lambda p: (np.matmul(next(stage_jacs), p),), (q,), dt)
+    return q
 
 
 @pytest.mark.parametrize("name, params", REFERENCE_CASES)
@@ -570,3 +571,51 @@ def test_q_step_matches_former_q_step(name, params):
         q = _q_step(step_jacs, q, dt)
         q_former = former_q_step(step_jacs, q_former, dt)
         assert q.tobytes() == q_former.tobytes(), (name, params)
+
+
+def former_rk4_step(deriv, x, dt):
+    """One explicit fourth-order step of ``xdot = deriv(x)`` from ``x``:
+    the next value and the four stage points ``deriv`` was evaluated at."""
+    half = 0.5 * dt
+    k1 = deriv(x)
+    x2 = x + half * k1
+    k2 = deriv(x2)
+    x3 = x + half * k2
+    k3 = deriv(x3)
+    x4 = x + dt * k3
+    k4 = deriv(x4)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (x, x2, x3, x4)
+
+
+@pytest.mark.parametrize("name, params", REFERENCE_CASES)
+def test_plant_step_matches_former_array_step(name, params):
+    """`rk4_step` on the 1-tuple ``(x,)`` gives the bytes of the former
+    array step, for the next state and the four stage points, on each
+    benchmark's plant ``f + g u`` at sampled states, inputs and steps."""
+    model, _, _ = make_benchmark(name, params)
+    box = BENCHMARK_DEFAULTS[name]
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        x = rng.uniform(box["sample_lower"], box["sample_upper"])
+        u = rng.uniform(model.input_lower, model.input_upper)
+        dt = float(rng.uniform(1e-3, 0.2))
+
+        def plant(xs):
+            return model.f_eval(xs) + model.g_eval(xs) @ u
+
+        (nxt,), stages, _ = rk4_step(lambda xs: (plant(xs),), (x,), dt)
+        former, former_stages = former_rk4_step(plant, x, dt)
+        assert nxt.tobytes() == former.tobytes(), (name, params, x, u, dt)
+        for (point,), former_point in zip(stages, former_stages):
+            assert point.tobytes() == former_point.tobytes(), (name, x, u, dt)
+
+
+@pytest.mark.parametrize("fd_step", [0.0, -1e-5, math.nan, math.inf,
+                                     -math.inf, np.float64(math.nan), True,
+                                     None, "1e-5"])
+def test_sensitivity_fd_check_refuses_bad_fd_step(fd_step):
+    """Anything but a finite number > 0 (a bool is not a number) is refused
+    with an error naming ``fd_step``, before any flow is integrated."""
+    model, policy, _ = make_benchmark("toy1d")
+    with pytest.raises(ValidationError, match="fd_step"):
+        sensitivity_fd_check(model, policy, np.array([1.0]), 1.0, 10, fd_step)

@@ -193,10 +193,21 @@ def test_value_floor_is_two_ranges_below_the_field_minimum():
     assert out.values.min() == floor
 
 
+def _side_values(v, axis, periodic):
+    """Neighbor fields (previous, next) along an axis; non-periodic edges
+    are linearly extrapolated so edge differences become one-sided."""
+    if periodic:
+        return np.roll(v, 1, axis=axis), np.roll(v, -1, axis=axis)
+    w = np.moveaxis(v, axis, 0)
+    prev = np.concatenate([2.0 * w[:1] - w[1:2], w[:-1]], axis=0)
+    nxt = np.concatenate([w[1:], 2.0 * w[-1:] - w[-2:-1]], axis=0)
+    return np.moveaxis(prev, 0, axis), np.moveaxis(nxt, 0, axis)
+
+
 def reference_solve_passes(grid0, model, passes):
     """The value iteration of `solve_invariant` with ``tol = 0``, its
-    differences taken from the neighbour fields of `hjgrid._side_values`
-    (the former pass, kept as the bit reference)."""
+    differences taken from the neighbour fields of `_side_values` (the
+    former pass, kept as the bit reference)."""
     geom = grid0.geometry
     pts = geom.nodes()
     f_nodes, g_nodes = model.f_eval(pts), model.g_eval(pts)
@@ -215,7 +226,7 @@ def reference_solve_passes(grid0, model, passes):
         grads_c = np.empty(shape + (geom.dims,))
         diss = np.zeros(shape)
         for ax in range(geom.dims):
-            prev, nxt = hjgrid._side_values(v, ax, geom.periodic_axes[ax])
+            prev, nxt = _side_values(v, ax, geom.periodic_axes[ax])
             d_minus = (v - prev) / spacings[ax]
             d_plus = (nxt - v) / spacings[ax]
             grads_c[..., ax] = 0.5 * (d_minus + d_plus)
@@ -374,6 +385,34 @@ def test_dilate_wraps_periodic_axis():
     assert mask[2, 0]        # wrapped along the periodic axis
     assert mask[1, 5] and mask[3, 5] and mask[2, 4]
     assert not mask[0, 0]
+
+
+def former_dilate_set(grid):
+    """`dilate_set` as it was: the mask as a 0/1 field, grown where a
+    `_side_values` neighbour exceeds 0.5."""
+    mask = grid.membership()
+    grown, field = mask.copy(), mask.astype(float)
+    for ax, periodic in enumerate(grid.geometry.periodic_axes):
+        prev, nxt = _side_values(field, ax, periodic)
+        grown |= (prev > 0.5) | (nxt > 0.5)
+    return grown
+
+
+def test_dilate_matches_former_dilation():
+    """Boolean one-cell shifts give the mask of the extrapolated 0/1 field
+    on random 2- and 3-axis grids with mixed periodic flags and sparse to
+    dense sets."""
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        dims = int(rng.integers(2, 4))
+        counts = tuple(int(c) for c in rng.integers(3, 9, dims))
+        periodic = tuple(bool(p) for p in rng.integers(0, 2, dims))
+        geom = GridGeometry((0.0,) * dims, (1.0,) * dims, counts, periodic)
+        vals = rng.uniform(-1.0, 1.0, counts) - rng.uniform(-1.0, 1.0)
+        grid = LevelGrid(geom, vals.ravel())
+        got = dilate_set(grid)
+        assert got.dtype == bool
+        assert np.array_equal(got, former_dilate_set(grid)), (counts, periodic)
 
 
 # ---------------------------------------------------------------------------

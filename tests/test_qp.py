@@ -189,7 +189,6 @@ def test_row_scaling_invariance(seed, scale):
 
 def test_warm_start_does_not_change_optimum():
     rng = np.random.default_rng(23)
-    cold = QpSolver()
     warm = QpSolver()
     # a drifting sequence of related problems, as the filter produces
     m = 2
@@ -199,19 +198,9 @@ def test_warm_start_does_not_change_optimum():
         shift = 0.05 * k
         rhs = a_rows @ np.array([0.5, -0.3]) - 1.0 + 0.01 * shift
         prob = QpProblem(rng.normal(size=m), a_rows, rhs, lo, hi)
-        u_cold = cold.solve(prob, warm_start=False).u_star
-        u_warm = warm.solve(prob, warm_start=True).u_star
+        u_cold = solve(prob).u_star
+        u_warm = warm.solve(prob).u_star
         assert np.max(np.abs(u_cold - u_warm)) < 1e-8
-
-
-def test_solver_clone_carries_warm_state():
-    solver = QpSolver()
-    prob = QpProblem(np.array([3.0, 0.0]),
-                     np.array([[-1.0, 0.0]]), np.array([-1.0]),
-                     np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
-    sol = solver.solve(prob)
-    twin = solver.clone()
-    assert twin.solve(prob).u_star == pytest.approx(sol.u_star)
 
 
 def test_degenerate_duplicate_rows():
