@@ -189,7 +189,9 @@ class FilterDiagnostics:
 
     ``qp_iterations`` and ``kkt_residual`` are the solver's active-set
     changes and KKT residual (``inf`` unless the QP solved optimally, and
-    ``null`` then in `to_json_dict`, as JSON has no infinity)."""
+    ``null`` then in `to_json_dict`, as JSON has no infinity), and
+    ``warm_started`` whether the solver's previous active set named a row
+    or bound of this call's QP."""
 
     h_value: float
     argmin: tuple[int, int]
@@ -199,6 +201,7 @@ class FilterDiagnostics:
     qp_status: str
     qp_iterations: int
     kkt_residual: float
+    warm_started: bool
     active_rows: tuple[tuple[str, int], ...]
     used_fallback: bool
     inside_set: bool
@@ -215,6 +218,7 @@ class FilterDiagnostics:
             "qp_iterations": self.qp_iterations,
             "kkt_residual": (self.kkt_residual
                              if math.isfinite(self.kkt_residual) else None),
+            "warm_started": self.warm_started,
             "active_rows": [list(lab) for lab in self.active_rows],
             "used_fallback": self.used_fallback,
             "inside_set": self.inside_set,
@@ -272,6 +276,7 @@ def filter_control(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
         qp_status=qp_status,
         qp_iterations=solution.iterations,
         kkt_residual=float(solution.kkt_residual),
+        warm_started=solution.warm_started,
         active_rows=solution.active_set,
         used_fallback=used_fallback,
         inside_set=evaluation.h_value >= 0.0,

@@ -11,15 +11,21 @@ floats (`FLOAT_PRIMITIVES`), where numpy's per-call overhead on 2- and
 ``(B,)`` arrays (`ARRAY_PRIMITIVES`), which reads no strided columns and
 builds no ``(B, n, m)`` input matrix.  Both give the bits of a march on
 stacked `loop_rhs` calls, faster, and both record the four stage points
-of every step.  The sensitivity obeys the variational equation
-``Qdot = J(x) Q`` with ``J = d f_pi / d x`` and ``Q(0) = I``; since the
-state never depends on ``Q``, the loop Jacobians only ever come from
-stacked `loop_jacobian` evaluations at recorded stage points, and ``Q`` is
-stepped over them by `_q_step`, `rk4_step`'s operation order written out
-for ``deriv(p) = J_s @ p`` (a closure and an iterator per step cost about
-a tenth of the single-state Q loop), so the batch's ``Q`` equals the
-single-state ``Q`` bit for bit.  One pass serves every downstream
-constraint row.
+of every step.  The step is written once, as a template (`_RK4_TEMPLATE`)
+that `_rk4` writes out per state component and compiles once per state
+size: stage points, kernel calls and the final combination are plain
+statements, with no list, iterator or `zip` per stage, and the float
+march is the same template with the step inlined in its loop, appending
+each step's points and slopes with one ``+=`` each.  The sensitivity
+obeys the variational equation ``Qdot = J(x) Q`` with ``J = d f_pi / d x``
+and ``Q(0) = I``; since the state never depends on ``Q``, the loop
+Jacobians only ever come from stacked `loop_jacobian` evaluations at
+recorded stage points, and ``Q`` is stepped over them by `_q_step`, the
+step's operation order written out for ``deriv(p) = J_s @ p``.  For one
+state it multiplies by `ndarray.dot`, which reaches the same BLAS kernel
+as `np.matmul` (so the batch's ``(B, n, n)`` matmul gives the single-state
+``Q`` bit for bit) at about half the call cost on a 3x3 product.  One
+pass serves every downstream constraint row.
 
 Everything here is pure and reentrant.  `integrate_flow` takes the
 Jacobians along the whole path from one stacked call, and the drifts at
@@ -34,6 +40,7 @@ start of every step on a fixed handful of rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -87,23 +94,90 @@ def _check_args(x0: Array, horizon: float, steps: int) -> Array:
     return x0
 
 
+# One explicit fourth-order step of ``x0 .. x{n-1}`` under ``deriv``: stage
+# slopes ``a b c d``, stage points ``p r s`` and the next state ``{next}``.
+# ``2 k`` is written ``k + k`` and each product has the slope on the left,
+# both exact, so the bits are those of ``x + sixth * (k1 + 2 k2 + 2 k3 + k4)``.
+_RK4_STEP = """\
+{a} = deriv({x})
+p{i} = x{i} + a{i} * half
+{b} = deriv({p})
+r{i} = x{i} + b{i} * half
+{c} = deriv({r})
+s{i} = x{i} + c{i} * dt
+{d} = deriv({s})"""
+_RK4_NEXT = "x{i} + (((a{i} + (b{i} + b{i})) + (c{i} + c{i})) + d{i}) * sixth"
+
+# `rk4_step`, and the float march with the step inlined in its loop (see
+# `_rk4`); ``{step}`` is `_RK4_STEP`.
+_RK4_TEMPLATE = """\
+def rk4_step(deriv, x, dt):
+    {x} = x
+    half = 0.5 * dt
+    {step}
+    sixth = dt / 6.0
+    return ({next}), (({x}), ({p}), ({r}), ({s})), (({a}), ({b}), ({c}), ({d}))
+
+def march(deriv, x, dt, steps):
+    {x} = x
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    points = []
+    slopes = []
+    for _ in range(steps):
+        {step}
+        points += ({x}{p}{r}{s})
+        slopes += ({a})
+        x{i} = {next}
+        if not isfinite(x{i}): break
+    points += ({x})
+    return points, slopes"""
+
+
+def _rk4_source(template: str, n: int) -> str:
+    """``template`` written out for ``n`` state components: a line with
+    ``{i}`` once per component ``i`` (``{next}`` is then that component's
+    next value), any other line once, with ``{v}`` for ``"v0, v1, "`` (a
+    tuple even for ``n = 1``); a ``{step}`` line is `_RK4_STEP`."""
+    names = {v: "".join(f"{v}{i}, " for i in range(n)) for v in "xabcdprs"}
+    names["next"] = "".join(_RK4_NEXT.format(i=i) + ", " for i in range(n))
+    lines = []
+    for line in template.splitlines():
+        indent = line[:len(line) - len(line.lstrip())]
+        if line.strip() == "{step}":
+            lines += [indent + row for row in
+                      _rk4_source(_RK4_STEP, n).splitlines()]
+        elif "{i}" in line:
+            lines += [line.format(i=i, next=_RK4_NEXT.format(i=i))
+                      for i in range(n)]
+        else:
+            lines.append(line.format(**names))
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _rk4(n: int) -> tuple[Callable, Callable]:
+    """``(step, march)`` for a state of ``n`` components, compiled from
+    `_RK4_TEMPLATE` once per ``n`` (as `dataclasses` builds ``__init__``).
+
+    ``step(deriv, x, dt)`` is `rk4_step`.  ``march(deriv, x, dt, steps)``
+    runs its steps on one state held as a tuple of floats and returns flat
+    float lists ``(points, slopes)``: point ``4 (i - 1) + s`` is stage ``s``
+    of step ``i``, the last is the last state, and slope ``i - 1`` is
+    ``deriv`` at the start of step ``i``.  It stops after the first step
+    that leaves finite values, tested per component (a sum of two finite
+    values near the float limit overflows)."""
+    namespace = {"isfinite": math.isfinite}
+    exec(_rk4_source(_RK4_TEMPLATE, n), namespace)
+    return namespace["rk4_step"], namespace["march"]
+
+
 def rk4_step(deriv: Callable[..., tuple], x: tuple, dt: float):
     """One explicit fourth-order step of ``xdot = deriv(*x)`` from a state
     held as one float or array per component (a whole array ``a`` is the
     1-tuple ``(a,)``): the next state, the four stage points and the four
     slopes ``deriv`` gave at them."""
-    half = 0.5 * dt
-    k1 = deriv(*x)
-    x2 = tuple([a + half * b for a, b in zip(x, k1)])
-    k2 = deriv(*x2)
-    x3 = tuple([a + half * b for a, b in zip(x, k2)])
-    k3 = deriv(*x3)
-    x4 = tuple([a + dt * b for a, b in zip(x, k3)])
-    k4 = deriv(*x4)
-    sixth = dt / 6.0
-    nxt = tuple([a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
-                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)])
-    return nxt, (x, x2, x3, x4), (k1, k2, k3, k4)
+    return _rk4(len(x))[0](deriv, x, dt)
 
 
 def _q_step(jacs, q: Array, dt: float) -> Array:
@@ -111,15 +185,18 @@ def _q_step(jacs, q: Array, dt: float) -> Array:
     Jacobians at the step's four stage points, in stage order: `rk4_step`
     with ``deriv(p) = J_s @ p`` at stage ``s``, in its exact operation order,
     written out so a step makes no closure, iterator or stage tuple.  For
-    one state ``jacs`` holds four ``(n, n)`` matrices, for a batch four
-    ``(B, n, n)`` stacks."""
+    one state ``jacs`` holds four ``(n, n)`` matrices, multiplied by
+    `ndarray.dot`, which reaches the same BLAS kernel as `np.matmul` at
+    half its call cost; for a batch, four ``(B, n, n)`` stacks, multiplied
+    by `np.matmul`."""
     j1, j2, j3, j4 = jacs
+    mul = np.ndarray.dot if q.ndim == 2 else np.matmul
     half = 0.5 * dt
-    k1 = j1 @ q
-    k2 = j2 @ (q + half * k1)
-    k3 = j3 @ (q + half * k2)
-    k4 = j4 @ (q + dt * k3)
-    return q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1 = mul(j1, q)
+    k2 = mul(j2, q + k1 * half)
+    k3 = mul(j3, q + k2 * half)
+    k4 = mul(j4, q + k3 * dt)
+    return q + (((k1 + (k2 + k2)) + (k3 + k3)) + k4) * (dt / 6.0)
 
 
 def _kernel(model: SystemModel, policy: BackupPolicy, table):
@@ -131,26 +208,6 @@ def _kernel(model: SystemModel, policy: BackupPolicy, table):
     if policy.closed_loop is not None:
         return policy.closed_loop(table)
     return lambda *x: tuple(loop_rhs(model, policy, np.stack(x, axis=-1)).T)
-
-
-def _float_march(loop: Callable[..., tuple[float, ...]], x: tuple[float, ...],
-                 dt: float, steps: int) -> tuple[list[float], list[float]]:
-    """`rk4_step` steps of one state held as a tuple of floats: flat float
-    lists ``(points, slopes)``; point ``4 (i - 1) + s`` is stage ``s`` of
-    step ``i``, the last is the last state, and slope ``i - 1`` is ``loop``
-    at the start of step ``i``.  Stops after the first step that leaves
-    finite values, tested per component (a sum of two finite values near
-    the float limit overflows)."""
-    points, slopes = [], []
-    for _ in range(steps):
-        x, stages, stage_slopes = rk4_step(loop, x, dt)
-        for point in stages:
-            points += point
-        slopes += stage_slopes[0]
-        if not all(map(math.isfinite, x)):
-            break
-    points += x
-    return points, slopes
 
 
 def _check_slopes(slopes: Array, drifts: Array, where: Callable[..., str]):
@@ -208,7 +265,7 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
     dt = horizon / steps
     loop = _kernel(model, policy, FLOAT_PRIMITIVES)
     with np.errstate(over="ignore", invalid="ignore"):
-        points, slopes = _float_march(loop, tuple(x0.tolist()), dt, steps)
+        points, slopes = _rk4(n)[1](loop, tuple(x0.tolist()), dt, steps)
         points = np.array(points).reshape(-1, n)
         states = points[::4].copy()
         drifts = loop_rhs(model, policy, states)

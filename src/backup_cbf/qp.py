@@ -80,11 +80,16 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class QpSolution:
+    """``warm_started`` is whether the solver's previous active set named a
+    row or bound of this problem, so that the scan for violated rows tried
+    those first."""
+
     u_star: Array
     status: QpStatus
     active_set: tuple[ActiveLabel, ...]
     kkt_residual: float
     iterations: int
+    warm_started: bool
 
 
 def _stack(problem: QpProblem) -> tuple[Array, Array, list[ActiveLabel]]:
@@ -146,7 +151,8 @@ class QpSolver:
             else:
                 kkt = float("inf")
             return QpSolution(u_star=u.copy(), status=status, active_set=active,
-                              kkt_residual=kkt, iterations=changes)
+                              kkt_residual=kkt, iterations=changes,
+                              warm_started=bool(warm_pref))
 
         while True:
             scaled = (a_mat @ u - b_vec) / row_scale

@@ -221,8 +221,9 @@ def test_filter_diagnostics_serialize():
 
 
 def test_filter_diagnostics_carry_the_qp_solution():
-    """The diagnostics carry the solver's iteration count and KKT residual,
-    and the JSON writes a non-finite residual as null."""
+    """The diagnostics carry the solver's iteration count, KKT residual and
+    warm-start flag (false on a fresh solver), and the JSON writes a
+    non-finite residual as null."""
     model, policy, spec = make_benchmark("dubins", {"profile": "aggressive"})
     x, u_nom = np.array([0.0, 5.0, 0.0]), np.array([0.0, 0.5])
     horizon, steps = 8.0, 100
@@ -234,9 +235,11 @@ def test_filter_diagnostics_carry_the_qp_solution():
                                           upper=model.input_upper))
     assert diag.qp_iterations == solution.iterations
     assert diag.kkt_residual == solution.kkt_residual
+    assert diag.warm_started is solution.warm_started is False
     doc = json.loads(json.dumps(diag.to_json_dict()))
     assert doc["qp_iterations"] == solution.iterations
     assert doc["kkt_residual"] == solution.kkt_residual
+    assert doc["warm_started"] is False
     model, policy, spec = make_benchmark("toy1d")
     _, diag = filter_control(model, policy, spec, np.array([1.0]),
                              np.array([0.0]), 1.0, 100, margin=1e4)

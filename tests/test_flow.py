@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from backup_cbf.barrier import eval_h, eval_h_batch
 from backup_cbf.errors import FlowDivergenceError, ValidationError
-from backup_cbf.flow import (FlowTrajectory, _float_march, _q_step,
+from backup_cbf.flow import (FlowTrajectory, _kernel, _q_step, _rk4,
                              integrate_flow, integrate_flow_batch, rk4_step,
                              sensitivity_fd_check)
-from backup_cbf.systems import (BENCHMARK_DEFAULTS, FLOAT_PRIMITIVES,
+from backup_cbf.systems import (ARRAY_PRIMITIVES, BENCHMARK_DEFAULTS,
+                                FLOAT_PRIMITIVES,
                                 BackupPolicy, SafetySpec, ScalarConstraint,
                                 SystemModel, closed_loop_rhs, loop_jacobian,
                                 loop_rhs, make_benchmark)
@@ -194,14 +195,16 @@ def test_flow_restart_invariance():
         assert np.max(np.abs(again - endpoint)) < 1e-7
 
 
-BATCH_CASES = [("double_integrator", {}),
+BATCH_CASES = [("toy1d", {}), ("double_integrator", {}),
                ("dubins", {"profile": "conservative"}),
                ("dubins", {"profile": "aggressive"}), ("aeroplane", {})]
 
 
 def test_batch_matches_single():
     """The batch march's end states, with and without sensitivity, and its
-    end Q equal the single-state flow's bit for bit on sampled states."""
+    end Q equal the single-state flow's bit for bit on sampled states (its
+    ``(B, n, n)`` matmul against the single state's `ndarray.dot`, down to
+    the 1x1 products of toy1d)."""
     for name, params in BATCH_CASES:
         model, policy, _ = make_benchmark(name, params)
         box = BENCHMARK_DEFAULTS[name]
@@ -533,12 +536,145 @@ def test_numpy_integer_steps_and_float_horizon_accepted():
     assert len(traj.states) == 11 and np.array_equal(ends[0], traj.states[-1])
 
 
+def former_tuple_rk4_step(deriv, x, dt):
+    """One explicit fourth-order step of ``xdot = deriv(*x)`` from a state
+    held as one float or array per component (a whole array ``a`` is the
+    1-tuple ``(a,)``): the next state, the four stage points and the four
+    slopes ``deriv`` gave at them."""
+    half = 0.5 * dt
+    k1 = deriv(*x)
+    x2 = tuple([a + half * b for a, b in zip(x, k1)])
+    k2 = deriv(*x2)
+    x3 = tuple([a + half * b for a, b in zip(x, k2)])
+    k3 = deriv(*x3)
+    x4 = tuple([a + dt * b for a, b in zip(x, k3)])
+    k4 = deriv(*x4)
+    sixth = dt / 6.0
+    nxt = tuple([a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
+                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)])
+    return nxt, (x, x2, x3, x4), (k1, k2, k3, k4)
+
+
+def former_float_march(loop, x, dt, steps):
+    """`rk4_step` steps of one state held as a tuple of floats: flat float
+    lists ``(points, slopes)``; point ``4 (i - 1) + s`` is stage ``s`` of
+    step ``i``, the last is the last state, and slope ``i - 1`` is ``loop``
+    at the start of step ``i``.  Stops after the first step that leaves
+    finite values, tested per component (a sum of two finite values near
+    the float limit overflows)."""
+    points, slopes = [], []
+    for _ in range(steps):
+        x, stages, stage_slopes = former_tuple_rk4_step(loop, x, dt)
+        for point in stages:
+            points += point
+        slopes += stage_slopes[0]
+        if not all(map(math.isfinite, x)):
+            break
+    points += x
+    return points, slopes
+
+
+def assert_march_matches_former(loop, x0, dt, steps):
+    """The compiled float march gives the former march's points and slopes
+    in bytes, so it stops after the same step."""
+    x = tuple(np.asarray(x0, dtype=float).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        points, slopes = _rk4(len(x))[1](loop, x, dt, steps)
+        former_points, former_slopes = former_float_march(loop, x, dt, steps)
+    assert len(points) == len(former_points), (x0, dt, steps)
+    assert np.array(points).tobytes() == np.array(former_points).tobytes()
+    assert np.array(slopes).tobytes() == np.array(former_slopes).tobytes()
+    return len(slopes) // len(x)
+
+
+@pytest.mark.parametrize("name, params", REFERENCE_CASES)
+def test_compiled_march_matches_former_march(name, params):
+    """At sampled states of each benchmark, with the policy's statement and
+    with the stacked `loop_rhs` fallback (``np.float64`` slopes); and the
+    compiled `rk4_step` on a batch of ``(B,)`` arrays gives the former
+    generic step's next state, stage points and slopes in bytes."""
+    model, policy, _ = make_benchmark(name, params)
+    box = BENCHMARK_DEFAULTS[name]
+    horizon, steps = box["t_horizon_s"], box["n_flow_steps"]
+    dt = horizon / steps
+    x0s = np.random.default_rng(29).uniform(
+        box["sample_lower"], box["sample_upper"], (6, model.state_dim))
+    no_statement = dataclasses.replace(policy, closed_loop=None)
+    fallback = _kernel(model, no_statement, FLOAT_PRIMITIVES)
+    assert isinstance(fallback(*x0s[0].tolist())[0], np.float64)
+    for x0 in x0s:
+        assert assert_march_matches_former(
+            _kernel(model, policy, FLOAT_PRIMITIVES), x0, dt, steps) == steps
+        assert assert_march_matches_former(fallback, x0, dt, steps) == steps
+    loop = _kernel(model, policy, ARRAY_PRIMITIVES)
+    x = tuple(x0s.T.copy())
+    for _ in range(3):
+        got = rk4_step(loop, x, dt)
+        want = former_tuple_rk4_step(loop, x, dt)
+        for part, former in zip(got, want):
+            assert np.array(part).tobytes() == np.array(former).tobytes()
+        x = got[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compiled_march_matches_former_on_linear_systems(n):
+    """``xdot = A x`` for random ``A`` of each size (no ``closed_loop``, so
+    the slopes are ``np.float64``), and a start that diverges: the compiled
+    march stops after the same step as the former one."""
+    rng = np.random.default_rng(31 + n)
+    model, policy = linear_system(rng.normal(size=(n, n)))
+    loop = _kernel(model, policy, FLOAT_PRIMITIVES)
+    for _ in range(4):
+        assert assert_march_matches_former(loop, rng.normal(size=n), 0.05,
+                                           40) == 40
+    model, policy = linear_system(200.0 * np.eye(n))
+    stop = assert_march_matches_former(
+        _kernel(model, policy, FLOAT_PRIMITIVES), rng.normal(size=n), 1.0, 50)
+    assert 1 <= stop < 50
+
+
+def test_compiled_march_stops_where_the_former_does():
+    """The double integrator from s = 1.79e308 leaves finite values at
+    step 8 on the policy's statement and on the fallback."""
+    model, policy, _ = make_benchmark("double_integrator")
+    for pol in (policy, dataclasses.replace(policy, closed_loop=None)):
+        assert assert_march_matches_former(
+            _kernel(model, pol, FLOAT_PRIMITIVES), [1.79e308, 1e306], 0.1,
+            100) == 8
+
+
 def former_q_step(jacs, q, dt):
     """One step of the variational equation ``Qdot = J Q`` from the loop
     Jacobians at the step's four stage points, in stage order."""
     stage_jacs = iter(jacs)
-    (q,), _, _ = rk4_step(lambda p: (np.matmul(next(stage_jacs), p),), (q,), dt)
+    (q,), _, _ = former_tuple_rk4_step(
+        lambda p: (np.matmul(next(stage_jacs), p),), (q,), dt)
     return q
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_single_state_q_step_dot_matches_matmul(n):
+    """The single-state `_q_step`, whose products are `ndarray.dot`, gives
+    the bytes of the `np.matmul` step on random Jacobians of each size,
+    with entries of every scale and some exact zeros of both signs (a 1x1
+    `dot` is a plain product, which keeps a zero's sign where matmul's
+    accumulator gives +0; Q never starts at -0, so the step is the same)."""
+    rng = np.random.default_rng(37 + n)
+    q = q_former = np.eye(n)
+    for _ in range(300):
+        jacs = rng.normal(size=(4, n, n)) * 10.0 ** rng.integers(-3, 4,
+                                                                 (4, n, n))
+        jacs[rng.random((4, n, n)) < 0.1] = 0.0
+        jacs[rng.random((4, n, n)) < 0.1] = -0.0
+        dt = float(rng.uniform(1e-3, 0.1))
+        q = _q_step(jacs, q, dt)
+        q_former = former_q_step(jacs, q_former, dt)
+        assert q.tobytes() == q_former.tobytes(), n
+        if not np.all(np.abs(q) < 1e100):
+            q = q_former = np.eye(n)
+        start = rng.normal(size=(n, n))
+        assert (_q_step(jacs, start, dt).tobytes()
+                == former_q_step(jacs, start, dt).tobytes()), n
 
 
 @pytest.mark.parametrize("name, params", REFERENCE_CASES)
@@ -555,7 +691,8 @@ def test_q_step_matches_former_q_step(name, params):
     loop = policy.closed_loop(FLOAT_PRIMITIVES)
     paths = []
     for x0 in x0s:
-        points, _ = _float_march(loop, tuple(x0.tolist()), dt, steps)
+        points, _ = _rk4(model.state_dim)[1](loop, tuple(x0.tolist()), dt,
+                                              steps)
         points = np.array(points).reshape(-1, model.state_dim)[:-1]
         paths.append(loop_jacobian(model, policy, points).reshape(
             steps, 4, model.state_dim, model.state_dim))

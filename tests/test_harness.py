@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from backup_cbf import harness
+from backup_cbf.barrier import filter_control
 from backup_cbf.cli import main as cli_main
 from backup_cbf.errors import (ConvergenceWarning, GeometryError,
                                ScenarioError, ValidationError)
@@ -249,6 +250,25 @@ def test_simulation_bit_reproducible(tmp_path):
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.u_star, b.u_star)
     assert np.array_equal(a.h_values, b.h_values)
+
+
+def test_simulate_warm_starts_from_the_second_step(monkeypatch):
+    """In a Dubins edge push from a lane-keeping start, where the filter is
+    active from the first step, the first call's QP starts cold and the
+    second one starts from the first call's active set."""
+    diags = []
+
+    def recording_filter(*args, **kwargs):
+        u_star, diag = filter_control(*args, **kwargs)
+        diags.append(diag)
+        return u_star, diag
+
+    monkeypatch.setattr(harness, "filter_control", recording_filter)
+    sc = load_scenario(str(SCENARIO_DIR / "dubins_edge_push.json"))
+    simulate(Scenario(**{**sc.to_json_dict(), "x0": (0.3, 5.0, 0.1),
+                         "duration_s": 3 * sc.dt_s}))
+    assert len(diags) == 3 and diags[0].active_rows
+    assert [d.warm_started for d in diags[:2]] == [False, True]
 
 
 def test_double_integrator_unfiltered_crossing():

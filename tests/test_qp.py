@@ -203,6 +203,23 @@ def test_warm_start_does_not_change_optimum():
         assert np.max(np.abs(u_cold - u_warm)) < 1e-8
 
 
+def test_warm_started_reports_the_previous_active_set():
+    """False on a fresh solver; true once the previous active set names a
+    row or bound of the problem; false when it names none of them."""
+    prob = QpProblem(np.array([0.0, 0.0]), np.array([[1.0, 0.0], [0.0, 1.0],
+                                                     [1.0, 1.0]]),
+                     np.array([-1.0, -1.0, 3.0]), np.array([-9.0, -9.0]),
+                     np.array([9.0, 9.0]))
+    solver = QpSolver()
+    first = solver.solve(prob)
+    assert first.active_set == (("row", 2),) and not first.warm_started
+    assert solver.solve(prob).warm_started
+    fewer = QpProblem(np.array([0.0, 0.0]), prob.rows[:2], prob.rhs[:2],
+                      np.full(2, -np.inf), np.full(2, np.inf))
+    assert not solver.solve(fewer).warm_started
+    assert not solve(prob).warm_started
+
+
 def test_degenerate_duplicate_rows():
     a = np.array([1.0, 1.0])
     prob = QpProblem(np.array([0.0, 0.0]),
