@@ -19,7 +19,6 @@ from .hjgrid import (GridGeometry, LevelGrid, SolveRecord, compare_sets,
 from .qp import QpProblem, QpSolution, QpSolver, solve
 from .systems import (BENCHMARK_DEFAULTS, BENCHMARK_NAMES, BackupPolicy,
                       SafetySpec, ScalarConstraint, SystemModel,
-                      closed_loop_jacobian, closed_loop_rhs, di_closed_form_h,
-                      make_benchmark)
+                      closed_loop_rhs, di_closed_form_h, make_benchmark)
 
 __version__ = "0.1.0"

@@ -210,6 +210,20 @@ def _kernel(model: SystemModel, policy: BackupPolicy, table):
     return lambda *x: tuple(loop_rhs(model, policy, np.stack(x, axis=-1)).T)
 
 
+def _march(march: Callable, loop: Callable, x: tuple, *args):
+    """``march(loop, x, *args)``; after a `ValueError` from it, which the
+    compiled step raises for a ``loop`` of the wrong arity, one call of
+    ``loop`` at ``x`` names a wrong count with `ValidationError`."""
+    try:
+        return march(loop, x, *args)
+    except ValueError as exc:
+        got = len(loop(*x))
+        if got != len(x):
+            raise ValidationError(f"policy.closed_loop returns {got} "
+                                  f"components, expected {len(x)}") from exc
+        raise
+
+
 def _check_slopes(slopes: Array, drifts: Array, where: Callable[..., str]):
     """`ValidationError` unless the march's ``slopes`` from the policy's
     ``closed_loop`` equal the model's ``drifts`` at the same points,
@@ -265,7 +279,8 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
     dt = horizon / steps
     loop = _kernel(model, policy, FLOAT_PRIMITIVES)
     with np.errstate(over="ignore", invalid="ignore"):
-        points, slopes = _rk4(n)[1](loop, tuple(x0.tolist()), dt, steps)
+        points, slopes = _march(_rk4(n)[1], loop, tuple(x0.tolist()), dt,
+                                steps)
         points = np.array(points).reshape(-1, n)
         states = points[::4].copy()
         drifts = loop_rhs(model, policy, states)
@@ -332,7 +347,7 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     for i in range(1, steps + 1):
         # divergence is detected after the step; silence transient overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            x, stages, slopes = rk4_step(loop, x, dt)
+            x, stages, slopes = _march(rk4_step, loop, x, dt)
             if policy.closed_loop is not None:
                 for k in range(n):
                     starts[0, i - 1, :, k] = stages[0][k][::stride]

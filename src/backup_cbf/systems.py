@@ -3,18 +3,21 @@
 All quantities are SI (m, m/s, m/s^2, rad, rad/s).  Every evaluator is a
 pure function with one array body that accepts states of shape ``(n,)`` or
 batched ``(..., n)``, broadcasting over the leading axes.  Each built-in
-policy also carries its closed-loop derivative, stated once in
-`loop_rhs`'s operation order against a table of primitives
-(``BackupPolicy.closed_loop``): the single-state flow builds it on
-`FLOAT_PRIMITIVES` and the batch flow on `ARRAY_PRIMITIVES`.  Each
-statement computes each zero product of ``g pi`` once and drops the exact
-identities (``1.0 * x`` is ``x``; ``0.0 + w`` is ``w`` wherever ``w``
-cannot be ``-0.0``), so it keeps `loop_rhs`'s bits, signed zeros and NaNs
-included, with fewer operations.  The float twins of the smoothings clamp
-by comparisons, which return what ``min(max(y, lo), hi)`` returns for
-every float (NaN and signed zeros included) without two builtin calls.
-Benchmark parameters must be finite numbers.  Values are immutable after
-construction and safe to share across threads.
+benchmark states ``f``, ``g`` and its backup policy ``pi`` once, one value
+per component, against a table of `Primitives`; `_generated` records that
+statement symbolically and compiles from it ``f_eval``, ``g_eval``,
+``pi_eval``, their Jacobians (forward differentiation, structural zeros
+left out) and the closed-loop derivative ``BackupPolicy.closed_loop`` in
+`loop_rhs`'s order, which the single-state flow builds on
+`FLOAT_PRIMITIVES` and the batch flow on `ARRAY_PRIMITIVES`.  Only exact
+folds are made, so every evaluator keeps the bits of the hand-written
+body it replaced, signed zeros included (the aeroplane's ``df_dx[0, 2]``
+differs in a NaN's sign), and the flows check the closed loop against
+the model as before.  The float twins of the
+smoothings clamp by comparisons, which return what ``min(max(y, lo),
+hi)`` returns for every float (NaN and signed zeros included) without two
+builtin calls.  Benchmark parameters must be finite numbers.  Values are
+immutable after construction and safe to share across threads.
 
 Four benchmark instances are provided:
 
@@ -43,6 +46,8 @@ Four benchmark instances are provided:
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
@@ -187,9 +192,9 @@ def smooth_saturate_deriv(y: Array | float, lo: float, hi: float, eps: float) ->
 
 
 class Primitives(NamedTuple):
-    """The nonlinear primitives a closed-loop statement is written
-    against; `FLOAT_PRIMITIVES` and `ARRAY_PRIMITIVES` give each entry the
-    same bits on the same input."""
+    """The nonlinear primitives a benchmark's dynamics are stated against;
+    `FLOAT_PRIMITIVES` and `ARRAY_PRIMITIVES` give each entry the same bits
+    on the same input, and `_SYMBOLIC` records each call."""
 
     sin: Callable
     cos: Callable
@@ -216,8 +221,8 @@ class SystemModel:
     ``df_dx(x)`` has shape ``(..., n, n)``; ``dg_dx(x)`` has shape
     ``(..., n, m, n)`` with entry ``[i, j, k] = d g[i, j] / d x[k]``.
     ``dg_dx = None`` declares the input matrix state-independent.  The
-    benchmarks' constant terms and constraint gradients come from
-    `_constant`: fresh zeros with the nonzero entries assigned.
+    benchmarks' constant constraint gradients come from `_constant`: fresh
+    zeros with the nonzero entries assigned.
     """
 
     state_dim: int
@@ -269,17 +274,19 @@ class BackupPolicy:
     ...)``, each product rounded (for a dense ``g`` with two or more inputs
     that is not always the bits of ``np.matmul``, which may fuse
     multiply-adds).  It may share a product between rows and drop an
-    operation that is an exact identity on every input.
+    operation that is an exact identity on every input.  A built-in one is
+    generated with its model from one statement (`_generated`); one of the
+    wrong arity is refused by both flows with `ValidationError`.
 
-    The flows march on it and check it against the stacked `loop_rhs` of
-    the model they are given.  The single-state flow checks its slope at
-    every node.  The batch flow checks every stage of every row of its
-    first and last step, and the slope at the start of every other step on
-    a fixed handful of rows (row 0 and at most eight more, evenly
-    strided): checking every stage of every row at every step made the
-    grid sweeps three to six times as long.  So a model changed after this
-    policy was built, only where no checked point of the batch goes, is
-    integrated as this statement has it, without an error.
+    The flows march on it and, generated or not, check it against the
+    stacked `loop_rhs` of the model they are given.  The single-state flow
+    checks its slope at every node.  The batch flow checks every stage of
+    every row of its first and last step, and the slope at the start of
+    every other step on a fixed handful of rows (row 0 and at most eight
+    more, evenly strided): checking every stage of every row at every step
+    made the grid sweeps three to six times as long.  So a model changed
+    after this policy was built, only where no checked point of the batch
+    goes, is integrated as this statement has it, without an error.
     """
 
     pi_eval: Callable[[Array], Array]
@@ -365,13 +372,6 @@ def closed_loop_rhs(model: SystemModel, policy: BackupPolicy, x: Array) -> Array
     """Backup-loop derivative ``f(x) + g(x) pi(x)``."""
     x = check_finite(np.asarray(x, dtype=float), "state")
     return check_finite(loop_rhs(model, policy, x), "closed-loop derivative")
-
-
-def closed_loop_jacobian(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
-    """State Jacobian of the backup loop:
-    ``df/dx + sum_j pi_j dg_j/dx + g dpi/dx``."""
-    x = check_finite(np.asarray(x, dtype=float), "state")
-    return check_finite(loop_jacobian(model, policy, x), "closed-loop Jacobian")
 
 
 def di_closed_form_h(x: Array, c_limit: float, u_max: float) -> Array:
@@ -473,8 +473,194 @@ def _bound(n: int, idx: int, limit: float, sign: float, name: str
 
 
 # ---------------------------------------------------------------------------
+# The evaluators generated from each benchmark's one statement
+# ``statement(p, params, *x) -> (f, g, pi)``: its dynamics at the state ``x``
+# against the primitive table ``p``, one value per component (``g`` as rows,
+# a constant entry a float), with the parameters from the tuple ``params``.
+# ---------------------------------------------------------------------------
+
+
+class _Sym:
+    """An expression `_SYMBOLIC` records: ``op`` (``x`` for a state
+    component, ``+ - *``, ``neg`` or a primitive) on ``args``, each a `_Sym`
+    or a float.  Floats alone stay Python's, which round as float64 does,
+    and ``1.0 * e`` is ``e``: the only folds."""
+
+    def __init__(self, op: str, *args):
+        self.op, self.args = op, args
+
+    def __add__(self, other): return _Sym("+", self, other)
+    def __radd__(self, other): return _Sym("+", other, self)
+    def __sub__(self, other): return _Sym("-", self, other)
+    def __rsub__(self, other): return _Sym("-", other, self)
+    def __mul__(self, other): return self if other == 1.0 else _Sym("*", self, other)
+    def __rmul__(self, other): return self if other == 1.0 else _Sym("*", other, self)
+    def __neg__(self): return _Sym("neg", self)
+
+
+_SYMBOLIC = Primitives(*(functools.partial(_Sym, p) for p in Primitives._fields))
+# d p(u, ...) / du of each primitive ``p``; only ``u`` may hold the state
+_PRIMES = {"sin": lambda u: _Sym("cos", u), "cos": lambda u: -_Sym("sin", u),
+           **{p: functools.partial(_Sym, p + "_deriv")
+              for p in ("saturate", "sign", "indicator")}}
+_FORMS = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})", "neg": "(-{})"}
+
+
+def _derivative(e, k: int):
+    """``d e / d x_k`` by the forward rules (Griewank & Walther, "Evaluating
+    Derivatives", SIAM 2008), the chain rule's inner derivative on the
+    left; ``None`` for a structural zero, where ``e`` does not hold ``x_k``."""
+    if not isinstance(e, _Sym):
+        return None
+    if e.op == "x":
+        return 1.0 if e.args[0] == k else None
+    da, db = ([_derivative(a, k) for a in e.args] + [None])[:2]
+    if e.op in _PRIMES:
+        return None if da is None else da * _PRIMES[e.op](*e.args)
+    if e.op == "neg":
+        return None if da is None else -da
+    if e.op == "*":
+        da = None if da is None else da * e.args[1]
+        db = None if db is None else e.args[0] * db
+    if da is None or db is None:
+        return da if db is None else -db if e.op == "-" else db
+    return da - db if e.op == "-" else da + db
+
+
+def _written(op: str, parts: list[str]) -> str:
+    return _FORMS[op].format(*parts) if op in _FORMS else f"{op}({', '.join(parts)})"
+
+
+def _statements(exprs) -> tuple[list[str], list[str], set[str]]:
+    """Python for ``exprs`` (`_Sym`s and floats): the lines that assign the
+    temporaries ``t0, t1, ...``, an expression per entry, and the names
+    read.  A subexpression written out the same way more than once is
+    computed once, into a temporary."""
+    nodes, names = {}, set()            # written out in full -> op, operands
+
+    def text(e) -> str:
+        if not isinstance(e, _Sym):
+            return repr(float(e))
+        if e.op == "x":
+            names.add(f"x{e.args[0]}")
+            return f"x{e.args[0]}"
+        names.add(e.op)
+        parts = [text(a) for a in e.args]
+        key = _written(e.op, parts)
+        nodes[key] = (e.op, parts)
+        return key
+
+    roots = [text(e) for e in exprs]
+    uses = collections.Counter(roots + [p for _, ps in nodes.values() for p in ps])
+    temporaries, lines = {}, []
+
+    def written(key: str) -> str:
+        if key not in nodes or key in temporaries:
+            return temporaries.get(key, key)
+        code = _written(nodes[key][0], [written(p) for p in nodes[key][1]])
+        if uses[key] < 2:
+            return code
+        temporaries[key] = f"t{len(temporaries)}"
+        lines.append(f"{temporaries[key]} = {code}")
+        return temporaries[key]
+
+    return lines, [written(r) for r in roots], names
+
+
+def _array_source(name: str, terms: np.ndarray, n: int) -> str:
+    """``name(x)``: for states ``(..., n)`` a fresh ``(...,) + terms.shape``
+    array from zeros, with each entry of ``terms`` that is not ``+0.0``
+    assigned."""
+    assigned = {index: e for index, e in np.ndenumerate(terms)
+                if e is not None and (isinstance(e, _Sym) or e != 0.0
+                                      or math.copysign(1.0, e) < 0.0)}
+    lines, exprs, names = _statements(assigned.values())
+    return "\n    ".join(
+        [f"def {name}(x):", "x = asarray(x, dtype=float)"]
+        + [f"x{i} = x[..., {i}]" for i in range(n) if f"x{i}" in names] + lines
+        + [f"out = zeros(x.shape[:-1] + {terms.shape})"]
+        + [f"out[..., {', '.join(map(str, index))}] = {expr}"
+           for index, expr in zip(assigned, exprs)] + ["return out"])
+
+
+def _loop_source(f: np.ndarray, g: np.ndarray, pi: np.ndarray) -> str:
+    """``closed_loop(p)``: per row ``f_i + (((0.0 + g_i0 pi_0) + g_i1 pi_1)
+    + ...)``, `loop_rhs`'s order, where ``f_i + s`` is ``s`` for a literal
+    zero ``f_i``: ``s`` starts from ``0.0 + ...``, so it is never ``-0.0``,
+    and ``+-0.0 + s`` is then ``s`` on every input."""
+    rows = []
+    for f_i, g_i in zip(f, g):
+        s = 0.0 + g_i[0] * pi[0]
+        for g_ij, pi_j in zip(g_i[1:], pi[1:]):
+            s = s + g_ij * pi_j
+        rows.append(s if not isinstance(f_i, _Sym) and f_i == 0.0 else f_i + s)
+    lines, exprs, names = _statements(rows)
+    return "\n".join(
+        ["def closed_loop(p):"]
+        + [f"    {c} = p.{c}" for c in Primitives._fields if c in names]
+        + [f"    def rhs({', '.join(f'x{i}' for i in range(len(f)))}):"]
+        + [f"        {line}" for line in lines]
+        + [f"        return ({''.join(e + ', ' for e in exprs)})", "    return rhs"])
+
+
+_NAMESPACE = {"asarray": np.asarray, "zeros": np.zeros, **ARRAY_PRIMITIVES._asdict(),
+              "saturate_deriv": smooth_saturate_deriv,
+              "sign_deriv": smooth_sign_deriv,
+              "indicator_deriv": smooth_positive_indicator_deriv}
+
+
+@functools.cache
+def _generated(name: str, statement: Callable, n: int, m: int,
+               params: tuple[str, ...]) -> tuple:
+    """``(f_eval, g_eval, df_dx, dg_dx, pi_eval, dpi_dx, closed_loop)`` of
+    ``statement`` for ``n`` states and ``m`` inputs, recorded on
+    `_SYMBOLIC`, written out and compiled (as `flow._rk4` compiles its
+    template) once per parameter tuple, given as `float.hex` strings so
+    that ``0.0`` and ``-0.0`` are two keys.  ``dg_dx`` is ``None`` where no
+    entry of ``g`` holds the state."""
+    f, g, pi = (np.array(v, dtype=object) for v in statement(
+        _SYMBOLIC, tuple(map(float.fromhex, params)),
+        *(_Sym("x", i) for i in range(n))))
+    if (f.shape, g.shape, pi.shape) != ((n,), (n, m), (m,)):
+        raise ValidationError(
+            f"benchmark {name!r} states f, g and pi of shapes {f.shape}, "
+            f"{g.shape} and {pi.shape}, not {(n,)}, {(n, m)} and {(m,)}")
+
+    def jacobian(t: np.ndarray) -> np.ndarray:
+        return np.array([[_derivative(e, k) for k in range(n)] for e in t.flat],
+                        dtype=object).reshape(t.shape + (n,))
+
+    terms = {"f_eval": f, "g_eval": g, "pi_eval": pi, "df_dx": jacobian(f),
+             "dg_dx": jacobian(g), "dpi_dx": jacobian(pi)}
+    namespace = dict(_NAMESPACE)
+    exec("\n".join([_array_source(fn, t, n) for fn, t in terms.items()]
+                   + [_loop_source(f, g, pi)]), namespace)
+    if all(d is None for d in terms["dg_dx"].flat):
+        namespace["dg_dx"] = None
+    return tuple(namespace[fn] for fn in ("f_eval", "g_eval", "df_dx", "dg_dx",
+                                          "pi_eval", "dpi_dx", "closed_loop"))
+
+
+def _benchmark(name: str, statement: Callable, params: tuple, eps: float,
+               lower: tuple, upper: tuple, state_names: tuple[str, ...],
+               input_names: tuple[str, ...]) -> tuple[SystemModel, BackupPolicy]:
+    """The model and backup policy generated from ``statement``."""
+    n, m = len(state_names), len(input_names)
+    f, g, df, dg, pi, dpi, loop = _generated(name, statement, n, m,
+                                             tuple(map(float.hex, params)))
+    return (SystemModel(n, m, f, g, df, dg, lower, upper,
+                        state_names=state_names, input_names=input_names),
+            BackupPolicy(pi, dpi, eps, loop))
+
+
+# ---------------------------------------------------------------------------
 # toy1d: xdot = u, backup u = sat(-k x).
 # ---------------------------------------------------------------------------
+
+
+def _toy1d(p: Primitives, k: tuple, x):
+    gain, u_max, eps = k
+    return (0.0,), ((1.0,),), (p.saturate(-gain * x, -u_max, u_max, eps),)
 
 
 def _build_toy1d(params: dict):
@@ -488,34 +674,8 @@ def _build_toy1d(params: dict):
     if u_max <= 0.0 or gain <= 0.0:
         raise ValidationError("toy1d needs u_max > 0 and gain_k > 0")
     _check_blend(-u_max, u_max, eps)
-
-    def pi(x):
-        x = np.asarray(x, dtype=float)
-        return smooth_saturate(-gain * x[..., 0], -u_max, u_max, eps)[..., None]
-
-    def dpi(x):
-        x = np.asarray(x, dtype=float)
-        d = smooth_saturate_deriv(-gain * x[..., 0], -u_max, u_max, eps)
-        return (-gain * d)[..., None, None]
-
-    # f + g u as `loop_rhs` computes it: g u summed from +0.0 in input
-    # order, so even the signs of zeros match; with the exact identities
-    # dropped (`1.0 * x` is `x`, and `0.0 + w` is `w` wherever `w` cannot
-    # be -0.0, as `0.0 + x` cannot)
-    def loop(p: Primitives):
-        saturate = p.saturate
-
-        def rhs(x):
-            u = saturate(-gain * x, -u_max, u_max, eps)
-            return (0.0 + u,)
-
-        return rhs
-
-    model = SystemModel(1, 1, _constant([0.0]), _constant([[1.0]]),
-                        _constant([[0.0]]), None,
-                        np.array([-u_max]), np.array([u_max]),
-                        state_names=("x",), input_names=("u",))
-    policy = BackupPolicy(pi, dpi, eps, loop)
+    model, policy = _benchmark("toy1d", _toy1d, (gain, u_max, eps), eps,
+                               (-u_max,), (u_max,), ("x",), ("u",))
 
     def level(c: float, name: str) -> ScalarConstraint:
         return ScalarConstraint(
@@ -533,6 +693,11 @@ def _build_toy1d(params: dict):
 # ---------------------------------------------------------------------------
 
 
+def _double_integrator(p: Primitives, k: tuple, s, v):
+    u_max, eps = k
+    return (v, 0.0), ((0.0,), (1.0,)), (-u_max * p.indicator(v, eps),)
+
+
 def _build_double_integrator(params: dict):
     c_limit = _number(params, "c_limit_m", 10.0)
     u_max = _number(params, "u_max_mps2", 1.0)
@@ -543,37 +708,9 @@ def _build_double_integrator(params: dict):
     if u_max <= 0.0 or v_scale <= 0.0:
         raise ValidationError("double_integrator needs u_max > 0, v_scale > 0")
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = x[..., 1]
-        return out
-
-    def pi(x):
-        x = np.asarray(x, dtype=float)
-        return (-u_max * smooth_positive_indicator(x[..., 1], eps))[..., None]
-
-    def dpi(x):
-        x = np.asarray(x, dtype=float)
-        d = smooth_positive_indicator_deriv(x[..., 1], eps)
-        out = np.zeros(x.shape[:-1] + (1, 2))
-        out[..., 0, 1] = -u_max * d
-        return out
-
-    def loop(p: Primitives):
-        indicator = p.indicator
-
-        def rhs(s, v):
-            u = -u_max * indicator(v, eps)
-            return (v + (0.0 + 0.0 * u), 0.0 + u)
-
-        return rhs
-
-    model = SystemModel(2, 1, f, _constant([[0.0], [1.0]]),
-                        _constant([[0.0, 1.0], [0.0, 0.0]]), None,
-                        np.array([-u_max]), np.array([u_max]),
-                        state_names=("s", "v"), input_names=("u",))
-    policy = BackupPolicy(pi, dpi, eps, loop)
+    model, policy = _benchmark("double_integrator", _double_integrator,
+                               (u_max, eps), eps, (-u_max,), (u_max,),
+                               ("s", "v"), ("u",))
 
     # at_rest stays -v: the bound's 0.0 - 1.0 * v would give +0.0 at v = +0.0
     spec = SafetySpec(
@@ -602,6 +739,14 @@ def _lyapunov_3x3(a_cl: Array) -> Array:
     lhs = np.kron(np.eye(n), a_cl.T) + np.kron(a_cl.T, np.eye(n))
     p = np.linalg.solve(lhs, -np.eye(n).flatten()).reshape(n, n)
     return 0.5 * (p + p.T)
+
+
+def _dubins(p: Primitives, k: tuple, y, v, psi):
+    ky0, ky1, k_v, v_des, a_max, r_max, eps_a, eps_r = k
+    return ((v * p.sin(psi), 0.0, 0.0),
+            ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+            (p.saturate(k_v * (v_des - v), -a_max, a_max, eps_a),
+             p.saturate(ky0 * y + ky1 * psi, -r_max, r_max, eps_r)))
 
 
 def _build_dubins(params: dict):
@@ -651,58 +796,10 @@ def _build_dubins(params: dict):
 
     _check_blend(-a_max, a_max, eps_a)
     _check_blend(-r_max, r_max, eps_r)
-    ky0, ky1 = float(k_y[0]), float(k_y[1])
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = x[..., 1] * np.sin(x[..., 2])
-        return out
-
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (3, 3))
-        out[..., 0, 1] = np.sin(x[..., 2])
-        out[..., 0, 2] = x[..., 1] * np.cos(x[..., 2])
-        return out
-
-    def pi(x):
-        x = np.asarray(x, dtype=float)
-        a_cmd = smooth_saturate(k_v * (v_des - x[..., 1]), -a_max, a_max, eps_a)
-        r_raw = k_y[0] * x[..., 0] + k_y[1] * x[..., 2]
-        r_cmd = smooth_saturate(r_raw, -r_max, r_max, eps_r)
-        return np.stack([a_cmd, r_cmd], axis=-1)
-
-    def dpi(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 3))
-        da = smooth_saturate_deriv(k_v * (v_des - x[..., 1]), -a_max, a_max, eps_a)
-        out[..., 0, 1] = -k_v * da
-        r_raw = k_y[0] * x[..., 0] + k_y[1] * x[..., 2]
-        dr = smooth_saturate_deriv(r_raw, -r_max, r_max, eps_r)
-        out[..., 1, 0] = k_y[0] * dr
-        out[..., 1, 2] = k_y[1] * dr
-        return out
-
-    def loop(p: Primitives):
-        sin, saturate = p.sin, p.saturate
-
-        def rhs(y, v, psi):
-            a = saturate(k_v * (v_des - v), -a_max, a_max, eps_a)
-            r = saturate(ky0 * y + ky1 * psi, -r_max, r_max, eps_r)
-            # the zero products of g u, each once (rows 0 and 2 share the
-            # partial sum after channel 0); as in toy1d, the identities go
-            za = 0.0 + 0.0 * a
-            zr = 0.0 * r
-            return (v * sin(psi) + (za + zr), (0.0 + a) + zr, za + r)
-
-        return rhs
-
-    model = SystemModel(3, 2, f,
-                        _constant([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), df, None,
-                        np.array([-a_max, -r_max]), np.array([a_max, r_max]),
-                        state_names=("Y", "v", "psi"), input_names=("a", "r"))
-    policy = BackupPolicy(pi, dpi, max(eps_a, eps_r), loop)
+    model, policy = _benchmark(
+        "dubins", _dubins,
+        (*k_y, k_v, v_des, a_max, r_max, eps_a, eps_r), max(eps_a, eps_r),
+        (-a_max, -r_max), (a_max, r_max), ("Y", "v", "psi"), ("a", "r"))
 
     offset = np.array([0.0, v_des, 0.0])
 
@@ -729,6 +826,13 @@ def _build_dubins(params: dict):
 # ---------------------------------------------------------------------------
 
 
+def _aeroplane(p: Primitives, k: tuple, dx, dy, dpsi):
+    v_a, v_b, u_max, eps = k
+    return ((-v_a + v_b * p.cos(dpsi), v_b * p.sin(dpsi), 0.0),
+            ((dy,), (-dx,), (-1.0,)),
+            (-u_max * p.sign(dy, eps),))
+
+
 def _build_aeroplane(params: dict):
     v_a = _number(params, "v_a_mps", 1.0)
     v_b = _number(params, "v_b_mps", 1.0)
@@ -746,56 +850,9 @@ def _build_aeroplane(params: dict):
         raise ValidationError(
             "aeroplane needs positive speeds, u_max, r_min and r_terminal > r_min")
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[..., 0] = -v_a + v_b * np.cos(x[..., 2])
-        out[..., 1] = v_b * np.sin(x[..., 2])
-        out[..., 2] = 0.0
-        return out
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (3, 1))
-        out[..., 0, 0] = x[..., 1]
-        out[..., 1, 0] = -x[..., 0]
-        out[..., 2, 0] = -1.0
-        return out
-
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (3, 3))
-        out[..., 0, 2] = -v_b * np.sin(x[..., 2])
-        out[..., 1, 2] = v_b * np.cos(x[..., 2])
-        return out
-
-    def pi(x):
-        x = np.asarray(x, dtype=float)
-        return (-u_max * smooth_sign(x[..., 1], eps))[..., None]
-
-    def dpi(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (1, 3))
-        out[..., 0, 1] = -u_max * smooth_sign_deriv(x[..., 1], eps)
-        return out
-
-    def loop(p: Primitives):
-        sin, cos, sign = p.sin, p.cos, p.sign
-
-        def rhs(dx, dy, dpsi):
-            u = -u_max * sign(dy, eps)
-            return (-v_a + v_b * cos(dpsi) + (0.0 + dy * u),
-                    v_b * sin(dpsi) + (0.0 + -dx * u),
-                    0.0 + -1.0 * u)
-
-        return rhs
-
-    # dg[i, 0, k] = d g[i, 0] / d x[k] of g = (dy, -dx, -1)
-    dg = _constant([[[0.0, 1.0, 0.0]], [[-1.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]])
-    model = SystemModel(3, 1, f, g, df, dg,
-                        np.array([-u_max]), np.array([u_max]),
-                        state_names=("dx", "dy", "dpsi"), input_names=("u",))
-    policy = BackupPolicy(pi, dpi, eps, loop)
+    model, policy = _benchmark("aeroplane", _aeroplane, (v_a, v_b, u_max, eps),
+                               eps, (-u_max,), (u_max,),
+                               ("dx", "dy", "dpsi"), ("u",))
 
     def separation(x, radius=r_min):
         x = np.asarray(x, dtype=float)
@@ -817,7 +874,7 @@ def _build_aeroplane(params: dict):
 
     def grad_divergence(x):
         x = np.asarray(x, dtype=float)
-        out = f(x)                  # d/d(dx, dy) of the rate are f's entries
+        out = model.f_eval(x)       # d/d(dx, dy) of the rate are f's entries
         out[..., 2] = (-x[..., 0] * v_b * np.sin(x[..., 2])
                        + x[..., 1] * v_b * np.cos(x[..., 2]))
         return out

@@ -504,6 +504,26 @@ def test_loop_floats_check_treats_nan_as_equal():
         integrate_flow(nan_f, with_floats, [1.0], 1.0, 10)
 
 
+def test_closed_loop_of_the_wrong_arity_is_named():
+    """A hand-written ``closed_loop`` that returns two components for the
+    three states of aggressive Dubins is refused by both flows with a
+    `ValidationError` naming the statement and both counts."""
+    model, policy, _ = make_benchmark("dubins", {"profile": "aggressive"})
+    full = policy.closed_loop
+
+    def cut(p):
+        rhs = full(p)
+        return lambda *x: rhs(*x)[:2]
+
+    short = dataclasses.replace(policy, closed_loop=cut)
+    message = r"policy\.closed_loop returns 2 components, expected 3"
+    with pytest.raises(ValidationError, match=message):
+        integrate_flow(model, short, [0.3, 5.0, 0.1], 8.0, 100)
+    with pytest.raises(ValidationError, match=message):
+        integrate_flow_batch(model, short, np.array([[0.3, 5.0, 0.1]] * 4),
+                             8.0, 100)
+
+
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, True,
                                      False, 0.0, -1.0, "1.0", None])
 def test_horizon_must_be_a_finite_positive_number(horizon):

@@ -12,9 +12,9 @@ from backup_cbf.errors import EvaluationError, ValidationError
 from backup_cbf.systems import (_DUBINS_KY_AGGRESSIVE, _DUBINS_KY_CONSERVATIVE,
                                 ARRAY_PRIMITIVES, BENCHMARK_DEFAULTS,
                                 BENCHMARK_NAMES, FLOAT_PRIMITIVES, BackupPolicy,
-                                SystemModel, _bound, _constant,
+                                SystemModel, _benchmark, _bound, _constant,
                                 _indicator_float, _saturate_float, _sign_float,
-                                closed_loop_jacobian, closed_loop_rhs,
+                                closed_loop_rhs, loop_jacobian,
                                 di_closed_form_h, loop_rhs, make_benchmark,
                                 smooth_positive_indicator,
                                 smooth_positive_indicator_deriv,
@@ -44,14 +44,14 @@ def sample_box(name, count):
 
 
 # ---------------------------------------------------------------------------
-# closed_loop_rhs / closed_loop_jacobian worked values
+# closed_loop_rhs / loop_jacobian worked values
 # ---------------------------------------------------------------------------
 
 
 def test_toy_rhs_and_jacobian():
     model, policy, _ = make_benchmark("toy1d")
     assert np.allclose(closed_loop_rhs(model, policy, np.array([1.0])), [-1.0])
-    assert np.allclose(closed_loop_jacobian(model, policy, np.array([1.0])),
+    assert np.allclose(loop_jacobian(model, policy, np.array([1.0])),
                        [[-1.0]])
 
 
@@ -67,14 +67,14 @@ def test_double_integrator_rhs_both_sides():
 def test_double_integrator_jacobian_saturated_region():
     model, policy, _ = make_benchmark("double_integrator",
                                       {"smoothing_eps": 0.0})
-    jac = closed_loop_jacobian(model, policy, np.array([3.0, 2.0]))
+    jac = loop_jacobian(model, policy, np.array([3.0, 2.0]))
     assert np.allclose(jac, [[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_dubins_jacobian_heading_entry():
     model, policy, _ = make_benchmark("dubins")
     x = np.array([0.2, 5.0, 0.0])
-    jac = closed_loop_jacobian(model, policy, x)
+    jac = loop_jacobian(model, policy, x)
     # dYdot/dpsi = v cos(psi) = v at psi = 0
     assert jac[0, 2] == pytest.approx(5.0)
 
@@ -185,7 +185,7 @@ def test_closed_loop_jacobian_matches_finite_differences(name):
                                  policy.smoothing_eps)
     assert len(states) > 20
     for x in states[:40]:
-        jac = closed_loop_jacobian(model, policy, x)
+        jac = loop_jacobian(model, policy, x)
         fd = fd_jacobian(lambda y: closed_loop_rhs(model, policy, y), x)
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(jac - fd)) / scale < 1e-4
@@ -907,3 +907,351 @@ def test_statements_match_former_statements(case):
         got = np.stack(policy.closed_loop(ARRAY_PRIMITIVES)(*columns), axis=-1)
         expected = np.stack(former(ARRAY_PRIMITIVES)(*columns), axis=-1)
     assert same_entries(got, expected), f"{name} {params}"
+
+
+# ---------------------------------------------------------------------------
+# The evaluators generated from each benchmark's one statement against the
+# hand-written bodies they replace, kept verbatim below as oracles.
+# ---------------------------------------------------------------------------
+
+
+def hand_written(name, params):
+    """The benchmark's former ``f``, ``g``, their Jacobians, ``pi``, its
+    Jacobian and fused ``closed_loop``, with its builder's defaults."""
+    eps = make_benchmark(name, params)[1].smoothing_eps
+    if name == "toy1d":
+        u_max, gain = 5.0, 1.0
+
+        def pi(x):
+            x = np.asarray(x, dtype=float)
+            return smooth_saturate(-gain * x[..., 0], -u_max, u_max, eps)[..., None]
+
+        def dpi(x):
+            x = np.asarray(x, dtype=float)
+            d = smooth_saturate_deriv(-gain * x[..., 0], -u_max, u_max, eps)
+            return (-gain * d)[..., None, None]
+
+        def loop(p):
+            saturate = p.saturate
+
+            def rhs(x):
+                u = saturate(-gain * x, -u_max, u_max, eps)
+                return (0.0 + u,)
+
+            return rhs
+
+        return {"f_eval": _constant([0.0]), "g_eval": _constant([[1.0]]),
+                "df_dx": _constant([[0.0]]), "dg_dx": None, "pi_eval": pi,
+                "dpi_dx": dpi, "closed_loop": loop}
+    if name == "double_integrator":
+        u_max = 1.0
+
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros_like(x)
+            out[..., 0] = x[..., 1]
+            return out
+
+        def pi(x):
+            x = np.asarray(x, dtype=float)
+            return (-u_max * smooth_positive_indicator(x[..., 1], eps))[..., None]
+
+        def dpi(x):
+            x = np.asarray(x, dtype=float)
+            d = smooth_positive_indicator_deriv(x[..., 1], eps)
+            out = np.zeros(x.shape[:-1] + (1, 2))
+            out[..., 0, 1] = -u_max * d
+            return out
+
+        def loop(p):
+            indicator = p.indicator
+
+            def rhs(s, v):
+                u = -u_max * indicator(v, eps)
+                return (v + (0.0 + 0.0 * u), 0.0 + u)
+
+            return rhs
+
+        return {"f_eval": f, "g_eval": _constant([[0.0], [1.0]]),
+                "df_dx": _constant([[0.0, 1.0], [0.0, 0.0]]), "dg_dx": None,
+                "pi_eval": pi, "dpi_dx": dpi, "closed_loop": loop}
+    if name == "dubins":
+        aggressive = params["profile"] == "aggressive"
+        k_y = np.array(_DUBINS_KY_AGGRESSIVE if aggressive
+                       else _DUBINS_KY_CONSERVATIVE)
+        ky0, ky1 = float(k_y[0]), float(k_y[1])
+        k_v, v_des, a_max, r_max = 1.0, 0.0 if aggressive else 5.0, 3.0, 0.5
+        eps_frac = params.get("eps_frac", 0.05)
+        eps_a, eps_r = eps_frac * a_max, eps_frac * r_max
+
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros_like(x)
+            out[..., 0] = x[..., 1] * np.sin(x[..., 2])
+            return out
+
+        def df(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros(x.shape[:-1] + (3, 3))
+            out[..., 0, 1] = np.sin(x[..., 2])
+            out[..., 0, 2] = x[..., 1] * np.cos(x[..., 2])
+            return out
+
+        def pi(x):
+            x = np.asarray(x, dtype=float)
+            a_cmd = smooth_saturate(k_v * (v_des - x[..., 1]), -a_max, a_max, eps_a)
+            r_raw = k_y[0] * x[..., 0] + k_y[1] * x[..., 2]
+            r_cmd = smooth_saturate(r_raw, -r_max, r_max, eps_r)
+            return np.stack([a_cmd, r_cmd], axis=-1)
+
+        def dpi(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros(x.shape[:-1] + (2, 3))
+            da = smooth_saturate_deriv(k_v * (v_des - x[..., 1]), -a_max, a_max, eps_a)
+            out[..., 0, 1] = -k_v * da
+            r_raw = k_y[0] * x[..., 0] + k_y[1] * x[..., 2]
+            dr = smooth_saturate_deriv(r_raw, -r_max, r_max, eps_r)
+            out[..., 1, 0] = k_y[0] * dr
+            out[..., 1, 2] = k_y[1] * dr
+            return out
+
+        def loop(p):
+            sin, saturate = p.sin, p.saturate
+
+            def rhs(y, v, psi):
+                a = saturate(k_v * (v_des - v), -a_max, a_max, eps_a)
+                r = saturate(ky0 * y + ky1 * psi, -r_max, r_max, eps_r)
+                za = 0.0 + 0.0 * a
+                zr = 0.0 * r
+                return (v * sin(psi) + (za + zr), (0.0 + a) + zr, za + r)
+
+            return rhs
+
+        return {"f_eval": f,
+                "g_eval": _constant([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                "df_dx": df, "dg_dx": None, "pi_eval": pi, "dpi_dx": dpi,
+                "closed_loop": loop}
+    v_a, v_b, u_max = 1.0, 1.0, 1.0
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        out[..., 0] = -v_a + v_b * np.cos(x[..., 2])
+        out[..., 1] = v_b * np.sin(x[..., 2])
+        out[..., 2] = 0.0
+        return out
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape[:-1] + (3, 1))
+        out[..., 0, 0] = x[..., 1]
+        out[..., 1, 0] = -x[..., 0]
+        out[..., 2, 0] = -1.0
+        return out
+
+    def df(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (3, 3))
+        out[..., 0, 2] = -v_b * np.sin(x[..., 2])
+        out[..., 1, 2] = v_b * np.cos(x[..., 2])
+        return out
+
+    def pi(x):
+        x = np.asarray(x, dtype=float)
+        return (-u_max * smooth_sign(x[..., 1], eps))[..., None]
+
+    def dpi(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (1, 3))
+        out[..., 0, 1] = -u_max * smooth_sign_deriv(x[..., 1], eps)
+        return out
+
+    def loop(p):
+        sin, cos, sign = p.sin, p.cos, p.sign
+
+        def rhs(dx, dy, dpsi):
+            u = -u_max * sign(dy, eps)
+            return (-v_a + v_b * cos(dpsi) + (0.0 + dy * u),
+                    v_b * sin(dpsi) + (0.0 + -dx * u),
+                    0.0 + -1.0 * u)
+
+        return rhs
+
+    dg = _constant([[[0.0, 1.0, 0.0]], [[-1.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]])
+    return {"f_eval": f, "g_eval": g, "df_dx": df, "dg_dx": dg, "pi_eval": pi,
+            "dpi_dx": dpi, "closed_loop": loop}
+
+
+ARRAY_EVALUATORS = ("f_eval", "g_eval", "df_dx", "dg_dx", "pi_eval", "dpi_dx")
+
+
+def generated_evaluators(model, policy):
+    return {"f_eval": model.f_eval, "g_eval": model.g_eval,
+            "df_dx": model.df_dx, "dg_dx": model.dg_dx,
+            "pi_eval": policy.pi_eval, "dpi_dx": policy.dpi_dx,
+            "closed_loop": policy.closed_loop}
+
+
+@pytest.mark.parametrize("case", LOOP_CASES, ids=LOOP_CASE_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generated_evaluators_match_hand_written_bodies(case, data):
+    """Each evaluator generated from the statement gives the hand-written
+    body's bytes, shape and type on states from the sampling box, inside
+    every blend band and on every switching surface: the array evaluators
+    stacked and on each state, the closed loop built on floats on each
+    state and built on arrays on the stacked columns."""
+    name, params = case
+    model, policy, _ = make_benchmark(name, params)
+    got, expected = generated_evaluators(model, policy), hand_written(name, params)
+    assert (got["dg_dx"] is None) == (expected["dg_dx"] is None)
+    states = _draw_states(data, name, params, model, policy)
+    stacked = np.array(states)
+    for key in ARRAY_EVALUATORS:
+        if expected[key] is None:
+            continue
+        for x in [stacked, stacked.reshape(3, -1, model.state_dim)] + states:
+            out, oracle = got[key](x), expected[key](x)
+            assert type(out) is type(oracle) and same_bits(out, oracle), \
+                f"{name} {params} {key} at x = {x!r}: {out!r} != {oracle!r}"
+    for x in states:
+        out = np.array(got["closed_loop"](FLOAT_PRIMITIVES)(*x))
+        oracle = np.array(expected["closed_loop"](FLOAT_PRIMITIVES)(*x))
+        assert same_bits(out, oracle), f"{name} {params} float loop at x = {x!r}"
+    columns = tuple(stacked.T.copy())
+    out = np.stack(got["closed_loop"](ARRAY_PRIMITIVES)(*columns), axis=-1)
+    oracle = np.stack(expected["closed_loop"](ARRAY_PRIMITIVES)(*columns), axis=-1)
+    assert same_bits(out, oracle), f"{name} {params} array loop"
+
+
+# Entries of the generated Jacobians whose NaN carries the other sign than
+# the hand-written body's: d cos(u) is written -sin(u), so the aeroplane's
+# v_b * -sin(dpsi) against the former -v_b * sin(dpsi).  Nothing else
+# differs, not even in a NaN's sign.
+NAN_SIGN_ONLY = {("aeroplane", "df_dx"): {(0, 2)}}
+
+
+@pytest.mark.parametrize("case", LOOP_CASES, ids=LOOP_CASE_IDS)
+def test_generated_evaluators_on_special_values(case):
+    """On rows holding NaN, +-inf or +-0 in every combination of components,
+    each generated evaluator gives the hand-written body's bytes, except
+    for the entries of `NAN_SIGN_ONLY`, which differ in a NaN's sign only.
+    The float closed loop raises where the hand-written one does
+    (``math.sin`` refuses an infinity) and gives its bytes elsewhere, NaN
+    where it gives NaN: which of two NaN operands CPython's float ``+``
+    returns changes once the interpreter specializes the addition."""
+    name, params = case
+    model, policy, _ = make_benchmark(name, params)
+    got, expected = generated_evaluators(model, policy), hand_written(name, params)
+    sampled = sample_box(name, 1)[0]
+    rows = np.array(list(itertools.product(
+        *[SPECIALS + (float(c),) for c in sampled])))
+    with np.errstate(all="ignore"):
+        for key in ARRAY_EVALUATORS:
+            if expected[key] is None:
+                continue
+            out, oracle = got[key](rows), expected[key](rows)
+            differ = (out.view(np.int64) != oracle.view(np.int64)).any(axis=0)
+            listed = NAN_SIGN_ONLY.get((name, key), set())
+            assert set(map(tuple, np.argwhere(differ).tolist())) == listed, \
+                f"{name} {params} {key}"
+            for index in listed:
+                column = (Ellipsis, *index)
+                assert same_entries(out[column], oracle[column]), key
+        float_got = got["closed_loop"](FLOAT_PRIMITIVES)
+        float_expected = expected["closed_loop"](FLOAT_PRIMITIVES)
+        for x in rows.tolist():
+            assert same_entries(_outcome(float_got, x),
+                                _outcome(float_expected, x)), \
+                f"{name} {params} float loop at x = {x!r}"
+        columns = tuple(rows.T.copy())
+        out = np.stack(got["closed_loop"](ARRAY_PRIMITIVES)(*columns), axis=-1)
+        oracle = np.stack(expected["closed_loop"](ARRAY_PRIMITIVES)(*columns), axis=-1)
+    assert same_bits(out, oracle), f"{name} {params} array loop"
+
+
+def dense_statement(p, k, a, b, c, d):
+    """Four states and two inputs with a dense, state-dependent ``g``,
+    unlike every benchmark: products of two state-dependent factors,
+    several channels per row, a nonzero constant in ``f`` and a ``-0.0``
+    in ``g``."""
+    w0, w1 = k
+    f = (b * p.sin(c), w0 * a - d * d, a * p.cos(a + d), 0.5)
+    g = ((p.cos(a), b * c),
+         (-0.0, a * (a - c)),
+         (p.sin(b) * d, 1.0),
+         (c - a, p.saturate(d, -3.0, 3.0, 0.5)))
+    pi = (p.saturate(w0 * a + b * c, -1.0, 1.0, 0.25),
+          w1 * p.sign(d - a, 4.0))
+    return f, g, pi
+
+
+def dense_benchmark():
+    return _benchmark("dense", dense_statement, (0.7, -1.3), 0.5,
+                      (-1.0, -2.0), (1.0, 2.0), ("a", "b", "c", "d"),
+                      ("u", "w"))
+
+
+def test_dense_statement_generates_loop_rhs_and_its_jacobians():
+    """The generated ``f``, ``g`` and ``pi`` of `dense_statement` give the
+    bytes of the statement run on floats; its closed loop, on floats and
+    on arrays, gives `loop_rhs`'s bytes (the per-channel sum order); and
+    the generated Jacobians of ``f``, ``g``, ``pi`` and the loop match
+    central differences (the two-factor product rule)."""
+    model, policy = dense_benchmark()
+    assert model.dg_dx is not None
+    states = np.random.default_rng(7).uniform(-1.2, 1.2, size=(60, 4))
+    derivs = loop_rhs(model, policy, states)
+    for x, expected in zip(states.tolist(), derivs):
+        f, g, pi = dense_statement(FLOAT_PRIMITIVES, (0.7, -1.3), *x)
+        for got, stated in ((model.f_eval(x), f), (model.g_eval(x), g),
+                            (policy.pi_eval(x), pi)):
+            assert same_bits(got, np.array(stated)), x
+        assert same_bits(np.array(policy.closed_loop(FLOAT_PRIMITIVES)(*x)),
+                         expected), x
+    got = np.stack(policy.closed_loop(ARRAY_PRIMITIVES)(*states.T.copy()),
+                   axis=-1)
+    assert same_bits(got, derivs)
+    for x in states[:20]:
+        for jac, fn in ((model.df_dx, model.f_eval), (model.dg_dx, model.g_eval),
+                        (policy.dpi_dx, policy.pi_eval),
+                        (lambda y: loop_jacobian(model, policy, y),
+                         lambda y: loop_rhs(model, policy, y))):
+            fd = fd_jacobian(fn, x)
+            assert np.max(np.abs(jac(x) - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+
+def test_generator_refuses_a_statement_of_the_wrong_shape():
+    """A statement whose ``f``, ``g`` or ``pi`` does not fit the state and
+    input counts is refused, naming the benchmark."""
+    def short_f(p, k, a, b, c, d):
+        f, g, pi = dense_statement(p, k, a, b, c, d)
+        return f[:3], g, pi
+
+    def ragged_g(p, k, a, b, c, d):
+        f, g, pi = dense_statement(p, k, a, b, c, d)
+        return f, g[:3] + ((1.0,),), pi
+
+    for statement in (short_f, ragged_g):
+        with pytest.raises(ValidationError, match="benchmark 'dense'"):
+            _benchmark("dense", statement, (0.7, -1.3), 0.5, (-1.0, -2.0),
+                       (1.0, 2.0), ("a", "b", "c", "d"), ("u", "w"))
+    with pytest.raises(ValidationError, match=r"f, g and pi of shapes \(4,\), "
+                       r"\(4, 2\) and \(2,\), not \(4,\), \(4, 3\) and \(3,\)"):
+        _benchmark("dense", dense_statement, (0.7, -1.3), 0.5, (-1.0,) * 3,
+                   (1.0,) * 3, ("a", "b", "c", "d"), ("u", "w", "z"))
+
+
+def test_generation_is_cached_per_parameter_bits():
+    """A repeat build reuses the generated evaluators; parameters equal as
+    floats but of other signs of zero are generated apart."""
+    first, _, _ = make_benchmark("dubins", {"profile": "aggressive"})
+    again, _, _ = make_benchmark("dubins", {"profile": "aggressive"})
+    assert again.f_eval is first.f_eval and again.df_dx is first.df_dx
+    x = np.array([1.0, 0.0, 0.0])
+    signs = []
+    for ky0 in (0.0, -0.0):
+        _, policy, _ = make_benchmark("dubins", {"profile": "aggressive",
+                                                 "k_y": (ky0, -3.0)})
+        signs.append(np.signbit(policy.pi_eval(x)[1]))
+    assert signs == [False, True]
