@@ -79,16 +79,22 @@ class FlowTrajectory:
             raise ValidationError("trajectory arrays have inconsistent shapes")
 
 
-def _check_args(x0: Array, horizon: float, steps: int) -> Array:
-    """``x0`` as a finite float array, or `ValidationError`; so is a
-    ``horizon`` that is not a finite number > 0 or ``steps`` that is not an
-    integer >= 1 (a bool is neither)."""
+def _check_args(x0: Array, horizon: float, steps: int, n: int,
+                batch: bool = False) -> Array:
+    """``x0`` as a finite float array of shape ``(n,)``, or ``(B, n)`` for a
+    ``batch``, or `ValidationError`; so is a ``horizon`` that is not a
+    finite number > 0 or ``steps`` that is not an integer >= 1 (a bool is
+    neither)."""
     if not (is_finite_real(horizon) and horizon > 0.0):
         raise ValidationError(f"horizon must be a finite number > 0, got "
                               f"{horizon!r}")
     if not (is_integer(steps) and steps >= 1):
         raise ValidationError(f"steps must be an integer >= 1, got {steps!r}")
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape[batch:] != (n,):
+        what, want = ("states", f"(batch, {n})") if batch else ("state", (n,))
+        raise ValidationError(f"initial {what} must have shape {want}, got "
+                              f"{x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ValidationError("initial state must be finite")
     return x0
@@ -274,7 +280,7 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
     ``policy.closed_loop`` set, the march's slope at every node but the last
     must equal that node's drift (NaN equal to NaN), else `ValidationError`
     naming the node: a policy paired with a changed model is refused."""
-    x0 = _check_args(x0, horizon, steps)
+    x0 = _check_args(x0, horizon, steps, model.state_dim)
     n = x0.shape[0]
     dt = horizon / steps
     loop = _kernel(model, policy, FLOAT_PRIMITIVES)
@@ -329,16 +335,14 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     go: after each step, the loop Jacobians at its four stage points come
     from one stacked evaluation, so memory does not grow with ``steps``.
     """
-    x0s = _check_args(x0s, horizon, steps)
-    if x0s.ndim != 2 or x0s.shape[1] != model.state_dim:
-        raise ValidationError("x0s must have shape (batch, state_dim)")
+    x0s = _check_args(x0s, horizon, steps, model.state_dim, batch=True)
     b, n = x0s.shape
     dt = horizon / steps
     q = np.broadcast_to(np.eye(n), (b, n, n)).copy() if with_sensitivity else None
     if observer is not None:
         observer(x0s)
     loop = _kernel(model, policy, ARRAY_PRIMITIVES)
-    stride = -(-b // 9)                  # row 0 and at most eight more
+    stride = -(-b // 9) or 1             # row 0 and at most eight more
     # the handful's states and slopes at the start of every step, checked
     # in one model call at the last step: a call per step on so few rows
     # cost as much as a whole step of a small batch
@@ -383,7 +387,7 @@ def sensitivity_fd_check(model: SystemModel, policy: BackupPolicy, x0: Array,
     if not (is_finite_real(fd_step) and fd_step > 0.0):
         raise ValidationError(f"fd_step must be a finite number > 0, got "
                               f"{fd_step!r}")
-    x0 = _check_args(x0, horizon, steps)
+    x0 = _check_args(x0, horizon, steps, model.state_dim)
     n = x0.shape[0]
     traj = integrate_flow(model, policy, x0, horizon, steps)
     q_end = traj.sensitivities[-1]

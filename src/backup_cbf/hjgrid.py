@@ -271,13 +271,13 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
         ham = _box_hamiltonian(model, grads_c, f_grid, g_grid)
         ham += diss
 
+        # v_new <= v: v >= value_floor from the start, dt > 0, and adding a
+        # non-positive number never rounds up; a NaN is caught just below
         v_new = np.maximum(v + dt * np.minimum(0.0, ham), value_floor)
         if not np.all(np.isfinite(v_new)):
             raise NumericalError(
                 f"value iteration blew up at step {step} (dt = {dt:.4g}; "
                 f"stability bound {1.0 / cfl_rate:.4g})")
-        if not np.all(v_new <= v + 1e-12):
-            raise NumericalError(f"value iteration lost monotonicity at step {step}")
         delta = float(np.max(np.abs(v_new - v)))
         v, passes = v_new, step + 1
         if delta < tol:

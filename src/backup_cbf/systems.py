@@ -3,20 +3,24 @@
 All quantities are SI (m, m/s, m/s^2, rad, rad/s).  Every evaluator is a
 pure function with one array body that accepts states of shape ``(n,)`` or
 batched ``(..., n)``, broadcasting over the leading axes.  Each built-in
-benchmark states ``f``, ``g`` and its backup policy ``pi`` once, one value
-per component, against a table of `Primitives`; `_generated` records that
-statement symbolically and compiles from it ``f_eval``, ``g_eval``,
-``pi_eval``, their Jacobians (forward differentiation, structural zeros
-left out) and the closed-loop derivative ``BackupPolicy.closed_loop`` in
-`loop_rhs`'s order, which the single-state flow builds on
-`FLOAT_PRIMITIVES` and the batch flow on `ARRAY_PRIMITIVES`.  Only exact
-folds are made, so every evaluator keeps the bits of the hand-written
-body it replaced, signed zeros included (the aeroplane's ``df_dx[0, 2]``
-differs in a NaN's sign), and the flows check the closed loop against
-the model as before.  The float twins of the
-smoothings clamp by comparisons, which return what ``min(max(y, lo),
-hi)`` returns for every float (NaN and signed zeros included) without two
-builtin calls.  Benchmark parameters must be finite numbers.  Values are
+benchmark states ``f``, ``g``, its backup policy ``pi`` and its safety
+functions ``h`` once, one value per component, against a table of
+`Primitives`; `_generated` records that statement symbolically and
+compiles from it ``f_eval``, ``g_eval``, ``pi_eval``, their Jacobians
+(forward differentiation, structural zeros left out), each safety function
+and its gradient, and the closed-loop derivative
+``BackupPolicy.closed_loop`` in `loop_rhs`'s order, which the single-state
+flow builds on `FLOAT_PRIMITIVES` and the batch flow on `ARRAY_PRIMITIVES`.
+Only exact folds are made, so every evaluator keeps the bits of the
+hand-written body it replaced, signed zeros included, except in some
+derivatives: a few entries differ in the sign of a NaN or a zero only,
+and two gradients round otherwise in the last bits (the conservative
+Dubins terminal, whose dense ``P`` is differentiated term by term rather
+than as ``-2 P x``, and the aeroplane terminal's ``dpsi`` entry at a
+``v_b`` that is not a power of two).  The flows check the closed loop
+against the model as before.  The float twins of the smoothings clamp by
+comparisons, which return what ``min(max(y, lo), hi)`` returns for every
+float (NaN and signed zeros included) without two builtin calls.  Benchmark parameters must be finite numbers.  Values are
 immutable after construction and safe to share across threads.
 
 Four benchmark instances are provided:
@@ -220,9 +224,7 @@ class SystemModel:
 
     ``df_dx(x)`` has shape ``(..., n, n)``; ``dg_dx(x)`` has shape
     ``(..., n, m, n)`` with entry ``[i, j, k] = d g[i, j] / d x[k]``.
-    ``dg_dx = None`` declares the input matrix state-independent.  The
-    benchmarks' constant constraint gradients come from `_constant`: fresh
-    zeros with the nonzero entries assigned.
+    ``dg_dx = None`` declares the input matrix state-independent.
     """
 
     state_dim: int
@@ -440,43 +442,11 @@ def _smoothing_eps(params: dict, default_eps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# State-independent terms, box bounds and closed-loop statements.
-# ---------------------------------------------------------------------------
-
-
-def _constant(value) -> Callable[[Array], Array]:
-    """Evaluator of a state-independent term: for states ``(..., n)`` a
-    fresh writable ``(...,) + value.shape`` array, built from zeros with
-    only the nonzero entries of ``value`` assigned (zeros are ``+0.0``)."""
-    value = np.asarray(value, dtype=float)
-    entries = [((Ellipsis, *index), float(value[index]))
-               for index in zip(*np.nonzero(value))]
-
-    def evaluate(x):
-        out = np.zeros(np.shape(x)[:-1] + value.shape)
-        for index, entry in entries:
-            out[index] = entry
-        return out
-
-    return evaluate
-
-
-def _bound(n: int, idx: int, limit: float, sign: float, name: str
-           ) -> ScalarConstraint:
-    """``limit - sign * x[idx] >= 0`` on an ``n``-state, with its constant
-    gradient."""
-    grad = np.zeros(n)
-    grad[idx] = -sign
-    return ScalarConstraint(
-        lambda x: limit - sign * np.asarray(x, dtype=float)[..., idx],
-        _constant(grad), name=name)
-
-
-# ---------------------------------------------------------------------------
 # The evaluators generated from each benchmark's one statement
-# ``statement(p, params, *x) -> (f, g, pi)``: its dynamics at the state ``x``
-# against the primitive table ``p``, one value per component (``g`` as rows,
-# a constant entry a float), with the parameters from the tuple ``params``.
+# ``statement(p, params, *x) -> (f, g, pi, h)``: its dynamics and its safety
+# functions at the state ``x`` against the primitive table ``p``, one value
+# per component (``g`` as rows, a constant entry a float, ``h`` a tuple of
+# expressions of the state), with the parameters from the tuple ``params``.
 # ---------------------------------------------------------------------------
 
 
@@ -567,6 +537,17 @@ def _statements(exprs) -> tuple[list[str], list[str], set[str]]:
     return lines, [written(r) for r in roots], names
 
 
+def _source(name: str, exprs, n: int, tail: Callable[[list[str]], list[str]]
+            ) -> str:
+    """``name(x)`` on states ``(..., n)``: the components and temporaries
+    ``exprs`` read, then the lines ``tail`` makes of their expressions."""
+    lines, written, names = _statements(exprs)
+    return "\n    ".join(
+        [f"def {name}(x):", "x = asarray(x, dtype=float)"]
+        + [f"x{i} = x[..., {i}]" for i in range(n) if f"x{i}" in names]
+        + lines + tail(written))
+
+
 def _array_source(name: str, terms: np.ndarray, n: int) -> str:
     """``name(x)``: for states ``(..., n)`` a fresh ``(...,) + terms.shape``
     array from zeros, with each entry of ``terms`` that is not ``+0.0``
@@ -574,13 +555,10 @@ def _array_source(name: str, terms: np.ndarray, n: int) -> str:
     assigned = {index: e for index, e in np.ndenumerate(terms)
                 if e is not None and (isinstance(e, _Sym) or e != 0.0
                                       or math.copysign(1.0, e) < 0.0)}
-    lines, exprs, names = _statements(assigned.values())
-    return "\n    ".join(
-        [f"def {name}(x):", "x = asarray(x, dtype=float)"]
-        + [f"x{i} = x[..., {i}]" for i in range(n) if f"x{i}" in names] + lines
-        + [f"out = zeros(x.shape[:-1] + {terms.shape})"]
+    return _source(name, assigned.values(), n, lambda exprs: (
+        [f"out = zeros(x.shape[:-1] + {terms.shape})"]
         + [f"out[..., {', '.join(map(str, index))}] = {expr}"
-           for index, expr in zip(assigned, exprs)] + ["return out"])
+           for index, expr in zip(assigned, exprs)] + ["return out"]))
 
 
 def _loop_source(f: np.ndarray, g: np.ndarray, pi: np.ndarray) -> str:
@@ -612,45 +590,64 @@ _NAMESPACE = {"asarray": np.asarray, "zeros": np.zeros, **ARRAY_PRIMITIVES._asdi
 @functools.cache
 def _generated(name: str, statement: Callable, n: int, m: int,
                params: tuple[str, ...]) -> tuple:
-    """``(f_eval, g_eval, df_dx, dg_dx, pi_eval, dpi_dx, closed_loop)`` of
-    ``statement`` for ``n`` states and ``m`` inputs, recorded on
-    `_SYMBOLIC`, written out and compiled (as `flow._rk4` compiles its
+    """``(f_eval, g_eval, df_dx, dg_dx, pi_eval, dpi_dx, closed_loop,
+    safety)`` of ``statement`` for ``n`` states and ``m`` inputs, recorded
+    on `_SYMBOLIC`, written out and compiled (as `flow._rk4` compiles its
     template) once per parameter tuple, given as `float.hex` strings so
     that ``0.0`` and ``-0.0`` are two keys.  ``dg_dx`` is ``None`` where no
-    entry of ``g`` holds the state."""
-    f, g, pi = (np.array(v, dtype=object) for v in statement(
-        _SYMBOLIC, tuple(map(float.fromhex, params)),
-        *(_Sym("x", i) for i in range(n))))
+    entry of ``g`` holds the state.  ``safety`` holds a pair ``(value,
+    gradient)`` per entry of ``h``: the value as computed (a numpy scalar
+    for one state) and the gradient as a fresh ``(..., n)`` array."""
+    f, g, pi, h = statement(_SYMBOLIC, tuple(map(float.fromhex, params)),
+                            *(_Sym("x", i) for i in range(n)))
+    f, g, pi = (np.array(v, dtype=object) for v in (f, g, pi))
     if (f.shape, g.shape, pi.shape) != ((n,), (n, m), (m,)):
         raise ValidationError(
             f"benchmark {name!r} states f, g and pi of shapes {f.shape}, "
             f"{g.shape} and {pi.shape}, not {(n,)}, {(n, m)} and {(m,)}")
+    if not (isinstance(h, tuple) and all(isinstance(e, _Sym) for e in h)):
+        raise ValidationError(f"benchmark {name!r} states h as {h!r}, not "
+                              f"a tuple of scalar functions of the state")
 
     def jacobian(t: np.ndarray) -> np.ndarray:
         return np.array([[_derivative(e, k) for k in range(n)] for e in t.flat],
                         dtype=object).reshape(t.shape + (n,))
 
     terms = {"f_eval": f, "g_eval": g, "pi_eval": pi, "df_dx": jacobian(f),
-             "dg_dx": jacobian(g), "dpi_dx": jacobian(pi)}
+             "dg_dx": jacobian(g), "dpi_dx": jacobian(pi),
+             **{f"grad{i}": t for i, t in
+                enumerate(jacobian(np.array(h, dtype=object)))}}
     namespace = dict(_NAMESPACE)
     exec("\n".join([_array_source(fn, t, n) for fn, t in terms.items()]
+                   + [_source(f"h{i}", [e], n, lambda w: [f"return {w[0]}"])
+                      for i, e in enumerate(h)]
                    + [_loop_source(f, g, pi)]), namespace)
     if all(d is None for d in terms["dg_dx"].flat):
         namespace["dg_dx"] = None
+    safety = tuple((namespace[f"h{i}"], namespace[f"grad{i}"])
+                   for i in range(len(h)))
     return tuple(namespace[fn] for fn in ("f_eval", "g_eval", "df_dx", "dg_dx",
-                                          "pi_eval", "dpi_dx", "closed_loop"))
+                                          "pi_eval", "dpi_dx", "closed_loop")
+                 ) + (safety,)
 
 
 def _benchmark(name: str, statement: Callable, params: tuple, eps: float,
                lower: tuple, upper: tuple, state_names: tuple[str, ...],
-               input_names: tuple[str, ...]) -> tuple[SystemModel, BackupPolicy]:
-    """The model and backup policy generated from ``statement``."""
+               input_names: tuple[str, ...], safety_names: tuple[str, ...]
+               ) -> tuple[SystemModel, BackupPolicy, tuple[ScalarConstraint, ...]]:
+    """The model, the backup policy and the safety functions, named
+    ``safety_names`` in order, generated from ``statement``."""
     n, m = len(state_names), len(input_names)
-    f, g, df, dg, pi, dpi, loop = _generated(name, statement, n, m,
-                                             tuple(map(float.hex, params)))
+    f, g, df, dg, pi, dpi, loop, safety = _generated(
+        name, statement, n, m, tuple(map(float.hex, params)))
+    if len(safety) != len(safety_names):
+        raise ValidationError(f"benchmark {name!r} states {len(safety)} safety "
+                              f"functions, not {len(safety_names)}")
     return (SystemModel(n, m, f, g, df, dg, lower, upper,
                         state_names=state_names, input_names=input_names),
-            BackupPolicy(pi, dpi, eps, loop))
+            BackupPolicy(pi, dpi, eps, loop),
+            tuple(ScalarConstraint(*pair, name=label)
+                  for pair, label in zip(safety, safety_names)))
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +656,9 @@ def _benchmark(name: str, statement: Callable, params: tuple, eps: float,
 
 
 def _toy1d(p: Primitives, k: tuple, x):
-    gain, u_max, eps = k
-    return (0.0,), ((1.0,),), (p.saturate(-gain * x, -u_max, u_max, eps),)
+    gain, u_max, eps, c_level, s_level = k
+    return ((0.0,), ((1.0,),), (p.saturate(-gain * x, -u_max, u_max, eps),),
+            (c_level - x * x, s_level - x * x))
 
 
 def _build_toy1d(params: dict):
@@ -674,18 +672,10 @@ def _build_toy1d(params: dict):
     if u_max <= 0.0 or gain <= 0.0:
         raise ValidationError("toy1d needs u_max > 0 and gain_k > 0")
     _check_blend(-u_max, u_max, eps)
-    model, policy = _benchmark("toy1d", _toy1d, (gain, u_max, eps), eps,
-                               (-u_max,), (u_max,), ("x",), ("u",))
-
-    def level(c: float, name: str) -> ScalarConstraint:
-        return ScalarConstraint(
-            lambda x: c - np.asarray(x, dtype=float)[..., 0] ** 2,
-            lambda x: -2.0 * np.asarray(x, dtype=float)[..., :1], name=name)
-
-    spec = SafetySpec(constraints=(level(c_level, "level"),),
-                      terminal=level(s_level, "terminal_level"),
-                      alpha_gain=alpha)
-    return model, policy, spec
+    model, policy, (level, terminal) = _benchmark(
+        "toy1d", _toy1d, (gain, u_max, eps, c_level, s_level), eps, (-u_max,),
+        (u_max,), ("x",), ("u",), ("level", "terminal_level"))
+    return model, policy, SafetySpec((level,), terminal, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +684,9 @@ def _build_toy1d(params: dict):
 
 
 def _double_integrator(p: Primitives, k: tuple, s, v):
-    u_max, eps = k
-    return (v, 0.0), ((0.0,), (1.0,)), (-u_max * p.indicator(v, eps),)
+    u_max, eps, c_limit = k
+    return ((v, 0.0), ((0.0,), (1.0,)), (-u_max * p.indicator(v, eps),),
+            (c_limit - s, -v))
 
 
 def _build_double_integrator(params: dict):
@@ -708,17 +699,10 @@ def _build_double_integrator(params: dict):
     if u_max <= 0.0 or v_scale <= 0.0:
         raise ValidationError("double_integrator needs u_max > 0, v_scale > 0")
 
-    model, policy = _benchmark("double_integrator", _double_integrator,
-                               (u_max, eps), eps, (-u_max,), (u_max,),
-                               ("s", "v"), ("u",))
-
-    # at_rest stays -v: the bound's 0.0 - 1.0 * v would give +0.0 at v = +0.0
-    spec = SafetySpec(
-        constraints=(_bound(2, 0, c_limit, 1.0, "position_limit"),),
-        terminal=ScalarConstraint(lambda x: -np.asarray(x, dtype=float)[..., 1],
-                                  _constant([0.0, -1.0]), name="at_rest"),
-        alpha_gain=alpha)
-    return model, policy, spec
+    model, policy, (limit, at_rest) = _benchmark(
+        "double_integrator", _double_integrator, (u_max, eps, c_limit), eps,
+        (-u_max,), (u_max,), ("s", "v"), ("u",), ("position_limit", "at_rest"))
+    return model, policy, SafetySpec((limit,), at_rest, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -742,11 +726,18 @@ def _lyapunov_3x3(a_cl: Array) -> Array:
 
 
 def _dubins(p: Primitives, k: tuple, y, v, psi):
-    ky0, ky1, k_v, v_des, a_max, r_max, eps_a, eps_r = k
+    ky0, ky1, k_v, v_des, a_max, r_max, eps_a, eps_r, y_max, psi_max, c, *pm = k
+    # c - xh' P xh about (0, v_des, 0), summed as `np.einsum` sums it: over
+    # i, then j, from +0.0, each term (xh_i P_ij) xh_j
+    xh, quad = (y, v - v_des, psi), 0.0
+    for i in range(3):
+        for j in range(3):
+            quad = quad + xh[i] * pm[3 * i + j] * xh[j]
     return ((v * p.sin(psi), 0.0, 0.0),
             ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
             (p.saturate(k_v * (v_des - v), -a_max, a_max, eps_a),
-             p.saturate(ky0 * y + ky1 * psi, -r_max, r_max, eps_r)))
+             p.saturate(ky0 * y + ky1 * psi, -r_max, r_max, eps_r)),
+            (y_max - y, y_max + y, psi_max - psi, psi_max + psi, c - quad))
 
 
 def _build_dubins(params: dict):
@@ -796,29 +787,13 @@ def _build_dubins(params: dict):
 
     _check_blend(-a_max, a_max, eps_a)
     _check_blend(-r_max, r_max, eps_r)
-    model, policy = _benchmark(
-        "dubins", _dubins,
-        (*k_y, k_v, v_des, a_max, r_max, eps_a, eps_r), max(eps_a, eps_r),
-        (-a_max, -r_max), (a_max, r_max), ("Y", "v", "psi"), ("a", "r"))
-
-    offset = np.array([0.0, v_des, 0.0])
-
-    def h_terminal(x):
-        xh = np.asarray(x, dtype=float) - offset
-        return c_level - np.einsum("...i,ij,...j->...", xh, p_mat, xh)
-
-    def grad_terminal(x):
-        xh = np.asarray(x, dtype=float) - offset
-        return -2.0 * np.einsum("ij,...j->...i", p_mat, xh)
-
-    spec = SafetySpec(
-        constraints=(_bound(3, 0, y_max, +1.0, "lane_left"),
-                     _bound(3, 0, y_max, -1.0, "lane_right"),
-                     _bound(3, 2, psi_max, +1.0, "heading_left"),
-                     _bound(3, 2, psi_max, -1.0, "heading_right")),
-        terminal=ScalarConstraint(h_terminal, grad_terminal, name="settle_ellipsoid"),
-        alpha_gain=alpha)
-    return model, policy, spec
+    model, policy, (*bounds, terminal) = _benchmark(
+        "dubins", _dubins, (*k_y, k_v, v_des, a_max, r_max, eps_a, eps_r,
+                            y_max, psi_max, c_level, *p_mat.flat),
+        max(eps_a, eps_r), (-a_max, -r_max), (a_max, r_max), ("Y", "v", "psi"),
+        ("a", "r"), ("lane_left", "lane_right", "heading_left", "heading_right",
+                     "settle_ellipsoid"))
+    return model, policy, SafetySpec(tuple(bounds), terminal, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -827,10 +802,15 @@ def _build_dubins(params: dict):
 
 
 def _aeroplane(p: Primitives, k: tuple, dx, dy, dpsi):
-    v_a, v_b, u_max, eps = k
-    return ((-v_a + v_b * p.cos(dpsi), v_b * p.sin(dpsi), 0.0),
+    v_a, v_b, u_max, eps, r_min, r_term = k
+    closing, square = -v_a + v_b * p.cos(dpsi), dx * dx + dy * dy
+    # the divergence is the radial rate of the squared separation / 2,
+    # independent of u since the input only rotates the relative frame
+    return ((closing, v_b * p.sin(dpsi), 0.0),
             ((dy,), (-dx,), (-1.0,)),
-            (-u_max * p.sign(dy, eps),))
+            (-u_max * p.sign(dy, eps),),
+            (square - r_min ** 2, square - r_term ** 2,
+             dx * closing + dy * v_b * p.sin(dpsi)))
 
 
 def _build_aeroplane(params: dict):
@@ -850,51 +830,23 @@ def _build_aeroplane(params: dict):
         raise ValidationError(
             "aeroplane needs positive speeds, u_max, r_min and r_terminal > r_min")
 
-    model, policy = _benchmark("aeroplane", _aeroplane, (v_a, v_b, u_max, eps),
-                               eps, (-u_max,), (u_max,),
-                               ("dx", "dy", "dpsi"), ("u",))
-
-    def separation(x, radius=r_min):
-        x = np.asarray(x, dtype=float)
-        return x[..., 0] ** 2 + x[..., 1] ** 2 - radius ** 2
-
-    def grad_separation(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = 2.0 * x[..., 0]
-        out[..., 1] = 2.0 * x[..., 1]
-        return out
-
-    def divergence(x):
-        # Radial rate of the squared separation / 2; independent of u since
-        # the input only rotates the relative frame.
-        x = np.asarray(x, dtype=float)
-        return (x[..., 0] * (-v_a + v_b * np.cos(x[..., 2]))
-                + x[..., 1] * v_b * np.sin(x[..., 2]))
-
-    def grad_divergence(x):
-        x = np.asarray(x, dtype=float)
-        out = model.f_eval(x)       # d/d(dx, dy) of the rate are f's entries
-        out[..., 2] = (-x[..., 0] * v_b * np.sin(x[..., 2])
-                       + x[..., 1] * v_b * np.cos(x[..., 2]))
-        return out
+    model, policy, (separation, separated, diverging) = _benchmark(
+        "aeroplane", _aeroplane, (v_a, v_b, u_max, eps, r_min, r_term), eps,
+        (-u_max,), (u_max,), ("dx", "dy", "dpsi"), ("u",),
+        ("separation", "separated", "diverging"))
 
     def h_terminal(x):
-        return np.minimum(separation(x, r_term), divergence(x))
+        return np.minimum(separated.h_eval(x), diverging.h_eval(x))
 
     def grad_terminal(x):
         # Gradient of the active min branch; separation wins ties.
-        use_sep = separation(x, r_term) <= divergence(x)
-        return np.where(use_sep[..., None], grad_separation(x),
-                        grad_divergence(x))
+        use_sep = separated.h_eval(x) <= diverging.h_eval(x)
+        return np.where(use_sep[..., None], separated.grad_eval(x),
+                        diverging.grad_eval(x))
 
-    spec = SafetySpec(
-        constraints=(ScalarConstraint(separation, grad_separation,
-                                      name="separation"),),
-        terminal=ScalarConstraint(h_terminal, grad_terminal,
-                                  name="separated_diverging"),
-        alpha_gain=alpha)
-    return model, policy, spec
+    return model, policy, SafetySpec(
+        (separation,), ScalarConstraint(h_terminal, grad_terminal,
+                                        name="separated_diverging"), alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backup_cbf.barrier import eval_h, eval_h_batch
+from backup_cbf.barrier import eval_h, eval_h_batch, filter_control
 from backup_cbf.errors import FlowDivergenceError, ValidationError
 from backup_cbf.flow import (FlowTrajectory, _kernel, _q_step, _rk4,
                              integrate_flow, integrate_flow_batch, rk4_step,
@@ -204,10 +205,23 @@ def test_batch_matches_single():
     """The batch march's end states, with and without sensitivity, and its
     end Q equal the single-state flow's bit for bit on sampled states (its
     ``(B, n, n)`` matmul against the single state's `ndarray.dot`, down to
-    the 1x1 products of toy1d)."""
+    the 1x1 products of toy1d).  An empty batch, with or without
+    ``closed_loop``, gives empty end states, Q and barrier values."""
     for name, params in BATCH_CASES:
-        model, policy, _ = make_benchmark(name, params)
+        model, policy, spec = make_benchmark(name, params)
         box = BENCHMARK_DEFAULTS[name]
+        n, horizon, steps = model.state_dim, box["t_horizon_s"], 3
+        for pol in (policy, dataclasses.replace(policy, closed_loop=None)):
+            ends, q_end = integrate_flow_batch(model, pol, np.empty((0, n)),
+                                               horizon, steps)
+            assert ends.shape == (0, n) and q_end.shape == (0, n, n)
+            ends, no_q = integrate_flow_batch(model, pol, np.empty((0, n)),
+                                              horizon, steps,
+                                              with_sensitivity=False)
+            assert ends.shape == (0, n) and no_q is None
+            values = eval_h_batch(model, pol, spec, np.empty((0, n)), horizon,
+                                  steps)
+            assert all(v.shape == (0,) for v in values)
         x0s = np.random.default_rng(5).uniform(
             box["sample_lower"], box["sample_upper"], (6, model.state_dim))
         if name == "aeroplane":
@@ -382,6 +396,27 @@ def test_argument_validation():
         integrate_flow(model, policy, np.array([np.nan]), 1.0, 10)
     with pytest.raises(ValidationError):
         sensitivity_fd_check(model, policy, np.array([1.0]), 1.0, 10, 0.0)
+
+
+@pytest.mark.parametrize("closed_loop", [True, False])
+def test_initial_state_of_the_wrong_shape_is_refused(closed_loop):
+    """Both flows and `filter_control`, with or without ``closed_loop``,
+    refuse an initial state that is not ``(n,)`` (a batch not ``(B, n)``)
+    with `ValidationError` naming both shapes, before any step (such a state
+    used to fail in the compiled step, or blame the policy's arity)."""
+    model, policy, spec = make_benchmark("dubins")
+    if not closed_loop:
+        policy = dataclasses.replace(policy, closed_loop=None)
+    for x0 in ([0.3, 5.0], [0.3, 5.0, 0.1, 1.0], 0.3, [[0.3, 5.0, 0.1]]):
+        shape = re.escape(f"(3,), got {np.shape(x0)}")
+        with pytest.raises(ValidationError, match=shape):
+            integrate_flow(model, policy, x0, 8.0, 100)
+        with pytest.raises(ValidationError, match=shape):
+            filter_control(model, policy, spec, x0, [0.0, 0.0], 8.0, 100)
+    for x0s in ([0.3, 5.0, 0.1], np.zeros((4, 2)), np.zeros((2, 4, 3))):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"(batch, 3), got {np.shape(x0s)}")):
+            integrate_flow_batch(model, policy, x0s, 8.0, 100)
 
 
 def test_loop_floats_checked_against_the_model():
