@@ -13,15 +13,19 @@ and its gradient, and the closed-loop derivative
 flow builds on `FLOAT_PRIMITIVES` and the batch flow on `ARRAY_PRIMITIVES`.
 Only exact folds are made, so every evaluator keeps the bits of the
 hand-written body it replaced, signed zeros included, except in some
-derivatives: a few entries differ in the sign of a NaN or a zero only,
-and two gradients round otherwise in the last bits (the conservative
-Dubins terminal, whose dense ``P`` is differentiated term by term rather
-than as ``-2 P x``, and the aeroplane terminal's ``dpsi`` entry at a
-``v_b`` that is not a power of two).  The flows check the closed loop
-against the model as before.  The float twins of the smoothings clamp by
-comparisons, which return what ``min(max(y, lo), hi)`` returns for every
-float (NaN and signed zeros included) without two builtin calls.  Benchmark parameters must be finite numbers.  Values are
-immutable after construction and safe to share across threads.
+derivatives: a few entries differ in the sign of a NaN or a zero only
+on NaN or infinite states, the Dubins terminal gradient differs in the
+sign of a zero where ``x - x_des`` holds ``-0.0`` (its sum starts from
+its first term, not from ``+0.0``), and two gradients round otherwise in
+the last bits (the conservative Dubins terminal, whose dense ``P`` is
+differentiated term by term rather than as ``-2 P x``, and the aeroplane
+terminal's ``dpsi`` entry at a ``v_b`` that is not a power of two).  The
+flows check the closed loop against the model as before.  The float
+twins of the smoothings clamp by comparisons, which return what
+``min(max(y, lo), hi)`` returns for every float (NaN and signed zeros
+included) without two builtin calls.  Benchmark parameters must be finite
+numbers.  Values are immutable after construction and safe to share
+across threads.
 
 Four benchmark instances are provided:
 
@@ -506,33 +510,37 @@ def _statements(exprs) -> tuple[list[str], list[str], set[str]]:
     temporaries ``t0, t1, ...``, an expression per entry, and the names
     read.  A subexpression written out the same way more than once is
     computed once, into a temporary."""
-    nodes, names = {}, set()            # written out in full -> op, operands
+    # A leaf's key is its text, a node's its index in ``nodes``, which holds
+    # its op and its operands' keys: equal keys are equal texts, and each
+    # key is short, so the walk is linear in the size of ``exprs``.
+    keys, nodes, names = {}, [], set()
 
-    def text(e) -> str:
+    def key(e):
         if not isinstance(e, _Sym):
             return repr(float(e))
         if e.op == "x":
             names.add(f"x{e.args[0]}")
             return f"x{e.args[0]}"
         names.add(e.op)
-        parts = [text(a) for a in e.args]
-        key = _written(e.op, parts)
-        nodes[key] = (e.op, parts)
-        return key
+        node = (e.op, tuple(key(a) for a in e.args))
+        if node not in keys:
+            keys[node] = len(nodes)
+            nodes.append(node)
+        return keys[node]
 
-    roots = [text(e) for e in exprs]
-    uses = collections.Counter(roots + [p for _, ps in nodes.values() for p in ps])
+    roots = [key(e) for e in exprs]
+    uses = collections.Counter(roots + [p for _, ps in nodes for p in ps])
     temporaries, lines = {}, []
 
-    def written(key: str) -> str:
-        if key not in nodes or key in temporaries:
-            return temporaries.get(key, key)
-        code = _written(nodes[key][0], [written(p) for p in nodes[key][1]])
-        if uses[key] < 2:
+    def written(k) -> str:
+        if isinstance(k, str) or k in temporaries:
+            return temporaries.get(k, k)
+        code = _written(nodes[k][0], [written(p) for p in nodes[k][1]])
+        if uses[k] < 2:
             return code
-        temporaries[key] = f"t{len(temporaries)}"
-        lines.append(f"{temporaries[key]} = {code}")
-        return temporaries[key]
+        temporaries[k] = f"t{len(temporaries)}"
+        lines.append(f"{temporaries[k]} = {code}")
+        return temporaries[k]
 
     return lines, [written(r) for r in roots], names
 
@@ -640,14 +648,11 @@ def _benchmark(name: str, statement: Callable, params: tuple, eps: float,
     n, m = len(state_names), len(input_names)
     f, g, df, dg, pi, dpi, loop, safety = _generated(
         name, statement, n, m, tuple(map(float.hex, params)))
-    if len(safety) != len(safety_names):
-        raise ValidationError(f"benchmark {name!r} states {len(safety)} safety "
-                              f"functions, not {len(safety_names)}")
     return (SystemModel(n, m, f, g, df, dg, lower, upper,
                         state_names=state_names, input_names=input_names),
             BackupPolicy(pi, dpi, eps, loop),
             tuple(ScalarConstraint(*pair, name=label)
-                  for pair, label in zip(safety, safety_names)))
+                  for pair, label in zip(safety, safety_names, strict=True)))
 
 
 # ---------------------------------------------------------------------------

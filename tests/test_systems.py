@@ -771,23 +771,27 @@ def _former_states(name, n):
     return states.reshape(4, 5, n)
 
 
-# Entries of the generated gradients whose NaN or zero may carry the other
-# sign than the former body's: ``d (x x)`` is ``x + x``, negated after the
-# sum, against ``-2.0 x``; the Dubins terminal sums its terms from the
-# first, not from ``+0.0`` as `np.einsum` does, so its gradient at ``xh =
-# -0.0`` is ``+0.0``; and the aeroplane terminal's ``dpsi`` entry is
-# written as in `FORMER_CASES`.
-SIGN_ONLY = {("toy1d", "level.grad"): {0}, ("toy1d", "terminal_level.grad"): {0},
-             ("dubins", "settle_ellipsoid.grad"): {0, 1, 2},
+# Entries of the generated gradients whose zero may carry the other sign
+# than the former body's on finite states: the Dubins terminal sums its
+# terms from the first, not from ``+0.0`` as `np.einsum` does, so its
+# gradient at ``xh = -0.0`` is ``+0.0``.
+FINITE_SIGN_ONLY = {("dubins", "settle_ellipsoid.grad"): {0, 1, 2}}
+# ... and whose NaN or zero may carry the other sign on the probe rows of
+# NaN and +-inf: ``d (x x)`` is ``x + x``, negated after the sum, against
+# ``-2.0 x``, and the aeroplane terminal's ``dpsi`` entry is written as in
+# `FORMER_CASES`.
+SIGN_ONLY = {**FINITE_SIGN_ONLY, ("toy1d", "level.grad"): {0},
+             ("toy1d", "terminal_level.grad"): {0},
              ("aeroplane", "separated_diverging.grad"): {2}}
 
 
 def former_deviations(key, rounded, got, expected, batch) -> set:
     """The entries (flat indices past the ``batch`` axes) where ``got``
     differs from ``expected`` in the sign of a NaN or of a zero only, after
-    asserting the same type and shape, and the same bytes elsewhere: for a
-    key in ``rounded``, finite values within `LAST_BITS`."""
+    asserting the same type, dtype and shape, and the same bytes elsewhere:
+    for a key in ``rounded``, finite values within `LAST_BITS`."""
     assert type(got) is type(expected) and np.shape(got) == np.shape(expected), key
+    assert np.asarray(got).dtype == np.asarray(expected).dtype == np.float64, key
     got, expected = (np.asarray(v, dtype=float).reshape(math.prod(batch), -1)
                      for v in (got, expected))
     differ = got.view(np.int64) != expected.view(np.int64)
@@ -808,7 +812,7 @@ def test_constant_terms_and_bounds_match_former_bodies(name, params, former,
     """Same bytes, shape, type and signs of zeros (``+0.0`` where no entry
     is assigned) as the former bodies on one state (array and list), on
     (B, n) and on (B1, B2, n), except as `former_deviations` allows in the
-    entries `SIGN_ONLY` lists; array results are fresh, writable and
+    entries `FINITE_SIGN_ONLY` lists; array results are fresh, writable and
     C-contiguous, never views shared between calls."""
     model, _, spec = make_benchmark(name, params)
     current = current_evaluators(model, spec)
@@ -818,7 +822,7 @@ def test_constant_terms_and_bounds_match_former_bodies(name, params, former,
         for x in (block, block[0], block[0, 0], block[0, 1].tolist()):
             got = fn(x)
             assert former_deviations(key, rounded, got, reference(x),
-                                     np.shape(x)[:-1]) <= SIGN_ONLY.get(
+                                     np.shape(x)[:-1]) <= FINITE_SIGN_ONLY.get(
                 (name, key), set()), f"{name} {params} {key} on {np.shape(x)}"
             assert not isinstance(got, np.ndarray) or (
                 got.flags.writeable and got.flags.c_contiguous), key
@@ -1336,7 +1340,7 @@ def test_dense_statement_generates_loop_rhs_and_its_jacobians():
 def test_generator_refuses_a_statement_of_the_wrong_shape():
     """A statement whose ``f``, ``g`` or ``pi`` does not fit the state and
     input counts, or whose ``h`` is not a tuple of scalar functions of the
-    state, one per safety name, is refused, naming the benchmark."""
+    state, is refused, naming the benchmark."""
     def short_f(p, k, a, b, c, d):
         f, g, pi, h = dense_statement(p, k, a, b, c, d)
         return f[:3], g, pi, h
@@ -1357,9 +1361,6 @@ def test_generator_refuses_a_statement_of_the_wrong_shape():
     with pytest.raises(ValidationError, match=r"f, g and pi of shapes \(4,\), "
                        r"\(4, 2\) and \(2,\), not \(4,\), \(4, 3\) and \(3,\)"):
         dense_benchmark(inputs=("u", "w", "z"))
-    with pytest.raises(ValidationError, match="benchmark 'dense' states 2 "
-                       "safety functions, not 3"):
-        dense_benchmark(safety=("mixed", "single", "extra"))
 
 
 def test_generation_is_cached_per_parameter_bits():
