@@ -16,7 +16,13 @@ that `_rk4` writes out per state component and compiles once per state
 size: stage points, kernel calls and the final combination are plain
 statements, with no list, iterator or `zip` per stage, and the float
 march is the same template with the step inlined in its loop, appending
-each step's points and slopes with one ``+=`` each.  The sensitivity
+each step's points and slopes with one ``+=`` each.  For a policy whose
+``closed_loop`` was generated from a benchmark statement, the float march
+also has that statement's closed loop inlined at its four stages
+(`float_kernel`: each smoothing as its float twin's branches, with the
+parameters folded into literals), compiled once per statement, so a step
+calls nothing but ``sin`` and ``cos``; a ``closed_loop`` that is replaced,
+hand-written or absent is called as before.  The sensitivity
 obeys the variational equation ``Qdot = J(x) Q`` with ``J = d f_pi / d x``
 and ``Q(0) = I``; since the state never depends on ``Q``, the loop
 Jacobians only ever come from stacked `loop_jacobian` evaluations at
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,8 +56,8 @@ import numpy as np
 
 from .errors import FlowDivergenceError, ValidationError
 from .systems import (ARRAY_PRIMITIVES, FLOAT_PRIMITIVES, BackupPolicy,
-                      SystemModel, is_finite_real, is_integer, loop_jacobian,
-                      loop_rhs)
+                      SystemModel, float_kernel, is_finite_real, is_integer,
+                      loop_jacobian, loop_rhs)
 
 Array = np.ndarray
 
@@ -113,6 +120,8 @@ r{i} = x{i} + b{i} * half
 s{i} = x{i} + c{i} * dt
 {d} = deriv({s})"""
 _RK4_NEXT = "x{i} + (((a{i} + (b{i} + b{i})) + (c{i} + c{i})) + d{i}) * sixth"
+_DERIV = re.compile(r"\{(\w)\} = deriv\(\{(\w)\}\)")
+_STATE = re.compile(r"\bx(?=\d)")      # a kernel's state ``x0``, ``x1``, ...
 
 # `rk4_step`, and the float march with the step inlined in its loop (see
 # `_rk4`); ``{step}`` is `_RK4_STEP`.
@@ -140,19 +149,29 @@ def march(deriv, x, dt, steps):
     return points, slopes"""
 
 
-def _rk4_source(template: str, n: int) -> str:
+def _rk4_source(template: str, n: int, kernel: tuple | None = None) -> str:
     """``template`` written out for ``n`` state components: a line with
     ``{i}`` once per component ``i`` (``{next}`` is then that component's
     next value), any other line once, with ``{v}`` for ``"v0, v1, "`` (a
-    tuple even for ``n = 1``); a ``{step}`` line is `_RK4_STEP`."""
+    tuple even for ``n = 1``); a ``{step}`` line is `_RK4_STEP`.  Given a
+    ``kernel`` ``(lines, rows)`` on ``x0, x1, ...`` (`float_kernel`), a
+    line ``{k} = deriv({v})`` is its lines on ``v0, v1, ...`` and then
+    ``k{i} = rows[i]``."""
     names = {v: "".join(f"{v}{i}, " for i in range(n)) for v in "xabcdprs"}
     names["next"] = "".join(_RK4_NEXT.format(i=i) + ", " for i in range(n))
     lines = []
     for line in template.splitlines():
         indent = line[:len(line) - len(line.lstrip())]
+        call = _DERIV.fullmatch(line.strip())
         if line.strip() == "{step}":
             lines += [indent + row for row in
-                      _rk4_source(_RK4_STEP, n).splitlines()]
+                      _rk4_source(_RK4_STEP, n, kernel).splitlines()]
+        elif kernel is not None and call:
+            slope, point = call.groups()
+            body, rows = ([_STATE.sub(point, row) for row in part]
+                          for part in kernel)
+            lines += [indent + row for row in body]
+            lines += [f"{indent}{slope}{i} = {row}" for i, row in enumerate(rows)]
         elif "{i}" in line:
             lines += [line.format(i=i, next=_RK4_NEXT.format(i=i))
                       for i in range(n)]
@@ -162,9 +181,11 @@ def _rk4_source(template: str, n: int) -> str:
 
 
 @functools.cache
-def _rk4(n: int) -> tuple[Callable, Callable]:
+def _rk4(n: int, kernel: tuple | None = None) -> tuple[Callable, Callable]:
     """``(step, march)`` for a state of ``n`` components, compiled from
-    `_RK4_TEMPLATE` once per ``n`` (as `dataclasses` builds ``__init__``).
+    `_RK4_TEMPLATE` once per ``n`` and ``kernel`` (as `dataclasses` builds
+    ``__init__``), with each ``deriv`` call written out as ``kernel``'s
+    lines if one is given (see `_rk4_source`; ``deriv`` is then unused).
 
     ``step(deriv, x, dt)`` is `rk4_step`.  ``march(deriv, x, dt, steps)``
     runs its steps on one state held as a tuple of floats and returns flat
@@ -173,9 +194,21 @@ def _rk4(n: int) -> tuple[Callable, Callable]:
     ``deriv`` at the start of step ``i``.  It stops after the first step
     that leaves finite values, tested per component (a sum of two finite
     values near the float limit overflows)."""
-    namespace = {"isfinite": math.isfinite}
-    exec(_rk4_source(_RK4_TEMPLATE, n), namespace)
+    # ``inf``: a band edge folded into a kernel may overflow to it
+    namespace = {"isfinite": math.isfinite, "inf": math.inf,
+                 **FLOAT_PRIMITIVES._asdict()}
+    exec(_rk4_source(_RK4_TEMPLATE, n, kernel), namespace)
     return namespace["rk4_step"], namespace["march"]
+
+
+def _float_march(policy: BackupPolicy, n: int) -> Callable:
+    """`_rk4`'s march for one state of ``n`` components: with the kernel of
+    the policy's ``closed_loop`` written in, where it is a generated one of
+    ``n`` components, else calling ``deriv``."""
+    kernel = float_kernel(policy.closed_loop)
+    if kernel is not None and len(kernel[1]) == n:
+        return _rk4(n, kernel)[1]
+    return _rk4(n)[1]
 
 
 def rk4_step(deriv: Callable[..., tuple], x: tuple, dt: float):
@@ -285,8 +318,8 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
     dt = horizon / steps
     loop = _kernel(model, policy, FLOAT_PRIMITIVES)
     with np.errstate(over="ignore", invalid="ignore"):
-        points, slopes = _march(_rk4(n)[1], loop, tuple(x0.tolist()), dt,
-                                steps)
+        points, slopes = _march(_float_march(policy, n), loop,
+                                tuple(x0.tolist()), dt, steps)
         points = np.array(points).reshape(-1, n)
         states = points[::4].copy()
         drifts = loop_rhs(model, policy, states)

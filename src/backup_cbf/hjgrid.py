@@ -117,7 +117,13 @@ class GridGeometry:
 class SolveRecord:
     """How a `solve_invariant` value iteration ended: passes run, the
     sup-norm update of the last pass, whether it fell below ``tol``, the
-    pseudo-time step and the CFL ratio ``cfl_rate * dt`` (at most 1)."""
+    pseudo-time step and the CFL ratio ``cfl_rate * dt`` (at most 1).
+
+    ``converged`` says only that the last update fell below ``tol``, not
+    that the set has settled: the update decays slowly, and the zero level
+    can keep moving long after.  On the Dubins 45^3 grid the set converged
+    at tol 1e-3 (262 passes) loses 1952 of its 36425 cells by tol 1e-4
+    (1362 passes) and 2018 by tol 3e-5 (1917 passes)."""
 
     iterations: int
     final_update: float
@@ -210,6 +216,8 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
                     max_steps: int = HJ_MAX_STEPS) -> LevelGrid:
     """Run the frozen value iteration from the constraint field ``grid0``
     until the sup-norm update drops below ``tol`` or ``max_steps`` passes.
+    Converged means only that the last update fell below ``tol``; a
+    smaller ``tol`` can still move the zero level (see `SolveRecord`).
 
     ``tol`` and ``max_steps`` must pass `check_solve_limits`.
     The result carries a `SolveRecord` as ``solve``.  Running out of

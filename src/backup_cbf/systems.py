@@ -9,8 +9,11 @@ functions ``h`` once, one value per component, against a table of
 compiles from it ``f_eval``, ``g_eval``, ``pi_eval``, their Jacobians
 (forward differentiation, structural zeros left out), each safety function
 and its gradient, and the closed-loop derivative
-``BackupPolicy.closed_loop`` in `loop_rhs`'s order, which the single-state
-flow builds on `FLOAT_PRIMITIVES` and the batch flow on `ARRAY_PRIMITIVES`.
+``BackupPolicy.closed_loop`` in `loop_rhs`'s order, which the batch flow
+builds on `ARRAY_PRIMITIVES`.  The single-state flow marches on its
+`float_kernel` instead: the same lines on floats, with each smoothing
+written out as its float twin's branches (each twin's body is written
+once, in `_FLOAT_BODIES`, and `FLOAT_PRIMITIVES` is compiled from it).
 Only exact folds are made, so every evaluator keeps the bits of the
 hand-written body it replaced, signed zeros included, except in some
 derivatives: a few entries differ in the sign of a NaN or a zero only
@@ -57,6 +60,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
@@ -94,17 +98,6 @@ def smooth_positive_indicator(v: Array | float, eps: float) -> Array:
     return t * t * (3.0 - 2.0 * t)
 
 
-def _indicator_float(v: float, eps: float) -> float:
-    if eps == 0.0:
-        return 1.0 if v > 0.0 else 0.0
-    t = (v + eps) / eps
-    if 0.0 > t:
-        t = 0.0
-    if t > 1.0:
-        return 1.0
-    return t * t * (3.0 - 2.0 * t)
-
-
 def smooth_positive_indicator_deriv(v: Array | float, eps: float) -> Array:
     v = np.asarray(v, dtype=float)
     if eps == 0.0:
@@ -120,17 +113,6 @@ def smooth_sign(y: Array | float, eps: float) -> Array:
         return np.sign(y)
     q = np.clip(y / eps, -1.0, 1.0)
     return q * (2.0 - np.abs(q))
-
-
-def _sign_float(y: float, eps: float) -> float:
-    if eps == 0.0:
-        return 0.0 if y == 0.0 else (1.0 if y > 0.0 else -1.0)
-    q = y / eps
-    if -1.0 > q:
-        return -1.0
-    if q > 1.0:
-        return 1.0
-    return q * (2.0 - abs(q))
 
 
 def smooth_sign_deriv(y: Array | float, eps: float) -> Array:
@@ -169,22 +151,6 @@ def smooth_saturate(y: Array | float, lo: float, hi: float, eps: float) -> Array
     return out
 
 
-def _saturate_float(y: float, lo: float, hi: float, eps: float) -> float:
-    """`smooth_saturate` on one float; the caller checks the blend width."""
-    if eps > 0.0:
-        if hi - eps < y < hi + eps:
-            d = y - (hi - eps)
-            return y - d * d / (4.0 * eps)
-        if lo - eps < y < lo + eps:
-            d = (lo + eps) - y
-            return y + d * d / (4.0 * eps)
-    if lo > y:
-        y = lo
-    if y > hi:
-        return hi
-    return y
-
-
 def smooth_saturate_deriv(y: Array | float, lo: float, hi: float, eps: float) -> Array:
     _check_blend(lo, hi, eps)
     y = np.asarray(y, dtype=float)
@@ -197,6 +163,100 @@ def smooth_saturate_deriv(y: Array | float, lo: float, hi: float, eps: float) ->
     band = (y > lo - eps) & (y < lo + eps)
     d[band] = 1.0 - ((lo + eps) - y[band]) / (2.0 * eps)
     return d
+
+
+# Each float twin is written once, as the lines that set ``out`` from the
+# float ``y``.  `_float_twin` compiles them on their parameter names into the
+# `FLOAT_PRIMITIVES` entry, and `_statements` writes them into a generated
+# march with the parameters as floats.  There each test and band edge that
+# the parameters fix is done once, as the twin does it at run time, and
+# written as a literal; a branch whose test fails is left out.
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        ">": operator.gt, "==": operator.eq}
+
+
+def _folded(a, op: str, b):
+    """``a op b``: its value where both are floats, else its text."""
+    if isinstance(a, float) and isinstance(b, float):
+        return _OPS[op](a, b)
+    return f"({a} {op} {b})"
+
+
+def _chain(*branches) -> list[str]:
+    """The ``if``/``elif``/``else`` lines of ``(test, lines)`` branches, in
+    order: a test folded to False is left out, and one folded to True ends
+    the chain as its ``else``, or is the whole of it if it comes first."""
+    out = []
+    for test, body in branches:
+        if test is False:
+            continue
+        if test is True and not out:
+            return body
+        out.append("else:" if test is True
+                   else f"{'elif' if out else 'if'} {test}:")
+        out += ["    " + line for line in body]
+        if test is True:
+            break
+    return out
+
+
+def _saturate_lines(out: str, y: str, lo, hi, eps) -> list[str]:
+    """`smooth_saturate` on one float; the caller checks the blend width."""
+    band = _folded(eps, ">", 0.0)
+    top, bottom = _folded(hi, "-", eps), _folded(lo, "+", eps)
+    width = _folded(4.0, "*", eps)
+
+    def inside(a, b):
+        test = f"{a} < {y} < {b}"
+        return test if band is True else band and f"{band} and {test}"
+
+    return _chain(
+        (inside(top, _folded(hi, "+", eps)),
+         [f"d = {y} - {top}", f"{out} = {y} - d * d / {width}"]),
+        (inside(_folded(lo, "-", eps), bottom),
+         [f"d = {bottom} - {y}", f"{out} = {y} + d * d / {width}"]),
+        (True, [f"{out} = {y}"] * (out != y)
+         + [f"if {lo} > {out}:", f"    {out} = {lo}",
+            f"if {out} > {hi}:", f"    {out} = {hi}"]))
+
+
+def _sign_lines(out: str, y: str, eps) -> list[str]:
+    """`smooth_sign` on one float."""
+    return _chain(
+        (_folded(eps, "==", 0.0),
+         [f"{out} = 0.0 if {y} == 0.0 else (1.0 if {y} > 0.0 else -1.0)"]),
+        (True, [f"q = {y} / {eps}"] + _chain(
+            ("-1.0 > q", [f"{out} = -1.0"]), ("q > 1.0", [f"{out} = 1.0"]),
+            (True, [f"{out} = q * (2.0 - abs(q))"]))))
+
+
+def _indicator_lines(out: str, y: str, eps) -> list[str]:
+    """`smooth_positive_indicator` on one float."""
+    return _chain(
+        (_folded(eps, "==", 0.0), [f"{out} = 1.0 if {y} > 0.0 else 0.0"]),
+        (True, [f"t = {_folded(y, '+', eps)} / {eps}", "if 0.0 > t:",
+                "    t = 0.0"] + _chain(
+            ("t > 1.0", [f"{out} = 1.0"]),
+            (True, [f"{out} = t * t * (3.0 - 2.0 * t)"]))))
+
+
+_FLOAT_BODIES = {"saturate": _saturate_lines, "sign": _sign_lines,
+                 "indicator": _indicator_lines}
+
+
+def _float_twin(name: str, *params: str) -> Callable:
+    """The float twin ``name(y, *params)``, compiled from its lines."""
+    namespace = {}
+    exec("\n    ".join([f"def {name}(y, {', '.join(params)}):",
+                        *_FLOAT_BODIES[name]("out", "y", *params),
+                        "return out"]), namespace)
+    return namespace[name]
+
+
+_saturate_float = _float_twin("saturate", "lo", "hi", "eps")
+_sign_float = _float_twin("sign", "eps")
+_indicator_float = _float_twin("indicator", "eps")
 
 
 class Primitives(NamedTuple):
@@ -274,7 +334,10 @@ class BackupPolicy:
     the primitive table ``p`` and returns it as ``rhs(*x)``, taking one
     value per state component and returning a tuple.  Built on
     `FLOAT_PRIMITIVES`, ``rhs`` takes one state as Python floats; built on
-    `ARRAY_PRIMITIVES`, a batch as one ``(B,)`` array per component.  Each
+    `ARRAY_PRIMITIVES`, a batch as one ``(B,)`` array per component.  For
+    a generated one, the single-state flow does not call ``rhs``: it
+    marches on the same lines inlined at each RK4 stage (`float_kernel`),
+    with the same bits; any other is called.  Each
     build must equal `loop_rhs` bit for bit, so it sums ``g pi`` as
     `loop_rhs` does: per row ``f_i + (((0.0 + g_i0 pi_0) + g_i1 pi_1) +
     ...)``, each product rounded (for a dense ``g`` with two or more inputs
@@ -505,19 +568,25 @@ def _written(op: str, parts: list[str]) -> str:
     return _FORMS[op].format(*parts) if op in _FORMS else f"{op}({', '.join(parts)})"
 
 
-def _statements(exprs) -> tuple[list[str], list[str], set[str]]:
+def _statements(exprs, inline: Mapping[str, Callable] = {}
+                ) -> tuple[list[str], list[str], set[str]]:
     """Python for ``exprs`` (`_Sym`s and floats): the lines that assign the
     temporaries ``t0, t1, ...``, an expression per entry, and the names
     read.  A subexpression written out the same way more than once is
-    computed once, into a temporary."""
+    computed once, into a temporary.  A call of a primitive ``p`` in
+    ``inline`` is written as the lines ``inline[p](t, y, *params)`` that set
+    a temporary ``t`` of its own, from its argument ``y`` (a name, or ``t``
+    set to it) and its parameters (floats where they are literals)."""
     # A leaf's key is its text, a node's its index in ``nodes``, which holds
     # its op and its operands' keys: equal keys are equal texts, and each
     # key is short, so the walk is linear in the size of ``exprs``.
-    keys, nodes, names = {}, [], set()
+    keys, nodes, names, literals = {}, [], set(), {}
 
     def key(e):
         if not isinstance(e, _Sym):
-            return repr(float(e))
+            text = repr(float(e))
+            literals[text] = float(e)
+            return text
         if e.op == "x":
             names.add(f"x{e.args[0]}")
             return f"x{e.args[0]}"
@@ -535,7 +604,18 @@ def _statements(exprs) -> tuple[list[str], list[str], set[str]]:
     def written(k) -> str:
         if isinstance(k, str) or k in temporaries:
             return temporaries.get(k, k)
-        code = _written(nodes[k][0], [written(p) for p in nodes[k][1]])
+        op, operands = nodes[k]
+        parts = [written(p) for p in operands]
+        if op in inline:
+            temporaries[k] = t = f"t{len(temporaries)}"
+            y = parts[0]
+            if not y.isidentifier():
+                lines.append(f"{t} = {y}")
+                y = t
+            lines.extend(inline[op](t, y, *(
+                literals.get(p, w) for p, w in zip(operands[1:], parts[1:]))))
+            return t
+        code = _written(op, parts)
         if uses[k] < 2:
             return code
         temporaries[k] = f"t{len(temporaries)}"
@@ -569,24 +649,44 @@ def _array_source(name: str, terms: np.ndarray, n: int) -> str:
            for index, expr in zip(assigned, exprs)] + ["return out"]))
 
 
-def _loop_source(f: np.ndarray, g: np.ndarray, pi: np.ndarray) -> str:
-    """``closed_loop(p)``: per row ``f_i + (((0.0 + g_i0 pi_0) + g_i1 pi_1)
-    + ...)``, `loop_rhs`'s order, where ``f_i + s`` is ``s`` for a literal
-    zero ``f_i``: ``s`` starts from ``0.0 + ...``, so it is never ``-0.0``,
-    and ``+-0.0 + s`` is then ``s`` on every input."""
+def _loop_rows(f: np.ndarray, g: np.ndarray, pi: np.ndarray) -> list:
+    """Per row ``f_i + (((0.0 + g_i0 pi_0) + g_i1 pi_1) + ...)``,
+    `loop_rhs`'s order, where ``f_i + s`` is ``s`` for a literal zero
+    ``f_i``: ``s`` starts from ``0.0 + ...``, so it is never ``-0.0``, and
+    ``+-0.0 + s`` is then ``s`` on every input."""
     rows = []
     for f_i, g_i in zip(f, g):
         s = 0.0 + g_i[0] * pi[0]
         for g_ij, pi_j in zip(g_i[1:], pi[1:]):
             s = s + g_ij * pi_j
         rows.append(s if not isinstance(f_i, _Sym) and f_i == 0.0 else f_i + s)
+    return rows
+
+
+def _loop_source(rows: list) -> str:
+    """``closed_loop(p)``, whose ``rhs(x0, x1, ...)`` returns ``rows``."""
     lines, exprs, names = _statements(rows)
     return "\n".join(
         ["def closed_loop(p):"]
         + [f"    {c} = p.{c}" for c in Primitives._fields if c in names]
-        + [f"    def rhs({', '.join(f'x{i}' for i in range(len(f)))}):"]
+        + [f"    def rhs({', '.join(f'x{i}' for i in range(len(rows)))}):"]
         + [f"        {line}" for line in lines]
         + [f"        return ({''.join(e + ', ' for e in exprs)})", "    return rhs"])
+
+
+# id of each generated ``closed_loop`` -> (it, its kernel on floats); keyed
+# by id, as a user's ``closed_loop`` need not be hashable
+_FLOAT_KERNELS: dict[int, tuple] = {}
+
+
+def float_kernel(closed_loop) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """For a generated ``closed_loop``: the lines and row expressions of its
+    ``rhs`` on one state of floats ``x0, x1, ...``, with each ``saturate``,
+    ``sign`` and ``indicator`` call written out as its float twin's branches
+    and its parameters folded in (`_FLOAT_BODIES`), which does the twin's
+    IEEE operations; ``None`` for any other ``closed_loop``."""
+    entry = _FLOAT_KERNELS.get(id(closed_loop))
+    return entry[1] if entry is not None and entry[0] is closed_loop else None
 
 
 _NAMESPACE = {"asarray": np.asarray, "zeros": np.zeros, **ARRAY_PRIMITIVES._asdict(),
@@ -625,11 +725,15 @@ def _generated(name: str, statement: Callable, n: int, m: int,
              "dg_dx": jacobian(g), "dpi_dx": jacobian(pi),
              **{f"grad{i}": t for i, t in
                 enumerate(jacobian(np.array(h, dtype=object)))}}
+    rows = _loop_rows(f, g, pi)
     namespace = dict(_NAMESPACE)
     exec("\n".join([_array_source(fn, t, n) for fn, t in terms.items()]
                    + [_source(f"h{i}", [e], n, lambda w: [f"return {w[0]}"])
                       for i, e in enumerate(h)]
-                   + [_loop_source(f, g, pi)]), namespace)
+                   + [_loop_source(rows)]), namespace)
+    lines, exprs, _ = _statements(rows, _FLOAT_BODIES)
+    _FLOAT_KERNELS[id(namespace["closed_loop"])] = (
+        namespace["closed_loop"], (tuple(lines), tuple(exprs)))
     if all(d is None for d in terms["dg_dx"].flat):
         namespace["dg_dx"] = None
     safety = tuple((namespace[f"h{i}"], namespace[f"grad{i}"])

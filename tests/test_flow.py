@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from backup_cbf.barrier import eval_h, eval_h_batch, filter_control
 from backup_cbf.errors import FlowDivergenceError, ValidationError
-from backup_cbf.flow import (FlowTrajectory, _kernel, _q_step, _rk4,
-                             integrate_flow, integrate_flow_batch, rk4_step,
-                             sensitivity_fd_check)
+from backup_cbf.flow import (FlowTrajectory, _float_march, _kernel, _q_step,
+                             _rk4, integrate_flow, integrate_flow_batch,
+                             rk4_step, sensitivity_fd_check)
 from backup_cbf.systems import (ARRAY_PRIMITIVES, BENCHMARK_DEFAULTS,
                                 FLOAT_PRIMITIVES,
                                 BackupPolicy, SafetySpec, ScalarConstraint,
-                                SystemModel, closed_loop_rhs, loop_jacobian,
-                                loop_rhs, make_benchmark)
+                                SystemModel, closed_loop_rhs, float_kernel,
+                                loop_jacobian, loop_rhs, make_benchmark)
 
 
 def linear_system(a_mat):
@@ -559,6 +559,51 @@ def test_closed_loop_of_the_wrong_arity_is_named():
                              8.0, 100)
 
 
+def test_replaced_closed_loop_is_marched_as_given():
+    """A policy whose ``closed_loop`` is swapped with `dataclasses.replace`
+    marches on the replacement, never on the march compiled for the
+    statement it replaced: on conservative Dubins' statement, which brakes
+    no car at 5 m/s, aggressive Dubins' model and ``pi`` are refused at
+    node 0 as they are when the march calls that statement through a plain
+    callable (which it does at all four stages of all 100 steps); without
+    ``closed_loop`` the march follows a model whose drift is doubled."""
+    model, policy, _ = make_benchmark("dubins", {"profile": "aggressive"})
+    _, other, _ = make_benchmark("dubins")
+    x0, horizon, steps = [0.3, 5.0, 0.1], 8.0, 100
+    own = integrate_flow(model, policy, x0, horizon, steps)
+    calls = []
+
+    def plain(p):
+        rhs = other.closed_loop(p)
+
+        def counted(*x):
+            calls.append(x)
+            return rhs(*x)
+        return counted
+
+    generated = dataclasses.replace(policy, closed_loop=other.closed_loop)
+    called = dataclasses.replace(policy, closed_loop=plain)
+    assert _float_march(generated, 3) is _float_march(other, 3)
+    assert _float_march(called, 3) is _rk4(3)[1]
+    refusals = []
+    for swapped in (generated, called):
+        with pytest.raises(ValidationError, match=r"node 0, component 1: "
+                           r"0\.0 != -3\.0") as err:
+            integrate_flow(model, swapped, x0, horizon, steps)
+        refusals.append(str(err.value))
+    assert refusals[0] == refusals[1] and len(calls) == 4 * steps
+
+    doubled = dataclasses.replace(model, f_eval=lambda x: 2.0 * model.f_eval(x))
+    custom = dataclasses.replace(policy, closed_loop=None)
+    traj = integrate_flow(doubled, custom, x0, horizon, steps)
+    assert np.array_equal(traj.states,
+                          reference_march(doubled, custom, np.array(x0),
+                                          horizon, steps)[0])
+    assert not np.array_equal(traj.states, own.states)
+    assert np.array_equal(integrate_flow(model, policy, x0, horizon,
+                                         steps).states, own.states)
+
+
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, True,
                                      False, 0.0, -1.0, "1.0", None])
 def test_horizon_must_be_a_finite_positive_number(horizon):
@@ -642,12 +687,104 @@ def assert_march_matches_former(loop, x0, dt, steps):
     return len(slopes) // len(x)
 
 
-@pytest.mark.parametrize("name, params", REFERENCE_CASES)
+def smoothing_calls(policy, x):
+    """``(primitive, argument, parameters)`` of each ``saturate``, ``sign``
+    and ``indicator`` call the policy's closed loop makes at ``x`` on
+    floats, in order."""
+    calls = []
+
+    def recording(kind):
+        twin = getattr(FLOAT_PRIMITIVES, kind)
+
+        def call(y, *params):
+            calls.append((kind, y, params))
+            return twin(y, *params)
+        return call
+
+    policy.closed_loop(FLOAT_PRIMITIVES._replace(
+        **{kind: recording(kind) for kind in ("saturate", "sign",
+                                              "indicator")}))(*x)
+    return calls
+
+
+def band_edges(kind, params):
+    """Where the float twin of ``kind`` switches branch: ``hi +- eps``,
+    ``lo +- eps`` and the clamps for ``saturate``; ``+-eps`` and ``+-0.0``
+    for ``sign``; ``-eps`` (where ``t = 0``) and ``+-0.0`` (``t = 1``) for
+    ``indicator``."""
+    if kind == "saturate":
+        lo, hi, eps = params
+        return [hi - eps, hi + eps, lo - eps, lo + eps, hi, lo]
+    eps, = params
+    return [-eps, 0.0, -0.0] + ([eps] if kind == "sign" else [])
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def edge_starts(policy, base):
+    """States that put the argument of each smoothing call of the policy's
+    closed loop on each of its `band_edges`, and their `math.nextafter`
+    neighbours, each moving one component of ``base``: a secant step (or
+    ``+-0.0`` for a zero edge), then one ulp at a time until the argument
+    is the edge, sign included, or has passed it.  Where no float does it
+    exactly (``5.0 - v`` is never ``-3.15``), the neighbours straddle it."""
+    starts = []
+    for j, (kind, _, params) in enumerate(smoothing_calls(policy, base)):
+        for edge in band_edges(kind, params):
+            reached = False
+            for k in range(len(base)):
+                def arg(s):
+                    return smoothing_calls(
+                        policy, base[:k] + [s] + base[k + 1:])[j][1]
+                f0, f1 = arg(base[k]), arg(base[k] + 1.0)
+                if f0 == f1:
+                    continue            # component k does not reach the call
+                seeds = [base[k] + (edge - f0) / (f1 - f0)]
+                for s in seeds + [0.0, -0.0] * (edge == 0.0):
+                    below = arg(s) < edge
+                    toward = math.inf if (f1 > f0) == below else -math.inf
+                    for _ in range(64):
+                        if same_float(arg(s), edge) or (arg(s) < edge) != below:
+                            break
+                        s = math.nextafter(s, toward)
+                    near = [math.nextafter(s, -math.inf), s,
+                            math.nextafter(s, math.inf)]
+                    args = [arg(t) for t in near]
+                    reached |= (any(same_float(a, edge) for a in args)
+                                or min(args) < edge < max(args))
+                    starts += [base[:k] + [t] + base[k + 1:] for t in near]
+            assert reached, (kind, params, edge)
+    return starts
+
+
+def march_outcome(march, loop, x0, dt, steps):
+    """The march's points and slopes in bytes, and the steps it made, or
+    the `ValueError` it raised (``math.sin`` of an infinity)."""
+    try:
+        points, slopes = march(loop, tuple(x0), dt, steps)
+    except ValueError as exc:
+        return repr(exc)
+    return (np.array(points).tobytes(), np.array(slopes).tobytes(),
+            len(slopes) // len(x0))
+
+
+SPLICE_CASES = REFERENCE_CASES + [("dubins", {"eps_frac": 0.0}),
+                                  ("aeroplane", {"smoothing_eps": 0.0})]
+
+
+@pytest.mark.parametrize("name, params", SPLICE_CASES)
 def test_compiled_march_matches_former_march(name, params):
     """At sampled states of each benchmark, with the policy's statement and
     with the stacked `loop_rhs` fallback (``np.float64`` slopes); and the
     compiled `rk4_step` on a batch of ``(B,)`` arrays gives the former
-    generic step's next state, stage points and slopes in bytes."""
+    generic step's next state, stage points and slopes in bytes.  The march
+    with the statement's closed loop written in (`_float_march`), which
+    calls no smoothing, gives the
+    bytes of the march calling ``closed_loop(FLOAT_PRIMITIVES)``, from
+    random states and from states that put each inlined smoothing's
+    argument on a band edge or next to it (`edge_starts`)."""
     model, policy, _ = make_benchmark(name, params)
     box = BENCHMARK_DEFAULTS[name]
     horizon, steps = box["t_horizon_s"], box["n_flow_steps"]
@@ -670,6 +807,23 @@ def test_compiled_march_matches_former_march(name, params):
             assert np.array(part).tobytes() == np.array(former).tobytes()
         x = got[0]
 
+    lines, rows = float_kernel(policy.closed_loop)
+    assert not re.search(r"\b(saturate|sign|indicator)\(", "\n".join(lines + rows))
+    spliced = _float_march(policy, model.state_dim)
+    called = _rk4(model.state_dim)[1]
+    assert spliced is not called
+    loop = policy.closed_loop(FLOAT_PRIMITIVES)
+    base = [0.5 * (lo + hi) for lo, hi in zip(box["sample_lower"],
+                                              box["sample_upper"])]
+    starts = edge_starts(policy, base)
+    starts += np.random.default_rng(41).uniform(
+        box["sample_lower"], box["sample_upper"],
+        (40, model.state_dim)).tolist()
+    for x0 in starts:
+        got = march_outcome(spliced, None, x0, dt, steps)
+        assert got == march_outcome(called, loop, x0, dt, steps), (name, x0)
+        assert got[2] == steps
+
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_compiled_march_matches_former_on_linear_systems(n):
@@ -690,12 +844,38 @@ def test_compiled_march_matches_former_on_linear_systems(n):
 
 def test_compiled_march_stops_where_the_former_does():
     """The double integrator from s = 1.79e308 leaves finite values at
-    step 8 on the policy's statement and on the fallback."""
+    step 8 on the policy's statement and on the fallback.  From states
+    with a component at +-1.79e308 or +-1e306, the march with each
+    statement's closed loop written in stops after the same step as the
+    march calling it, with the same points and slopes, on every case of
+    `SPLICE_CASES` (or raises the same `ValueError`)."""
     model, policy, _ = make_benchmark("double_integrator")
     for pol in (policy, dataclasses.replace(policy, closed_loop=None)):
         assert assert_march_matches_former(
             _kernel(model, pol, FLOAT_PRIMITIVES), [1.79e308, 1e306], 0.1,
             100) == 8
+    stops = set()
+    for name, params in SPLICE_CASES:
+        model, policy, _ = make_benchmark(name, params)
+        box = BENCHMARK_DEFAULTS[name]
+        n, steps = model.state_dim, box["n_flow_steps"]
+        dt = box["t_horizon_s"] / steps
+        spliced = _float_march(policy, n)
+        loop = policy.closed_loop(FLOAT_PRIMITIVES)
+        base = [0.5 * (lo + hi) for lo, hi in zip(box["sample_lower"],
+                                                  box["sample_upper"])]
+        starts = [base[:k] + [big] + base[k + 1:] for k in range(n)
+                  for big in (1.79e308, -1.79e308, 1e306, -1e306)]
+        starts += [[big] * n for big in (1.79e308, -1.79e308, 1e306)]
+        starts += [[big] + [1e306 * math.copysign(1.0, big)] * (n - 1)
+                   for big in (1.79e308, -1.79e308)]
+        for x0 in starts:
+            got = march_outcome(spliced, None, x0, dt, steps)
+            assert got == march_outcome(_rk4(n)[1], loop, x0, dt,
+                                        steps), (name, params, x0)
+            stops.add((name, got[2] if isinstance(got, tuple) else got))
+    # some starts stop at the first step, some never, and these mid-path
+    assert {("double_integrator", 8), ("dubins", 10)} <= stops
 
 
 def former_q_step(jacs, q, dt):
