@@ -10,7 +10,11 @@ with ``Hhat`` the Lax-Friedrichs-dissipated Hamiltonian built from
 first-order upwind differences.  The outer min freezes improvements so the
 iteration is monotone nonincreasing and its fixpoint is the viability
 value; the zero-superlevel set of the converged field approximates the
-maximal control invariant set.
+maximal control invariant set.  A pass works on per-axis contiguous fields
+(one array per axis for the central gradient and the drift, one per input
+and axis for the input matrix) and sums them in the order ``np.einsum``
+sums over an axis, so its fields have the bits of the former ``einsum``
+pass (see `_box_hamiltonian`).
 
 Grids serialize to a plain CSV format (header lines ``# axis i: lower
 upper count [periodic]``, then one ``index..., coords..., value`` row per
@@ -162,22 +166,72 @@ def constraint_grid(geometry: GridGeometry, spec: SafetySpec) -> LevelGrid:
     return LevelGrid(geometry, path_values(spec, geometry.nodes())[1])
 
 
-def _box_hamiltonian(model: SystemModel, p: Array, f: Array, g: Array) -> Array:
-    """``max over u in the box of p . (f + g u)`` from drift ``f`` and input
-    matrix ``g`` at the same points: the input contributes
-    ``|p.g_j| * halfwidth_j + (p.g_j) * center_j`` per channel."""
+def _dot(p: Array, q: Array, lanes: int, out: Array, work: Array) -> Array:
+    """``sum_i p[i] * q[i]`` over the first axis into ``out``, with ``work``
+    for the products, in ``lanes`` lanes: lane ``k`` adds the terms ``k,
+    k + lanes, ...`` in index order, then the lanes are added in order."""
+    def lane(k: int, acc: Array) -> Array:
+        np.multiply(p[k], q[k], out=acc)
+        for i in range(k + lanes, len(p), lanes):
+            np.multiply(p[i], q[i], out=work)
+            acc += work
+        return acc
+
+    lane(0, out)
+    for k in range(1, min(lanes, len(p))):
+        out += lane(k, work if k + lanes >= len(p) else np.empty_like(out))
+    return out
+
+
+def _box_hamiltonian(model: SystemModel, p: Array, f: Array, g: Array,
+                     out: Array, work: Array) -> Array:
+    """``max over u in the box of p . (f + g u)`` from the per-axis fields
+    ``p`` and drift ``f``, shape ``(n,) + shape``, and input matrix ``g``,
+    ``(m, n) + shape``, at the same points, into ``out`` (``shape``) with
+    ``work`` (``shape``) as scratch: the input contributes
+    ``|p.g_j| * halfwidth_j + (p.g_j) * center_j`` per channel.
+
+    The value has the bits of the ``np.einsum`` form on ``(..., n)`` and
+    ``(..., n, m)`` fields (kept in the tests as the oracle) for up to 7
+    states, because each sum is taken in ``einsum``'s order: over a
+    contiguous axis (``p.f``, and ``p.g_j`` for one input) in two lanes,
+    even terms and odd terms; over a strided one (``p.g_j`` for several
+    inputs) in index order.  ``einsum`` starts each lane from +0.0, which
+    only turns a -0.0 into +0.0; the box term ``|p.g| * halfwidth``
+    (never -0.0) is added first and does the same.  One input's terms are
+    products; several inputs' are one ``(P, m) @ (m,)`` product, which
+    reaches the BLAS kernel of the stacked one (it fuses multiply-adds)."""
     half = 0.5 * (model.input_upper - model.input_lower)
     center = 0.5 * (model.input_upper + model.input_lower)
-    pf = np.einsum("...i,...i->...", p, f)
-    pg = np.einsum("...i,...ij->...j", p, g)
-    return pf + np.abs(pg) @ half + pg @ center
+    _dot(p, f, 2, out, work)
+    if len(g) == 1:
+        pg = _dot(p, g[0], 2, np.empty_like(out), work)
+        np.abs(pg, out=work)
+        work *= half[0]
+        out += work
+        pg *= center[0]
+        out += pg
+        return out
+    pg = np.empty(out.shape + (len(g),))
+    for j, g_j in enumerate(g):
+        _dot(p, g_j, 1, pg[..., j], work)
+    flat, flat_work = pg.reshape(-1, len(g)), work.reshape(-1)
+    np.matmul(np.abs(flat), half, out=flat_work)
+    out += work
+    np.matmul(flat, center, out=flat_work)
+    out += work
+    return out
 
 
 def hamiltonian(model: SystemModel, x: Array, p: Array) -> Array:
     """``max over u in the box of p . (f(x) + g(x) u)`` in closed form."""
     x = np.asarray(x, dtype=float)
-    return _box_hamiltonian(model, np.asarray(p, dtype=float),
-                            model.f_eval(x), model.g_eval(x))
+    p, f = np.broadcast_arrays(np.asarray(p, dtype=float), model.f_eval(x))
+    g = np.broadcast_to(model.g_eval(x), p.shape + (model.input_dim,))
+    out, work = np.empty(p.shape[:-1]), np.empty(p.shape[:-1])
+    _box_hamiltonian(model, np.moveaxis(p, -1, 0), np.moveaxis(f, -1, 0),
+                     np.moveaxis(g, (-1, -2), (0, 1)), out, work)
+    return out if out.ndim else out[()]
 
 
 def _face_differences(v: Array, axis: int, periodic: bool, h: float,
@@ -241,16 +295,19 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
     g_nodes = model.g_eval(pts)                       # (P, n, m)
     u_abs = np.maximum(np.abs(model.input_lower), np.abs(model.input_upper))
 
-    shape = geom.counts
-    f_grid = f_nodes.reshape(shape + (geom.dims,))
-    g_grid = g_nodes.reshape(shape + (geom.dims, model.input_dim))
-
     # Global dissipation coefficients: per-axis bound on |dH/dp_i|.
     alpha = (np.max(np.abs(f_nodes), axis=0)
              + np.abs(g_nodes).max(axis=0) @ u_abs)
     spacings = np.array([geom.spacing(i) for i in range(geom.dims)])
     cfl_rate = float(np.sum(alpha / spacings))
     dt = 0.9 / cfl_rate if cfl_rate > 0.0 else 1.0
+
+    # per-axis contiguous fields (n,) + shape and (m, n) + shape, in place
+    # of the node arrays
+    shape = geom.counts
+    f = np.ascontiguousarray(f_nodes.T).reshape((geom.dims,) + shape)
+    g = np.ascontiguousarray(g_nodes.T).reshape(g_nodes.shape[:0:-1] + shape)
+    del pts, f_nodes, g_nodes
 
     v = grid0.values.copy()
     value_floor = float(v.min()) - 2.0 * max(float(v.max() - v.min()), 1.0)
@@ -260,23 +317,23 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
     face_shapes = [shape[:ax] + (n + 1,) + shape[ax + 1:]
                    for ax, n in enumerate(shape)]
     faces = np.empty(max(map(math.prod, face_shapes)))
-    grads_c = np.empty(shape + (geom.dims,))
-    diss, work = np.empty(shape), np.empty(shape)
+    grads = np.empty((geom.dims,) + shape)
+    diss, work, ham = np.empty(shape), np.empty(shape), np.empty(shape)
     for step in range(max_steps):
         diss.fill(0.0)
         for ax, face_shape in enumerate(face_shapes):
             d = faces[:math.prod(face_shape)].reshape(face_shape)
             d_minus, d_plus = _face_differences(v, ax, geom.periodic_axes[ax],
                                                 spacings[ax], d)
-            np.add(d_minus, d_plus, out=work)   # one strided write, below
-            np.multiply(work, 0.5, out=grads_c[..., ax])
+            np.add(d_minus, d_plus, out=grads[ax])
+            grads[ax] *= 0.5
             np.subtract(d_plus, d_minus, out=work)
             work *= 0.5 * alpha[ax]
             diss += work
 
         # V evolves forward as V_t = H(x, DV) (frozen by the outer min), so
         # the monotone Lax-Friedrichs form *adds* the dissipation term.
-        ham = _box_hamiltonian(model, grads_c, f_grid, g_grid)
+        _box_hamiltonian(model, grads, f, g, ham, work)
         ham += diss
 
         # v_new <= v: v >= value_floor from the start, dt > 0, and adding a

@@ -68,6 +68,11 @@ import numpy as np
 
 from .errors import EvaluationError, ValidationError
 
+try:                    # the clip ufunc that `np.clip` calls, without its wrappers
+    from numpy._core.umath import clip as _clip
+except ImportError:     # numpy 1.x
+    from numpy.core.umath import clip as _clip
+
 Array = np.ndarray
 
 
@@ -94,7 +99,7 @@ def smooth_positive_indicator(v: Array | float, eps: float) -> Array:
     v = np.asarray(v, dtype=float)
     if eps == 0.0:
         return (v > 0.0).astype(float)
-    t = np.clip((v + eps) / eps, 0.0, 1.0)
+    t = _clip((v + eps) / eps, 0.0, 1.0)
     return t * t * (3.0 - 2.0 * t)
 
 
@@ -111,7 +116,7 @@ def smooth_sign(y: Array | float, eps: float) -> Array:
     y = np.asarray(y, dtype=float)
     if eps == 0.0:
         return np.sign(y)
-    q = np.clip(y / eps, -1.0, 1.0)
+    q = _clip(y / eps, -1.0, 1.0)
     return q * (2.0 - np.abs(q))
 
 
@@ -134,20 +139,23 @@ def smooth_saturate(y: Array | float, lo: float, hi: float, eps: float) -> Array
     on bands of half-width eps around each bound.
 
     The blend is evaluated only on the elements inside a band, which in a
-    batch are usually few; each gets the same expression either way."""
+    batch are usually few (an empty band is skipped); each gets the same
+    expression either way."""
     _check_blend(lo, hi, eps)
     y = np.asarray(y, dtype=float)
     if eps == 0.0:
-        return np.clip(y, lo, hi)
-    out = np.clip(y, lo, hi)
-    if out.ndim == 0:           # np.clip of a 0-d array is a read-only scalar
+        return _clip(y, lo, hi)
+    out = _clip(y, lo, hi)
+    if out.ndim == 0:           # the clip of a 0-d array is a read-only scalar
         out = np.array(out)
     band = (y > hi - eps) & (y < hi + eps)
-    yb = y[band]
-    out[band] = yb - (yb - (hi - eps)) ** 2 / (4.0 * eps)
+    if np.count_nonzero(band):
+        yb = y[band]
+        out[band] = yb - (yb - (hi - eps)) ** 2 / (4.0 * eps)
     band = (y > lo - eps) & (y < lo + eps)
-    yb = y[band]
-    out[band] = yb + ((lo + eps) - yb) ** 2 / (4.0 * eps)
+    if np.count_nonzero(band):
+        yb = y[band]
+        out[band] = yb + ((lo + eps) - yb) ** 2 / (4.0 * eps)
     return out
 
 
@@ -222,10 +230,11 @@ def _saturate_lines(out: str, y: str, lo, hi, eps) -> list[str]:
 
 
 def _sign_lines(out: str, y: str, eps) -> list[str]:
-    """`smooth_sign` on one float."""
+    """`smooth_sign` on one float (``np.sign`` if ``eps == 0``: +0.0 at
+    +-0.0, the NaN itself at a NaN)."""
     return _chain(
         (_folded(eps, "==", 0.0),
-         [f"{out} = 0.0 if {y} == 0.0 else (1.0 if {y} > 0.0 else -1.0)"]),
+         [f"{out} = 1.0 if {y} > 0.0 else (-1.0 if {y} < 0.0 else {y} + 0.0)"]),
         (True, [f"q = {y} / {eps}"] + _chain(
             ("-1.0 > q", [f"{out} = -1.0"]), ("q > 1.0", [f"{out} = 1.0"]),
             (True, [f"{out} = q * (2.0 - abs(q))"]))))
@@ -499,6 +508,21 @@ def _number(params: dict, key: str, default: float) -> float:
     if value.ndim != 0:
         raise ValidationError(f"parameter {key!r} must be a single number")
     return float(value)
+
+
+def _derived(expression: str, compute: Callable[[], float], *keys: str
+             ) -> float:
+    """The constant ``compute()`` (written ``expression``) that a builder
+    derives from the parameters ``keys``; `ValidationError` naming them if
+    it overflows."""
+    try:
+        value = compute()
+    except OverflowError:           # float ** raises where float * gives inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"{expression} overflows: parameter "
+                              f"{' or '.join(map(repr, keys))} is too large")
+    return value
 
 
 def _smoothing_eps(params: dict, default_eps: float) -> float:
@@ -872,8 +896,10 @@ def _build_dubins(params: dict):
     if min(y_max, psi_max, a_max, r_max, k_v) <= 0.0:
         raise ValidationError("dubins box parameters must be > 0")
 
-    eps_a = eps_frac * a_max
-    eps_r = eps_frac * r_max
+    eps_a = _derived("eps_frac * a_max_mps2", lambda: eps_frac * a_max,
+                     "eps_frac", "a_max_mps2")
+    eps_r = _derived("eps_frac * r_max_radps", lambda: eps_frac * r_max,
+                     "eps_frac", "r_max_radps")
 
     if terminal_p is None:
         if aggressive:
@@ -884,7 +910,16 @@ def _build_dubins(params: dict):
             a_cl = np.array([[0.0, 0.0, v_des],
                              [0.0, -k_v, 0.0],
                              [k_y[0], 0.0, k_y[1]]])
-            p_mat = _lyapunov_3x3(a_cl)
+            try:
+                p_mat = _lyapunov_3x3(a_cl)
+            except np.linalg.LinAlgError:       # a singular Lyapunov operator
+                p_mat = np.full((3, 3), np.nan)
+            if not (np.all(np.isfinite(p_mat))
+                    and np.all(np.linalg.eigvalsh(p_mat) > 0.0)):
+                raise ValidationError(
+                    "k_y, k_v_per_s and v_des_mps give no finite positive "
+                    "definite terminal P (A^T P + P A = -I for their closed "
+                    "loop linearized at v_des); pass terminal_p")
     else:
         p_mat = _numbers("terminal_p", terminal_p)
     if p_mat.shape != (3, 3) or not np.allclose(p_mat, p_mat.T):
@@ -927,7 +962,11 @@ def _build_aeroplane(params: dict):
     v_b = _number(params, "v_b_mps", 1.0)
     u_max = _number(params, "u_max_radps", 1.0)
     r_min = _number(params, "r_min_m", 1.0)
+    # the squares the statement takes (this one also bounds the default
+    # 1.2 * r_min below the float range)
+    _derived("r_min_m ** 2", lambda: r_min ** 2, "r_min_m")
     r_term = _number(params, "r_terminal_m", 1.2 * r_min)
+    _derived("r_terminal_m ** 2", lambda: r_term ** 2, "r_terminal_m")
     alpha = _number(params, "alpha_gain_per_s", 1.0)
     # The turn-away policy slides along dy = 0 once the opponent falls
     # behind; the blend slope (2/eps) times |dx| sets the stiffness of the

@@ -87,6 +87,70 @@ def test_hamiltonian_is_box_maximum():
         assert hamiltonian(model, x, p) == pytest.approx(vals.max(), abs=1e-9)
 
 
+def former_box_hamiltonian(model, p, f, g):
+    """The former Hamiltonian on ``(..., n)`` and ``(..., n, m)`` fields, by
+    ``np.einsum`` and stacked matmuls, kept as the bit reference."""
+    half = 0.5 * (model.input_upper - model.input_lower)
+    center = 0.5 * (model.input_upper + model.input_lower)
+    pf = np.einsum("...i,...i->...", p, f)
+    pg = np.einsum("...i,...ij->...j", p, g)
+    return pf + np.abs(pg) @ half + pg @ center
+
+
+def signed_samples(rng, shape):
+    """Magnitudes 1e-3 to 1e3 of either sign, with one entry in ten +-0.0."""
+    out = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+    zero = rng.random(shape) < 0.1
+    out[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+    return out
+
+
+def box_model(n, m, lower, upper, f, g):
+    """A model of ``n`` states and ``m`` inputs in the box ``[lower, upper]``
+    whose drift and input matrix are the fixed fields ``f`` and ``g``."""
+    return SystemModel(n, m, lambda x: f, lambda x: g, None, None,
+                       np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
+
+
+@pytest.mark.parametrize("box", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hamiltonian_matches_the_einsum_form(n, m, box):
+    """The per-axis Hamiltonian has the bits (and the type) of the former
+    einsum form, on grid-shaped and flat fields and at one point, in a box
+    centred on zero and in one that is not, with +-0.0 among the terms."""
+    rng = np.random.default_rng([n, m, box == "symmetric"])
+    half = 10.0 ** rng.uniform(-1.0, 1.0, m)
+    center = 0.0 if box == "symmetric" else signed_samples(rng, m)
+    for shape in [(6, 5, 7), (9, 11), (300,), ()]:
+        p, f = signed_samples(rng, shape + (n,)), signed_samples(rng, shape + (n,))
+        g = signed_samples(rng, shape + (n, m))
+        model = box_model(n, m, center - half, center + half, f, g)
+        want = former_box_hamiltonian(model, p, f, g)
+        got = hamiltonian(model, np.zeros(n), p)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # the solve's route: contiguous per-axis fields into a buffer
+        fields = [np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (p, f)]
+        out = hjgrid._box_hamiltonian(
+            model, *fields, np.ascontiguousarray(np.moveaxis(g, (-1, -2), (0, 1))),
+            np.empty(shape), np.empty(shape))
+        assert out.tobytes() == np.asarray(want).tobytes()
+
+
+def test_hamiltonian_broadcasts_points_and_costates():
+    """One state against many costates, and many states against one, as
+    the einsum form broadcast them."""
+    model, _, _ = make_benchmark("dubins")
+    rng = np.random.default_rng(11)
+    xs = rng.uniform([-1.8, 0.0, -1.0], [1.8, 8.0, 1.0], (7, 3))
+    ps = rng.normal(size=(7, 3))
+    for x, p in [(xs[0], ps), (xs, ps[0]), (xs, ps)]:
+        xb, pb = np.broadcast_arrays(x, p)
+        want = former_box_hamiltonian(model, pb, model.f_eval(xb), model.g_eval(xb))
+        assert hamiltonian(model, x, p).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # value iteration
 # ---------------------------------------------------------------------------
@@ -204,9 +268,10 @@ def _side_values(v, axis, periodic):
     return np.moveaxis(prev, 0, axis), np.moveaxis(nxt, 0, axis)
 
 
-def reference_solve_passes(grid0, model, passes):
-    """The value iteration of `solve_invariant` with ``tol = 0``, its
-    differences taken from the neighbour fields of `_side_values` (the
+def reference_solve_passes(grid0, model, passes, tol=0.0):
+    """The value iteration of `solve_invariant` for at most ``passes``
+    passes, its differences taken from the neighbour fields of
+    `_side_values` and its Hamiltonian from `former_box_hamiltonian` (the
     former pass, kept as the bit reference)."""
     geom = grid0.geometry
     pts = geom.nodes()
@@ -222,7 +287,7 @@ def reference_solve_passes(grid0, model, passes):
     dt = 0.9 / cfl_rate if cfl_rate > 0.0 else 1.0
     v = grid0.values.copy()
     value_floor = float(v.min()) - 2.0 * max(float(v.max() - v.min()), 1.0)
-    for _ in range(passes):
+    for step in range(passes):
         grads_c = np.empty(shape + (geom.dims,))
         diss = np.zeros(shape)
         for ax in range(geom.dims):
@@ -231,11 +296,13 @@ def reference_solve_passes(grid0, model, passes):
             d_plus = (nxt - v) / spacings[ax]
             grads_c[..., ax] = 0.5 * (d_minus + d_plus)
             diss += 0.5 * alpha[ax] * (d_plus - d_minus)
-        ham = hjgrid._box_hamiltonian(model, grads_c, f_grid, g_grid) + diss
+        ham = former_box_hamiltonian(model, grads_c, f_grid, g_grid) + diss
         v_new = np.maximum(v + dt * np.minimum(0.0, ham), value_floor)
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
-    return v, hjgrid.SolveRecord(passes, delta, delta < 0.0, dt, cfl_rate * dt)
+        if delta < tol:
+            break
+    return v, hjgrid.SolveRecord(step + 1, delta, delta < tol, dt, cfl_rate * dt)
 
 
 @pytest.mark.parametrize("name, geom", [
@@ -254,6 +321,22 @@ def test_value_iteration_matches_the_neighbour_field_pass(name, geom):
     out = solve_invariant(grid0, model, tol=0.0, max_steps=25)
     values, record = reference_solve_passes(grid0, model, 25)
     assert np.array_equal(out.values, values)
+    assert out.values.tobytes() == values.tobytes()
+    assert out.solve == record
+
+
+def test_converged_dubins_solve_matches_the_former_pass():
+    """A full solve to the default tolerance on Dubins 21^3 (two inputs, so
+    the box terms go through the matrix product) stops after the same pass
+    as the former one, with the same field and record bit for bit."""
+    model, _, spec = make_benchmark("dubins")
+    geom = GridGeometry((-2.25, -1.0, -1.25), (2.25, 11.0, 1.25), (21, 21, 21),
+                        (False, False, False))
+    grid0 = constraint_grid(geom, spec)
+    out = solve_invariant(grid0, model, tol=1e-3)
+    values, record = reference_solve_passes(grid0, model, hjgrid.HJ_MAX_STEPS,
+                                            tol=1e-3)
+    assert out.solve.converged
     assert out.values.tobytes() == values.tobytes()
     assert out.solve == record
 

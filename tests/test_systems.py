@@ -148,6 +148,33 @@ def test_unknown_benchmark_and_params_rejected():
         make_benchmark("toy1d", {"smoothing_eps": 2.5})
 
 
+@pytest.mark.parametrize("name, params, named", [
+    ("aeroplane", {"r_min_m": 1e200, "r_terminal_m": 2e200}, "'r_min_m'"),
+    ("aeroplane", {"r_min_m": 1.6e308}, "'r_min_m'"),
+    ("aeroplane", {"r_terminal_m": 1e155}, "'r_terminal_m'"),
+    ("dubins", {"eps_frac": 1e300, "a_max_mps2": 1e10}, "'a_max_mps2'"),
+    ("dubins", {"eps_frac": 1e300, "r_max_radps": 1e10}, "'r_max_radps'"),
+    ("dubins", {"v_des_mps": 1e300}, "v_des_mps"),
+    ("dubins", {"k_v_per_s": 1e300}, "k_v_per_s"),
+    ("dubins", {"k_y": [0.0, 0.0]}, "k_y"),
+])
+def test_derived_constants_out_of_range_are_refused(name, params, named):
+    """Finite parameters whose derived constants overflow (the aeroplane's
+    squared radii, the Dubins blend widths) or leave the Dubins terminal
+    ``P`` without a finite positive definite solution are refused with a
+    `ValidationError` that names them, not a bare ``OverflowError`` or
+    ``LinAlgError``."""
+    with pytest.raises(ValidationError, match=named):
+        make_benchmark(name, params)
+
+
+def test_derived_constants_in_range_are_kept():
+    """Radii just inside the float range of their squares still build."""
+    model, _, spec = make_benchmark("aeroplane", {"r_min_m": 1e150})
+    assert spec.constraints[0].h_eval(np.zeros(3)) == -(1e150 ** 2)
+    make_benchmark("aeroplane", {"r_min_m": 1.0, "r_terminal_m": 1e154})
+
+
 # ---------------------------------------------------------------------------
 # invariants: policy in box, Jacobians vs finite differences
 # ---------------------------------------------------------------------------
@@ -549,6 +576,104 @@ def test_band_only_saturation_matches_where_blend_on_random_batches(y):
                          reference(np.array(y), -3.0, 3.0, 0.15))
 
 
+def former_smooth_positive_indicator(v, eps):
+    """`smooth_positive_indicator` through ``np.clip``, the body it had
+    before it called the clip ufunc, kept verbatim."""
+    v = np.asarray(v, dtype=float)
+    if eps == 0.0:
+        return (v > 0.0).astype(float)
+    t = np.clip((v + eps) / eps, 0.0, 1.0)
+    return t * t * (3.0 - 2.0 * t)
+
+
+def former_smooth_sign(y, eps):
+    """`smooth_sign` through ``np.clip``, kept verbatim."""
+    y = np.asarray(y, dtype=float)
+    if eps == 0.0:
+        return np.sign(y)
+    q = np.clip(y / eps, -1.0, 1.0)
+    return q * (2.0 - np.abs(q))
+
+
+def former_smooth_saturate(y, lo, hi, eps):
+    """`smooth_saturate` through ``np.clip``, gathering and scattering each
+    band even when it is empty, kept verbatim."""
+    y = np.asarray(y, dtype=float)
+    if eps == 0.0:
+        return np.clip(y, lo, hi)
+    out = np.clip(y, lo, hi)
+    if out.ndim == 0:
+        out = np.array(out)
+    band = (y > hi - eps) & (y < hi + eps)
+    yb = y[band]
+    out[band] = yb - (yb - (hi - eps)) ** 2 / (4.0 * eps)
+    band = (y > lo - eps) & (y < lo + eps)
+    yb = y[band]
+    out[band] = yb + ((lo + eps) - yb) ** 2 / (4.0 * eps)
+    return out
+
+
+def _edge_probes(edges):
+    """NaN, +-0.0, +-inf, +-1e308, and each edge with its two `nextafter`
+    neighbours."""
+    out = [math.nan, 0.0, -0.0, math.inf, -math.inf, 1e308, -1e308]
+    for e in edges:
+        out += [e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)]
+    return out
+
+
+def _smoothing_cases():
+    """(smoothing, former body, parameters, probes) for eps 0 and eps > 0:
+    the edges are each band's ends and the clamps."""
+    for eps in (0.0, 0.25, 1e-3):
+        yield (smooth_positive_indicator, former_smooth_positive_indicator,
+               (eps,), _edge_probes([-eps, 0.0, -0.5 * eps, 1.0]))
+        yield (smooth_sign, former_smooth_sign, (eps,),
+               _edge_probes([-eps, eps, 0.0, 0.5 * eps, 2.0]))
+    for lo, hi, eps in ((-3.0, 3.0, 0.15), (-0.5, 0.5, 0.0), (0.0, 2.0, 0.1),
+                        (-3.0, 3.0, 0.0)):
+        yield (smooth_saturate, former_smooth_saturate, (lo, hi, eps),
+               _edge_probes([lo - eps, lo, lo + eps, hi - eps, hi, hi + eps,
+                             0.5 * (lo + hi)]))
+
+
+SMOOTHING_CASES = list(_smoothing_cases())
+
+
+@pytest.mark.parametrize("fn, former, params, probes", SMOOTHING_CASES,
+                         ids=[f"{c[0].__name__}-{c[2]}" for c in SMOOTHING_CASES])
+def test_smoothings_match_their_np_clip_bodies(fn, former, params, probes):
+    """The smoothings that call the clip ufunc (and skip an empty band)
+    give the bits and the type of their former ``np.clip`` bodies on a
+    Python float, a numpy scalar, a 0-d array, a (1,) array and a batch,
+    at NaN, +-0, +-inf, +-1e308 and each band edge with its neighbours."""
+    with np.errstate(over="ignore", invalid="ignore"):     # +-1e308 / eps
+        for y in probes:
+            for arg in (y, np.float64(y), np.array(y), np.array([y])):
+                got, want = fn(arg, *params), former(arg, *params)
+                assert type(got) is type(want), (y, params)
+                assert same_bits(got, want), (y, params)
+        batch = np.array(probes)
+        assert same_bits(fn(batch, *params), former(batch, *params))
+        assert same_bits(fn(batch.reshape(-1, 1), *params),
+                         former(batch.reshape(-1, 1), *params))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.25])
+def test_float_twins_match_their_array_primitives_on_special_values(eps):
+    """Each float twin gives the bits of its array primitive at NaN, +-0.0
+    and +-inf, with a blend (eps > 0) and without (eps = 0).  The NaN is
+    the positive one: a blend of a negative NaN multiplies two NaNs of
+    opposite sign, and which one CPython returns changes once it
+    specializes the multiply."""
+    for y in (math.nan, 0.0, -0.0, math.inf, -math.inf):
+        for twin, array in ((_indicator_float, smooth_positive_indicator),
+                            (_sign_float, smooth_sign)):
+            assert same_bits(twin(y, eps), array(np.array(y), eps)), (twin, y)
+        assert same_bits(_saturate_float(y, -3.0, 3.0, eps),
+                         smooth_saturate(np.array(y), -3.0, 3.0, eps)), y
+
+
 # ---------------------------------------------------------------------------
 # Constant terms and safety functions against the bodies they had before
 # they were generated, each kept verbatim below.
@@ -901,11 +1026,15 @@ def same_float(a: float, b: float) -> bool:
 @pytest.mark.parametrize("eps", [0.25, 0.05, 1.0, 0.0])
 def test_float_primitives_match_former_clamps(eps):
     """Same value and sign as the ``min(max(...))`` bodies at the band
-    edges and their neighbours, at +-0.0, NaN and +-inf."""
+    edges and their neighbours, at +-0.0, NaN and +-inf (except the hard
+    sign at a NaN, which now follows ``np.sign``)."""
     for v in _probes([-eps, 0.0, eps, -2.0 * eps, 1.0, -1.0]):
         assert same_float(_indicator_float(v, eps),
                           former_indicator_float(v, eps)), (v, eps)
-        assert same_float(_sign_float(v, eps), former_sign_float(v, eps)), (v, eps)
+        # without a blend a NaN now gives np.sign's NaN, where the former
+        # twin gave -1.0
+        sign = v if eps == 0.0 and math.isnan(v) else former_sign_float(v, eps)
+        assert same_float(_sign_float(v, eps), sign), (v, eps)
     for lo, hi in ((-3.0, 3.0), (-0.5, 0.5), (-5.0, 5.0)):
         edges = [b + d for b in (lo, hi) for d in (-eps, 0.0, eps)]
         for y in _probes(edges + [0.5 * (lo + hi), 2.0 * hi, 2.0 * lo]):
