@@ -32,7 +32,8 @@ import numpy as np
 from .errors import QpSolverError, ValidationError
 from .flow import FlowTrajectory, integrate_flow, integrate_flow_batch
 from .qp import QpProblem, QpSolver
-from .systems import BackupPolicy, SafetySpec, SystemModel, check_finite
+from .systems import (BackupPolicy, SafetySpec, SystemModel, check_finite,
+                      is_finite_real, is_integer)
 
 Array = np.ndarray
 
@@ -151,10 +152,11 @@ def build_constraints(model: SystemModel, spec: SafetySpec,
     ``margin >= 0`` tightens every row by a constant, compensating
     inter-sample error of the time grid.
     """
+    if not (is_finite_real(margin) and margin >= 0.0):
+        raise ValidationError(f"margin must be a finite number >= 0, got "
+                              f"{margin!r}")
     traj = evaluation.trajectory
     x = traj.origin
-    if margin < 0.0:
-        raise ValidationError("margin must be >= 0")
 
     f0 = model.f_eval(x)
     g0 = model.g_eval(x)
@@ -307,8 +309,8 @@ def relative_degree_probe(model: SystemModel, policy: BackupPolicy,
                           seed: int = 0) -> float:
     """Fraction of uniformly sampled states whose terminal row has a
     nonzero input coefficient."""
-    if count < 1:
-        raise ValidationError("count must be >= 1")
+    if not (is_integer(count) and count >= 1):
+        raise ValidationError(f"count must be an integer >= 1, got {count!r}")
     rng = np.random.default_rng(seed)
     samples = rng.uniform(lower, upper, size=(count, model.state_dim))
     coeff = terminal_row_coefficient(model, policy, spec, samples,

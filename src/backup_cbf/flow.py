@@ -3,26 +3,24 @@
 `rk4_step` is the fixed-step explicit fourth-order update, on a state held
 as one float or array per component: it advances the plant in the
 simulation harness (a whole state array as a 1-tuple) and marches the
-backup-loop state on the closed-loop kernel `_kernel` builds from the
-policy's statement ``BackupPolicy.closed_loop`` (`loop_rhs` split into
-components, for a policy without one): one state as a tuple of Python
-floats (`FLOAT_PRIMITIVES`), where numpy's per-call overhead on 2- and
-3-vectors would be most of the cost, and a batch as a tuple of contiguous
-``(B,)`` arrays (`ARRAY_PRIMITIVES`), which reads no strided columns and
-builds no ``(B, n, m)`` input matrix.  Both give the bits of a march on
-stacked `loop_rhs` calls, faster, and both record the four stage points
-of every step.  The step is written once, as a template (`_RK4_TEMPLATE`)
-that `_rk4` writes out per state component and compiles once per state
-size: stage points, kernel calls and the final combination are plain
+backup-loop state on the policy's statement ``BackupPolicy.closed_loop``
+(a `ClosedLoop`, or `loop_rhs` split into components for a policy without
+one): one state as a tuple of Python floats, where numpy's per-call
+overhead on 2- and 3-vectors would be most of the cost, and a batch as a
+tuple of contiguous ``(B,)`` arrays (the statement built on
+`ARRAY_PRIMITIVES`), which reads no strided columns and builds no
+``(B, n, m)`` input matrix.  Both give the bits of a march on stacked
+`loop_rhs` calls, faster, and both record the four stage points of every
+step.  The step is written once, as a template (`_RK4_TEMPLATE`) that
+`_rk4` writes out per state component and compiles once per state size:
+stage points, kernel calls and the final combination are plain
 statements, with no list, iterator or `zip` per stage, and the float
 march is the same template with the step inlined in its loop, appending
-each step's points and slopes with one ``+=`` each.  For a policy whose
-``closed_loop`` was generated from a benchmark statement, the float march
-also has that statement's closed loop inlined at its four stages
-(`float_kernel`: each smoothing as its float twin's branches, with the
-parameters folded into literals), compiled once per statement, so a step
-calls nothing but ``sin`` and ``cos``; a ``closed_loop`` that is replaced,
-hand-written or absent is called as before.  The sensitivity
+each step's points and slopes with one ``+=`` each.  For a policy with a
+``closed_loop``, the float march has its float kernel (``lines`` and
+``rows``: each smoothing as its float twin's branches, with the parameters
+folded into literals) inlined at its four stages, compiled once per
+statement, so a step calls nothing but ``sin`` and ``cos``.  The sensitivity
 obeys the variational equation ``Qdot = J(x) Q`` with ``J = d f_pi / d x``
 and ``Q(0) = I``; since the state never depends on ``Q``, the loop
 Jacobians only ever come from stacked `loop_jacobian` evaluations at
@@ -55,9 +53,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import FlowDivergenceError, ValidationError
-from .systems import (ARRAY_PRIMITIVES, FLOAT_PRIMITIVES, BackupPolicy,
-                      SystemModel, float_kernel, is_finite_real, is_integer,
-                      loop_jacobian, loop_rhs)
+from .systems import (ARRAY_PRIMITIVES, BackupPolicy, ClosedLoop, SystemModel,
+                      is_finite_real, is_integer, loop_jacobian, loop_rhs)
 
 Array = np.ndarray
 
@@ -154,9 +151,8 @@ def _rk4_source(template: str, n: int, kernel: tuple | None = None) -> str:
     ``{i}`` once per component ``i`` (``{next}`` is then that component's
     next value), any other line once, with ``{v}`` for ``"v0, v1, "`` (a
     tuple even for ``n = 1``); a ``{step}`` line is `_RK4_STEP`.  Given a
-    ``kernel`` ``(lines, rows)`` on ``x0, x1, ...`` (`float_kernel`), a
-    line ``{k} = deriv({v})`` is its lines on ``v0, v1, ...`` and then
-    ``k{i} = rows[i]``."""
+    `ClosedLoop` ``kernel``, a line ``{k} = deriv({v})`` is its float
+    kernel's ``lines`` on ``v0, v1, ...`` and then ``k{i} = rows[i]``."""
     names = {v: "".join(f"{v}{i}, " for i in range(n)) for v in "xabcdprs"}
     names["next"] = "".join(_RK4_NEXT.format(i=i) + ", " for i in range(n))
     lines = []
@@ -169,7 +165,7 @@ def _rk4_source(template: str, n: int, kernel: tuple | None = None) -> str:
         elif kernel is not None and call:
             slope, point = call.groups()
             body, rows = ([_STATE.sub(point, row) for row in part]
-                          for part in kernel)
+                          for part in (kernel.lines, kernel.rows))
             lines += [indent + row for row in body]
             lines += [f"{indent}{slope}{i} = {row}" for i, row in enumerate(rows)]
         elif "{i}" in line:
@@ -181,7 +177,7 @@ def _rk4_source(template: str, n: int, kernel: tuple | None = None) -> str:
 
 
 @functools.cache
-def _rk4(n: int, kernel: tuple | None = None) -> tuple[Callable, Callable]:
+def _rk4(n: int, kernel: ClosedLoop | None = None) -> tuple[Callable, Callable]:
     """``(step, march)`` for a state of ``n`` components, compiled from
     `_RK4_TEMPLATE` once per ``n`` and ``kernel`` (as `dataclasses` builds
     ``__init__``), with each ``deriv`` call written out as ``kernel``'s
@@ -196,19 +192,9 @@ def _rk4(n: int, kernel: tuple | None = None) -> tuple[Callable, Callable]:
     values near the float limit overflows)."""
     # ``inf``: a band edge folded into a kernel may overflow to it
     namespace = {"isfinite": math.isfinite, "inf": math.inf,
-                 **FLOAT_PRIMITIVES._asdict()}
+                 "sin": math.sin, "cos": math.cos}
     exec(_rk4_source(_RK4_TEMPLATE, n, kernel), namespace)
     return namespace["rk4_step"], namespace["march"]
-
-
-def _float_march(policy: BackupPolicy, n: int) -> Callable:
-    """`_rk4`'s march for one state of ``n`` components: with the kernel of
-    the policy's ``closed_loop`` written in, where it is a generated one of
-    ``n`` components, else calling ``deriv``."""
-    kernel = float_kernel(policy.closed_loop)
-    if kernel is not None and len(kernel[1]) == n:
-        return _rk4(n, kernel)[1]
-    return _rk4(n)[1]
 
 
 def rk4_step(deriv: Callable[..., tuple], x: tuple, dt: float):
@@ -238,29 +224,22 @@ def _q_step(jacs, q: Array, dt: float) -> Array:
     return q + (((k1 + (k2 + k2)) + (k3 + k3)) + k4) * (dt / 6.0)
 
 
-def _kernel(model: SystemModel, policy: BackupPolicy, table):
-    """The closed-loop derivative on one float or array per state
-    component: ``policy.closed_loop`` built on the primitive ``table``, or
-    for a policy without one, stacked `loop_rhs` split into components
-    (``np.float64`` scalars for one state, which carry the same bits as
-    floats)."""
-    if policy.closed_loop is not None:
-        return policy.closed_loop(table)
+def _closed_loop(model: SystemModel, policy: BackupPolicy) -> ClosedLoop | None:
+    """``policy.closed_loop``, or `ValidationError` for one whose rows are
+    not one per state component of ``model``."""
+    loop = policy.closed_loop
+    if loop is not None and len(loop.rows) != model.state_dim:
+        raise ValidationError(f"policy.closed_loop returns {len(loop.rows)} "
+                              f"components, expected {model.state_dim}")
+    return loop
+
+
+def _stacked(model: SystemModel, policy: BackupPolicy) -> Callable:
+    """The closed-loop derivative of a policy without ``closed_loop`` on
+    one float or array per state component: stacked `loop_rhs` split into
+    components (``np.float64`` scalars for one state, which carry the same
+    bits as floats)."""
     return lambda *x: tuple(loop_rhs(model, policy, np.stack(x, axis=-1)).T)
-
-
-def _march(march: Callable, loop: Callable, x: tuple, *args):
-    """``march(loop, x, *args)``; after a `ValueError` from it, which the
-    compiled step raises for a ``loop`` of the wrong arity, one call of
-    ``loop`` at ``x`` names a wrong count with `ValidationError`."""
-    try:
-        return march(loop, x, *args)
-    except ValueError as exc:
-        got = len(loop(*x))
-        if got != len(x):
-            raise ValidationError(f"policy.closed_loop returns {got} "
-                                  f"components, expected {len(x)}") from exc
-        raise
 
 
 def _check_slopes(slopes: Array, drifts: Array, where: Callable[..., str]):
@@ -316,14 +295,14 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
     x0 = _check_args(x0, horizon, steps, model.state_dim)
     n = x0.shape[0]
     dt = horizon / steps
-    loop = _kernel(model, policy, FLOAT_PRIMITIVES)
+    loop = _closed_loop(model, policy)
+    deriv = _stacked(model, policy) if loop is None else None
     with np.errstate(over="ignore", invalid="ignore"):
-        points, slopes = _march(_float_march(policy, n), loop,
-                                tuple(x0.tolist()), dt, steps)
+        points, slopes = _rk4(n, loop)[1](deriv, tuple(x0.tolist()), dt, steps)
         points = np.array(points).reshape(-1, n)
         states = points[::4].copy()
         drifts = loop_rhs(model, policy, states)
-        if policy.closed_loop is not None:
+        if loop is not None:
             _check_slopes(np.array(slopes).reshape(-1, n), drifts[:-1],
                           lambda node, k: f"node {node}, component {k}")
         jacs = iter(loop_jacobian(model, policy, points[:-1]))
@@ -356,7 +335,8 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     switched off.
 
     The states march as one contiguous ``(B,)`` array per component
-    through `rk4_step` on the `_kernel` built on `ARRAY_PRIMITIVES`.
+    through `rk4_step` on ``closed_loop`` built on `ARRAY_PRIMITIVES` (or
+    on `loop_rhs` split into components, for a policy without one).
     With ``closed_loop`` set, its slopes must equal the stacked `loop_rhs`
     of ``model`` (NaN equal to NaN) at every stage of every row of the
     first and the last step, and at the start of every other step on row 0
@@ -374,7 +354,8 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     q = np.broadcast_to(np.eye(n), (b, n, n)).copy() if with_sensitivity else None
     if observer is not None:
         observer(x0s)
-    loop = _kernel(model, policy, ARRAY_PRIMITIVES)
+    loop = _closed_loop(model, policy)
+    deriv = _stacked(model, policy) if loop is None else loop(ARRAY_PRIMITIVES)
     stride = -(-b // 9) or 1             # row 0 and at most eight more
     # the handful's states and slopes at the start of every step, checked
     # in one model call at the last step: a call per step on so few rows
@@ -384,8 +365,8 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     for i in range(1, steps + 1):
         # divergence is detected after the step; silence transient overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            x, stages, slopes = _march(rk4_step, loop, x, dt)
-            if policy.closed_loop is not None:
+            x, stages, slopes = rk4_step(deriv, x, dt)
+            if loop is not None:
                 for k in range(n):
                     starts[0, i - 1, :, k] = stages[0][k][::stride]
                     starts[1, i - 1, :, k] = slopes[0][k][::stride]

@@ -397,8 +397,13 @@ def compare_sets(grid_a: LevelGrid, grid_b: LevelGrid,
     """Membership overlap metrics of the two superlevel sets.
 
     ``fraction_a_not_b`` is ``|A \\ B| / |A|`` (0 when A is empty);
-    ``jaccard`` of two empty sets is 1.
+    ``jaccard`` of two empty sets is 1.  A ``threshold`` that is not a
+    finite number is refused with `ValidationError` (at NaN no cell is a
+    member, so any two sets would read equal).
     """
+    if not is_finite_real(threshold):
+        raise ValidationError(f"threshold must be a finite number, got "
+                              f"{threshold!r}")
     if not _same_geometry(grid_a.geometry, grid_b.geometry):
         raise GeometryError("grids have different geometry")
     a = grid_a.membership(threshold)

@@ -9,11 +9,12 @@ functions ``h`` once, one value per component, against a table of
 compiles from it ``f_eval``, ``g_eval``, ``pi_eval``, their Jacobians
 (forward differentiation, structural zeros left out), each safety function
 and its gradient, and the closed-loop derivative
-``BackupPolicy.closed_loop`` in `loop_rhs`'s order, which the batch flow
-builds on `ARRAY_PRIMITIVES`.  The single-state flow marches on its
-`float_kernel` instead: the same lines on floats, with each smoothing
-written out as its float twin's branches (each twin's body is written
-once, in `_FLOAT_BODIES`, and `FLOAT_PRIMITIVES` is compiled from it).
+``BackupPolicy.closed_loop`` in `loop_rhs`'s order, a `ClosedLoop` that
+the batch flow builds on `ARRAY_PRIMITIVES`.  The single-state flow
+marches on its float kernel (``lines`` and ``rows``) instead: the same
+lines on floats, with each smoothing written out as its float twin's
+branches (each twin's body is written once, in `_FLOAT_BODIES`, and
+`FLOAT_PRIMITIVES` is compiled from it).
 Only exact folds are made, so every evaluator keeps the bits of the
 hand-written body it replaced, signed zeros included, except in some
 derivatives: a few entries differ in the sign of a NaN or a zero only
@@ -271,7 +272,11 @@ _indicator_float = _float_twin("indicator", "eps")
 class Primitives(NamedTuple):
     """The nonlinear primitives a benchmark's dynamics are stated against;
     `FLOAT_PRIMITIVES` and `ARRAY_PRIMITIVES` give each entry the same bits
-    on the same input, and `_SYMBOLIC` records each call."""
+    on the same input up to a NaN's sign, which the float ``sign`` blend
+    does not fix: it multiplies two NaNs of opposite sign, and CPython's
+    specialized multiply returns the other one than its generic multiply,
+    so ``_sign_float(-nan, 0.25)`` flips sign after a few calls.
+    `_SYMBOLIC` records each call."""
 
     sin: Callable
     cos: Callable
@@ -312,8 +317,10 @@ class SystemModel:
     input_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.state_dim < 1 or self.input_dim < 1:
-            raise ValidationError("state_dim and input_dim must be positive")
+        dims = (self.state_dim, self.input_dim)
+        if not all(is_integer(d) and d >= 1 for d in dims):
+            raise ValidationError(f"state_dim and input_dim must be integers "
+                                  f">= 1, got {dims}")
         lo = np.asarray(self.input_lower, dtype=float)
         hi = np.asarray(self.input_upper, dtype=float)
         if lo.shape != (self.input_dim,) or hi.shape != (self.input_dim,):
@@ -330,6 +337,26 @@ class SystemModel:
                                tuple(f"u{j}" for j in range(self.input_dim)))
 
 
+@dataclass(frozen=True, eq=False)
+class ClosedLoop:
+    """A benchmark statement's closed-loop derivative ``f + g pi``, in
+    `loop_rhs`'s order, as `_generated` writes it.  ``closed_loop(p)``
+    builds it on the primitive table ``p`` as ``rhs(*x)``, one value per
+    state component in and a tuple out: one state as Python floats on
+    `FLOAT_PRIMITIVES`, a batch as ``(B,)`` arrays on `ARRAY_PRIMITIVES`.
+    ``lines`` and ``rows`` (one per state component) are its float kernel
+    on ``x0, x1, ...``, each smoothing written out as its float twin's
+    branches with the parameters folded in (`_FLOAT_BODIES`), which the
+    single-state flow inlines.  Compared by identity."""
+
+    build: Callable[[Primitives], Callable[..., tuple]]
+    lines: tuple[str, ...]
+    rows: tuple[str, ...]
+
+    def __call__(self, p: Primitives) -> Callable[..., tuple]:
+        return self.build(p)
+
+
 @dataclass(frozen=True)
 class BackupPolicy:
     """Feedback law ``u = pi(x)`` with its state Jacobian.
@@ -338,43 +365,34 @@ class BackupPolicy:
     ``0.0`` marks the hard (test-only) variant whose Jacobian is zero in
     saturated regions.
 
-    ``closed_loop(p)``, if given, states the closed-loop derivative
-    ``f(x) + g(x) pi(x)`` of the model built alongside this policy against
-    the primitive table ``p`` and returns it as ``rhs(*x)``, taking one
-    value per state component and returning a tuple.  Built on
-    `FLOAT_PRIMITIVES`, ``rhs`` takes one state as Python floats; built on
-    `ARRAY_PRIMITIVES`, a batch as one ``(B,)`` array per component.  For
-    a generated one, the single-state flow does not call ``rhs``: it
-    marches on the same lines inlined at each RK4 stage (`float_kernel`),
-    with the same bits; any other is called.  Each
-    build must equal `loop_rhs` bit for bit, so it sums ``g pi`` as
-    `loop_rhs` does: per row ``f_i + (((0.0 + g_i0 pi_0) + g_i1 pi_1) +
-    ...)``, each product rounded (for a dense ``g`` with two or more inputs
-    that is not always the bits of ``np.matmul``, which may fuse
-    multiply-adds).  It may share a product between rows and drop an
-    operation that is an exact identity on every input.  A built-in one is
-    generated with its model from one statement (`_generated`); one of the
-    wrong arity is refused by both flows with `ValidationError`.
+    ``closed_loop`` is ``None`` or the `ClosedLoop` generated with the
+    model this policy was built alongside (`_generated`); anything else is
+    refused with `ValidationError`.  Without one, the flows march on
+    `loop_rhs` split into components.
 
-    The flows march on it and, generated or not, check it against the
-    stacked `loop_rhs` of the model they are given.  The single-state flow
-    checks its slope at every node.  The batch flow checks every stage of
-    every row of its first and last step, and the slope at the start of
-    every other step on a fixed handful of rows (row 0 and at most eight
-    more, evenly strided): checking every stage of every row at every step
-    made the grid sweeps three to six times as long.  So a model changed
-    after this policy was built, only where no checked point of the batch
-    goes, is integrated as this statement has it, without an error.
+    The flows check ``closed_loop`` against the stacked `loop_rhs` of the
+    model they are given.  The single-state flow checks its slope at every node.  The
+    batch flow checks every stage of every row of its first and last step,
+    and the slope at the start of every other step on a fixed handful of
+    rows (row 0 and at most eight more, evenly strided): checking every
+    stage of every row at every step made the grid sweeps three to six
+    times as long.  So a model changed after this policy was built, only
+    where no checked point of the batch goes, is integrated as this
+    statement has it, without an error.
     """
 
     pi_eval: Callable[[Array], Array]
     dpi_dx: Callable[[Array], Array]
     smoothing_eps: float
-    closed_loop: Callable[[Primitives], Callable[..., tuple]] | None = None
+    closed_loop: ClosedLoop | None = None
 
     def __post_init__(self):
-        if self.smoothing_eps < 0.0:
-            raise ValidationError("smoothing_eps must be >= 0")
+        if not (is_finite_real(self.smoothing_eps) and self.smoothing_eps >= 0.0):
+            raise ValidationError(f"smoothing_eps must be a finite number "
+                                  f">= 0, got {self.smoothing_eps!r}")
+        if not isinstance(self.closed_loop, (ClosedLoop, type(None))):
+            raise ValidationError(f"closed_loop must be None or a generated "
+                                  f"ClosedLoop, got {self.closed_loop!r}")
 
 
 @dataclass(frozen=True)
@@ -395,8 +413,9 @@ class SafetySpec:
     alpha_gain: float
 
     def __post_init__(self):
-        if self.alpha_gain <= 0.0:
-            raise ValidationError("alpha_gain must be > 0")
+        if not (is_finite_real(self.alpha_gain) and self.alpha_gain > 0.0):
+            raise ValidationError(f"alpha_gain must be a finite number > 0, "
+                                  f"got {self.alpha_gain!r}")
         if len(self.constraints) == 0:
             raise ValidationError("at least one path constraint is required")
         object.__setattr__(self, "constraints", tuple(self.constraints))
@@ -698,21 +717,6 @@ def _loop_source(rows: list) -> str:
         + [f"        return ({''.join(e + ', ' for e in exprs)})", "    return rhs"])
 
 
-# id of each generated ``closed_loop`` -> (it, its kernel on floats); keyed
-# by id, as a user's ``closed_loop`` need not be hashable
-_FLOAT_KERNELS: dict[int, tuple] = {}
-
-
-def float_kernel(closed_loop) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-    """For a generated ``closed_loop``: the lines and row expressions of its
-    ``rhs`` on one state of floats ``x0, x1, ...``, with each ``saturate``,
-    ``sign`` and ``indicator`` call written out as its float twin's branches
-    and its parameters folded in (`_FLOAT_BODIES`), which does the twin's
-    IEEE operations; ``None`` for any other ``closed_loop``."""
-    entry = _FLOAT_KERNELS.get(id(closed_loop))
-    return entry[1] if entry is not None and entry[0] is closed_loop else None
-
-
 _NAMESPACE = {"asarray": np.asarray, "zeros": np.zeros, **ARRAY_PRIMITIVES._asdict(),
               "saturate_deriv": smooth_saturate_deriv,
               "sign_deriv": smooth_sign_deriv,
@@ -756,8 +760,8 @@ def _generated(name: str, statement: Callable, n: int, m: int,
                       for i, e in enumerate(h)]
                    + [_loop_source(rows)]), namespace)
     lines, exprs, _ = _statements(rows, _FLOAT_BODIES)
-    _FLOAT_KERNELS[id(namespace["closed_loop"])] = (
-        namespace["closed_loop"], (tuple(lines), tuple(exprs)))
+    namespace["closed_loop"] = ClosedLoop(namespace["closed_loop"],
+                                          tuple(lines), tuple(exprs))
     if all(d is None for d in terms["dg_dx"].flat):
         namespace["dg_dx"] = None
     safety = tuple((namespace[f"h{i}"], namespace[f"grad{i}"])

@@ -10,7 +10,7 @@ import pytest
 from backup_cbf.barrier import (TERMINAL_INDEX, build_constraints, eval_h,
                                 eval_h_batch, filter_control,
                                 relative_degree_probe, terminal_row_coefficient)
-from backup_cbf.errors import EvaluationError
+from backup_cbf.errors import EvaluationError, ValidationError
 from backup_cbf.qp import QpProblem, QpSolver
 from backup_cbf.systems import di_closed_form_h, make_benchmark
 
@@ -162,6 +162,27 @@ def test_margin_tightens_rows():
                        plain.slacks(np.array([0.0])) - 0.1)
 
 
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf, -0.1,
+                                    np.float64(math.nan), True, None, "0.1"])
+def test_margin_must_be_a_finite_number_at_least_zero(margin):
+    """`build_constraints` and `filter_control` refuse such a margin with
+    `ValidationError` naming it (a NaN or infinite one used to surface
+    only as the QP's "rows and rhs must be finite")."""
+    model, policy, spec = make_benchmark("toy1d")
+    x = np.array([1.0])
+    ev = eval_h(model, policy, spec, x, 1.0, 50)
+    with pytest.raises(ValidationError, match="margin must be a finite "
+                       "number >= 0"):
+        build_constraints(model, spec, ev, margin=margin)
+    with pytest.raises(ValidationError, match="margin must be a finite "
+                       "number >= 0"):
+        filter_control(model, policy, spec, x, np.array([0.0]), 1.0, 50,
+                       margin=margin)
+    tight = build_constraints(model, spec, ev, margin=np.float64(0.1))
+    assert np.array_equal(tight.rhs,
+                          build_constraints(model, spec, ev, margin=0.1).rhs)
+
+
 # ---------------------------------------------------------------------------
 # filter
 # ---------------------------------------------------------------------------
@@ -257,6 +278,21 @@ def test_probe_toy_positive_box():
     frac = relative_degree_probe(model, policy, spec, [0.5], [2.0],
                                  count=100, horizon=1.0, steps=100)
     assert frac == 1.0
+
+
+@pytest.mark.parametrize("count", [2.5, True, False, 0, -1, "3", None,
+                                   np.float64(3.0)])
+def test_probe_count_must_be_an_integer_at_least_one(count):
+    """``count`` that is not an integer >= 1 is refused with
+    `ValidationError` (``2.5`` and ``True`` used to raise a bare
+    `TypeError`); a numpy integer is accepted."""
+    model, policy, spec = make_benchmark("toy1d")
+    with pytest.raises(ValidationError, match="count must be an integer"):
+        relative_degree_probe(model, policy, spec, [0.5], [2.0], count=count,
+                              horizon=1.0, steps=10)
+    assert relative_degree_probe(model, policy, spec, [0.5], [2.0],
+                                 count=np.int64(3), horizon=1.0,
+                                 steps=10) == 1.0
 
 
 def test_probe_toy_singular_origin():

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from backup_cbf.barrier import eval_h, eval_h_batch, filter_control
 from backup_cbf.errors import FlowDivergenceError, ValidationError
-from backup_cbf.flow import (FlowTrajectory, _float_march, _kernel, _q_step,
-                             _rk4, integrate_flow, integrate_flow_batch,
-                             rk4_step, sensitivity_fd_check)
+from backup_cbf.flow import (FlowTrajectory, _q_step, _rk4, _stacked,
+                             integrate_flow, integrate_flow_batch, rk4_step,
+                             sensitivity_fd_check)
 from backup_cbf.systems import (ARRAY_PRIMITIVES, BENCHMARK_DEFAULTS,
                                 FLOAT_PRIMITIVES,
                                 BackupPolicy, SafetySpec, ScalarConstraint,
-                                SystemModel, closed_loop_rhs, float_kernel,
-                                loop_jacobian, loop_rhs, make_benchmark)
+                                SystemModel, closed_loop_rhs, loop_jacobian,
+                                loop_rhs, make_benchmark)
 
 
 def linear_system(a_mat):
@@ -528,29 +528,31 @@ def test_loop_arrays_checked_against_the_model():
 
 
 def test_loop_floats_check_treats_nan_as_equal():
-    """A NaN slope component at ``x0`` that both paths give is no mismatch;
-    the flow then diverges at its first step."""
-    model, policy = linear_system(np.eye(1))
-    nan_f = dataclasses.replace(
-        model, f_eval=lambda x: np.full(np.shape(x), np.nan))
-    with_floats = dataclasses.replace(
-        policy, closed_loop=lambda p: lambda x: (math.nan,))
-    with pytest.raises(FlowDivergenceError):
-        integrate_flow(nan_f, with_floats, [1.0], 1.0, 10)
+    """A NaN slope component at ``x0`` that the generated statement and
+    the model both give is no mismatch; both flows then diverge at their
+    first step.  Aggressive Dubins with ``k_y = (1e308, 1e308)`` steers on
+    ``1e308 Y + 1e308 psi``, which is ``inf - inf`` at ``Y = 2, psi = -2``."""
+    model, policy, _ = make_benchmark("dubins", {"profile": "aggressive",
+                                                 "k_y": (1e308, 1e308)})
+    x0 = [2.0, 5.0, -2.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(loop_rhs(model, policy, np.array(x0))[2])
+    assert math.isnan(policy.closed_loop(FLOAT_PRIMITIVES)(*x0)[2])
+    with pytest.raises(FlowDivergenceError, match="at step 1 "):
+        integrate_flow(model, policy, x0, 8.0, 100)
+    with pytest.raises(FlowDivergenceError, match="at step 1 .* batch row 1"):
+        integrate_flow_batch(model, policy, np.array([[0.3, 5.0, 0.1], x0]),
+                             8.0, 100)
 
 
 def test_closed_loop_of_the_wrong_arity_is_named():
-    """A hand-written ``closed_loop`` that returns two components for the
-    three states of aggressive Dubins is refused by both flows with a
-    `ValidationError` naming the statement and both counts."""
+    """The double integrator's generated closed loop, two components, on
+    the three states of the Dubins model is refused by both flows, before
+    any step, with a `ValidationError` naming the statement and both
+    counts."""
     model, policy, _ = make_benchmark("dubins", {"profile": "aggressive"})
-    full = policy.closed_loop
-
-    def cut(p):
-        rhs = full(p)
-        return lambda *x: rhs(*x)[:2]
-
-    short = dataclasses.replace(policy, closed_loop=cut)
+    _, other, _ = make_benchmark("double_integrator")
+    short = dataclasses.replace(policy, closed_loop=other.closed_loop)
     message = r"policy\.closed_loop returns 2 components, expected 3"
     with pytest.raises(ValidationError, match=message):
         integrate_flow(model, short, [0.3, 5.0, 0.1], 8.0, 100)
@@ -559,39 +561,40 @@ def test_closed_loop_of_the_wrong_arity_is_named():
                              8.0, 100)
 
 
+@pytest.mark.parametrize("loop", [lambda p: lambda *x: x, print, "rhs", 0])
+def test_closed_loop_must_be_generated(loop):
+    """A ``closed_loop`` that is neither ``None`` nor a generated
+    `ClosedLoop` is refused with `ValidationError` when the policy is made,
+    directly or by `dataclasses.replace`."""
+    _, policy, _ = make_benchmark("toy1d")
+    with pytest.raises(ValidationError, match="closed_loop must be None or "
+                       "a generated ClosedLoop"):
+        BackupPolicy(policy.pi_eval, policy.dpi_dx, policy.smoothing_eps,
+                     closed_loop=loop)
+    with pytest.raises(ValidationError, match="closed_loop must be None or "
+                       "a generated ClosedLoop"):
+        dataclasses.replace(policy, closed_loop=loop)
+
+
 def test_replaced_closed_loop_is_marched_as_given():
     """A policy whose ``closed_loop`` is swapped with `dataclasses.replace`
     marches on the replacement, never on the march compiled for the
     statement it replaced: on conservative Dubins' statement, which brakes
     no car at 5 m/s, aggressive Dubins' model and ``pi`` are refused at
-    node 0 as they are when the march calls that statement through a plain
-    callable (which it does at all four stages of all 100 steps); without
+    node 0 by the single-state flow and at step 1 by the batch; without
     ``closed_loop`` the march follows a model whose drift is doubled."""
     model, policy, _ = make_benchmark("dubins", {"profile": "aggressive"})
     _, other, _ = make_benchmark("dubins")
     x0, horizon, steps = [0.3, 5.0, 0.1], 8.0, 100
     own = integrate_flow(model, policy, x0, horizon, steps)
-    calls = []
-
-    def plain(p):
-        rhs = other.closed_loop(p)
-
-        def counted(*x):
-            calls.append(x)
-            return rhs(*x)
-        return counted
-
     generated = dataclasses.replace(policy, closed_loop=other.closed_loop)
-    called = dataclasses.replace(policy, closed_loop=plain)
-    assert _float_march(generated, 3) is _float_march(other, 3)
-    assert _float_march(called, 3) is _rk4(3)[1]
-    refusals = []
-    for swapped in (generated, called):
-        with pytest.raises(ValidationError, match=r"node 0, component 1: "
-                           r"0\.0 != -3\.0") as err:
-            integrate_flow(model, swapped, x0, horizon, steps)
-        refusals.append(str(err.value))
-    assert refusals[0] == refusals[1] and len(calls) == 4 * steps
+    assert _rk4(3, generated.closed_loop) is not _rk4(3, policy.closed_loop)
+    with pytest.raises(ValidationError, match=r"node 0, component 1: "
+                       r"0\.0 != -3\.0"):
+        integrate_flow(model, generated, x0, horizon, steps)
+    with pytest.raises(ValidationError, match=r"step 1, stage 1, batch row "
+                       r"0, component 1: 0\.0 != -3\.0"):
+        integrate_flow_batch(model, generated, np.array([x0]), horizon, steps)
 
     doubled = dataclasses.replace(model, f_eval=lambda x: 2.0 * model.f_eval(x))
     custom = dataclasses.replace(policy, closed_loop=None)
@@ -777,11 +780,11 @@ SPLICE_CASES = REFERENCE_CASES + [("dubins", {"eps_frac": 0.0}),
 @pytest.mark.parametrize("name, params", SPLICE_CASES)
 def test_compiled_march_matches_former_march(name, params):
     """At sampled states of each benchmark, with the policy's statement and
-    with the stacked `loop_rhs` fallback (``np.float64`` slopes); and the
-    compiled `rk4_step` on a batch of ``(B,)`` arrays gives the former
-    generic step's next state, stage points and slopes in bytes.  The march
-    with the statement's closed loop written in (`_float_march`), which
-    calls no smoothing, gives the
+    with the stacked `loop_rhs` split into components (``np.float64``
+    slopes); and the compiled `rk4_step` on a batch of ``(B,)`` arrays gives
+    the former generic step's next state, stage points and slopes in bytes.
+    The march with the statement's float kernel written in, which calls no
+    smoothing, gives the
     bytes of the march calling ``closed_loop(FLOAT_PRIMITIVES)``, from
     random states and from states that put each inlined smoothing's
     argument on a band edge or next to it (`edge_starts`)."""
@@ -791,14 +794,13 @@ def test_compiled_march_matches_former_march(name, params):
     dt = horizon / steps
     x0s = np.random.default_rng(29).uniform(
         box["sample_lower"], box["sample_upper"], (6, model.state_dim))
-    no_statement = dataclasses.replace(policy, closed_loop=None)
-    fallback = _kernel(model, no_statement, FLOAT_PRIMITIVES)
+    loop = policy.closed_loop(FLOAT_PRIMITIVES)
+    fallback = _stacked(model, policy)
     assert isinstance(fallback(*x0s[0].tolist())[0], np.float64)
     for x0 in x0s:
-        assert assert_march_matches_former(
-            _kernel(model, policy, FLOAT_PRIMITIVES), x0, dt, steps) == steps
+        assert assert_march_matches_former(loop, x0, dt, steps) == steps
         assert assert_march_matches_former(fallback, x0, dt, steps) == steps
-    loop = _kernel(model, policy, ARRAY_PRIMITIVES)
+    loop = policy.closed_loop(ARRAY_PRIMITIVES)
     x = tuple(x0s.T.copy())
     for _ in range(3):
         got = rk4_step(loop, x, dt)
@@ -807,9 +809,11 @@ def test_compiled_march_matches_former_march(name, params):
             assert np.array(part).tobytes() == np.array(former).tobytes()
         x = got[0]
 
-    lines, rows = float_kernel(policy.closed_loop)
-    assert not re.search(r"\b(saturate|sign|indicator)\(", "\n".join(lines + rows))
-    spliced = _float_march(policy, model.state_dim)
+    kernel = policy.closed_loop
+    assert len(kernel.rows) == model.state_dim
+    assert not re.search(r"\b(saturate|sign|indicator)\(",
+                         "\n".join(kernel.lines + kernel.rows))
+    spliced = _rk4(model.state_dim, kernel)[1]
     called = _rk4(model.state_dim)[1]
     assert spliced is not called
     loop = policy.closed_loop(FLOAT_PRIMITIVES)
@@ -832,35 +836,34 @@ def test_compiled_march_matches_former_on_linear_systems(n):
     march stops after the same step as the former one."""
     rng = np.random.default_rng(31 + n)
     model, policy = linear_system(rng.normal(size=(n, n)))
-    loop = _kernel(model, policy, FLOAT_PRIMITIVES)
+    loop = _stacked(model, policy)
     for _ in range(4):
         assert assert_march_matches_former(loop, rng.normal(size=n), 0.05,
                                            40) == 40
     model, policy = linear_system(200.0 * np.eye(n))
     stop = assert_march_matches_former(
-        _kernel(model, policy, FLOAT_PRIMITIVES), rng.normal(size=n), 1.0, 50)
+        _stacked(model, policy), rng.normal(size=n), 1.0, 50)
     assert 1 <= stop < 50
 
 
 def test_compiled_march_stops_where_the_former_does():
     """The double integrator from s = 1.79e308 leaves finite values at
-    step 8 on the policy's statement and on the fallback.  From states
+    step 8 on the policy's statement and on stacked `loop_rhs`.  From states
     with a component at +-1.79e308 or +-1e306, the march with each
     statement's closed loop written in stops after the same step as the
     march calling it, with the same points and slopes, on every case of
     `SPLICE_CASES` (or raises the same `ValueError`)."""
     model, policy, _ = make_benchmark("double_integrator")
-    for pol in (policy, dataclasses.replace(policy, closed_loop=None)):
-        assert assert_march_matches_former(
-            _kernel(model, pol, FLOAT_PRIMITIVES), [1.79e308, 1e306], 0.1,
-            100) == 8
+    for loop in (policy.closed_loop(FLOAT_PRIMITIVES), _stacked(model, policy)):
+        assert assert_march_matches_former(loop, [1.79e308, 1e306], 0.1,
+                                           100) == 8
     stops = set()
     for name, params in SPLICE_CASES:
         model, policy, _ = make_benchmark(name, params)
         box = BENCHMARK_DEFAULTS[name]
         n, steps = model.state_dim, box["n_flow_steps"]
         dt = box["t_horizon_s"] / steps
-        spliced = _float_march(policy, n)
+        spliced = _rk4(n, policy.closed_loop)[1]
         loop = policy.closed_loop(FLOAT_PRIMITIVES)
         base = [0.5 * (lo + hi) for lo, hi in zip(box["sample_lower"],
                                                   box["sample_upper"])]

@@ -460,6 +460,48 @@ def test_compare_rejects_geometry_mismatch():
         compare_sets(a, b)
 
 
+def _disjoint_3x3(tmp_path):
+    """Two 3x3 grid files, one holding +1 where the other holds -1."""
+    geom = GridGeometry((-1.0, -1.0), (1.0, 1.0), (3, 3), (False, False))
+    signs = np.r_[np.ones(4), -np.ones(5)]
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    for path, values in zip(paths, (signs, -signs)):
+        write_grid_json(LevelGrid(geom, values), path)
+    return paths
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf,
+                                       np.float64(math.nan), True, None, "0"])
+def test_compare_refuses_a_threshold_that_is_not_a_finite_number(tmp_path,
+                                                                 threshold):
+    """At a NaN threshold no cell is a member, so two disjoint sets used to
+    read ``jaccard`` 1.0; such a threshold is refused with
+    `ValidationError`, and a finite one compares as before."""
+    a, b = (read_grid(path) for path in _disjoint_3x3(tmp_path))
+    with pytest.raises(ValidationError, match="threshold must be a finite "
+                       "number"):
+        compare_sets(a, b, threshold)
+    assert compare_sets(a, b, 0.5)["jaccard"] == 0.0
+    assert compare_sets(a, b, np.float64(-2.0))["jaccard"] == 1.0
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_cli_compare_refuses_a_non_finite_threshold(tmp_path, capsys,
+                                                    threshold):
+    """``bcbf compare --threshold nan`` exits 2 and writes no ``--out``
+    file (it used to exit 0 with ``jaccard`` 1.0 and write a JSON ``NaN``)."""
+    a, b = _disjoint_3x3(tmp_path)
+    out = tmp_path / "metrics.json"
+    assert cli_main(["compare", a, b, f"--threshold={threshold}",
+                     "--out", str(out)]) == 2
+    assert "threshold must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_main(["compare", a, b, "--threshold", "0.5",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["jaccard"] == 0.0
+    capsys.readouterr()
+
+
 def test_dilate_wraps_periodic_axis():
     geom = GridGeometry((0.0, 0.0), (1.0, 1.0), (5, 6), (False, True))
     vals = -np.ones((5, 6))

@@ -1,5 +1,6 @@
 """Model-level checks: closed forms, Jacobian consistency, benchmark wiring."""
 
+import dataclasses
 import itertools
 import math
 
@@ -178,6 +179,40 @@ def test_derived_constants_in_range_are_kept():
 # ---------------------------------------------------------------------------
 # invariants: policy in box, Jacobians vs finite differences
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                   np.float64(math.nan), True, None, "1.0"])
+@pytest.mark.parametrize("field", ["alpha_gain", "smoothing_eps"])
+def test_gains_must_be_finite_numbers(field, value):
+    """`SafetySpec` and `BackupPolicy` refuse an ``alpha_gain`` or a
+    ``smoothing_eps`` that is not a finite number with `ValidationError`
+    naming the field, when made directly or by `dataclasses.replace` (a
+    NaN or infinite one used to pass, and a NaN gain to surface only as the
+    QP's "rows and rhs must be finite")."""
+    _, policy, spec = make_benchmark("toy1d")
+    record = spec if field == "alpha_gain" else policy
+    with pytest.raises(ValidationError, match=f"{field} must be a finite "
+                       f"number"):
+        dataclasses.replace(record, **{field: value})
+    assert getattr(dataclasses.replace(record, **{field: np.float64(0.5)}),
+                   field) == 0.5
+
+
+@pytest.mark.parametrize("dims", [(2.5, 1), (True, 1), (2, 1.0), (2, False),
+                                  (0, 1), (2, -1), ("2", 1), (None, 1),
+                                  (np.float64(2.0), 1)])
+def test_model_dimensions_must_be_integers(dims):
+    """`SystemModel` refuses a ``state_dim`` or ``input_dim`` that is not
+    an integer >= 1 with `ValidationError` (``2.5`` used to raise a bare
+    `TypeError`, and ``True`` to be taken as 1); numpy integers are
+    accepted."""
+    model, _, _ = make_benchmark("double_integrator")
+    state_dim, input_dim = dims
+    with pytest.raises(ValidationError, match="state_dim and input_dim must "
+                       "be integers >= 1"):
+        dataclasses.replace(model, state_dim=state_dim, input_dim=input_dim)
+    assert dataclasses.replace(model, state_dim=np.int64(2)).state_dim == 2
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
