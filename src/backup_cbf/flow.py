@@ -2,44 +2,41 @@
 
 `rk4_step` is the fixed-step explicit fourth-order update, on a state held
 as one float or array per component: it advances the plant in the
-simulation harness (a whole state array as a 1-tuple) and marches the
-backup-loop state on the policy's statement ``BackupPolicy.closed_loop``
-(a `ClosedLoop`, or `loop_rhs` split into components for a policy without
-one): one state as a tuple of Python floats, where numpy's per-call
-overhead on 2- and 3-vectors would be most of the cost, and a batch as a
-tuple of contiguous ``(B,)`` arrays (the statement built on
-`ARRAY_PRIMITIVES`), which reads no strided columns and builds no
-``(B, n, m)`` input matrix.  Both give the bits of a march on stacked
-`loop_rhs` calls, faster, and both record the four stage points of every
-step.  The step is written once, as a template (`_RK4_TEMPLATE`) that
-`_rk4` writes out per state component and compiles once per state size:
-stage points, kernel calls and the final combination are plain
-statements, with no list, iterator or `zip` per stage, and the float
-march is the same template with the step inlined in its loop, appending
-each step's points and slopes with one ``+=`` each.  For a policy with a
-``closed_loop``, the float march has its float kernel (``lines`` and
-``rows``: each smoothing as its float twin's branches, with the parameters
-folded into literals) inlined at its four stages, compiled once per
-statement, so a step calls nothing but ``sin`` and ``cos``.  The sensitivity
-obeys the variational equation ``Qdot = J(x) Q`` with ``J = d f_pi / d x``
-and ``Q(0) = I``; since the state never depends on ``Q``, the loop
-Jacobians only ever come from stacked `loop_jacobian` evaluations at
-recorded stage points, and ``Q`` is stepped over them by `_q_step`, the
-step's operation order written out for ``deriv(p) = J_s @ p``.  For one
-state it multiplies by `ndarray.dot`, which reaches the same BLAS kernel
-as `np.matmul` (so the batch's ``(B, n, n)`` matmul gives the single-state
-``Q`` bit for bit) at about half the call cost on a 3x3 product.  One
-pass serves every downstream constraint row.
+simulation harness (a whole state array as a 1-tuple) and marches a batch
+of backup-loop states, as a tuple of contiguous ``(B,)`` arrays, on the
+policy's statement ``BackupPolicy.closed_loop`` (a `ClosedLoop`) built on
+`ARRAY_PRIMITIVES`, which reads no strided columns and builds no
+``(B, n, m)`` input matrix.  One state marches as a tuple of Python floats,
+where numpy's per-call overhead on 2- and 3-vectors would be most of the
+cost, on the statement's float kernel (``lines`` and ``rows``: each
+smoothing as its float twin's branches, with the parameters folded into
+literals) inlined at the four stages of every step, so a step calls
+nothing but ``sin`` and ``cos``.  Both marches give the bits of a march on
+stacked `loop_rhs` calls, faster, and both record the four stage points
+of every step.  The step is written once, as `_RK4_STEP`, which `_rk4`
+writes out per state component into `_RK4_TEMPLATE` and compiles once per
+state size: stage points, kernel calls and the final combination are plain
+statements, with no list, iterator or `zip` per stage.  The float march is
+`_MARCH_TEMPLATE`, the same step inlined in its loop with the kernel
+written in, compiled once per statement by `_march`, appending each step's
+points with one ``+=``.  The sensitivity obeys the variational equation
+``Qdot = J(x) Q`` with ``J = d f_pi / d x`` and ``Q(0) = I``; since the
+state never depends on ``Q``, the loop Jacobians only ever come from
+stacked ``closed_loop.jacobian`` evaluations at recorded stage points, and
+``Q`` is stepped over them by `_q_step`, the step's operation order written
+out for ``deriv(p) = J_s @ p``.  For one state it multiplies by
+`ndarray.dot`, which reaches the same BLAS kernel as `np.matmul` (so the
+batch's ``(B, n, n)`` matmul gives the single-state ``Q`` bit for bit) at
+about half the call cost on a 3x3 product.  One pass serves every
+downstream constraint row.
 
-Everything here is pure and reentrant.  `integrate_flow` takes the
-Jacobians along the whole path from one stacked call, and the drifts at
-the nodes, which check the float march at every node, from another.  The
-batch entry point advances many initial states at once with no shared
-mutable state, which is what the grid sweeps build on; it takes the
-Jacobians of each step's four stage points from one stacked call, so its
-memory does not grow with the step count, and checks the kernel against a
-stacked `loop_rhs` at every row of its first and last step and at the
-start of every step on a fixed handful of rows.
+Everything here is pure and reentrant, and reads the model only for its
+state count.  `integrate_flow` takes the Jacobians along the whole path
+from one stacked call, and the drifts at the nodes from the statement
+built on `ARRAY_PRIMITIVES`.  The batch entry point advances many initial
+states at once with no shared mutable state, which is what the grid
+sweeps build on; it takes the Jacobians of each step's four stage points
+from one stacked call, so its memory does not grow with the step count.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ import numpy as np
 
 from .errors import FlowDivergenceError, ValidationError
 from .systems import (ARRAY_PRIMITIVES, BackupPolicy, ClosedLoop, SystemModel,
-                      is_finite_real, is_integer, loop_jacobian, loop_rhs)
+                      is_finite_real, is_integer)
 
 Array = np.ndarray
 
@@ -120,33 +117,32 @@ _RK4_NEXT = "x{i} + (((a{i} + (b{i} + b{i})) + (c{i} + c{i})) + d{i}) * sixth"
 _DERIV = re.compile(r"\{(\w)\} = deriv\(\{(\w)\}\)")
 _STATE = re.compile(r"\bx(?=\d)")      # a kernel's state ``x0``, ``x1``, ...
 
-# `rk4_step`, and the float march with the step inlined in its loop (see
-# `_rk4`); ``{step}`` is `_RK4_STEP`.
+# `rk4_step` (see `_rk4`), and the float march with the step inlined in its
+# loop (see `_march`); ``{step}`` is `_RK4_STEP`.
 _RK4_TEMPLATE = """\
 def rk4_step(deriv, x, dt):
     {x} = x
     half = 0.5 * dt
     {step}
     sixth = dt / 6.0
-    return ({next}), (({x}), ({p}), ({r}), ({s})), (({a}), ({b}), ({c}), ({d}))
-
-def march(deriv, x, dt, steps):
+    return ({next}), (({x}), ({p}), ({r}), ({s})), (({a}), ({b}), ({c}), ({d}))"""
+_MARCH_TEMPLATE = """\
+def march(x, dt, steps):
     {x} = x
     half = 0.5 * dt
     sixth = dt / 6.0
     points = []
-    slopes = []
     for _ in range(steps):
         {step}
         points += ({x}{p}{r}{s})
-        slopes += ({a})
         x{i} = {next}
         if not isfinite(x{i}): break
     points += ({x})
-    return points, slopes"""
+    return points"""
 
 
-def _rk4_source(template: str, n: int, kernel: tuple | None = None) -> str:
+def _rk4_source(template: str, n: int, kernel: ClosedLoop | None = None
+                ) -> str:
     """``template`` written out for ``n`` state components: a line with
     ``{i}`` once per component ``i`` (``{next}`` is then that component's
     next value), any other line once, with ``{v}`` for ``"v0, v1, "`` (a
@@ -176,25 +172,36 @@ def _rk4_source(template: str, n: int, kernel: tuple | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-@functools.cache
-def _rk4(n: int, kernel: ClosedLoop | None = None) -> tuple[Callable, Callable]:
-    """``(step, march)`` for a state of ``n`` components, compiled from
-    `_RK4_TEMPLATE` once per ``n`` and ``kernel`` (as `dataclasses` builds
-    ``__init__``), with each ``deriv`` call written out as ``kernel``'s
-    lines if one is given (see `_rk4_source`; ``deriv`` is then unused).
-
-    ``step(deriv, x, dt)`` is `rk4_step`.  ``march(deriv, x, dt, steps)``
-    runs its steps on one state held as a tuple of floats and returns flat
-    float lists ``(points, slopes)``: point ``4 (i - 1) + s`` is stage ``s``
-    of step ``i``, the last is the last state, and slope ``i - 1`` is
-    ``deriv`` at the start of step ``i``.  It stops after the first step
-    that leaves finite values, tested per component (a sum of two finite
-    values near the float limit overflows)."""
+def _compiled(name: str, template: str, n: int,
+              kernel: ClosedLoop | None = None) -> Callable:
+    """The function ``name`` that ``template``, written out by `_rk4_source`,
+    defines, compiled as `dataclasses` builds ``__init__``."""
     # ``inf``: a band edge folded into a kernel may overflow to it
     namespace = {"isfinite": math.isfinite, "inf": math.inf,
                  "sin": math.sin, "cos": math.cos}
-    exec(_rk4_source(_RK4_TEMPLATE, n, kernel), namespace)
-    return namespace["rk4_step"], namespace["march"]
+    exec(_rk4_source(template, n, kernel), namespace)
+    return namespace[name]
+
+
+@functools.cache
+def _rk4(n: int) -> Callable:
+    """`rk4_step` for a state of ``n`` components, compiled from
+    `_RK4_TEMPLATE` once per ``n``."""
+    return _compiled("rk4_step", _RK4_TEMPLATE, n)
+
+
+@functools.cache
+def _march(loop: ClosedLoop) -> Callable:
+    """``march(x, dt, steps)``: the float march on ``loop``, its float kernel
+    written in at each stage (see `_rk4_source`), compiled from
+    `_MARCH_TEMPLATE` once per statement.
+
+    It runs its steps on one state held as a tuple of floats and returns
+    the flat float list of points: point ``4 (i - 1) + s`` is stage ``s`` of
+    step ``i``, and the last is the last state.  It stops after the first
+    step that leaves finite values, tested per component (a sum of two
+    finite values near the float limit overflows)."""
+    return _compiled("march", _MARCH_TEMPLATE, len(loop.rows), loop)
 
 
 def rk4_step(deriv: Callable[..., tuple], x: tuple, dt: float):
@@ -202,7 +209,7 @@ def rk4_step(deriv: Callable[..., tuple], x: tuple, dt: float):
     held as one float or array per component (a whole array ``a`` is the
     1-tuple ``(a,)``): the next state, the four stage points and the four
     slopes ``deriv`` gave at them."""
-    return _rk4(len(x))[0](deriv, x, dt)
+    return _rk4(len(x))(deriv, x, dt)
 
 
 def _q_step(jacs, q: Array, dt: float) -> Array:
@@ -224,48 +231,14 @@ def _q_step(jacs, q: Array, dt: float) -> Array:
     return q + (((k1 + (k2 + k2)) + (k3 + k3)) + k4) * (dt / 6.0)
 
 
-def _closed_loop(model: SystemModel, policy: BackupPolicy) -> ClosedLoop | None:
+def _closed_loop(model: SystemModel, policy: BackupPolicy) -> ClosedLoop:
     """``policy.closed_loop``, or `ValidationError` for one whose rows are
     not one per state component of ``model``."""
     loop = policy.closed_loop
-    if loop is not None and len(loop.rows) != model.state_dim:
+    if len(loop.rows) != model.state_dim:
         raise ValidationError(f"policy.closed_loop returns {len(loop.rows)} "
                               f"components, expected {model.state_dim}")
     return loop
-
-
-def _stacked(model: SystemModel, policy: BackupPolicy) -> Callable:
-    """The closed-loop derivative of a policy without ``closed_loop`` on
-    one float or array per state component: stacked `loop_rhs` split into
-    components (``np.float64`` scalars for one state, which carry the same
-    bits as floats)."""
-    return lambda *x: tuple(loop_rhs(model, policy, np.stack(x, axis=-1)).T)
-
-
-def _check_slopes(slopes: Array, drifts: Array, where: Callable[..., str]):
-    """`ValidationError` unless the march's ``slopes`` from the policy's
-    ``closed_loop`` equal the model's ``drifts`` at the same points,
-    entrywise with NaN equal to NaN; ``where(*index)`` names the first
-    mismatch."""
-    bad = (slopes != drifts) & ~(np.isnan(slopes) & np.isnan(drifts))
-    if bad.any():
-        index = tuple(np.argwhere(bad)[0].tolist())
-        raise ValidationError(
-            f"policy.closed_loop encodes another model than loop_rhs: at "
-            f"{where(*index)}: {slopes[index].item()!r} != "
-            f"{drifts[index].item()!r}")
-
-
-def _check_step(model: SystemModel, policy: BackupPolicy, step: int,
-                stages, slopes):
-    """`_check_slopes` of a batch step's slopes from the policy's
-    ``closed_loop`` at every row of its four stages, stage by stage so the
-    check's memory is one stage's."""
-    for s, (point, slope) in enumerate(zip(stages, slopes), 1):
-        _check_slopes(np.stack(slope, axis=-1),
-                      loop_rhs(model, policy, np.stack(point, axis=-1)),
-                      lambda row, k: f"step {step}, stage {s}, batch row "
-                                     f"{row}, component {k}")
 
 
 def _divergence(step: int, t: float, x: Array, q: Array | None
@@ -286,26 +259,20 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
                    horizon: float, steps: int) -> FlowTrajectory:
     """Integrate the backup loop from ``x0`` over ``[0, horizon]`` on a
     uniform grid of ``steps`` intervals, then propagate the sensitivity
-    along the recorded stage points.
-
-    The drifts are one stacked `loop_rhs` of ``model`` at the nodes.  With
-    ``policy.closed_loop`` set, the march's slope at every node but the last
-    must equal that node's drift (NaN equal to NaN), else `ValidationError`
-    naming the node: a policy paired with a changed model is refused."""
+    along the recorded stage points.  The drifts are the statement built on
+    `ARRAY_PRIMITIVES` at the nodes."""
     x0 = _check_args(x0, horizon, steps, model.state_dim)
     n = x0.shape[0]
     dt = horizon / steps
     loop = _closed_loop(model, policy)
-    deriv = _stacked(model, policy) if loop is None else None
     with np.errstate(over="ignore", invalid="ignore"):
-        points, slopes = _rk4(n, loop)[1](deriv, tuple(x0.tolist()), dt, steps)
-        points = np.array(points).reshape(-1, n)
+        points = np.array(_march(loop)(tuple(x0.tolist()), dt, steps)
+                          ).reshape(-1, n)
         states = points[::4].copy()
-        drifts = loop_rhs(model, policy, states)
-        if loop is not None:
-            _check_slopes(np.array(slopes).reshape(-1, n), drifts[:-1],
-                          lambda node, k: f"node {node}, component {k}")
-        jacs = iter(loop_jacobian(model, policy, points[:-1]))
+        # a row that holds no state is a float
+        drifts = np.stack(np.broadcast_arrays(
+            *loop(ARRAY_PRIMITIVES)(*states.T)), axis=-1)
+        jacs = iter(loop.jacobian(points[:-1]))
         sens = np.empty((len(states), n, n))
         sens[0] = q = np.eye(n)
         # zip over one iterator: each step's four stage Jacobians in turn
@@ -335,18 +302,10 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     switched off.
 
     The states march as one contiguous ``(B,)`` array per component
-    through `rk4_step` on ``closed_loop`` built on `ARRAY_PRIMITIVES` (or
-    on `loop_rhs` split into components, for a policy without one).
-    With ``closed_loop`` set, its slopes must equal the stacked `loop_rhs`
-    of ``model`` (NaN equal to NaN) at every stage of every row of the
-    first and the last step, and at the start of every other step on row 0
-    and every ``ceil(B / 9)``-th row after it (these are checked together
-    at the last step), else `ValidationError` naming the first mismatching
-    step, stage, row and component.  A model changed after the policy was
-    built, only where no checked point goes, is integrated as the policy
-    states it, without an error.  The sensitivity is stepped as the states
-    go: after each step, the loop Jacobians at its four stage points come
-    from one stacked evaluation, so memory does not grow with ``steps``.
+    through `rk4_step` on ``closed_loop`` built on `ARRAY_PRIMITIVES`.  The
+    sensitivity is stepped as the states go: after each step, the loop
+    Jacobians at its four stage points come from one stacked evaluation, so
+    memory does not grow with ``steps``.
     """
     x0s = _check_args(x0s, horizon, steps, model.state_dim, batch=True)
     b, n = x0s.shape
@@ -355,33 +314,16 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     if observer is not None:
         observer(x0s)
     loop = _closed_loop(model, policy)
-    deriv = _stacked(model, policy) if loop is None else loop(ARRAY_PRIMITIVES)
-    stride = -(-b // 9) or 1             # row 0 and at most eight more
-    # the handful's states and slopes at the start of every step, checked
-    # in one model call at the last step: a call per step on so few rows
-    # cost as much as a whole step of a small batch
-    starts = np.empty((2, steps, len(range(0, b, stride)), n))
+    deriv = loop(ARRAY_PRIMITIVES)
     x = tuple(x0s.T.copy())
     for i in range(1, steps + 1):
         # divergence is detected after the step; silence transient overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            x, stages, slopes = rk4_step(deriv, x, dt)
-            if loop is not None:
-                for k in range(n):
-                    starts[0, i - 1, :, k] = stages[0][k][::stride]
-                    starts[1, i - 1, :, k] = slopes[0][k][::stride]
-                if i == 1:
-                    _check_step(model, policy, i, stages, slopes)
-                if i == steps:
-                    _check_slopes(
-                        starts[1], loop_rhs(model, policy, starts[0]),
-                        lambda step, row, k: f"step {step + 1}, stage 1, "
-                        f"batch row {row * stride}, component {k}")
-                    _check_step(model, policy, i, stages, slopes)
+            x, stages, _ = rk4_step(deriv, x, dt)
             if q is not None:
                 points = np.stack([np.stack(p, axis=-1) for p in stages])
-                q = _q_step(loop_jacobian(model, policy, points), q, dt)
-            del stages, slopes      # not held while the next step runs
+                q = _q_step(loop.jacobian(points), q, dt)
+            del stages              # not held while the next step runs
         if not (all(np.isfinite(a).all() for a in x)
                 and (q is None or np.isfinite(q).all())):
             raise _divergence(i, i * dt, np.stack(x, axis=-1), q)

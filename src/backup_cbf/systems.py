@@ -8,13 +8,13 @@ functions ``h`` once, one value per component, against a table of
 `Primitives`; `_generated` records that statement symbolically and
 compiles from it ``f_eval``, ``g_eval``, ``pi_eval``, their Jacobians
 (forward differentiation, structural zeros left out), each safety function
-and its gradient, and the closed-loop derivative
-``BackupPolicy.closed_loop`` in `loop_rhs`'s order, a `ClosedLoop` that
-the batch flow builds on `ARRAY_PRIMITIVES`.  The single-state flow
-marches on its float kernel (``lines`` and ``rows``) instead: the same
-lines on floats, with each smoothing written out as its float twin's
+and its gradient, and the closed loop ``BackupPolicy.closed_loop``, a
+`ClosedLoop`: its derivative in `loop_rhs`'s order, which the batch flow
+builds on `ARRAY_PRIMITIVES`, and its state Jacobian.  The single-state
+flow marches on its float kernel (``lines`` and ``rows``) instead: the
+same lines on floats, with each smoothing written out as its float twin's
 branches (each twin's body is written once, in `_FLOAT_BODIES`, and
-`FLOAT_PRIMITIVES` is compiled from it).
+`FLOAT_PRIMITIVES` is compiled from it).  The flows read nothing else.
 Only exact folds are made, so every evaluator keeps the bits of the
 hand-written body it replaced, signed zeros included, except in some
 derivatives: a few entries differ in the sign of a NaN or a zero only
@@ -24,8 +24,7 @@ its first term, not from ``+0.0``), and two gradients round otherwise in
 the last bits (the conservative Dubins terminal, whose dense ``P`` is
 differentiated term by term rather than as ``-2 P x``, and the aeroplane
 terminal's ``dpsi`` entry at a ``v_b`` that is not a power of two).  The
-flows check the closed loop against the model as before.  The float
-twins of the smoothings clamp by comparisons, which return what
+float twins of the smoothings clamp by comparisons, which return what
 ``min(max(y, lo), hi)`` returns for every float (NaN and signed zeros
 included) without two builtin calls.  Benchmark parameters must be finite
 numbers.  Values are immutable after construction and safe to share
@@ -339,17 +338,21 @@ class SystemModel:
 
 @dataclass(frozen=True, eq=False)
 class ClosedLoop:
-    """A benchmark statement's closed-loop derivative ``f + g pi``, in
-    `loop_rhs`'s order, as `_generated` writes it.  ``closed_loop(p)``
-    builds it on the primitive table ``p`` as ``rhs(*x)``, one value per
-    state component in and a tuple out: one state as Python floats on
-    `FLOAT_PRIMITIVES`, a batch as ``(B,)`` arrays on `ARRAY_PRIMITIVES`.
-    ``lines`` and ``rows`` (one per state component) are its float kernel
-    on ``x0, x1, ...``, each smoothing written out as its float twin's
-    branches with the parameters folded in (`_FLOAT_BODIES`), which the
-    single-state flow inlines.  Compared by identity."""
+    """A benchmark statement's closed loop ``f + g pi``, as `_generated`
+    writes it.  ``closed_loop(p)`` builds its derivative, in `loop_rhs`'s
+    order, on the primitive table ``p`` as ``rhs(*x)``, one value per state
+    component in and a tuple out (a row that holds no state is a float):
+    one state as Python floats on `FLOAT_PRIMITIVES`, a batch as ``(B,)``
+    arrays on `ARRAY_PRIMITIVES`.  ``jacobian(x)`` is its state Jacobian on
+    states ``(..., n)``, as ``(..., n, n)``: ``df + dg pi``, then
+    ``+ g dpi``, from the statement's generated evaluators.  ``lines`` and
+    ``rows`` (one per state component) are its float kernel on ``x0, x1,
+    ...``, each smoothing written out as its float twin's branches with the
+    parameters folded in (`_FLOAT_BODIES`), which the single-state flow
+    inlines.  Compared by identity."""
 
     build: Callable[[Primitives], Callable[..., tuple]]
+    jacobian: Callable[[Array], Array]
     lines: tuple[str, ...]
     rows: tuple[str, ...]
 
@@ -365,33 +368,24 @@ class BackupPolicy:
     ``0.0`` marks the hard (test-only) variant whose Jacobian is zero in
     saturated regions.
 
-    ``closed_loop`` is ``None`` or the `ClosedLoop` generated with the
-    model this policy was built alongside (`_generated`); anything else is
-    refused with `ValidationError`.  Without one, the flows march on
-    `loop_rhs` split into components.
-
-    The flows check ``closed_loop`` against the stacked `loop_rhs` of the
-    model they are given.  The single-state flow checks its slope at every node.  The
-    batch flow checks every stage of every row of its first and last step,
-    and the slope at the start of every other step on a fixed handful of
-    rows (row 0 and at most eight more, evenly strided): checking every
-    stage of every row at every step made the grid sweeps three to six
-    times as long.  So a model changed after this policy was built, only
-    where no checked point of the batch goes, is integrated as this
-    statement has it, without an error.
+    ``closed_loop`` is the `ClosedLoop` generated with the model this policy
+    was built alongside (`_generated`); anything else is refused with
+    `ValidationError`.  The flows march on it alone: they call none of
+    ``pi_eval``, ``dpi_dx`` and the model's evaluators, so replacing any of
+    them changes no flow.
     """
 
     pi_eval: Callable[[Array], Array]
     dpi_dx: Callable[[Array], Array]
     smoothing_eps: float
-    closed_loop: ClosedLoop | None = None
+    closed_loop: ClosedLoop
 
     def __post_init__(self):
         if not (is_finite_real(self.smoothing_eps) and self.smoothing_eps >= 0.0):
             raise ValidationError(f"smoothing_eps must be a finite number "
                                   f">= 0, got {self.smoothing_eps!r}")
-        if not isinstance(self.closed_loop, (ClosedLoop, type(None))):
-            raise ValidationError(f"closed_loop must be None or a generated "
+        if not isinstance(self.closed_loop, ClosedLoop):
+            raise ValidationError(f"closed_loop must be a generated "
                                   f"ClosedLoop, got {self.closed_loop!r}")
 
 
@@ -437,8 +431,8 @@ def check_finite(value: Array, what: str) -> Array:
 
 
 def loop_rhs(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
-    """Backup-loop derivative ``f(x) + g(x) pi(x)``, unchecked: the
-    integrators test finiteness per step, `closed_loop_rhs` here.
+    """Backup-loop derivative ``f(x) + g(x) pi(x)`` from the model's and
+    the policy's evaluators, unchecked (`closed_loop_rhs` checks it).
 
     ``g pi`` is summed per input channel from ``+0.0``, in channel order:
     ``((0.0 + g_0 pi_0) + g_1 pi_1) + ...``, each product rounded, so a
@@ -453,16 +447,6 @@ def loop_rhs(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
     for j in range(1, u.shape[-1]):
         gu = gu + g[..., j] * u[..., None, j]
     return model.f_eval(x) + gu
-
-
-def loop_jacobian(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
-    """State Jacobian of the backup loop, unchecked; evaluates neither
-    ``f`` nor ``g pi``."""
-    jac = model.df_dx(x)
-    if model.dg_dx is not None:
-        jac = jac + np.einsum("...imk,...m->...ik", model.dg_dx(x),
-                              policy.pi_eval(x))
-    return jac + np.matmul(model.g_eval(x), policy.dpi_dx(x))
 
 
 def closed_loop_rhs(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
@@ -706,18 +690,25 @@ def _loop_rows(f: np.ndarray, g: np.ndarray, pi: np.ndarray) -> list:
     return rows
 
 
-def _loop_source(rows: list) -> str:
-    """``closed_loop(p)``, whose ``rhs(x0, x1, ...)`` returns ``rows``."""
+def _loop_source(rows: list, constant_g: bool) -> str:
+    """``closed_loop(p)``, whose ``rhs(x0, x1, ...)`` returns ``rows``, and
+    ``jacobian(x)``, the loop's state Jacobian ``df + dg pi`` (where ``g``
+    holds the state), then ``+ g dpi``."""
     lines, exprs, names = _statements(rows)
     return "\n".join(
         ["def closed_loop(p):"]
         + [f"    {c} = p.{c}" for c in Primitives._fields if c in names]
         + [f"    def rhs({', '.join(f'x{i}' for i in range(len(rows)))}):"]
         + [f"        {line}" for line in lines]
-        + [f"        return ({''.join(e + ', ' for e in exprs)})", "    return rhs"])
+        + [f"        return ({''.join(e + ', ' for e in exprs)})", "    return rhs",
+           "def jacobian(x):", "    jac = df_dx(x)"]
+        + ["    jac = jac + einsum('...imk,...m->...ik', dg_dx(x), pi_eval(x))"]
+        * (not constant_g)
+        + ["    return jac + matmul(g_eval(x), dpi_dx(x))"])
 
 
-_NAMESPACE = {"asarray": np.asarray, "zeros": np.zeros, **ARRAY_PRIMITIVES._asdict(),
+_NAMESPACE = {"asarray": np.asarray, "zeros": np.zeros, "einsum": np.einsum,
+              "matmul": np.matmul, **ARRAY_PRIMITIVES._asdict(),
               "saturate_deriv": smooth_saturate_deriv,
               "sign_deriv": smooth_sign_deriv,
               "indicator_deriv": smooth_positive_indicator_deriv}
@@ -754,15 +745,17 @@ def _generated(name: str, statement: Callable, n: int, m: int,
              **{f"grad{i}": t for i, t in
                 enumerate(jacobian(np.array(h, dtype=object)))}}
     rows = _loop_rows(f, g, pi)
+    constant_g = all(d is None for d in terms["dg_dx"].flat)
     namespace = dict(_NAMESPACE)
     exec("\n".join([_array_source(fn, t, n) for fn, t in terms.items()]
                    + [_source(f"h{i}", [e], n, lambda w: [f"return {w[0]}"])
                       for i, e in enumerate(h)]
-                   + [_loop_source(rows)]), namespace)
+                   + [_loop_source(rows, constant_g)]), namespace)
     lines, exprs, _ = _statements(rows, _FLOAT_BODIES)
     namespace["closed_loop"] = ClosedLoop(namespace["closed_loop"],
+                                          namespace["jacobian"],
                                           tuple(lines), tuple(exprs))
-    if all(d is None for d in terms["dg_dx"].flat):
+    if constant_g:
         namespace["dg_dx"] = None
     safety = tuple((namespace[f"h{i}"], namespace[f"grad{i}"])
                    for i in range(len(h)))

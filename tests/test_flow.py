@@ -1,6 +1,7 @@
 """Flow integration: closed-form anchors, order of accuracy, sensitivities."""
 
 import dataclasses
+import functools
 import math
 import re
 
@@ -11,39 +12,49 @@ from hypothesis import strategies as st
 
 from backup_cbf.barrier import eval_h, eval_h_batch, filter_control
 from backup_cbf.errors import FlowDivergenceError, ValidationError
-from backup_cbf.flow import (FlowTrajectory, _q_step, _rk4, _stacked,
+from backup_cbf.flow import (FlowTrajectory, _march, _q_step,
                              integrate_flow, integrate_flow_batch, rk4_step,
                              sensitivity_fd_check)
 from backup_cbf.systems import (ARRAY_PRIMITIVES, BENCHMARK_DEFAULTS,
-                                FLOAT_PRIMITIVES,
-                                BackupPolicy, SafetySpec, ScalarConstraint,
-                                SystemModel, closed_loop_rhs, loop_jacobian,
-                                loop_rhs, make_benchmark)
+                                FLOAT_PRIMITIVES, BackupPolicy, _benchmark,
+                                closed_loop_rhs, loop_rhs, make_benchmark)
+from tests.test_systems import loop_jacobian
+
+
+def idle(name, statement, params, n):
+    """The model and policy of ``statement`` on ``n`` states, with one
+    input in ``[-1, 1]`` that its idle backup never uses."""
+    model, policy, _ = _benchmark(
+        name, statement, tuple(params), 0.01, (-1.0,), (1.0,),
+        tuple(f"x{i}" for i in range(n)), ("u",), ("x0",))
+    return model, policy
+
+
+def linear_statement(p, k, *x):
+    """xdot = A x, each row summed in column order, with ``A`` flattened
+    into ``k``; an idle backup."""
+    n = len(x)
+    rows = []
+    for i in range(n):
+        row = k[n * i] * x[0]
+        for j in range(1, n):
+            row = row + k[n * i + j] * x[j]
+        rows.append(row)
+    return tuple(rows), ((0.0,),) * n, (0.0,), x[:1]
 
 
 def linear_system(a_mat):
     """xdot = A x realized as drift-only plant with an idle backup."""
     a_mat = np.asarray(a_mat, dtype=float)
-    n = a_mat.shape[0]
+    return idle("linear", linear_statement, a_mat.flat, a_mat.shape[0])
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return x @ a_mat.T
 
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (n, 1))
-
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(a_mat, x.shape[:-1] + (n, n)).copy()
-
-    model = SystemModel(n, 1, f, g, df, None,
-                        np.array([-1.0]), np.array([1.0]))
-    policy = BackupPolicy(lambda x: np.zeros(np.asarray(x).shape[:-1] + (1,)),
-                          lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, n)),
-                          smoothing_eps=0.01)
-    return model, policy
+def _stacked(model, policy):
+    """The closed-loop derivative on one float or array per state
+    component: stacked `loop_rhs` of the model split into components
+    (``np.float64`` scalars for one state, which carry the same bits as
+    floats), the reference the compiled march is held to."""
+    return lambda *x: tuple(loop_rhs(model, policy, np.stack(x, axis=-1)).T)
 
 
 def reference_rk4_step(model, policy, x, q, dt):
@@ -205,23 +216,22 @@ def test_batch_matches_single():
     """The batch march's end states, with and without sensitivity, and its
     end Q equal the single-state flow's bit for bit on sampled states (its
     ``(B, n, n)`` matmul against the single state's `ndarray.dot`, down to
-    the 1x1 products of toy1d).  An empty batch, with or without
-    ``closed_loop``, gives empty end states, Q and barrier values."""
+    the 1x1 products of toy1d).  An empty batch gives empty end states, Q
+    and barrier values."""
     for name, params in BATCH_CASES:
         model, policy, spec = make_benchmark(name, params)
         box = BENCHMARK_DEFAULTS[name]
         n, horizon, steps = model.state_dim, box["t_horizon_s"], 3
-        for pol in (policy, dataclasses.replace(policy, closed_loop=None)):
-            ends, q_end = integrate_flow_batch(model, pol, np.empty((0, n)),
-                                               horizon, steps)
-            assert ends.shape == (0, n) and q_end.shape == (0, n, n)
-            ends, no_q = integrate_flow_batch(model, pol, np.empty((0, n)),
-                                              horizon, steps,
-                                              with_sensitivity=False)
-            assert ends.shape == (0, n) and no_q is None
-            values = eval_h_batch(model, pol, spec, np.empty((0, n)), horizon,
-                                  steps)
-            assert all(v.shape == (0,) for v in values)
+        ends, q_end = integrate_flow_batch(model, policy, np.empty((0, n)),
+                                           horizon, steps)
+        assert ends.shape == (0, n) and q_end.shape == (0, n, n)
+        ends, no_q = integrate_flow_batch(model, policy, np.empty((0, n)),
+                                          horizon, steps,
+                                          with_sensitivity=False)
+        assert ends.shape == (0, n) and no_q is None
+        values = eval_h_batch(model, policy, spec, np.empty((0, n)), horizon,
+                              steps)
+        assert all(v.shape == (0,) for v in values)
         x0s = np.random.default_rng(5).uniform(
             box["sample_lower"], box["sample_upper"], (6, model.state_dim))
         if name == "aeroplane":
@@ -332,30 +342,15 @@ def test_two_phase_flow_matches_reference_march(case):
     assert np.array_equal(ends, ref[0][-1])
 
 
+def blowup_statement(p, k, x0, x1):
+    """x0dot = 1, x1dot = 50 x0 x1; an idle backup."""
+    return (1.0, 50.0 * x0 * x1), ((0.0,), (0.0,)), (0.0,), (x0,)
+
+
 def sensitivity_blowup_system():
-    """x0dot = 1, x1dot = 50 x0 x1 from x1(0) = 0: the state stays finite
-    (x1 = 0) while Q11 = exp(25 t^2) overflows near t = 5.3 s."""
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([np.ones_like(x[..., 0]), 50.0 * x[..., 0] * x[..., 1]],
-                        axis=-1)
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (2, 1))
-
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 1, 0] = 50.0 * x[..., 1]
-        out[..., 1, 1] = 50.0 * x[..., 0]
-        return out
-
-    model = SystemModel(2, 1, f, g, df, None, np.array([-1.0]), np.array([1.0]))
-    policy = BackupPolicy(lambda x: np.zeros(np.asarray(x).shape[:-1] + (1,)),
-                          lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 2)),
-                          smoothing_eps=0.01)
-    return model, policy
+    """`blowup_statement` from x1(0) = 0: the state stays finite (x1 = 0)
+    while Q11 = exp(25 t^2) overflows near t = 5.3 s."""
+    return idle("blowup", blowup_statement, (), 2)
 
 
 def test_sensitivity_only_divergence_reports_step():
@@ -398,15 +393,12 @@ def test_argument_validation():
         sensitivity_fd_check(model, policy, np.array([1.0]), 1.0, 10, 0.0)
 
 
-@pytest.mark.parametrize("closed_loop", [True, False])
-def test_initial_state_of_the_wrong_shape_is_refused(closed_loop):
-    """Both flows and `filter_control`, with or without ``closed_loop``,
-    refuse an initial state that is not ``(n,)`` (a batch not ``(B, n)``)
-    with `ValidationError` naming both shapes, before any step (such a state
-    used to fail in the compiled step, or blame the policy's arity)."""
+def test_initial_state_of_the_wrong_shape_is_refused():
+    """Both flows and `filter_control` refuse an initial state that is not
+    ``(n,)`` (a batch not ``(B, n)``) with `ValidationError` naming both
+    shapes, before any step (such a state used to fail in the compiled
+    step, or blame the policy's arity)."""
     model, policy, spec = make_benchmark("dubins")
-    if not closed_loop:
-        policy = dataclasses.replace(policy, closed_loop=None)
     for x0 in ([0.3, 5.0], [0.3, 5.0, 0.1, 1.0], 0.3, [[0.3, 5.0, 0.1]]):
         shape = re.escape(f"(3,), got {np.shape(x0)}")
         with pytest.raises(ValidationError, match=shape):
@@ -419,124 +411,13 @@ def test_initial_state_of_the_wrong_shape_is_refused(closed_loop):
             integrate_flow_batch(model, policy, x0s, 8.0, 100)
 
 
-def test_loop_floats_checked_against_the_model():
-    """A built-in policy's closed loop, built on floats, encodes its own
-    model; paired with a changed model it is refused (checked at every
-    node), while the same change without ``closed_loop`` integrates the
-    changed dynamics."""
-    model, policy, _ = make_benchmark("double_integrator")
-    doubled = dataclasses.replace(model, f_eval=lambda x: 2.0 * model.f_eval(x))
-    with pytest.raises(ValidationError, match=r"component 0: 2\.0 != 4\.0"):
-        integrate_flow(doubled, policy, [0.0, 2.0], 1.0, 10)
-    traj = integrate_flow(doubled,
-                          dataclasses.replace(policy, closed_loop=None),
-                          [0.0, 2.0], 1.0, 10)
-    assert traj.states[-1] == pytest.approx([3.0, 1.0], abs=1e-12)
-    assert integrate_flow(model, policy, [0.0, 2.0], 1.0,
-                          10).states[-1] == pytest.approx([1.5, 1.0], abs=1e-12)
-
-
-def velocity_kick(model, region):
-    """``model`` with ``vdot`` raised by 0.5 where ``region(s)`` holds."""
-    def f(x):
-        out = model.f_eval(x)
-        s = np.asarray(x)[..., 0]
-        out[..., 1] = out[..., 1] + np.where(region(s), 0.5, 0.0)
-        return out
-
-    return dataclasses.replace(model, f_eval=f)
-
-
-def test_loop_floats_checked_wherever_the_march_goes():
-    """A model change that the march reaches only later is refused too: a
-    double integrator whose ``vdot`` gains +0.5 only where ``s > 2``, from
-    ``x0 = (0, 3)``, first disagrees at node 8 in the velocity component;
-    without ``closed_loop`` the changed dynamics are integrated, and the
-    barrier reads the changed model's margin."""
-    model, policy, spec = make_benchmark("double_integrator")
-    changed = velocity_kick(model, lambda s: s > 2.0)
-    with pytest.raises(ValidationError,
-                       match=r"node 8, component 1: -1\.0 != -0\.5"):
-        integrate_flow(changed, policy, [0.0, 3.0], 10.0, 100)
-    custom = dataclasses.replace(policy, closed_loop=None)
-    traj = integrate_flow(changed, custom, [0.0, 3.0], 10.0, 100)
-    assert traj.states[-1] == pytest.approx([6.383, -0.125], abs=1e-3)
-    assert eval_h(changed, custom, spec, [0.0, 3.0], 10.0,
-                  100).h_value == pytest.approx(0.125, abs=1e-3)
-
-
-def test_loop_arrays_checked_against_the_model():
-    """The batch twin of the two tests above.  The batch checks the
-    policy's closed loop, built on arrays, at every row of its first and
-    last step, and at the start of every other step on row 0 and every
-    ``ceil(B / 9)``-th row (all rows of a batch of up to nine):
-    - the doubled double integrator is refused at step 1, and so is a
-      change only where ``s < -9``, on a row the mid-path check skips;
-    - the ``s > 2`` change is refused at step 9, as the single-state flow
-      refuses node 8, and on a row the mid-path check skips, at the last
-      step;
-    - a change only where ``1 < s < 2``, which the path from ``(0, 3)``
-      crosses between the first and last step, is refused at step 5 (node
-      4 for the single-state flow) on a checked row; crossed by unchecked
-      rows only, it goes undetected and they follow the policy's own
-      model.
-    Without ``closed_loop`` the changed dynamics are integrated."""
-    model, policy, spec = make_benchmark("double_integrator")
-    doubled = dataclasses.replace(model, f_eval=lambda x: 2.0 * model.f_eval(x))
-    states = np.array([[-1.0, 0.5], [0.0, 2.0]])
-    with pytest.raises(ValidationError, match=r"step 1, stage 1, batch row 0, "
-                       r"component 0: 0\.5 != 1\.0"):
-        eval_h_batch(doubled, policy, spec, states, 1.0, 10)
-    x0s = np.tile([-5.0, 1.0], (10, 1))
-    x0s[1] = [-10.0, 1.0]
-    with pytest.raises(ValidationError, match=r"step 1, stage 1, batch row 1, "
-                       r"component 1: -1\.0 != -0\.5"):
-        integrate_flow_batch(velocity_kick(model, lambda s: s < -9.0), policy,
-                             x0s, 10.0, 100)
-
-    beyond = velocity_kick(model, lambda s: s > 2.0)
-    x0s[1] = [0.0, 3.0]
-    with pytest.raises(ValidationError, match=r"step 100, stage 1, batch "
-                       r"row 1, component 1: "):
-        integrate_flow_batch(beyond, policy, x0s, 10.0, 100)
-    with pytest.raises(ValidationError, match=r"step 9, stage 1, batch "
-                       r"row 1, component 1: -1\.0 != -0\.5"):
-        integrate_flow_batch(beyond, policy, x0s[:2], 10.0, 100)
-
-    between = velocity_kick(model, lambda s: (s > 1.0) & (s < 2.0))
-    with pytest.raises(ValidationError, match=r"node 4, component 1: "):
-        integrate_flow(between, policy, [0.0, 3.0], 10.0, 100)
-    x0s[[1, 3, 5]] = [0.0, 3.0]
-    ends, _ = integrate_flow_batch(between, policy, x0s, 10.0, 100,
-                                   with_sensitivity=False)
-    own, _ = integrate_flow_batch(model, policy, x0s, 10.0, 100,
-                                  with_sensitivity=False)
-    assert np.array_equal(ends, own)
-    x0s[2] = [0.0, 3.0]
-    with pytest.raises(ValidationError, match=r"step 5, stage 1, batch "
-                       r"row 2, component 1: -1\.0 != -0\.5"):
-        integrate_flow_batch(between, policy, x0s, 10.0, 100)
-
-    custom = dataclasses.replace(policy, closed_loop=None)
-    x0s = x0s[:2]
-    ends, _ = integrate_flow_batch(beyond, custom, x0s, 10.0, 100)
-    assert ends[1] == pytest.approx([6.383, -0.125], abs=1e-3)
-    assert np.array_equal(
-        ends[1], integrate_flow(beyond, custom, x0s[1], 10.0, 100).states[-1])
-    values = eval_h_batch(beyond, custom, spec, x0s, 10.0, 100)
-    assert values.h[1] == pytest.approx(0.125, abs=1e-3)
-
-
 def test_loop_floats_check_treats_nan_as_equal():
-    """A NaN slope component at ``x0`` that the generated statement and
-    the model both give is no mismatch; both flows then diverge at their
+    """A NaN slope component at ``x0`` makes both flows diverge at their
     first step.  Aggressive Dubins with ``k_y = (1e308, 1e308)`` steers on
     ``1e308 Y + 1e308 psi``, which is ``inf - inf`` at ``Y = 2, psi = -2``."""
     model, policy, _ = make_benchmark("dubins", {"profile": "aggressive",
                                                  "k_y": (1e308, 1e308)})
     x0 = [2.0, 5.0, -2.0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert math.isnan(loop_rhs(model, policy, np.array(x0))[2])
     assert math.isnan(policy.closed_loop(FLOAT_PRIMITIVES)(*x0)[2])
     with pytest.raises(FlowDivergenceError, match="at step 1 "):
         integrate_flow(model, policy, x0, 8.0, 100)
@@ -561,50 +442,85 @@ def test_closed_loop_of_the_wrong_arity_is_named():
                              8.0, 100)
 
 
-@pytest.mark.parametrize("loop", [lambda p: lambda *x: x, print, "rhs", 0])
+@pytest.mark.parametrize("loop", [lambda p: lambda *x: x, print, "rhs", 0,
+                                  None])
 def test_closed_loop_must_be_generated(loop):
-    """A ``closed_loop`` that is neither ``None`` nor a generated
-    `ClosedLoop` is refused with `ValidationError` when the policy is made,
+    """A ``closed_loop`` that is not a generated `ClosedLoop`, ``None``
+    included, is refused with `ValidationError` when the policy is made,
     directly or by `dataclasses.replace`."""
     _, policy, _ = make_benchmark("toy1d")
-    with pytest.raises(ValidationError, match="closed_loop must be None or "
-                       "a generated ClosedLoop"):
+    with pytest.raises(ValidationError, match="closed_loop must be a "
+                       "generated ClosedLoop"):
         BackupPolicy(policy.pi_eval, policy.dpi_dx, policy.smoothing_eps,
                      closed_loop=loop)
-    with pytest.raises(ValidationError, match="closed_loop must be None or "
-                       "a generated ClosedLoop"):
+    with pytest.raises(ValidationError, match="closed_loop must be a "
+                       "generated ClosedLoop"):
         dataclasses.replace(policy, closed_loop=loop)
 
 
 def test_replaced_closed_loop_is_marched_as_given():
     """A policy whose ``closed_loop`` is swapped with `dataclasses.replace`
     marches on the replacement, never on the march compiled for the
-    statement it replaced: on conservative Dubins' statement, which brakes
-    no car at 5 m/s, aggressive Dubins' model and ``pi`` are refused at
-    node 0 by the single-state flow and at step 1 by the batch; without
-    ``closed_loop`` the march follows a model whose drift is doubled."""
+    statement it replaced: aggressive Dubins' model and ``pi`` with
+    conservative Dubins' statement, which brakes no car at 5 m/s, give the
+    bytes of conservative Dubins, in both flows."""
     model, policy, _ = make_benchmark("dubins", {"profile": "aggressive"})
-    _, other, _ = make_benchmark("dubins")
+    other_model, other, _ = make_benchmark("dubins")
     x0, horizon, steps = [0.3, 5.0, 0.1], 8.0, 100
     own = integrate_flow(model, policy, x0, horizon, steps)
     generated = dataclasses.replace(policy, closed_loop=other.closed_loop)
-    assert _rk4(3, generated.closed_loop) is not _rk4(3, policy.closed_loop)
-    with pytest.raises(ValidationError, match=r"node 0, component 1: "
-                       r"0\.0 != -3\.0"):
-        integrate_flow(model, generated, x0, horizon, steps)
-    with pytest.raises(ValidationError, match=r"step 1, stage 1, batch row "
-                       r"0, component 1: 0\.0 != -3\.0"):
-        integrate_flow_batch(model, generated, np.array([x0]), horizon, steps)
+    assert _march(generated.closed_loop) is not _march(policy.closed_loop)
+    swapped = integrate_flow(model, generated, x0, horizon, steps)
+    given = integrate_flow(other_model, other, x0, horizon, steps)
+    for part in ("states", "sensitivities", "drifts"):
+        assert (getattr(swapped, part).tobytes()
+                == getattr(given, part).tobytes()), part
+    assert not np.array_equal(swapped.states, own.states)
+    ends, q_end = integrate_flow_batch(model, generated, np.array([x0]),
+                                       horizon, steps)
+    assert ends.tobytes() == given.states[-1:].tobytes()
+    assert q_end.tobytes() == given.sensitivities[-1:].tobytes()
 
-    doubled = dataclasses.replace(model, f_eval=lambda x: 2.0 * model.f_eval(x))
-    custom = dataclasses.replace(policy, closed_loop=None)
-    traj = integrate_flow(doubled, custom, x0, horizon, steps)
-    assert np.array_equal(traj.states,
-                          reference_march(doubled, custom, np.array(x0),
-                                          horizon, steps)[0])
-    assert not np.array_equal(traj.states, own.states)
-    assert np.array_equal(integrate_flow(model, policy, x0, horizon,
-                                         steps).states, own.states)
+
+def test_flows_read_only_the_statement():
+    """With every evaluator of the model and the policy replaced by one
+    that raises, both flows, the batch with and without sensitivity, and
+    both barrier evaluations give the bytes they give on the untouched
+    triple, on every case of `BATCH_CASES`: they read the policy's closed
+    loop alone, and of the model only its state count."""
+    def raises(x):
+        raise AssertionError("a flow called an evaluator")
+
+    for name, params in BATCH_CASES:
+        model, policy, spec = make_benchmark(name, params)
+        blind = (dataclasses.replace(model, f_eval=raises, g_eval=raises,
+                                     df_dx=raises, dg_dx=raises),
+                 dataclasses.replace(policy, pi_eval=raises, dpi_dx=raises))
+        box = BENCHMARK_DEFAULTS[name]
+        horizon, steps = box["t_horizon_s"], box["n_flow_steps"]
+        x0s = np.random.default_rng(43).uniform(
+            box["sample_lower"], box["sample_upper"], (5, model.state_dim))
+        for x0 in x0s:
+            want, got = (integrate_flow(*pair, x0, horizon, steps)
+                         for pair in ((model, policy), blind))
+            for part in ("times", "states", "sensitivities", "drifts"):
+                assert (getattr(got, part).tobytes()
+                        == getattr(want, part).tobytes()), (name, part)
+            want, got = (eval_h(*pair, spec, x0, horizon, steps)
+                         for pair in ((model, policy), blind))
+            assert (got.h_value, got.argmin, got.terminal_value) == \
+                (want.h_value, want.argmin, want.terminal_value)
+            assert got.per_tau_values.tobytes() == want.per_tau_values.tobytes()
+        for with_sensitivity in (True, False):
+            want, got = (integrate_flow_batch(
+                *pair, x0s, horizon, steps, with_sensitivity=with_sensitivity)
+                for pair in ((model, policy), blind))
+            assert got[0].tobytes() == want[0].tobytes(), name
+            assert (got[1] is None if want[1] is None
+                    else got[1].tobytes() == want[1].tobytes()), name
+        want, got = (eval_h_batch(*pair, spec, x0s, horizon, steps)
+                     for pair in ((model, policy), blind))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), name
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, True,
@@ -659,35 +575,43 @@ def former_tuple_rk4_step(deriv, x, dt):
 
 
 def former_float_march(loop, x, dt, steps):
-    """`rk4_step` steps of one state held as a tuple of floats: flat float
-    lists ``(points, slopes)``; point ``4 (i - 1) + s`` is stage ``s`` of
-    step ``i``, the last is the last state, and slope ``i - 1`` is ``loop``
-    at the start of step ``i``.  Stops after the first step that leaves
-    finite values, tested per component (a sum of two finite values near
-    the float limit overflows)."""
-    points, slopes = [], []
+    """`rk4_step` steps of one state held as a tuple of floats: the flat
+    float list of points; point ``4 (i - 1) + s`` is stage ``s`` of step
+    ``i``, and the last is the last state.  Stops after the first step that
+    leaves finite values, tested per component (a sum of two finite values
+    near the float limit overflows)."""
+    points = []
     for _ in range(steps):
-        x, stages, stage_slopes = former_tuple_rk4_step(loop, x, dt)
+        x, stages, _ = former_tuple_rk4_step(loop, x, dt)
         for point in stages:
             points += point
-        slopes += stage_slopes[0]
         if not all(map(math.isfinite, x)):
             break
     points += x
-    return points, slopes
+    return points
 
 
-def assert_march_matches_former(loop, x0, dt, steps):
-    """The compiled float march gives the former march's points and slopes
-    in bytes, so it stops after the same step."""
+def march_outcome(march, x0, dt, steps):
+    """The points of ``march(x, dt, steps)`` from ``x0`` as a tuple of
+    floats, in bytes, and the steps it made, or the `ValueError` it raised
+    (``math.sin`` of an infinity)."""
     x = tuple(np.asarray(x0, dtype=float).tolist())
     with np.errstate(over="ignore", invalid="ignore"):
-        points, slopes = _rk4(len(x))[1](loop, x, dt, steps)
-        former_points, former_slopes = former_float_march(loop, x, dt, steps)
-    assert len(points) == len(former_points), (x0, dt, steps)
-    assert np.array(points).tobytes() == np.array(former_points).tobytes()
-    assert np.array(slopes).tobytes() == np.array(former_slopes).tobytes()
-    return len(slopes) // len(x)
+        try:
+            points = march(x, dt, steps)
+        except ValueError as exc:
+            return repr(exc)
+    return np.array(points).tobytes(), (len(points) // len(x) - 1) // 4
+
+
+def assert_march_matches_former(march, loop, x0, dt, steps):
+    """The compiled float ``march`` gives the points of the former march on
+    ``loop`` in bytes, so it stops after the same step; returns the steps
+    it made."""
+    got = march_outcome(march, x0, dt, steps)
+    assert got == march_outcome(functools.partial(former_float_march, loop),
+                                x0, dt, steps), (x0, dt, steps)
+    return got[1]
 
 
 def smoothing_calls(policy, x):
@@ -762,44 +686,49 @@ def edge_starts(policy, base):
     return starts
 
 
-def march_outcome(march, loop, x0, dt, steps):
-    """The march's points and slopes in bytes, and the steps it made, or
-    the `ValueError` it raised (``math.sin`` of an infinity)."""
-    try:
-        points, slopes = march(loop, tuple(x0), dt, steps)
-    except ValueError as exc:
-        return repr(exc)
-    return (np.array(points).tobytes(), np.array(slopes).tobytes(),
-            len(slopes) // len(x0))
-
-
 SPLICE_CASES = REFERENCE_CASES + [("dubins", {"eps_frac": 0.0}),
                                   ("aeroplane", {"smoothing_eps": 0.0})]
 
 
 @pytest.mark.parametrize("name, params", SPLICE_CASES)
 def test_compiled_march_matches_former_march(name, params):
-    """At sampled states of each benchmark, with the policy's statement and
-    with the stacked `loop_rhs` split into components (``np.float64``
-    slopes); and the compiled `rk4_step` on a batch of ``(B,)`` arrays gives
-    the former generic step's next state, stage points and slopes in bytes.
-    The march with the statement's float kernel written in, which calls no
-    smoothing, gives the
-    bytes of the march calling ``closed_loop(FLOAT_PRIMITIVES)``, from
-    random states and from states that put each inlined smoothing's
-    argument on a band edge or next to it (`edge_starts`)."""
+    """The march with the statement's float kernel written in, which calls
+    no smoothing, gives the bytes of the former march on the statement
+    built on floats, from random states and from states that put each
+    inlined smoothing's argument on a band edge or next to it
+    (`edge_starts`), and of the former march on the stacked `loop_rhs` of
+    the model split into components (``np.float64`` slopes) at sampled
+    states; and the compiled `rk4_step` on a batch of ``(B,)`` arrays gives
+    the former generic step's next state, stage points and slopes in
+    bytes."""
     model, policy, _ = make_benchmark(name, params)
     box = BENCHMARK_DEFAULTS[name]
     horizon, steps = box["t_horizon_s"], box["n_flow_steps"]
     dt = horizon / steps
     x0s = np.random.default_rng(29).uniform(
         box["sample_lower"], box["sample_upper"], (6, model.state_dim))
+    kernel = policy.closed_loop
+    assert len(kernel.rows) == model.state_dim
+    assert not re.search(r"\b(saturate|sign|indicator)\(",
+                         "\n".join(kernel.lines + kernel.rows))
+    march = _march(kernel)
     loop = policy.closed_loop(FLOAT_PRIMITIVES)
-    fallback = _stacked(model, policy)
-    assert isinstance(fallback(*x0s[0].tolist())[0], np.float64)
+    stacked = _stacked(model, policy)
+    assert isinstance(stacked(*x0s[0].tolist())[0], np.float64)
     for x0 in x0s:
-        assert assert_march_matches_former(loop, x0, dt, steps) == steps
-        assert assert_march_matches_former(fallback, x0, dt, steps) == steps
+        assert assert_march_matches_former(march, loop, x0, dt, steps) == steps
+        assert assert_march_matches_former(march, stacked, x0, dt,
+                                           steps) == steps
+    base = [0.5 * (lo + hi) for lo, hi in zip(box["sample_lower"],
+                                              box["sample_upper"])]
+    starts = edge_starts(policy, base)
+    starts += np.random.default_rng(41).uniform(
+        box["sample_lower"], box["sample_upper"],
+        (40, model.state_dim)).tolist()
+    for x0 in starts:
+        assert assert_march_matches_former(march, loop, x0, dt,
+                                           steps) == steps, (name, x0)
+
     loop = policy.closed_loop(ARRAY_PRIMITIVES)
     x = tuple(x0s.T.copy())
     for _ in range(3):
@@ -809,62 +738,47 @@ def test_compiled_march_matches_former_march(name, params):
             assert np.array(part).tobytes() == np.array(former).tobytes()
         x = got[0]
 
-    kernel = policy.closed_loop
-    assert len(kernel.rows) == model.state_dim
-    assert not re.search(r"\b(saturate|sign|indicator)\(",
-                         "\n".join(kernel.lines + kernel.rows))
-    spliced = _rk4(model.state_dim, kernel)[1]
-    called = _rk4(model.state_dim)[1]
-    assert spliced is not called
-    loop = policy.closed_loop(FLOAT_PRIMITIVES)
-    base = [0.5 * (lo + hi) for lo, hi in zip(box["sample_lower"],
-                                              box["sample_upper"])]
-    starts = edge_starts(policy, base)
-    starts += np.random.default_rng(41).uniform(
-        box["sample_lower"], box["sample_upper"],
-        (40, model.state_dim)).tolist()
-    for x0 in starts:
-        got = march_outcome(spliced, None, x0, dt, steps)
-        assert got == march_outcome(called, loop, x0, dt, steps), (name, x0)
-        assert got[2] == steps
-
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_compiled_march_matches_former_on_linear_systems(n):
-    """``xdot = A x`` for random ``A`` of each size (no ``closed_loop``, so
-    the slopes are ``np.float64``), and a start that diverges: the compiled
-    march stops after the same step as the former one."""
+    """``xdot = A x`` for random ``A`` of each size, against the former
+    march on the stacked `loop_rhs` (``np.float64`` slopes), and a start
+    that diverges: the compiled march stops after the same step as the
+    former one."""
     rng = np.random.default_rng(31 + n)
     model, policy = linear_system(rng.normal(size=(n, n)))
-    loop = _stacked(model, policy)
     for _ in range(4):
-        assert assert_march_matches_former(loop, rng.normal(size=n), 0.05,
-                                           40) == 40
+        assert assert_march_matches_former(
+            _march(policy.closed_loop), _stacked(model, policy),
+            rng.normal(size=n), 0.05, 40) == 40
     model, policy = linear_system(200.0 * np.eye(n))
     stop = assert_march_matches_former(
-        _stacked(model, policy), rng.normal(size=n), 1.0, 50)
+        _march(policy.closed_loop), _stacked(model, policy),
+        rng.normal(size=n), 1.0, 50)
     assert 1 <= stop < 50
 
 
 def test_compiled_march_stops_where_the_former_does():
     """The double integrator from s = 1.79e308 leaves finite values at
-    step 8 on the policy's statement and on stacked `loop_rhs`.  From states
-    with a component at +-1.79e308 or +-1e306, the march with each
-    statement's closed loop written in stops after the same step as the
-    march calling it, with the same points and slopes, on every case of
-    `SPLICE_CASES` (or raises the same `ValueError`)."""
+    step 8, as the former march does on the policy's statement and on
+    stacked `loop_rhs`.  From states with a component at +-1.79e308 or
+    +-1e306, the march with each statement's closed loop written in stops
+    after the same step as the former march calling it, with the same
+    points, on every case of `SPLICE_CASES` (or raises the same
+    `ValueError`)."""
     model, policy, _ = make_benchmark("double_integrator")
     for loop in (policy.closed_loop(FLOAT_PRIMITIVES), _stacked(model, policy)):
-        assert assert_march_matches_former(loop, [1.79e308, 1e306], 0.1,
-                                           100) == 8
+        assert assert_march_matches_former(_march(policy.closed_loop), loop,
+                                           [1.79e308, 1e306], 0.1, 100) == 8
     stops = set()
     for name, params in SPLICE_CASES:
         model, policy, _ = make_benchmark(name, params)
         box = BENCHMARK_DEFAULTS[name]
         n, steps = model.state_dim, box["n_flow_steps"]
         dt = box["t_horizon_s"] / steps
-        spliced = _rk4(n, policy.closed_loop)[1]
-        loop = policy.closed_loop(FLOAT_PRIMITIVES)
+        march = _march(policy.closed_loop)
+        former = functools.partial(former_float_march,
+                                   policy.closed_loop(FLOAT_PRIMITIVES))
         base = [0.5 * (lo + hi) for lo, hi in zip(box["sample_lower"],
                                                   box["sample_upper"])]
         starts = [base[:k] + [big] + base[k + 1:] for k in range(n)
@@ -873,10 +787,10 @@ def test_compiled_march_stops_where_the_former_does():
         starts += [[big] + [1e306 * math.copysign(1.0, big)] * (n - 1)
                    for big in (1.79e308, -1.79e308)]
         for x0 in starts:
-            got = march_outcome(spliced, None, x0, dt, steps)
-            assert got == march_outcome(_rk4(n)[1], loop, x0, dt,
-                                        steps), (name, params, x0)
-            stops.add((name, got[2] if isinstance(got, tuple) else got))
+            got = march_outcome(march, x0, dt, steps)
+            assert got == march_outcome(former, x0, dt, steps), \
+                (name, params, x0)
+            stops.add((name, got[1] if isinstance(got, tuple) else got))
     # some starts stop at the first step, some never, and these mid-path
     assert {("double_integrator", 8), ("dubins", 10)} <= stops
 
@@ -926,13 +840,11 @@ def test_q_step_matches_former_q_step(name, params):
     dt = horizon / steps
     x0s = np.random.default_rng(11).uniform(
         box["sample_lower"], box["sample_upper"], (5, model.state_dim))
-    loop = policy.closed_loop(FLOAT_PRIMITIVES)
     paths = []
     for x0 in x0s:
-        points, _ = _rk4(model.state_dim)[1](loop, tuple(x0.tolist()), dt,
-                                              steps)
+        points = _march(policy.closed_loop)(tuple(x0.tolist()), dt, steps)
         points = np.array(points).reshape(-1, model.state_dim)[:-1]
-        paths.append(loop_jacobian(model, policy, points).reshape(
+        paths.append(policy.closed_loop.jacobian(points).reshape(
             steps, 4, model.state_dim, model.state_dim))
         q = q_former = np.eye(model.state_dim)
         for step_jacs in paths[-1]:

@@ -23,28 +23,27 @@ from backup_cbf.hjgrid import (GridGeometry, LevelGrid, compare_sets,
                                grid_to_json_dict, hamiltonian, read_grid,
                                read_grid_csv, solve_invariant, sweep_backup_h,
                                write_grid_csv, write_grid_json)
-from backup_cbf.systems import (BackupPolicy, SafetySpec, ScalarConstraint,
-                                SystemModel, di_closed_form_h, make_benchmark)
+from backup_cbf.systems import (SafetySpec, ScalarConstraint, SystemModel,
+                                _benchmark, di_closed_form_h, make_benchmark)
+
+
+def two_axes(name, statement):
+    """The model and policy of ``statement`` on the states ``(x, y)``, with
+    one input in ``[-1, 1]``."""
+    model, policy, _ = _benchmark(name, statement, (), 0.01, (-1.0,), (1.0,),
+                                  ("x", "y"), ("u",), ("x",))
+    return model, policy
+
+
+def single_integrator(p, k, x, y):
+    """xdot = u, ydot = 0, with an idle backup."""
+    return (0.0, 0.0), ((1.0,), (0.0,)), (0.0,), (x,)
 
 
 def single_integrator_2d():
     """xdot = u (u in [-1,1]), ydot = 0: a 1-D plant embedded in two axes so
     it fits the grid contract."""
-
-    def f(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 1))
-        out[..., 0, 0] = 1.0
-        return out
-
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (2, 2))
-
-    model = SystemModel(2, 1, f, g, df, None, np.array([-1.0]), np.array([1.0]))
+    model, _ = two_axes("single_integrator", single_integrator)
 
     def h(x):
         return 1.0 - np.abs(np.asarray(x, dtype=float)[..., 0])
@@ -922,30 +921,16 @@ def test_level_grid_checks_value_count(tmp_path):
     assert cli_main(["compare", str(good), str(bad)]) == 2
 
 
+def escape(p, k, x, y):
+    """xdot = x^2, ydot = 0, with an idle backup."""
+    return (x * x, 0.0), ((0.0,), (0.0,)), (0.0,), (x,)
+
+
 def test_sweep_names_the_diverging_node(monkeypatch):
     """xdot0 = x0^2 escapes in finite time 1/x0, so over a horizon of 0.6 s
     only the nodes with x0 = 2 blow up; the error names the first of them
     (its global C-order index, past the first chunk) and its coordinates."""
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = x[..., 0] ** 2
-        return out
-
-    def g(x):
-        return np.zeros(np.asarray(x).shape[:-1] + (2, 1))
-
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 2.0 * x[..., 0]
-        return out
-
-    model = SystemModel(2, 1, f, g, df, None, np.array([-1.0]), np.array([1.0]))
-    policy = BackupPolicy(lambda x: np.zeros(np.asarray(x).shape[:-1] + (1,)),
-                          lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 2)),
-                          smoothing_eps=0.01)
+    model, policy = two_axes("escape", escape)
     band = ScalarConstraint(lambda x: 10.0 - np.abs(np.asarray(x)[..., 0]),
                             lambda x: np.zeros_like(np.asarray(x)), "band")
     spec = SafetySpec(constraints=(band,), terminal=band, alpha_gain=1.0)

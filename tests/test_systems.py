@@ -13,10 +13,9 @@ from backup_cbf.errors import EvaluationError, ValidationError
 from backup_cbf.systems import (_DUBINS_KY_AGGRESSIVE, _DUBINS_KY_CONSERVATIVE,
                                 _DUBINS_P_AGGRESSIVE,
                                 ARRAY_PRIMITIVES, BENCHMARK_DEFAULTS,
-                                BENCHMARK_NAMES, FLOAT_PRIMITIVES, BackupPolicy,
-                                SystemModel, _benchmark, _lyapunov_3x3,
-                                _indicator_float, _saturate_float, _sign_float,
-                                closed_loop_rhs, loop_jacobian,
+                                BENCHMARK_NAMES, FLOAT_PRIMITIVES, _benchmark,
+                                _lyapunov_3x3, _indicator_float,
+                                _saturate_float, _sign_float, closed_loop_rhs,
                                 di_closed_form_h, loop_rhs, make_benchmark,
                                 smooth_positive_indicator,
                                 smooth_positive_indicator_deriv,
@@ -45,16 +44,26 @@ def sample_box(name, count):
                        size=(count, len(d["sample_lower"])))
 
 
+def loop_jacobian(model, policy, x):
+    """State Jacobian of the backup loop from the model's and the policy's
+    evaluators, ``df + dg pi``, then ``+ g dpi``: the body `systems` had
+    before each generated closed loop carried its own, kept as the oracle."""
+    jac = model.df_dx(x)
+    if model.dg_dx is not None:
+        jac = jac + np.einsum("...imk,...m->...ik", model.dg_dx(x),
+                              policy.pi_eval(x))
+    return jac + np.matmul(model.g_eval(x), policy.dpi_dx(x))
+
+
 # ---------------------------------------------------------------------------
-# closed_loop_rhs / loop_jacobian worked values
+# closed_loop_rhs / closed-loop Jacobian worked values
 # ---------------------------------------------------------------------------
 
 
 def test_toy_rhs_and_jacobian():
     model, policy, _ = make_benchmark("toy1d")
     assert np.allclose(closed_loop_rhs(model, policy, np.array([1.0])), [-1.0])
-    assert np.allclose(loop_jacobian(model, policy, np.array([1.0])),
-                       [[-1.0]])
+    assert np.allclose(policy.closed_loop.jacobian(np.array([1.0])), [[-1.0]])
 
 
 def test_double_integrator_rhs_both_sides():
@@ -69,14 +78,14 @@ def test_double_integrator_rhs_both_sides():
 def test_double_integrator_jacobian_saturated_region():
     model, policy, _ = make_benchmark("double_integrator",
                                       {"smoothing_eps": 0.0})
-    jac = loop_jacobian(model, policy, np.array([3.0, 2.0]))
+    jac = policy.closed_loop.jacobian(np.array([3.0, 2.0]))
     assert np.allclose(jac, [[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_dubins_jacobian_heading_entry():
     model, policy, _ = make_benchmark("dubins")
     x = np.array([0.2, 5.0, 0.0])
-    jac = loop_jacobian(model, policy, x)
+    jac = policy.closed_loop.jacobian(x)
     # dYdot/dpsi = v cos(psi) = v at psi = 0
     assert jac[0, 2] == pytest.approx(5.0)
 
@@ -248,7 +257,7 @@ def test_closed_loop_jacobian_matches_finite_differences(name):
                                  policy.smoothing_eps)
     assert len(states) > 20
     for x in states[:40]:
-        jac = loop_jacobian(model, policy, x)
+        jac = policy.closed_loop.jacobian(x)
         fd = fd_jacobian(lambda y: closed_loop_rhs(model, policy, y), x)
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(jac - fd)) / scale < 1e-4
@@ -493,28 +502,56 @@ def test_loop_rhs_matches_stacked_matmul(case, data):
             f"{name} {params} at x = {x.tolist()!r}"
 
 
+@pytest.mark.parametrize("case", LOOP_CASES, ids=LOOP_CASE_IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_generated_jacobian_matches_loop_jacobian(case, data):
+    """The closed loop's generated Jacobian gives the bytes of the
+    `loop_jacobian` oracle, signs of zeros included, stacked and one state
+    at a time, on states drawn from the sampling box, inside every blend
+    band, on every switching surface and at a state of signed zeros; and
+    on NaN and infinite probes, where it makes the same calls."""
+    name, params = case
+    model, policy, _ = make_benchmark(name, params)
+    states = _draw_states(data, name, params, model, policy)
+    zeros = st.sampled_from([0.0, -0.0])
+    states.append(data.draw(st.tuples(*[zeros] * model.state_dim)))
+    stacked = np.array(states)
+    jacobian = policy.closed_loop.jacobian
+    assert same_bits(jacobian(stacked), loop_jacobian(model, policy, stacked)), \
+        f"{name} {params}"
+    for x in stacked:
+        assert same_bits(jacobian(x), loop_jacobian(model, policy, x)), \
+            f"{name} {params} at x = {x.tolist()!r}"
+    probes = np.repeat(stacked[:1], 3 * model.state_dim, axis=0)
+    for k in range(model.state_dim):
+        probes[3 * k:3 * k + 3, k] = (math.nan, math.inf, -math.inf)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert same_bits(jacobian(probes), loop_jacobian(model, policy, probes))
+
+
+def dense_channels(p, k, a, b, c):
+    """A 3-state statement with ``len(k) / 3`` inputs and a dense,
+    state-dependent ``g`` whose rows have no zero, unlike every benchmark:
+    ``f = sin(x)``, ``g_ij = cos(x_i w_ij) + w_ij``, ``pi_j = sin(x . w_j)``,
+    with ``w`` the ``(3, m)`` matrix ``k``."""
+    x, m = (a, b, c), len(k) // 3
+    w = [k[m * i:m * (i + 1)] for i in range(3)]
+    return (tuple(p.sin(v) for v in x),
+            tuple(tuple(p.cos(x[i] * w[i][j]) + w[i][j] for j in range(m))
+                  for i in range(3)),
+            tuple(p.sin((a * w[0][j] + b * w[1][j]) + c * w[2][j])
+                  for j in range(m)),
+            (a,))
+
+
 def dense_model(m):
-    """A 3-state model with ``m`` inputs and a dense, state-dependent ``g``,
-    unlike every benchmark."""
-    w = np.linspace(0.3, 1.7, 3 * m).reshape(3, m)
-
-    def f(x):
-        return np.sin(np.asarray(x, dtype=float))
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return np.cos(x[..., :, None] * w) + w
-
-    def pi(x):
-        x = np.asarray(x, dtype=float)
-        return np.tanh(x @ w)
-
-    def zeros(*shape):
-        return lambda x: np.zeros(np.shape(x)[:-1] + shape)
-
-    model = SystemModel(3, m, f, g, zeros(3, 3), None,
-                        -np.ones(m), np.ones(m))
-    return model, BackupPolicy(pi, zeros(m, 3), 0.0)
+    """`dense_channels` with ``m`` inputs in ``[-1, 1]``."""
+    model, policy, _ = _benchmark(
+        "dense_channels", dense_channels,
+        tuple(np.linspace(0.3, 1.7, 3 * m)), 0.0, (-1.0,) * m, (1.0,) * m,
+        ("a", "b", "c"), tuple(f"u{j}" for j in range(m)), ("a",))
+    return model, policy
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -1494,7 +1531,7 @@ def test_dense_statement_generates_loop_rhs_and_its_jacobians():
     for x in states[:20]:
         for jac, fn in ((model.df_dx, model.f_eval), (model.dg_dx, model.g_eval),
                         (policy.dpi_dx, policy.pi_eval),
-                        (lambda y: loop_jacobian(model, policy, y),
+                        (policy.closed_loop.jacobian,
                          lambda y: loop_rhs(model, policy, y)),
                         *((c.grad_eval, c.h_eval) for c in safety)):
             fd = fd_jacobian(fn, x)
