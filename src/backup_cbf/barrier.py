@@ -33,7 +33,7 @@ from .errors import QpSolverError, ValidationError
 from .flow import FlowTrajectory, integrate_flow, integrate_flow_batch
 from .qp import QpProblem, QpSolver
 from .systems import (BackupPolicy, SafetySpec, SystemModel, check_finite,
-                      is_finite_real, is_integer)
+                      is_finite_real, is_integer, loop_rhs)
 
 Array = np.ndarray
 
@@ -237,7 +237,11 @@ def filter_control(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
     Returns the adjusted input and diagnostics.  If the program reports
     infeasible - possible only through numerical or grid error when the
     barrier is nonnegative - the backup input ``pi(x)`` is returned with a
-    fallback flag.  An iteration-cap failure raises `QpSolverError`.
+    fallback flag.  An iteration-cap failure raises `QpSolverError`.  The
+    rows take ``f(x)`` and ``g(x)`` from the model, the flow marches on the
+    policy's closed loop: unless the model's ``f + g pi`` at ``x`` (in
+    `loop_rhs`'s order) equals the flow's first drift in bytes, the two
+    disagree and `ValidationError` is raised.
     """
     x = np.asarray(x, dtype=float)
     u_nominal = np.asarray(u_nominal, dtype=float)
@@ -249,6 +253,11 @@ def filter_control(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
     evaluation = eval_h(model, policy, spec, x, horizon, steps)
     t1 = time.perf_counter()
     constraints = build_constraints(model, spec, evaluation, margin)
+    if (loop_rhs(model, policy, x).tobytes()
+            != evaluation.trajectory.drifts[0].tobytes()):
+        raise ValidationError("the model's f + g pi at x differs from the "
+                              "policy's closed loop that the flow marched "
+                              "on, so the rows would mix two dynamics")
     t2 = time.perf_counter()
     problem = QpProblem(u0=u_nominal, rows=constraints.rows,
                         rhs=constraints.rhs, lower=model.input_lower,

@@ -27,7 +27,9 @@ terminal's ``dpsi`` entry at a ``v_b`` that is not a power of two).  The
 float twins of the smoothings clamp by comparisons, which return what
 ``min(max(y, lo), hi)`` returns for every float (NaN and signed zeros
 included) without two builtin calls.  Benchmark parameters must be finite
-numbers.  Values are immutable after construction and safe to share
+numbers, and every blend width > 0: each switching primitive has one C1
+body, so the backup loop is differentiable and its flow sensitivity
+exists.  Values are immutable after construction and safe to share
 across threads.
 
 Four benchmark instances are provided:
@@ -80,9 +82,8 @@ Array = np.ndarray
 # C1 smoothings of switching nonlinearities.
 #
 # Each smoothing is *exact* away from the switching surface so closed-form
-# trajectories remain valid there; only a band of width `eps` is blended.
-# `eps = 0` selects the hard (discontinuous-derivative) variant, kept for
-# cross-checks only: its derivative is zero in saturated regions.  Each
+# trajectories remain valid there; only a band of width `eps > 0` is
+# blended, so the backup loop is C1 and the flow sensitivity exists.  Each
 # value has a Python-float twin (`_indicator_float`, `_sign_float`,
 # `_saturate_float`) with the same branch tests; the pairs, with `math`'s
 # and numpy's `sin` and `cos`, make the two primitive tables the
@@ -97,16 +98,12 @@ def smooth_positive_indicator(v: Array | float, eps: float) -> Array:
     slightly early - the conservative side for a braking policy.
     """
     v = np.asarray(v, dtype=float)
-    if eps == 0.0:
-        return (v > 0.0).astype(float)
     t = _clip((v + eps) / eps, 0.0, 1.0)
     return t * t * (3.0 - 2.0 * t)
 
 
 def smooth_positive_indicator_deriv(v: Array | float, eps: float) -> Array:
     v = np.asarray(v, dtype=float)
-    if eps == 0.0:
-        return np.zeros_like(v)
     t = np.clip((v + eps) / eps, 0.0, 1.0)
     return 6.0 * t * (1.0 - t) / eps
 
@@ -114,24 +111,22 @@ def smooth_positive_indicator_deriv(v: Array | float, eps: float) -> Array:
 def smooth_sign(y: Array | float, eps: float) -> Array:
     """~= sign(y); exact +-1 for |y| >= eps, odd C1 blend through 0."""
     y = np.asarray(y, dtype=float)
-    if eps == 0.0:
-        return np.sign(y)
     q = _clip(y / eps, -1.0, 1.0)
     return q * (2.0 - np.abs(q))
 
 
 def smooth_sign_deriv(y: Array | float, eps: float) -> Array:
     y = np.asarray(y, dtype=float)
-    if eps == 0.0:
-        return np.zeros_like(y)
     q = y / eps
     inside = np.abs(q) < 1.0
     return np.where(inside, 2.0 * (1.0 - np.abs(q)) / eps, 0.0)
 
 
 def _check_blend(lo: float, hi: float, eps: float):
-    if eps > 0.0 and hi - lo <= 4.0 * eps:
-        raise ValidationError("saturation blend width exceeds the box size")
+    if not 0.0 < 4.0 * eps < hi - lo:
+        raise ValidationError(f"saturation blend width must be > 0 and below "
+                              f"a quarter of the box [{lo!r}, {hi!r}], got "
+                              f"{eps!r}")
 
 
 def smooth_saturate(y: Array | float, lo: float, hi: float, eps: float) -> Array:
@@ -143,8 +138,6 @@ def smooth_saturate(y: Array | float, lo: float, hi: float, eps: float) -> Array
     expression either way."""
     _check_blend(lo, hi, eps)
     y = np.asarray(y, dtype=float)
-    if eps == 0.0:
-        return _clip(y, lo, hi)
     out = _clip(y, lo, hi)
     if out.ndim == 0:           # the clip of a 0-d array is a read-only scalar
         out = np.array(out)
@@ -162,8 +155,6 @@ def smooth_saturate(y: Array | float, lo: float, hi: float, eps: float) -> Array
 def smooth_saturate_deriv(y: Array | float, lo: float, hi: float, eps: float) -> Array:
     _check_blend(lo, hi, eps)
     y = np.asarray(y, dtype=float)
-    if eps == 0.0:
-        return ((y > lo) & (y < hi)).astype(float)
     # band-only, as in `smooth_saturate`
     d = np.array((y > lo - eps) & (y < hi + eps), dtype=float)
     band = (y > hi - eps) & (y < hi + eps)
@@ -176,12 +167,11 @@ def smooth_saturate_deriv(y: Array | float, lo: float, hi: float, eps: float) ->
 # Each float twin is written once, as the lines that set ``out`` from the
 # float ``y``.  `_float_twin` compiles them on their parameter names into the
 # `FLOAT_PRIMITIVES` entry, and `_statements` writes them into a generated
-# march with the parameters as floats.  There each test and band edge that
-# the parameters fix is done once, as the twin does it at run time, and
-# written as a literal; a branch whose test fails is left out.
+# march with the parameters as floats.  There each band edge that the
+# parameters fix is computed once, as the twin computes it at run time, and
+# written as a literal.
 
-_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-        ">": operator.gt, "==": operator.eq}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _folded(a, op: str, b):
@@ -191,63 +181,42 @@ def _folded(a, op: str, b):
     return f"({a} {op} {b})"
 
 
-def _chain(*branches) -> list[str]:
-    """The ``if``/``elif``/``else`` lines of ``(test, lines)`` branches, in
-    order: a test folded to False is left out, and one folded to True ends
-    the chain as its ``else``, or is the whole of it if it comes first."""
+def _chain(*branches, otherwise: list[str]) -> list[str]:
+    """The ``if``/``elif`` lines of ``(test, lines)`` branches, in order,
+    then the ``else`` lines ``otherwise``."""
     out = []
     for test, body in branches:
-        if test is False:
-            continue
-        if test is True and not out:
-            return body
-        out.append("else:" if test is True
-                   else f"{'elif' if out else 'if'} {test}:")
+        out.append(f"{'elif' if out else 'if'} {test}:")
         out += ["    " + line for line in body]
-        if test is True:
-            break
-    return out
+    return out + ["else:"] + ["    " + line for line in otherwise]
 
 
 def _saturate_lines(out: str, y: str, lo, hi, eps) -> list[str]:
     """`smooth_saturate` on one float; the caller checks the blend width."""
-    band = _folded(eps, ">", 0.0)
     top, bottom = _folded(hi, "-", eps), _folded(lo, "+", eps)
     width = _folded(4.0, "*", eps)
-
-    def inside(a, b):
-        test = f"{a} < {y} < {b}"
-        return test if band is True else band and f"{band} and {test}"
-
     return _chain(
-        (inside(top, _folded(hi, "+", eps)),
+        (f"{top} < {y} < {_folded(hi, '+', eps)}",
          [f"d = {y} - {top}", f"{out} = {y} - d * d / {width}"]),
-        (inside(_folded(lo, "-", eps), bottom),
+        (f"{_folded(lo, '-', eps)} < {y} < {bottom}",
          [f"d = {bottom} - {y}", f"{out} = {y} + d * d / {width}"]),
-        (True, [f"{out} = {y}"] * (out != y)
-         + [f"if {lo} > {out}:", f"    {out} = {lo}",
-            f"if {out} > {hi}:", f"    {out} = {hi}"]))
+        otherwise=[f"{out} = {y}"] * (out != y)
+        + [f"if {lo} > {out}:", f"    {out} = {lo}",
+           f"if {out} > {hi}:", f"    {out} = {hi}"])
 
 
 def _sign_lines(out: str, y: str, eps) -> list[str]:
-    """`smooth_sign` on one float (``np.sign`` if ``eps == 0``: +0.0 at
-    +-0.0, the NaN itself at a NaN)."""
-    return _chain(
-        (_folded(eps, "==", 0.0),
-         [f"{out} = 1.0 if {y} > 0.0 else (-1.0 if {y} < 0.0 else {y} + 0.0)"]),
-        (True, [f"q = {y} / {eps}"] + _chain(
-            ("-1.0 > q", [f"{out} = -1.0"]), ("q > 1.0", [f"{out} = 1.0"]),
-            (True, [f"{out} = q * (2.0 - abs(q))"]))))
+    """`smooth_sign` on one float."""
+    return [f"q = {y} / {eps}"] + _chain(
+        ("-1.0 > q", [f"{out} = -1.0"]), ("q > 1.0", [f"{out} = 1.0"]),
+        otherwise=[f"{out} = q * (2.0 - abs(q))"])
 
 
 def _indicator_lines(out: str, y: str, eps) -> list[str]:
     """`smooth_positive_indicator` on one float."""
-    return _chain(
-        (_folded(eps, "==", 0.0), [f"{out} = 1.0 if {y} > 0.0 else 0.0"]),
-        (True, [f"t = {_folded(y, '+', eps)} / {eps}", "if 0.0 > t:",
-                "    t = 0.0"] + _chain(
-            ("t > 1.0", [f"{out} = 1.0"]),
-            (True, [f"{out} = t * t * (3.0 - 2.0 * t)"]))))
+    return [f"t = {_folded(y, '+', eps)} / {eps}", "if 0.0 > t:", "    t = 0.0",
+            *_chain(("t > 1.0", [f"{out} = 1.0"]),
+                    otherwise=[f"{out} = t * t * (3.0 - 2.0 * t)"])]
 
 
 _FLOAT_BODIES = {"saturate": _saturate_lines, "sign": _sign_lines,
@@ -269,13 +238,14 @@ _indicator_float = _float_twin("indicator", "eps")
 
 
 class Primitives(NamedTuple):
-    """The nonlinear primitives a benchmark's dynamics are stated against;
-    `FLOAT_PRIMITIVES` and `ARRAY_PRIMITIVES` give each entry the same bits
-    on the same input up to a NaN's sign, which the float ``sign`` blend
-    does not fix: it multiplies two NaNs of opposite sign, and CPython's
-    specialized multiply returns the other one than its generic multiply,
-    so ``_sign_float(-nan, 0.25)`` flips sign after a few calls.
-    `_SYMBOLIC` records each call."""
+    """The nonlinear primitives a benchmark's dynamics are stated against:
+    ``sin``, ``cos`` and three C1 smoothings, each one body for a blend
+    width ``eps > 0``.  `FLOAT_PRIMITIVES` and `ARRAY_PRIMITIVES` give each
+    entry the same bits on the same input up to a NaN's sign, which the
+    float ``sign`` blend does not fix: it multiplies two NaNs of opposite
+    sign, and CPython's specialized multiply returns the other one than its
+    generic multiply, so ``_sign_float(-nan, 0.25)`` flips sign after a
+    few calls.  `_SYMBOLIC` records each call."""
 
     sin: Callable
     cos: Callable
@@ -364,9 +334,8 @@ class ClosedLoop:
 class BackupPolicy:
     """Feedback law ``u = pi(x)`` with its state Jacobian.
 
-    ``smoothing_eps`` is the width of the C1 blends inside the policy;
-    ``0.0`` marks the hard (test-only) variant whose Jacobian is zero in
-    saturated regions.
+    ``smoothing_eps`` (a finite number > 0) is the width of the C1 blends
+    inside the policy, the widest where it has several.
 
     ``closed_loop`` is the `ClosedLoop` generated with the model this policy
     was built alongside (`_generated`); anything else is refused with
@@ -381,9 +350,9 @@ class BackupPolicy:
     closed_loop: ClosedLoop
 
     def __post_init__(self):
-        if not (is_finite_real(self.smoothing_eps) and self.smoothing_eps >= 0.0):
+        if not (is_finite_real(self.smoothing_eps) and self.smoothing_eps > 0.0):
             raise ValidationError(f"smoothing_eps must be a finite number "
-                                  f">= 0, got {self.smoothing_eps!r}")
+                                  f"> 0, got {self.smoothing_eps!r}")
         if not isinstance(self.closed_loop, ClosedLoop):
             raise ValidationError(f"closed_loop must be a generated "
                                   f"ClosedLoop, got {self.closed_loop!r}")
@@ -528,10 +497,11 @@ def _derived(expression: str, compute: Callable[[], float], *keys: str
     return value
 
 
-def _smoothing_eps(params: dict, default_eps: float) -> float:
-    eps = _number(params, "smoothing_eps", default_eps)
-    if eps < 0.0:
-        raise ValidationError("smoothing_eps must be >= 0")
+def _width(params: dict, key: str, default: float) -> float:
+    """Blend-width parameter ``key`` (default ``default``), a float > 0."""
+    eps = _number(params, key, default)
+    if eps <= 0.0:
+        raise ValidationError(f"{key} must be > 0, got {eps!r}")
     return eps
 
 
@@ -797,10 +767,10 @@ def _build_toy1d(params: dict):
     c_level = _number(params, "c_level", 4.0)
     s_level = _number(params, "s_level", 1.0)
     alpha = _number(params, "alpha_gain_per_s", 1.0)
-    eps = _smoothing_eps(params, 0.05 * u_max)
-    _reject_unknown(params, "toy1d")
     if u_max <= 0.0 or gain <= 0.0:
         raise ValidationError("toy1d needs u_max > 0 and gain_k > 0")
+    eps = _width(params, "smoothing_eps", 0.05 * u_max)
+    _reject_unknown(params, "toy1d")
     _check_blend(-u_max, u_max, eps)
     model, policy, (level, terminal) = _benchmark(
         "toy1d", _toy1d, (gain, u_max, eps, c_level, s_level), eps, (-u_max,),
@@ -824,10 +794,10 @@ def _build_double_integrator(params: dict):
     u_max = _number(params, "u_max_mps2", 1.0)
     v_scale = _number(params, "v_scale_mps", 5.0)
     alpha = _number(params, "alpha_gain_per_s", 1.0)
-    eps = _smoothing_eps(params, 0.05 * v_scale)
-    _reject_unknown(params, "double_integrator")
     if u_max <= 0.0 or v_scale <= 0.0:
         raise ValidationError("double_integrator needs u_max > 0, v_scale > 0")
+    eps = _width(params, "smoothing_eps", 0.05 * v_scale)
+    _reject_unknown(params, "double_integrator")
 
     model, policy, (limit, at_rest) = _benchmark(
         "double_integrator", _double_integrator, (u_max, eps, c_limit), eps,
@@ -888,7 +858,7 @@ def _build_dubins(params: dict):
     terminal_p = params.pop("terminal_p", None)
     c_level = _number(params, "terminal_c", 0.5 if aggressive else 1.0)
     alpha = _number(params, "alpha_gain_per_s", 1.0)
-    eps_frac = _number(params, "eps_frac", 0.05)
+    eps_frac = _width(params, "eps_frac", 0.05)
     _reject_unknown(params, "dubins")
     if min(y_max, psi_max, a_max, r_max, k_v) <= 0.0:
         raise ValidationError("dubins box parameters must be > 0")
@@ -965,15 +935,15 @@ def _build_aeroplane(params: dict):
     r_term = _number(params, "r_terminal_m", 1.2 * r_min)
     _derived("r_terminal_m ** 2", lambda: r_term ** 2, "r_terminal_m")
     alpha = _number(params, "alpha_gain_per_s", 1.0)
+    if min(v_a, v_b, u_max, r_min) <= 0.0 or r_term <= r_min:
+        raise ValidationError(
+            "aeroplane needs positive speeds, u_max, r_min and r_terminal > r_min")
     # The turn-away policy slides along dy = 0 once the opponent falls
     # behind; the blend slope (2/eps) times |dx| sets the stiffness of the
     # variational equation, so the band is kept wide enough for the default
     # integration grid to resolve it.
-    eps = _smoothing_eps(params, 0.25 * r_min)
+    eps = _width(params, "smoothing_eps", 0.25 * r_min)
     _reject_unknown(params, "aeroplane")
-    if min(v_a, v_b, u_max, r_min) <= 0.0 or r_term <= r_min:
-        raise ValidationError(
-            "aeroplane needs positive speeds, u_max, r_min and r_terminal > r_min")
 
     model, policy, (separation, separated, diverging) = _benchmark(
         "aeroplane", _aeroplane, (v_a, v_b, u_max, eps, r_min, r_term), eps,

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from backup_cbf.barrier import (TERMINAL_INDEX, build_constraints, eval_h,
-                                eval_h_batch, filter_control,
-                                relative_degree_probe, terminal_row_coefficient)
+from backup_cbf.barrier import (build_constraints, eval_h, eval_h_batch,
+                                filter_control, relative_degree_probe,
+                                terminal_row_coefficient)
 from backup_cbf.errors import EvaluationError, ValidationError
 from backup_cbf.qp import QpProblem, QpSolver
 from backup_cbf.systems import di_closed_form_h, make_benchmark
@@ -28,21 +28,6 @@ def test_eval_h_di_static_violation():
     assert ev.h_value == pytest.approx(-2.0, abs=1e-9)
     assert ev.argmin == (0, 0)
     assert ev.h_value == min(float(ev.per_tau_values.min()), ev.terminal_value)
-
-
-def test_eval_h_di_braking_boundary_hard_mode():
-    # Exact flow: braking stops after 2 s at the peak position 2, so the
-    # worst path value is 8 and the rest-set function is 0 at the horizon.
-    # Without event location the fixed-step scheme resolves the switching
-    # point to within one step, hence the dt-scaled tolerances.
-    model, policy, spec = make_benchmark("double_integrator",
-                                         {"smoothing_eps": 0.0})
-    dt = 10.0 / 100
-    ev = eval_h(model, policy, spec, np.array([0.0, 2.0]), 10.0, 100)
-    assert ev.per_tau_values.min() == pytest.approx(8.0, abs=1e-6)
-    assert abs(ev.terminal_value) <= dt / 2
-    assert abs(ev.h_value) <= dt / 2
-    assert ev.argmin[0] == TERMINAL_INDEX
 
 
 def test_eval_h_di_braking_boundary_smooth_mode():
@@ -216,6 +201,25 @@ def test_filter_clips_when_rows_inactive():
                                   np.array([10.0]), 1.0, 100)
     assert u_star[0] == pytest.approx(5.0, abs=1e-10)
     assert diag.active_rows == (("upper", 0),)
+
+
+def test_filter_refuses_a_model_the_flow_did_not_march():
+    """The rows read ``f`` and ``g`` from the model, the flow marches on the
+    policy's closed loop: a model whose ``f_eval`` was doubled would give
+    rows that mix the two (row 0's slack at ``pi(x)`` reads 8.0, not
+    ``alpha h = 10``), so the filter refuses it.  Evaluators that are
+    wrapped but give the same values pass, with the same ``u*``."""
+    model, policy, spec = make_benchmark("double_integrator")
+    x, u0 = np.array([0.0, 2.0]), np.array([1.0])
+    f = model.f_eval
+    doubled = dataclasses.replace(model, f_eval=lambda x: 2.0 * f(x))
+    with pytest.raises(ValidationError, match="mix two dynamics"):
+        filter_control(doubled, policy, spec, x, u0, 10.0, 100)
+    wrapped = dataclasses.replace(model, f_eval=lambda x: f(x),
+                                  g_eval=lambda x: model.g_eval(x))
+    u_star, _ = filter_control(wrapped, policy, spec, x, u0, 10.0, 100)
+    assert u_star.tobytes() == filter_control(
+        model, policy, spec, x, u0, 10.0, 100)[0].tobytes()
 
 
 def test_filter_fallback_on_forced_infeasibility():

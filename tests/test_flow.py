@@ -126,10 +126,10 @@ def test_toy_flow_matches_exponential():
 
 
 def test_double_integrator_hard_braking_arc():
-    model, policy, _ = make_benchmark("double_integrator",
-                                      {"smoothing_eps": 0.0})
+    model, policy, _ = make_benchmark("double_integrator")
     traj = integrate_flow(model, policy, np.array([0.0, 2.0]), 1.0, 10)
-    # no switching crossed before t=1, so the arc and its sensitivity are exact
+    # the indicator is exactly 1 for v >= 0 and v stays above 0 before t=1,
+    # so the braking arc and its sensitivity are exact
     assert np.allclose(traj.states[-1], [1.5, 1.0], atol=1e-12)
     assert np.allclose(traj.sensitivities[-1], [[1.0, 1.0], [0.0, 1.0]],
                        atol=1e-12)
@@ -686,11 +686,7 @@ def edge_starts(policy, base):
     return starts
 
 
-SPLICE_CASES = REFERENCE_CASES + [("dubins", {"eps_frac": 0.0}),
-                                  ("aeroplane", {"smoothing_eps": 0.0})]
-
-
-@pytest.mark.parametrize("name, params", SPLICE_CASES)
+@pytest.mark.parametrize("name, params", REFERENCE_CASES)
 def test_compiled_march_matches_former_march(name, params):
     """The march with the statement's float kernel written in, which calls
     no smoothing, gives the bytes of the former march on the statement
@@ -764,14 +760,14 @@ def test_compiled_march_stops_where_the_former_does():
     stacked `loop_rhs`.  From states with a component at +-1.79e308 or
     +-1e306, the march with each statement's closed loop written in stops
     after the same step as the former march calling it, with the same
-    points, on every case of `SPLICE_CASES` (or raises the same
+    points, on every case of `REFERENCE_CASES` (or raises the same
     `ValueError`)."""
     model, policy, _ = make_benchmark("double_integrator")
     for loop in (policy.closed_loop(FLOAT_PRIMITIVES), _stacked(model, policy)):
         assert assert_march_matches_former(_march(policy.closed_loop), loop,
                                            [1.79e308, 1e306], 0.1, 100) == 8
     stops = set()
-    for name, params in SPLICE_CASES:
+    for name, params in REFERENCE_CASES:
         model, policy, _ = make_benchmark(name, params)
         box = BENCHMARK_DEFAULTS[name]
         n, steps = model.state_dim, box["n_flow_steps"]

@@ -14,6 +14,7 @@ from backup_cbf.systems import (_DUBINS_KY_AGGRESSIVE, _DUBINS_KY_CONSERVATIVE,
                                 _DUBINS_P_AGGRESSIVE,
                                 ARRAY_PRIMITIVES, BENCHMARK_DEFAULTS,
                                 BENCHMARK_NAMES, FLOAT_PRIMITIVES, _benchmark,
+                                _generated,
                                 _lyapunov_3x3, _indicator_float,
                                 _saturate_float, _sign_float, closed_loop_rhs,
                                 di_closed_form_h, loop_rhs, make_benchmark,
@@ -76,8 +77,8 @@ def test_double_integrator_rhs_both_sides():
 
 
 def test_double_integrator_jacobian_saturated_region():
-    model, policy, _ = make_benchmark("double_integrator",
-                                      {"smoothing_eps": 0.0})
+    # the indicator is exactly 1 for v >= 0, so its derivative is 0 there
+    model, policy, _ = make_benchmark("double_integrator")
     jac = policy.closed_loop.jacobian(np.array([3.0, 2.0]))
     assert np.allclose(jac, [[0.0, 1.0], [0.0, 0.0]])
 
@@ -156,6 +157,26 @@ def test_unknown_benchmark_and_params_rejected():
         make_benchmark("dubins", {"eps_frac": 0.5})
     with pytest.raises(ValidationError):
         make_benchmark("toy1d", {"smoothing_eps": 2.5})
+
+
+@pytest.mark.parametrize("name, key", [
+    ("toy1d", "smoothing_eps"), ("double_integrator", "smoothing_eps"),
+    ("dubins", "eps_frac"), ("aeroplane", "smoothing_eps")])
+@pytest.mark.parametrize("width", [0.0, -1.0])
+def test_blend_widths_must_be_positive(name, key, width):
+    """Every switching primitive has one C1 body, for a blend width > 0: a
+    width of 0 or below is refused with `ValidationError` naming the
+    parameter given, before anything is generated; so is a policy
+    replaced onto such a width."""
+    _, policy, _ = make_benchmark(name)
+    cached = _generated.cache_info()
+    with pytest.raises(ValidationError, match=f"^{key} must be > 0, got "
+                       f"{width!r}$"):
+        make_benchmark(name, {key: width})
+    assert _generated.cache_info() == cached
+    with pytest.raises(ValidationError, match="smoothing_eps must be a "
+                       "finite number > 0"):
+        dataclasses.replace(policy, smoothing_eps=width)
 
 
 @pytest.mark.parametrize("name, params, named", [
@@ -346,28 +367,22 @@ def test_smoothings_scalar_and_batch_agree():
     batch = smooth_saturate(vs, -0.3, 0.3, 0.02)
     singles = np.array([smooth_saturate(v, -0.3, 0.3, 0.02) for v in vs])
     assert np.allclose(batch, singles)
-    for eps in (0.25, 0.0):
-        for fn in (lambda v: smooth_positive_indicator_deriv(v, eps),
-                   lambda v: smooth_sign_deriv(v, eps),
-                   lambda v: smooth_saturate_deriv(v, -0.3, 0.3, eps / 10)):
-            batch = fn(vs)
-            singles = np.array([fn(v) for v in vs])
-            assert singles.shape == batch.shape
-            assert np.allclose(batch, singles)
+    for fn in (lambda v: smooth_positive_indicator_deriv(v, 0.25),
+               lambda v: smooth_sign_deriv(v, 0.25),
+               lambda v: smooth_saturate_deriv(v, -0.3, 0.3, 0.025)):
+        batch = fn(vs)
+        singles = np.array([fn(v) for v in vs])
+        assert singles.shape == batch.shape
+        assert np.allclose(batch, singles)
 
 
 # ---------------------------------------------------------------------------
 # the float closed loop against the array path
 # ---------------------------------------------------------------------------
 
-LOOP_CASES = [("toy1d", {}), ("toy1d", {"smoothing_eps": 0.0}),
-              ("double_integrator", {}),
-              ("double_integrator", {"smoothing_eps": 0.0}),
+LOOP_CASES = [("toy1d", {}), ("double_integrator", {}),
               ("dubins", {"profile": "conservative"}),
-              ("dubins", {"profile": "aggressive"}),
-              ("dubins", {"profile": "conservative", "eps_frac": 0.0}),
-              ("dubins", {"profile": "aggressive", "eps_frac": 0.0}),
-              ("aeroplane", {}), ("aeroplane", {"smoothing_eps": 0.0})]
+              ("dubins", {"profile": "aggressive"}), ("aeroplane", {})]
 
 
 def _saturation_points(bound, eps):
@@ -549,7 +564,7 @@ def dense_model(m):
     """`dense_channels` with ``m`` inputs in ``[-1, 1]``."""
     model, policy, _ = _benchmark(
         "dense_channels", dense_channels,
-        tuple(np.linspace(0.3, 1.7, 3 * m)), 0.0, (-1.0,) * m, (1.0,) * m,
+        tuple(np.linspace(0.3, 1.7, 3 * m)), 0.5, (-1.0,) * m, (1.0,) * m,
         ("a", "b", "c"), tuple(f"u{j}" for j in range(m)), ("a",))
     return model, policy
 
@@ -616,7 +631,7 @@ def _saturation_probes(lo, hi, eps):
 
 
 @pytest.mark.parametrize("lo, hi, eps", [(-3.0, 3.0, 0.15), (-0.5, 0.5, 0.025),
-                                         (-3.0, 3.0, 0.0), (0.0, 2.0, 0.1)])
+                                         (0.0, 2.0, 0.1)])
 @pytest.mark.parametrize("fn, reference", [
     (smooth_saturate, reference_smooth_saturate),
     (smooth_saturate_deriv, reference_smooth_saturate_deriv)],
@@ -695,15 +710,14 @@ def _edge_probes(edges):
 
 
 def _smoothing_cases():
-    """(smoothing, former body, parameters, probes) for eps 0 and eps > 0:
-    the edges are each band's ends and the clamps."""
-    for eps in (0.0, 0.25, 1e-3):
+    """(smoothing, former body, parameters, probes): the edges are each
+    band's ends and the clamps."""
+    for eps in (0.25, 1e-3):
         yield (smooth_positive_indicator, former_smooth_positive_indicator,
                (eps,), _edge_probes([-eps, 0.0, -0.5 * eps, 1.0]))
         yield (smooth_sign, former_smooth_sign, (eps,),
                _edge_probes([-eps, eps, 0.0, 0.5 * eps, 2.0]))
-    for lo, hi, eps in ((-3.0, 3.0, 0.15), (-0.5, 0.5, 0.0), (0.0, 2.0, 0.1),
-                        (-3.0, 3.0, 0.0)):
+    for lo, hi, eps in ((-3.0, 3.0, 0.15), (0.0, 2.0, 0.1)):
         yield (smooth_saturate, former_smooth_saturate, (lo, hi, eps),
                _edge_probes([lo - eps, lo, lo + eps, hi - eps, hi, hi + eps,
                              0.5 * (lo + hi)]))
@@ -731,13 +745,12 @@ def test_smoothings_match_their_np_clip_bodies(fn, former, params, probes):
                          former(batch.reshape(-1, 1), *params))
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.25])
+@pytest.mark.parametrize("eps", [0.25])
 def test_float_twins_match_their_array_primitives_on_special_values(eps):
     """Each float twin gives the bits of its array primitive at NaN, +-0.0
-    and +-inf, with a blend (eps > 0) and without (eps = 0).  The NaN is
-    the positive one: a blend of a negative NaN multiplies two NaNs of
-    opposite sign, and which one CPython returns changes once it
-    specializes the multiply."""
+    and +-inf.  The NaN is the positive one: a blend of a negative NaN
+    multiplies two NaNs of opposite sign, and which one CPython returns
+    changes once it specializes the multiply."""
     for y in (math.nan, 0.0, -0.0, math.inf, -math.inf):
         for twin, array in ((_indicator_float, smooth_positive_indicator),
                             (_sign_float, smooth_sign)):
@@ -1095,18 +1108,15 @@ def same_float(a: float, b: float) -> bool:
         a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
 
 
-@pytest.mark.parametrize("eps", [0.25, 0.05, 1.0, 0.0])
+@pytest.mark.parametrize("eps", [0.25, 0.05, 1.0])
 def test_float_primitives_match_former_clamps(eps):
     """Same value and sign as the ``min(max(...))`` bodies at the band
-    edges and their neighbours, at +-0.0, NaN and +-inf (except the hard
-    sign at a NaN, which now follows ``np.sign``)."""
+    edges and their neighbours, at +-0.0, NaN and +-inf."""
     for v in _probes([-eps, 0.0, eps, -2.0 * eps, 1.0, -1.0]):
         assert same_float(_indicator_float(v, eps),
                           former_indicator_float(v, eps)), (v, eps)
-        # without a blend a NaN now gives np.sign's NaN, where the former
-        # twin gave -1.0
-        sign = v if eps == 0.0 and math.isnan(v) else former_sign_float(v, eps)
-        assert same_float(_sign_float(v, eps), sign), (v, eps)
+        assert same_float(_sign_float(v, eps), former_sign_float(v, eps)), \
+            (v, eps)
     for lo, hi in ((-3.0, 3.0), (-0.5, 0.5), (-5.0, 5.0)):
         edges = [b + d for b in (lo, hi) for d in (-eps, 0.0, eps)]
         for y in _probes(edges + [0.5 * (lo + hi), 2.0 * hi, 2.0 * lo]):
