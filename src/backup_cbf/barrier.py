@@ -32,8 +32,8 @@ import numpy as np
 from .errors import QpSolverError, ValidationError
 from .flow import FlowTrajectory, integrate_flow, integrate_flow_batch
 from .qp import QpProblem, QpSolver
-from .systems import (BackupPolicy, SafetySpec, SystemModel, check_finite,
-                      is_finite_real, is_integer, loop_rhs)
+from .systems import (BackupPolicy, SafetySpec, SystemModel, affine_sum,
+                      check_finite, is_finite_real, is_integer)
 
 Array = np.ndarray
 
@@ -143,12 +143,34 @@ def eval_h_batch(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
                               path_min=path_min, terminal=terminal)
 
 
-def build_constraints(model: SystemModel, spec: SafetySpec,
-                      evaluation: BarrierEvaluation,
+def _dynamics(model: SystemModel, policy: BackupPolicy, x: Array,
+              drift: Array) -> tuple[Array, Array]:
+    """The model's ``f(x)`` and ``g(x)`` at states ``x`` (``(n,)`` or
+    ``(B, n)``), read once; `ValidationError`, naming a batch's first state
+    that differs, unless ``f + g pi`` there (`affine_sum`) equals the flow's
+    ``drift`` in bytes, as rows from them would then mix two dynamics."""
+    f, g = model.f_eval(x), model.g_eval(x)
+    if g.shape != x.shape + (model.input_dim,):
+        raise ValidationError("g(x) has the wrong shape")
+    loop = affine_sum(f, g, policy.pi_eval(x))
+    if loop.tobytes() != drift.tobytes():
+        first = next(i for i, (a, b) in enumerate(zip(loop, drift))
+                     if a.tobytes() != b.tobytes())
+        where = f" at state {first}" if x.ndim > 1 else ""
+        raise ValidationError(f"the model's f + g pi{where} differs from the "
+                              f"policy's closed loop that the flow marched "
+                              f"on, so the rows would mix two dynamics")
+    return f, g
+
+
+def build_constraints(model: SystemModel, policy: BackupPolicy,
+                      spec: SafetySpec, evaluation: BarrierEvaluation,
                       margin: float = 0.0) -> ConstraintSet:
     """Reduce the filter conditions along ``evaluation`` to rows in u, at
     the state its trajectory starts from.
 
+    The rows take the flow's drifts, finite, and the model's ``f`` and
+    ``g`` at ``x``, checked against the first drift by `_dynamics`.
     ``margin >= 0`` tightens every row by a constant, compensating
     inter-sample error of the time grid.
     """
@@ -156,16 +178,12 @@ def build_constraints(model: SystemModel, spec: SafetySpec,
         raise ValidationError(f"margin must be a finite number >= 0, got "
                               f"{margin!r}")
     traj = evaluation.trajectory
-    x = traj.origin
-
-    f0 = model.f_eval(x)
-    g0 = model.g_eval(x)
-    if g0.shape != (model.state_dim, model.input_dim):
-        raise ValidationError("g(x) has the wrong shape")
+    drifts = check_finite(traj.drifts, "closed-loop derivative")
+    f0, g0 = _dynamics(model, policy, traj.origin, drifts[0])
     sens = traj.sensitivities              # (N+1, n, n)
     q_g = sens @ g0                        # (N+1, n, m)
     q_f = sens @ f0                        # (N+1, n)
-    drift_gap = q_f - check_finite(traj.drifts, "closed-loop derivative")
+    drift_gap = q_f - drifts
 
     gamma = spec.alpha_gain
     a_blocks, b_blocks = [], []
@@ -237,11 +255,8 @@ def filter_control(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
     Returns the adjusted input and diagnostics.  If the program reports
     infeasible - possible only through numerical or grid error when the
     barrier is nonnegative - the backup input ``pi(x)`` is returned with a
-    fallback flag.  An iteration-cap failure raises `QpSolverError`.  The
-    rows take ``f(x)`` and ``g(x)`` from the model, the flow marches on the
-    policy's closed loop: unless the model's ``f + g pi`` at ``x`` (in
-    `loop_rhs`'s order) equals the flow's first drift in bytes, the two
-    disagree and `ValidationError` is raised.
+    fallback flag.  An iteration-cap failure raises `QpSolverError`, and a
+    model the flow did not march on `ValidationError` (`build_constraints`).
     """
     x = np.asarray(x, dtype=float)
     u_nominal = np.asarray(u_nominal, dtype=float)
@@ -252,12 +267,7 @@ def filter_control(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
     t0 = time.perf_counter()
     evaluation = eval_h(model, policy, spec, x, horizon, steps)
     t1 = time.perf_counter()
-    constraints = build_constraints(model, spec, evaluation, margin)
-    if (loop_rhs(model, policy, x).tobytes()
-            != evaluation.trajectory.drifts[0].tobytes()):
-        raise ValidationError("the model's f + g pi at x differs from the "
-                              "policy's closed loop that the flow marched "
-                              "on, so the rows would mix two dynamics")
+    constraints = build_constraints(model, policy, spec, evaluation, margin)
     t2 = time.perf_counter()
     problem = QpProblem(u0=u_nominal, rows=constraints.rows,
                         rhs=constraints.rhs, lower=model.input_lower,
@@ -303,12 +313,13 @@ def terminal_row_coefficient(model: SystemModel, policy: BackupPolicy,
                              spec: SafetySpec, states: Array,
                              horizon: float, steps: int) -> Array:
     """Input coefficients ``(B, m)`` of the terminal row for states
-    ``(B, n)``; a nonzero norm is the relative-degree-one property."""
+    ``(B, n)``; a nonzero norm is the relative-degree-one property.  The
+    model's ``g`` is checked per state as the rows check it (`_dynamics`)."""
     states = np.asarray(states, dtype=float)
     ends, q_end = integrate_flow_batch(model, policy, states, horizon, steps,
                                        with_sensitivity=True)
     grad_t = spec.terminal.grad_eval(ends)            # (B, n)
-    g0 = model.g_eval(states)                         # (B, n, m)
+    g0 = _dynamics(model, policy, states, policy.closed_loop.at(states))[1]
     return np.einsum("bi,bik,bkm->bm", grad_t, q_end, g0)
 
 

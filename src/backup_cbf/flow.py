@@ -259,8 +259,8 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
                    horizon: float, steps: int) -> FlowTrajectory:
     """Integrate the backup loop from ``x0`` over ``[0, horizon]`` on a
     uniform grid of ``steps`` intervals, then propagate the sensitivity
-    along the recorded stage points.  The drifts are the statement built on
-    `ARRAY_PRIMITIVES` at the nodes."""
+    along the recorded stage points.  The drifts are the closed loop at
+    the nodes (`ClosedLoop.at`)."""
     x0 = _check_args(x0, horizon, steps, model.state_dim)
     n = x0.shape[0]
     dt = horizon / steps
@@ -269,9 +269,7 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
         points = np.array(_march(loop)(tuple(x0.tolist()), dt, steps)
                           ).reshape(-1, n)
         states = points[::4].copy()
-        # a row that holds no state is a float
-        drifts = np.stack(np.broadcast_arrays(
-            *loop(ARRAY_PRIMITIVES)(*states.T)), axis=-1)
+        drifts = loop.at(states)
         jacs = iter(loop.jacobian(points[:-1]))
         sens = np.empty((len(states), n, n))
         sens[0] = q = np.eye(n)

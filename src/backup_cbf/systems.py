@@ -329,6 +329,12 @@ class ClosedLoop:
     def __call__(self, p: Primitives) -> Callable[..., tuple]:
         return self.build(p)
 
+    def at(self, states: Array) -> Array:
+        """The derivative built on `ARRAY_PRIMITIVES` at states ``(B, n)``,
+        as ``(B, n)`` (a row that holds no state is a float, broadcast)."""
+        return np.stack(np.broadcast_arrays(
+            *self.build(ARRAY_PRIMITIVES)(*states.T)), axis=-1)
+
 
 @dataclass(frozen=True)
 class BackupPolicy:
@@ -399,23 +405,25 @@ def check_finite(value: Array, what: str) -> Array:
     return value
 
 
-def loop_rhs(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
-    """Backup-loop derivative ``f(x) + g(x) pi(x)`` from the model's and
-    the policy's evaluators, unchecked (`closed_loop_rhs` checks it).
-
-    ``g pi`` is summed per input channel from ``+0.0``, in channel order:
-    ``((0.0 + g_0 pi_0) + g_1 pi_1) + ...``, each product rounded, so a
+def affine_sum(f: Array, g: Array, u: Array) -> Array:
+    """``f + g u`` for ``f`` ``(..., n)``, ``g`` ``(..., n, m)``, ``u``
+    ``(..., m)``, with ``g u`` summed per input channel from ``+0.0``:
+    ``((0.0 + g_0 u_0) + g_1 u_1) + ...``, each product rounded, so a
     ``-0.0`` product sums to ``+0.0``.  Where every row of ``g`` has at most
-    one nonzero entry, as on every built-in benchmark, that equals the
-    stacked ``np.matmul(g, pi[..., None])`` bit for bit; for a dense ``g``
-    with two or more inputs it may differ from it in the last bit, as
-    numpy's matmul may fuse the multiply-adds."""
-    u = policy.pi_eval(x)
-    g = model.g_eval(x)
+    one nonzero entry, as on every built-in benchmark, that equals
+    ``np.matmul(g, u[..., None])`` bit for bit; a dense ``g`` with two or
+    more inputs may differ from it in the last bit (fused multiply-adds)."""
     gu = 0.0 + g[..., 0] * u[..., None, 0]
     for j in range(1, u.shape[-1]):
         gu = gu + g[..., j] * u[..., None, j]
-    return model.f_eval(x) + gu
+    return f + gu
+
+
+def loop_rhs(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
+    """Backup-loop derivative ``f(x) + g(x) pi(x)`` from the model's and
+    the policy's evaluators, summed by `affine_sum`, unchecked
+    (`closed_loop_rhs` checks it)."""
+    return affine_sum(model.f_eval(x), model.g_eval(x), policy.pi_eval(x))
 
 
 def closed_loop_rhs(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
@@ -486,14 +494,16 @@ def _derived(expression: str, compute: Callable[[], float], *keys: str
              ) -> float:
     """The constant ``compute()`` (written ``expression``) that a builder
     derives from the parameters ``keys``; `ValidationError` naming them if
-    it overflows."""
+    it overflows or rounds to 0."""
     try:
         value = compute()
     except OverflowError:           # float ** raises where float * gives inf
         value = math.inf
-    if not math.isfinite(value):
-        raise ValidationError(f"{expression} overflows: parameter "
-                              f"{' or '.join(map(repr, keys))} is too large")
+    if not math.isfinite(value) or value == 0.0:
+        fault, size = (("overflows", "large") if value
+                       else ("rounds to 0", "small"))
+        raise ValidationError(f"{expression} {fault}: parameter "
+                              f"{' or '.join(map(repr, keys))} is too {size}")
     return value
 
 

@@ -12,7 +12,8 @@ from backup_cbf.barrier import (build_constraints, eval_h, eval_h_batch,
                                 terminal_row_coefficient)
 from backup_cbf.errors import EvaluationError, ValidationError
 from backup_cbf.qp import QpProblem, QpSolver
-from backup_cbf.systems import di_closed_form_h, make_benchmark
+from backup_cbf.systems import (BENCHMARK_DEFAULTS, di_closed_form_h,
+                                make_benchmark)
 
 GAMMA = 1.0
 
@@ -69,7 +70,7 @@ def test_row_count_and_labels():
     model, policy, spec = make_benchmark("dubins")
     x = np.array([0.5, 5.0, 0.0])
     ev = eval_h(model, policy, spec, x, 8.0, 100)
-    rows = build_constraints(model, spec, ev)
+    rows = build_constraints(model, policy, spec, ev)
     n_tau = 101
     n_rows = n_tau * len(spec.constraints) + 1
     assert rows.rows.shape == (n_rows, model.input_dim)
@@ -88,7 +89,7 @@ def test_toy_row_closed_form():
     model, policy, spec = make_benchmark("toy1d")
     x = np.array([1.0])
     ev = eval_h(model, policy, spec, x, 1.0, 100)
-    rows = build_constraints(model, spec, ev)
+    rows = build_constraints(model, policy, spec, ev)
     for idx in (0, 25, 50, 99):
         tau = ev.trajectory.times[idx]
         a, b = rows.rows[idx], rows.rhs[idx]
@@ -114,7 +115,7 @@ def test_path_row_slack_at_backup_is_alpha_h(name, x):
                "dubins": 8.0, "aeroplane": 4.0}[name]
     steps = 200 if name == "aeroplane" else 100
     ev = eval_h(model, policy, spec, x, horizon, steps)
-    rows = build_constraints(model, spec, ev)
+    rows = build_constraints(model, policy, spec, ev)
     slacks = rows.slacks(policy.pi_eval(x))
     expected = spec.alpha_gain * ev.per_tau_values.reshape(-1)
     # integration tolerance: the scheme's formal order drops at the C1
@@ -134,15 +135,15 @@ def test_build_constraints_rejects_non_finite_drift():
     bad = dataclasses.replace(
         ev, trajectory=dataclasses.replace(ev.trajectory, drifts=drifts))
     with pytest.raises(EvaluationError, match="coordinate \\(7, 0\\)"):
-        build_constraints(model, spec, bad)
+        build_constraints(model, policy, spec, bad)
 
 
 def test_margin_tightens_rows():
     model, policy, spec = make_benchmark("toy1d")
     x = np.array([1.0])
     ev = eval_h(model, policy, spec, x, 1.0, 50)
-    plain = build_constraints(model, spec, ev)
-    tight = build_constraints(model, spec, ev, margin=0.1)
+    plain = build_constraints(model, policy, spec, ev)
+    tight = build_constraints(model, policy, spec, ev, margin=0.1)
     assert np.allclose(tight.slacks(np.array([0.0])),
                        plain.slacks(np.array([0.0])) - 0.1)
 
@@ -158,14 +159,15 @@ def test_margin_must_be_a_finite_number_at_least_zero(margin):
     ev = eval_h(model, policy, spec, x, 1.0, 50)
     with pytest.raises(ValidationError, match="margin must be a finite "
                        "number >= 0"):
-        build_constraints(model, spec, ev, margin=margin)
+        build_constraints(model, policy, spec, ev, margin=margin)
     with pytest.raises(ValidationError, match="margin must be a finite "
                        "number >= 0"):
         filter_control(model, policy, spec, x, np.array([0.0]), 1.0, 50,
                        margin=margin)
-    tight = build_constraints(model, spec, ev, margin=np.float64(0.1))
-    assert np.array_equal(tight.rhs,
-                          build_constraints(model, spec, ev, margin=0.1).rhs)
+    tight = build_constraints(model, policy, spec, ev,
+                              margin=np.float64(0.1))
+    assert np.array_equal(tight.rhs, build_constraints(
+        model, policy, spec, ev, margin=0.1).rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +224,66 @@ def test_filter_refuses_a_model_the_flow_did_not_march():
         model, policy, spec, x, u0, 10.0, 100)[0].tobytes()
 
 
+def test_filter_refuses_a_model_whose_f_changes_between_calls():
+    """``f_eval`` doubled on every other call, starting with the first:
+    the rows and the drift check read one and the same ``f(x)`` (the
+    doubled one), so the filter refuses the model.  Were ``f`` read twice,
+    the rows would take the doubled value and the check the plain one."""
+    model, policy, spec = make_benchmark("double_integrator")
+    f, calls = model.f_eval, []
+
+    def alternating(x):
+        calls.append(None)
+        return (2.0 if len(calls) % 2 else 1.0) * f(x)
+
+    flaky = dataclasses.replace(model, f_eval=alternating)
+    with pytest.raises(ValidationError, match="mix two dynamics"):
+        filter_control(flaky, policy, spec, np.array([0.0, 2.0]),
+                       np.array([1.0]), 10.0, 100)
+    assert len(calls) == 1
+
+
+def test_build_constraints_refuses_a_model_the_flow_did_not_march():
+    """The row builder itself makes the dynamics check, so a direct call
+    with a doubled ``f_eval`` is refused as the filter refuses it."""
+    model, policy, spec = make_benchmark("double_integrator")
+    ev = eval_h(model, policy, spec, np.array([0.0, 2.0]), 10.0, 100)
+    f = model.f_eval
+    doubled = dataclasses.replace(model, f_eval=lambda x: 2.0 * f(x))
+    with pytest.raises(ValidationError, match="mix two dynamics"):
+        build_constraints(doubled, policy, spec, ev)
+
+
+@pytest.mark.parametrize("name, params, x", [
+    ("double_integrator", {}, [0.0, 2.0]),
+    ("dubins", {"profile": "aggressive"}, [0.0, 5.0, 0.0]),
+    ("aeroplane", {}, [4.0, 0.3, 3.0])])
+def test_filter_reads_f_g_and_pi_once(name, params, x):
+    """One feasible filter call evaluates ``f``, ``g`` and ``pi`` once
+    each: the rows and the dynamics check share them, and the flow calls
+    none of them."""
+    model, policy, spec = make_benchmark(name, params)
+    counts = {"f": 0, "g": 0, "pi": 0}
+
+    def counted(key, fn):
+        def wrapper(x):
+            counts[key] += 1
+            return fn(x)
+        return wrapper
+
+    model = dataclasses.replace(model, f_eval=counted("f", model.f_eval),
+                                g_eval=counted("g", model.g_eval))
+    policy = dataclasses.replace(policy,
+                                 pi_eval=counted("pi", policy.pi_eval))
+    defaults = BENCHMARK_DEFAULTS[name]
+    _, diag = filter_control(model, policy, spec, np.array(x),
+                             np.zeros(model.input_dim),
+                             defaults["t_horizon_s"],
+                             defaults["n_flow_steps"])
+    assert diag.inside_set and not diag.used_fallback
+    assert counts == {"f": 1, "g": 1, "pi": 1}
+
+
 def test_filter_fallback_on_forced_infeasibility():
     # an absurd tightening margin empties the feasible set; the filter must
     # fall back to the backup input and flag it
@@ -254,7 +316,7 @@ def test_filter_diagnostics_carry_the_qp_solution():
     horizon, steps = 8.0, 100
     _, diag = filter_control(model, policy, spec, x, u_nom, horizon, steps)
     evaluation = eval_h(model, policy, spec, x, horizon, steps)
-    rows = build_constraints(model, spec, evaluation, 0.0)
+    rows = build_constraints(model, policy, spec, evaluation, 0.0)
     solution = QpSolver().solve(QpProblem(u0=u_nom, rows=rows.rows,
                                           rhs=rows.rhs, lower=model.input_lower,
                                           upper=model.input_upper))
@@ -305,6 +367,28 @@ def test_probe_toy_singular_origin():
                                      1.0, 100)
     assert coeff.shape == (1, 1)
     assert np.linalg.norm(coeff) <= 1e-8
+
+
+def test_probe_refuses_a_g_the_flow_did_not_march():
+    """`terminal_row_coefficient` checks the model's ``g`` as the rows do,
+    once per state against the policy's closed loop there, and names the
+    first state that differs; a wrapped ``g`` with the same values gives
+    the same coefficients in bytes."""
+    model, policy, spec = make_benchmark("toy1d")
+    states = np.array([[0.5], [1.5], [-0.5], [1.2]])
+    g = model.g_eval
+
+    def doubled_above_one(x):
+        return np.where(x[..., None] > 1.0, 2.0, 1.0) * g(x)
+
+    bad = dataclasses.replace(model, g_eval=doubled_above_one)
+    with pytest.raises(ValidationError, match="f \\+ g pi at state 1 "):
+        terminal_row_coefficient(bad, policy, spec, states, 1.0, 100)
+    wrapped = dataclasses.replace(model, g_eval=lambda x: g(x))
+    assert (terminal_row_coefficient(wrapped, policy, spec, states, 1.0,
+                                     100).tobytes()
+            == terminal_row_coefficient(model, policy, spec, states, 1.0,
+                                        100).tobytes())
 
 
 def test_probe_dubins_default_box():

@@ -188,13 +188,22 @@ def test_blend_widths_must_be_positive(name, key, width):
     ("dubins", {"v_des_mps": 1e300}, "v_des_mps"),
     ("dubins", {"k_v_per_s": 1e300}, "k_v_per_s"),
     ("dubins", {"k_y": [0.0, 0.0]}, "k_y"),
+    ("dubins", {"eps_frac": 5e-324}, "^eps_frac \\* r_max_radps rounds to "
+     "0: parameter 'eps_frac' or 'r_max_radps' is too small$"),
+    ("dubins", {"eps_frac": 1e-320, "a_max_mps2": 1e-5}, "^eps_frac \\* "
+     "a_max_mps2 rounds to 0: parameter 'eps_frac' or 'a_max_mps2' is too "
+     "small$"),
+    ("aeroplane", {"r_min_m": 1e-170}, "^r_min_m \\*\\* 2 rounds to 0: "
+     "parameter 'r_min_m' is too small$"),
 ])
 def test_derived_constants_out_of_range_are_refused(name, params, named):
-    """Finite parameters whose derived constants overflow (the aeroplane's
-    squared radii, the Dubins blend widths) or leave the Dubins terminal
-    ``P`` without a finite positive definite solution are refused with a
-    `ValidationError` that names them, not a bare ``OverflowError`` or
-    ``LinAlgError``."""
+    """Finite parameters whose derived constants overflow or round to 0
+    (the aeroplane's squared radii, the Dubins blend widths) or leave the
+    Dubins terminal ``P`` without a finite positive definite solution are
+    refused with a `ValidationError` that names them, not a bare
+    ``OverflowError`` or ``LinAlgError`` (a Dubins width that rounded to 0
+    reached the saturation's own width check, which names no
+    parameter)."""
     with pytest.raises(ValidationError, match=named):
         make_benchmark(name, params)
 
