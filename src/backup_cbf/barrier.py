@@ -72,12 +72,15 @@ class ConstraintSet:
     ``rows`` is ``(R, m)`` and ``rhs`` is ``(R,)`` with
     ``R = n_constraints * (n_steps + 1) + 1``: path rows grouped by
     constraint, each group in grid order, then the terminal row.
-    `label` recovers a row's provenance from its index.
+    `label` recovers a row's provenance from its index.  ``backup_input``
+    is ``pi(x)`` at the state the rows are built at, the input at which
+    every path row's flow terms cancel.
     """
 
     rows: Array
     rhs: Array
     n_steps: int
+    backup_input: Array
 
     def label(self, r: int) -> tuple[str, int, int]:
         """``("path", k, i)`` for constraint ``k`` at grid index ``i``, or
@@ -144,15 +147,17 @@ def eval_h_batch(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
 
 
 def _dynamics(model: SystemModel, policy: BackupPolicy, x: Array,
-              drift: Array) -> tuple[Array, Array]:
-    """The model's ``f(x)`` and ``g(x)`` at states ``x`` (``(n,)`` or
-    ``(B, n)``), read once; `ValidationError`, naming a batch's first state
-    that differs, unless ``f + g pi`` there (`affine_sum`) equals the flow's
-    ``drift`` in bytes, as rows from them would then mix two dynamics."""
+              drift: Array) -> tuple[Array, Array, Array]:
+    """The model's ``f(x)`` and ``g(x)`` and the policy's ``pi(x)`` at
+    states ``x`` (``(n,)`` or ``(B, n)``), read once; `ValidationError`,
+    naming a batch's first state that differs, unless ``f + g pi`` there
+    (`affine_sum`) equals the flow's ``drift`` in bytes, as rows from them
+    would then mix two dynamics."""
     f, g = model.f_eval(x), model.g_eval(x)
     if g.shape != x.shape + (model.input_dim,):
         raise ValidationError("g(x) has the wrong shape")
-    loop = affine_sum(f, g, policy.pi_eval(x))
+    pi = policy.pi_eval(x)
+    loop = affine_sum(f, g, pi)
     if loop.tobytes() != drift.tobytes():
         first = next(i for i, (a, b) in enumerate(zip(loop, drift))
                      if a.tobytes() != b.tobytes())
@@ -160,7 +165,7 @@ def _dynamics(model: SystemModel, policy: BackupPolicy, x: Array,
         raise ValidationError(f"the model's f + g pi{where} differs from the "
                               f"policy's closed loop that the flow marched "
                               f"on, so the rows would mix two dynamics")
-    return f, g
+    return f, g, pi
 
 
 def build_constraints(model: SystemModel, policy: BackupPolicy,
@@ -170,7 +175,8 @@ def build_constraints(model: SystemModel, policy: BackupPolicy,
     the state its trajectory starts from.
 
     The rows take the flow's drifts, finite, and the model's ``f`` and
-    ``g`` at ``x``, checked against the first drift by `_dynamics`.
+    ``g`` at ``x``, checked with ``pi(x)`` against the first drift by
+    `_dynamics`; ``pi(x)`` is kept as the set's ``backup_input``.
     ``margin >= 0`` tightens every row by a constant, compensating
     inter-sample error of the time grid.
     """
@@ -179,7 +185,7 @@ def build_constraints(model: SystemModel, policy: BackupPolicy,
                               f"{margin!r}")
     traj = evaluation.trajectory
     drifts = check_finite(traj.drifts, "closed-loop derivative")
-    f0, g0 = _dynamics(model, policy, traj.origin, drifts[0])
+    f0, g0, pi0 = _dynamics(model, policy, traj.origin, drifts[0])
     sens = traj.sensitivities              # (N+1, n, n)
     q_g = sens @ g0                        # (N+1, n, m)
     q_f = sens @ f0                        # (N+1, n)
@@ -200,7 +206,8 @@ def build_constraints(model: SystemModel, policy: BackupPolicy,
 
     return ConstraintSet(rows=np.concatenate(a_blocks),
                          rhs=np.concatenate(b_blocks),
-                         n_steps=traj.times.shape[0] - 1)
+                         n_steps=traj.times.shape[0] - 1,
+                         backup_input=pi0)
 
 
 @dataclass(frozen=True)
@@ -254,8 +261,9 @@ def filter_control(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
 
     Returns the adjusted input and diagnostics.  If the program reports
     infeasible - possible only through numerical or grid error when the
-    barrier is nonnegative - the backup input ``pi(x)`` is returned with a
-    fallback flag.  An iteration-cap failure raises `QpSolverError`, and a
+    barrier is nonnegative - the backup input ``pi(x)`` the rows were
+    built with (`ConstraintSet.backup_input`) is returned with a fallback
+    flag.  An iteration-cap failure raises `QpSolverError`, and a
     model the flow did not march on `ValidationError` (`build_constraints`).
     """
     x = np.asarray(x, dtype=float)
@@ -279,7 +287,7 @@ def filter_control(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
         raise QpSolverError(f"active-set solver hit its iteration cap "
                             f"({solution.iterations} changes)")
     if solution.status == "infeasible":
-        u_star = np.asarray(policy.pi_eval(x), dtype=float)
+        u_star = constraints.backup_input
         used_fallback = True
         qp_status = "infeasible_fallback"
     else:

@@ -1,33 +1,31 @@
 """Closed-loop backup flow integration with sensitivity propagation.
 
-`rk4_step` is the fixed-step explicit fourth-order update, on a state held
-as one float or array per component: it advances the plant in the
-simulation harness (a whole state array as a 1-tuple) and marches a batch
-of backup-loop states, as a tuple of contiguous ``(B,)`` arrays, on the
-policy's statement ``BackupPolicy.closed_loop`` (a `ClosedLoop`) built on
-`ARRAY_PRIMITIVES`, which reads no strided columns and builds no
-``(B, n, m)`` input matrix.  One state marches as a tuple of Python floats,
-where numpy's per-call overhead on 2- and 3-vectors would be most of the
-cost, on the statement's float kernel (``lines`` and ``rows``: each
-smoothing as its float twin's branches, with the parameters folded into
-literals) inlined at the four stages of every step, so a step calls
-nothing but ``sin`` and ``cos``.  Both marches give the bits of a march on
-stacked `loop_rhs` calls, faster, and both record the four stage points
-of every step.  The step is written once, as `_RK4_STEP`, which `_rk4`
-writes out per state component into `_RK4_TEMPLATE` and compiles once per
-state size: stage points, kernel calls and the final combination are plain
-statements, with no list, iterator or `zip` per stage.  The float march is
-`_MARCH_TEMPLATE`, the same step inlined in its loop with the kernel
-written in, compiled once per statement by `_march`, appending each step's
-points with one ``+=``.  The sensitivity obeys the variational equation
-``Qdot = J(x) Q`` with ``J = d f_pi / d x`` and ``Q(0) = I``; since the
-state never depends on ``Q``, the loop Jacobians only ever come from
-stacked ``closed_loop.jacobian`` evaluations at recorded stage points, and
-``Q`` is stepped over them by `_q_step`, the step's operation order written
-out for ``deriv(p) = J_s @ p``.  For one state it multiplies by
-`ndarray.dot`, which reaches the same BLAS kernel as `np.matmul` (so the
-batch's ``(B, n, n)`` matmul gives the single-state ``Q`` bit for bit) at
-about half the call cost on a 3x3 product.  One pass serves every
+The fixed-step explicit fourth-order update is written once, as the stage
+table `_STAGES` with the final combination `_NEXT`, and `_step` writes it
+out as lines of plain statements (stage points, slope lines and the next
+state, with no list, iterator or ``zip`` per stage), which `_compiled`
+compiles.  Three functions are compiled from it:
+
+* `rk4_step`, once per state size, on a state held as one float or array
+  per component: it advances the plant in the simulation harness (a whole
+  state array as a 1-tuple) and marches a batch of backup-loop states, as
+  a tuple of contiguous ``(B,)`` arrays, on the policy's statement
+  ``BackupPolicy.closed_loop`` (a `ClosedLoop`) built on
+  `ARRAY_PRIMITIVES`, which reads no strided columns and builds no
+  ``(B, n, m)`` input matrix;
+* the float march (`_march`), once per statement, which steps one state
+  held as Python floats with the statement's float kernel
+  (`ClosedLoop.kernel`: each smoothing as its float twin's branches, with
+  the parameters folded into literals) written in at each stage, so a step
+  calls nothing but ``sin`` and ``cos``;
+* `_q_step`, the sensitivity step.  The sensitivity obeys the variational
+  equation ``Qdot = J(x) Q`` with ``J = d f_pi / d x`` and ``Q(0) = I``;
+  since the state never depends on ``Q``, the loop Jacobians only ever come
+  from stacked ``closed_loop.jacobian`` evaluations at recorded stage
+  points, and each slope of the step is ``J_s @ p``.
+
+Both marches give the bits of a march on stacked `loop_rhs` calls, and
+both record the four stage points of every step.  One pass serves every
 downstream constraint row.
 
 Everything here is pure and reentrant, and reads the model only for its
@@ -43,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -101,107 +98,83 @@ def _check_args(x0: Array, horizon: float, steps: int, n: int,
     return x0
 
 
-# One explicit fourth-order step of ``x0 .. x{n-1}`` under ``deriv``: stage
-# slopes ``a b c d``, stage points ``p r s`` and the next state ``{next}``.
-# ``2 k`` is written ``k + k`` and each product has the slope on the left,
-# both exact, so the bits are those of ``x + sixth * (k1 + 2 k2 + 2 k3 + k4)``.
-_RK4_STEP = """\
-{a} = deriv({x})
-p{i} = x{i} + a{i} * half
-{b} = deriv({p})
-r{i} = x{i} + b{i} * half
-{c} = deriv({r})
-s{i} = x{i} + c{i} * dt
-{d} = deriv({s})"""
-_RK4_NEXT = "x{i} + (((a{i} + (b{i} + b{i})) + (c{i} + c{i})) + d{i}) * sixth"
-_DERIV = re.compile(r"\{(\w)\} = deriv\(\{(\w)\}\)")
-_STATE = re.compile(r"\bx(?=\d)")      # a kernel's state ``x0``, ``x1``, ...
-
-# `rk4_step` (see `_rk4`), and the float march with the step inlined in its
-# loop (see `_march`); ``{step}`` is `_RK4_STEP`.
-_RK4_TEMPLATE = """\
-def rk4_step(deriv, x, dt):
-    {x} = x
-    half = 0.5 * dt
-    {step}
-    sixth = dt / 6.0
-    return ({next}), (({x}), ({p}), ({r}), ({s})), (({a}), ({b}), ({c}), ({d}))"""
-_MARCH_TEMPLATE = """\
-def march(x, dt, steps):
-    {x} = x
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    points = []
-    for _ in range(steps):
-        {step}
-        points += ({x}{p}{r}{s})
-        x{i} = {next}
-        if not isfinite(x{i}): break
-    points += ({x})
-    return points"""
+# One explicit fourth-order step of the state ``x``, stage by stage: the
+# slope, the point it is taken at, and the next stage point, ``x + slope *
+# scale`` (the last slope makes none); then the next state.  ``2 k`` is
+# written ``k + k`` and each product has the slope on the left, both
+# exact, so the bits are those of ``x + sixth * (k1 + 2 k2 + 2 k3 + k4)``.
+_STAGES = (("a", "x", "p", "half"), ("b", "p", "r", "half"),
+           ("c", "r", "s", "dt"), ("d", "s", "", ""))
+_NEXT = "x{i} + (((a{i} + (b{i} + b{i})) + (c{i} + c{i})) + d{i}) * sixth"
 
 
-def _rk4_source(template: str, n: int, kernel: ClosedLoop | None = None
-                ) -> str:
-    """``template`` written out for ``n`` state components: a line with
-    ``{i}`` once per component ``i`` (``{next}`` is then that component's
-    next value), any other line once, with ``{v}`` for ``"v0, v1, "`` (a
-    tuple even for ``n = 1``); a ``{step}`` line is `_RK4_STEP`.  Given a
-    `ClosedLoop` ``kernel``, a line ``{k} = deriv({v})`` is its float
-    kernel's ``lines`` on ``v0, v1, ...`` and then ``k{i} = rows[i]``."""
-    names = {v: "".join(f"{v}{i}, " for i in range(n)) for v in "xabcdprs"}
-    names["next"] = "".join(_RK4_NEXT.format(i=i) + ", " for i in range(n))
+def _listed(name: str, parts) -> str:
+    """``name`` once per component ``i`` in ``parts``, as ``"x0, x1, "``
+    for ``"x{i}"`` (a tuple even for one component)."""
+    return "".join(name.format(i=i) + ", " for i in parts)
+
+
+def _step(parts, slope: Callable[[str, str], list[str]]) -> list[str]:
+    """The lines of one step on the state held as ``x{i}`` for each ``i`` in
+    ``parts``: at each stage ``slope(k, p)``, the lines that set the slope
+    ``k`` at the point ``p`` (held the same way), then the next point."""
     lines = []
-    for line in template.splitlines():
-        indent = line[:len(line) - len(line.lstrip())]
-        call = _DERIV.fullmatch(line.strip())
-        if line.strip() == "{step}":
-            lines += [indent + row for row in
-                      _rk4_source(_RK4_STEP, n, kernel).splitlines()]
-        elif kernel is not None and call:
-            slope, point = call.groups()
-            body, rows = ([_STATE.sub(point, row) for row in part]
-                          for part in (kernel.lines, kernel.rows))
-            lines += [indent + row for row in body]
-            lines += [f"{indent}{slope}{i} = {row}" for i, row in enumerate(rows)]
-        elif "{i}" in line:
-            lines += [line.format(i=i, next=_RK4_NEXT.format(i=i))
-                      for i in range(n)]
-        else:
-            lines.append(line.format(**names))
-    return "\n".join(lines) + "\n"
+    for k, p, point, scale in _STAGES:
+        lines += slope(k, p)
+        if point:
+            lines += [f"{point}{i} = x{i} + {k}{i} * {scale}" for i in parts]
+    return lines
 
 
-def _compiled(name: str, template: str, n: int,
-              kernel: ClosedLoop | None = None) -> Callable:
-    """The function ``name`` that ``template``, written out by `_rk4_source`,
-    defines, compiled as `dataclasses` builds ``__init__``."""
+def _compiled(name: str, lines: list[str]) -> Callable:
+    """The function ``name`` that ``lines``, a ``def`` line and its body,
+    define, compiled as `dataclasses` builds ``__init__``."""
     # ``inf``: a band edge folded into a kernel may overflow to it
     namespace = {"isfinite": math.isfinite, "inf": math.inf,
-                 "sin": math.sin, "cos": math.cos}
-    exec(_rk4_source(template, n, kernel), namespace)
+                 "sin": math.sin, "cos": math.cos,
+                 "dot": np.ndarray.dot, "matmul": np.matmul}
+    exec("\n    ".join(lines) + "\n", namespace)
     return namespace[name]
 
 
 @functools.cache
 def _rk4(n: int) -> Callable:
-    """`rk4_step` for a state of ``n`` components, compiled from
-    `_RK4_TEMPLATE` once per ``n``."""
-    return _compiled("rk4_step", _RK4_TEMPLATE, n)
+    """`rk4_step` for a state of ``n`` components, compiled once per ``n``:
+    stage points, ``deriv`` calls and the final combination are plain
+    statements, with no list, iterator or ``zip`` per stage."""
+    parts = range(n)
+    x, p, r, s, a, b, c, d = (_listed(v + "{i}", parts) for v in "xprsabcd")
+    return _compiled("rk4_step", [
+        "def rk4_step(deriv, x, dt):", f"{x} = x", "half = 0.5 * dt",
+        *_step(parts, lambda k, at: [f"{_listed(k + '{i}', parts)} = "
+                                     f"deriv({_listed(at + '{i}', parts)})"]),
+        "sixth = dt / 6.0",
+        f"return ({_listed(_NEXT, parts)}), (({x}), ({p}), ({r}), ({s})), "
+        f"(({a}), ({b}), ({c}), ({d}))"])
 
 
 @functools.cache
 def _march(loop: ClosedLoop) -> Callable:
-    """``march(x, dt, steps)``: the float march on ``loop``, its float kernel
-    written in at each stage (see `_rk4_source`), compiled from
-    `_MARCH_TEMPLATE` once per statement.
+    """``march(x, dt, steps)``: the float march on ``loop``, compiled once
+    per statement, with its float kernel (`ClosedLoop.kernel`) written in
+    at each stage, so a step calls nothing but ``sin`` and ``cos``.
 
     It runs its steps on one state held as a tuple of floats and returns
-    the flat float list of points: point ``4 (i - 1) + s`` is stage ``s`` of
-    step ``i``, and the last is the last state.  It stops after the first
-    step that leaves finite values, tested per component (a sum of two
-    finite values near the float limit overflows)."""
-    return _compiled("march", _MARCH_TEMPLATE, len(loop.rows), loop)
+    the flat float list of points, appending each step's with one ``+=``:
+    point ``4 (i - 1) + s`` is stage ``s`` of step ``i``, and the last is
+    the last state.  It stops after the first step that leaves finite
+    values, tested per component (a sum of two finite values near the float
+    limit overflows)."""
+    parts = range(len(loop.rows))
+    x, p, r, s = (_listed(v + "{i}", parts) for v in "xprs")
+    return _compiled("march", [
+        "def march(x, dt, steps):", f"{x} = x", "half = 0.5 * dt",
+        "sixth = dt / 6.0", "points = []", "for _ in range(steps):",
+        *("    " + line for line in _step(parts, loop.kernel)),
+        f"    points += ({x}{p}{r}{s})",
+        *(f"    x{i} = {_NEXT.format(i=i)}" for i in parts),
+        *(f"    if not isfinite(x{i}): break" for i in parts),
+        f"points += ({x})", "return points"])
 
 
 def rk4_step(deriv: Callable[..., tuple], x: tuple, dt: float):
@@ -212,23 +185,22 @@ def rk4_step(deriv: Callable[..., tuple], x: tuple, dt: float):
     return _rk4(len(x))(deriv, x, dt)
 
 
-def _q_step(jacs, q: Array, dt: float) -> Array:
-    """One step of the variational equation ``Qdot = J Q`` from the loop
-    Jacobians at the step's four stage points, in stage order: `rk4_step`
-    with ``deriv(p) = J_s @ p`` at stage ``s``, in its exact operation order,
-    written out so a step makes no closure, iterator or stage tuple.  For
-    one state ``jacs`` holds four ``(n, n)`` matrices, multiplied by
-    `ndarray.dot`, which reaches the same BLAS kernel as `np.matmul` at
-    half its call cost; for a batch, four ``(B, n, n)`` stacks, multiplied
-    by `np.matmul`."""
-    j1, j2, j3, j4 = jacs
-    mul = np.ndarray.dot if q.ndim == 2 else np.matmul
-    half = 0.5 * dt
-    k1 = mul(j1, q)
-    k2 = mul(j2, q + k1 * half)
-    k3 = mul(j3, q + k2 * half)
-    k4 = mul(j4, q + k3 * dt)
-    return q + (((k1 + (k2 + k2)) + (k3 + k3)) + k4) * (dt / 6.0)
+# ``_q_step(jacs, q, dt)``: one step of the variational equation ``Qdot =
+# J Q`` from the loop Jacobians at the step's four stage points, in stage
+# order, with the state ``Q`` held whole and the slope at stage ``s``
+# ``J_s @ p``.  For one state ``jacs`` holds four ``(n, n)`` matrices,
+# multiplied by `ndarray.dot`, which reaches the same BLAS kernel as
+# `np.matmul` at half its call cost; for a batch, four ``(B, n, n)``
+# stacks, multiplied by `np.matmul`.  Each stage point but ``x`` is
+# dropped once its slope is taken, so a step holds no more arrays than the
+# four slopes, and the single-state step keeps the speed of the step
+# written out by hand.
+_q_step = _compiled("_q_step", [
+    "def _q_step(jacs, q, dt):", "ja, jb, jc, jd = jacs",
+    "mul = dot if q.ndim == 2 else matmul", "x = q", "half = 0.5 * dt",
+    *_step([""], lambda k, at: [f"{k} = mul(j{k}, {at})"]
+           + [f"del {at}"] * (at != "x")),
+    "sixth = dt / 6.0", f"return {_NEXT.format(i='')}"])
 
 
 def _closed_loop(model: SystemModel, policy: BackupPolicy) -> ClosedLoop:

@@ -11,7 +11,7 @@ compiles from it ``f_eval``, ``g_eval``, ``pi_eval``, their Jacobians
 and its gradient, and the closed loop ``BackupPolicy.closed_loop``, a
 `ClosedLoop`: its derivative in `loop_rhs`'s order, which the batch flow
 builds on `ARRAY_PRIMITIVES`, and its state Jacobian.  The single-state
-flow marches on its float kernel (``lines`` and ``rows``) instead: the
+flow marches on its float kernel (`ClosedLoop.kernel`) instead: the
 same lines on floats, with each smoothing written out as its float twin's
 branches (each twin's body is written once, in `_FLOAT_BODIES`, and
 `FLOAT_PRIMITIVES` is compiled from it).  The flows read nothing else.
@@ -315,16 +315,24 @@ class ClosedLoop:
     one state as Python floats on `FLOAT_PRIMITIVES`, a batch as ``(B,)``
     arrays on `ARRAY_PRIMITIVES`.  ``jacobian(x)`` is its state Jacobian on
     states ``(..., n)``, as ``(..., n, n)``: ``df + dg pi``, then
-    ``+ g dpi``, from the statement's generated evaluators.  ``lines`` and
-    ``rows`` (one per state component) are its float kernel on ``x0, x1,
-    ...``, each smoothing written out as its float twin's branches with the
-    parameters folded in (`_FLOAT_BODIES`), which the single-state flow
-    inlines.  Compared by identity."""
+    ``+ g dpi``, from the statement's generated evaluators.  ``rows`` holds
+    the derivative, one entry per state component, as `_SYMBOLIC` recorded
+    it, and `kernel` writes it out on floats for the single-state flow to
+    inline.  Compared by identity."""
 
     build: Callable[[Primitives], Callable[..., tuple]]
     jacobian: Callable[[Array], Array]
-    lines: tuple[str, ...]
-    rows: tuple[str, ...]
+    rows: tuple
+
+    def kernel(self, slope: str, point: str) -> list[str]:
+        """The float kernel: the lines that set ``slope0, slope1, ...`` to
+        the derivative at ``point0, point1, ...``, each smoothing written
+        out as its float twin's branches with the parameters folded in
+        (`_FLOAT_BODIES`).  Besides those, they assign only temporaries
+        ``t0, t1, ...`` and the twins' scratch names ``d``, ``q`` and
+        ``t``, and read only ``sin``, ``cos``, ``abs`` and ``inf``."""
+        lines, exprs, _ = _statements(self.rows, _FLOAT_BODIES, point)
+        return lines + [f"{slope}{i} = {e}" for i, e in enumerate(exprs)]
 
     def __call__(self, p: Primitives) -> Callable[..., tuple]:
         return self.build(p)
@@ -575,12 +583,13 @@ def _written(op: str, parts: list[str]) -> str:
     return _FORMS[op].format(*parts) if op in _FORMS else f"{op}({', '.join(parts)})"
 
 
-def _statements(exprs, inline: Mapping[str, Callable] = {}
+def _statements(exprs, inline: Mapping[str, Callable] = {}, state: str = "x"
                 ) -> tuple[list[str], list[str], set[str]]:
-    """Python for ``exprs`` (`_Sym`s and floats): the lines that assign the
-    temporaries ``t0, t1, ...``, an expression per entry, and the names
-    read.  A subexpression written out the same way more than once is
-    computed once, into a temporary.  A call of a primitive ``p`` in
+    """Python for ``exprs`` (`_Sym`s and floats) on the state components
+    ``state0, state1, ...``: the lines that assign the temporaries ``t0,
+    t1, ...``, an expression per entry, and the names read.  A
+    subexpression written out the same way more than once is computed
+    once, into a temporary.  A call of a primitive ``p`` in
     ``inline`` is written as the lines ``inline[p](t, y, *params)`` that set
     a temporary ``t`` of its own, from its argument ``y`` (a name, or ``t``
     set to it) and its parameters (floats where they are literals)."""
@@ -595,8 +604,8 @@ def _statements(exprs, inline: Mapping[str, Callable] = {}
             literals[text] = float(e)
             return text
         if e.op == "x":
-            names.add(f"x{e.args[0]}")
-            return f"x{e.args[0]}"
+            names.add(f"{state}{e.args[0]}")
+            return f"{state}{e.args[0]}"
         names.add(e.op)
         node = (e.op, tuple(key(a) for a in e.args))
         if node not in keys:
@@ -699,10 +708,10 @@ def _generated(name: str, statement: Callable, n: int, m: int,
                params: tuple[str, ...]) -> tuple:
     """``(f_eval, g_eval, df_dx, dg_dx, pi_eval, dpi_dx, closed_loop,
     safety)`` of ``statement`` for ``n`` states and ``m`` inputs, recorded
-    on `_SYMBOLIC`, written out and compiled (as `flow._rk4` compiles its
-    template) once per parameter tuple, given as `float.hex` strings so
-    that ``0.0`` and ``-0.0`` are two keys.  ``dg_dx`` is ``None`` where no
-    entry of ``g`` holds the state.  ``safety`` holds a pair ``(value,
+    on `_SYMBOLIC`, written out as lists of lines and compiled once per
+    parameter tuple, given as `float.hex` strings so that ``0.0`` and
+    ``-0.0`` are two keys.  ``dg_dx`` is ``None`` where no entry of ``g``
+    holds the state.  ``safety`` holds a pair ``(value,
     gradient)`` per entry of ``h``: the value as computed (a numpy scalar
     for one state) and the gradient as a fresh ``(..., n)`` array."""
     f, g, pi, h = statement(_SYMBOLIC, tuple(map(float.fromhex, params)),
@@ -731,10 +740,8 @@ def _generated(name: str, statement: Callable, n: int, m: int,
                    + [_source(f"h{i}", [e], n, lambda w: [f"return {w[0]}"])
                       for i, e in enumerate(h)]
                    + [_loop_source(rows, constant_g)]), namespace)
-    lines, exprs, _ = _statements(rows, _FLOAT_BODIES)
     namespace["closed_loop"] = ClosedLoop(namespace["closed_loop"],
-                                          namespace["jacobian"],
-                                          tuple(lines), tuple(exprs))
+                                          namespace["jacobian"], tuple(rows))
     if constant_g:
         namespace["dg_dx"] = None
     safety = tuple((namespace[f"h{i}"], namespace[f"grad{i}"])

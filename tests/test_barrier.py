@@ -257,11 +257,14 @@ def test_build_constraints_refuses_a_model_the_flow_did_not_march():
 @pytest.mark.parametrize("name, params, x", [
     ("double_integrator", {}, [0.0, 2.0]),
     ("dubins", {"profile": "aggressive"}, [0.0, 5.0, 0.0]),
-    ("aeroplane", {}, [4.0, 0.3, 3.0])])
+    ("aeroplane", {}, [4.0, 0.3, 3.0]),
+    ("toy1d", {}, [1.0])])
 def test_filter_reads_f_g_and_pi_once(name, params, x):
-    """One feasible filter call evaluates ``f``, ``g`` and ``pi`` once
-    each: the rows and the dynamics check share them, and the flow calls
-    none of them."""
+    """One filter call evaluates ``f``, ``g`` and ``pi`` once each: the
+    rows and the dynamics check share them, the flow calls none of them,
+    and on toy1d, where an absurd margin empties the feasible set (as in
+    `test_filter_fallback_on_forced_infeasibility`), the fallback returns
+    the ``pi(x)`` the rows were built with, in bytes."""
     model, policy, spec = make_benchmark(name, params)
     counts = {"f": 0, "g": 0, "pi": 0}
 
@@ -271,17 +274,22 @@ def test_filter_reads_f_g_and_pi_once(name, params, x):
             return fn(x)
         return wrapper
 
+    pi_eval = policy.pi_eval
     model = dataclasses.replace(model, f_eval=counted("f", model.f_eval),
                                 g_eval=counted("g", model.g_eval))
-    policy = dataclasses.replace(policy,
-                                 pi_eval=counted("pi", policy.pi_eval))
+    policy = dataclasses.replace(policy, pi_eval=counted("pi", pi_eval))
     defaults = BENCHMARK_DEFAULTS[name]
-    _, diag = filter_control(model, policy, spec, np.array(x),
-                             np.zeros(model.input_dim),
-                             defaults["t_horizon_s"],
-                             defaults["n_flow_steps"])
-    assert diag.inside_set and not diag.used_fallback
+    margin = 1e4 if name == "toy1d" else 0.0
+    u_star, diag = filter_control(model, policy, spec, np.array(x),
+                                  np.zeros(model.input_dim),
+                                  defaults["t_horizon_s"],
+                                  defaults["n_flow_steps"], margin=margin)
     assert counts == {"f": 1, "g": 1, "pi": 1}
+    if margin:
+        assert diag.used_fallback
+        assert u_star.tobytes() == pi_eval(np.array(x)).tobytes()
+    else:
+        assert diag.inside_set and not diag.used_fallback
 
 
 def test_filter_fallback_on_forced_infeasibility():

@@ -1,5 +1,6 @@
 """Flow integration: closed-form anchors, order of accuracy, sensitivities."""
 
+import ast
 import dataclasses
 import functools
 import math
@@ -703,11 +704,11 @@ def test_compiled_march_matches_former_march(name, params):
     dt = horizon / steps
     x0s = np.random.default_rng(29).uniform(
         box["sample_lower"], box["sample_upper"], (6, model.state_dim))
-    kernel = policy.closed_loop
-    assert len(kernel.rows) == model.state_dim
+    closed = policy.closed_loop
+    assert len(closed.rows) == model.state_dim
     assert not re.search(r"\b(saturate|sign|indicator)\(",
-                         "\n".join(kernel.lines + kernel.rows))
-    march = _march(kernel)
+                         "\n".join(closed.kernel("b", "p")))
+    march = _march(closed)
     loop = policy.closed_loop(FLOAT_PRIMITIVES)
     stacked = _stacked(model, policy)
     assert isinstance(stacked(*x0s[0].tolist())[0], np.float64)
@@ -733,6 +734,46 @@ def test_compiled_march_matches_former_march(name, params):
         for part, former in zip(got, want):
             assert np.array(part).tobytes() == np.array(former).tobytes()
         x = got[0]
+
+
+@pytest.mark.parametrize("name, params", REFERENCE_CASES)
+def test_kernel_cannot_overwrite_march_variables(name, params):
+    """The float kernel written at slope ``b`` and point ``p`` is plain
+    assignments and branches that read only ``p0 .. p{n-1}``, ``sin``,
+    ``cos``, ``abs``, ``inf`` and names assigned on an earlier line, and
+    assign only ``b0 .. b{n-1}`` (each of them), temporaries ``t<k>`` and
+    the scratch names ``d``, ``q`` and ``t``: so written into the march it
+    never touches the state, another slope or stage point, ``half``,
+    ``sixth``, ``points``, ``dt`` or ``steps``."""
+    model, policy, _ = make_benchmark(name, params)
+    n = model.state_dim
+    slopes = {f"b{i}" for i in range(n)}
+    readable = {f"p{i}" for i in range(n)} | {"sin", "cos", "abs", "inf"}
+    assigned = set()
+
+    def reads(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                assert isinstance(sub.ctx, ast.Load), ast.unparse(node)
+                assert sub.id in readable | assigned, (name, sub.id)
+
+    def check(statements):
+        for statement in statements:
+            if isinstance(statement, ast.If):
+                reads(statement.test)
+                check(statement.body)
+                check(statement.orelse)
+                continue
+            assert isinstance(statement, ast.Assign), ast.unparse(statement)
+            reads(statement.value)
+            for target in statement.targets:
+                assert isinstance(target, ast.Name), ast.unparse(statement)
+                assert (target.id in slopes | {"d", "q", "t"}
+                        or re.fullmatch(r"t\d+", target.id)), (name, target.id)
+                assigned.add(target.id)
+
+    check(ast.parse("\n".join(policy.closed_loop.kernel("b", "p"))).body)
+    assert slopes <= assigned
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -800,6 +841,15 @@ def former_q_step(jacs, q, dt):
     return q
 
 
+def rk4_q_step(jacs, q, dt):
+    """`rk4_step` itself on ``Qdot = J Q``, its slope at each stage the
+    next of the step's four Jacobians times the stage point."""
+    stage_jacs = iter(jacs)
+    (q,), _, _ = rk4_step(lambda p: (np.matmul(next(stage_jacs), p),), (q,),
+                          dt)
+    return q
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_single_state_q_step_dot_matches_matmul(n):
     """The single-state `_q_step`, whose products are `ndarray.dot`, gives
@@ -827,9 +877,10 @@ def test_single_state_q_step_dot_matches_matmul(n):
 
 @pytest.mark.parametrize("name, params", REFERENCE_CASES)
 def test_q_step_matches_former_q_step(name, params):
-    """`_q_step` gives the bits of `rk4_step` stepped through an iterator
-    over the stage Jacobians, at every step of sampled paths, for one
-    state and for the paths stacked as a batch."""
+    """`_q_step` gives the bits of the former generic step and of this
+    package's `rk4_step`, each stepped through an iterator over the stage
+    Jacobians, at every step of sampled paths, for one state and for the
+    paths stacked as a batch: one arithmetic for the state and for Q."""
     model, policy, _ = make_benchmark(name, params)
     box = BENCHMARK_DEFAULTS[name]
     horizon, steps = box["t_horizon_s"], box["n_flow_steps"]
@@ -842,18 +893,22 @@ def test_q_step_matches_former_q_step(name, params):
         points = np.array(points).reshape(-1, model.state_dim)[:-1]
         paths.append(policy.closed_loop.jacobian(points).reshape(
             steps, 4, model.state_dim, model.state_dim))
-        q = q_former = np.eye(model.state_dim)
+        q = q_former = q_rk4 = np.eye(model.state_dim)
         for step_jacs in paths[-1]:
             q = _q_step(step_jacs, q, dt)
             q_former = former_q_step(step_jacs, q_former, dt)
+            q_rk4 = rk4_q_step(step_jacs, q_rk4, dt)
             assert q.tobytes() == q_former.tobytes(), (name, params, x0)
+            assert q.tobytes() == q_rk4.tobytes(), (name, params, x0)
     stacked = np.stack(paths, axis=2)          # (steps, 4, B, n, n)
-    q = q_former = np.broadcast_to(np.eye(model.state_dim),
-                                   stacked.shape[2:]).copy()
+    q = q_former = q_rk4 = np.broadcast_to(np.eye(model.state_dim),
+                                           stacked.shape[2:]).copy()
     for step_jacs in stacked:
         q = _q_step(step_jacs, q, dt)
         q_former = former_q_step(step_jacs, q_former, dt)
+        q_rk4 = rk4_q_step(step_jacs, q_rk4, dt)
         assert q.tobytes() == q_former.tobytes(), (name, params)
+        assert q.tobytes() == q_rk4.tobytes(), (name, params)
 
 
 def former_rk4_step(deriv, x, dt):
