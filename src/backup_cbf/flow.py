@@ -8,9 +8,10 @@ compiles.  Three functions are compiled from it:
 
 * `rk4_step`, once per state size, on a state held as one float or array
   per component: it advances the plant in the simulation harness (a whole
-  state array as a 1-tuple) and marches a batch of backup-loop states, as
-  a tuple of contiguous ``(B,)`` arrays, on the policy's statement
-  ``BackupPolicy.closed_loop`` (a `ClosedLoop`) built on
+  state array as a 1-tuple, its slope ``f + g u`` summed by
+  `systems.affine_sum`, as the closed loop's rows are) and marches a batch
+  of backup-loop states, as a tuple of contiguous ``(B,)`` arrays, on the
+  policy's statement ``BackupPolicy.closed_loop`` (a `ClosedLoop`) built on
   `ARRAY_PRIMITIVES`, which reads no strided columns and builds no
   ``(B, n, m)`` input matrix;
 * the float march (`_march`), once per statement, which steps one state
@@ -143,14 +144,13 @@ def _rk4(n: int) -> Callable:
     stage points, ``deriv`` calls and the final combination are plain
     statements, with no list, iterator or ``zip`` per stage."""
     parts = range(n)
-    x, p, r, s, a, b, c, d = (_listed(v + "{i}", parts) for v in "xprsabcd")
+    x, p, r, s = (_listed(v + "{i}", parts) for v in "xprs")
     return _compiled("rk4_step", [
         "def rk4_step(deriv, x, dt):", f"{x} = x", "half = 0.5 * dt",
         *_step(parts, lambda k, at: [f"{_listed(k + '{i}', parts)} = "
                                      f"deriv({_listed(at + '{i}', parts)})"]),
         "sixth = dt / 6.0",
-        f"return ({_listed(_NEXT, parts)}), (({x}), ({p}), ({r}), ({s})), "
-        f"(({a}), ({b}), ({c}), ({d}))"])
+        f"return ({_listed(_NEXT, parts)}), (({x}), ({p}), ({r}), ({s}))"])
 
 
 @functools.cache
@@ -180,8 +180,8 @@ def _march(loop: ClosedLoop) -> Callable:
 def rk4_step(deriv: Callable[..., tuple], x: tuple, dt: float):
     """One explicit fourth-order step of ``xdot = deriv(*x)`` from a state
     held as one float or array per component (a whole array ``a`` is the
-    1-tuple ``(a,)``): the next state, the four stage points and the four
-    slopes ``deriv`` gave at them."""
+    1-tuple ``(a,)``): the next state and the four stage points ``deriv``
+    was taken at."""
     return _rk4(len(x))(deriv, x, dt)
 
 
@@ -289,7 +289,7 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     for i in range(1, steps + 1):
         # divergence is detected after the step; silence transient overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            x, stages, _ = rk4_step(deriv, x, dt)
+            x, stages = rk4_step(deriv, x, dt)
             if q is not None:
                 points = np.stack([np.stack(p, axis=-1) for p in stages])
                 q = _q_step(loop.jacobian(points), q, dt)

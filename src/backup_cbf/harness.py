@@ -5,7 +5,11 @@ Scenarios are JSON documents with units spelled out in the field names
 schema.  The simulation loop applies a nominal ("legacy") controller,
 passes it through the safety filter, and advances the true dynamics with
 the fixed-step fourth-order update the backup flow uses (`flow.rk4_step`,
-on the whole state array as a 1-tuple).  Runs are deterministic:
+on the whole state array as a 1-tuple), its slope ``f(x) + g(x) u*``
+summed by `systems.affine_sum`: the arithmetic of the generated closed
+loop, of the flows and of the filter rows' dynamics check.  A step count
+``round(duration_s / dt_s)`` whose log cannot be allocated is refused
+before the first step.  Runs are deterministic:
 fixed-step integration and deterministic tie-breaking in the QP make
 re-runs bit-identical.  The simulation log is also where filter timings
 are measured: every step records the integration, row-assembly and QP
@@ -33,7 +37,7 @@ from .hjgrid import (HJ_MAX_STEPS, HJ_TOL, GridGeometry, LevelGrid,
                      write_grid_json)
 from .qp import QpSolver
 from .systems import (BENCHMARK_DEFAULTS, BackupPolicy, SafetySpec, SystemModel,
-                      is_finite_real, is_integer, make_benchmark)
+                      affine_sum, is_finite_real, is_integer, make_benchmark)
 
 Array = np.ndarray
 
@@ -280,21 +284,26 @@ def simulate(scenario: Scenario) -> SimLog:
     nominal input at every step when the filter is on."""
     model, policy, spec = scenario.build()
     nominal = _nominal_controller(scenario, model)
-    n_steps = int(round(scenario.duration_s / scenario.dt_s))
     solver = QpSolver()
+    try:        # an infinite or oversized step count, before the first step
+        n_steps = int(round(scenario.duration_s / scenario.dt_s))
+        times = np.empty(n_steps)
+        states = np.empty((n_steps, model.state_dim))
+        u_nom = np.empty((n_steps, model.input_dim))
+        u_out = np.empty((n_steps, model.input_dim))
+        h_vals = np.empty(n_steps)
+        con_vals = np.empty((n_steps, len(spec.constraints)))
+        flow_mins = np.empty((n_steps, len(spec.constraints)))
+        actives = np.zeros(n_steps, dtype=int)
+        fallbacks = np.zeros(n_steps, dtype=bool)
+        timings = np.zeros((n_steps, 3), dtype=int)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ScenarioError(
+            f"duration_s / dt_s = {scenario.duration_s!r} / "
+            f"{scenario.dt_s!r} steps cannot be logged: {exc}") from None
+    statuses: list[str] = []
 
     x = np.asarray(scenario.x0, dtype=float)
-    times = np.empty(n_steps)
-    states = np.empty((n_steps, model.state_dim))
-    u_nom = np.empty((n_steps, model.input_dim))
-    u_out = np.empty((n_steps, model.input_dim))
-    h_vals = np.empty(n_steps)
-    con_vals = np.empty((n_steps, len(spec.constraints)))
-    flow_mins = np.empty((n_steps, len(spec.constraints)))
-    statuses: list[str] = []
-    actives = np.zeros(n_steps, dtype=int)
-    fallbacks = np.zeros(n_steps, dtype=bool)
-    timings = np.zeros((n_steps, 3), dtype=int)
 
     for k in range(n_steps):
         t = k * scenario.dt_s
@@ -326,9 +335,8 @@ def simulate(scenario: Scenario) -> SimLog:
         states[k] = x
         u_nom[k] = u0
         u_out[k] = u_star
-        (x,), _, _ = rk4_step(
-            lambda xs: (model.f_eval(xs) + model.g_eval(xs) @ u_star,), (x,),
-            scenario.dt_s)
+        (x,), _ = rk4_step(lambda xs: (affine_sum(
+            model.f_eval(xs), model.g_eval(xs), u_star),), (x,), scenario.dt_s)
 
     if scenario.filter_on:
         # every applied input must respect the box

@@ -9,12 +9,12 @@ functions ``h`` once, one value per component, against a table of
 compiles from it ``f_eval``, ``g_eval``, ``pi_eval``, their Jacobians
 (forward differentiation, structural zeros left out), each safety function
 and its gradient, and the closed loop ``BackupPolicy.closed_loop``, a
-`ClosedLoop`: its derivative in `loop_rhs`'s order, which the batch flow
-builds on `ARRAY_PRIMITIVES`, and its state Jacobian.  The single-state
-flow marches on its float kernel (`ClosedLoop.kernel`) instead: the
-same lines on floats, with each smoothing written out as its float twin's
-branches (each twin's body is written once, in `_FLOAT_BODIES`, and
-`FLOAT_PRIMITIVES` is compiled from it).  The flows read nothing else.
+`ClosedLoop`: its derivative in `affine_sum`'s order, which the batch
+flow builds on `ARRAY_PRIMITIVES`, and its state Jacobian.  The
+single-state flow marches on its float kernel (`ClosedLoop.kernel`)
+instead: the same lines on floats, with each smoothing written out as its
+float twin's branches (each twin's body is written once, in
+`_FLOAT_BODIES`, and `FLOAT_PRIMITIVES` is compiled from it).  The flows read nothing else.
 Only exact folds are made, so every evaluator keeps the bits of the
 hand-written body it replaced, signed zeros included, except in some
 derivatives: a few entries differ in the sign of a NaN or a zero only
@@ -309,7 +309,7 @@ class SystemModel:
 @dataclass(frozen=True, eq=False)
 class ClosedLoop:
     """A benchmark statement's closed loop ``f + g pi``, as `_generated`
-    writes it.  ``closed_loop(p)`` builds its derivative, in `loop_rhs`'s
+    writes it.  ``closed_loop(p)`` builds its derivative, in `affine_sum`'s
     order, on the primitive table ``p`` as ``rhs(*x)``, one value per state
     component in and a tuple out (a row that holds no state is a float):
     one state as Python floats on `FLOAT_PRIMITIVES`, a batch as ``(B,)``
@@ -417,10 +417,12 @@ def affine_sum(f: Array, g: Array, u: Array) -> Array:
     """``f + g u`` for ``f`` ``(..., n)``, ``g`` ``(..., n, m)``, ``u``
     ``(..., m)``, with ``g u`` summed per input channel from ``+0.0``:
     ``((0.0 + g_0 u_0) + g_1 u_1) + ...``, each product rounded, so a
-    ``-0.0`` product sums to ``+0.0``.  Where every row of ``g`` has at most
-    one nonzero entry, as on every built-in benchmark, that equals
-    ``np.matmul(g, u[..., None])`` bit for bit; a dense ``g`` with two or
-    more inputs may differ from it in the last bit (fused multiply-adds)."""
+    ``-0.0`` product sums to ``+0.0``.  The one definition of this order:
+    on arrays (`loop_rhs`, the filter rows), on the statement `_generated`
+    records (the closed loop) and for the plant the simulation steps.  Not
+    ``np.matmul``: it gives these bits where each row of ``g`` has at most
+    one nonzero entry, as on every built-in benchmark, but a dense ``g``
+    with two or more inputs may round otherwise (fused multiply-adds)."""
     gu = 0.0 + g[..., 0] * u[..., None, 0]
     for j in range(1, u.shape[-1]):
         gu = gu + g[..., j] * u[..., None, j]
@@ -429,8 +431,8 @@ def affine_sum(f: Array, g: Array, u: Array) -> Array:
 
 def loop_rhs(model: SystemModel, policy: BackupPolicy, x: Array) -> Array:
     """Backup-loop derivative ``f(x) + g(x) pi(x)`` from the model's and
-    the policy's evaluators, summed by `affine_sum`, unchecked
-    (`closed_loop_rhs` checks it)."""
+    the policy's evaluators, summed by `affine_sum` as the generated closed
+    loop is, unchecked (`closed_loop_rhs` checks it)."""
     return affine_sum(model.f_eval(x), model.g_eval(x), policy.pi_eval(x))
 
 
@@ -535,19 +537,28 @@ def _width(params: dict, key: str, default: float) -> float:
 class _Sym:
     """An expression `_SYMBOLIC` records: ``op`` (``x`` for a state
     component, ``+ - *``, ``neg`` or a primitive) on ``args``, each a `_Sym`
-    or a float.  Floats alone stay Python's, which round as float64 does,
-    and ``1.0 * e`` is ``e``: the only folds."""
+    or a float.  The only folds, each exact: floats alone stay Python's,
+    which round as float64 does; ``1.0 * e`` is ``e``; and ``c + e`` is
+    ``e`` for a literal ``+-0.0`` ``c`` where ``e`` is a ``+`` chain whose
+    leftmost leaf is the literal ``+0.0`` (as `affine_sum`'s ``g u`` is),
+    so never ``-0.0``."""
 
     def __init__(self, op: str, *args):
         self.op, self.args = op, args
 
     def __add__(self, other): return _Sym("+", self, other)
-    def __radd__(self, other): return _Sym("+", other, self)
     def __sub__(self, other): return _Sym("-", self, other)
     def __rsub__(self, other): return _Sym("-", other, self)
     def __mul__(self, other): return self if other == 1.0 else _Sym("*", self, other)
     def __rmul__(self, other): return self if other == 1.0 else _Sym("*", other, self)
     def __neg__(self): return _Sym("neg", self)
+
+    def __radd__(self, other):
+        leaf = self
+        while isinstance(leaf, _Sym) and leaf.op == "+":
+            leaf = leaf.args[0]
+        fold = other == 0.0 == leaf and math.copysign(1.0, leaf) > 0.0
+        return self if fold else _Sym("+", other, self)
 
 
 _SYMBOLIC = Primitives(*(functools.partial(_Sym, p) for p in Primitives._fields))
@@ -665,20 +676,6 @@ def _array_source(name: str, terms: np.ndarray, n: int) -> str:
            for index, expr in zip(assigned, exprs)] + ["return out"]))
 
 
-def _loop_rows(f: np.ndarray, g: np.ndarray, pi: np.ndarray) -> list:
-    """Per row ``f_i + (((0.0 + g_i0 pi_0) + g_i1 pi_1) + ...)``,
-    `loop_rhs`'s order, where ``f_i + s`` is ``s`` for a literal zero
-    ``f_i``: ``s`` starts from ``0.0 + ...``, so it is never ``-0.0``, and
-    ``+-0.0 + s`` is then ``s`` on every input."""
-    rows = []
-    for f_i, g_i in zip(f, g):
-        s = 0.0 + g_i[0] * pi[0]
-        for g_ij, pi_j in zip(g_i[1:], pi[1:]):
-            s = s + g_ij * pi_j
-        rows.append(s if not isinstance(f_i, _Sym) and f_i == 0.0 else f_i + s)
-    return rows
-
-
 def _loop_source(rows: list, constant_g: bool) -> str:
     """``closed_loop(p)``, whose ``rhs(x0, x1, ...)`` returns ``rows``, and
     ``jacobian(x)``, the loop's state Jacobian ``df + dg pi`` (where ``g``
@@ -710,8 +707,9 @@ def _generated(name: str, statement: Callable, n: int, m: int,
     safety)`` of ``statement`` for ``n`` states and ``m`` inputs, recorded
     on `_SYMBOLIC`, written out as lists of lines and compiled once per
     parameter tuple, given as `float.hex` strings so that ``0.0`` and
-    ``-0.0`` are two keys.  ``dg_dx`` is ``None`` where no entry of ``g``
-    holds the state.  ``safety`` holds a pair ``(value,
+    ``-0.0`` are two keys.  The closed loop's rows are `affine_sum` of the
+    recorded ``f``, ``g`` and ``pi``.  ``dg_dx`` is ``None`` where no entry
+    of ``g`` holds the state.  ``safety`` holds a pair ``(value,
     gradient)`` per entry of ``h``: the value as computed (a numpy scalar
     for one state) and the gradient as a fresh ``(..., n)`` array."""
     f, g, pi, h = statement(_SYMBOLIC, tuple(map(float.fromhex, params)),
@@ -733,7 +731,7 @@ def _generated(name: str, statement: Callable, n: int, m: int,
              "dg_dx": jacobian(g), "dpi_dx": jacobian(pi),
              **{f"grad{i}": t for i, t in
                 enumerate(jacobian(np.array(h, dtype=object)))}}
-    rows = _loop_rows(f, g, pi)
+    rows = tuple(affine_sum(f, g, pi))
     constant_g = all(d is None for d in terms["dg_dx"].flat)
     namespace = dict(_NAMESPACE)
     exec("\n".join([_array_source(fn, t, n) for fn, t in terms.items()]
@@ -741,7 +739,7 @@ def _generated(name: str, statement: Callable, n: int, m: int,
                       for i, e in enumerate(h)]
                    + [_loop_source(rows, constant_g)]), namespace)
     namespace["closed_loop"] = ClosedLoop(namespace["closed_loop"],
-                                          namespace["jacobian"], tuple(rows))
+                                          namespace["jacobian"], rows)
     if constant_g:
         namespace["dg_dx"] = None
     safety = tuple((namespace[f"h{i}"], namespace[f"grad{i}"])

@@ -443,6 +443,36 @@ def test_cli_bench(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("dt_s", [5e-324, 1e-300, 4e-17],
+                         ids=["infinite", "huge", "unallocatable"])
+def test_step_count_the_log_cannot_hold_is_refused(tmp_path, capsys,
+                                                   monkeypatch, dt_s):
+    """A ``dt_s`` whose step count ``round(duration_s / dt_s)`` is infinite,
+    beyond numpy's largest dimension or too large to allocate the log for
+    (7 PiB at 1e15 steps) is a `ScenarioError` naming ``dt_s`` and
+    ``duration_s``, raised before the first step: so ``bcbf simulate``
+    (which writes nothing) and ``bcbf bench`` exit 2 where they died with
+    `OverflowError`, `ValueError` and `MemoryError` tracebacks."""
+    def first_step(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(harness, "filter_control", first_step)
+    doc = load_scenario(str(SCENARIO_DIR / "di_full_throttle.json")
+                        ).to_json_dict()
+    doc.update(duration_s=0.04, dt_s=dt_s)
+    with pytest.raises(ScenarioError, match="duration_s / dt_s"):
+        simulate(Scenario.from_json_dict(doc))
+    path = tmp_path / "tiny_dt.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--scenario", str(path), "--out",
+                     str(out)]) == 2
+    assert "duration_s / dt_s" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_main(["bench", "--scenario", str(path)]) == 2
+    assert "duration_s / dt_s" in capsys.readouterr().err
+
+
 def test_cli_levelset_and_compare(tmp_path, capsys):
     doc = Scenario(benchmark="double_integrator", x0=(0.0, 0.0),
                    nominal={"kind": "constant", "value": [0.0]},

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backup_cbf import systems
 from backup_cbf.errors import EvaluationError, ValidationError
 from backup_cbf.systems import (_DUBINS_KY_AGGRESSIVE, _DUBINS_KY_CONSERVATIVE,
-                                _DUBINS_P_AGGRESSIVE,
+                                _DUBINS_P_AGGRESSIVE, _SYMBOLIC,
                                 ARRAY_PRIMITIVES, BENCHMARK_DEFAULTS,
                                 BENCHMARK_NAMES, FLOAT_PRIMITIVES, _benchmark,
-                                _generated,
+                                _generated, _statements, _Sym,
                                 _lyapunov_3x3, _indicator_float,
                                 _saturate_float, _sign_float, closed_loop_rhs,
                                 di_closed_form_h, loop_rhs, make_benchmark,
@@ -1133,6 +1134,54 @@ def test_float_primitives_match_former_clamps(eps):
                               former_saturate_float(y, lo, hi, eps)), (y, lo, hi, eps)
 
 
+def former_loop_rows(f, g, pi):
+    """Per row ``f_i + (((0.0 + g_i0 pi_0) + g_i1 pi_1) + ...)``,
+    `loop_rhs`'s order, where ``f_i + s`` is ``s`` for a literal zero
+    ``f_i``: ``s`` starts from ``0.0 + ...``, so it is never ``-0.0``, and
+    ``+-0.0 + s`` is then ``s`` on every input.  The symbolic sum the
+    closed loop's rows were taken from before `affine_sum` built them,
+    kept as the oracle."""
+    rows = []
+    for f_i, g_i in zip(f, g):
+        s = 0.0 + g_i[0] * pi[0]
+        for g_ij, pi_j in zip(g_i[1:], pi[1:]):
+            s = s + g_ij * pi_j
+        rows.append(s if not isinstance(f_i, _Sym) and f_i == 0.0 else f_i + s)
+    return rows
+
+
+def former_rows_of(statement, params, n):
+    """`former_loop_rows` of ``statement`` recorded on `_SYMBOLIC` with the
+    parameter tuple ``params`` at ``n`` states."""
+    f, g, pi, _ = statement(_SYMBOLIC, params,
+                            *(_Sym("x", i) for i in range(n)))
+    return former_loop_rows(*(np.array(v, dtype=object) for v in (f, g, pi)))
+
+
+def generation_of(monkeypatch, name, params):
+    """The statement and the parameter tuple `make_benchmark` generates
+    ``name`` with ``params`` from."""
+    calls, generated = [], systems._generated
+    monkeypatch.setattr(systems, "_generated",
+                        lambda *args: calls.append(args) or generated(*args))
+    make_benchmark(name, params)
+    monkeypatch.undo()
+    _, statement, _, _, hexes = calls[0]
+    return statement, tuple(map(float.fromhex, hexes))
+
+
+def test_symbolic_sum_folds_a_zero_only_onto_a_sum_from_zero():
+    """``c + e`` records ``e`` for a literal ``+-0.0`` ``c`` where ``e`` is a
+    ``+`` chain whose leftmost leaf is the literal ``+0.0``, and ``c + e``
+    otherwise."""
+    a, b = _Sym("x", 0), _Sym("x", 1)
+    folded = [0.0 + ((0.0 + a) + b), -0.0 + (0.0 + a)]
+    kept = [0.0 + a, 0.0 + a * b, 0.0 + (-0.0 + a)]
+    assert [_statements([e])[1] for e in folded + kept] == [
+        ["((0.0 + x0) + x1)"], ["(0.0 + x0)"],
+        ["(0.0 + x0)"], ["(0.0 + (x0 * x1))"], ["(0.0 + (-0.0 + x0))"]]
+
+
 def former_statement(name, params):
     """The benchmark's ``closed_loop`` as it was stated before each zero
     product was computed once, with the benchmark's default constants."""
@@ -1215,12 +1264,17 @@ def same_entries(got, expected) -> bool:
 
 
 @pytest.mark.parametrize("case", LOOP_CASES, ids=LOOP_CASE_IDS)
-def test_statements_match_former_statements(case):
+def test_statements_match_former_statements(case, monkeypatch):
     """On both primitive tables each restated statement gives the former
     statement's bits (NaN where it gave NaN) on sampled states and on rows
-    holding NaN, +-inf or +-0 in every combination of components."""
+    holding NaN, +-inf or +-0 in every combination of components.  Its
+    closed loop's rows, summed by `affine_sum`, are written out as
+    `former_loop_rows` of the same statement are."""
     name, params = case
     model, policy, _ = make_benchmark(name, params)
+    statement, constants = generation_of(monkeypatch, name, params)
+    assert (_statements(policy.closed_loop.rows) == _statements(
+        former_rows_of(statement, constants, model.state_dim)))
     former = former_statement(name, params)
     sampled = sample_box(name, 40)
     rows = [tuple(x) for x in sampled]
@@ -1530,9 +1584,12 @@ def test_dense_statement_generates_loop_rhs_and_its_jacobians():
     closed loop, on floats and on arrays, gives `loop_rhs`'s bytes (the
     per-channel sum order); and the generated Jacobians of ``f``, ``g``,
     ``pi`` and the loop, and the gradients of the safety functions, match
-    central differences (the two-factor product rule)."""
+    central differences (the two-factor product rule).  Its closed loop's
+    rows are written out as `former_loop_rows` of the statement are."""
     model, policy, safety = dense_benchmark()
     assert model.dg_dx is not None
+    assert (_statements(policy.closed_loop.rows) == _statements(
+        former_rows_of(dense_statement, (0.7, -1.3), 4)))
     assert [c.name for c in safety] == ["mixed", "single"]
     states = np.random.default_rng(7).uniform(-1.2, 1.2, size=(60, 4))
     derivs = loop_rhs(model, policy, states)
