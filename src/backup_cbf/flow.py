@@ -23,19 +23,26 @@ compiles.  Three functions are compiled from it:
   equation ``Qdot = J(x) Q`` with ``J = d f_pi / d x`` and ``Q(0) = I``;
   since the state never depends on ``Q``, the loop Jacobians only ever come
   from stacked ``closed_loop.jacobian`` evaluations at recorded stage
-  points, and each slope of the step is ``J_s @ p``.
+  points, and each slope of the step is ``J_s @ p``.  The step is linear
+  in ``Q``, so both flows run it once on stacked identities, which gives
+  each step's transition matrix ``M_i``, and then march ``Q_{i+1} = M_i
+  Q_i``, one product per step.
 
 Both marches give the bits of a march on stacked `loop_rhs` calls, and
 both record the four stage points of every step.  One pass serves every
-downstream constraint row.
+downstream constraint row.  The sensitivities are those of the product
+form: they differ from a march that steps ``Q`` with the state in the
+last bits, within a rounding bound the tests derive, and the batch's end
+``Q`` equals the single-state flow's in bytes.
 
 Everything here is pure and reentrant, and reads the model only for its
 state count.  `integrate_flow` takes the Jacobians along the whole path
-from one stacked call, and the drifts at the nodes from the statement
-built on `ARRAY_PRIMITIVES`.  The batch entry point advances many initial
-states at once with no shared mutable state, which is what the grid
-sweeps build on; it takes the Jacobians of each step's four stage points
-from one stacked call, so its memory does not grow with the step count.
+from one stacked call, builds every step's ``M_i`` from them at once, and
+takes the drifts at the nodes from the statement built on
+`ARRAY_PRIMITIVES`.  The batch entry point advances many initial states at
+once with no shared mutable state, which is what the grid sweeps build on;
+it takes the Jacobians of each step's four stage points from one stacked
+call, so its memory does not grow with the step count.
 """
 
 from __future__ import annotations
@@ -133,7 +140,7 @@ def _compiled(name: str, lines: list[str]) -> Callable:
     # ``inf``: a band edge folded into a kernel may overflow to it
     namespace = {"isfinite": math.isfinite, "inf": math.inf,
                  "sin": math.sin, "cos": math.cos,
-                 "dot": np.ndarray.dot, "matmul": np.matmul}
+                 "matmul": np.matmul}
     exec("\n    ".join(lines) + "\n", namespace)
     return namespace[name]
 
@@ -188,19 +195,25 @@ def rk4_step(deriv: Callable[..., tuple], x: tuple, dt: float):
 # ``_q_step(jacs, q, dt)``: one step of the variational equation ``Qdot =
 # J Q`` from the loop Jacobians at the step's four stage points, in stage
 # order, with the state ``Q`` held whole and the slope at stage ``s``
-# ``J_s @ p``.  For one state ``jacs`` holds four ``(n, n)`` matrices,
-# multiplied by `ndarray.dot`, which reaches the same BLAS kernel as
-# `np.matmul` at half its call cost; for a batch, four ``(B, n, n)``
-# stacks, multiplied by `np.matmul`.  Each stage point but ``x`` is
-# dropped once its slope is taken, so a step holds no more arrays than the
-# four slopes, and the single-state step keeps the speed of the step
-# written out by hand.
+# ``J_s @ p``, multiplied by `np.matmul`.  Both flows apply it to a stack of
+# identities, so it gives each step's transition matrix ``M_i`` (``Q_{i+1}
+# = M_i Q_i`` in exact arithmetic, as the step is linear in ``Q``): the
+# single-state flow on the ``(N, n, n)`` stage Jacobians of the whole path
+# at once, the batch flow on each step's ``(B, n, n)`` stacks.  Each stage
+# point but ``x`` is dropped once its slope is taken, so a step holds no
+# more arrays than the four slopes.
 _q_step = _compiled("_q_step", [
-    "def _q_step(jacs, q, dt):", "ja, jb, jc, jd = jacs",
-    "mul = dot if q.ndim == 2 else matmul", "x = q", "half = 0.5 * dt",
-    *_step([""], lambda k, at: [f"{k} = mul(j{k}, {at})"]
+    "def _q_step(jacs, q, dt):", "ja, jb, jc, jd = jacs", "x = q",
+    "half = 0.5 * dt",
+    *_step([""], lambda k, at: [f"{k} = matmul(j{k}, {at})"]
            + [f"del {at}"] * (at != "x")),
     "sixth = dt / 6.0", f"return {_NEXT.format(i='')}"])
+
+
+def _identities(count: int, n: int) -> Array:
+    """``count`` ``(n, n)`` identities as one read-only ``(count, n, n)``
+    view of a single one."""
+    return np.broadcast_to(np.eye(n), (count, n, n))
 
 
 def _closed_loop(model: SystemModel, policy: BackupPolicy) -> ClosedLoop:
@@ -231,8 +244,12 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
                    horizon: float, steps: int) -> FlowTrajectory:
     """Integrate the backup loop from ``x0`` over ``[0, horizon]`` on a
     uniform grid of ``steps`` intervals, then propagate the sensitivity
-    along the recorded stage points.  The drifts are the closed loop at
-    the nodes (`ClosedLoop.at`)."""
+    along the recorded stage points: every step's transition matrix
+    ``M_i`` from one `_q_step` on the ``(N, n, n)`` stage Jacobians and
+    stacked identities, then ``Q_{i+1} = M_i Q_i`` by `ndarray.dot`, which
+    reaches the same BLAS kernel as the batch's `np.matmul` at about half
+    its call cost.  The drifts are the closed loop at the nodes
+    (`ClosedLoop.at`)."""
     x0 = _check_args(x0, horizon, steps, model.state_dim)
     n = x0.shape[0]
     dt = horizon / steps
@@ -242,12 +259,14 @@ def integrate_flow(model: SystemModel, policy: BackupPolicy, x0: Array,
                           ).reshape(-1, n)
         states = points[::4].copy()
         drifts = loop.at(states)
-        jacs = iter(loop.jacobian(points[:-1]))
+        # stage s of every step as one (N, n) stack, then their Jacobians
+        stages = points[:-1].reshape(-1, 4, n).swapaxes(0, 1)
+        trans = _q_step(loop.jacobian(stages), _identities(len(states) - 1, n),
+                        dt)
         sens = np.empty((len(states), n, n))
         sens[0] = q = np.eye(n)
-        # zip over one iterator: each step's four stage Jacobians in turn
-        for i, step_jacs in enumerate(zip(jacs, jacs, jacs, jacs), 1):
-            sens[i] = q = _q_step(step_jacs, q, dt)
+        for m, node in zip(trans, sens[1:]):
+            q = m.dot(q, out=node)
     finite = (np.isfinite(states[1:]).all(axis=1)
               & np.isfinite(sens[1:]).all(axis=(1, 2)))
     if not finite.all():
@@ -274,13 +293,17 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     The states march as one contiguous ``(B,)`` array per component
     through `rk4_step` on ``closed_loop`` built on `ARRAY_PRIMITIVES`.  The
     sensitivity is stepped as the states go: after each step, the loop
-    Jacobians at its four stage points come from one stacked evaluation, so
-    memory does not grow with ``steps``.
+    Jacobians at its four stage points come from one stacked evaluation,
+    `_q_step` on them and stacked identities gives the step's ``(B, n, n)``
+    transition matrices, and ``Q`` is multiplied by them with `np.matmul`,
+    as `integrate_flow` steps one state, so the end ``Q`` is its last
+    sensitivity in bytes.  Memory does not grow with ``steps``.
     """
     x0s = _check_args(x0s, horizon, steps, model.state_dim, batch=True)
     b, n = x0s.shape
     dt = horizon / steps
-    q = np.broadcast_to(np.eye(n), (b, n, n)).copy() if with_sensitivity else None
+    eye = _identities(b, n)
+    q = eye if with_sensitivity else None
     if observer is not None:
         observer(x0s)
     loop = _closed_loop(model, policy)
@@ -292,7 +315,7 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
             x, stages = rk4_step(deriv, x, dt)
             if q is not None:
                 points = np.stack([np.stack(p, axis=-1) for p in stages])
-                q = _q_step(loop.jacobian(points), q, dt)
+                q = np.matmul(_q_step(loop.jacobian(points), eye, dt), q)
             del stages              # not held while the next step runs
         if not (all(np.isfinite(a).all() for a in x)
                 and (q is None or np.isfinite(q).all())):

@@ -8,12 +8,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from backup_cbf.barrier import eval_h, eval_h_batch, filter_control
 from backup_cbf.errors import FlowDivergenceError, ValidationError
-from backup_cbf.flow import (FlowTrajectory, _march, _q_step,
+from backup_cbf.flow import (FlowTrajectory, _identities, _march, _q_step,
                              integrate_flow, integrate_flow_batch, rk4_step,
                              sensitivity_fd_check)
 from backup_cbf.systems import (ARRAY_PRIMITIVES, BENCHMARK_DEFAULTS,
@@ -78,15 +78,23 @@ def reference_rk4_step(model, policy, x, q, dt):
     return x_next, q_next
 
 
-def reference_march(model, policy, x, horizon, steps):
+def reference_march(model, policy, x, horizon, steps, product=False):
     """States and sensitivities ``(steps + 1, ...)`` of one state ``(n,)``
-    or a batch ``(B, n)``, or the first step that left finite values."""
+    or a batch ``(B, n)``, or the first step that left finite values.  The
+    sensitivity is stepped with the state (the step form) or, with
+    ``product``, multiplied at each step by the step's transition matrix,
+    the augmented step taken from the identity (the product form)."""
     dt = horizon / steps
-    q = np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:]).copy()
+    eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:])
+    q = eye.copy()
     xs, qs = [x], [q]
     for i in range(1, steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            x, q = reference_rk4_step(model, policy, x, q, dt)
+            if product:
+                x, trans = reference_rk4_step(model, policy, x, eye, dt)
+                q = np.matmul(trans, q)
+            else:
+                x, q = reference_rk4_step(model, policy, x, q, dt)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
             return i
         xs.append(x)
@@ -94,10 +102,57 @@ def reference_march(model, policy, x, horizon, steps):
     return np.array(xs), np.array(qs)
 
 
-def assert_sensitivity_close(q, q_ref):
-    """Entrywise within ``1e-12 * max(1, |Q_ref|)``."""
+def stage_jacobians(policy, x0, horizon, steps):
+    """The loop Jacobians at the four stage points of each step of the
+    float march from ``x0``, ``(steps, 4, n, n)``."""
+    n, dt = len(x0), horizon / steps
+    points = _march(policy.closed_loop)(tuple(x0.tolist()), dt, steps)
+    points = np.array(points).reshape(-1, n)[:-1]
+    return policy.closed_loop.jacobian(points).reshape(steps, 4, n, n)
+
+
+def product_error_bound(jacs, dt, sens, c):
+    """The bound on the rounding error of the float64 sensitivities
+    ``sens``, ``(N + 1, n, n)`` entry by entry, relative to ``max(1, |Q|)``,
+    from the stage Jacobians ``jacs`` of `stage_jacobians`: at node ``k``,
+    ``c n u sum_i |M_k ... M_{i+1}| |M_i|' |Q_{i-1}| / max(1, |Q_k|)`` in
+    absolute values, with ``u`` float64's unit roundoff, ``M_i`` the step's
+    transition matrix and ``|M_i|'`` the same step run on ``|J|``.
+
+    Rounding the build of ``M_i`` and the product ``M_i Q_{i-1}``
+    perturbs ``Q_i`` by at most about ``n u |M_i|' |Q_{i-1}|`` each, to
+    first order: ``|M_i|'`` bounds every stage term of the build, which at
+    ``dt |J| > 1`` far exceeds ``M_i`` itself.  The later steps carry that
+    perturbation to node ``k`` through ``M_k ... M_{i+1}``.  So ``c = 2``
+    bounds one float64 march of either form (step or product) against the
+    exact recursion on the same Jacobians, and ``c = 4`` the difference of
+    two.
+
+    Gradual underflow adds at most ``u t`` to a product, ``t`` the smallest
+    normal float (a sum of subnormals is exact).  Each of the four stages
+    adds at most ``n + 2`` products to an entry of ``M_i``, carried by the
+    later stages at most ``max |M_i|'``, so the terms use ``|M_i|' + t K_i``
+    with ``K_i = 4 (n + 2) max |M_i|'`` and ``|Q_{i-1}| + t`` entrywise;
+    away from subnormal values that changes no bound."""
+    n = sens.shape[-1]
+    trans, magnitudes = (_q_step(j.swapaxes(0, 1), _identities(len(j), n), dt)
+                         for j in (jacs, np.abs(jacs)))
+    unit, tiny = np.finfo(float).eps / 2, np.finfo(float).tiny
+    tails, weights = np.empty((0, n, n)), np.empty((0, n, n))
+    bounds = [np.zeros((n, n))]
+    for m, m_abs, q_prev, q in zip(trans, magnitudes, sens[:-1], sens[1:]):
+        tails = np.concatenate([np.matmul(m, tails), np.eye(n)[None]])
+        m_abs = m_abs + tiny * 4 * (n + 2) * m_abs.max()
+        weights = np.concatenate([weights, [m_abs @ (np.abs(q_prev) + tiny)]])
+        spread = np.einsum("kij,kjl->il", np.abs(tails), weights)
+        bounds.append(c * n * unit * spread / np.maximum(1.0, np.abs(q)))
+    return np.array(bounds)
+
+
+def assert_sensitivity_within(q, q_ref, bound):
+    """``|Q - Q_ref| <= bound * max(1, |Q_ref|)`` entry by entry."""
     scaled = np.abs(q - q_ref) / np.maximum(1.0, np.abs(q_ref))
-    assert np.all(scaled <= 1e-12), float(np.max(scaled))
+    assert np.all(scaled <= bound), float(np.max(scaled))
 
 
 def expm_series(a_mat, terms=30):
@@ -309,16 +364,29 @@ def reference_inputs(draw):
     return name, params, x0s, steps
 
 
+# The aeroplane from (0, 4, 0.75) over 42 steps of 4 s is stiff: the
+# float64 product form reads 3.4e-10 off a long-double reference there, the
+# step form 6.8e-11.
+STIFF_CASE = ("aeroplane", {}, np.array([[0.0, 4.0, 0.75]]), 42)
+# A subnormal heading: M_1 and Q hold subnormal entries, which round by an
+# absolute amount rather than a relative one.
+SUBNORMAL_CASE = ("dubins", {"profile": "conservative"},
+                  np.array([[0.0, 2.0, 2.22507386e-311]]), 2)
+
+
 @settings(max_examples=80, deadline=None)
 @given(reference_inputs())
+@example(STIFF_CASE)
+@example(SUBNORMAL_CASE)
 def test_two_phase_flow_matches_reference_march(case):
-    """States bit-equal and sensitivities within 1e-12 (relative to
-    max(1, |Q|)) of the augmented lockstep march, for one state and for
-    a batch with and without sensitivity; a diverging reference must
-    diverge at the same step."""
+    """States and drifts bit-equal to the augmented lockstep march (the
+    step form), and sensitivities within `product_error_bound` at c = 4 of
+    it, for one state and for a batch with and without sensitivity; a
+    diverging reference must diverge at the same step."""
     name, params, x0s, steps = case
     model, policy, _ = make_benchmark(name, params)
     horizon = BENCHMARK_DEFAULTS[name]["t_horizon_s"]
+    end_bounds = []
     for x0 in x0s:
         ref = reference_march(model, policy, x0, horizon, steps)
         if isinstance(ref, int):
@@ -328,7 +396,11 @@ def test_two_phase_flow_matches_reference_march(case):
             continue
         traj = integrate_flow(model, policy, x0, horizon, steps)
         assert np.array_equal(traj.states, ref[0])
-        assert_sensitivity_close(traj.sensitivities, ref[1])
+        bound = product_error_bound(
+            stage_jacobians(policy, x0, horizon, steps), horizon / steps,
+            traj.sensitivities, 4)
+        assert_sensitivity_within(traj.sensitivities, ref[1], bound)
+        end_bounds.append(bound[-1])
         assert np.array_equal(traj.drifts, closed_loop_rhs(model, policy, traj.states))
     ref = reference_march(model, policy, x0s, horizon, steps)
     if isinstance(ref, int):
@@ -338,7 +410,7 @@ def test_two_phase_flow_matches_reference_march(case):
         return
     ends, q_end = integrate_flow_batch(model, policy, x0s, horizon, steps)
     assert np.array_equal(ends, ref[0][-1])
-    assert_sensitivity_close(q_end, ref[1][-1])
+    assert_sensitivity_within(q_end, ref[1][-1], np.array(end_bounds))
     ends, _ = integrate_flow_batch(model, policy, x0s, horizon, steps,
                                    with_sensitivity=False)
     assert np.array_equal(ends, ref[0][-1])
@@ -356,9 +428,12 @@ def sensitivity_blowup_system():
 
 
 def test_sensitivity_only_divergence_reports_step():
+    """Both flows stop at the step where ``Q`` first overflows, that of the
+    product-form reference (step 540; the step-form reference overflows at
+    538, where its stage slopes do), and the batch names the row."""
     model, policy = sensitivity_blowup_system()
     x0 = np.array([0.0, 0.0])
-    expected = reference_march(model, policy, x0, 8.0, 800)
+    expected = reference_march(model, policy, x0, 8.0, 800, product=True)
     assert isinstance(expected, int) and 500 < expected < 560
     with pytest.raises(FlowDivergenceError) as err:
         integrate_flow(model, policy, x0, 8.0, 800)
@@ -368,11 +443,45 @@ def test_sensitivity_only_divergence_reports_step():
     ends, _ = integrate_flow_batch(model, policy, x0s, 8.0, 800,
                                    with_sensitivity=False)
     assert np.all(np.isfinite(ends))
-    assert reference_march(model, policy, x0s, 8.0, 800) == expected
+    assert reference_march(model, policy, x0s, 8.0, 800,
+                           product=True) == expected
     with pytest.raises(FlowDivergenceError) as batch_err:
         integrate_flow_batch(model, policy, x0s, 8.0, 800)
     assert batch_err.value.step == expected
     assert batch_err.value.row == 1
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 on this "
+                           "platform, so the oracle would have no extra "
+                           "precision")
+@pytest.mark.parametrize("name, params, x0, steps", [
+    STIFF_CASE[:2] + (STIFF_CASE[2][0], STIFF_CASE[3]),
+    # the shipped scenarios' initial states at their step counts
+    ("double_integrator", {}, [0.0, 0.0], 100),
+    ("dubins", {"profile": "aggressive"}, [0.0, 5.0, 0.0], 100),
+    ("dubins", {}, [0.0, 5.0, 0.0], 100),
+    ("aeroplane", {}, [4.0, 0.3, math.pi], 200)])
+def test_sensitivity_within_bound_of_longdouble_oracle(name, params, x0,
+                                                       steps):
+    """The accuracy gate of the product-form sensitivity: `integrate_flow`'s
+    ``Q`` at every node is within `product_error_bound` at c = 2 of the
+    step-form recursion run in `np.longdouble` from the same float64 stage
+    Jacobians, on the stiff case and at the shipped scenarios' initial
+    states."""
+    model, policy, _ = make_benchmark(name, params)
+    horizon = BENCHMARK_DEFAULTS[name]["t_horizon_s"]
+    dt = horizon / steps
+    traj = integrate_flow(model, policy, x0, horizon, steps)
+    jacs = stage_jacobians(policy, traj.origin, horizon, steps)
+    q = np.eye(len(x0), dtype=np.longdouble)
+    oracle = [q]
+    for step_jacs in jacs.astype(np.longdouble):
+        q = former_q_step(step_jacs, q, dt)
+        oracle.append(q)
+    assert_sensitivity_within(traj.sensitivities, np.array(oracle),
+                              product_error_bound(jacs, dt, traj.sensitivities,
+                                                  2))
 
 
 def test_trajectory_checks_drift_shape():
@@ -851,27 +960,33 @@ def rk4_q_step(jacs, q, dt):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_single_state_q_step_dot_matches_matmul(n):
-    """The single-state `_q_step`, whose products are `ndarray.dot`, gives
-    the bytes of the `np.matmul` step on random Jacobians of each size,
-    with entries of every scale and some exact zeros of both signs (a 1x1
-    `dot` is a plain product, which keeps a zero's sign where matmul's
-    accumulator gives +0; Q never starts at -0, so the step is the same)."""
+    """The single-state flow's product ``M_i.dot(Q_i)`` (`ndarray.dot`)
+    gives the bytes of the batch flow's `np.matmul` on ``(B, n, n)`` stacks,
+    for transition matrices `_q_step` builds on stacked identities from
+    random Jacobians of each size, with entries of every scale and some
+    exact zeros of both signs, chained as the flows chain them and on
+    random ``Q``.  A 1x1 `dot` is a plain product, which keeps a zero's
+    sign where matmul's accumulator gives +0; but no entry of ``M_i`` is
+    -0 (each is an identity entry, +0 or 1, plus a term), so a flow's ``Q``
+    can hold -0 only after an entry of ``M_i`` that is exactly 0."""
     rng = np.random.default_rng(37 + n)
-    q = q_former = np.eye(n)
-    for _ in range(300):
-        jacs = rng.normal(size=(4, n, n)) * 10.0 ** rng.integers(-3, 4,
-                                                                 (4, n, n))
-        jacs[rng.random((4, n, n)) < 0.1] = 0.0
-        jacs[rng.random((4, n, n)) < 0.1] = -0.0
-        dt = float(rng.uniform(1e-3, 0.1))
-        q = _q_step(jacs, q, dt)
-        q_former = former_q_step(jacs, q_former, dt)
-        assert q.tobytes() == q_former.tobytes(), n
-        if not np.all(np.abs(q) < 1e100):
-            q = q_former = np.eye(n)
-        start = rng.normal(size=(n, n))
-        assert (_q_step(jacs, start, dt).tobytes()
-                == former_q_step(jacs, start, dt).tobytes()), n
+    count = 8
+    chained = _identities(count, n)
+    for _ in range(40):
+        jacs = rng.normal(size=(4, count, n, n)) * 10.0 ** rng.integers(
+            -3, 4, (4, count, n, n))
+        jacs[rng.random(jacs.shape) < 0.1] = 0.0
+        jacs[rng.random(jacs.shape) < 0.1] = -0.0
+        trans = _q_step(jacs, _identities(count, n),
+                        float(rng.uniform(1e-3, 0.1)))
+        assert not np.any(np.signbit(trans) & (trans == 0.0)), n
+        for q in (chained, rng.normal(size=(count, n, n))):
+            stacked = np.matmul(trans, q)
+            for m, p, want in zip(trans, q, stacked):
+                assert m.dot(p).tobytes() == want.tobytes(), n
+        chained = np.matmul(trans, chained)
+        if not np.all(np.abs(chained) < 1e100):
+            chained = _identities(count, n)
 
 
 @pytest.mark.parametrize("name, params", REFERENCE_CASES)
@@ -888,10 +1003,7 @@ def test_q_step_matches_former_q_step(name, params):
         box["sample_lower"], box["sample_upper"], (5, model.state_dim))
     paths = []
     for x0 in x0s:
-        points = _march(policy.closed_loop)(tuple(x0.tolist()), dt, steps)
-        points = np.array(points).reshape(-1, model.state_dim)[:-1]
-        paths.append(policy.closed_loop.jacobian(points).reshape(
-            steps, 4, model.state_dim, model.state_dim))
+        paths.append(stage_jacobians(policy, x0, horizon, steps))
         q = q_former = q_rk4 = np.eye(model.state_dim)
         for step_jacs in paths[-1]:
             q = _q_step(step_jacs, q, dt)
