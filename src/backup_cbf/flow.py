@@ -307,7 +307,7 @@ def integrate_flow_batch(model: SystemModel, policy: BackupPolicy, x0s: Array,
     if observer is not None:
         observer(x0s)
     loop = _closed_loop(model, policy)
-    deriv = loop(ARRAY_PRIMITIVES)
+    deriv = loop.build(ARRAY_PRIMITIVES)
     x = tuple(x0s.T.copy())
     for i in range(1, steps + 1):
         # divergence is detected after the step; silence transient overflow

@@ -410,21 +410,26 @@ def run_levelset(scenario: Scenario, geometry: GridGeometry,
                  ) -> dict:
     """Sweep the implicit barrier over the grid (optionally also the
     baseline invariant-set field), write each grid as CSV and JSON and each
-    requested slice of it as CSV; returns the map of written paths.  The
-    slices and the solve limits are checked first, so a bad one fails fast
-    and leaves no ``out_dir`` behind; ``out_dir`` is then created before
-    the sweep, so an unusable one fails fast too."""
+    requested slice of it as CSV, named ``slice_<axis>_<value:g>``; returns
+    the map of written paths.  The slices and the solve limits are checked
+    first, so a bad one, or two slices that would write one file, fails
+    fast and leaves no ``out_dir`` behind; ``out_dir`` is then created
+    before the sweep, so an unusable one fails fast too."""
     model, policy, spec = scenario.build()
     if include_hj:
         check_solve_limits(hj_tol, hj_max_steps)
     if slices and geometry.dims != 3:
         raise GeometryError(f"a slice needs a 3-axis grid, got {geometry.dims}")
-    planes = []
+    planes = {}
     for name_or_index, value in slices:
         axis = resolve_axis(model, name_or_index)
         _plane_index(geometry, axis, value)
-        planes.append((f"slice_{model.state_names[axis]}_{value:g}",
-                       axis, value))
+        suffix = f"slice_{model.state_names[axis]}_{value:g}"
+        if suffix in planes:
+            raise GeometryError(
+                f"slices at {planes[suffix][1]!r} and {value!r} on axis "
+                f"{model.state_names[axis]!r} would both write {suffix}")
+        planes[suffix] = axis, value
     os.makedirs(out_dir, exist_ok=True)
     grids = {"backup": sweep_backup_h(model, policy, spec, geometry,
                                       scenario.t_horizon_s,
@@ -433,7 +438,7 @@ def run_levelset(scenario: Scenario, geometry: GridGeometry,
         grids["hj"] = solve_invariant(constraint_grid(geometry, spec), model,
                                       tol=hj_tol, max_steps=hj_max_steps)
     written: dict[str, str] = {}
-    for suffix, axis, value in [("grid", None, None)] + planes:
+    for suffix, (axis, value) in {"grid": (None, None), **planes}.items():
         for name, grid in grids.items():
             key = f"{name}_{suffix}"
             written[key] = os.path.join(out_dir, key + ".csv")

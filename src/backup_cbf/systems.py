@@ -10,11 +10,12 @@ compiles from it ``f_eval``, ``g_eval``, ``pi_eval``, their Jacobians
 (forward differentiation, structural zeros left out), each safety function
 and its gradient, and the closed loop ``BackupPolicy.closed_loop``, a
 `ClosedLoop`: its derivative in `affine_sum`'s order, which the batch
-flow builds on `ARRAY_PRIMITIVES`, and its state Jacobian.  The
-single-state flow marches on its float kernel (`ClosedLoop.kernel`)
-instead: the same lines on floats, with each smoothing written out as its
-float twin's branches (each twin's body is written once, in
-`_FLOAT_BODIES`, and `FLOAT_PRIMITIVES` is compiled from it).  The flows read nothing else.
+flow builds on `ARRAY_PRIMITIVES`, and its state Jacobian, the same
+forward derivative of those rows.  The single-state flow marches on its
+float kernel (`ClosedLoop.kernel`) instead: the same lines on floats, with
+each smoothing written out as its float twin's branches (each twin's body
+is written once, in `_FLOAT_BODIES`, and `FLOAT_PRIMITIVES` is compiled
+from it).  The flows read nothing else.
 Only exact folds are made, so every evaluator keeps the bits of the
 hand-written body it replaced, signed zeros included, except in some
 derivatives: a few entries differ in the sign of a NaN or a zero only
@@ -24,7 +25,10 @@ its first term, not from ``+0.0``), and two gradients round otherwise in
 the last bits (the conservative Dubins terminal, whose dense ``P`` is
 differentiated term by term rather than as ``-2 P x``, and the aeroplane
 terminal's ``dpsi`` entry at a ``v_b`` that is not a power of two).  The
-float twins of the smoothings clamp by comparisons, which return what
+closed loop's Jacobian equals the former ``df + dg pi + g dpi`` in value,
+not in bytes: a zero may carry the other sign, and where that form
+multiplied a structural zero by a NaN it may stay finite.  The float twins
+of the smoothings clamp by comparisons, which return what
 ``min(max(y, lo), hi)`` returns for every float (NaN and signed zeros
 included) without two builtin calls.  Benchmark parameters must be finite
 numbers, and every blend width > 0: each switching primitive has one C1
@@ -309,16 +313,16 @@ class SystemModel:
 @dataclass(frozen=True, eq=False)
 class ClosedLoop:
     """A benchmark statement's closed loop ``f + g pi``, as `_generated`
-    writes it.  ``closed_loop(p)`` builds its derivative, in `affine_sum`'s
+    writes it.  ``build(p)`` builds its derivative, in `affine_sum`'s
     order, on the primitive table ``p`` as ``rhs(*x)``, one value per state
     component in and a tuple out (a row that holds no state is a float):
     one state as Python floats on `FLOAT_PRIMITIVES`, a batch as ``(B,)``
-    arrays on `ARRAY_PRIMITIVES`.  ``jacobian(x)`` is its state Jacobian on
-    states ``(..., n)``, as ``(..., n, n)``: ``df + dg pi``, then
-    ``+ g dpi``, from the statement's generated evaluators.  ``rows`` holds
-    the derivative, one entry per state component, as `_SYMBOLIC` recorded
-    it, and `kernel` writes it out on floats for the single-state flow to
-    inline.  Compared by identity."""
+    arrays on `ARRAY_PRIMITIVES`.  ``rows`` holds the derivative, one entry
+    per state component, as `_SYMBOLIC` recorded it, and `kernel` writes it
+    out on floats for the single-state flow to inline.  ``jacobian(x)`` is
+    its state Jacobian on states ``(..., n)``, as ``(..., n, n)``:
+    `_derivative` of ``rows``, structural zeros left out.  Compared by
+    identity."""
 
     build: Callable[[Primitives], Callable[..., tuple]]
     jacobian: Callable[[Array], Array]
@@ -333,9 +337,6 @@ class ClosedLoop:
         ``t``, and read only ``sin``, ``cos``, ``abs`` and ``inf``."""
         lines, exprs, _ = _statements(self.rows, _FLOAT_BODIES, point)
         return lines + [f"{slope}{i} = {e}" for i, e in enumerate(exprs)]
-
-    def __call__(self, p: Primitives) -> Callable[..., tuple]:
-        return self.build(p)
 
     def at(self, states: Array) -> Array:
         """The derivative built on `ARRAY_PRIMITIVES` at states ``(B, n)``,
@@ -676,25 +677,19 @@ def _array_source(name: str, terms: np.ndarray, n: int) -> str:
            for index, expr in zip(assigned, exprs)] + ["return out"]))
 
 
-def _loop_source(rows: list, constant_g: bool) -> str:
-    """``closed_loop(p)``, whose ``rhs(x0, x1, ...)`` returns ``rows``, and
-    ``jacobian(x)``, the loop's state Jacobian ``df + dg pi`` (where ``g``
-    holds the state), then ``+ g dpi``."""
+def _loop_source(rows: tuple) -> str:
+    """``closed_loop(p)``, whose ``rhs(x0, x1, ...)`` returns ``rows``."""
     lines, exprs, names = _statements(rows)
     return "\n".join(
         ["def closed_loop(p):"]
         + [f"    {c} = p.{c}" for c in Primitives._fields if c in names]
         + [f"    def rhs({', '.join(f'x{i}' for i in range(len(rows)))}):"]
         + [f"        {line}" for line in lines]
-        + [f"        return ({''.join(e + ', ' for e in exprs)})", "    return rhs",
-           "def jacobian(x):", "    jac = df_dx(x)"]
-        + ["    jac = jac + einsum('...imk,...m->...ik', dg_dx(x), pi_eval(x))"]
-        * (not constant_g)
-        + ["    return jac + matmul(g_eval(x), dpi_dx(x))"])
+        + [f"        return ({''.join(e + ', ' for e in exprs)})", "    return rhs"])
 
 
-_NAMESPACE = {"asarray": np.asarray, "zeros": np.zeros, "einsum": np.einsum,
-              "matmul": np.matmul, **ARRAY_PRIMITIVES._asdict(),
+_NAMESPACE = {"asarray": np.asarray, "zeros": np.zeros,
+              **ARRAY_PRIMITIVES._asdict(),
               "saturate_deriv": smooth_saturate_deriv,
               "sign_deriv": smooth_sign_deriv,
               "indicator_deriv": smooth_positive_indicator_deriv}
@@ -708,10 +703,12 @@ def _generated(name: str, statement: Callable, n: int, m: int,
     on `_SYMBOLIC`, written out as lists of lines and compiled once per
     parameter tuple, given as `float.hex` strings so that ``0.0`` and
     ``-0.0`` are two keys.  The closed loop's rows are `affine_sum` of the
-    recorded ``f``, ``g`` and ``pi``.  ``dg_dx`` is ``None`` where no entry
-    of ``g`` holds the state.  ``safety`` holds a pair ``(value,
-    gradient)`` per entry of ``h``: the value as computed (a numpy scalar
-    for one state) and the gradient as a fresh ``(..., n)`` array."""
+    recorded ``f``, ``g`` and ``pi``, and its Jacobian is compiled from
+    their derivative as ``df_dx`` is from ``f``'s.  ``dg_dx`` is ``None``
+    where no entry of ``g`` holds the state.  ``safety`` holds a pair
+    ``(value, gradient)`` per entry of ``h``: the value as computed (a
+    numpy scalar for one state) and the gradient as a fresh ``(..., n)``
+    array."""
     f, g, pi, h = statement(_SYMBOLIC, tuple(map(float.fromhex, params)),
                             *(_Sym("x", i) for i in range(n)))
     f, g, pi = (np.array(v, dtype=object) for v in (f, g, pi))
@@ -727,20 +724,20 @@ def _generated(name: str, statement: Callable, n: int, m: int,
         return np.array([[_derivative(e, k) for k in range(n)] for e in t.flat],
                         dtype=object).reshape(t.shape + (n,))
 
+    rows = tuple(affine_sum(f, g, pi))
     terms = {"f_eval": f, "g_eval": g, "pi_eval": pi, "df_dx": jacobian(f),
              "dg_dx": jacobian(g), "dpi_dx": jacobian(pi),
+             "jacobian": jacobian(np.array(rows, dtype=object)),
              **{f"grad{i}": t for i, t in
                 enumerate(jacobian(np.array(h, dtype=object)))}}
-    rows = tuple(affine_sum(f, g, pi))
-    constant_g = all(d is None for d in terms["dg_dx"].flat)
     namespace = dict(_NAMESPACE)
     exec("\n".join([_array_source(fn, t, n) for fn, t in terms.items()]
                    + [_source(f"h{i}", [e], n, lambda w: [f"return {w[0]}"])
                       for i, e in enumerate(h)]
-                   + [_loop_source(rows, constant_g)]), namespace)
+                   + [_loop_source(rows)]), namespace)
     namespace["closed_loop"] = ClosedLoop(namespace["closed_loop"],
                                           namespace["jacobian"], rows)
-    if constant_g:
+    if all(d is None for d in terms["dg_dx"].flat):
         namespace["dg_dx"] = None
     safety = tuple((namespace[f"h{i}"], namespace[f"grad{i}"])
                    for i in range(len(h)))

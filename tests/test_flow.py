@@ -20,7 +20,7 @@ from backup_cbf.systems import (ARRAY_PRIMITIVES, BENCHMARK_DEFAULTS,
                                 FLOAT_PRIMITIVES, BackupPolicy, _benchmark,
                                 affine_sum, closed_loop_rhs, loop_rhs,
                                 make_benchmark)
-from tests.test_systems import loop_jacobian
+from tests.test_systems import loop_jacobian, same_bits
 
 
 def idle(name, statement, params, n):
@@ -416,6 +416,41 @@ def test_two_phase_flow_matches_reference_march(case):
     assert np.array_equal(ends, ref[0][-1])
 
 
+@pytest.mark.parametrize("name, params", REFERENCE_CASES)
+def test_flows_on_the_rows_jacobian_match_the_oracle_jacobian(name, params):
+    """`integrate_flow` (states, sensitivities, drifts) and
+    `integrate_flow_batch` (end states, end Q) on the generated closed loop
+    give the bytes of the same flows on a copy whose Jacobian is the
+    `loop_jacobian` oracle, on sampled states, states of signed zeros and
+    `STIFF_CASE`.  The two Jacobians are equal in value and may differ in
+    the sign of a zero only, which each transition matrix ``I + ...``
+    turns into ``+0.0``.  (On toy1d no flow at these step sizes tells a
+    one-ulp change of the Jacobian apart: each ``M_i = 1 + O(dt)`` rounds
+    it away.)"""
+    model, policy, _ = make_benchmark(name, params)
+    oracle = dataclasses.replace(policy, closed_loop=dataclasses.replace(
+        policy.closed_loop, jacobian=lambda x: loop_jacobian(model, policy, x)))
+    box = BENCHMARK_DEFAULTS[name]
+    n, horizon, steps = model.state_dim, box["t_horizon_s"], box["n_flow_steps"]
+    x0s = np.random.default_rng(17).uniform(box["sample_lower"],
+                                            box["sample_upper"], (12, n))
+    zeros = [[0.0] * n, [-0.0] * n, [(-0.0, 0.0)[i % 2] for i in range(n)]]
+    runs = [(np.concatenate([x0s, zeros]), steps)]
+    if (name, params) == STIFF_CASE[:2]:
+        runs.append(STIFF_CASE[2:])
+    for x0s, steps in runs:
+        for x0 in x0s:
+            got, expected = (integrate_flow(model, p, x0, horizon, steps)
+                             for p in (policy, oracle))
+            for field in ("states", "sensitivities", "drifts"):
+                assert same_bits(getattr(got, field), getattr(expected, field)), \
+                    f"{name} {params} {field} from x0 = {x0.tolist()!r}"
+        got, expected = (integrate_flow_batch(model, p, x0s, horizon, steps)
+                         for p in (policy, oracle))
+        assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1]), \
+            f"{name} {params} batch of {len(x0s)}"
+
+
 def blowup_statement(p, k, x0, x1):
     """x0dot = 1, x1dot = 50 x0 x1; an idle backup."""
     return (1.0, 50.0 * x0 * x1), ((0.0,), (0.0,)), (0.0,), (x0,)
@@ -529,7 +564,7 @@ def test_loop_floats_check_treats_nan_as_equal():
     model, policy, _ = make_benchmark("dubins", {"profile": "aggressive",
                                                  "k_y": (1e308, 1e308)})
     x0 = [2.0, 5.0, -2.0]
-    assert math.isnan(policy.closed_loop(FLOAT_PRIMITIVES)(*x0)[2])
+    assert math.isnan(policy.closed_loop.build(FLOAT_PRIMITIVES)(*x0)[2])
     with pytest.raises(FlowDivergenceError, match="at step 1 "):
         integrate_flow(model, policy, x0, 8.0, 100)
     with pytest.raises(FlowDivergenceError, match="at step 1 .* batch row 1"):
@@ -739,7 +774,7 @@ def smoothing_calls(policy, x):
             return twin(y, *params)
         return call
 
-    policy.closed_loop(FLOAT_PRIMITIVES._replace(
+    policy.closed_loop.build(FLOAT_PRIMITIVES._replace(
         **{kind: recording(kind) for kind in ("saturate", "sign",
                                               "indicator")}))(*x)
     return calls
@@ -818,7 +853,7 @@ def test_compiled_march_matches_former_march(name, params):
     assert not re.search(r"\b(saturate|sign|indicator)\(",
                          "\n".join(closed.kernel("b", "p")))
     march = _march(closed)
-    loop = policy.closed_loop(FLOAT_PRIMITIVES)
+    loop = policy.closed_loop.build(FLOAT_PRIMITIVES)
     stacked = _stacked(model, policy)
     assert isinstance(stacked(*x0s[0].tolist())[0], np.float64)
     for x0 in x0s:
@@ -835,7 +870,7 @@ def test_compiled_march_matches_former_march(name, params):
         assert assert_march_matches_former(march, loop, x0, dt,
                                            steps) == steps, (name, x0)
 
-    loop = policy.closed_loop(ARRAY_PRIMITIVES)
+    loop = policy.closed_loop.build(ARRAY_PRIMITIVES)
     x = tuple(x0s.T.copy())
     for _ in range(3):
         got = rk4_step(loop, x, dt)
@@ -913,7 +948,8 @@ def test_compiled_march_stops_where_the_former_does():
     points, on every case of `REFERENCE_CASES` (or raises the same
     `ValueError`)."""
     model, policy, _ = make_benchmark("double_integrator")
-    for loop in (policy.closed_loop(FLOAT_PRIMITIVES), _stacked(model, policy)):
+    for loop in (policy.closed_loop.build(FLOAT_PRIMITIVES),
+                 _stacked(model, policy)):
         assert assert_march_matches_former(_march(policy.closed_loop), loop,
                                            [1.79e308, 1e306], 0.1, 100) == 8
     stops = set()
@@ -924,7 +960,7 @@ def test_compiled_march_stops_where_the_former_does():
         dt = box["t_horizon_s"] / steps
         march = _march(policy.closed_loop)
         former = functools.partial(former_float_march,
-                                   policy.closed_loop(FLOAT_PRIMITIVES))
+                                   policy.closed_loop.build(FLOAT_PRIMITIVES))
         base = [0.5 * (lo + hi) for lo, hi in zip(box["sample_lower"],
                                                   box["sample_upper"])]
         starts = [base[:k] + [big] + base[k + 1:] for k in range(n)

@@ -506,33 +506,45 @@ def test_cli_levelset_warns_on_an_unconverged_baseline(tmp_path, capsys):
 
 BAD_SLICES = {
     # an index past the last state axis
-    "di_index_7": ("di_full_throttle", "--grid=-10:12:5,-5:5:5", "--slice=7=1"),
+    "di_index_7": ("di_full_throttle", "--grid=-10:12:5,-5:5:5", ("--slice=7=1",)),
     "dubins_index_7": ("dubins_edge_push",
-                       "--grid=-2.25:2.25:5,3:7:5,-1.25:1.25:5", "--slice=7=1"),
+                       "--grid=-2.25:2.25:5,3:7:5,-1.25:1.25:5", ("--slice=7=1",)),
     # a negative index is not counted from the end
     "dubins_index_-1": ("dubins_edge_push",
                         "--grid=-2.25:2.25:5,3:7:5,-1.25:1.25:5",
-                        "--slice=-1=0"),
+                        ("--slice=-1=0",)),
     # slicing a 2-axis grid would leave one axis
-    "di_2_axis": ("di_full_throttle", "--grid=-10:12:5,-5:5:5", "--slice=s=0"),
+    "di_2_axis": ("di_full_throttle", "--grid=-10:12:5,-5:5:5", ("--slice=s=0",)),
     # a value far outside a non-periodic axis (v in [-1, 11])
     "dubins_v_100": ("dubins_edge_push",
-                     "--grid=-2.25:2.25:5,-1:11:5,-1.25:1.25:5", "--slice=v=100"),
+                     "--grid=-2.25:2.25:5,-1:11:5,-1.25:1.25:5", ("--slice=v=100",)),
     "dubins_v_nan": ("dubins_edge_push",
-                     "--grid=-2.25:2.25:5,-1:11:5,-1.25:1.25:5", "--slice=v=nan"),
+                     "--grid=-2.25:2.25:5,-1:11:5,-1.25:1.25:5", ("--slice=v=nan",)),
+    # two values that print alike (:g) would write one slice file, and so
+    # would one slice given twice, by name and by index
+    "plane_dpsi_twice": ("plane_head_on",
+                         "--grid=-6:6:9,-6:6:9,-3.141592653589793:"
+                         "3.141592653589793:8:periodic",
+                         ("--slice=dpsi=1.0000001", "--slice=dpsi=1.0000004")),
+    "dubins_v_repeated": ("dubins_edge_push",
+                          "--grid=-2.25:2.25:5,-1:11:5,-1.25:1.25:5",
+                          ("--slice=v=5", "--slice=1=5")),
 }
 
 
-@pytest.mark.parametrize("scenario, grid, slice_arg", BAD_SLICES.values(),
+@pytest.mark.parametrize("scenario, grid, slice_args", BAD_SLICES.values(),
                          ids=BAD_SLICES.keys())
 def test_cli_levelset_rejects_a_bad_slice_before_the_sweep(
-        tmp_path, capsys, scenario, grid, slice_arg):
+        tmp_path, capsys, scenario, grid, slice_args):
     out = tmp_path / "grids"
     rc = cli_main(["levelset", "--scenario",
-                   str(SCENARIO_DIR / f"{scenario}.json"), grid, slice_arg,
+                   str(SCENARIO_DIR / f"{scenario}.json"), grid, *slice_args,
                    "--out", str(out)])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if len(slice_args) > 1:         # both values are named
+        assert all(a.rpartition("=")[2] in err for a in slice_args), err
     assert not out.exists()
 
 
