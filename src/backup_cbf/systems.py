@@ -7,15 +7,15 @@ benchmark states ``f``, ``g``, its backup policy ``pi`` and its safety
 functions ``h`` once, one value per component, against a table of
 `Primitives`; `_generated` records that statement symbolically and
 compiles from it ``f_eval``, ``g_eval``, ``pi_eval``, their Jacobians
-(forward differentiation, structural zeros left out), each safety function
-and its gradient, and the closed loop ``BackupPolicy.closed_loop``, a
-`ClosedLoop`: its derivative in `affine_sum`'s order, which the batch
-flow builds on `ARRAY_PRIMITIVES`, and its state Jacobian, the same
-forward derivative of those rows.  The single-state flow marches on its
-float kernel (`ClosedLoop.kernel`) instead: the same lines on floats, with
-each smoothing written out as its float twin's branches (each twin's body
-is written once, in `_FLOAT_BODIES`, and `FLOAT_PRIMITIVES` is compiled
-from it).  The flows read nothing else.
+(forward differentiation, structural zeros left out: terms free of the state
+or with a literal-zero factor), each safety function and its gradient, and
+the closed loop ``BackupPolicy.closed_loop``, a `ClosedLoop`: its derivative
+in `affine_sum`'s order, which the batch flow builds on `ARRAY_PRIMITIVES`,
+and its state Jacobian, the same forward derivative of those rows.  The
+single-state flow marches on its float kernel (`ClosedLoop.kernel`) instead:
+the same lines on floats, with each smoothing written out as its float
+twin's branches (each twin's body is written once, in `_FLOAT_BODIES`, and
+`FLOAT_PRIMITIVES` is compiled from it).  The flows read nothing else.
 Only exact folds are made, so every evaluator keeps the bits of the
 hand-written body it replaced, signed zeros included, except in some
 derivatives: a few entries differ in the sign of a NaN or a zero only
@@ -274,8 +274,8 @@ class SystemModel:
     """Control-affine plant ``xdot = f(x) + g(x) u`` with a box input set.
 
     ``df_dx(x)`` has shape ``(..., n, n)``; ``dg_dx(x)`` has shape
-    ``(..., n, m, n)`` with entry ``[i, j, k] = d g[i, j] / d x[k]``.
-    ``dg_dx = None`` declares the input matrix state-independent.
+    ``(..., n, m, n)`` with entry ``[i, j, k] = d g[i, j] / d x[k]`` (a
+    built-in model's is compiled; nothing in this package reads it).
     """
 
     state_dim: int
@@ -283,7 +283,7 @@ class SystemModel:
     f_eval: Callable[[Array], Array]
     g_eval: Callable[[Array], Array]
     df_dx: Callable[[Array], Array]
-    dg_dx: Callable[[Array], Array] | None
+    dg_dx: Callable[[Array], Array]
     input_lower: Array
     input_upper: Array
     state_names: tuple[str, ...] = ()
@@ -347,10 +347,8 @@ class ClosedLoop:
 
 @dataclass(frozen=True)
 class BackupPolicy:
-    """Feedback law ``u = pi(x)`` with its state Jacobian.
-
-    ``smoothing_eps`` (a finite number > 0) is the width of the C1 blends
-    inside the policy, the widest where it has several.
+    """Feedback law ``u = pi(x)`` with its state Jacobian, its blend widths
+    written in from the parameters of the benchmark it was built with.
 
     ``closed_loop`` is the `ClosedLoop` generated with the model this policy
     was built alongside (`_generated`); anything else is refused with
@@ -361,13 +359,9 @@ class BackupPolicy:
 
     pi_eval: Callable[[Array], Array]
     dpi_dx: Callable[[Array], Array]
-    smoothing_eps: float
     closed_loop: ClosedLoop
 
     def __post_init__(self):
-        if not (is_finite_real(self.smoothing_eps) and self.smoothing_eps > 0.0):
-            raise ValidationError(f"smoothing_eps must be a finite number "
-                                  f"> 0, got {self.smoothing_eps!r}")
         if not isinstance(self.closed_loop, ClosedLoop):
             raise ValidationError(f"closed_loop must be a generated "
                                   f"ClosedLoop, got {self.closed_loop!r}")
@@ -447,8 +441,13 @@ def di_closed_form_h(x: Array, c_limit: float, u_max: float) -> Array:
     """Stopping-distance barrier for the double integrator:
     ``c_limit - s - 1{v>0} v^2 / (2 u_max)``.
 
-    Serves as the independent oracle for the implicitly defined set.
+    Serves as the independent oracle for the implicitly defined set; both
+    parameters must be finite numbers (a bool is not), and ``u_max > 0``.
     """
+    for key, value in (("c_limit", c_limit), ("u_max", u_max)):
+        if not is_finite_real(value):
+            raise ValidationError(f"{key} must be a finite number, got "
+                                  f"{value!r}")
     if u_max <= 0.0:
         raise ValidationError("u_max must be > 0")
     x = np.asarray(x, dtype=float)
@@ -573,7 +572,8 @@ _FORMS = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})", "neg": "(-{})"}
 def _derivative(e, k: int):
     """``d e / d x_k`` by the forward rules (Griewank & Walther, "Evaluating
     Derivatives", SIAM 2008), the chain rule's inner derivative on the
-    left; ``None`` for a structural zero, where ``e`` does not hold ``x_k``."""
+    left; ``None`` for a structural zero, where ``e`` does not hold ``x_k``
+    or holds it only in products whose other factor is a literal zero."""
     if not isinstance(e, _Sym):
         return None
     if e.op == "x":
@@ -584,8 +584,9 @@ def _derivative(e, k: int):
     if e.op == "neg":
         return None if da is None else -da
     if e.op == "*":
-        da = None if da is None else da * e.args[1]
-        db = None if db is None else e.args[0] * db
+        a, b = e.args
+        da = None if da is None or b == 0.0 else da * b
+        db = None if db is None or a == 0.0 else a * db
     if da is None or db is None:
         return da if db is None else -db if e.op == "-" else db
     return da - db if e.op == "-" else da + db
@@ -704,8 +705,8 @@ def _generated(name: str, statement: Callable, n: int, m: int,
     parameter tuple, given as `float.hex` strings so that ``0.0`` and
     ``-0.0`` are two keys.  The closed loop's rows are `affine_sum` of the
     recorded ``f``, ``g`` and ``pi``, and its Jacobian is compiled from
-    their derivative as ``df_dx`` is from ``f``'s.  ``dg_dx`` is ``None``
-    where no entry of ``g`` holds the state.  ``safety`` holds a pair
+    their derivative as ``df_dx`` is from ``f``'s.  `_derivative` alone
+    decides the structural zeros, left ``+0.0``.  ``safety`` holds a pair
     ``(value, gradient)`` per entry of ``h``: the value as computed (a
     numpy scalar for one state) and the gradient as a fresh ``(..., n)``
     array."""
@@ -737,8 +738,6 @@ def _generated(name: str, statement: Callable, n: int, m: int,
                    + [_loop_source(rows)]), namespace)
     namespace["closed_loop"] = ClosedLoop(namespace["closed_loop"],
                                           namespace["jacobian"], rows)
-    if all(d is None for d in terms["dg_dx"].flat):
-        namespace["dg_dx"] = None
     safety = tuple((namespace[f"h{i}"], namespace[f"grad{i}"])
                    for i in range(len(h)))
     return tuple(namespace[fn] for fn in ("f_eval", "g_eval", "df_dx", "dg_dx",
@@ -746,8 +745,8 @@ def _generated(name: str, statement: Callable, n: int, m: int,
                  ) + (safety,)
 
 
-def _benchmark(name: str, statement: Callable, params: tuple, eps: float,
-               lower: tuple, upper: tuple, state_names: tuple[str, ...],
+def _benchmark(name: str, statement: Callable, params: tuple, lower: tuple,
+               upper: tuple, state_names: tuple[str, ...],
                input_names: tuple[str, ...], safety_names: tuple[str, ...]
                ) -> tuple[SystemModel, BackupPolicy, tuple[ScalarConstraint, ...]]:
     """The model, the backup policy and the safety functions, named
@@ -757,7 +756,7 @@ def _benchmark(name: str, statement: Callable, params: tuple, eps: float,
         name, statement, n, m, tuple(map(float.hex, params)))
     return (SystemModel(n, m, f, g, df, dg, lower, upper,
                         state_names=state_names, input_names=input_names),
-            BackupPolicy(pi, dpi, eps, loop),
+            BackupPolicy(pi, dpi, loop),
             tuple(ScalarConstraint(*pair, name=label)
                   for pair, label in zip(safety, safety_names, strict=True)))
 
@@ -785,7 +784,7 @@ def _build_toy1d(params: dict):
     _reject_unknown(params, "toy1d")
     _check_blend(-u_max, u_max, eps)
     model, policy, (level, terminal) = _benchmark(
-        "toy1d", _toy1d, (gain, u_max, eps, c_level, s_level), eps, (-u_max,),
+        "toy1d", _toy1d, (gain, u_max, eps, c_level, s_level), (-u_max,),
         (u_max,), ("x",), ("u",), ("level", "terminal_level"))
     return model, policy, SafetySpec((level,), terminal, alpha)
 
@@ -812,7 +811,7 @@ def _build_double_integrator(params: dict):
     _reject_unknown(params, "double_integrator")
 
     model, policy, (limit, at_rest) = _benchmark(
-        "double_integrator", _double_integrator, (u_max, eps, c_limit), eps,
+        "double_integrator", _double_integrator, (u_max, eps, c_limit),
         (-u_max,), (u_max,), ("s", "v"), ("u",), ("position_limit", "at_rest"))
     return model, policy, SafetySpec((limit,), at_rest, alpha)
 
@@ -913,9 +912,9 @@ def _build_dubins(params: dict):
     model, policy, (*bounds, terminal) = _benchmark(
         "dubins", _dubins, (*k_y, k_v, v_des, a_max, r_max, eps_a, eps_r,
                             y_max, psi_max, c_level, *p_mat.flat),
-        max(eps_a, eps_r), (-a_max, -r_max), (a_max, r_max), ("Y", "v", "psi"),
-        ("a", "r"), ("lane_left", "lane_right", "heading_left", "heading_right",
-                     "settle_ellipsoid"))
+        (-a_max, -r_max), (a_max, r_max), ("Y", "v", "psi"), ("a", "r"),
+        ("lane_left", "lane_right", "heading_left", "heading_right",
+         "settle_ellipsoid"))
     return model, policy, SafetySpec(tuple(bounds), terminal, alpha)
 
 
@@ -958,7 +957,7 @@ def _build_aeroplane(params: dict):
     _reject_unknown(params, "aeroplane")
 
     model, policy, (separation, separated, diverging) = _benchmark(
-        "aeroplane", _aeroplane, (v_a, v_b, u_max, eps, r_min, r_term), eps,
+        "aeroplane", _aeroplane, (v_a, v_b, u_max, eps, r_min, r_term),
         (-u_max,), (u_max,), ("dx", "dy", "dpsi"), ("u",),
         ("separation", "separated", "diverging"))
 

@@ -14,6 +14,7 @@ from backup_cbf.errors import EvaluationError, ValidationError
 from backup_cbf.qp import QpProblem, QpSolver
 from backup_cbf.systems import (BENCHMARK_DEFAULTS, di_closed_form_h,
                                 make_benchmark)
+from tests.test_systems import BLEND_WIDTHS
 
 GAMMA = 1.0
 
@@ -38,7 +39,7 @@ def test_eval_h_di_braking_boundary_smooth_mode():
     model, policy, spec = make_benchmark("double_integrator")
     ev = eval_h(model, policy, spec, np.array([0.0, 2.0]), 10.0, 100)
     assert ev.per_tau_values.min() == pytest.approx(8.0, abs=1e-6)
-    assert 0.0 < ev.terminal_value <= policy.smoothing_eps
+    assert 0.0 < ev.terminal_value <= BLEND_WIDTHS["double_integrator"]
     assert ev.h_value == pytest.approx(ev.terminal_value)
 
 

@@ -27,7 +27,7 @@ def idle(name, statement, params, n):
     """The model and policy of ``statement`` on ``n`` states, with one
     input in ``[-1, 1]`` that its idle backup never uses."""
     model, policy, _ = _benchmark(
-        name, statement, tuple(params), 0.01, (-1.0,), (1.0,),
+        name, statement, tuple(params), (-1.0,), (1.0,),
         tuple(f"x{i}" for i in range(n)), ("u",), ("x0",))
     return model, policy
 
@@ -451,6 +451,44 @@ def test_flows_on_the_rows_jacobian_match_the_oracle_jacobian(name, params):
             f"{name} {params} batch of {len(x0s)}"
 
 
+# The entries of each reference case's loop Jacobian that the generator
+# assigns, keyed by benchmark or Dubins profile: those reached from the
+# state through no literal-zero factor.  The Dubins rows multiply the input
+# not on their channel by ``0.0``, so neither ``d/dY`` nor ``d/dpsi`` of the
+# steering reaches the speed row, and on the aggressive profile (``k_y =
+# (0, -3)``) ``d/dY`` of the steering is gone too.
+LIVE_JACOBIAN_ENTRIES = {
+    "toy1d": {(0, 0)},
+    "double_integrator": {(0, 1), (1, 1)},
+    "conservative": {(0, 1), (0, 2), (1, 1), (2, 0), (2, 2)},
+    "aggressive": {(0, 1), (0, 2), (1, 1), (2, 2)},
+    "aeroplane": {(0, 1), (0, 2), (1, 0), (1, 1), (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name, params", REFERENCE_CASES)
+def test_loop_jacobian_writes_no_literal_zero_products(name, params):
+    """At all-NaN states, one and a ``(2, 3)`` batch, every entry of
+    `ClosedLoop.jacobian` outside `LIVE_JACOBIAN_ENTRIES` is ``+0.0`` in
+    bytes: a product rule term with a literal-zero factor is left out, not
+    written as ``0.0 * (...)``, which a NaN turns into NaN.  The double
+    integrator's ``d sdot / d v`` is the literal ``1.0``, not ``1.0 + 0.0 *
+    (...)``."""
+    model, policy, _ = make_benchmark(name, params)
+    n = model.state_dim
+    live = LIVE_JACOBIAN_ENTRIES[params.get("profile", name)]
+    for x in (np.full(n, math.nan), np.full((2, 3, n), math.nan)):
+        jac = policy.closed_loop.jacobian(x)
+        assert jac.shape == x.shape + (n,)
+        for i in range(n):
+            for k in range(n):
+                if (i, k) not in live:
+                    assert same_bits(jac[..., i, k], np.zeros(x.shape[:-1])), \
+                        f"{name} {params} entry {(i, k)}: {jac[..., i, k]!r}"
+        if name == "double_integrator":
+            assert same_bits(jac[..., 0, 1], np.ones(x.shape[:-1]))
+
+
 def blowup_statement(p, k, x0, x1):
     """x0dot = 1, x1dot = 50 x0 x1; an idle backup."""
     return (1.0, 50.0 * x0 * x1), ((0.0,), (0.0,)), (0.0,), (x0,)
@@ -597,8 +635,7 @@ def test_closed_loop_must_be_generated(loop):
     _, policy, _ = make_benchmark("toy1d")
     with pytest.raises(ValidationError, match="closed_loop must be a "
                        "generated ClosedLoop"):
-        BackupPolicy(policy.pi_eval, policy.dpi_dx, policy.smoothing_eps,
-                     closed_loop=loop)
+        BackupPolicy(policy.pi_eval, policy.dpi_dx, closed_loop=loop)
     with pytest.raises(ValidationError, match="closed_loop must be a "
                        "generated ClosedLoop"):
         dataclasses.replace(policy, closed_loop=loop)

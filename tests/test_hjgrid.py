@@ -30,7 +30,7 @@ from backup_cbf.systems import (SafetySpec, ScalarConstraint, SystemModel,
 def two_axes(name, statement):
     """The model and policy of ``statement`` on the states ``(x, y)``, with
     one input in ``[-1, 1]``."""
-    model, policy, _ = _benchmark(name, statement, (), 0.01, (-1.0,), (1.0,),
+    model, policy, _ = _benchmark(name, statement, (), (-1.0,), (1.0,),
                                   ("x", "y"), ("u",), ("x",))
     return model, policy
 

@@ -26,6 +26,12 @@ from backup_cbf.systems import (_DUBINS_KY_AGGRESSIVE, _DUBINS_KY_CONSERVATIVE,
 
 RNG = np.random.default_rng(20240817)
 
+# The widest blend width of each benchmark's backup policy at its builder's
+# defaults, computed as the builder computes it: 0.05 u_max, 0.05 v_scale,
+# 0.05 a_max (the Dubins steering band is 0.05 r_max) and 0.25 r_min.
+BLEND_WIDTHS = {"toy1d": 0.05 * 5.0, "double_integrator": 0.05 * 5.0,
+                "dubins": 0.05 * 3.0, "aeroplane": 0.25 * 1.0}
+
 
 def fd_jacobian(fn, x, eps=1e-6):
     """Central-difference Jacobian, the independent oracle for all
@@ -50,10 +56,8 @@ def loop_jacobian(model, policy, x):
     """State Jacobian of the backup loop from the model's and the policy's
     evaluators, ``df + dg pi``, then ``+ g dpi``: the body `systems` had
     before each generated closed loop carried its own, kept as the oracle."""
-    jac = model.df_dx(x)
-    if model.dg_dx is not None:
-        jac = jac + np.einsum("...imk,...m->...ik", model.dg_dx(x),
-                              policy.pi_eval(x))
+    jac = model.df_dx(x) + np.einsum("...imk,...m->...ik", model.dg_dx(x),
+                                     policy.pi_eval(x))
     return jac + np.matmul(model.g_eval(x), policy.dpi_dx(x))
 
 
@@ -112,6 +116,17 @@ def test_di_closed_form_values():
 def test_di_closed_form_requires_positive_input_bound():
     with pytest.raises(ValidationError):
         di_closed_form_h(np.array([0.0, 0.0]), 10.0, 0.0)
+    # a NaN bound or limit made every value NaN, and a containment check on
+    # the oracle vacuous; True was taken as 1.0
+    for c_limit, u_max, named in ((10.0, math.nan, "u_max"),
+                                  (10.0, math.inf, "u_max"),
+                                  (10.0, True, "u_max"),
+                                  (math.nan, 1.0, "c_limit"),
+                                  (-math.inf, 1.0, "c_limit"),
+                                  (True, 1.0, "c_limit")):
+        with pytest.raises(ValidationError, match=f"^{named} must be a "
+                           f"finite number"):
+            di_closed_form_h(np.array([0.0, 0.0]), c_limit, u_max)
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +182,13 @@ def test_unknown_benchmark_and_params_rejected():
 def test_blend_widths_must_be_positive(name, key, width):
     """Every switching primitive has one C1 body, for a blend width > 0: a
     width of 0 or below is refused with `ValidationError` naming the
-    parameter given, before anything is generated; so is a policy
-    replaced onto such a width."""
-    _, policy, _ = make_benchmark(name)
+    parameter given, before anything is generated."""
+    make_benchmark(name)
     cached = _generated.cache_info()
     with pytest.raises(ValidationError, match=f"^{key} must be > 0, got "
                        f"{width!r}$"):
         make_benchmark(name, {key: width})
     assert _generated.cache_info() == cached
-    with pytest.raises(ValidationError, match="smoothing_eps must be a "
-                       "finite number > 0"):
-        dataclasses.replace(policy, smoothing_eps=width)
 
 
 @pytest.mark.parametrize("name, params, named", [
@@ -225,18 +236,20 @@ def test_derived_constants_in_range_are_kept():
                                    np.float64(math.nan), True, None, "1.0"])
 @pytest.mark.parametrize("field", ["alpha_gain", "smoothing_eps"])
 def test_gains_must_be_finite_numbers(field, value):
-    """`SafetySpec` and `BackupPolicy` refuse an ``alpha_gain`` or a
-    ``smoothing_eps`` that is not a finite number with `ValidationError`
-    naming the field, when made directly or by `dataclasses.replace` (a
-    NaN or infinite one used to pass, and a NaN gain to surface only as the
-    QP's "rows and rhs must be finite")."""
-    _, policy, spec = make_benchmark("toy1d")
-    record = spec if field == "alpha_gain" else policy
-    with pytest.raises(ValidationError, match=f"{field} must be a finite "
-                       f"number"):
-        dataclasses.replace(record, **{field: value})
-    assert getattr(dataclasses.replace(record, **{field: np.float64(0.5)}),
-                   field) == 0.5
+    """`SafetySpec` refuses an ``alpha_gain``, when made directly or by
+    `dataclasses.replace`, and the builder a blend width ``smoothing_eps``,
+    that is not a finite number, with `ValidationError` naming it (a NaN or
+    infinite one used to pass, and a NaN gain to surface only as the QP's
+    "rows and rhs must be finite").  The width is a builder parameter
+    only: the policy keeps no copy of it."""
+    _, _, spec = make_benchmark("toy1d")
+    made = {"alpha_gain": lambda v: dataclasses.replace(spec, alpha_gain=v),
+            "smoothing_eps": lambda v: make_benchmark(
+                "toy1d", {"smoothing_eps": v})[1]}[field]
+    with pytest.raises(ValidationError, match=f"{field}'? must be (a )?"
+                       f"finite number"):
+        made(value)
+    made(np.float64(0.5))
 
 
 @pytest.mark.parametrize("dims", [(2.5, 1), (True, 1), (2, 1.0), (2, False),
@@ -285,7 +298,7 @@ def _far_from_switching(name, states, eps):
 def test_closed_loop_jacobian_matches_finite_differences(name):
     model, policy, _ = make_benchmark(name)
     states = _far_from_switching(name, sample_box(name, 200),
-                                 policy.smoothing_eps)
+                                 BLEND_WIDTHS[name])
     assert len(states) > 20
     for x in states[:40]:
         jac = policy.closed_loop.jacobian(x)
@@ -302,8 +315,8 @@ def test_model_jacobians_match_finite_differences(name):
         assert np.max(np.abs(model.df_dx(x) - fd_f)) < 1e-5 * max(
             1.0, np.max(np.abs(fd_f)))
         fd_g = fd_jacobian(model.g_eval, x)
-        dg = model.dg_dx(x) if model.dg_dx is not None else np.zeros_like(fd_g)
-        assert np.max(np.abs(dg - fd_g)) < 1e-5 * max(1.0, np.max(np.abs(fd_g)))
+        assert np.max(np.abs(model.dg_dx(x) - fd_g)) < 1e-5 * max(
+            1.0, np.max(np.abs(fd_g)))
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
@@ -341,7 +354,7 @@ def test_aeroplane_separation_rate_identity():
 
 def test_policy_jacobian_fd_away_from_surfaces():
     model, policy, _ = make_benchmark("double_integrator")
-    eps = policy.smoothing_eps
+    eps = BLEND_WIDTHS["double_integrator"]
     for v in (2.0, -3.0, 5 * eps, -5 * eps):
         x = np.array([1.0, v])
         fd = fd_jacobian(policy.pi_eval, x)
@@ -407,7 +420,7 @@ def _switching_channels(name, params, model, policy):
     """``(coordinate, raw, surfaces, bands)`` per switching nonlinearity of
     the backup policy: ``raw(x)`` is its argument, affine in ``x[coordinate]``
     and written in the policy's operation order."""
-    eps = policy.smoothing_eps
+    eps = BLEND_WIDTHS[name]
     if name == "toy1d":
         return [(0, lambda x: -1.0 * x[0],
                  *_saturation_points(model.input_upper[0], eps))]
@@ -583,7 +596,7 @@ def dense_model(m):
     """`dense_channels` with ``m`` inputs in ``[-1, 1]``."""
     model, policy, _ = _benchmark(
         "dense_channels", dense_channels,
-        tuple(np.linspace(0.3, 1.7, 3 * m)), 0.5, (-1.0,) * m, (1.0,) * m,
+        tuple(np.linspace(0.3, 1.7, 3 * m)), (-1.0,) * m, (1.0,) * m,
         ("a", "b", "c"), tuple(f"u{j}" for j in range(m)), ("a",))
     return model, policy
 
@@ -1194,7 +1207,7 @@ def test_symbolic_sum_folds_a_zero_only_onto_a_sum_from_zero():
 def former_statement(name, params):
     """The benchmark's ``closed_loop`` as it was stated before each zero
     product was computed once, with the benchmark's default constants."""
-    eps = make_benchmark(name, params)[1].smoothing_eps
+    eps = BLEND_WIDTHS[name]
     if name == "toy1d":
         gain, u_max = 1.0, 5.0
 
@@ -1308,7 +1321,7 @@ def test_statements_match_former_statements(case, monkeypatch):
 def hand_written(name, params):
     """The benchmark's former ``f``, ``g``, their Jacobians, ``pi``, its
     Jacobian and fused ``closed_loop``, with its builder's defaults."""
-    eps = make_benchmark(name, params)[1].smoothing_eps
+    eps = BLEND_WIDTHS[name]
     if name == "toy1d":
         u_max, gain = 5.0, 1.0
 
@@ -1493,16 +1506,18 @@ def test_generated_evaluators_match_hand_written_bodies(case, data):
     body's bytes, shape and type on states from the sampling box, inside
     every blend band and on every switching surface: the array evaluators
     stacked and on each state, the closed loop built on floats on each
-    state and built on arrays on the stacked columns."""
+    state and built on arrays on the stacked columns.  Where the former
+    body declared ``dg_dx = None`` (a constant ``g``), the generated
+    ``dg_dx`` gives ``+0.0`` zeros of shape ``(..., n, m, n)``."""
     name, params = case
     model, policy, _ = make_benchmark(name, params)
     got, expected = generated_evaluators(model, policy), hand_written(name, params)
-    assert (got["dg_dx"] is None) == (expected["dg_dx"] is None)
+    n, m = model.state_dim, model.input_dim
+    if expected["dg_dx"] is None:
+        expected["dg_dx"] = lambda x: np.zeros(np.shape(x)[:-1] + (n, m, n))
     states = _draw_states(data, name, params, model, policy)
     stacked = np.array(states)
     for key in ARRAY_EVALUATORS:
-        if expected[key] is None:
-            continue
         for x in [stacked, stacked.reshape(3, -1, model.state_dim)] + states:
             out, oracle = got[key](x), expected[key](x)
             assert type(out) is type(oracle) and same_bits(out, oracle), \
@@ -1583,7 +1598,7 @@ def dense_statement(p, k, a, b, c, d):
 def dense_benchmark(statement=dense_statement, inputs=("u", "w"),
                     safety=("mixed", "single")):
     m = len(inputs)
-    return _benchmark("dense", statement, (0.7, -1.3), 0.5, (-1.0,) * m,
+    return _benchmark("dense", statement, (0.7, -1.3), (-1.0,) * m,
                       (1.0,) * m, ("a", "b", "c", "d"), inputs, safety)
 
 
