@@ -14,7 +14,11 @@ maximal control invariant set.  A pass works on per-axis contiguous fields
 (one array per axis for the central gradient and the drift, one per input
 and axis for the input matrix) and sums them in the order ``np.einsum``
 sums over an axis, so its fields have the bits of the former ``einsum``
-pass (see `_box_hamiltonian`).
+pass (see `_box_hamiltonian`).  A drift or input field that is +-0.0 at
+every node is left out of the sums and one that is 1.0 at every node
+adds the costate itself; for a finite costate that changes at most the
+sign of a zero sum, which the box term turns into +0.0 as before, so the
+bits hold (see `solve_invariant` for the checks that keep it finite).
 
 Grids serialize to a plain CSV format (header lines ``# axis i: lower
 upper count [periodic]``, then one ``index..., coords..., value`` row per
@@ -166,30 +170,70 @@ def constraint_grid(geometry: GridGeometry, spec: SafetySpec) -> LevelGrid:
     return LevelGrid(geometry, path_values(spec, geometry.nodes())[1])
 
 
-def _dot(p: Array, q: Array, lanes: int, out: Array, work: Array) -> Array:
+# The terms `_dot` takes in place of a per-axis field that is +-0.0
+# (`_ZERO`) or exactly 1.0 (`_ONE`) at every node; see `_field_term`.
+_ZERO, _ONE = "all-zero field", "all-one field"
+
+
+def _field_term(field: Array) -> Array | str:
+    """`_ZERO` if every entry of ``field`` is +-0.0, `_ONE` if every entry
+    is 1.0, else ``field`` itself: the term `_dot` takes for it."""
+    if not np.any(field):
+        return _ZERO
+    return _ONE if np.all(field == 1.0) else field
+
+
+def _dot(p: Array, q, lanes: int, out: Array, work: Array) -> Array:
     """``sum_i p[i] * q[i]`` over the first axis into ``out``, with ``work``
     for the products, in ``lanes`` lanes: lane ``k`` adds the terms ``k,
-    k + lanes, ...`` in index order, then the lanes are added in order."""
-    def lane(k: int, acc: Array) -> Array:
-        np.multiply(p[k], q[k], out=acc)
-        for i in range(k + lanes, len(p), lanes):
-            np.multiply(p[i], q[i], out=work)
-            acc += work
+    k + lanes, ...`` in index order, then the lanes are added in order.
+
+    A term ``q[i]`` may be `_ZERO` or `_ONE` (`_field_term`) instead of a
+    field: a `_ZERO` term is left out, and a `_ONE` term adds ``p[i]``
+    itself, with no multiply (``p[i] * 1.0`` has the bits of ``p[i]``).
+    An empty lane adds nothing, and a sum with no terms is +0.0, as
+    ``einsum``'s is."""
+    kept = [ids for k in range(lanes)
+            if (ids := [i for i in range(k, len(p), lanes) if q[i] is not _ZERO])]
+    if not kept:
+        out.fill(0.0)
+        return out
+
+    def lane(ids: list[int], acc: Array) -> Array:
+        first, *rest = ids
+        if q[first] is _ONE:
+            np.copyto(acc, p[first])
+        else:
+            np.multiply(p[first], q[first], out=acc)
+        for i in rest:
+            if q[i] is _ONE:
+                acc += p[i]
+            else:
+                np.multiply(p[i], q[i], out=work)
+                acc += work
         return acc
 
-    lane(0, out)
-    for k in range(1, min(lanes, len(p))):
-        out += lane(k, work if k + lanes >= len(p) else np.empty_like(out))
+    lane(kept[0], out)
+    for ids in kept[1:]:        # `work` holds the lane unless it multiplies
+        products = any(q[i] is not _ONE for i in ids[1:])
+        out += lane(ids, np.empty_like(out) if products else work)
     return out
 
 
-def _box_hamiltonian(model: SystemModel, p: Array, f: Array, g: Array,
+def _box(model: SystemModel) -> tuple[Array, Array]:
+    """The half-width and the centre of each input's interval."""
+    return (0.5 * (model.input_upper - model.input_lower),
+            0.5 * (model.input_upper + model.input_lower))
+
+
+def _box_hamiltonian(model: SystemModel, p: Array, f, g,
                      out: Array, work: Array) -> Array:
     """``max over u in the box of p . (f + g u)`` from the per-axis fields
     ``p`` and drift ``f``, shape ``(n,) + shape``, and input matrix ``g``,
     ``(m, n) + shape``, at the same points, into ``out`` (``shape``) with
     ``work`` (``shape``) as scratch: the input contributes
-    ``|p.g_j| * halfwidth_j + (p.g_j) * center_j`` per channel.
+    ``|p.g_j| * halfwidth_j + (p.g_j) * center_j`` per channel.  Any field
+    ``f[i]`` or ``g[j][i]`` may be its `_field_term`, `_ZERO` or `_ONE`.
 
     The value has the bits of the ``np.einsum`` form on ``(..., n)`` and
     ``(..., n, m)`` fields (kept in the tests as the oracle) for up to 7
@@ -198,11 +242,14 @@ def _box_hamiltonian(model: SystemModel, p: Array, f: Array, g: Array,
     even terms and odd terms; over a strided one (``p.g_j`` for several
     inputs) in index order.  ``einsum`` starts each lane from +0.0, which
     only turns a -0.0 into +0.0; the box term ``|p.g| * halfwidth``
-    (never -0.0) is added first and does the same.  One input's terms are
-    products; several inputs' are one ``(P, m) @ (m,)`` product, which
-    reaches the BLAS kernel of the stacked one (it fuses multiply-adds)."""
-    half = 0.5 * (model.input_upper - model.input_lower)
-    center = 0.5 * (model.input_upper + model.input_lower)
+    (never -0.0) is added first and does the same.  That also covers the
+    terms `_dot` leaves out for `_ZERO` fields: for a finite ``p`` each is
+    +-0.0, so leaving it out changes at most the sign of a zero sum, and
+    with a finite box the box term turns that zero into +0.0 as well.  One
+    input's terms are products; several inputs' are one ``(P, m) @ (m,)``
+    product, which reaches the BLAS kernel of the stacked one (it fuses
+    multiply-adds)."""
+    half, center = _box(model)
     _dot(p, f, 2, out, work)
     if len(g) == 1:
         pg = _dot(p, g[0], 2, np.empty_like(out), work)
@@ -224,9 +271,16 @@ def _box_hamiltonian(model: SystemModel, p: Array, f: Array, g: Array,
 
 
 def hamiltonian(model: SystemModel, x: Array, p: Array) -> Array:
-    """``max over u in the box of p . (f(x) + g(x) u)`` in closed form."""
+    """``max over u in the box of p . (f(x) + g(x) u)`` in closed form, with
+    every field multiplied (none is left out).  The costate ``p`` must have
+    ``state_dim`` entries on its last axis (`ValidationError`)."""
     x = np.asarray(x, dtype=float)
-    p, f = np.broadcast_arrays(np.asarray(p, dtype=float), model.f_eval(x))
+    p = np.asarray(p, dtype=float)
+    if p.shape[-1:] != (model.state_dim,):
+        raise ValidationError(f"costate of shape {p.shape} must have "
+                              f"state_dim = {model.state_dim} entries on its "
+                              f"last axis")
+    p, f = np.broadcast_arrays(p, model.f_eval(x))
     g = np.broadcast_to(model.g_eval(x), p.shape + (model.input_dim,))
     out, work = np.empty(p.shape[:-1]), np.empty(p.shape[:-1])
     _box_hamiltonian(model, np.moveaxis(p, -1, 0), np.moveaxis(f, -1, 0),
@@ -285,6 +339,20 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
     clamped from below at ``min - 2 max(range, 1)`` of ``grid0``; only the
     zero level matters for set membership, and the clamp stops cells whose
     true value drains out of the domain from delaying convergence.
+
+    Each per-axis field of the drift and the input matrix is sorted once,
+    by `_field_term`: a field that is +-0.0 at every node is left out of
+    the Hamiltonian, and one that is 1.0 at every node adds the costate
+    itself (on Dubins, ``f = (v sin psi, 0, 0)`` and ``g = ((0, 0), (1,
+    0), (0, 1))`` leave one multiply and two copies).  The field keeps the
+    bits of the full sum whenever the costate and the box are finite (see
+    `_box_hamiltonian`).  So before the first pass a `NumericalError`
+    refuses an input box half-width or centre, a dissipation coefficient
+    ``alpha`` or a CFL rate that is not finite, naming it, and a
+    ``grid0`` whose differences could overflow: every value stays in
+    ``[value_floor, max]``, and a difference, the edge extrapolation
+    ``2 v[0] - v[1]`` included, is at most ``4 (max(max, 0) -
+    min(value_floor, 0)) / min(spacing)``, which must be finite.
     """
     check_solve_limits(tol, max_steps)
     geom = grid0.geometry
@@ -294,23 +362,46 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
     f_nodes = model.f_eval(pts)                       # (P, n)
     g_nodes = model.g_eval(pts)                       # (P, n, m)
     u_abs = np.maximum(np.abs(model.input_lower), np.abs(model.input_upper))
-
-    # Global dissipation coefficients: per-axis bound on |dH/dp_i|.
-    alpha = (np.max(np.abs(f_nodes), axis=0)
-             + np.abs(g_nodes).max(axis=0) @ u_abs)
     spacings = np.array([geom.spacing(i) for i in range(geom.dims)])
-    cfl_rate = float(np.sum(alpha / spacings))
+
+    # Global dissipation coefficients: per-axis bound on |dH/dp_i|.  An
+    # overflow is refused just below, by name, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        half, center = _box(model)
+        alpha = (np.max(np.abs(f_nodes), axis=0)
+                 + np.abs(g_nodes).max(axis=0) @ u_abs)
+        cfl_rate = float(np.sum(alpha / spacings))
+    for what, values, names in (("half-width of input", half, model.input_names),
+                                ("centre of input", center, model.input_names),
+                                ("Lax-Friedrichs bound alpha on axis", alpha,
+                                 model.state_names)):
+        for i, value in enumerate(values.tolist()):
+            if not math.isfinite(value):
+                raise NumericalError(f"the {what} {i} ({names[i]}) is not "
+                                     f"finite: {value!r}")
+    if not math.isfinite(cfl_rate):
+        raise NumericalError(f"the CFL rate sum(alpha / spacing) is not "
+                             f"finite: {cfl_rate!r}")
     dt = 0.9 / cfl_rate if cfl_rate > 0.0 else 1.0
 
+    v = grid0.values.copy()
+    low, high = float(v.min()), float(v.max())
+    value_floor = low - 2.0 * max(high - low, 1.0)
+    bound = 4.0 * (max(high, 0.0) - min(value_floor, 0.0)) / float(spacings.min())
+    if not math.isfinite(bound):
+        raise NumericalError(
+            f"grid0 values in [value_floor, max] = [{value_floor!r}, "
+            f"{high!r}] could overflow a difference: 4 (max(max, 0) - "
+            f"min(value_floor, 0)) / min spacing is {bound!r}")
+
     # per-axis contiguous fields (n,) + shape and (m, n) + shape, in place
-    # of the node arrays
+    # of the node arrays, each as its `_field_term`
     shape = geom.counts
     f = np.ascontiguousarray(f_nodes.T).reshape((geom.dims,) + shape)
     g = np.ascontiguousarray(g_nodes.T).reshape(g_nodes.shape[:0:-1] + shape)
+    f = [_field_term(f_i) for f_i in f]
+    g = [[_field_term(g_ji) for g_ji in g_j] for g_j in g]
     del pts, f_nodes, g_nodes
-
-    v = grid0.values.copy()
-    value_floor = float(v.min()) - 2.0 * max(float(v.max() - v.min()), 1.0)
     # the differences across the count + 1 cell faces of one axis at a time
     # (d_minus is the first count of them, d_plus the last count), in one
     # buffer shared by the axes

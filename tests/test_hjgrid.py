@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 
@@ -17,7 +18,7 @@ from backup_cbf.barrier import eval_h_batch
 from backup_cbf.cli import _parse_grid_spec
 from backup_cbf.cli import main as cli_main
 from backup_cbf.errors import (ConvergenceWarning, FlowDivergenceError,
-                               GeometryError, ValidationError)
+                               GeometryError, NumericalError, ValidationError)
 from backup_cbf.hjgrid import (GridGeometry, LevelGrid, compare_sets,
                                constraint_grid, dilate_set, grid_from_json_dict,
                                grid_to_json_dict, hamiltonian, read_grid,
@@ -135,6 +136,74 @@ def test_hamiltonian_matches_the_einsum_form(n, m, box):
             model, *fields, np.ascontiguousarray(np.moveaxis(g, (-1, -2), (0, 1))),
             np.empty(shape), np.empty(shape))
         assert out.tobytes() == np.asarray(want).tobytes()
+
+
+def field_of_kind(rng, kind, shape):
+    """A per-axis field that is +-0.0 (mixed signs), exactly 1.0, or a
+    signed sample at every point."""
+    if kind == "zero":
+        return rng.choice([0.0, -0.0], shape)
+    if kind == "one":
+        return np.ones(shape)
+    return signed_samples(rng, (1,) + shape)[0]
+
+
+@pytest.mark.parametrize("box", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hamiltonian_with_zero_and_one_fields_matches_the_einsum_form(n, m, box):
+    """With whole fields of f and g that are +-0.0 or 1.0 at every point,
+    passed as the terms `solve_invariant` makes of them (`_field_term`),
+    the pass still has the bytes of the einsum form on the full fields,
+    costates with +-0.0 among them, sums with no terms (every field zero)
+    and lanes of ones alone included."""
+    rng = np.random.default_rng([n, m, box == "symmetric", 29])
+    half = 10.0 ** rng.uniform(-1.0, 1.0, m)
+    center = 0.0 if box == "symmetric" else signed_samples(rng, m)
+    model = box_model(n, m, center - half, center + half, None, None)
+    seen = set()
+    for draw in range(30):
+        forced = ("zero", "one", None)[draw] if draw < 3 else None
+        kinds = [forced or rng.choice(["zero", "one", "general"])
+                 for _ in range(n * (m + 1))]
+        for shape in [(6, 5, 7), (9, 11), (300,), ()]:
+            fields = [field_of_kind(rng, kind, shape) for kind in kinds]
+            f = np.stack(fields[:n], axis=-1)
+            g = np.stack(fields[n:], axis=-1).reshape(shape + (n, m))
+            p = signed_samples(rng, shape + (n,))
+            want = former_box_hamiltonian(model, p, f, g)
+            terms = [hjgrid._field_term(a.copy())
+                     for a in np.moveaxis(f, -1, 0)]
+            g_terms = [[hjgrid._field_term(a.copy()) for a in g_j]
+                       for g_j in np.moveaxis(g, (-1, -2), (0, 1))]
+            seen.update(t if isinstance(t, str) else "field"
+                        for t in terms + sum(g_terms, []))
+            out = hjgrid._box_hamiltonian(
+                model, np.ascontiguousarray(np.moveaxis(p, -1, 0)), terms,
+                g_terms, np.empty(shape), np.empty(shape))
+            assert out.tobytes() == np.asarray(want).tobytes()
+    assert seen == {hjgrid._ZERO, hjgrid._ONE, "field"}
+
+
+def test_field_term_sorts_zero_and_one_fields():
+    """Only +-0.0 everywhere is a zero field and only 1.0 everywhere a one
+    field; a NaN, a subnormal or a 1 + ulp keeps the field."""
+    assert hjgrid._field_term(np.array([0.0, -0.0, 0.0])) is hjgrid._ZERO
+    assert hjgrid._field_term(np.ones((3, 2))) is hjgrid._ONE
+    for field in [[0.0, math.nan], [0.0, 5e-324], [1.0, 1.0 + 2.0**-52],
+                  [1.0, 0.0], [-1.0, -1.0]]:
+        field = np.array(field)
+        assert hjgrid._field_term(field) is field
+
+
+def test_hamiltonian_rejects_a_costate_of_the_wrong_length():
+    """A costate whose last axis is not ``state_dim`` long is refused with
+    both counts named, not broadcast against the drift."""
+    model, _, _ = make_benchmark("dubins")
+    for p in [np.zeros(2), np.zeros((4, 4)), np.float64(1.0)]:
+        with pytest.raises(ValidationError, match=(
+                rf"costate of shape {re.escape(str(p.shape))} .*state_dim = 3")):
+            hamiltonian(model, np.zeros(3), p)
 
 
 def test_hamiltonian_broadcasts_points_and_costates():
@@ -338,6 +407,105 @@ def test_converged_dubins_solve_matches_the_former_pass():
     assert out.solve.converged
     assert out.values.tobytes() == values.tobytes()
     assert out.solve == record
+
+
+@pytest.mark.parametrize("geom, kinds", [
+    # f = (general, zero); g = (zero, one): the double integrator's pattern
+    (GridGeometry((-2.0, -1.5), (2.0, 1.5), (33, 29), (False, False)),
+     [["general", "zero"], [["zero", "one"]]]),
+    # f = (general, zero, zero); g = ((zero, one, zero), (zero, zero, one)),
+    # Dubins' pattern, on a grid with a periodic axis
+    (GridGeometry((-2.0, -1.0, -math.pi), (2.0, 3.0, math.pi), (17, 13, 16),
+                  (False, False, True)),
+     [["general", "zero", "zero"], [["zero", "one", "zero"],
+                                    ["zero", "zero", "one"]]]),
+    # every kind in every place: f = (one, general, zero);
+    # g = ((general, zero, one), (one, one, zero))
+    (GridGeometry((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), (15, 15, 15),
+                  (False, True, False)),
+     [["one", "general", "zero"], [["general", "zero", "one"],
+                                   ["one", "one", "zero"]]]),
+])
+def test_zero_and_one_fields_solve_as_the_neighbour_field_pass(geom, kinds):
+    """On a model whose drift and input matrix are fixed fields, some of
+    them +-0.0 (mixed signs) or 1.0 at every node, 25 passes that leave the
+    zero fields out give the former pass's field and record bit for bit."""
+    rng = np.random.default_rng(geom.counts)
+    f_kinds, g_kinds = kinds
+    n, m, nodes = geom.dims, len(g_kinds), geom.nodes()
+    shape = (len(nodes),)
+    f = np.stack([field_of_kind(rng, k, shape) for k in f_kinds], axis=-1)
+    g = np.stack([np.stack([field_of_kind(rng, k, shape) for k in g_j], axis=-1)
+                  for g_j in g_kinds], axis=-1)
+    model = box_model(n, m, [-1.0, 0.25][:m], [2.0, 0.75][:m], f, g)
+    grid0 = LevelGrid(geom, 0.75 - np.abs(nodes).max(axis=1)
+                      + 0.1 * np.sin(3.0 * nodes.sum(axis=1)))
+    out = solve_invariant(grid0, model, tol=0.0, max_steps=25)
+    values, record = reference_solve_passes(grid0, model, 25)
+    assert out.values.tobytes() == values.tobytes()
+    assert out.solve == record
+    assert np.any(out.values != grid0.values)
+
+
+PLANE_9 = GridGeometry((-6.0, -6.0, -math.pi), (6.0, 6.0, math.pi), (9, 9, 8),
+                       (False, False, True))
+DI_41 = GridGeometry((-10.0, -5.0), (12.0, 5.0), (41, 41), (False, False))
+
+
+def box_of(name, params, lower, upper):
+    """The benchmark's model and spec with the input box [lower, upper]."""
+    model, _, spec = make_benchmark(name, params)
+    if lower is not None:
+        model = dataclasses.replace(model, input_lower=np.array([lower]),
+                                    input_upper=np.array([upper]))
+    return model, spec
+
+
+@pytest.mark.parametrize("name, params, box, geom, named", [
+    ("aeroplane", {"u_max_radps": 1e308}, (None, None), PLANE_9,
+     r"half-width of input 0 \(u\) is not finite: inf"),
+    ("double_integrator", {"u_max_mps2": 1e308}, (None, None), DI_41,
+     r"half-width of input 0 \(u\) is not finite: inf"),
+    ("double_integrator", {}, (1e308, 1.7e308), DI_41,
+     r"centre of input 0 \(u\) is not finite: inf"),
+    ("aeroplane", {}, (0.0, 1e308), PLANE_9,
+     r"Lax-Friedrichs bound alpha on axis 0 \(dx\) is not finite: inf"),
+    ("double_integrator", {}, (0.0, 1e308), DI_41,
+     r"CFL rate sum\(alpha / spacing\) is not finite: inf"),
+], ids=["plane_half_width", "di_half_width", "di_centre", "plane_alpha",
+        "di_cfl_rate"])
+def test_solve_refuses_an_overflowing_lax_friedrichs_bound(name, params, box,
+                                                          geom, named):
+    """An input box or a dissipation bound that overflows is refused before
+    the first pass, by name and without a RuntimeWarning, not reported as a
+    blow-up at step 0 with dt = 0."""
+    model, spec = box_of(name, params, *box)
+    grid0 = constraint_grid(geom, spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=named):
+            solve_invariant(grid0, model, max_steps=5)
+
+
+@pytest.mark.parametrize("values, spacing", [
+    ((-1e307, 1e307), 0.1),        # 4 (max - value_floor) / spacing overflows
+    ((1.5e308, 1.5e308), 1.0),     # the edge extrapolation 2 v[0] - v[1] does
+    ((0.0, 1.0), 1e-308),          # the spacing is too fine for the range
+], ids=["wide_range", "large_values", "fine_spacing"])
+def test_solve_refuses_a_field_whose_differences_could_overflow(values, spacing):
+    """The pass stays bit-equal to the full sum only for a finite costate,
+    so a ``grid0`` whose differences could overflow is refused before the
+    first pass, naming the range [value_floor, max], with no warning."""
+    model, spec = single_integrator_2d()
+    # y (axis 1) carries no motion, so its spacing leaves the CFL rate alone
+    geom = GridGeometry((0.0, 0.0), (8.0, 4 * spacing), (9, 5), (False, False))
+    grid0 = LevelGrid(geom, np.resize(values, 45))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match=(r"\[value_floor, max\] = \[.*, "
+                                  + re.escape(repr(values[1])) + r"\]")):
+            solve_invariant(grid0, model, max_steps=5)
 
 
 BAD_SOLVE_LIMITS = [{"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf},
