@@ -321,14 +321,15 @@ def terminal_row_coefficient(model: SystemModel, policy: BackupPolicy,
                              spec: SafetySpec, states: Array,
                              horizon: float, steps: int) -> Array:
     """Input coefficients ``(B, m)`` of the terminal row for states
-    ``(B, n)``; a nonzero norm is the relative-degree-one property.  The
-    model's ``g`` is checked per state as the rows check it (`_dynamics`)."""
+    ``(B, n)``, the bytes of ``build_constraints(...).rows[-1]`` at each;
+    a nonzero norm is the relative-degree-one property.  The model's ``g``
+    is checked per state as the rows check it (`_dynamics`)."""
     states = np.asarray(states, dtype=float)
     ends, q_end = integrate_flow_batch(model, policy, states, horizon, steps,
                                        with_sensitivity=True)
     grad_t = spec.terminal.grad_eval(ends)            # (B, n)
     g0 = _dynamics(model, policy, states, policy.closed_loop.at(states))[1]
-    return np.einsum("bi,bik,bkm->bm", grad_t, q_end, g0)
+    return (grad_t[:, None, :] @ (q_end @ g0))[:, 0]
 
 
 def relative_degree_probe(model: SystemModel, policy: BackupPolicy,
@@ -336,11 +337,22 @@ def relative_degree_probe(model: SystemModel, policy: BackupPolicy,
                           count: int, horizon: float, steps: int,
                           seed: int = 0) -> float:
     """Fraction of uniformly sampled states whose terminal row has a
-    nonzero input coefficient."""
+    nonzero input coefficient.  ``lower`` and ``upper`` must be finite
+    ``(state_dim,)`` vectors with ``lower <= upper``, whose difference
+    numpy's sampler also needs finite (`ValidationError`)."""
     if not (is_integer(count) and count >= 1):
         raise ValidationError(f"count must be an integer >= 1, got {count!r}")
-    rng = np.random.default_rng(seed)
-    samples = rng.uniform(lower, upper, size=(count, model.state_dim))
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    n = model.state_dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (lower.shape == upper.shape == (n,) and np.all(lower <= upper)
+                and np.isfinite(upper - lower).all()):
+            raise ValidationError(f"lower and upper must be finite vectors of "
+                                  f"shape ({n},) with lower <= upper and a "
+                                  f"finite upper - lower, got {lower!r} and "
+                                  f"{upper!r}")
+    samples = np.random.default_rng(seed).uniform(lower, upper, (count, n))
     coeff = terminal_row_coefficient(model, policy, spec, samples,
                                      horizon, steps)
     norms = np.linalg.norm(coeff, axis=1)

@@ -16,9 +16,9 @@ compiles.  Three functions are compiled from it:
   ``(B, n, m)`` input matrix;
 * the float march (`_march`), once per statement, which steps one state
   held as Python floats with the statement's float kernel
-  (`ClosedLoop.kernel`: each smoothing as its float twin's branches, with
-  the parameters folded into literals) written in at each stage, so a step
-  calls nothing but ``sin`` and ``cos``;
+  (`ClosedLoop.kernel`: each smoothing as its `systems._FLOAT_BODIES`
+  branches, with the parameters folded into literals) written in at each
+  stage, so a step calls nothing but ``sin`` and ``cos``;
 * `_q_step`, the sensitivity step.  The sensitivity obeys the variational
   equation ``Qdot = J(x) Q`` with ``J = d f_pi / d x`` and ``Q(0) = I``;
   since the state never depends on ``Q``, the loop Jacobians only ever come

@@ -382,8 +382,9 @@ def slice_grid(grid: LevelGrid, axis: int, value: float) -> LevelGrid:
     geom = grid.geometry
     if geom.dims - 1 < 2:
         raise GeometryError("slice would leave fewer than 2 axes")
-    if not 0 <= axis < geom.dims:
-        raise GeometryError(f"axis {axis} out of range")
+    if not (is_integer(axis) and 0 <= axis < geom.dims):
+        raise GeometryError(f"axis {axis!r} is not an integer in range "
+                            f"[0, {geom.dims})")
     axes = [a for i, a in enumerate(axis_records(geom)) if i != axis]
     return LevelGrid(geometry_from_axes(axes),
                      np.take(grid.values, _plane_index(geom, axis, value), axis))

@@ -220,10 +220,23 @@ def _dot(p: Array, q, lanes: int, out: Array, work: Array) -> Array:
     return out
 
 
+def _finite(what: str, values: Array, names: tuple[str, ...]) -> Array:
+    """``values``, or a `NumericalError` naming the first that is not
+    finite (an overflow is refused by name, not warned about)."""
+    for i, value in enumerate(values.tolist()):
+        if not math.isfinite(value):
+            raise NumericalError(f"the {what} {i} ({names[i]}) is not "
+                                 f"finite: {value!r}")
+    return values
+
+
 def _box(model: SystemModel) -> tuple[Array, Array]:
-    """The half-width and the centre of each input's interval."""
-    return (0.5 * (model.input_upper - model.input_lower),
-            0.5 * (model.input_upper + model.input_lower))
+    """The half-width and the centre of each input's interval, each
+    `_finite`."""
+    lo, hi, names = model.input_lower, model.input_upper, model.input_names
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (_finite("half-width of input", 0.5 * (hi - lo), names),
+                _finite("centre of input", 0.5 * (hi + lo), names))
 
 
 def _box_hamiltonian(model: SystemModel, p: Array, f, g,
@@ -272,14 +285,17 @@ def _box_hamiltonian(model: SystemModel, p: Array, f, g,
 
 def hamiltonian(model: SystemModel, x: Array, p: Array) -> Array:
     """``max over u in the box of p . (f(x) + g(x) u)`` in closed form, with
-    every field multiplied (none is left out).  The costate ``p`` must have
-    ``state_dim`` entries on its last axis (`ValidationError`)."""
+    every field multiplied (none is left out).  The state ``x`` and the
+    costate ``p`` must have ``state_dim`` entries on their last axis
+    (`ValidationError`), and the input box a finite half-width and centre
+    (`NumericalError`, as `solve_invariant` refuses it)."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    if p.shape[-1:] != (model.state_dim,):
-        raise ValidationError(f"costate of shape {p.shape} must have "
-                              f"state_dim = {model.state_dim} entries on its "
-                              f"last axis")
+    for what, value in (("state", x), ("costate", p)):
+        if value.shape[-1:] != (model.state_dim,):
+            raise ValidationError(f"{what} of shape {value.shape} must have "
+                                  f"state_dim = {model.state_dim} entries on "
+                                  f"its last axis")
     p, f = np.broadcast_arrays(p, model.f_eval(x))
     g = np.broadcast_to(model.g_eval(x), p.shape + (model.input_dim,))
     out, work = np.empty(p.shape[:-1]), np.empty(p.shape[:-1])
@@ -366,19 +382,12 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
 
     # Global dissipation coefficients: per-axis bound on |dH/dp_i|.  An
     # overflow is refused just below, by name, not warned about.
+    _box(model)
     with np.errstate(over="ignore", invalid="ignore"):
-        half, center = _box(model)
         alpha = (np.max(np.abs(f_nodes), axis=0)
                  + np.abs(g_nodes).max(axis=0) @ u_abs)
         cfl_rate = float(np.sum(alpha / spacings))
-    for what, values, names in (("half-width of input", half, model.input_names),
-                                ("centre of input", center, model.input_names),
-                                ("Lax-Friedrichs bound alpha on axis", alpha,
-                                 model.state_names)):
-        for i, value in enumerate(values.tolist()):
-            if not math.isfinite(value):
-                raise NumericalError(f"the {what} {i} ({names[i]}) is not "
-                                     f"finite: {value!r}")
+    _finite("Lax-Friedrichs bound alpha on axis", alpha, model.state_names)
     if not math.isfinite(cfl_rate):
         raise NumericalError(f"the CFL rate sum(alpha / spacing) is not "
                              f"finite: {cfl_rate!r}")

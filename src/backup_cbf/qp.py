@@ -40,7 +40,9 @@ class QpProblem:
 
     ``rows`` is an ``(R, m)`` array with one constraint normal per row and
     ``rhs`` the matching ``(R,)`` vector; ``R = 0`` is allowed.  Box bounds
-    may be infinite.
+    may be infinite on their open side (``lower = -inf``, ``upper = +inf``);
+    a ``lower`` of ``+inf`` or an ``upper`` of ``-inf``, which no input
+    satisfies, is refused.
     """
 
     u0: Array
@@ -60,6 +62,12 @@ class QpProblem:
             raise ValidationError("box bounds must match the input dimension")
         if not np.all(lo <= hi):
             raise ValidationError("lower must be <= upper componentwise")
+        for name, bound, empty in (("lower", lo.tolist(), np.inf),
+                                   ("upper", hi.tolist(), -np.inf)):
+            if empty in bound:          # on lists: cheaper per QP than arrays
+                raise ValidationError(f"{name} bound of input "
+                                      f"{bound.index(empty)} is {empty}, "
+                                      f"which no input satisfies")
         rows = np.asarray(self.rows, dtype=float)
         rhs = np.asarray(self.rhs, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != m or rhs.shape != rows.shape[:1]:

@@ -13,9 +13,9 @@ the closed loop ``BackupPolicy.closed_loop``, a `ClosedLoop`: its derivative
 in `affine_sum`'s order, which the batch flow builds on `ARRAY_PRIMITIVES`,
 and its state Jacobian, the same forward derivative of those rows.  The
 single-state flow marches on its float kernel (`ClosedLoop.kernel`) instead:
-the same lines on floats, with each smoothing written out as its float
-twin's branches (each twin's body is written once, in `_FLOAT_BODIES`, and
-`FLOAT_PRIMITIVES` is compiled from it).  The flows read nothing else.
+the same lines on floats, with each smoothing written out as the branches
+`_FLOAT_BODIES` holds, the one float form of a smoothing.  The flows read
+nothing else.
 Only exact folds are made, so every evaluator keeps the bits of the
 hand-written body it replaced, signed zeros included, except in some
 derivatives: a few entries differ in the sign of a NaN or a zero only
@@ -27,8 +27,8 @@ differentiated term by term rather than as ``-2 P x``, and the aeroplane
 terminal's ``dpsi`` entry at a ``v_b`` that is not a power of two).  The
 closed loop's Jacobian equals the former ``df + dg pi + g dpi`` in value,
 not in bytes: a zero may carry the other sign, and where that form
-multiplied a structural zero by a NaN it may stay finite.  The float twins
-of the smoothings clamp by comparisons, which return what
+multiplied a structural zero by a NaN it may stay finite.  The float
+smoothings of the kernel clamp by comparisons, which return what
 ``min(max(y, lo), hi)`` returns for every float (NaN and signed zeros
 included) without two builtin calls.  Benchmark parameters must be finite
 numbers, and every blend width > 0: each switching primitive has one C1
@@ -87,11 +87,9 @@ Array = np.ndarray
 #
 # Each smoothing is *exact* away from the switching surface so closed-form
 # trajectories remain valid there; only a band of width `eps > 0` is
-# blended, so the backup loop is C1 and the flow sensitivity exists.  Each
-# value has a Python-float twin (`_indicator_float`, `_sign_float`,
-# `_saturate_float`) with the same branch tests; the pairs, with `math`'s
-# and numpy's `sin` and `cos`, make the two primitive tables the
-# benchmarks' closed-loop statements are built from.
+# blended, so the backup loop is C1 and the flow sensitivity exists.  With
+# numpy's `sin` and `cos` they make `ARRAY_PRIMITIVES`; their float forms,
+# with the same branch tests, are the `_FLOAT_BODIES` lines below.
 # ---------------------------------------------------------------------------
 
 
@@ -168,12 +166,11 @@ def smooth_saturate_deriv(y: Array | float, lo: float, hi: float, eps: float) ->
     return d
 
 
-# Each float twin is written once, as the lines that set ``out`` from the
-# float ``y``.  `_float_twin` compiles them on their parameter names into the
-# `FLOAT_PRIMITIVES` entry, and `_statements` writes them into a generated
-# march with the parameters as floats.  There each band edge that the
-# parameters fix is computed once, as the twin computes it at run time, and
-# written as a literal.
+# Each smoothing's float form is written once, as the lines that set
+# ``out`` from the float ``y``, and `_statements` writes them into the float
+# kernel with the parameters as floats.  There each band edge that the
+# parameters fix is computed once, as IEEE arithmetic on the same operands
+# computes it at run time, and written as a literal.
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
@@ -210,7 +207,10 @@ def _saturate_lines(out: str, y: str, lo, hi, eps) -> list[str]:
 
 
 def _sign_lines(out: str, y: str, eps) -> list[str]:
-    """`smooth_sign` on one float."""
+    """`smooth_sign` on one float, with the array form's bits up to a NaN's
+    sign: the blend multiplies two NaNs of opposite sign, and CPython's
+    specialized multiply returns the other one than its generic multiply,
+    so at ``y = -nan`` the result flips sign after a few calls."""
     return [f"q = {y} / {eps}"] + _chain(
         ("-1.0 > q", [f"{out} = -1.0"]), ("q > 1.0", [f"{out} = 1.0"]),
         otherwise=[f"{out} = q * (2.0 - abs(q))"])
@@ -227,29 +227,12 @@ _FLOAT_BODIES = {"saturate": _saturate_lines, "sign": _sign_lines,
                  "indicator": _indicator_lines}
 
 
-def _float_twin(name: str, *params: str) -> Callable:
-    """The float twin ``name(y, *params)``, compiled from its lines."""
-    namespace = {}
-    exec("\n    ".join([f"def {name}(y, {', '.join(params)}):",
-                        *_FLOAT_BODIES[name]("out", "y", *params),
-                        "return out"]), namespace)
-    return namespace[name]
-
-
-_saturate_float = _float_twin("saturate", "lo", "hi", "eps")
-_sign_float = _float_twin("sign", "eps")
-_indicator_float = _float_twin("indicator", "eps")
-
-
 class Primitives(NamedTuple):
     """The nonlinear primitives a benchmark's dynamics are stated against:
     ``sin``, ``cos`` and three C1 smoothings, each one body for a blend
-    width ``eps > 0``.  `FLOAT_PRIMITIVES` and `ARRAY_PRIMITIVES` give each
-    entry the same bits on the same input up to a NaN's sign, which the
-    float ``sign`` blend does not fix: it multiplies two NaNs of opposite
-    sign, and CPython's specialized multiply returns the other one than its
-    generic multiply, so ``_sign_float(-nan, 0.25)`` flips sign after a
-    few calls.  `_SYMBOLIC` records each call."""
+    width ``eps > 0``.  `ARRAY_PRIMITIVES` computes them on arrays and
+    `_SYMBOLIC` records each call; on floats each smoothing is written out
+    from `_FLOAT_BODIES` instead (`ClosedLoop.kernel`)."""
 
     sin: Callable
     cos: Callable
@@ -258,8 +241,6 @@ class Primitives(NamedTuple):
     indicator: Callable
 
 
-FLOAT_PRIMITIVES = Primitives(math.sin, math.cos, _saturate_float,
-                              _sign_float, _indicator_float)
 ARRAY_PRIMITIVES = Primitives(np.sin, np.cos, smooth_saturate, smooth_sign,
                               smooth_positive_indicator)
 
@@ -315,11 +296,11 @@ class ClosedLoop:
     """A benchmark statement's closed loop ``f + g pi``, as `_generated`
     writes it.  ``build(p)`` builds its derivative, in `affine_sum`'s
     order, on the primitive table ``p`` as ``rhs(*x)``, one value per state
-    component in and a tuple out (a row that holds no state is a float):
-    one state as Python floats on `FLOAT_PRIMITIVES`, a batch as ``(B,)``
-    arrays on `ARRAY_PRIMITIVES`.  ``rows`` holds the derivative, one entry
-    per state component, as `_SYMBOLIC` recorded it, and `kernel` writes it
-    out on floats for the single-state flow to inline.  ``jacobian(x)`` is
+    component in and a tuple out (a row that holds no state is a float);
+    the batch flow builds it on `ARRAY_PRIMITIVES`, on ``(B,)`` arrays.
+    ``rows`` holds the derivative, one entry per state component, as
+    `_SYMBOLIC` recorded it, and `kernel` writes it out on Python floats
+    for the single-state flow to inline.  ``jacobian(x)`` is
     its state Jacobian on states ``(..., n)``, as ``(..., n, n)``:
     `_derivative` of ``rows``, structural zeros left out.  Compared by
     identity."""
@@ -331,10 +312,10 @@ class ClosedLoop:
     def kernel(self, slope: str, point: str) -> list[str]:
         """The float kernel: the lines that set ``slope0, slope1, ...`` to
         the derivative at ``point0, point1, ...``, each smoothing written
-        out as its float twin's branches with the parameters folded in
-        (`_FLOAT_BODIES`).  Besides those, they assign only temporaries
-        ``t0, t1, ...`` and the twins' scratch names ``d``, ``q`` and
-        ``t``, and read only ``sin``, ``cos``, ``abs`` and ``inf``."""
+        out as its `_FLOAT_BODIES` branches with the parameters folded in.
+        Besides those, they assign only temporaries ``t0, t1, ...`` and the
+        smoothings' scratch names ``d``, ``q`` and ``t``, and read only
+        ``sin``, ``cos``, ``abs`` and ``inf``."""
         lines, exprs, _ = _statements(self.rows, _FLOAT_BODIES, point)
         return lines + [f"{slope}{i} = {e}" for i, e in enumerate(exprs)]
 

@@ -14,6 +14,7 @@ from backup_cbf.errors import EvaluationError, ValidationError
 from backup_cbf.qp import QpProblem, QpSolver
 from backup_cbf.systems import (BENCHMARK_DEFAULTS, di_closed_form_h,
                                 make_benchmark)
+from tests.test_flow import REFERENCE_CASES
 from tests.test_systems import BLEND_WIDTHS
 
 GAMMA = 1.0
@@ -398,6 +399,48 @@ def test_probe_refuses_a_g_the_flow_did_not_march():
                                      100).tobytes()
             == terminal_row_coefficient(model, policy, spec, states, 1.0,
                                         100).tobytes())
+
+
+@pytest.mark.parametrize("lower, upper, what", [
+    ([np.nan, -5.0], [12.0, 5.0], "NaN"),
+    ([-10.0, -5.0], [np.inf, 5.0], "inf"),
+    ([-10.0, -5.0, 0.0], [12.0, 5.0, 1.0], "length 3"),
+    ([-10.0, -5.0], [12.0, 5.0, 1.0], "upper of length 3"),
+    ([12.0, -5.0], [-10.0, 5.0], "lower > upper"),
+    ([-1e308, -5.0], [1e308, 5.0], "upper - lower overflows"),
+])
+def test_probe_refuses_bounds_it_cannot_sample(lower, upper, what):
+    """Bounds that are not finite ``(state_dim,)`` vectors with ``lower <=
+    upper`` and a finite difference are refused by name with
+    `ValidationError`, before numpy's sampler raises a bare `OverflowError`
+    (NaN, inf, an overflowing range) or `ValueError` (a broadcast, ``high -
+    low < 0``)."""
+    model, policy, spec = make_benchmark("double_integrator")
+    with pytest.raises(ValidationError, match=r"lower and upper must be "
+                       r"finite vectors of shape \(2,\)"):
+        relative_degree_probe(model, policy, spec, lower, upper, count=4,
+                              horizon=1.0, steps=10)
+
+
+@pytest.mark.parametrize("name, params", REFERENCE_CASES)
+def test_probe_measures_the_filter_terminal_row(name, params):
+    """`terminal_row_coefficient` at each of 40 sampled states is the
+    terminal row `build_constraints` makes there, in bytes, and
+    `eval_h_batch` gives `eval_h`'s value in bytes at each of 64."""
+    model, policy, spec = make_benchmark(name, params)
+    box = BENCHMARK_DEFAULTS[name]
+    horizon, steps = box["t_horizon_s"], box["n_flow_steps"]
+    states = np.random.default_rng(3).uniform(
+        box["sample_lower"], box["sample_upper"], (64, model.state_dim))
+    coeff = terminal_row_coefficient(model, policy, spec, states[:40],
+                                     horizon, steps)
+    batch = eval_h_batch(model, policy, spec, states, horizon, steps)
+    for i, x in enumerate(states):
+        ev = eval_h(model, policy, spec, x, horizon, steps)
+        assert np.float64(ev.h_value).tobytes() == batch.h[i].tobytes(), (name, x)
+        if i < 40:
+            row = build_constraints(model, policy, spec, ev).rows[-1]
+            assert row.tobytes() == coeff[i].tobytes(), (name, x, row, coeff[i])
 
 
 def test_probe_dubins_default_box():

@@ -17,10 +17,9 @@ from backup_cbf.flow import (FlowTrajectory, _identities, _march, _q_step,
                              integrate_flow, integrate_flow_batch, rk4_step,
                              sensitivity_fd_check)
 from backup_cbf.systems import (ARRAY_PRIMITIVES, BENCHMARK_DEFAULTS,
-                                FLOAT_PRIMITIVES, BackupPolicy, _benchmark,
-                                affine_sum, closed_loop_rhs, loop_rhs,
-                                make_benchmark)
-from tests.test_systems import loop_jacobian, same_bits
+                                BackupPolicy, _benchmark, affine_sum,
+                                closed_loop_rhs, loop_rhs, make_benchmark)
+from tests.test_systems import float_kernel, loop_jacobian, same_bits
 
 
 def idle(name, statement, params, n):
@@ -602,7 +601,7 @@ def test_loop_floats_check_treats_nan_as_equal():
     model, policy, _ = make_benchmark("dubins", {"profile": "aggressive",
                                                  "k_y": (1e308, 1e308)})
     x0 = [2.0, 5.0, -2.0]
-    assert math.isnan(policy.closed_loop.build(FLOAT_PRIMITIVES)(*x0)[2])
+    assert math.isnan(float_kernel(policy.closed_loop)(*x0)[2])
     with pytest.raises(FlowDivergenceError, match="at step 1 "):
         integrate_flow(model, policy, x0, 8.0, 100)
     with pytest.raises(FlowDivergenceError, match="at step 1 .* batch row 1"):
@@ -800,25 +799,26 @@ def assert_march_matches_former(march, loop, x0, dt, steps):
 def smoothing_calls(policy, x):
     """``(primitive, argument, parameters)`` of each ``saturate``, ``sign``
     and ``indicator`` call the policy's closed loop makes at ``x`` on
-    floats, in order."""
+    floats, in order, recorded through its build on `ARRAY_PRIMITIVES`."""
     calls = []
 
     def recording(kind):
-        twin = getattr(FLOAT_PRIMITIVES, kind)
+        smoothing = getattr(ARRAY_PRIMITIVES, kind)
 
         def call(y, *params):
             calls.append((kind, y, params))
-            return twin(y, *params)
+            return smoothing(y, *params)
         return call
 
-    policy.closed_loop.build(FLOAT_PRIMITIVES._replace(
+    policy.closed_loop.build(ARRAY_PRIMITIVES._replace(
         **{kind: recording(kind) for kind in ("saturate", "sign",
                                               "indicator")}))(*x)
     return calls
 
 
 def band_edges(kind, params):
-    """Where the float twin of ``kind`` switches branch: ``hi +- eps``,
+    """Where the float form of ``kind`` (`systems._FLOAT_BODIES`) switches
+    branch: ``hi +- eps``,
     ``lo +- eps`` and the clamps for ``saturate``; ``+-eps`` and ``+-0.0``
     for ``sign``; ``-eps`` (where ``t = 0``) and ``+-0.0`` (``t = 1``) for
     ``indicator``."""
@@ -872,8 +872,8 @@ def edge_starts(policy, base):
 @pytest.mark.parametrize("name, params", REFERENCE_CASES)
 def test_compiled_march_matches_former_march(name, params):
     """The march with the statement's float kernel written in, which calls
-    no smoothing, gives the bytes of the former march on the statement
-    built on floats, from random states and from states that put each
+    no smoothing, gives the bytes of the former march calling that kernel
+    compiled alone (`float_kernel`), from random states and from states that put each
     inlined smoothing's argument on a band edge or next to it
     (`edge_starts`), and of the former march on the stacked `loop_rhs` of
     the model split into components (``np.float64`` slopes) at sampled
@@ -890,7 +890,7 @@ def test_compiled_march_matches_former_march(name, params):
     assert not re.search(r"\b(saturate|sign|indicator)\(",
                          "\n".join(closed.kernel("b", "p")))
     march = _march(closed)
-    loop = policy.closed_loop.build(FLOAT_PRIMITIVES)
+    loop = float_kernel(policy.closed_loop)
     stacked = _stacked(model, policy)
     assert isinstance(stacked(*x0s[0].tolist())[0], np.float64)
     for x0 in x0s:
@@ -978,15 +978,14 @@ def test_compiled_march_matches_former_on_linear_systems(n):
 
 def test_compiled_march_stops_where_the_former_does():
     """The double integrator from s = 1.79e308 leaves finite values at
-    step 8, as the former march does on the policy's statement and on
-    stacked `loop_rhs`.  From states with a component at +-1.79e308 or
+    step 8, as the former march does on the policy's float kernel
+    (`float_kernel`) and on stacked `loop_rhs`.  From states with a component at +-1.79e308 or
     +-1e306, the march with each statement's closed loop written in stops
     after the same step as the former march calling it, with the same
     points, on every case of `REFERENCE_CASES` (or raises the same
     `ValueError`)."""
     model, policy, _ = make_benchmark("double_integrator")
-    for loop in (policy.closed_loop.build(FLOAT_PRIMITIVES),
-                 _stacked(model, policy)):
+    for loop in (float_kernel(policy.closed_loop), _stacked(model, policy)):
         assert assert_march_matches_former(_march(policy.closed_loop), loop,
                                            [1.79e308, 1e306], 0.1, 100) == 8
     stops = set()
@@ -997,7 +996,7 @@ def test_compiled_march_stops_where_the_former_does():
         dt = box["t_horizon_s"] / steps
         march = _march(policy.closed_loop)
         former = functools.partial(former_float_march,
-                                   policy.closed_loop.build(FLOAT_PRIMITIVES))
+                                   float_kernel(policy.closed_loop))
         base = [0.5 * (lo + hi) for lo, hi in zip(box["sample_lower"],
                                                   box["sample_upper"])]
         starts = [base[:k] + [big] + base[k + 1:] for k in range(n)

@@ -369,6 +369,22 @@ def test_slice_degenerate_rejected():
         slice_grid(grid, 0, 0.5)
 
 
+@pytest.mark.parametrize("axis", [True, False, 1.0, 0.0, "1", None, -1, 3])
+def test_slice_refuses_an_axis_that_is_not_an_integer_in_range(axis):
+    """A bool, a float or a string axis is refused with `GeometryError`
+    (``True`` and ``1.0`` passed the range check and then raised a bare
+    `TypeError` in ``np.take``), as is one out of range; a numpy integer
+    is an axis."""
+    geom = GridGeometry((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, 4, 5),
+                        (False, False, False))
+    grid = LevelGrid(geom, np.arange(60.0))
+    with pytest.raises(GeometryError, match="is not an integer in range"):
+        slice_grid(grid, axis, 0.5)
+    sliced = slice_grid(grid, np.int64(1), 0.5)
+    assert sliced.values.tobytes() == slice_grid(grid, 1, 0.5).values.tobytes()
+    assert sliced.geometry.counts == (3, 5)
+
+
 def test_slice_picks_the_nearest_plane_modulo_the_period():
     """On the aeroplane's periodic 31-point heading axis (nodes -pi ..
     2.939) 3.14 is nearest node 0 (-pi, the same heading as pi) and 6.0

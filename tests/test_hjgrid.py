@@ -206,6 +206,17 @@ def test_hamiltonian_rejects_a_costate_of_the_wrong_length():
             hamiltonian(model, np.zeros(3), p)
 
 
+def test_hamiltonian_rejects_a_state_of_the_wrong_length():
+    """A state whose last axis is not ``state_dim`` long is refused with
+    its shape and ``state_dim`` named, not read by index (a bare
+    `IndexError` on Dubins' third component)."""
+    model, _, _ = make_benchmark("dubins")
+    for x in [np.zeros(2), np.zeros((4, 4)), np.float64(1.0)]:
+        with pytest.raises(ValidationError, match=(
+                rf"state of shape {re.escape(str(x.shape))} .*state_dim = 3")):
+            hamiltonian(model, x, np.zeros(3))
+
+
 def test_hamiltonian_broadcasts_points_and_costates():
     """One state against many costates, and many states against one, as
     the einsum form broadcast them."""
@@ -485,6 +496,26 @@ def test_solve_refuses_an_overflowing_lax_friedrichs_bound(name, params, box,
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=named):
             solve_invariant(grid0, model, max_steps=5)
+
+
+@pytest.mark.parametrize("name, params, box, named", [
+    ("aeroplane", {"u_max_radps": 1e308}, (None, None),
+     r"half-width of input 0 \(u\) is not finite: inf"),
+    ("double_integrator", {"u_max_mps2": 1e308}, (None, None),
+     r"half-width of input 0 \(u\) is not finite: inf"),
+    ("double_integrator", {}, (1e308, 1.7e308),
+     r"centre of input 0 \(u\) is not finite: inf"),
+], ids=["plane_half_width", "di_half_width", "di_centre"])
+def test_hamiltonian_refuses_an_overflowing_box(name, params, box, named):
+    """`hamiltonian` refuses the input boxes `solve_invariant` refuses, with
+    the same `NumericalError` and no RuntimeWarning, where it returned NaN
+    with two."""
+    model, _ = box_of(name, params, *box)
+    x = np.ones(model.state_dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=named):
+            hamiltonian(model, x, np.ones(model.state_dim))
 
 
 @pytest.mark.parametrize("values, spacing", [

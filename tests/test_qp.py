@@ -119,6 +119,27 @@ def test_validation():
     assert np.allclose(solve(empty).u_star, [1.0])
 
 
+@pytest.mark.parametrize("lower, upper, named", [
+    ([np.inf], [np.inf], "lower bound of input 0 is inf"),
+    ([-np.inf], [-np.inf], "upper bound of input 0 is -inf"),
+    ([-1.0, np.inf], [1.0, np.inf], "lower bound of input 1 is inf"),
+    ([-1.0, -np.inf], [1.0, -np.inf], "upper bound of input 1 is -inf"),
+], ids=["lower_plus_inf", "upper_minus_inf", "lower_input_1", "upper_input_1"])
+def test_box_that_no_input_satisfies_is_refused(lower, upper, named):
+    """A lower bound of +inf or an upper bound of -inf passes ``lower <=
+    upper`` but admits no input; it is refused by name and input index,
+    not dropped as "no bound" and solved as ``u* = u0``.  The open sides,
+    ``-inf`` below and ``+inf`` above, stay allowed."""
+    u0 = np.zeros(len(lower))
+    with pytest.raises(ValidationError, match=named):
+        QpProblem(u0, np.zeros((0, len(lower))), np.zeros(0),
+                  np.array(lower), np.array(upper))
+    open_box = QpProblem(u0, np.zeros((0, len(lower))), np.zeros(0),
+                         np.full(len(lower), -np.inf),
+                         np.full(len(lower), np.inf))
+    assert solve(open_box).status == "optimal"
+
+
 # ---------------------------------------------------------------------------
 # randomized oracle comparison
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Model-level checks: closed forms, Jacobian consistency, benchmark wiring."""
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 
 from backup_cbf import systems
 from backup_cbf.errors import EvaluationError, ValidationError
+from backup_cbf.flow import _compiled
 from backup_cbf.systems import (_DUBINS_KY_AGGRESSIVE, _DUBINS_KY_CONSERVATIVE,
                                 _DUBINS_P_AGGRESSIVE, _SYMBOLIC,
                                 ARRAY_PRIMITIVES, BENCHMARK_DEFAULTS,
-                                BENCHMARK_NAMES, FLOAT_PRIMITIVES, _benchmark,
-                                _generated, _statements, _Sym,
-                                _lyapunov_3x3, _indicator_float,
-                                _saturate_float, _sign_float, closed_loop_rhs,
+                                BENCHMARK_NAMES, ClosedLoop, Primitives,
+                                _benchmark, _generated, _statements, _Sym,
+                                _lyapunov_3x3, closed_loop_rhs,
                                 di_closed_form_h, loop_rhs, make_benchmark,
                                 smooth_positive_indicator,
                                 smooth_positive_indicator_deriv,
@@ -50,6 +51,26 @@ def sample_box(name, count):
     d = BENCHMARK_DEFAULTS[name]
     return RNG.uniform(d["sample_lower"], d["sample_upper"],
                        size=(count, len(d["sample_lower"])))
+
+
+@functools.cache
+def float_kernel(loop):
+    """``rhs(x0, x1, ...)`` on Python floats: the float kernel of ``loop``
+    (`ClosedLoop.kernel`), the lines the single-state march inlines at each
+    stage, compiled alone as the march is compiled, returning its slopes."""
+    n = len(loop.rows)
+    return _compiled("rhs", [
+        f"def rhs({', '.join(f'x{i}' for i in range(n))}):",
+        *loop.kernel("k", "x"), f"return ({''.join(f'k{i}, ' for i in range(n))})"])
+
+
+def float_body(kind, *params):
+    """``y -> out``: the float form of the smoothing ``kind`` at ``params``,
+    the `_FLOAT_BODIES` lines as the float kernel of a one-smoothing
+    statement inlines them."""
+    rhs = float_kernel(ClosedLoop(None, None, (
+        getattr(_SYMBOLIC, kind)(_Sym("x", 0), *params),)))
+    return lambda y: rhs(y)[0]
 
 
 def loop_jacobian(model, policy, x):
@@ -485,19 +506,19 @@ LOOP_CASE_IDS = [f"{n}-{'-'.join(f'{k}={v}' for k, v in p.items())}"
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_loop_floats_match_array_path(case, data):
-    """The float closed loop on each state, and the per-component array
-    closed loop on the stacked states, give the bits of the stacked array
-    path (signed zeros included) on states drawn from the sampling box,
-    inside every blend band and on every switching surface."""
+    """The float kernel (`float_kernel`) on each state, and the
+    per-component array closed loop on the stacked states, give the bits of
+    the stacked array path (signed zeros included) on states drawn from the
+    sampling box, inside every blend band and on every switching surface."""
     name, params = case
     model, policy, _ = make_benchmark(name, params)
     states = _draw_states(data, name, params, model, policy)
     stacked = np.array(states)
     derivs = loop_rhs(model, policy, stacked)
     for x, expected in zip(states, derivs):
-        got = np.array(policy.closed_loop.build(FLOAT_PRIMITIVES)(*x))
+        got = np.array(float_kernel(policy.closed_loop)(*x))
         assert got.tobytes() == expected.tobytes(), \
-            f"{name} {params} at x = {x!r}: float build {got!r}, array path {expected!r}"
+            f"{name} {params} at x = {x!r}: float kernel {got!r}, array path {expected!r}"
     got = np.stack(policy.closed_loop.build(ARRAY_PRIMITIVES)(*stacked.T.copy()),
                    axis=-1)
     assert got.tobytes() == derivs.tobytes(), \
@@ -779,15 +800,17 @@ def test_smoothings_match_their_np_clip_bodies(fn, former, params, probes):
 
 @pytest.mark.parametrize("eps", [0.25])
 def test_float_twins_match_their_array_primitives_on_special_values(eps):
-    """Each float twin gives the bits of its array primitive at NaN, +-0.0
-    and +-inf.  The NaN is the positive one: a blend of a negative NaN
-    multiplies two NaNs of opposite sign, and which one CPython returns
-    changes once it specializes the multiply."""
+    """Each smoothing's float form, as a kernel inlines it (`float_body`),
+    gives the bits of its array primitive at NaN, +-0.0 and +-inf.  The NaN
+    is the positive one: a blend of a negative NaN multiplies two NaNs of
+    opposite sign, and which one CPython returns changes once it
+    specializes the multiply."""
     for y in (math.nan, 0.0, -0.0, math.inf, -math.inf):
-        for twin, array in ((_indicator_float, smooth_positive_indicator),
-                            (_sign_float, smooth_sign)):
-            assert same_bits(twin(y, eps), array(np.array(y), eps)), (twin, y)
-        assert same_bits(_saturate_float(y, -3.0, 3.0, eps),
+        for kind, array in (("indicator", smooth_positive_indicator),
+                            ("sign", smooth_sign)):
+            assert same_bits(float_body(kind, eps)(y),
+                             array(np.array(y), eps)), (kind, y)
+        assert same_bits(float_body("saturate", -3.0, 3.0, eps)(y),
                          smooth_saturate(np.array(y), -3.0, 3.0, eps)), y
 
 
@@ -1092,7 +1115,7 @@ def test_safety_functions_on_special_values(name, params, former, rounded):
 
 
 # ---------------------------------------------------------------------------
-# the compare-based float primitives and the restated statements against
+# the compare-based float smoothings and the restated statements against
 # their former bodies, kept verbatim here
 # ---------------------------------------------------------------------------
 
@@ -1123,6 +1146,12 @@ def former_saturate_float(y: float, lo: float, hi: float, eps: float) -> float:
     return min(max(y, lo), hi)
 
 
+# The former float smoothings with `math`'s sin and cos: the float table the
+# hand-written and former statements (and `dense_statement`) run on, the
+# oracle of the float kernels (`float_kernel`).
+FORMER_FLOATS = Primitives(math.sin, math.cos, former_saturate_float,
+                           former_sign_float, former_indicator_float)
+
 SPECIALS = (0.0, -0.0, math.nan, math.inf, -math.inf)
 
 
@@ -1142,17 +1171,19 @@ def same_float(a: float, b: float) -> bool:
 
 @pytest.mark.parametrize("eps", [0.25, 0.05, 1.0])
 def test_float_primitives_match_former_clamps(eps):
-    """Same value and sign as the ``min(max(...))`` bodies at the band
-    edges and their neighbours, at +-0.0, NaN and +-inf."""
+    """Each smoothing's float form, as a kernel inlines it with its band
+    edges folded (`float_body`), gives the value and sign of the
+    ``min(max(...))`` bodies at the band edges and their neighbours, at
+    +-0.0, NaN and +-inf."""
+    indicator, sign = float_body("indicator", eps), float_body("sign", eps)
     for v in _probes([-eps, 0.0, eps, -2.0 * eps, 1.0, -1.0]):
-        assert same_float(_indicator_float(v, eps),
-                          former_indicator_float(v, eps)), (v, eps)
-        assert same_float(_sign_float(v, eps), former_sign_float(v, eps)), \
-            (v, eps)
+        assert same_float(indicator(v), former_indicator_float(v, eps)), (v, eps)
+        assert same_float(sign(v), former_sign_float(v, eps)), (v, eps)
     for lo, hi in ((-3.0, 3.0), (-0.5, 0.5), (-5.0, 5.0)):
+        saturate = float_body("saturate", lo, hi, eps)
         edges = [b + d for b in (lo, hi) for d in (-eps, 0.0, eps)]
         for y in _probes(edges + [0.5 * (lo + hi), 2.0 * hi, 2.0 * lo]):
-            assert same_float(_saturate_float(y, lo, hi, eps),
+            assert same_float(saturate(y),
                               former_saturate_float(y, lo, hi, eps)), (y, lo, hi, eps)
 
 
@@ -1287,10 +1318,12 @@ def same_entries(got, expected) -> bool:
 
 @pytest.mark.parametrize("case", LOOP_CASES, ids=LOOP_CASE_IDS)
 def test_statements_match_former_statements(case, monkeypatch):
-    """On both primitive tables each restated statement gives the former
-    statement's bits (NaN where it gave NaN) on sampled states and on rows
-    holding NaN, +-inf or +-0 in every combination of components.  Its
-    closed loop's rows, summed by `affine_sum`, are written out as
+    """Each restated statement gives the former statement's bits (NaN
+    where it gave NaN) on sampled states and on rows holding NaN, +-inf or
+    +-0 in every combination of components: its float kernel against the
+    former statement on `FORMER_FLOATS` (raising where it raised), and its
+    build on `ARRAY_PRIMITIVES` against the former one's.  Its closed
+    loop's rows, summed by `affine_sum`, are written out as
     `former_loop_rows` of the same statement are."""
     name, params = case
     model, policy, _ = make_benchmark(name, params)
@@ -1302,8 +1335,8 @@ def test_statements_match_former_statements(case, monkeypatch):
     rows = [tuple(x) for x in sampled]
     rows += itertools.product(*[SPECIALS + (float(c),) for c in sampled[0]])
     for x in rows:
-        got = _outcome(policy.closed_loop.build(FLOAT_PRIMITIVES), x)
-        expected = _outcome(former(FLOAT_PRIMITIVES), x)
+        got = _outcome(float_kernel(policy.closed_loop), x)
+        expected = _outcome(former(FORMER_FLOATS), x)
         assert same_entries(got, expected), f"{name} {params} at x = {x!r}"
     columns = tuple(np.array(rows).T.copy())
     with np.errstate(all="ignore"):
@@ -1505,8 +1538,9 @@ def test_generated_evaluators_match_hand_written_bodies(case, data):
     """Each evaluator generated from the statement gives the hand-written
     body's bytes, shape and type on states from the sampling box, inside
     every blend band and on every switching surface: the array evaluators
-    stacked and on each state, the closed loop built on floats on each
-    state and built on arrays on the stacked columns.  Where the former
+    stacked and on each state, the float kernel (`float_kernel`) against
+    the hand-written loop on `FORMER_FLOATS` on each state, and the closed
+    loop built on arrays on the stacked columns.  Where the former
     body declared ``dg_dx = None`` (a constant ``g``), the generated
     ``dg_dx`` gives ``+0.0`` zeros of shape ``(..., n, m, n)``."""
     name, params = case
@@ -1523,8 +1557,8 @@ def test_generated_evaluators_match_hand_written_bodies(case, data):
             assert type(out) is type(oracle) and same_bits(out, oracle), \
                 f"{name} {params} {key} at x = {x!r}: {out!r} != {oracle!r}"
     for x in states:
-        out = np.array(got["closed_loop"](FLOAT_PRIMITIVES)(*x))
-        oracle = np.array(expected["closed_loop"](FLOAT_PRIMITIVES)(*x))
+        out = np.array(float_kernel(policy.closed_loop)(*x))
+        oracle = np.array(expected["closed_loop"](FORMER_FLOATS)(*x))
         assert same_bits(out, oracle), f"{name} {params} float loop at x = {x!r}"
     columns = tuple(stacked.T.copy())
     out = np.stack(got["closed_loop"](ARRAY_PRIMITIVES)(*columns), axis=-1)
@@ -1544,8 +1578,8 @@ def test_generated_evaluators_on_special_values(case):
     """On rows holding NaN, +-inf or +-0 in every combination of components,
     each generated evaluator gives the hand-written body's bytes, except
     for the entries of `NAN_SIGN_ONLY`, which differ in a NaN's sign only.
-    The float closed loop raises where the hand-written one does
-    (``math.sin`` refuses an infinity) and gives its bytes elsewhere, NaN
+    The float kernel raises where the hand-written loop on `FORMER_FLOATS`
+    does (``math.sin`` refuses an infinity) and gives its bytes elsewhere, NaN
     where it gives NaN: which of two NaN operands CPython's float ``+``
     returns changes once the interpreter specializes the addition."""
     name, params = case
@@ -1566,8 +1600,8 @@ def test_generated_evaluators_on_special_values(case):
             for index in listed:
                 column = (Ellipsis, *index)
                 assert same_entries(out[column], oracle[column]), key
-        float_got = got["closed_loop"](FLOAT_PRIMITIVES)
-        float_expected = expected["closed_loop"](FLOAT_PRIMITIVES)
+        float_got = float_kernel(policy.closed_loop)
+        float_expected = expected["closed_loop"](FORMER_FLOATS)
         for x in rows.tolist():
             assert same_entries(_outcome(float_got, x),
                                 _outcome(float_expected, x)), \
@@ -1604,8 +1638,9 @@ def dense_benchmark(statement=dense_statement, inputs=("u", "w"),
 
 def test_dense_statement_generates_loop_rhs_and_its_jacobians():
     """The generated ``f``, ``g``, ``pi`` and safety functions of
-    `dense_statement` give the bytes of the statement run on floats; its
-    closed loop, on floats and on arrays, gives `loop_rhs`'s bytes (the
+    `dense_statement` give the bytes of the statement run on floats
+    (`FORMER_FLOATS`); its float kernel and its closed loop built on arrays
+    give `loop_rhs`'s bytes (the
     per-channel sum order); and the generated Jacobians of ``f``, ``g``,
     ``pi`` and the loop, and the gradients of the safety functions, match
     central differences (the two-factor product rule).  Its closed loop's
@@ -1618,12 +1653,12 @@ def test_dense_statement_generates_loop_rhs_and_its_jacobians():
     states = np.random.default_rng(7).uniform(-1.2, 1.2, size=(60, 4))
     derivs = loop_rhs(model, policy, states)
     for x, expected in zip(states.tolist(), derivs):
-        f, g, pi, h = dense_statement(FLOAT_PRIMITIVES, (0.7, -1.3), *x)
+        f, g, pi, h = dense_statement(FORMER_FLOATS, (0.7, -1.3), *x)
         for got, stated in ((model.f_eval(x), f), (model.g_eval(x), g),
                             (policy.pi_eval(x), pi),
                             ([c.h_eval(x) for c in safety], h)):
             assert same_bits(got, np.array(stated)), x
-        assert same_bits(np.array(policy.closed_loop.build(FLOAT_PRIMITIVES)(*x)),
+        assert same_bits(np.array(float_kernel(policy.closed_loop)(*x)),
                          expected), x
     got = np.stack(policy.closed_loop.build(ARRAY_PRIMITIVES)(*states.T.copy()),
                    axis=-1)
