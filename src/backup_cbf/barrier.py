@@ -8,16 +8,18 @@ invariant set induced by the backup policy.
 The filter solves, at each call,
 
     min ||u - u0||^2  over the input box, subject to
-    grad hC_k(Phi_i) . (Q_i (f(x) + g(x) u) - f_pi(Phi_i)) + alpha(hC_k(Phi_i)) >= 0
-    grad hS(Phi_N) . Q_N (f(x) + g(x) u) + alpha(hS(Phi_N)) >= 0
+    a_i . (u - pi(x)) + c_i >= 0,   a_i = grad h_i(Phi_i) Q_i g(x),
 
-with one row per (constraint, grid time) pair and one terminal row.  The
-terminal row has no drift correction: the horizon endpoint advances with
-current time, while each path row pins an absolute time along the flow.
-At ``u = pi(x)`` the path derivative terms cancel identically, which is
-what makes the program feasible whenever the barrier is nonnegative.
-The rows stay one ``(R, m)`` array with an ``(R,)`` right-hand side from
-assembly to solve (layout in `ConstraintSet`).
+with one row per (path constraint, grid time) pair, ``c_i = alpha(h_i)``,
+and one terminal row, ``c_T = alpha(hS) + grad hS . F`` at ``Phi_N``, where
+``F = f + g pi`` is the closed loop the flow marched.  On the exact flow
+``Q(tau) F(x) = F(phi(tau, x))``, so these are the paper's conditions
+written as deviations from the backup input.  At ``u = pi(x)`` a path
+row's slack is ``alpha(h_i) >= 0`` up to rounding and the terminal row's
+is the terminal set's own condition under ``pi`` at ``Phi_N``; so the
+program is feasible whenever the barrier is nonnegative and that holds.
+The rows stay one ``(R, m)`` array with an ``(R,)`` right-hand side
+from assembly to solve (layout in `ConstraintSet`).
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ class ConstraintSet:
     ``R = n_constraints * (n_steps + 1) + 1``: path rows grouped by
     constraint, each group in grid order, then the terminal row.
     `label` recovers a row's provenance from its index.  ``backup_input``
-    is ``pi(x)`` at the state the rows are built at, the input at which
-    every path row's flow terms cancel.
+    is ``pi(x)`` at the state the rows are built at, the input every row
+    is written from: ``rhs = rows @ backup_input - c + margin``.
     """
 
     rows: Array
@@ -147,12 +149,12 @@ def eval_h_batch(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
 
 
 def _dynamics(model: SystemModel, policy: BackupPolicy, x: Array,
-              drift: Array) -> tuple[Array, Array, Array]:
-    """The model's ``f(x)`` and ``g(x)`` and the policy's ``pi(x)`` at
-    states ``x`` (``(n,)`` or ``(B, n)``), read once; `ValidationError`,
-    naming a batch's first state that differs, unless ``f + g pi`` there
-    (`affine_sum`) equals the flow's ``drift`` in bytes, as rows from them
-    would then mix two dynamics."""
+              drift: Array) -> tuple[Array, Array]:
+    """The model's ``g(x)`` and the policy's ``pi(x)`` at states ``x``
+    (``(n,)`` or ``(B, n)``), read once; `ValidationError`, naming a
+    batch's first state that differs, unless the model's ``f + g pi``
+    there (`affine_sum`) equals the flow's ``drift`` in bytes, as rows from
+    them would then mix two dynamics (and the plant steps ``f + g u``)."""
     f, g = model.f_eval(x), model.g_eval(x)
     if g.shape != x.shape + (model.input_dim,):
         raise ValidationError("g(x) has the wrong shape")
@@ -165,47 +167,39 @@ def _dynamics(model: SystemModel, policy: BackupPolicy, x: Array,
         raise ValidationError(f"the model's f + g pi{where} differs from the "
                               f"policy's closed loop that the flow marched "
                               f"on, so the rows would mix two dynamics")
-    return f, g, pi
+    return g, pi
 
 
 def build_constraints(model: SystemModel, policy: BackupPolicy,
                       spec: SafetySpec, evaluation: BarrierEvaluation,
                       margin: float = 0.0) -> ConstraintSet:
     """Reduce the filter conditions along ``evaluation`` to rows in u, at
-    the state its trajectory starts from.
+    the state ``x`` its trajectory starts from, in deviation form from
+    ``pi(x)`` (module docstring).
 
-    The rows take the flow's drifts, finite, and the model's ``f`` and
-    ``g`` at ``x``, checked with ``pi(x)`` against the first drift by
-    `_dynamics`; ``pi(x)`` is kept as the set's ``backup_input``.
-    ``margin >= 0`` tightens every row by a constant, compensating
-    inter-sample error of the time grid.
+    The rows take the model's ``g(x)`` and the policy's ``pi(x)``, both
+    checked against the flow's first drift by `_dynamics`, and the last
+    drift ``F(Phi_N)``; every drift must be finite.  ``pi(x)`` is kept as
+    the set's ``backup_input``.  ``margin >= 0`` tightens every row by a
+    constant, compensating inter-sample error of the time grid.
     """
     if not (is_finite_real(margin) and margin >= 0.0):
         raise ValidationError(f"margin must be a finite number >= 0, got "
                               f"{margin!r}")
     traj = evaluation.trajectory
     drifts = check_finite(traj.drifts, "closed-loop derivative")
-    f0, g0, pi0 = _dynamics(model, policy, traj.origin, drifts[0])
-    sens = traj.sensitivities              # (N+1, n, n)
-    q_g = sens @ g0                        # (N+1, n, m)
-    q_f = sens @ f0                        # (N+1, n)
-    drift_gap = q_f - drifts
+    g0, pi0 = _dynamics(model, policy, traj.origin, drifts[0])
+    q_g = traj.sensitivities @ g0          # (N+1, n, m)
 
-    gamma = spec.alpha_gain
-    a_blocks, b_blocks = [], []
-    for k, con in enumerate(spec.constraints):
-        grads = con.grad_eval(traj.states)             # (N+1, n)
-        a_blocks.append(np.einsum("ti,tim->tm", grads, q_g))
-        b_blocks.append(-np.einsum("ti,ti->t", grads, drift_gap)
-                        - gamma * evaluation.per_tau_values[k] + margin)
-
+    a_blocks = [np.einsum("ti,tim->tm", con.grad_eval(traj.states), q_g)
+                for con in spec.constraints]
     grad_t = spec.terminal.grad_eval(traj.states[-1])
     a_blocks.append((grad_t @ q_g[-1])[None])
-    b_blocks.append([-(grad_t @ q_f[-1]) - gamma * evaluation.terminal_value
-                     + margin])
-
-    return ConstraintSet(rows=np.concatenate(a_blocks),
-                         rhs=np.concatenate(b_blocks),
+    rows = np.concatenate(a_blocks)
+    c = np.append(spec.alpha_gain * evaluation.per_tau_values,
+                  spec.alpha_gain * evaluation.terminal_value
+                  + grad_t @ drifts[-1])   # grad hS . F(Phi_N)
+    return ConstraintSet(rows=rows, rhs=rows @ pi0 - c + margin,
                          n_steps=traj.times.shape[0] - 1,
                          backup_input=pi0)
 
@@ -260,8 +254,9 @@ def filter_control(model: SystemModel, policy: BackupPolicy, spec: SafetySpec,
     """Minimally adjust ``u_nominal`` so the backup barrier conditions hold.
 
     Returns the adjusted input and diagnostics.  If the program reports
-    infeasible - possible only through numerical or grid error when the
-    barrier is nonnegative - the backup input ``pi(x)`` the rows were
+    infeasible - possible when the barrier is nonnegative only through
+    rounding, or where the terminal condition ``grad hS . F + alpha(hS) >=
+    0`` fails at ``Phi_N`` - the backup input ``pi(x)`` the rows were
     built with (`ConstraintSet.backup_input`) is returned with a fallback
     flag.  An iteration-cap failure raises `QpSolverError`, and a
     model the flow did not march on `ValidationError` (`build_constraints`).
@@ -328,7 +323,7 @@ def terminal_row_coefficient(model: SystemModel, policy: BackupPolicy,
     ends, q_end = integrate_flow_batch(model, policy, states, horizon, steps,
                                        with_sensitivity=True)
     grad_t = spec.terminal.grad_eval(ends)            # (B, n)
-    g0 = _dynamics(model, policy, states, policy.closed_loop.at(states))[1]
+    g0 = _dynamics(model, policy, states, policy.closed_loop.at(states))[0]
     return (grad_t[:, None, :] @ (q_end @ g0))[:, 0]
 
 

@@ -1,6 +1,7 @@
 """Barrier evaluation, constraint rows, filter behavior, degree probe."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -109,8 +110,10 @@ def test_toy_row_closed_form():
     ("aeroplane", [3.0, 2.0, 1.0]),
 ])
 def test_path_row_slack_at_backup_is_alpha_h(name, x):
-    """At u = pi(x) the derivative term of every path row cancels, leaving
-    slack exactly alpha(hC_k(Phi_i)) up to integration tolerance."""
+    """At u = pi(x) every path row's slack is alpha(hC_k(Phi_i)) and the
+    terminal row's alpha(hS(Phi_N)) + grad hS . F(Phi_N), up to the
+    rounding of the deviation form alone (`deviation_rounding_bound`): no
+    integration defect of the flow identity Q F(x) = F(Phi) enters."""
     model, policy, spec = make_benchmark(name)
     x = np.array(x, dtype=float)
     horizon = {"toy1d": 1.0, "double_integrator": 10.0,
@@ -118,12 +121,73 @@ def test_path_row_slack_at_backup_is_alpha_h(name, x):
     steps = 200 if name == "aeroplane" else 100
     ev = eval_h(model, policy, spec, x, horizon, steps)
     rows = build_constraints(model, policy, spec, ev)
-    slacks = rows.slacks(policy.pi_eval(x))
-    expected = spec.alpha_gain * ev.per_tau_values.reshape(-1)
-    # integration tolerance: the scheme's formal order drops at the C1
-    # kinks of the smoothed policy, leaving ~1e-4 relative defects there
-    assert np.max(np.abs(slacks[:-1] - expected)) < 1e-4 * max(
-        1.0, np.max(np.abs(expected)))
+    pi = policy.pi_eval(x)
+    expected = slacks_at_backup(spec, ev)
+    bound = deviation_rounding_bound(rows, pi, expected)
+    assert np.all(np.abs(rows.slacks(pi) - expected) <= bound)
+
+
+def slacks_at_backup(spec, ev):
+    """Every row's slack at ``u = pi(x)``: ``alpha(hC_k(Phi_i))`` on the
+    path rows, ``alpha(hS(Phi_N)) + grad hS(Phi_N) . F(Phi_N)`` on the
+    terminal row, with ``F(Phi_N)`` the flow's last drift."""
+    end, drift_end = ev.trajectory.states[-1], ev.trajectory.drifts[-1]
+    return np.append(spec.alpha_gain * ev.per_tau_values.reshape(-1),
+                     spec.alpha_gain * ev.terminal_value
+                     + spec.terminal.grad_eval(end) @ drift_end)
+
+
+def deviation_rounding_bound(constraints, u, c):
+    """Largest ``|constraints.slacks(u) - c|`` that rounding alone leaves
+    on rows built as ``rhs = fl(fl(rows @ u) - c)`` (``margin = 0``).
+
+    Each of the two ``m``-term products ``rows @ u`` (in the builder and
+    in `slacks`) is within ``gamma_m |rows| @ |u|`` of the exact one, with
+    ``gamma_m = m e / (1 - m e)`` and unit roundoff ``e``; each of the two
+    subtractions adds at most ``e`` times its result, which is at most
+    ``|rows| @ |u| + |c|`` to first order.  ``2 (m + 1) e (|rows| @ |u| +
+    |c|)`` covers the sum, second-order terms included."""
+    rows = constraints.rows
+    unit = np.finfo(float).eps / 2
+    return 2 * (rows.shape[1] + 1) * unit * (np.abs(rows) @ np.abs(u)
+                                             + np.abs(c))
+
+
+@pytest.mark.parametrize("name, params", REFERENCE_CASES)
+def test_backup_input_is_feasible_near_the_boundary(name, params):
+    """On near-boundary states (``0 <= h < 0.02``; the first 200 of 40000
+    uniform draws over the benchmark's sample box, seed 11) ``pi(x)``
+    satisfies every row within `deviation_rounding_bound`: a path row's
+    slack there is ``alpha h_i >= 0`` by construction, the terminal row's
+    the terminal set's condition under ``pi`` at ``Phi_N``.  So the QP
+    started from each corner of the input box solves optimally.  (Rows
+    that subtracted the flow's drift from ``Q_i f(x)`` kept the RK4
+    defect of ``Q F(x) = F(Phi)``: on aggressive Dubins the terminal row
+    read -5.7e-3 at ``pi(x)``, and 5 of the 200 programs were infeasible
+    from every corner.)"""
+    model, policy, spec = make_benchmark(name, params)
+    box = BENCHMARK_DEFAULTS[name]
+    horizon, steps = box["t_horizon_s"], box["n_flow_steps"]
+    draws = np.random.default_rng(11).uniform(
+        box["sample_lower"], box["sample_upper"], (40000, model.state_dim))
+    h = np.concatenate([eval_h_batch(model, policy, spec, chunk, horizon,
+                                     steps).h
+                        for chunk in np.split(draws, 10)])
+    states = draws[(h >= 0.0) & (h < 0.02)][:200]
+    assert len(states) >= 30
+    corners = list(itertools.product(*zip(model.input_lower,
+                                          model.input_upper)))
+    for x in states:
+        ev = eval_h(model, policy, spec, x, horizon, steps)
+        rows = build_constraints(model, policy, spec, ev)
+        pi = policy.pi_eval(x)
+        bound = deviation_rounding_bound(rows, pi, slacks_at_backup(spec, ev))
+        assert np.all(rows.slacks(pi) >= -bound), x
+        for corner in corners:
+            solution = QpSolver().solve(QpProblem(
+                u0=np.array(corner), rows=rows.rows, rhs=rows.rhs,
+                lower=model.input_lower, upper=model.input_upper))
+            assert solution.status == "optimal", (x, corner)
 
 
 def test_build_constraints_rejects_non_finite_drift():
@@ -208,10 +272,9 @@ def test_filter_clips_when_rows_inactive():
 
 
 def test_filter_refuses_a_model_the_flow_did_not_march():
-    """The rows read ``f`` and ``g`` from the model, the flow marches on the
-    policy's closed loop: a model whose ``f_eval`` was doubled would give
-    rows that mix the two (row 0's slack at ``pi(x)`` reads 8.0, not
-    ``alpha h = 10``), so the filter refuses it.  Evaluators that are
+    """The rows read ``g`` from the model, the flow marches on the policy's
+    closed loop: a model whose ``f_eval`` was doubled is not the plant the
+    rows were derived for, so the filter refuses it.  Evaluators that are
     wrapped but give the same values pass, with the same ``u*``."""
     model, policy, spec = make_benchmark("double_integrator")
     x, u0 = np.array([0.0, 2.0]), np.array([1.0])
@@ -228,9 +291,9 @@ def test_filter_refuses_a_model_the_flow_did_not_march():
 
 def test_filter_refuses_a_model_whose_f_changes_between_calls():
     """``f_eval`` doubled on every other call, starting with the first:
-    the rows and the drift check read one and the same ``f(x)`` (the
-    doubled one), so the filter refuses the model.  Were ``f`` read twice,
-    the rows would take the doubled value and the check the plain one."""
+    the drift check reads ``f(x)`` once (the doubled one), so the filter
+    refuses the model.  Were ``f`` read twice, a second read would see the
+    plain one."""
     model, policy, spec = make_benchmark("double_integrator")
     f, calls = model.f_eval, []
 
@@ -263,7 +326,8 @@ def test_build_constraints_refuses_a_model_the_flow_did_not_march():
     ("toy1d", {}, [1.0])])
 def test_filter_reads_f_g_and_pi_once(name, params, x):
     """One filter call evaluates ``f``, ``g`` and ``pi`` once each: the
-    rows and the dynamics check share them, the flow calls none of them,
+    rows share ``g`` and ``pi`` with the dynamics check, which alone reads
+    ``f``, the flow calls none of them,
     and on toy1d, where an absurd margin empties the feasible set (as in
     `test_filter_fallback_on_forced_infeasibility`), the fallback returns
     the ``pi(x)`` the rows were built with, in bytes."""
