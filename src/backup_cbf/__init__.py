@@ -11,7 +11,7 @@ from .errors import (ConvergenceWarning, EvaluationError, FlowDivergenceError,
 from .flow import (FlowTrajectory, integrate_flow, integrate_flow_batch,
                    sensitivity_fd_check)
 from .harness import (Scenario, SimLog, load_scenario, run_compare,
-                      run_levelset, simulate, slice_grid)
+                      run_levelset, simulate, slice_grid, write_levelset)
 from .hjgrid import (GridGeometry, LevelGrid, SolveRecord, compare_sets,
                      constraint_grid, dilate_set, hamiltonian, read_grid,
                      solve_invariant, sweep_backup_h, write_grid_csv,

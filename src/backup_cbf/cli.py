@@ -4,17 +4,20 @@ grids, and time the filter phases along a scenario's closed loop.
 Exit codes: 0 on success, 2 on validation/configuration errors (no grid
 file is written), 3 on numerical failures.  ``--grid`` tokens are read by
 the grid CSV header's axis parser; ``BCBF_THREADS`` caps sweep threads.
+``levelset`` prints the map of written grid files as JSON; with ``--hj``
+one more line follows, ``{"hj_solve": ...}``, the baseline's `SolveRecord`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from .errors import NumericalError, ScenarioError, ValidationError
-from .harness import load_scenario, run_compare, run_levelset, simulate
+from .harness import load_scenario, run_compare, simulate, write_levelset
 from .hjgrid import (HJ_MAX_STEPS, HJ_TOL, GridGeometry, axis_from_fields,
                      geometry_from_axes)
 
@@ -66,10 +69,12 @@ def _cmd_levelset(args) -> int:
     geometry = _parse_grid_spec(args.grid)
     slices = _parse_slices(args.slice or [])
     out_dir = args.out or scenario.out_dir or "."
-    written = run_levelset(scenario, geometry, slices, out_dir,
-                           include_hj=args.hj, hj_tol=args.hj_tol,
-                           hj_max_steps=args.hj_max_steps)
+    written, solve = write_levelset(scenario, geometry, slices, out_dir,
+                                    include_hj=args.hj, hj_tol=args.hj_tol,
+                                    hj_max_steps=args.hj_max_steps)
     print(json.dumps(written, indent=2))
+    if solve is not None:
+        print(json.dumps({"hj_solve": dataclasses.asdict(solve)}))
     return 0
 
 

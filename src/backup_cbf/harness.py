@@ -31,10 +31,10 @@ from .errors import (GeometryError, NumericalError, ScenarioError,
                      ValidationError)
 from .flow import rk4_step
 from .hjgrid import (HJ_MAX_STEPS, HJ_TOL, GridGeometry, LevelGrid,
-                     axis_records, check_solve_limits, compare_sets,
-                     constraint_grid, geometry_from_axes, read_grid,
-                     solve_invariant, sweep_backup_h, write_grid_csv,
-                     write_grid_json)
+                     SolveRecord, axis_records, check_solve_limits,
+                     compare_sets, constraint_grid, geometry_from_axes,
+                     read_grid, solve_invariant, sweep_backup_h,
+                     write_grid_csv, write_grid_json)
 from .qp import QpSolver
 from .systems import (BENCHMARK_DEFAULTS, BackupPolicy, SafetySpec, SystemModel,
                       affine_sum, is_finite_real, is_integer, make_benchmark)
@@ -409,13 +409,24 @@ def run_levelset(scenario: Scenario, geometry: GridGeometry,
                  out_dir: str = ".", include_hj: bool = False,
                  hj_tol: float = HJ_TOL, hj_max_steps: int = HJ_MAX_STEPS
                  ) -> dict:
+    """The map of paths `write_levelset` writes (every one a grid file)."""
+    return write_levelset(scenario, geometry, slices, out_dir, include_hj,
+                          hj_tol, hj_max_steps)[0]
+
+
+def write_levelset(scenario: Scenario, geometry: GridGeometry,
+                   slices: Sequence[tuple[str | int, float]] = (),
+                   out_dir: str = ".", include_hj: bool = False,
+                   hj_tol: float = HJ_TOL, hj_max_steps: int = HJ_MAX_STEPS
+                   ) -> tuple[dict, SolveRecord | None]:
     """Sweep the implicit barrier over the grid (optionally also the
     baseline invariant-set field), write each grid as CSV and JSON and each
     requested slice of it as CSV, named ``slice_<axis>_<value:g>``; returns
-    the map of written paths.  The slices and the solve limits are checked
-    first, so a bad one, or two slices that would write one file, fails
-    fast and leaves no ``out_dir`` behind; ``out_dir`` is then created
-    before the sweep, so an unusable one fails fast too."""
+    the map of written paths and the baseline's `SolveRecord` (``None``
+    without it).  The slices and the solve limits are checked first, so a
+    bad one, or two slices that would write one file, fails fast and
+    leaves no ``out_dir`` behind; ``out_dir`` is then created before the
+    sweep, so an unusable one fails fast too."""
     model, policy, spec = scenario.build()
     if include_hj:
         check_solve_limits(hj_tol, hj_max_steps)
@@ -449,7 +460,7 @@ def run_levelset(scenario: Scenario, geometry: GridGeometry,
                 write_grid_json(grid, written[key + "_json"])
             else:
                 write_grid_csv(slice_grid(grid, axis, value), written[key])
-    return written
+    return written, grids["hj"].solve if include_hj else None
 
 
 def run_compare(path_a: str, path_b: str, threshold: float = 0.0,

@@ -2,15 +2,25 @@
 
 The near-maximal control invariant set inside a constraint region is
 computed by value iteration on a rectangular grid: starting from the
-constraint field, each step applies
+constraint field, each pass applies
 
-    V <- min(V, V + dt * Hhat(x, DV))
+    V <- min(V, V + dt(x) * Hhat(x, DV))
 
-with ``Hhat`` the Lax-Friedrichs-dissipated Hamiltonian built from
-first-order upwind differences.  The outer min freezes improvements so the
-iteration is monotone nonincreasing and its fixpoint is the viability
-value; the zero-superlevel set of the converged field approximates the
-maximal control invariant set.  A pass works on per-axis contiguous fields
+with ``Hhat`` the local Lax-Friedrichs Hamiltonian (Osher & Shu, SIAM J.
+Numer. Anal. 28, 1991) built from first-order differences: the
+Hamiltonian at the central difference plus, on each axis, ``alpha_i(x) /
+2`` times the forward less the backward difference, where ``alpha_i(x) =
+|f_i(x)| + sum_j |g_ij(x)| ubar_j`` bounds ``|dH/dp_i|`` at the node
+(``ubar_j`` the largest magnitude in input ``j``'s interval).  Each node
+steps by its own pseudo-time step ``dt(x) = 0.9 / sum_i alpha_i(x) /
+dx_i``, the local time stepping of steady problems (Jameson, Schmidt &
+Turkel, AIAA 81-1259, 1981), so every interior node's update is monotone.
+The outer min freezes improvements, so the iteration is monotone
+nonincreasing; its fixpoint, ``min(0, Hhat) = 0`` above the value floor,
+does not depend on ``dt``, and the zero-superlevel set of the converged
+field approximates the maximal control invariant set.  Dissipation and
+step are fields only where they vary; one that is the same at every node
+is a float.  A pass works on per-axis contiguous fields
 (one array per axis for the central gradient and the drift, one per input
 and axis for the input matrix) and sums them in the order ``np.einsum``
 sums over an axis, so its fields have the bits of the former ``einsum``
@@ -125,13 +135,17 @@ class GridGeometry:
 class SolveRecord:
     """How a `solve_invariant` value iteration ended: passes run, the
     sup-norm update of the last pass, whether it fell below ``tol``, the
-    pseudo-time step and the CFL ratio ``cfl_rate * dt`` (at most 1).
+    smallest node step ``dt`` (never below the step of grid-wide bounds,
+    ``0.9 / sum_i max_x alpha_i(x) / dx_i``) and the CFL ratio, the largest
+    ``dt(x) * rate(x)`` (0.9; 0 if no node moves).
 
     ``converged`` says only that the last update fell below ``tol``, not
-    that the set has settled: the update decays slowly, and the zero level
-    can keep moving long after.  On the Dubins 45^3 grid the set converged
-    at tol 1e-3 (262 passes) loses 1952 of its 36425 cells by tol 1e-4
-    (1362 passes) and 2018 by tol 3e-5 (1917 passes)."""
+    that the set has settled: the zero level can keep moving after.  On
+    the Dubins 45^3 grid the set converged at tol 1e-3 (136 passes, 39153
+    cells) is the set at tol 1e-4 (150 passes) and 3e-5 (157 passes), cell
+    for cell; with dissipation and step from grid-wide maxima it took 262
+    passes, kept 36425 cells and lost 1952 of them by tol 1e-4 (1362
+    passes)."""
 
     iterations: int
     final_update: float
@@ -336,6 +350,63 @@ def check_solve_limits(tol: float, max_steps: int):
                               f"an integer >= 1, got {tol!r} and {max_steps!r}")
 
 
+def _constant_or_field(field: Array) -> Array | float:
+    """``field``'s value as a float if it is the same at every node, else
+    ``field`` itself: a pass multiplies by either with the same bits."""
+    first = field.flat[0]
+    return float(first) if np.all(field == first) else field
+
+
+def _local_lax_friedrichs(model: SystemModel, f: Array, g: Array,
+                          spacings: Array
+                          ) -> tuple[list, Array | float, float, float]:
+    """The node-local dissipation and pseudo-time step of the per-axis
+    drift ``f``, ``(n,) + shape``, and input matrix ``g``, ``(m, n) +
+    shape``, each as a float where it is the same at every node: ``alpha_i
+    / 2`` per axis, with ``alpha_i = |f_i| + sum_j |g_ji| ubar_j`` (``ubar_j``
+    the largest magnitude in input ``j``'s interval; summed in input
+    order), and ``dt = 0.9 / rate``, with ``rate = sum_i alpha_i /
+    spacing_i`` (summed in axis order); then the smallest step and the
+    largest ``dt * rate``, the CFL ratio.
+
+    ``alpha_i`` bounds ``|dH/dp_i|`` at its node, so ``dt * rate <= 0.9``
+    keeps each interior node's update monotone.  Where ``rate`` is 0 the
+    Hamiltonian and the dissipation are 0 and the node never moves; it
+    takes the smallest step (1.0 if no node moves).  An ``alpha_i`` or a
+    ``rate`` that is not finite (its largest value named), or a node step
+    that is not (a subnormal rate), is refused with a `NumericalError`."""
+    u_abs = np.maximum(np.abs(model.input_lower), np.abs(model.input_upper))
+    half_alpha, peaks, rate = [], [], 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, spacing in enumerate(spacings):
+            alpha = np.abs(f[i])
+            for g_j, u_j in zip(g, u_abs):
+                alpha += np.abs(g_j[i]) * u_j
+            peaks.append(alpha.max())
+            rate = rate + alpha / spacing
+            half_alpha.append(_constant_or_field(0.5 * alpha))
+        _finite("Lax-Friedrichs bound alpha on axis", np.array(peaks),
+                model.state_names)
+        top = float(rate.max())
+        if not math.isfinite(top):
+            raise NumericalError(f"the CFL rate sum(alpha / spacing) is not "
+                                 f"finite: {top!r}")
+        if top == 0.0:
+            return half_alpha, 1.0, 1.0, 0.0
+        dt = 0.9 / np.where(rate > 0.0, rate, top)
+    # a node of rate 0 takes the step of the largest rate, so where any
+    # step is not finite, one at a node of rate > 0 is not either
+    bad = ~np.isfinite(dt) & (rate > 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        node = tuple(map(int, np.unravel_index(k, dt.shape)))
+        raise NumericalError(f"the node step 0.9 / rate at node {node} is not "
+                             f"finite: {float(dt.flat[k])!r} (rate "
+                             f"{float(rate.flat[k])!r})")
+    cfl_ratio = float(np.max(dt * rate))
+    return half_alpha, _constant_or_field(dt), 0.9 / top, cfl_ratio
+
+
 def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
                     max_steps: int = HJ_MAX_STEPS) -> LevelGrid:
     """Run the frozen value iteration from the constraint field ``grid0``
@@ -350,11 +421,15 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
     count and the final update when ``tol > 0`` (``tol = 0`` asks for a
     fixed number of passes and stays silent).
 
-    The pseudo-time step is 90% of the Lax-Friedrichs stability bound, and
-    value blow-up during iteration aborts with a diagnostic.  Values are
-    clamped from below at ``min - 2 max(range, 1)`` of ``grid0``; only the
-    zero level matters for set membership, and the clamp stops cells whose
-    true value drains out of the domain from delaying convergence.
+    Each node steps by 90% of its own Lax-Friedrichs stability bound,
+    ``dt(x) = 0.9 / sum_i alpha_i(x) / dx_i``, with the node-local
+    dissipation ``alpha_i(x)`` (see the module docstring and
+    `_local_lax_friedrichs`; both are built from the per-axis fields after
+    the node arrays are freed), and value blow-up during iteration aborts
+    with a diagnostic.  Values are clamped from below at ``min - 2
+    max(range, 1)`` of ``grid0``; only the zero level matters for set
+    membership, and the clamp stops cells whose true value drains out of
+    the domain from delaying convergence.
 
     Each per-axis field of the drift and the input matrix is sorted once,
     by `_field_term`: a field that is +-0.0 at every node is left out of
@@ -364,8 +439,8 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
     bits of the full sum whenever the costate and the box are finite (see
     `_box_hamiltonian`).  So before the first pass a `NumericalError`
     refuses an input box half-width or centre, a dissipation coefficient
-    ``alpha`` or a CFL rate that is not finite, naming it, and a
-    ``grid0`` whose differences could overflow: every value stays in
+    ``alpha``, a CFL rate or a node step that is not finite, naming it,
+    and a ``grid0`` whose differences could overflow: every value stays in
     ``[value_floor, max]``, and a difference, the edge extrapolation
     ``2 v[0] - v[1]`` included, is at most ``4 (max(max, 0) -
     min(value_floor, 0)) / min(spacing)``, which must be finite.
@@ -374,24 +449,19 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
     geom = grid0.geometry
     if model.state_dim != geom.dims:
         raise GeometryError("grid dimension does not match the model")
+    _box(model)
     pts = geom.nodes()
     f_nodes = model.f_eval(pts)                       # (P, n)
     g_nodes = model.g_eval(pts)                       # (P, n, m)
-    u_abs = np.maximum(np.abs(model.input_lower), np.abs(model.input_upper))
+    # per-axis contiguous fields (n,) + shape and (m, n) + shape, in place
+    # of the node arrays
+    shape = geom.counts
+    f = np.ascontiguousarray(f_nodes.T).reshape((geom.dims,) + shape)
+    g = np.ascontiguousarray(g_nodes.T).reshape(g_nodes.shape[:0:-1] + shape)
+    del pts, f_nodes, g_nodes
     spacings = np.array([geom.spacing(i) for i in range(geom.dims)])
-
-    # Global dissipation coefficients: per-axis bound on |dH/dp_i|.  An
-    # overflow is refused just below, by name, not warned about.
-    _box(model)
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha = (np.max(np.abs(f_nodes), axis=0)
-                 + np.abs(g_nodes).max(axis=0) @ u_abs)
-        cfl_rate = float(np.sum(alpha / spacings))
-    _finite("Lax-Friedrichs bound alpha on axis", alpha, model.state_names)
-    if not math.isfinite(cfl_rate):
-        raise NumericalError(f"the CFL rate sum(alpha / spacing) is not "
-                             f"finite: {cfl_rate!r}")
-    dt = 0.9 / cfl_rate if cfl_rate > 0.0 else 1.0
+    half_alpha, dt, dt_min, cfl_ratio = _local_lax_friedrichs(model, f, g,
+                                                              spacings)
 
     v = grid0.values.copy()
     low, high = float(v.min()), float(v.max())
@@ -403,14 +473,8 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
             f"{high!r}] could overflow a difference: 4 (max(max, 0) - "
             f"min(value_floor, 0)) / min spacing is {bound!r}")
 
-    # per-axis contiguous fields (n,) + shape and (m, n) + shape, in place
-    # of the node arrays, each as its `_field_term`
-    shape = geom.counts
-    f = np.ascontiguousarray(f_nodes.T).reshape((geom.dims,) + shape)
-    g = np.ascontiguousarray(g_nodes.T).reshape(g_nodes.shape[:0:-1] + shape)
     f = [_field_term(f_i) for f_i in f]
     g = [[_field_term(g_ji) for g_ji in g_j] for g_j in g]
-    del pts, f_nodes, g_nodes
     # the differences across the count + 1 cell faces of one axis at a time
     # (d_minus is the first count of them, d_plus the last count), in one
     # buffer shared by the axes
@@ -428,7 +492,7 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
             np.add(d_minus, d_plus, out=grads[ax])
             grads[ax] *= 0.5
             np.subtract(d_plus, d_minus, out=work)
-            work *= 0.5 * alpha[ax]
+            work *= half_alpha[ax]
             diss += work
 
         # V evolves forward as V_t = H(x, DV) (frozen by the outer min), so
@@ -441,13 +505,13 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
         v_new = np.maximum(v + dt * np.minimum(0.0, ham), value_floor)
         if not np.all(np.isfinite(v_new)):
             raise NumericalError(
-                f"value iteration blew up at step {step} (dt = {dt:.4g}; "
-                f"stability bound {1.0 / cfl_rate:.4g})")
+                f"value iteration blew up at step {step} (smallest node "
+                f"step {dt_min:.4g}, CFL ratio {cfl_ratio:.4g})")
         delta = float(np.max(np.abs(v_new - v)))
         v, passes = v_new, step + 1
         if delta < tol:
             break
-    record = SolveRecord(passes, delta, delta < tol, dt, cfl_rate * dt)
+    record = SolveRecord(passes, delta, delta < tol, dt_min, cfl_ratio)
     if tol > 0.0 and not record.converged:
         warnings.warn(f"value iteration stopped unconverged after {passes} "
                       f"passes (max_steps): final update {delta:.4g}, "

@@ -1,6 +1,7 @@
 """Scenarios, simulation loop, filter timings, level-set artifacts, CLI
 surface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,8 @@ from backup_cbf.errors import (ConvergenceWarning, GeometryError,
 from backup_cbf.harness import (Scenario, load_scenario, resolve_axis,
                                 run_compare, run_levelset, simulate,
                                 slice_grid)
-from backup_cbf.hjgrid import GridGeometry, LevelGrid, read_grid
+from backup_cbf.hjgrid import (GridGeometry, LevelGrid, constraint_grid,
+                               read_grid, solve_invariant)
 from backup_cbf.systems import (BENCHMARK_DEFAULTS, BENCHMARK_NAMES,
                                 make_benchmark)
 
@@ -516,8 +518,31 @@ def test_cli_levelset_warns_on_an_unconverged_baseline(tmp_path, capsys):
                        "--grid=-10:12:41,-5:5:41", "--hj", "--hj-max-steps", "5",
                        "--out", str(out)])
     assert rc == 0
-    written = json.loads(capsys.readouterr().out)
+    *paths, record = capsys.readouterr().out.splitlines()
+    written = json.loads("\n".join(paths))
     assert read_grid(written["hj_grid"]).values.shape == (41, 41)
+    solve = json.loads(record)["hj_solve"]
+    assert solve["iterations"] == 5 and solve["converged"] is False
+
+
+def test_cli_levelset_prints_the_hj_solve_record(tmp_path, capsys):
+    """With ``--hj`` the baseline's `SolveRecord` follows the map of
+    written paths as one JSON line, equal to the record of the solve the
+    files hold; the map itself names grid files only."""
+    scenario = str(SCENARIO_DIR / "di_full_throttle.json")
+    geom = GridGeometry((-10.0, -5.0), (12.0, 5.0), (21, 21), (False, False))
+    rc = cli_main(["levelset", "--scenario", scenario,
+                   "--grid=-10:12:21,-5:5:21", "--hj", "--out",
+                   str(tmp_path)])
+    assert rc == 0
+    *paths, record = capsys.readouterr().out.splitlines()
+    written = json.loads("\n".join(paths))
+    assert all(read_grid(p).geometry == geom for p in written.values())
+    model, _, spec = load_scenario(scenario).build()
+    want = solve_invariant(constraint_grid(geom, spec), model)
+    assert want.solve.converged
+    assert json.loads(record) == {"hj_solve": dataclasses.asdict(want.solve)}
+    assert read_grid(written["hj_grid"]).values.tobytes() == want.values.tobytes()
 
 
 BAD_SLICES = {
