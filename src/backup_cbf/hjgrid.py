@@ -18,17 +18,17 @@ Turkel, AIAA 81-1259, 1981), so every interior node's update is monotone.
 The outer min freezes improvements, so the iteration is monotone
 nonincreasing; its fixpoint, ``min(0, Hhat) = 0`` above the value floor,
 does not depend on ``dt``, and the zero-superlevel set of the converged
-field approximates the maximal control invariant set.  Dissipation and
-step are fields only where they vary; one that is the same at every node
-is a float.  A pass works on per-axis contiguous fields
-(one array per axis for the central gradient and the drift, one per input
-and axis for the input matrix) and sums them in the order ``np.einsum``
-sums over an axis, so its fields have the bits of the former ``einsum``
-pass (see `_box_hamiltonian`).  A drift or input field that is +-0.0 at
-every node is left out of the sums and one that is 1.0 at every node
-adds the costate itself; for a finite costate that changes at most the
-sign of a zero sum, which the box term turns into +0.0 as before, so the
-bits hold (see `solve_invariant` for the checks that keep it finite).
+field approximates the maximal control invariant set.  A pass works on
+per-axis contiguous fields (one array per axis for the central gradient
+and the drift, one per input and axis for the input matrix) and sums
+them in index order (see `_box_hamiltonian`).  One rule,
+`_constant_or_field`, makes a float of every per-node quantity that has
+the same value at every node: the dissipation, the step, and each drift
+and input field.  A float field of 0.0 is left out of the sums and one of
+1.0 adds the costate itself; for a finite costate that changes at most
+the sign of a zero sum, which the box term turns into +0.0, so the bits
+are those of the sums on the full fields (see `solve_invariant` for the
+checks that keep the costate finite).
 
 Grids serialize to a plain CSV format (header lines ``# axis i: lower
 upper count [periodic]``, then one ``index..., coords..., value`` row per
@@ -184,53 +184,28 @@ def constraint_grid(geometry: GridGeometry, spec: SafetySpec) -> LevelGrid:
     return LevelGrid(geometry, path_values(spec, geometry.nodes())[1])
 
 
-# The terms `_dot` takes in place of a per-axis field that is +-0.0
-# (`_ZERO`) or exactly 1.0 (`_ONE`) at every node; see `_field_term`.
-_ZERO, _ONE = "all-zero field", "all-one field"
+def _dot(p: Array, q, out: Array, work: Array) -> Array:
+    """``sum_i p[i] * q[i]`` over the first axis into ``out``, in index
+    order, with ``work`` for the products.
 
-
-def _field_term(field: Array) -> Array | str:
-    """`_ZERO` if every entry of ``field`` is +-0.0, `_ONE` if every entry
-    is 1.0, else ``field`` itself: the term `_dot` takes for it."""
-    if not np.any(field):
-        return _ZERO
-    return _ONE if np.all(field == 1.0) else field
-
-
-def _dot(p: Array, q, lanes: int, out: Array, work: Array) -> Array:
-    """``sum_i p[i] * q[i]`` over the first axis into ``out``, with ``work``
-    for the products, in ``lanes`` lanes: lane ``k`` adds the terms ``k,
-    k + lanes, ...`` in index order, then the lanes are added in order.
-
-    A term ``q[i]`` may be `_ZERO` or `_ONE` (`_field_term`) instead of a
-    field: a `_ZERO` term is left out, and a `_ONE` term adds ``p[i]``
-    itself, with no multiply (``p[i] * 1.0`` has the bits of ``p[i]``).
-    An empty lane adds nothing, and a sum with no terms is +0.0, as
-    ``einsum``'s is."""
-    kept = [ids for k in range(lanes)
-            if (ids := [i for i in range(k, len(p), lanes) if q[i] is not _ZERO])]
+    A term ``q[i]`` may be a float in place of a field that has that value
+    at every node (`_constant_or_field`): 0.0 is left out, 1.0 adds
+    ``p[i]`` itself (``p[i] * 1.0`` has the bits of ``p[i]``), and any
+    other value multiplies as its field would, with the same bits.  A sum
+    with no terms is +0.0."""
+    kept = [(p_i, q_i) for p_i, q_i in zip(p, q)
+            if not (isinstance(q_i, float) and q_i == 0.0)]
     if not kept:
         out.fill(0.0)
         return out
-
-    def lane(ids: list[int], acc: Array) -> Array:
-        first, *rest = ids
-        if q[first] is _ONE:
-            np.copyto(acc, p[first])
+    (p_0, q_0), *rest = kept
+    np.multiply(p_0, q_0, out=out)
+    for p_i, q_i in rest:
+        if isinstance(q_i, float) and q_i == 1.0:
+            out += p_i
         else:
-            np.multiply(p[first], q[first], out=acc)
-        for i in rest:
-            if q[i] is _ONE:
-                acc += p[i]
-            else:
-                np.multiply(p[i], q[i], out=work)
-                acc += work
-        return acc
-
-    lane(kept[0], out)
-    for ids in kept[1:]:        # `work` holds the lane unless it multiplies
-        products = any(q[i] is not _ONE for i in ids[1:])
-        out += lane(ids, np.empty_like(out) if products else work)
+            np.multiply(p_i, q_i, out=work)
+            out += work
     return out
 
 
@@ -253,54 +228,37 @@ def _box(model: SystemModel) -> tuple[Array, Array]:
                 _finite("centre of input", 0.5 * (hi + lo), names))
 
 
-def _box_hamiltonian(model: SystemModel, p: Array, f, g,
+def _box_hamiltonian(half: Array, center: Array, p: Array, f, g,
                      out: Array, work: Array) -> Array:
     """``max over u in the box of p . (f + g u)`` from the per-axis fields
     ``p`` and drift ``f``, shape ``(n,) + shape``, and input matrix ``g``,
     ``(m, n) + shape``, at the same points, into ``out`` (``shape``) with
-    ``work`` (``shape``) as scratch: the input contributes
-    ``|p.g_j| * halfwidth_j + (p.g_j) * center_j`` per channel.  Any field
-    ``f[i]`` or ``g[j][i]`` may be its `_field_term`, `_ZERO` or `_ONE`.
+    ``work`` (``shape``) as scratch; ``half`` and ``center`` are `_box`'s.
+    The sum is taken in index order: ``p.f`` (`_dot`), then per input
+    channel ``j`` in turn ``+ |p.g_j| * half_j + (p.g_j) * center_j``.
+    Any field ``f[i]`` or ``g[j][i]`` may be a float, as `_dot` takes it.
 
-    The value has the bits of the ``np.einsum`` form on ``(..., n)`` and
-    ``(..., n, m)`` fields (kept in the tests as the oracle) for up to 7
-    states, because each sum is taken in ``einsum``'s order: over a
-    contiguous axis (``p.f``, and ``p.g_j`` for one input) in two lanes,
-    even terms and odd terms; over a strided one (``p.g_j`` for several
-    inputs) in index order.  ``einsum`` starts each lane from +0.0, which
-    only turns a -0.0 into +0.0; the box term ``|p.g| * halfwidth``
-    (never -0.0) is added first and does the same.  That also covers the
-    terms `_dot` leaves out for `_ZERO` fields: for a finite ``p`` each is
-    +-0.0, so leaving it out changes at most the sign of a zero sum, and
-    with a finite box the box term turns that zero into +0.0 as well.  One
-    input's terms are products; several inputs' are one ``(P, m) @ (m,)``
-    product, which reaches the BLAS kernel of the stacked one (it fuses
-    multiply-adds)."""
-    half, center = _box(model)
-    _dot(p, f, 2, out, work)
-    if len(g) == 1:
-        pg = _dot(p, g[0], 2, np.empty_like(out), work)
+    The box term ``|p.g_0| * half_0`` is never -0.0, so adding it turns a
+    zero sum ``p.f`` of either sign into +0.0: the value has the bits of
+    the same sums started from +0.0 on the full fields, the left-out
+    float 0.0 terms included, whenever ``p`` and the box are finite."""
+    _dot(p, f, out, work)
+    pg = np.empty_like(out)
+    for g_j, half_j, center_j in zip(g, half, center):
+        _dot(p, g_j, pg, work)
         np.abs(pg, out=work)
-        work *= half[0]
+        work *= half_j
         out += work
-        pg *= center[0]
+        pg *= center_j
         out += pg
-        return out
-    pg = np.empty(out.shape + (len(g),))
-    for j, g_j in enumerate(g):
-        _dot(p, g_j, 1, pg[..., j], work)
-    flat, flat_work = pg.reshape(-1, len(g)), work.reshape(-1)
-    np.matmul(np.abs(flat), half, out=flat_work)
-    out += work
-    np.matmul(flat, center, out=flat_work)
-    out += work
     return out
 
 
 def hamiltonian(model: SystemModel, x: Array, p: Array) -> Array:
-    """``max over u in the box of p . (f(x) + g(x) u)`` in closed form, with
-    every field multiplied (none is left out).  The state ``x`` and the
-    costate ``p`` must have ``state_dim`` entries on their last axis
+    """``max over u in the box of p . (f(x) + g(x) u)`` in closed form,
+    summed as the solve's pass sums it (`_box_hamiltonian`), with every
+    field multiplied (none is left out).  The state ``x`` and the costate
+    ``p`` must have ``state_dim`` entries on their last axis
     (`ValidationError`), and the input box a finite half-width and centre
     (`NumericalError`, as `solve_invariant` refuses it)."""
     x = np.asarray(x, dtype=float)
@@ -313,7 +271,7 @@ def hamiltonian(model: SystemModel, x: Array, p: Array) -> Array:
     p, f = np.broadcast_arrays(p, model.f_eval(x))
     g = np.broadcast_to(model.g_eval(x), p.shape + (model.input_dim,))
     out, work = np.empty(p.shape[:-1]), np.empty(p.shape[:-1])
-    _box_hamiltonian(model, np.moveaxis(p, -1, 0), np.moveaxis(f, -1, 0),
+    _box_hamiltonian(*_box(model), np.moveaxis(p, -1, 0), np.moveaxis(f, -1, 0),
                      np.moveaxis(g, (-1, -2), (0, 1)), out, work)
     return out if out.ndim else out[()]
 
@@ -432,13 +390,16 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
     the domain from delaying convergence.
 
     Each per-axis field of the drift and the input matrix is sorted once,
-    by `_field_term`: a field that is +-0.0 at every node is left out of
-    the Hamiltonian, and one that is 1.0 at every node adds the costate
-    itself (on Dubins, ``f = (v sin psi, 0, 0)`` and ``g = ((0, 0), (1,
-    0), (0, 1))`` leave one multiply and two copies).  The field keeps the
-    bits of the full sum whenever the costate and the box are finite (see
-    `_box_hamiltonian`).  So before the first pass a `NumericalError`
-    refuses an input box half-width or centre, a dissipation coefficient
+    by `_constant_or_field`, the rule of the dissipation and the step: a
+    field that has the same value at every node is that float.  A float
+    0.0 is left out of the Hamiltonian, a 1.0 adds the costate itself and
+    any other float multiplies (on Dubins, ``f = (v sin psi, 0, 0)`` and
+    ``g = ((0, 0), (1, 0), (0, 1))`` leave one term in each of the three
+    sums; the aeroplane's ``g_dpsi`` is -1.0).  The Hamiltonian
+    keeps the bits of the sums on the full fields whenever the costate and
+    the box are finite (see `_box_hamiltonian`).  So before the first pass
+    a `NumericalError` refuses an input box half-width or centre, a
+    dissipation coefficient
     ``alpha``, a CFL rate or a node step that is not finite, naming it,
     and a ``grid0`` whose differences could overflow: every value stays in
     ``[value_floor, max]``, and a difference, the edge extrapolation
@@ -449,7 +410,7 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
     geom = grid0.geometry
     if model.state_dim != geom.dims:
         raise GeometryError("grid dimension does not match the model")
-    _box(model)
+    half, center = _box(model)
     pts = geom.nodes()
     f_nodes = model.f_eval(pts)                       # (P, n)
     g_nodes = model.g_eval(pts)                       # (P, n, m)
@@ -473,8 +434,8 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
             f"{high!r}] could overflow a difference: 4 (max(max, 0) - "
             f"min(value_floor, 0)) / min spacing is {bound!r}")
 
-    f = [_field_term(f_i) for f_i in f]
-    g = [[_field_term(g_ji) for g_ji in g_j] for g_j in g]
+    f = [_constant_or_field(f_i) for f_i in f]
+    g = [[_constant_or_field(g_ji) for g_ji in g_j] for g_j in g]
     # the differences across the count + 1 cell faces of one axis at a time
     # (d_minus is the first count of them, d_plus the last count), in one
     # buffer shared by the axes
@@ -497,7 +458,7 @@ def solve_invariant(grid0: LevelGrid, model: SystemModel, tol: float = HJ_TOL,
 
         # V evolves forward as V_t = H(x, DV) (frozen by the outer min), so
         # the monotone Lax-Friedrichs form *adds* the dissipation term.
-        _box_hamiltonian(model, grads, f, g, ham, work)
+        _box_hamiltonian(half, center, grads, f, g, ham, work)
         ham += diss
 
         # v_new <= v: v >= value_floor from the start, dt > 0, and adding a

@@ -255,8 +255,12 @@ class SystemModel:
     """Control-affine plant ``xdot = f(x) + g(x) u`` with a box input set.
 
     ``df_dx(x)`` has shape ``(..., n, n)``; ``dg_dx(x)`` has shape
-    ``(..., n, m, n)`` with entry ``[i, j, k] = d g[i, j] / d x[k]`` (a
-    built-in model's is compiled; nothing in this package reads it).
+    ``(..., n, m, n)`` with entry ``[i, j, k] = d g[i, j] / d x[k]``.  A
+    built-in model's are compiled, but nothing in this package reads
+    either, nor `BackupPolicy.dpi_dx`: the flows take the loop Jacobian
+    from `ClosedLoop.jacobian`.  The three stay because the benchmark's
+    tracer (``perfbench/layers.py``) wraps them by name; they can go with
+    a change to the benchmark that drops those wraps.
     """
 
     state_dim: int
@@ -335,7 +339,8 @@ class BackupPolicy:
     was built alongside (`_generated`); anything else is refused with
     `ValidationError`.  The flows march on it alone: they call none of
     ``pi_eval``, ``dpi_dx`` and the model's evaluators, so replacing any of
-    them changes no flow.
+    them changes no flow.  Nothing in this package reads ``dpi_dx`` (see
+    `SystemModel` for why it stays).
     """
 
     pi_eval: Callable[[Array], Array]
